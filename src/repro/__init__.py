@@ -23,12 +23,10 @@ The single-gate substrate remains available directly::
     print(verify_gate(dpdn).describe())
 
 The loose top-level stage functions (``synthesize_fc_dpdn``,
-``acquire_circuit_traces``, ...) are kept as thin delegating shims for
+``verify_gate``, ...) are kept as thin delegating re-exports for
 existing code; new code should compose stages through
 :class:`~repro.flow.DesignFlow` and the config objects instead.
 """
-
-import warnings as _warnings
 
 from .boolexpr import Expr, Var, And, Or, Not, Xor, parse, truth_table, equivalent, vars_
 from .network import (
@@ -63,7 +61,6 @@ from .power import (
     dpa_difference_of_means,
     energy_statistics,
 )
-from .power import acquire_circuit_traces as _acquire_circuit_traces
 from .assess import (
     MTDCurve,
     StreamingMoments,
@@ -116,26 +113,7 @@ from .obs import (
     use_observer,
 )
 
-__version__ = "2.6.0"
-
-
-def acquire_circuit_traces(*args, **kwargs):
-    """Deprecated top-level shim for :func:`repro.power.acquire_circuit_traces`.
-
-    The acquisition signature grew a vectorized back-end
-    (``batch_size=...``), which changes the default execution path from
-    the per-trace loop this shim historically exposed.  Campaigns should
-    be configured through :class:`repro.flow.DesignFlow` (or call
-    ``repro.power.acquire_circuit_traces`` directly for the low-level
-    API).
-    """
-    _warnings.warn(
-        "repro.acquire_circuit_traces is deprecated; use "
-        "repro.flow.DesignFlow (or repro.power.acquire_circuit_traces)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _acquire_circuit_traces(*args, **kwargs)
+__version__ = "2.9.0"
 
 
 __all__ = [
@@ -200,6 +178,6 @@ __all__ = [
     "SABLGate", "CVSLGate", "map_expressions", "CircuitPowerSimulator",
     "BatchedCircuitEnergyModel",
     # power
-    "PRESENT_SBOX", "build_sbox_circuit", "acquire_circuit_traces",
+    "PRESENT_SBOX", "build_sbox_circuit",
     "dpa_difference_of_means", "cpa_correlation", "energy_statistics",
 ]

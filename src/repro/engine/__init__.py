@@ -51,7 +51,6 @@ from .runner import (
 from .sharding import AssessmentShard, Shard, plan_assessment_shards, plan_shards
 from .store import ArtifactStore, content_key
 from .sweep import SweepReport, build_grid, run_sweep
-from .transport import ShmBlock
 
 __all__ = [
     # sharding
@@ -72,8 +71,6 @@ __all__ = [
     "warm_pool",
     "warm_pool_stats",
     "shutdown_pools",
-    # transport
-    "ShmBlock",
     # runner
     "ShardTaskError",
     "run_trace_campaign",

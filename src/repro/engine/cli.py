@@ -136,8 +136,6 @@ def _execution_overrides(args: argparse.Namespace, config: FlowConfig) -> FlowCo
         overrides["start_method"] = args.start_method
     if getattr(args, "shard_timeout", None) is not None:
         overrides["shard_timeout"] = args.shard_timeout
-    if getattr(args, "no_shared_memory", False):
-        overrides["shared_memory"] = False
     if args.store is not None:
         overrides["store"] = args.store
     if getattr(args, "mmap", False):
@@ -244,12 +242,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         help="fail the campaign if any shard takes longer than this "
         "(a dead worker otherwise hangs the run; default: wait forever)",
-    )
-    parser.add_argument(
-        "--no-shared-memory",
-        action="store_true",
-        help="return worker results through the pickle pipe instead of "
-        "shared-memory segments (results are bit-identical either way)",
     )
     parser.add_argument("--store", metavar="DIR", help="artifact store directory")
     parser.add_argument(

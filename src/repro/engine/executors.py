@@ -158,15 +158,7 @@ class Executor:
     ``map`` must evaluate ``fn`` over every payload and return the
     results in payload order; beyond that, scheduling is the backend's
     business.  Duck typing suffices; this class documents the contract.
-    Backends that can receive results through shared-memory descriptors
-    (worker and parent share an address space for named segments) set
-    ``supports_shared_memory`` so the runner knows it may use the
-    zero-copy transport (:mod:`repro.engine.transport`).
     """
-
-    #: Whether the runner may route bulk results through
-    #: ``multiprocessing.shared_memory`` instead of the result pipe.
-    supports_shared_memory = False
 
     #: Whether the backend can stream worker events to the parent
     #: mid-map through a live channel (:mod:`repro.obs.live`).  Backends
@@ -313,7 +305,6 @@ class ProcessPoolExecutor(Executor):
     ``workers=1`` does not pay process or flow-rebuild overhead.
     """
 
-    supports_shared_memory = True
     supports_live_events = True
 
     #: How long ``_pool_map`` waits on the result iterator between live

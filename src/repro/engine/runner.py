@@ -15,12 +15,8 @@ deterministic map-reduce:
 3. **reduce** -- trace blocks are concatenated in shard order,
    assessment methods are ``merge()``-d in shard order.
 
-Trace shards come back through shared memory when the executor supports
-it (:mod:`repro.engine.transport`): workers park their blocks in named
-segments and return small descriptors, the parent concatenates straight
-out of zero-copy views and unlinks the segments in ``finally`` --
-including on error paths, where the deterministic segment names let the
-parent sweep blocks whose descriptors never arrived.
+Every shard result -- trace blocks and assessment accumulators alike --
+comes back through the executor's ordinary result pipe.
 
 Worker failures follow one contract on every backend: a shard task that
 raises surfaces in the parent as :class:`ShardTaskError` carrying the
@@ -50,16 +46,6 @@ from .executors import (
     warm_pool_stats,
 )
 from .sharding import AssessmentShard, Shard, plan_assessment_shards, plan_shards
-from .transport import (
-    ShmBlock,
-    attach_array,
-    export_array,
-    new_transport_token,
-    release_segments,
-    segment_name,
-    segment_stats,
-    sweep_segments,
-)
 
 __all__ = [
     "ShardTaskError",
@@ -148,10 +134,6 @@ def _flow_from_spec(
     return flow
 
 
-#: Segment-name tags of the trace transport: plaintexts and traces.
-_TRACE_SEGMENT_TAGS = ("p", "t")
-
-
 def _shard_error(
     stage: str, spec: Tuple[str, Any], shard, exc: BaseException
 ) -> ShardTaskError:
@@ -177,35 +159,23 @@ def _shard_error(
 
 
 def _trace_shard_task(
-    payload: Tuple[
-        Tuple[str, Optional[Tuple[Tuple[str, str], ...]]], Shard, Optional[str]
-    ]
-) -> Tuple[Any, Any, Optional[List[Dict[str, Any]]]]:
+    payload: Tuple[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]], Shard]
+) -> Tuple[np.ndarray, np.ndarray, Optional[List[Dict[str, Any]]]]:
     """Executed on a pool worker: acquire one trace shard.
 
     Observability events are buffered and returned *with* the shard
     payload (see :func:`repro.obs.capture_events`): workers cannot share
     the parent's sinks, and piggybacking on the result keeps the
     executor protocol -- and with it the determinism contract --
-    untouched.
-
-    When the payload carries a transport token, the plaintext and trace
-    blocks are parked in shared-memory segments and only their
-    :class:`~repro.engine.transport.ShmBlock` descriptors are returned;
-    the parent owns the segments from that moment on.  Any failure is
-    re-raised as :class:`ShardTaskError` with the shard's identity.
+    untouched.  Any failure is re-raised as :class:`ShardTaskError`
+    with the shard's identity.
     """
-    spec, shard, shm_token = payload
+    spec, shard = payload
     try:
         flow = _flow_from_spec(spec)
         with worker_task("traces", shard=shard.index, traces=shard.count):
             with capture_events(flow.config.obs) as (_, events):
                 plaintexts, traces = flow._acquire_trace_shard(shard)
-        if shm_token is not None:
-            plaintexts = export_array(
-                plaintexts, segment_name(shm_token, shard.index, "p")
-            )
-            traces = export_array(traces, segment_name(shm_token, shard.index, "t"))
     except Exception as exc:
         raise _shard_error("traces", spec, shard, exc) from exc
     return plaintexts, traces, events
@@ -213,19 +183,15 @@ def _trace_shard_task(
 
 def _assessment_shard_task(
     payload: Tuple[
-        Tuple[str, Optional[Tuple[Tuple[str, str], ...]]],
-        AssessmentShard,
-        Optional[str],
+        Tuple[str, Optional[Tuple[Tuple[str, str], ...]]], AssessmentShard
     ]
 ) -> Tuple[Dict[str, Any], int, Optional[List[Dict[str, Any]]]]:
     """Executed on a pool worker: stream one assessment shard.
 
     Like :func:`_trace_shard_task`, buffered observability events ride
     back with the result and failures wrap into :class:`ShardTaskError`.
-    Assessment results are small accumulator objects, so they travel
-    through the ordinary result pipe (the transport token is unused).
     """
-    spec, shard, _shm_token = payload
+    spec, shard = payload
     try:
         flow = _flow_from_spec(spec)
         with worker_task(
@@ -247,9 +213,6 @@ def _sample_gauges(obs: Any, store: Any = None) -> None:
     """Sample engine resource state into ``obs`` (no-op when inactive)."""
     if not obs.active:
         return
-    segments, segment_bytes = segment_stats()
-    obs.gauge("transport.segments", segments)
-    obs.gauge("transport.segment_bytes", segment_bytes)
     pools, pool_workers = warm_pool_stats()
     obs.gauge("executor.pools", pools)
     obs.gauge("executor.pool_workers", pool_workers)
@@ -263,11 +226,10 @@ def _sample_gauges(obs: Any, store: Any = None) -> None:
 def sample_resource_gauges(flow: DesignFlow) -> None:
     """Sample the engine's resource state into the flow observer.
 
-    Gauges: parent-attached shared-memory segments
-    (``transport.segments`` / ``transport.segment_bytes``), warm pool
-    state (``executor.pools`` / ``executor.pool_workers``), the artifact
-    store (``store.entries`` / ``store.bytes``, when one is configured)
-    and the parent's RSS (``proc.rss_mb``).  Observability only --
+    Gauges: warm pool state (``executor.pools`` /
+    ``executor.pool_workers``), the artifact store (``store.entries`` /
+    ``store.bytes``, when one is configured) and the parent's RSS
+    (``proc.rss_mb``).  Observability only --
     reads engine state, never changes it; a no-op when the flow's
     observer is inactive.
     """
@@ -315,13 +277,6 @@ def _map_shards(flow: DesignFlow, task, shards) -> List[Any]:
     its cached circuit); parallel executors ship the flow spec to the
     workers.  Both paths compute identical shards, and both surface a
     failed shard as :class:`ShardTaskError` with the same context.
-
-    For trace shards on an executor with ``supports_shared_memory``, the
-    payloads carry a transport token and the returned parts are
-    :class:`~repro.engine.transport.ShmBlock` descriptors (reduced by
-    :func:`_reduce_trace_parts`); on any failure -- a task error, a
-    timeout, an interrupt -- every segment the map could have created is
-    swept before the error propagates.
     """
     execution = flow.config.execution
     executor = get_executor(
@@ -351,13 +306,7 @@ def _map_shards(flow: DesignFlow, task, shards) -> List[Any]:
                 raise _shard_error(stage, _flow_spec(flow), shard, exc) from exc
         return results
     spec = _flow_spec(flow)
-    use_shm = (
-        task is _trace_shard_task
-        and execution.shared_memory
-        and getattr(executor, "supports_shared_memory", False)
-    )
-    token = new_transport_token() if use_shm else None
-    payloads = [(spec, shard, token) for shard in shards]
+    payloads = [(spec, shard) for shard in shards]
     dispatcher = _live_dispatcher(flow, executor, task, shards)
     try:
         mapped = executor.map(task, payloads)
@@ -376,46 +325,21 @@ def _map_shards(flow: DesignFlow, task, shards) -> List[Any]:
             stripped.append(tuple(payload))
         return stripped
     except ShardTimeoutError as exc:
-        if token is not None:
-            sweep_segments(token, len(shards), _TRACE_SEGMENT_TAGS)
         raise _shard_error(stage, spec, shards[exc.payload_index], exc) from exc
-    except BaseException:
-        if token is not None:
-            sweep_segments(token, len(shards), _TRACE_SEGMENT_TAGS)
-        raise
     finally:
         if dispatcher is not None:
             executor.on_live_events = None
             dispatcher.finish()
 
 
-def _reduce_trace_parts(parts: List[Any]) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate trace shard parts, transparently attaching shm blocks.
-
-    Shared-memory descriptors become zero-copy views over the worker's
-    pages, so the single copy of the whole campaign is the concatenation
-    itself -- exactly what the serial path pays.  Every attached segment
-    is closed *and unlinked* in ``finally``: the views do not outlive
-    this function, and neither do the segments.
-    """
-    segments: List[Any] = []
-
-    def _attached(field: Any) -> np.ndarray:
-        if isinstance(field, ShmBlock):
-            array, segment = attach_array(field)
-            segments.append(segment)
-            return array
-        return field
-
-    try:
-        plaintext_blocks = []
-        trace_blocks = []
-        for plaintexts, traces in parts:
-            plaintext_blocks.append(_attached(plaintexts))
-            trace_blocks.append(_attached(traces))
-        return np.concatenate(plaintext_blocks), np.concatenate(trace_blocks)
-    finally:
-        release_segments(segments)
+def _reduce_trace_parts(
+    parts: List[Tuple[np.ndarray, np.ndarray]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate trace shard parts (plaintexts, traces) in shard order."""
+    return (
+        np.concatenate([plaintexts for plaintexts, _ in parts]),
+        np.concatenate([traces for _, traces in parts]),
+    )
 
 
 def run_trace_campaign(flow: DesignFlow) -> Tuple[Any, Dict[str, Any]]:

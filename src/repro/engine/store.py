@@ -101,13 +101,29 @@ class ArtifactStore:
     def __contains__(self, key: str) -> bool:
         return (self.path(key) / "meta.json").is_file()
 
+    def _discard(self, key: str) -> None:
+        """Remove an entry that exists but cannot be loaded.
+
+        Writes never replace an existing entry (:meth:`_write_entry`
+        takes a failed rename onto it as a lost race with a
+        content-equal writer), so a damaged entry left in place would
+        shadow every recomputed result for its key.
+        """
+        shutil.rmtree(self.path(key), ignore_errors=True)
+
     def _read_meta(self, key: str) -> Optional[Dict[str, Any]]:
         meta_path = self.path(key) / "meta.json"
         try:
             with open(meta_path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError):
+                meta = json.load(handle)
+        except OSError:
             return None
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            self._discard(key)
+            return None
+        return meta
 
     def _write_entry(
         self, key: str, meta: Dict[str, Any], arrays: Mapping[str, np.ndarray]
@@ -194,7 +210,8 @@ class ArtifactStore:
         try:
             plaintexts = np.load(directory / "plaintexts.npy", mmap_mode=mmap_mode)
             traces = np.load(directory / "traces.npy", mmap_mode=mmap_mode)
-        except (OSError, ValueError):
+        except (OSError, ValueError, EOFError):
+            self._discard(key)
             self._count(hit=False, kind="traces")
             return None
         self._count(hit=True, kind="traces")

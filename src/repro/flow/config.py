@@ -551,12 +551,6 @@ class ExecutionConfig(_ConfigBase):
             campaign loudly (a dead worker otherwise hangs the map
             forever).  ``None`` -- the default -- waits indefinitely.
             Does not activate the engine and is not part of store keys.
-        shared_memory: let executors that support it return trace
-            shard blocks through ``multiprocessing.shared_memory``
-            segments instead of pickling them through the result pipe
-            (zero-copy transport; on by default).  Transport never
-            changes results -- bit-identity holds either way -- so it
-            too stays out of store keys.
         shard_size: traces per shard.  ``None`` uses
             :data:`DEFAULT_SHARD_SIZE` when execution is active.  The
             shard plan depends only on the campaign (seed, trace count)
@@ -579,7 +573,6 @@ class ExecutionConfig(_ConfigBase):
     executor: Optional[str] = None
     start_method: Optional[str] = None
     shard_timeout: Optional[float] = None
-    shared_memory: bool = True
     shard_size: Optional[int] = None
     min_shard_size: Optional[int] = None
     store: Optional[str] = None

@@ -1,10 +1,7 @@
-"""The deprecated top-level shims: warnings and faithful delegation."""
+"""The top-level stage re-exports: faithful delegation to the subpackages."""
 
 from __future__ import annotations
 
-import warnings
-
-import numpy as np
 import pytest
 
 import repro
@@ -14,51 +11,10 @@ import repro.flow
 import repro.network
 import repro.power
 import repro.sabl
-from repro.sabl import map_expressions
-
-
-@pytest.fixture(scope="module")
-def small_circuit():
-    return map_expressions({"F": repro.parse("A & B")}, name="shim_target")
-
-
-class TestAcquireCircuitTracesShim:
-    def test_emits_deprecation_warning(self, small_circuit):
-        with pytest.warns(DeprecationWarning, match="repro.flow.DesignFlow"):
-            repro.acquire_circuit_traces(small_circuit, key=0, trace_count=4)
-
-    def test_delegates_with_identical_results(self, small_circuit):
-        kwargs = dict(key=0, trace_count=32, noise_std=0.01, seed=123)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = repro.acquire_circuit_traces(small_circuit, **kwargs)
-        direct = repro.power.acquire_circuit_traces(small_circuit, **kwargs)
-        np.testing.assert_array_equal(shimmed.traces, direct.traces)
-        np.testing.assert_array_equal(shimmed.plaintexts, direct.plaintexts)
-        assert shimmed.key == direct.key
-        assert shimmed.description == direct.description
-
-    def test_forwards_batch_size_switch(self, small_circuit):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            batched = repro.acquire_circuit_traces(
-                small_circuit, key=0, trace_count=16, seed=5, batch_size=4
-            )
-            sequential = repro.acquire_circuit_traces(
-                small_circuit, key=0, trace_count=16, seed=5, batch_size=None
-            )
-        np.testing.assert_allclose(
-            batched.traces, sequential.traces, rtol=1e-9, atol=0.0
-        )
-
-    def test_direct_power_function_does_not_warn(self, small_circuit):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            repro.power.acquire_circuit_traces(small_circuit, key=0, trace_count=4)
 
 
 class TestReExportShims:
-    """The other top-level stage functions are plain delegating re-exports."""
+    """The top-level stage functions are plain delegating re-exports."""
 
     @pytest.mark.parametrize(
         "name, module",

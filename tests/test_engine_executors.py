@@ -1,4 +1,4 @@
-"""Executor hardening: persistent pools, failure injection, transport.
+"""Executor hardening: persistent pools, failure injection, start methods.
 
 Pins the contracts PR 9 introduced:
 
@@ -10,13 +10,9 @@ Pins the contracts PR 9 introduced:
   (:class:`ShardTimeoutError`) instead of hanging the map, and the
   broken pool is evicted so the next map starts fresh;
 * an empty payload list maps to an empty result list on every backend;
-* the shared-memory result transport is bit-identical to the pickle
-  pipe at 2 and 4 workers, for traces and assessment accumulators, and
-  leaks no segments -- on success or failure;
 * spawn-started pools match fork-started pools bit for bit.
 """
 
-import glob
 import os
 import time
 
@@ -33,15 +29,6 @@ from repro.engine import (
     warm_pool,
 )
 from repro.engine.executors import _WARM_POOLS, ProcessPoolExecutor, SerialExecutor
-from repro.engine.transport import (
-    ShmBlock,
-    attach_array,
-    export_array,
-    new_transport_token,
-    release_segments,
-    segment_name,
-    sweep_segments,
-)
 from repro.flow import (
     ASSESSMENTS,
     AssessmentConfig,
@@ -94,12 +81,6 @@ def _pid_slow(_payload):
     # need every worker to actually participate.
     time.sleep(0.1)
     return os.getpid()
-
-
-def _leftover_segments():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return glob.glob("/dev/shm/rs*")
 
 
 class TestExecutorBasics:
@@ -253,86 +234,6 @@ class TestShardTaskFailureInjection:
         assert error.shard_index == 4 and error.flow_name == "f"
 
 
-class TestSharedMemoryTransport:
-    def test_export_attach_round_trip(self):
-        token = new_transport_token()
-        array = np.arange(24, dtype=np.float64).reshape(4, 6)
-        block = export_array(array, segment_name(token, 0, "t"))
-        assert isinstance(block, ShmBlock)
-        view, segment = attach_array(block)
-        try:
-            assert np.array_equal(view, array)
-        finally:
-            release_segments([segment])
-        assert _leftover_segments() == []
-
-    def test_empty_array_round_trip(self):
-        token = new_transport_token()
-        block = export_array(np.empty((0, 3)), segment_name(token, 0, "p"))
-        view, segment = attach_array(block)
-        try:
-            assert view.shape == (0, 3)
-        finally:
-            release_segments([segment])
-
-    def test_sweep_removes_unclaimed_segments(self):
-        token = new_transport_token()
-        export_array(np.ones(8), segment_name(token, 0, "p"))
-        export_array(np.ones(8), segment_name(token, 2, "t"))
-        assert sweep_segments(token, 5, ("p", "t")) == 2
-        assert sweep_segments(token, 5, ("p", "t")) == 0
-        assert _leftover_segments() == []
-
-    def test_segment_names_fit_the_posix_limit(self):
-        # macOS rejects names longer than 31 chars (incl. the leading /).
-        name = segment_name(new_transport_token(), 999999, "p")
-        assert len(name) + 1 <= 31
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_trace_bit_identity_shm_vs_pipe_vs_serial(self, workers):
-        serial = _sbox_flow(ExecutionConfig(workers=1, shard_size=SHARD)).traces()
-        shm = _sbox_flow(
-            ExecutionConfig(workers=workers, shard_size=SHARD)
-        ).traces()
-        piped = _sbox_flow(
-            ExecutionConfig(workers=workers, shard_size=SHARD, shared_memory=False)
-        ).traces()
-        assert np.array_equal(serial.traces, shm.traces)
-        assert np.array_equal(serial.plaintexts, shm.plaintexts)
-        assert np.array_equal(serial.traces, piped.traces)
-        assert np.array_equal(serial.plaintexts, piped.plaintexts)
-        assert _leftover_segments() == []
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_assessment_bit_identity_across_transport(self, workers):
-        def outcome(execution):
-            config = FlowConfig(
-                name="executor_test",
-                campaign=CampaignConfig(key=0xB, trace_count=TRACES),
-                assessment=AssessmentConfig(
-                    enabled=True, traces_per_class=60, chunk_size=20
-                ),
-                execution=execution,
-            )
-            return DesignFlow.sbox(config=config).assessment()["ttest"]
-
-        serial = outcome(ExecutionConfig(workers=1, shard_size=40))
-        parallel = outcome(ExecutionConfig(workers=workers, shard_size=40))
-        piped = outcome(
-            ExecutionConfig(workers=workers, shard_size=40, shared_memory=False)
-        )
-        for order in (1, 2):
-            assert serial.test(order).statistic == parallel.test(order).statistic
-            assert serial.test(order).statistic == piped.test(order).statistic
-        assert _leftover_segments() == []
-
-    def test_failed_map_leaves_no_segments(self, tmp_path):
-        executor = get_executor("process", 2, timeout=3.0)
-        with pytest.raises(ShardTimeoutError):
-            executor.map(_die, [0, 1])
-        assert _leftover_segments() == []
-
-
 class TestStartMethods:
     def test_spawn_matches_fork_and_serial_bitwise(self):
         serial = _sbox_flow(ExecutionConfig(workers=1, shard_size=SHARD)).traces()
@@ -345,7 +246,6 @@ class TestStartMethods:
         assert np.array_equal(serial.traces, fork.traces)
         assert np.array_equal(serial.traces, spawn.traces)
         assert np.array_equal(serial.plaintexts, spawn.plaintexts)
-        assert _leftover_segments() == []
 
     def test_execution_config_validates_the_start_method(self):
         from repro.flow.config import ConfigError
@@ -355,7 +255,7 @@ class TestStartMethods:
         with pytest.raises(ConfigError, match="shard_timeout"):
             ExecutionConfig(shard_timeout=-1.0)
         # Round-trips like every other config field.
-        config = ExecutionConfig(
-            workers=2, start_method="spawn", shard_timeout=30.0, shared_memory=False
-        )
+        config = ExecutionConfig(workers=2, start_method="spawn", shard_timeout=30.0)
         assert ExecutionConfig.from_dict(config.to_dict()) == config
+        with pytest.raises(ConfigError, match="shared_memory"):
+            ExecutionConfig.from_dict({"shared_memory": True})

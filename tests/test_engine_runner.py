@@ -136,10 +136,13 @@ class TestAssessmentEquivalence:
     def test_sharded_assessment_matches_serial_bitwise(self):
         serial = self._flow(ExecutionConfig(shard_size=100))
         parallel = self._flow(ExecutionConfig(workers=2, shard_size=100))
+        four = self._flow(ExecutionConfig(workers=4, shard_size=100))
         s = serial.assessment()["ttest"]
         p = parallel.assessment()["ttest"]
+        f = four.assessment()["ttest"]
         for order in (1, 2):
             assert s.test(order).statistic == p.test(order).statistic
+            assert s.test(order).statistic == f.test(order).statistic
         assert s.test(1).count_fixed == 200
         assert parallel.result("assessment").details["shards"] == 4
 

@@ -167,6 +167,23 @@ class TestArtifactStore:
         assert store.clear() == 2
         assert store.entries() == []
 
+    @pytest.mark.parametrize("damage", ["truncated_array", "garbled_meta"])
+    def test_damaged_entry_is_replaced_by_the_next_put(self, tmp_path, damage):
+        store = ArtifactStore(tmp_path / "store")
+        key = "9" * 64
+        original = _traceset()
+        store.put_traceset(key, original, {"stage": "traces"})
+        if damage == "truncated_array":
+            array = store.path(key) / "traces.npy"
+            array.write_bytes(array.read_bytes()[: array.stat().st_size // 2])
+        else:
+            (store.path(key) / "meta.json").write_text('{"kind": "tra')
+        assert store.get_traceset(key) is None
+        store.put_traceset(key, original, {"stage": "traces"})
+        healed = store.get_traceset(key)
+        assert healed is not None
+        assert np.array_equal(healed.traces, original.traces)
+
     def test_malformed_keys_are_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         with pytest.raises(ValueError):

@@ -179,7 +179,7 @@ class TestSafePutAndLiveSink:
 
 class TestMetrics:
     def test_gauge_inc_dec(self):
-        gauge = MetricsRegistry().gauge("transport.segments")
+        gauge = MetricsRegistry().gauge("executor.pool_workers")
         gauge.inc()
         gauge.inc(2.0)
         gauge.dec()
@@ -511,7 +511,6 @@ class TestLiveEndToEnd:
             "proc.rss_mb",
             "executor.pools",
             "executor.pool_workers",
-            "transport.segments",
         } <= gauges
 
     def test_serial_runs_skip_the_live_machinery(self):
