@@ -3,8 +3,8 @@
 The engine is the layer between the :mod:`repro.flow` pipeline API and
 the compute kernels.  It splits campaigns into deterministic shards
 (per-shard random streams via ``numpy.random.SeedSequence.spawn``),
-executes them through pluggable executor backends (serial loop or a
-``multiprocessing`` pool), map-reduces the shard outputs -- trace blocks
+executes them in an in-process loop or on a warm ``multiprocessing``
+pool, map-reduces the shard outputs -- trace blocks
 concatenate in shard order, assessment accumulators ``merge()`` -- and
 caches stage results in a content-addressed disk store so sweeps and
 re-runs skip acquisition.
@@ -27,15 +27,10 @@ count, and the reduce preserves shard order.
 """
 
 from .executors import (
-    EXECUTORS,
-    Executor,
     ExecutorError,
     ProcessPoolExecutor,
-    SerialExecutor,
     ShardTimeoutError,
     default_start_method,
-    get_executor,
-    register_executor,
     shutdown_pools,
     warm_pool,
     warm_pool_stats,
@@ -59,14 +54,9 @@ __all__ = [
     "plan_shards",
     "plan_assessment_shards",
     # executors
-    "Executor",
     "ExecutorError",
     "ShardTimeoutError",
-    "SerialExecutor",
     "ProcessPoolExecutor",
-    "EXECUTORS",
-    "register_executor",
-    "get_executor",
     "default_start_method",
     "warm_pool",
     "warm_pool_stats",

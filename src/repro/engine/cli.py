@@ -229,7 +229,12 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shard-size", type=int, metavar="N", help="traces per shard"
     )
-    parser.add_argument("--executor", metavar="NAME", help="registered executor backend")
+    parser.add_argument(
+        "--executor",
+        choices=("serial", "process"),
+        help="serial: run the shard plan in process; process: on the worker "
+        "pool (default: process when --workers > 1, else serial)",
+    )
     parser.add_argument(
         "--start-method",
         choices=("fork", "spawn", "forkserver"),
@@ -240,8 +245,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--shard-timeout",
         type=float,
         metavar="SECONDS",
-        help="fail the campaign if any shard takes longer than this "
-        "(a dead worker otherwise hangs the run; default: wait forever)",
+        help="fail the campaign if any shard (in a sweep: any cell) takes "
+        "longer than this (a dead worker otherwise hangs the run; default: "
+        "wait forever)",
     )
     parser.add_argument("--store", metavar="DIR", help="artifact store directory")
     parser.add_argument(
@@ -565,7 +571,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _obs_overrides(args, _base_config(args))
+    config = _obs_overrides(args, _execution_overrides(args, _base_config(args)))
     out = _human_stream(args)
     axes: Dict[str, List[Any]] = {}
     for axis in args.axis or []:
@@ -576,10 +582,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.stages
         else None
     )
-    execution = config.execution
-    if args.shard_size is not None:
-        execution = execution.replace(shard_size=args.shard_size)
-    config = config.replace(execution=execution)
     observer = observer_from_config(config.obs)
     try:
         with use_observer(observer):
@@ -588,8 +590,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 axes,
                 workers=args.workers if args.workers is not None else 1,
                 executor=args.executor,
-                store=args.store,
-                store_mmap=bool(args.mmap),
                 stages=stages,
             )
     finally:

@@ -1,13 +1,13 @@
-"""Pluggable executors for sharded campaign execution.
+"""The process pool that sharded campaigns and sweeps map over.
 
-An executor maps a picklable task function over a list of payloads and
-returns the results *in payload order* -- the only contract the runner's
-map-reduce needs.  Two backends ship built in:
-
-* ``"serial"`` -- a plain in-process loop: the debugging backend, and
-  the reference the parallel backends must match bit for bit;
-* ``"process"`` -- a **persistent** pool of worker processes, the
-  production backend for multi-core campaign throughput.
+The engine runs a list of payloads one of two ways, chosen from
+:class:`repro.flow.ExecutionConfig` by :func:`_uses_pool`: an in-process
+loop (``executor="serial"``, or a single worker), or the warm
+:class:`ProcessPoolExecutor` (``executor="process"`` with ``workers >
+1``).  Both return results *in payload order* -- the only contract the
+runner's map-reduce needs -- and the loop is the reference the pool must
+match bit for bit.  :func:`_map_on_pool` is the one pool path: the
+runner's shard maps and the sweep's cell maps both go through it.
 
 Persistent-pool lifecycle
 -------------------------
@@ -54,39 +54,24 @@ on expiry the pool is terminated and evicted and
 :class:`ShardTimeoutError` -- carrying the payload index -- is raised,
 so a wedged campaign fails loudly instead of hanging.  Task exceptions,
 by contrast, re-raise in the parent and leave the (healthy) pool warm.
-
-Like the flow's other backends (:mod:`repro.flow.registry`), executors
-are registered by name so alternative pools (clusters, thread pools for
-GIL-free builds, instrumented test doubles) plug in without touching the
-runner::
-
-    register_executor("threads", lambda workers: MyThreadExecutor(workers))
-    config = ExecutionConfig(workers=4, executor="threads")
 """
 
 from __future__ import annotations
 
 import atexit
-import inspect
 import multiprocessing
 import multiprocessing.pool
 import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..flow.registry import Registry
-from ..obs import get_observer
+from ..obs import LiveDispatcher, get_observer
 from ..obs import live as obs_live
 
 __all__ = [
-    "Executor",
     "ExecutorError",
     "ShardTimeoutError",
-    "SerialExecutor",
     "ProcessPoolExecutor",
-    "EXECUTORS",
-    "register_executor",
-    "get_executor",
     "default_start_method",
     "warm_pool",
     "warm_pool_stats",
@@ -98,7 +83,7 @@ R = TypeVar("R")
 
 
 class ExecutorError(RuntimeError):
-    """An executor backend failed outside the task function itself."""
+    """The process pool failed outside the task function itself."""
 
 
 class ShardTimeoutError(ExecutorError):
@@ -150,31 +135,6 @@ class ShardTimeoutError(ExecutorError):
             type(self),
             (self.payload_index, self.timeout, self.heartbeat_age, self.heartbeat_s),
         )
-
-
-class Executor:
-    """Structural interface of an executor backend.
-
-    ``map`` must evaluate ``fn`` over every payload and return the
-    results in payload order; beyond that, scheduling is the backend's
-    business.  Duck typing suffices; this class documents the contract.
-    """
-
-    #: Whether the backend can stream worker events to the parent
-    #: mid-map through a live channel (:mod:`repro.obs.live`).  Backends
-    #: that can set this and honour the ``on_live_events`` /
-    #: ``heartbeat_s`` attributes the runner assigns before ``map``.
-    supports_live_events = False
-
-    def map(self, fn: Callable[[P], R], payloads: Sequence[P]) -> List[R]:
-        raise NotImplementedError  # pragma: no cover - interface only
-
-
-class SerialExecutor(Executor):
-    """In-process, in-order execution (the debugging reference)."""
-
-    def map(self, fn: Callable[[P], R], payloads: Sequence[P]) -> List[R]:
-        return [fn(payload) for payload in payloads]
 
 
 def default_start_method() -> str:
@@ -278,7 +238,7 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
-class ProcessPoolExecutor(Executor):
+class ProcessPoolExecutor:
     """A persistent ``multiprocessing`` pool of worker processes.
 
     ``fn`` and the payloads must be picklable (the runner's task
@@ -299,13 +259,11 @@ class ProcessPoolExecutor(Executor):
             worker then hangs the map -- configure a timeout for
             unattended campaigns).
 
-    A one-worker pool is *effectively serial*: ``map`` runs in-process
-    (no pool, no pickling) and the runner treats it like the serial
-    executor, so ``ExecutionConfig(executor="process")`` at the default
-    ``workers=1`` does not pay process or flow-rebuild overhead.
+    The engine never builds a one-worker pool: :func:`_uses_pool` keeps
+    ``ExecutionConfig(executor="process")`` at the default ``workers=1``
+    on the in-process loop, so it pays no process or flow-rebuild
+    overhead.
     """
-
-    supports_live_events = True
 
     #: How long ``_pool_map`` waits on the result iterator between live
     #: channel drains when a handler is attached.  Short enough that
@@ -332,8 +290,8 @@ class ProcessPoolExecutor(Executor):
         self.workers = workers
         self.start_method = start_method or default_start_method()
         self.timeout = timeout
-        #: Optional live-event callback the runner attaches before
-        #: ``map``: called with each non-empty batch of events drained
+        #: Optional live-event callback :func:`_map_on_pool` attaches
+        #: before ``map``: called with each non-empty batch of events drained
         #: from the pool's live channel *while* the map is in flight.
         self.on_live_events: Optional[
             Callable[[List[Dict[str, Any]]], None]
@@ -343,15 +301,9 @@ class ProcessPoolExecutor(Executor):
         self.heartbeat_s: Optional[float] = None
         self._handler_warned = False
 
-    @property
-    def effectively_serial(self) -> bool:
-        return self.workers == 1
-
     def map(self, fn: Callable[[P], R], payloads: Sequence[P]) -> List[R]:
         if not payloads:
             return []
-        if self.workers == 1:
-            return [fn(payload) for payload in payloads]
         with get_observer().span(
             "executor.map",
             backend="process",
@@ -452,59 +404,66 @@ class ProcessPoolExecutor(Executor):
                 pump()
 
 
-#: Executor factories, keyed by backend name: ``(workers) -> Executor``.
-EXECUTORS: Registry[Callable[..., Executor]] = Registry("executor")
+def _uses_pool(execution: Any) -> bool:
+    """Whether ``execution`` maps on the warm pool or the in-process loop.
 
-
-def register_executor(
-    name: str, factory: Callable[..., Executor], overwrite: bool = False
-) -> None:
-    """Register an executor factory under ``name``.
-
-    The factory receives the configured worker count and returns an
-    :class:`Executor`; the name becomes valid for
-    :attr:`repro.flow.ExecutionConfig.executor` immediately.  Factories
-    may optionally accept keyword options (``start_method``,
-    ``timeout``); :func:`get_executor` only forwards the ones a
-    factory's signature declares, so a plain ``(workers) -> Executor``
-    factory keeps working unchanged.
+    The one place the choice is made: the pool runs for
+    ``executor="process"`` with more than one worker, the loop
+    otherwise.  ``execution`` is a :class:`repro.flow.ExecutionConfig`.
     """
-    EXECUTORS.register(name, factory, overwrite=overwrite)
+    return execution.resolved_executor == "process" and execution.workers > 1
 
 
-def _accepted_options(
-    factory: Callable[..., Executor], options: Dict[str, Any]
-) -> Dict[str, Any]:
-    """The subset of ``options`` that ``factory``'s signature accepts."""
+def _map_on_pool(
+    task: Callable[[P], Tuple[Any, ...]],
+    payloads: Sequence[P],
+    execution: Any,
+    obs_config: Any,
+    observer: Any,
+    total: int,
+    unit: str,
+    resource_sampler: Callable[[], None],
+) -> List[Tuple[Any, ...]]:
+    """Map ``task`` over ``payloads`` on the warm pool, in payload order.
+
+    The pool is built from ``execution``'s ``workers``, ``start_method``
+    and ``shard_timeout`` (the timeout applies per payload).  When
+    ``obs_config.live`` is set, a :class:`~repro.obs.LiveDispatcher`
+    counting ``total`` ``unit`` feeds progress and heartbeats from the
+    pool's live channel while the map runs.
+
+    Every task returns ``(*result, events)``: the trailing list holds
+    the events its worker buffered (:func:`repro.obs.capture_events`).
+    They are replayed into ``observer`` in payload order -- live copies
+    only fed the progress display, so this replay is their single
+    delivery into the parent's sinks -- and the bare ``result`` tuples
+    are returned.
+    """
+    executor = ProcessPoolExecutor(
+        execution.workers,
+        start_method=execution.start_method,
+        timeout=execution.shard_timeout,
+    )
+    dispatcher = None
+    if obs_config.live:
+        dispatcher = LiveDispatcher(
+            observer,
+            total=total,
+            unit=unit,
+            # -q (verbosity 0) silences the rendered line like it
+            # silences the console sink; the progress *events* still flow.
+            progress=obs_config.progress and obs_config.verbosity > 0,
+            resource_sampler=resource_sampler,
+        )
+        executor.on_live_events = dispatcher
+        executor.heartbeat_s = obs_config.heartbeat_s
     try:
-        parameters = inspect.signature(factory).parameters.values()
-    except (TypeError, ValueError):  # pragma: no cover - C callables
-        return {}
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters):
-        return dict(options)
-    names = {
-        p.name
-        for p in parameters
-        if p.kind
-        in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
-    }
-    return {key: value for key, value in options.items() if key in names}
-
-
-def get_executor(name: str, workers: int = 1, **options: Any) -> Executor:
-    """A fresh executor of the backend registered under ``name``.
-
-    ``options`` (e.g. ``start_method``, ``timeout``) are forwarded only
-    when the registered factory accepts them -- ``None`` values are
-    dropped first -- so minimal factories and fully-optioned ones share
-    one call site in the runner.
-    """
-    factory = EXECUTORS.get(name)
-    options = {key: value for key, value in options.items() if value is not None}
-    if options:
-        options = _accepted_options(factory, options)
-    return factory(workers, **options)
-
-
-register_executor("serial", lambda workers: SerialExecutor())
-register_executor("process", ProcessPoolExecutor)
+        results: List[Tuple[Any, ...]] = []
+        for *result, events in executor.map(task, payloads):
+            if events:
+                observer.replay(events)
+            results.append(tuple(result))
+        return results
+    finally:
+        if dispatcher is not None:
+            dispatcher.finish()

@@ -1,4 +1,4 @@
-"""The sharded campaign runner: map shards over an executor, reduce results.
+"""The sharded campaign runner: map shards in process or on a pool, reduce.
 
 The runner turns a flow's ``traces`` or ``assessment`` stage into a
 deterministic map-reduce:
@@ -6,19 +6,19 @@ deterministic map-reduce:
 1. **plan** -- the campaign is split into shards whose random streams
    come from ``SeedSequence.spawn`` (:mod:`repro.engine.sharding`); the
    plan depends only on the config, never on the worker count;
-2. **map** -- each shard is executed through the configured executor
-   backend (:mod:`repro.engine.executors`).  Worker processes rebuild
-   the flow from its config dict (cached per process -- and the
-   ``process`` executor's pools are *persistent*, so a worker
-   synthesises the circuit once and keeps it warm across every map of
-   the same campaign, sweep cell after sweep cell);
+2. **map** -- each shard runs in an in-process loop or on the warm
+   process pool (:mod:`repro.engine.executors`).  Worker processes
+   rebuild the flow from its config dict (cached per process -- and the
+   pools are *persistent*, so a worker synthesises the circuit once and
+   keeps it warm across every map of the same campaign, sweep cell
+   after sweep cell);
 3. **reduce** -- trace blocks are concatenated in shard order,
    assessment methods are ``merge()``-d in shard order.
 
 Every shard result -- trace blocks and assessment accumulators alike --
-comes back through the executor's ordinary result pipe.
+comes back through the pool's ordinary result pipe.
 
-Worker failures follow one contract on every backend: a shard task that
+Worker failures follow one contract on both paths: a shard task that
 raises surfaces in the parent as :class:`ShardTaskError` carrying the
 shard identity and the flow it belonged to, and a shard that exceeds
 ``ExecutionConfig.shard_timeout`` fails the campaign loudly instead of
@@ -38,11 +38,11 @@ import numpy as np
 
 from ..flow.config import ExecutionConfig, FlowConfig
 from ..flow.pipeline import DesignFlow, FlowError
-from ..obs import LiveDispatcher, capture_events, rss_bytes, worker_task
+from ..obs import capture_events, rss_bytes, worker_task
 from .executors import (
-    SerialExecutor,
     ShardTimeoutError,
-    get_executor,
+    _map_on_pool,
+    _uses_pool,
     warm_pool_stats,
 )
 from .sharding import AssessmentShard, Shard, plan_assessment_shards, plan_shards
@@ -62,7 +62,7 @@ class ShardTaskError(FlowError):
 
     Worker-side failures would otherwise surface as a bare re-pickled
     exception with no hint of *which* shard of *which* campaign died.
-    The runner wraps them -- on the serial backend exactly like on the
+    The runner wraps them -- in the in-process loop exactly like on the
     process pool -- so the parent always sees the shard identity, the
     flow name and the original error.  ``__reduce__`` keeps the context
     attributes intact across the pool's exception pickling.
@@ -236,63 +236,17 @@ def sample_resource_gauges(flow: DesignFlow) -> None:
     _sample_gauges(flow._observer(), flow._artifact_store())
 
 
-def _live_dispatcher(flow: DesignFlow, executor: Any, task, shards) -> Optional[Any]:
-    """Attach a live dispatcher to ``executor`` when the config asks.
-
-    Live streaming needs all three: the config's ``obs.live`` flag, an
-    executor that supports mid-map event delivery, and actual
-    parallelism (the serial paths emit in-process, already live).  The
-    caller must detach the handler and call ``finish()`` in a
-    ``finally``.
-    """
-    obs_cfg = flow.config.obs
-    if (
-        not getattr(obs_cfg, "live", False)
-        or not getattr(executor, "supports_live_events", False)
-        or getattr(executor, "effectively_serial", False)
-    ):
-        return None
-    if task is _trace_shard_task:
-        total, unit = sum(shard.count for shard in shards), "traces"
-    else:
-        total, unit = len(shards), "shards"
-    dispatcher = LiveDispatcher(
-        flow._observer(),
-        total=total,
-        unit=unit,
-        # -q (verbosity 0) silences the rendered line like it silences
-        # the console sink; the progress *events* still flow.
-        progress=obs_cfg.progress and getattr(obs_cfg, "verbosity", 1) > 0,
-        resource_sampler=lambda: sample_resource_gauges(flow),
-    )
-    executor.on_live_events = dispatcher
-    executor.heartbeat_s = obs_cfg.heartbeat_s
-    return dispatcher
-
-
 def _map_shards(flow: DesignFlow, task, shards) -> List[Any]:
-    """Run shard tasks through the configured executor, in shard order.
+    """Run shard tasks in shard order: in process or on the warm pool.
 
-    The serial executor runs against the *local* flow object (reusing
-    its cached circuit); parallel executors ship the flow spec to the
-    workers.  Both paths compute identical shards, and both surface a
-    failed shard as :class:`ShardTaskError` with the same context.
+    The in-process loop runs against the *local* flow object (reusing
+    its cached circuit); the pool ships the flow spec to the workers.
+    Both paths compute identical shards, and both surface a failed
+    shard as :class:`ShardTaskError` with the same context.
     """
     execution = flow.config.execution
-    executor = get_executor(
-        execution.resolved_executor,
-        execution.workers,
-        start_method=execution.start_method,
-        timeout=execution.shard_timeout,
-    )
     stage = "traces" if task is _trace_shard_task else "assessment"
-    # Exactly SerialExecutor (not subclasses: custom executors must see
-    # every payload through map()) -- or a pool degenerated to one
-    # worker -- short-circuits to the local flow, reusing its cached
-    # circuit instead of rebuilding from the spec.
-    if type(executor) is SerialExecutor or getattr(
-        executor, "effectively_serial", False
-    ):
+    if not _uses_pool(execution):
         local = (
             flow._acquire_trace_shard
             if task is _trace_shard_task
@@ -306,30 +260,23 @@ def _map_shards(flow: DesignFlow, task, shards) -> List[Any]:
                 raise _shard_error(stage, _flow_spec(flow), shard, exc) from exc
         return results
     spec = _flow_spec(flow)
-    payloads = [(spec, shard) for shard in shards]
-    dispatcher = _live_dispatcher(flow, executor, task, shards)
+    if task is _trace_shard_task:
+        total, unit = sum(shard.count for shard in shards), "traces"
+    else:
+        total, unit = len(shards), "shards"
     try:
-        mapped = executor.map(task, payloads)
-        # Workers return ``(*payload, events)``; replay the buffered
-        # events into the parent's observer (in shard order) and hand
-        # the reduce the bare payloads, identical in shape to the
-        # serial path.  Live copies of these events only fed the
-        # progress display -- this replay is their single delivery
-        # into the parent's sinks.
-        obs = flow._observer()
-        stripped: List[Any] = []
-        for result in mapped:
-            *payload, events = result
-            if events:
-                obs.replay(events)
-            stripped.append(tuple(payload))
-        return stripped
+        return _map_on_pool(
+            task,
+            [(spec, shard) for shard in shards],
+            execution,
+            flow.config.obs,
+            flow._observer(),
+            total=total,
+            unit=unit,
+            resource_sampler=lambda: sample_resource_gauges(flow),
+        )
     except ShardTimeoutError as exc:
         raise _shard_error(stage, spec, shards[exc.payload_index], exc) from exc
-    finally:
-        if dispatcher is not None:
-            executor.on_live_events = None
-            dispatcher.finish()
 
 
 def _reduce_trace_parts(

@@ -32,9 +32,8 @@ from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..flow.config import CampaignConfig, ConfigError, FlowConfig
-from ..flow.pipeline import DesignFlow
+from ..flow.pipeline import DesignFlow, FlowError
 from ..obs import (
-    LiveDispatcher,
     capture_events,
     get_observer,
     observer_from_config,
@@ -42,7 +41,7 @@ from ..obs import (
     worker_task,
 )
 from ..reporting.tables import format_table
-from .executors import get_executor
+from .executors import ShardTimeoutError, _map_on_pool, _uses_pool
 from .runner import _sample_gauges
 
 __all__ = ["SweepReport", "build_grid", "run_sweep"]
@@ -116,12 +115,12 @@ def _attack_record(outcome: Any) -> Dict[str, Any]:
 
 def _sweep_cell_task(
     payload: Tuple[str, str, Optional[Tuple[str, ...]]]
-) -> Dict[str, Any]:
+) -> Tuple[Dict[str, Any], Optional[List[Dict[str, Any]]]]:
     """Executed per cell (possibly on a pool worker): run one flow.
 
-    Observability events are buffered (:func:`repro.obs.capture_events`)
-    and returned inside the record as ``"obs_events"``;
-    :func:`run_sweep` pops and replays them into the sweep's observer.
+    Like the runner's shard tasks, returns ``(record, events)``: the
+    observability events buffered by :func:`repro.obs.capture_events`
+    ride back with the record for :func:`run_sweep` to replay.
     """
     name, config_json, stages = payload
     config = FlowConfig.from_dict(json.loads(config_json))
@@ -140,8 +139,6 @@ def _sweep_cell_task(
             result.stage: result.to_dict() for result in report
         },
     }
-    if events:
-        record["obs_events"] = events
     if "analysis" in report:
         record["analysis"] = {
             attack: _attack_record(outcome)
@@ -153,7 +150,7 @@ def _sweep_cell_task(
             for method, outcome in report["assessment"].value.items()
             if hasattr(outcome, "to_dict")
         }
-    return record
+    return record, events
 
 
 class SweepReport:
@@ -237,9 +234,11 @@ def run_sweep(
 
     ``workers``/``executor`` parallelise *across cells* (each cell keeps
     its configured shard size but is forced to a single in-cell worker,
-    so pools never nest); ``store`` points every cell at one shared
-    artifact store.  ``stages`` restricts what each cell computes
-    (default: each flow's applicable stages).
+    so pools never nest); the cell pool takes ``start_method`` and
+    ``shard_timeout`` from ``base.execution``, the timeout applying per
+    cell.  ``store`` points every cell at one shared artifact store.
+    ``stages`` restricts what each cell computes (default: each flow's
+    applicable stages).
     """
     cells = build_grid(base, axes)
     payloads = []
@@ -258,48 +257,46 @@ def run_sweep(
                 tuple(stages) if stages is not None else None,
             )
         )
-    pool = get_executor(
-        executor if executor is not None else ("process" if workers > 1 else "serial"),
-        workers,
-    )
+    # The sweep maps cells the way the runner maps shards, so the same
+    # execution knobs apply: start method, and the timeout per cell.
+    sweep_execution = base.execution.replace(workers=workers, executor=executor)
     # A host-installed observer wins; otherwise the sweep builds one
     # from the base config's obs section (and owns its lifecycle).
     current = get_observer()
     obs = current if current.active else observer_from_config(base.obs)
     owned = obs is not current
-    # Live telemetry across cells: heartbeats and the cells-done counter
-    # stream mid-sweep, the per-cell buffered events stay the durable
-    # record replayed below.
-    dispatcher = None
-    if (
-        getattr(base.obs, "live", False)
-        and getattr(pool, "supports_live_events", False)
-        and not getattr(pool, "effectively_serial", False)
-    ):
-        dispatcher = LiveDispatcher(
-            obs,
-            total=len(payloads),
-            unit="cells",
-            progress=base.obs.progress and base.obs.verbosity > 0,
-            resource_sampler=lambda: _sample_gauges(obs),
-        )
-        pool.on_live_events = dispatcher
-        pool.heartbeat_s = base.obs.heartbeat_s
     start = time.perf_counter()
     try:
         with use_observer(obs), obs.span(
             "sweep", cells=len(payloads), workers=workers
         ):
-            records = pool.map(_sweep_cell_task, payloads)
+            if _uses_pool(sweep_execution):
+                # Heartbeats and the cells-done counter stream mid-sweep;
+                # the per-cell buffered events stay the durable record.
+                records = [
+                    record
+                    for (record,) in _map_on_pool(
+                        _sweep_cell_task,
+                        payloads,
+                        sweep_execution,
+                        base.obs,
+                        obs,
+                        total=len(payloads),
+                        unit="cells",
+                        resource_sampler=lambda: _sample_gauges(obs),
+                    )
+                ]
+            else:
+                # In process the cells emit into ``obs`` directly; a
+                # buffer comes back only when ``obs`` is inactive, where
+                # a replay would be a no-op.
+                records = [_sweep_cell_task(payload)[0] for payload in payloads]
             elapsed = time.perf_counter() - start
-            for record in records:
-                events = record.pop("obs_events", None)
-                if events:
-                    obs.replay(events)
+    except ShardTimeoutError as exc:
+        raise FlowError(
+            f"sweep cell {cells[exc.payload_index][0]!r} failed: {exc}"
+        ) from exc
     finally:
-        if dispatcher is not None:
-            pool.on_live_events = None
-            dispatcher.finish()
         if owned:
             obs.close()
     for (name, overrides, _config), record in zip(cells, records):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from ..assess.noise import normalize_noise_spec as _normalize_noise_spec
 from ..boolexpr.decompose import DecompositionStyle
@@ -75,13 +75,7 @@ class _ConfigBase:
         Unknown keys raise :class:`ConfigError` (they usually indicate a
         typo or a config written by a newer version).
         """
-        known = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ConfigError(
-                f"{cls.__name__}: unknown keys {unknown}; expected a subset of "
-                f"{sorted(known)}"
-            )
+        cls._check_known(data)
         kwargs: Dict[str, Any] = {}
         for name, value in data.items():
             nested = _NESTED_CONFIG_FIELDS.get((cls.__name__, name))
@@ -91,8 +85,23 @@ class _ConfigBase:
         return cls(**kwargs)
 
     def replace(self, **overrides: Any):
-        """Copy of the config with some fields replaced (re-validates)."""
+        """Copy of the config with some fields replaced (re-validates).
+
+        Unknown field names raise :class:`ConfigError`, like
+        :meth:`from_dict`.
+        """
+        self._check_known(overrides)
         return replace(self, **overrides)
+
+    @classmethod
+    def _check_known(cls, names: Iterable[str]) -> None:
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(names) - known)
+        if unknown:
+            raise ConfigError(
+                f"{cls.__name__}: unknown keys {unknown}; expected a subset of "
+                f"{sorted(known)}"
+            )
 
 
 def _as_tuple(value) -> tuple:
@@ -525,7 +534,7 @@ class ExecutionConfig(_ConfigBase):
     The default config is *inactive*: campaigns run unsharded in
     process, exactly as before the :mod:`repro.engine` subsystem
     existed.  Execution becomes active -- campaigns are split into
-    deterministic shards executed through a registered executor and
+    deterministic shards executed in process or on a worker pool and
     map-reduced back together -- as soon as any of ``workers``,
     ``shard_size`` or ``executor`` is set.  Setting only ``store``
     enables the disk-backed artifact cache without changing how (or
@@ -535,10 +544,11 @@ class ExecutionConfig(_ConfigBase):
         workers: worker processes of the ``"process"`` executor; 1 keeps
             execution serial (but still sharded when ``shard_size`` or
             ``executor`` is set).
-        executor: registered executor backend
-            (:func:`repro.engine.register_executor`); ``None`` resolves
-            to ``"process"`` when ``workers > 1`` and ``"serial"``
-            otherwise.
+        executor: ``"serial"`` runs the sharded plan in an in-process
+            loop; ``"process"`` maps it over the warm worker pool when
+            ``workers > 1`` (one worker stays in process).  ``None``
+            resolves to ``"process"`` when ``workers > 1`` and
+            ``"serial"`` otherwise.
         start_method: ``multiprocessing`` start method the process
             executor pins via ``get_context`` -- ``"fork"``,
             ``"spawn"`` or ``"forkserver"``.  ``None`` picks the
@@ -583,11 +593,16 @@ class ExecutionConfig(_ConfigBase):
     #: built, so configs stay portable across operating systems.
     _START_METHODS = ("fork", "spawn", "forkserver")
 
+    _EXECUTOR_CHOICES = ("serial", "process")
+
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
-        if self.executor is not None and not self.executor:
-            raise ConfigError("executor must be a non-empty name or None")
+        if self.executor is not None and self.executor not in self._EXECUTOR_CHOICES:
+            raise ConfigError(
+                f"executor must be one of {list(self._EXECUTOR_CHOICES)} or None, "
+                f"got {self.executor!r}"
+            )
         if (
             self.start_method is not None
             and self.start_method not in self._START_METHODS

@@ -1,6 +1,6 @@
 """The simulator-backend registry.
 
-Same pattern as ``register_router`` / ``register_executor``: a simulator
+Same pattern as ``register_router`` / ``register_scenario``: a simulator
 backend is a factory ``(CompiledProgram) -> model`` where the model
 exposes the :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel`
 interface (``energies(vectors, batch_size)``, ``reset()``).  Two

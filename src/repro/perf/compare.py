@@ -82,8 +82,11 @@ def resolve_selector(
 ) -> Dict[str, Any]:
     """The record ``selector`` names within one benchmark's history.
 
-    ``latest``/``last`` is the newest record, ``prev`` the one before
-    it, an integer indexes the history (0 oldest, -1 newest), anything
+    ``latest``/``last`` is the newest record, ``prev`` the newest
+    earlier record run in the same mode (``quick`` or full) -- the two
+    modes measure different campaign sizes, so comparing across them
+    is meaningless -- an integer indexes the history (0 oldest, -1
+    newest), anything
     else matches a unique git SHA prefix in the records' provenance
     (newest match wins only if the prefix is unambiguous across SHAs).
     """
@@ -96,7 +99,15 @@ def resolve_selector(
             raise PerfError(
                 "history holds a single record; 'prev' needs at least two"
             )
-        return records[-2]
+        quick = bool(records[-1].get("quick"))
+        for record in reversed(records[:-1]):
+            if bool(record.get("quick")) == quick:
+                return record
+        mode = "quick" if quick else "full"
+        raise PerfError(
+            f"no earlier {mode}-mode record to compare the latest one with; "
+            f"'prev' only pairs records of the same mode"
+        )
     try:
         index = int(selector)
     except ValueError:

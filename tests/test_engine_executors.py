@@ -23,12 +23,10 @@ from repro.engine import (
     ShardTaskError,
     ShardTimeoutError,
     default_start_method,
-    get_executor,
-    register_executor,
     shutdown_pools,
     warm_pool,
 )
-from repro.engine.executors import _WARM_POOLS, ProcessPoolExecutor, SerialExecutor
+from repro.engine.executors import _WARM_POOLS, ProcessPoolExecutor
 from repro.flow import (
     ASSESSMENTS,
     AssessmentConfig,
@@ -85,23 +83,18 @@ def _pid_slow(_payload):
 
 class TestExecutorBasics:
     def test_empty_payload_map_is_empty_on_every_backend(self):
-        assert SerialExecutor().map(_echo, []) == []
-        assert get_executor("process", 2).map(_echo, []) == []
+        assert ProcessPoolExecutor(2).map(_echo, []) == []
 
     def test_results_come_back_in_payload_order(self):
-        assert get_executor("process", 2).map(_echo, list(range(7))) == list(
+        assert ProcessPoolExecutor(2).map(_echo, list(range(7))) == list(
             range(7)
         )
 
     def test_task_exception_reraises_in_parent(self):
         with pytest.raises(ValueError, match="injected failure"):
-            get_executor("process", 2).map(_boom, [1, 2])
+            ProcessPoolExecutor(2).map(_boom, [1, 2])
         # The pool survives a task error and stays warm.
-        assert get_executor("process", 2).map(_echo, [3]) == [3]
-
-    def test_serial_task_exception_reraises(self):
-        with pytest.raises(ValueError, match="injected failure"):
-            SerialExecutor().map(_boom, [1])
+        assert ProcessPoolExecutor(2).map(_echo, [3]) == [3]
 
     def test_invalid_construction_is_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -110,21 +103,6 @@ class TestExecutorBasics:
             ProcessPoolExecutor(2, start_method="warp-drive")
         with pytest.raises(ValueError, match="timeout"):
             ProcessPoolExecutor(2, timeout=0.0)
-
-    def test_get_executor_forwards_only_accepted_options(self):
-        executor = get_executor("process", 2, start_method="fork", timeout=1.5)
-        assert executor.start_method == "fork"
-        assert executor.timeout == 1.5
-        # A minimal (workers)->Executor factory must keep working even
-        # when the runner passes the full option set.
-        register_executor("plain", lambda workers: SerialExecutor())
-        try:
-            executor = get_executor("plain", 2, start_method="fork", timeout=9.0)
-            assert isinstance(executor, SerialExecutor)
-        finally:
-            from repro.engine import EXECUTORS
-
-            EXECUTORS.unregister("plain")
 
     def test_default_start_method_is_explicit(self):
         import multiprocessing
@@ -136,15 +114,15 @@ class TestExecutorBasics:
 
 class TestPersistentPools:
     def test_pool_persists_across_map_calls(self):
-        executor = get_executor("process", 2)
+        executor = ProcessPoolExecutor(2)
         first = set(executor.map(_pid_slow, range(8)))
         second = set(executor.map(_pid_slow, range(8)))
         assert first == second  # same worker processes, not a new pool
         assert not first & {os.getpid()}  # and actually out of process
 
     def test_two_executor_instances_share_one_pool(self):
-        a = set(get_executor("process", 2).map(_pid_slow, range(8)))
-        b = set(get_executor("process", 2).map(_pid_slow, range(8)))
+        a = set(ProcessPoolExecutor(2).map(_pid_slow, range(8)))
+        b = set(ProcessPoolExecutor(2).map(_pid_slow, range(8)))
         assert a == b
 
     def test_warm_pool_and_shutdown(self):
@@ -160,13 +138,13 @@ class TestPersistentPools:
 
 class TestWorkerDeath:
     def test_dead_worker_times_out_instead_of_hanging(self):
-        executor = get_executor("process", 2, timeout=3.0)
+        executor = ProcessPoolExecutor(2, timeout=3.0)
         with pytest.raises(ShardTimeoutError) as excinfo:
             executor.map(_die, [0, 1])
         assert excinfo.value.payload_index == 0
         assert excinfo.value.timeout == 3.0
         # The broken pool was evicted: a fresh map works again.
-        assert get_executor("process", 2).map(_echo, [7]) == [7]
+        assert ProcessPoolExecutor(2).map(_echo, [7]) == [7]
 
     def test_timeout_error_pickles_with_context(self):
         import pickle
@@ -252,6 +230,8 @@ class TestStartMethods:
 
         with pytest.raises(ConfigError, match="start_method"):
             ExecutionConfig(start_method="threads")
+        with pytest.raises(ConfigError, match="'serial', 'process'"):
+            ExecutionConfig(executor="threads")
         with pytest.raises(ConfigError, match="shard_timeout"):
             ExecutionConfig(shard_timeout=-1.0)
         # Round-trips like every other config field.

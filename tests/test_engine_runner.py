@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import SerialExecutor, get_executor, register_executor
-from repro.engine.executors import EXECUTORS
 from repro.flow import (
     AssessmentConfig,
     CampaignConfig,
@@ -16,6 +14,7 @@ from repro.flow import (
     FlowError,
     register_assessment,
 )
+from repro.flow.config import ConfigError
 from repro.flow.registry import ASSESSMENTS
 from repro.power import acquire_circuit_traces, acquire_model_traces, build_sbox_circuit
 
@@ -199,36 +198,9 @@ class TestAssessmentEquivalence:
 
 
 class TestExecutors:
-    def test_registry_lists_builtins(self):
-        assert "serial" in EXECUTORS and "process" in EXECUTORS
-
-    def test_custom_executor_is_honoured(self):
-        calls = []
-
-        class CountingExecutor(SerialExecutor):
-            def map(self, fn, payloads):
-                calls.append(len(payloads))
-                return super().map(fn, payloads)
-
-        register_executor("counting", lambda workers: CountingExecutor())
-        try:
-            flow = _sbox_flow(ExecutionConfig(executor="counting", shard_size=SHARD))
-            flow.traces()
-            assert calls == [3]  # one map() call with all three shards
-        finally:
-            EXECUTORS.unregister("counting")
-
     def test_unknown_executor_raises(self):
-        flow = _sbox_flow(ExecutionConfig(executor="warp-drive"))
-        with pytest.raises(Exception, match="warp-drive"):
-            flow.traces()
-
-    def test_one_worker_process_pool_is_effectively_serial(self):
-        executor = get_executor("process", 1)
-        assert executor.effectively_serial
-        # Runs in-process: even an unpicklable fn works.
-        assert executor.map(lambda x: x * 2, [21, 0]) == [42, 0]
-        assert not get_executor("process", 4).effectively_serial
+        with pytest.raises(ConfigError, match="warp-drive"):
+            ExecutionConfig(executor="warp-drive")
 
     def test_process_executor_at_one_worker_uses_the_local_flow(self):
         from repro.engine.runner import _WORKER_FLOWS

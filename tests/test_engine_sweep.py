@@ -6,9 +6,11 @@ import json
 
 import pytest
 
-from repro.engine import build_grid, run_sweep
+from repro.engine import build_grid, run_sweep, shutdown_pools
 from repro.engine.cli import main
-from repro.flow import CampaignConfig, ConfigError, FlowConfig
+from repro.engine.executors import _WARM_POOLS
+from repro.flow import CampaignConfig, ConfigError, ExecutionConfig, FlowConfig
+from repro.flow.pipeline import FlowError
 
 
 class TestBuildGrid:
@@ -50,6 +52,8 @@ class TestBuildGrid:
             build_grid(FlowConfig(), {"bogus_field": [1]})
         with pytest.raises(ConfigError):
             build_grid(FlowConfig(), {"campaign.trace_count": [0]})  # invalid value
+        with pytest.raises(ConfigError, match="bogus"):
+            build_grid(FlowConfig(), {"campaign.bogus": [1]})  # unknown field
 
 
 class TestRunSweep:
@@ -107,6 +111,40 @@ class TestRunSweep:
 
         assert strip(serial) == strip(parallel)
 
+    @staticmethod
+    def _cells_without_timings(report):
+        cells = report.to_dict()["cells"]
+        for cell in cells:
+            cell.pop("elapsed_s")
+            for stage in cell["stages"].values():
+                stage.pop("elapsed_s")
+        return cells
+
+    def test_sweep_pool_honours_the_start_method(self):
+        axes = {"gate_style": ["sabl", "cvsl"]}
+        campaign = CampaignConfig(trace_count=32)
+        shutdown_pools()
+        fork = run_sweep(
+            FlowConfig(campaign=campaign, execution=ExecutionConfig(start_method="fork")),
+            axes,
+            workers=2,
+        )
+        spawn = run_sweep(
+            FlowConfig(campaign=campaign, execution=ExecutionConfig(start_method="spawn")),
+            axes,
+            workers=2,
+        )
+        assert ("spawn", 2) in _WARM_POOLS
+        assert self._cells_without_timings(spawn) == self._cells_without_timings(fork)
+
+    def test_sweep_timeout_applies_per_cell(self):
+        base = FlowConfig(
+            campaign=CampaignConfig(trace_count=4000),
+            execution=ExecutionConfig(shard_timeout=0.001),
+        )
+        with pytest.raises(FlowError, match="sweep cell .*gate_style=sabl"):
+            run_sweep(base, {"gate_style": ["sabl", "cvsl"]}, workers=2)
+
 
 class TestCli:
     def test_run_prints_a_summary(self, capsys):
@@ -148,6 +186,31 @@ class TestCli:
         code = main(["run", "--set", "trace_count=0"])
         assert code == 2
         assert "repro run" in capsys.readouterr().err
+        code = main(["run", "--set", "campaign.bogus=1"])
+        assert code == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_sweep_passes_the_start_method_to_its_pool(self, tmp_path):
+        shutdown_pools()
+        code = main(
+            [
+                "sweep",
+                "--set",
+                "trace_count=32",
+                "--axis",
+                "gate_style=sabl,cvsl",
+                "--workers",
+                "2",
+                "--start-method",
+                "spawn",
+                "--shard-timeout",
+                "300",
+                "--json",
+                str(tmp_path / "sweep.json"),
+            ]
+        )
+        assert code == 0
+        assert ("spawn", 2) in _WARM_POOLS
 
     def test_assessment_via_cli(self, capsys):
         code = main(

@@ -25,14 +25,17 @@ import pytest
 
 from repro.engine import (
     ShardTimeoutError,
-    get_executor,
     run_sweep,
     shutdown_pools,
     warm_pool,
     warm_pool_stats,
 )
 from repro.engine.cli import main
-from repro.engine.executors import _pool_channel, default_start_method
+from repro.engine.executors import (
+    ProcessPoolExecutor,
+    _pool_channel,
+    default_start_method,
+)
 from repro.flow import (
     AssessmentConfig,
     CampaignConfig,
@@ -333,7 +336,7 @@ class TestExecutorLiveProtocol:
             received.extend(events)
             arrivals.append(time.monotonic())
 
-        executor = get_executor("process", 2)
+        executor = ProcessPoolExecutor(2)
         executor.on_live_events = handler
         try:
             results = executor.map(_stream_and_sleep, [1, 2])
@@ -347,7 +350,7 @@ class TestExecutorLiveProtocol:
         assert arrivals[0] < end - 0.25
 
     def test_handler_error_disables_streaming_not_the_map(self, capsys):
-        executor = get_executor("process", 2)
+        executor = ProcessPoolExecutor(2)
         executor._handler_warned = False
         executor.on_live_events = lambda events: 1 / 0
         try:
@@ -362,7 +365,7 @@ class TestExecutorLiveProtocol:
         warm_pool(2)
         channel = _pool_channel(default_start_method(), 2)
         assert channel is not None and not channel.closed
-        executor = get_executor("process", 2, timeout=3.0)
+        executor = ProcessPoolExecutor(2, timeout=3.0)
         executor.on_live_events = lambda events: None
         with pytest.raises(ShardTimeoutError):
             executor.map(_die, [0, 1])

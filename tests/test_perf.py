@@ -163,6 +163,16 @@ class TestSelectors:
         assert resolve_selector(records, "prev") is records[-2]
         assert resolve_selector(records, "0") is records[0]
         assert resolve_selector(records, "-1") is records[-1]
+        # 'prev' skips records of the other mode: a quick run compares
+        # with the last quick run, never with a full one in between.
+        mixed = [
+            run_benchmark(_synthetic(values=[float(index)]), quick=quick)
+            for index, quick in enumerate([False, True, False, True])
+        ]
+        assert resolve_selector(mixed, "prev") is mixed[1]
+        assert resolve_selector(mixed[:3], "prev") is mixed[0]
+        with pytest.raises(PerfError, match="no earlier quick-mode record"):
+            resolve_selector(mixed[:2], "prev")
 
     def test_sha_prefix(self):
         records = self._records()
