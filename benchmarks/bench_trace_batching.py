@@ -1,12 +1,16 @@
-"""Extension C -- throughput of the batched trace-acquisition back-end.
+"""Extension C -- throughput of the batched trace-acquisition kernel.
 
 Production-scale campaigns run tens of thousands of traces; the seed's
 per-trace Python loop walked every gate's connectivity graph once per
-cycle.  The batched back-end (:class:`repro.sabl.simulator.BatchedCircuitEnergyModel`)
-precomputes per-gate event tables and accumulates the per-cycle energies
-(including the memory effect of genuine networks) as NumPy array
-operations.  This benchmark records the speedup on a 1000-trace campaign
-of the S-box circuit and checks the two back-ends agree trace for trace.
+cycle.  :func:`repro.power.acquire_circuit_traces` now runs every
+campaign through the compiled bit-sliced kernel
+(:class:`repro.kernel.BitslicedCircuitEnergyModel`), which evaluates the
+gate logic 64 traces per machine word and accumulates the per-cycle
+energies (including the memory effect of genuine networks) as NumPy
+array operations.  This benchmark records the speedup over stepping the
+per-trace :class:`repro.sabl.simulator.CircuitPowerSimulator` on a
+1000-trace campaign of the S-box circuit, and checks that the two agree
+trace for trace.
 """
 
 import time
@@ -15,19 +19,42 @@ import numpy as np
 import pytest
 
 from repro.power import acquire_circuit_traces, build_sbox_circuit
+from repro.power.trace import nibble_matrix
 from repro.reporting import format_table
+from repro.sabl.simulator import CircuitPowerSimulator
 
 KEY = 0xB
 TRACES = 1000
 MAX_FANIN = 3
+NOISE = 0.002
+SEED = 7
+WARMUP = 4
 
 
-def _time_acquisition(circuit, batch_size):
+def _time_batched(circuit):
     start = time.perf_counter()
     traces = acquire_circuit_traces(
-        circuit, KEY, TRACES, noise_std=0.002, seed=7, batch_size=batch_size
+        circuit, KEY, TRACES, noise_std=NOISE, seed=SEED, warmup_cycles=WARMUP
     )
-    return traces, time.perf_counter() - start
+    return traces.traces, time.perf_counter() - start
+
+
+def _time_per_trace_loop(circuit):
+    """The same campaign (same random stream) stepped one cycle at a time."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(SEED)
+    plaintexts = rng.integers(0, 16, size=TRACES)
+    warmup = rng.integers(0, 16, size=WARMUP)
+    simulator = CircuitPowerSimulator(circuit)
+    rows = nibble_matrix(np.concatenate([warmup, plaintexts]))
+    energies = np.array(
+        [
+            simulator.step(dict(zip(circuit.primary_inputs, row))).total_energy
+            for row in rows
+        ]
+    )[WARMUP:]
+    energies = energies + rng.normal(0.0, NOISE * float(np.mean(energies)), TRACES)
+    return energies, time.perf_counter() - start
 
 
 def test_batched_acquisition_speedup(benchmark):
@@ -35,11 +62,11 @@ def test_batched_acquisition_speedup(benchmark):
         results = {}
         for style in ("genuine", "fc"):
             circuit = build_sbox_circuit(KEY, style, max_fanin=MAX_FANIN)
-            sequential, sequential_time = _time_acquisition(circuit, None)
-            batched, batched_time = _time_acquisition(circuit, 1024)
+            sequential, sequential_time = _time_per_trace_loop(circuit)
+            batched, batched_time = _time_batched(circuit)
             assert np.allclose(
-                sequential.traces, batched.traces, rtol=1e-9, atol=0.0
-            ), "batched and per-trace back-ends must agree trace for trace"
+                sequential, batched, rtol=1e-9, atol=0.0
+            ), "the kernel and the per-trace loop must agree trace for trace"
             results[style] = (sequential_time, batched_time)
         return results
 

@@ -18,10 +18,10 @@ scenario (a two-S-box slice, so it finishes in seconds) three ways:
    that the parallel traces are bit-identical to serial (PR 3's
    contract, now exercised by a multi-S-box workload);
 4. the **full 16-S-box (64-bit) round on the compiled bit-sliced
-   kernel** (``simulator="bitslice"``): first pinned trace-for-trace
-   against the event-table reference on a small campaign, then timed on
-   the full budget -- the width that made the reference backend
-   impractical is routine for the compiled kernel.
+   kernel**, which runs every circuit campaign: first pinned
+   trace-for-trace against the event-table reference model on a small
+   campaign, then timed on the full budget -- the width that makes the
+   reference model impractical is routine for the compiled kernel.
 
 Run with::
 
@@ -32,7 +32,7 @@ Equivalent CLI commands::
     repro run --scenario present_round --scenario-param sboxes=2 \
         --set trace_count=2000 --set source=model --set model_leakage=bit
     repro sweep --axis scenario=sbox,present_rounds --workers 2
-    repro run --simulator bitslice --scenario present_round \
+    repro run --scenario present_round \
         --scenario-param sboxes=16 --set trace_count=20000
 """
 
@@ -50,7 +50,9 @@ from repro.flow import (
     FlowConfig,
     ScenarioConfig,
 )
+from repro.power.trace import nibble_matrix
 from repro.reporting import format_table
+from repro.sabl.simulator import BatchedCircuitEnergyModel
 from repro.scenarios import make_scenario
 
 KEY = 0x6B          # two subkey nibbles: S-box 0 gets 0xB, S-box 1 gets 0x6
@@ -165,34 +167,38 @@ def main(trace_count=2000):
     # -- 4. the full 64-bit round on the compiled bit-sliced kernel -------
     full_key = 0x0123_4567_89AB_CDEF
 
-    def full_round_flow(simulator, count):
+    def full_round_flow(count):
         return DesignFlow(
             None,
             FlowConfig(
-                name=f"present_round_full_{simulator}",
+                name="present_round_full",
                 campaign=CampaignConfig(
-                    key=full_key,
-                    scenario="present_round",
-                    trace_count=count,
-                    simulator=simulator,
+                    key=full_key, scenario="present_round", trace_count=count
                 ),
                 scenario=ScenarioConfig(params={"sboxes": 16}),
             ),
         )
 
-    pinned = {
-        simulator: full_round_flow(simulator, 96).traces()
-        for simulator in ("event", "bitslice")
-    }
-    identical = np.array_equal(
-        pinned["event"].traces, pinned["bitslice"].traces
+    # The oracle replays the campaign's random stream (plaintexts, then
+    # warm-up cycles) through the reference model.
+    pinned = full_round_flow(96)
+    circuit = pinned.circuit()
+    width = len(circuit.primary_inputs)
+    rng = np.random.default_rng(pinned.config.campaign.seed)
+    plaintexts = rng.integers(0, 1 << width, size=96, dtype=np.uint64)
+    warmup = rng.integers(
+        0, 1 << width, size=pinned.config.campaign.warmup_cycles, dtype=np.uint64
     )
+    oracle = BatchedCircuitEnergyModel(circuit)
+    oracle.energies(nibble_matrix(warmup, width))
+    expected = oracle.energies(nibble_matrix(plaintexts, width))
+    identical = np.array_equal(pinned.traces().traces, expected)
     print(
-        f"full 16-S-box round, event vs bitslice over 96 traces -- "
+        f"full 16-S-box round, kernel vs reference model over 96 traces -- "
         f"{'bit-identical' if identical else 'MISMATCH'}"
     )
     budget = max(trace_count, 50_000)
-    flow = full_round_flow("bitslice", budget)
+    flow = full_round_flow(budget)
     flow.circuit()  # keep synthesis out of the acquisition timing
     start = time.perf_counter()
     traces = flow.traces()

@@ -99,12 +99,7 @@ from .scenarios import (
     make_scenario,
     register_scenario,
 )
-from .kernel import (
-    CompiledProgram,
-    compile_circuit,
-    get_simulator,
-    register_simulator,
-)
+from .kernel import CompiledProgram, compile_circuit
 from .obs import (
     Observer,
     get_observer,
@@ -145,11 +140,9 @@ __all__ = [
     "register_scenario",
     "get_scenario",
     "make_scenario",
-    # kernel (compiled simulator back-ends)
+    # kernel (the compiled bit-sliced simulator)
     "CompiledProgram",
     "compile_circuit",
-    "register_simulator",
-    "get_simulator",
     # obs (observability)
     "Observer",
     "get_observer",

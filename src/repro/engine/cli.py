@@ -110,8 +110,6 @@ def _base_config(args: argparse.Namespace) -> FlowConfig:
         config = _apply_override(config, "scenario", args.scenario)
     if getattr(args, "router", None):
         config = _apply_override(config, "layout.router", args.router)
-    if getattr(args, "simulator", None):
-        config = _apply_override(config, "simulator", args.simulator)
     for assignment in args.set or []:
         path, raw = _parse_assignment(assignment, "--set")
         config = _apply_override(config, path, _parse_value(raw))
@@ -216,12 +214,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         help="registered differential routing mode for the back-end "
         "layout stage (fat, diffpair, unbalanced, ...); shorthand for "
         "--set layout.router=NAME",
-    )
-    parser.add_argument(
-        "--simulator",
-        metavar="NAME",
-        help="registered simulator backend for trace acquisition (event, "
-        "bitslice, ...); shorthand for --set simulator=NAME",
     )
     parser.add_argument(
         "--workers", type=int, metavar="N", help="worker processes (default 1)"

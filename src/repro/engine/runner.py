@@ -388,14 +388,8 @@ def _expressions_record(flow: DesignFlow) -> Optional[Dict[str, str]]:
 
 def _common_store_record(flow: DesignFlow) -> Dict[str, Any]:
     config = flow.config
-    campaign_record = config.campaign.to_dict()
-    # The simulator backend is an implementation detail, not campaign
-    # content: ``event`` and ``bitslice`` are bit-identical by contract,
-    # so both simulators' runs must land on the same store key and share
-    # cached artifacts.
-    campaign_record.pop("simulator", None)
     record: Dict[str, Any] = {
-        "campaign": campaign_record,
+        "campaign": config.campaign.to_dict(),
         "technology": config.technology.to_dict(),
         # The campaign carries the scenario *name*; the scenario hash
         # also needs the parameters -- two configs differing only in,

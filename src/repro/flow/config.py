@@ -321,16 +321,10 @@ class CampaignConfig(_ConfigBase):
         seed: RNG seed of the campaign.
         warmup_cycles: random cycles simulated (and discarded) before
             recording, so charge state starts from steady state.
-        batch_size: chunk size of the vectorized acquisition back-end;
-            ``None`` forces the per-trace Python loop.
-        simulator: registered simulator backend
-            (:func:`repro.kernel.register_simulator`) used by the
-            vectorized circuit campaigns; ``"event"`` (the reference
-            event-table model) and ``"bitslice"`` (the compiled
-            bit-sliced kernel, bit-identical but nearly
-            width-independent) ship built in.  Sweepable as the
-            ``simulator`` axis.  Requires ``batch_size`` (the per-trace
-            Python loop has no pluggable back-end).
+        batch_size: cycles per chunk fed to the bit-sliced kernel
+            (:class:`repro.kernel.BitslicedCircuitEnergyModel`), which
+            runs every circuit campaign; a positive integer.  The
+            traces do not depend on it.
     """
 
     key: int = 0xB
@@ -345,8 +339,7 @@ class CampaignConfig(_ConfigBase):
     noise_std: float = 0.0
     seed: int = 2005
     warmup_cycles: int = 4
-    batch_size: Optional[int] = 1024
-    simulator: str = "event"
+    batch_size: int = 1024
 
     def __post_init__(self) -> None:
         if self.key < 0:
@@ -383,17 +376,9 @@ class CampaignConfig(_ConfigBase):
             raise ConfigError(
                 f"warmup_cycles must be non-negative, got {self.warmup_cycles}"
             )
-        if self.batch_size is not None and self.batch_size < 1:
+        if self.batch_size is None or self.batch_size < 1:
             raise ConfigError(
-                f"batch_size must be positive or None, got {self.batch_size}"
-            )
-        if not self.simulator:
-            raise ConfigError("simulator must be non-empty")
-        if self.batch_size is None and self.simulator != "event":
-            raise ConfigError(
-                "batch_size=None selects the per-trace Python loop, which "
-                f"has no pluggable back-end; simulator {self.simulator!r} "
-                "needs a batch_size"
+                f"batch_size must be a positive integer, got {self.batch_size!r}"
             )
 
 

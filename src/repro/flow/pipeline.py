@@ -580,13 +580,13 @@ class DesignFlow:
         return self.result("layout").value.parasitics.rail_loads()
 
     def _compiled_program(self):
-        """The campaign circuit compiled once for the simulator registry.
+        """The campaign circuit compiled once for the bit-sliced kernel.
 
         Cached on the flow so the serial acquisition path, every engine
         shard executed inside one worker process and the assessment
         stream all share a single
-        :class:`~repro.kernel.CompiledProgram` (gate tables plus, for
-        the bit-sliced backend, its lazily built plan).  Dropped by
+        :class:`~repro.kernel.CompiledProgram` (gate tables plus the
+        kernel's lazily built plan).  Dropped by
         :meth:`invalidate` alongside the stage caches.
         """
         from ..kernel import compile_circuit
@@ -622,9 +622,6 @@ class DesignFlow:
                 seed=seed,
                 description=description,
             )
-        from ..kernel import get_simulator
-
-        self._resolve(get_simulator, campaign.simulator)
         technology, gate_style = self._circuit_campaign_params()
         return acquire_circuit_traces(
             self.circuit(),
@@ -637,8 +634,7 @@ class DesignFlow:
             warmup_cycles=campaign.warmup_cycles,
             batch_size=campaign.batch_size,
             net_loads=self._net_loads(),
-            simulator=campaign.simulator,
-            program=self._compiled_program() if campaign.batch_size is not None else None,
+            program=self._compiled_program(),
         )
 
     def _acquire_trace_shard(self, shard) -> Tuple[np.ndarray, np.ndarray]:
@@ -669,7 +665,7 @@ class DesignFlow:
             technology, gate_style = self._circuit_campaign_params()
             details["gate_style"] = gate_style.name
             details["technology"] = technology.name
-            details["simulator"] = campaign.simulator
+            details["simulator"] = "bitslice"
             if self.config.layout.routed:
                 details["router"] = self.config.layout.router
         details["mean_energy_J"] = float(statistics.mean)
@@ -793,13 +789,11 @@ class DesignFlow:
         Returns ``(width, energies)`` where ``width`` is the stimulus bit
         width and ``energies`` maps a vector of stimulus values to their
         measured energies.  ``source="circuit"`` wraps a fresh (stateful)
-        energy model of the mapped circuit from the configured simulator
-        backend (``campaign.simulator`` -- the event-table reference or
-        the bit-sliced kernel), warmed up with draws from ``warmup_rng``
-        (defaulting to a generator seeded with the assessment seed; the
-        sharded engine passes each shard's own generator);
-        ``source="model"`` evaluates the unprotected leakage model
-        directly.
+        bit-sliced kernel model of the mapped circuit, warmed up with
+        draws from ``warmup_rng`` (defaulting to a generator seeded with
+        the assessment seed; the sharded engine passes each shard's own
+        generator); ``source="model"`` evaluates the unprotected leakage
+        model directly.
         """
         campaign = self.config.campaign
         chunk_size = self.config.assessment.chunk_size
@@ -814,12 +808,10 @@ class DesignFlow:
 
             return scenario.input_width, energies
 
-        from ..kernel import get_simulator
+        from ..kernel import BitslicedCircuitEnergyModel
 
-        circuit = self.circuit()
-        factory = self._resolve(get_simulator, campaign.simulator)
-        model = factory(self._compiled_program())
-        width = len(circuit.primary_inputs)
+        model = BitslicedCircuitEnergyModel(self._compiled_program())
+        width = len(self.circuit().primary_inputs)
 
         if campaign.warmup_cycles:
             if warmup_rng is None:

@@ -1,17 +1,16 @@
-"""repro.kernel -- compiled simulator back-ends for trace acquisition.
+"""repro.kernel -- the compiled bit-sliced simulator for trace acquisition.
 
 Compiles a mapped :class:`~repro.sabl.circuit.DifferentialCircuit` once
-(:func:`compile_circuit`) and executes campaigns through pluggable
-simulator back-ends (:func:`register_simulator`): the exact ``"event"``
-reference model and the bit-sliced ``"bitslice"`` kernel, which packs 64
-traces per uint64 word and keeps trace throughput nearly independent of
-the circuit's input width while staying bit-identical to the reference.
+(:func:`compile_circuit`) and runs every circuit campaign through
+:class:`BitslicedCircuitEnergyModel`, which packs 64 traces per uint64
+word and keeps trace throughput nearly independent of the circuit's
+input width.  Its energies equal, bit for bit, those of the reference
+models in :mod:`repro.sabl.simulator`, which the tests keep as oracles.
 """
 
 from .compile import CompiledProgram, KernelError, compile_circuit
 from .bitslice import BitslicedCircuitEnergyModel, BitslicePlan
 from .pack import WORD_BITS, pack_bitplanes, unpack_bitplanes, word_count
-from .registry import SIMULATORS, get_simulator, register_simulator
 
 __all__ = [
     "CompiledProgram",
@@ -23,7 +22,4 @@ __all__ = [
     "pack_bitplanes",
     "unpack_bitplanes",
     "word_count",
-    "SIMULATORS",
-    "get_simulator",
-    "register_simulator",
 ]

@@ -25,8 +25,9 @@ nodes have discharged; once every reachable node of a gate has
 discharged -- after the first few batches of any realistic campaign --
 the gate's energies come straight from the stacked tables.  Gates that
 still have precharged reachable nodes take the *exact* per-batch
-correction path of :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel`,
-so the two back-ends agree bit for bit on every trace.
+correction path of the reference
+:class:`~repro.sabl.simulator.BatchedCircuitEnergyModel`, so the kernel
+and its oracle agree bit for bit on every trace.
 """
 
 from __future__ import annotations
@@ -50,9 +51,15 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: sized so the gathered chunk stays cache-resident.
 _FOLD_CHUNK = 128
 
+#: Most cycles :meth:`BitslicedCircuitEnergyModel.energies` evaluates
+#: at once, whatever the caller's batch size: the per-call working set
+#: (bit planes, event indices, the warm-up energy matrix) grows with the
+#: cycles in flight, so larger batches are walked in tiles of this size.
+_CYCLE_TILE = 1024
+
 
 def _ordered_column_sum(energies: np.ndarray) -> np.ndarray:
-    """Column sums with the event backend's strict row-by-row add order.
+    """Column sums with the reference model's strict row-by-row add order.
 
     ``np.add.reduce`` over the leading axis walks rows sequentially --
     the same left fold as the reference model's per-gate ``out +=`` --
@@ -314,7 +321,7 @@ def build_bitslice_plan(program) -> BitslicePlan:
     for row, table in enumerate(tables):
         start = int(offsets[row])
         stop = start + sizes[row]
-        # The exact scalar chain of the event backend:
+        # The exact scalar chain of the reference model:
         # (baseline + cap_dot) [+ extra] -> switching_energy, elementwise.
         total = table.baseline + table.cap_dot
         if table.extra is not None:
@@ -336,7 +343,7 @@ def build_bitslice_plan(program) -> BitslicePlan:
     ):
         accumulator = np.float64(0.0)
         for row in range(len(tables)):
-            # Same IEEE add chain as the event backend's per-gate fold.
+            # Same IEEE add chain as the reference model's per-gate fold.
             accumulator = accumulator + energy_flat[int(offsets[row])]
         constant_fold = accumulator
 
@@ -356,14 +363,16 @@ def build_bitslice_plan(program) -> BitslicePlan:
 
 
 class BitslicedCircuitEnergyModel:
-    """Bit-sliced drop-in for :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel`.
+    """The per-cycle energy model every circuit campaign runs through.
 
     Built from a :class:`~repro.kernel.compile.CompiledProgram`; produces
-    bit-identical per-cycle energies (same batch semantics, same stateful
-    memory effect across :meth:`energies` calls) while evaluating gate
-    logic 64 traces per word and replacing the per-unique-vector Python
-    circuit walk with flat array gathers -- throughput is therefore
-    nearly independent of the primary-input width.
+    the energies of the reference
+    :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel` bit for bit
+    (same stateful memory effect across :meth:`energies` calls) while
+    evaluating gate logic 64 traces per word and replacing the
+    per-unique-vector Python circuit walk with flat array gathers --
+    throughput is therefore nearly independent of the primary-input
+    width.
     """
 
     def __init__(self, program) -> None:
@@ -394,15 +403,25 @@ class BitslicedCircuitEnergyModel:
         vectors: Union[np.ndarray, Sequence[Mapping[str, bool]]],
         batch_size: int = 1024,
     ) -> np.ndarray:
-        """Per-cycle total supply energy; see the event backend for semantics."""
+        """Per-cycle total supply energy of a sequence of input vectors.
+
+        ``vectors`` is a ``(cycles, inputs)`` boolean array with columns
+        ordered like ``circuit.primary_inputs``, or a sequence of input
+        mappings.  ``batch_size`` (capped at :data:`_CYCLE_TILE`) bounds
+        the cycles evaluated at once; gate charge state carries across
+        batches, so the result is independent of it.
+        """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         matrix = self._as_matrix(vectors)
         total = np.zeros(matrix.shape[0], dtype=float)
         obs = get_observer()
         tick = time.perf_counter() if obs.active else 0.0
-        for start in range(0, matrix.shape[0], batch_size):
-            stop = min(start + batch_size, matrix.shape[0])
+        # Charge state carries across tiles, so tiling never changes the
+        # result -- it only caps the working set.
+        tile = min(batch_size, _CYCLE_TILE)
+        for start in range(0, matrix.shape[0], tile):
+            stop = min(start + tile, matrix.shape[0])
             self._accumulate(matrix[start:stop], total[start:stop])
         if obs.active and matrix.shape[0]:
             elapsed = time.perf_counter() - tick
@@ -469,8 +488,8 @@ class BitslicedCircuitEnergyModel:
         # Steady state (every reachable internal node discharged): fold
         # gate chunks while their gathered energies are still cache-hot.
         # Seeding each chunk's reduction with the running accumulator as
-        # row 0 keeps the float summation the exact left-fold the event
-        # backend computes, chunk boundaries notwithstanding.
+        # row 0 keeps the float summation the exact left-fold the
+        # reference model computes, chunk boundaries notwithstanding.
         gate_count = events.shape[0]
         chunk = _FOLD_CHUNK
         flat = np.empty((min(chunk, gate_count), cycles), dtype=np.intp)
@@ -489,7 +508,7 @@ class BitslicedCircuitEnergyModel:
     def _correct_memory_effect(self, events: np.ndarray, energies: np.ndarray) -> None:
         """Recompute rows whose gates still have precharged internal nodes.
 
-        Applies the event backend's first-discharge accounting exactly,
+        Applies the reference model's first-discharge accounting exactly,
         then drops gates whose reachable internal nodes have all
         discharged from the pending set.
         """

@@ -1,6 +1,6 @@
 """Compile a differential circuit once; simulate it many times.
 
-A :class:`CompiledProgram` bundles everything the simulator back-ends
+A :class:`CompiledProgram` bundles everything the energy models
 need that is independent of the trace data: the circuit, the resolved
 technology card, the per-gate event/energy tables
 (:func:`repro.sabl.simulator.build_gate_tables` -- the expensive,

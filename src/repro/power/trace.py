@@ -22,9 +22,8 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..sabl.circuit import DifferentialCircuit, map_expressions
-from ..sabl.simulator import BatchedCircuitEnergyModel, CircuitPowerSimulator
 from ..electrical.technology import Technology
-from .crypto import PRESENT_SBOX, bits_of, hamming_weight, keyed_sbox_expressions
+from .crypto import PRESENT_SBOX, hamming_weight, keyed_sbox_expressions
 
 __all__ = [
     "TraceSet",
@@ -118,10 +117,9 @@ def acquire_circuit_traces(
     noise_std: float = 0.0,
     seed: SeedLike = 2005,
     warmup_cycles: int = 4,
-    batch_size: Optional[int] = 1024,
+    batch_size: int = 1024,
     noise_model: Optional[NoiseModelFn] = None,
     net_loads: Optional[Mapping[str, Tuple[float, float]]] = None,
-    simulator: str = "event",
     program: Optional[Any] = None,
 ) -> TraceSet:
     """Record one power sample per cycle from the gate-level charge model.
@@ -142,12 +140,14 @@ def acquire_circuit_traces(
     the shards draw from non-overlapping streams instead of every call
     reseeding ``default_rng(seed)``.
 
-    ``batch_size`` selects the vectorized acquisition back-end
-    (:class:`repro.sabl.simulator.BatchedCircuitEnergyModel`), which
-    computes the campaign as NumPy array operations in chunks of that
-    many traces; pass ``None`` to force the original per-trace Python
-    loop (kept for cross-checking and benchmarking -- both back-ends
-    draw the same random stream and produce the same traces).
+    The energies come from the compiled bit-sliced kernel
+    (:class:`repro.kernel.BitslicedCircuitEnergyModel`), fed in chunks of
+    ``batch_size`` cycles; the result does not depend on the chunking.
+    The kernel is bit-identical to the reference models of
+    :mod:`repro.sabl.simulator`, which stay as test oracles.
+    ``program`` optionally supplies an existing
+    :class:`~repro.kernel.CompiledProgram` of ``circuit`` so repeated
+    acquisitions (engine shards, sweeps) skip recompilation.
 
     The plaintext space follows the circuit's primary inputs: plaintext
     bit ``i`` (little-endian) drives ``circuit.primary_inputs[i]``, so
@@ -155,20 +155,12 @@ def acquire_circuit_traces(
 
     ``net_loads`` back-annotates routed per-net rail capacitances
     (``{output_net: (c_true, c_false)}``, see
-    :meth:`repro.layout.NetParasitics.rail_loads`) into whichever
-    back-end runs; ``None`` keeps the layout-free streams byte-identical.
-
-    ``simulator`` picks the batched back-end from the
-    :mod:`repro.kernel` registry (``"event"`` is today's reference
-    model, ``"bitslice"`` the packed-uint64 compiled kernel -- both are
-    bit-identical); ``program`` optionally supplies an existing
-    :class:`~repro.kernel.CompiledProgram` of ``circuit`` so repeated
-    acquisitions (engine shards, sweeps) skip recompilation.  The
-    per-trace Python loop (``batch_size=None``) has no pluggable
-    back-end and rejects anything but ``"event"``.
+    :meth:`repro.layout.NetParasitics.rail_loads`) into the kernel;
+    ``None`` keeps the layout-free streams byte-identical.
     """
-    inputs = list(circuit.primary_inputs)
-    width = len(inputs)
+    from ..kernel import BitslicedCircuitEnergyModel, compile_circuit
+
+    width = len(circuit.primary_inputs)
     rng = np.random.default_rng(seed)
     # Full-width (64-bit) slices overflow the default int64 draw; the
     # uint64 branch is taken only there so every narrower campaign keeps
@@ -176,43 +168,22 @@ def acquire_circuit_traces(
     draw_dtype = {"dtype": np.uint64} if width >= 64 else {}
     plaintexts = rng.integers(0, 1 << width, size=trace_count, **draw_dtype)
     warmup = rng.integers(0, 1 << width, size=warmup_cycles, **draw_dtype)
-    if batch_size is not None:
-        from ..kernel import compile_circuit, get_simulator
-
-        factory = get_simulator(simulator)
-        if program is None:
-            program = compile_circuit(
-                circuit,
-                technology=technology,
-                gate_style=gate_style,
-                net_loads=net_loads,
-            )
-        elif program.circuit is not circuit:
-            raise ValueError(
-                "program was compiled from a different circuit than the one "
-                "being traced; recompile with repro.kernel.compile_circuit"
-            )
-        model = factory(program)
-        if warmup_cycles:
-            model.energies(nibble_matrix(warmup, width), batch_size=batch_size)
-        energies = model.energies(nibble_matrix(plaintexts, width), batch_size=batch_size)
-    else:
-        if simulator != "event":
-            raise ValueError(
-                f"batch_size=None selects the per-trace Python loop, which "
-                f"has no pluggable back-end; simulator {simulator!r} needs "
-                f"a batch size"
-            )
-        stepper = CircuitPowerSimulator(
-            circuit, technology=technology, gate_style=gate_style, net_loads=net_loads
+    if program is None:
+        program = compile_circuit(
+            circuit,
+            technology=technology,
+            gate_style=gate_style,
+            net_loads=net_loads,
         )
-        for plaintext in warmup:
-            vector = dict(zip(inputs, bits_of(int(plaintext), width)))
-            stepper.step(vector)
-        energies = np.empty(trace_count, dtype=float)
-        for index, plaintext in enumerate(plaintexts):
-            vector = dict(zip(inputs, bits_of(int(plaintext), width)))
-            energies[index] = stepper.step(vector).total_energy
+    elif program.circuit is not circuit:
+        raise ValueError(
+            "program was compiled from a different circuit than the one "
+            "being traced; recompile with repro.kernel.compile_circuit"
+        )
+    model = BitslicedCircuitEnergyModel(program)
+    if warmup_cycles:
+        model.energies(nibble_matrix(warmup, width), batch_size=batch_size)
+    energies = model.energies(nibble_matrix(plaintexts, width), batch_size=batch_size)
     if noise_std > 0.0:
         sigma = noise_std * float(np.mean(energies))
         energies = energies + rng.normal(0.0, sigma, size=trace_count)
@@ -233,7 +204,7 @@ def simulated_energy_predictor(
     technology: Optional[Technology] = None,
     gate_style: str = "sabl",
     warmup_cycles: int = 4,
-    batch_size: Optional[int] = 1024,
+    batch_size: int = 1024,
 ):
     """Build a per-key-guess energy predictor for profiled (template) CPA.
 
@@ -243,30 +214,23 @@ def simulated_energy_predictor(
     this predictor models the strongest reasonable adversary: one that
     owns an identical device (or a perfect simulator of it) and can
     profile it for every key guess.  ``batch_size`` behaves as in
-    :func:`acquire_circuit_traces` (``None`` = per-trace Python loop).
+    :func:`acquire_circuit_traces`.
     """
+    from ..kernel import BitslicedCircuitEnergyModel, compile_circuit
+
     def predict(plaintexts: np.ndarray, guess: int) -> np.ndarray:
         circuit = build_sbox_circuit(
             guess, network_style=network_style, max_fanin=max_fanin, sbox=sbox,
             name=f"predictor_{network_style}_{guess:x}",
         )
+        model = BitslicedCircuitEnergyModel(
+            compile_circuit(circuit, technology=technology, gate_style=gate_style)
+        )
+        if warmup_cycles:
+            warmup = np.zeros(warmup_cycles, dtype=np.int64)
+            model.energies(nibble_matrix(warmup), batch_size=batch_size)
         plaintexts_array = np.asarray(plaintexts, dtype=np.int64)
-        if batch_size is not None:
-            model = BatchedCircuitEnergyModel(
-                circuit, technology=technology, gate_style=gate_style
-            )
-            if warmup_cycles:
-                warmup = np.zeros(warmup_cycles, dtype=np.int64)
-                model.energies(nibble_matrix(warmup), batch_size=batch_size)
-            return model.energies(nibble_matrix(plaintexts_array), batch_size=batch_size)
-        simulator = CircuitPowerSimulator(circuit, technology=technology, gate_style=gate_style)
-        for index in range(warmup_cycles):
-            simulator.step({f"p{i}": bit for i, bit in enumerate(bits_of(0, 4))})
-        energies = np.empty(len(plaintexts_array), dtype=float)
-        for index, plaintext in enumerate(plaintexts_array):
-            vector = {f"p{i}": bit for i, bit in enumerate(bits_of(int(plaintext), 4))}
-            energies[index] = simulator.step(vector).total_energy
-        return energies
+        return model.energies(nibble_matrix(plaintexts_array), batch_size=batch_size)
 
     return predict
 

@@ -136,9 +136,8 @@ class GateTable:
     a whole campaign reduces to NumPy gathers over these tables.
 
     Tables are immutable once built and hold no charge state, so one set
-    can be shared between any number of energy models (and between the
-    ``event`` and ``bitslice`` simulator back-ends of
-    :mod:`repro.kernel`).
+    can be shared between any number of energy models (the compiled
+    kernel of :mod:`repro.kernel` and this module's reference model).
     """
 
     gate: GateInstance
@@ -165,10 +164,6 @@ class GateTable:
         return index
 
 
-#: Backwards-compatible private alias (pre-kernel name).
-_GateTable = GateTable
-
-
 def build_gate_tables(
     circuit: DifferentialCircuit,
     technology: Optional[Technology] = None,
@@ -181,7 +176,7 @@ def build_gate_tables(
     This is the (one-time, width-independent) expensive part of
     constructing a :class:`BatchedCircuitEnergyModel`; it is exposed so
     :mod:`repro.kernel` can compile a circuit once and share the tables
-    across simulator back-ends.
+    between its kernel and the reference model.
     """
     technology = technology or generic_180nm()
     net_loads = net_loads or {}

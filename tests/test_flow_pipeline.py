@@ -19,6 +19,8 @@ from repro.flow import (
 )
 from repro.power import PRESENT_SBOX, acquire_circuit_traces, build_sbox_circuit
 
+from oracles import oracle_traces
+
 
 # ----------------------------------------------------------------------- config
 
@@ -272,14 +274,12 @@ class TestBatchedAcquisition:
     @pytest.mark.parametrize("network_style", ["fc", "genuine"])
     def test_batched_equals_sequential(self, network_style):
         circuit = build_sbox_circuit(0xB, network_style, max_fanin=3)
-        sequential = acquire_circuit_traces(
-            circuit, 0xB, 200, noise_std=0.01, seed=3, batch_size=None
-        )
+        plaintexts, sequential = oracle_traces(circuit, 200, seed=3, noise_std=0.01)
         batched = acquire_circuit_traces(
             circuit, 0xB, 200, noise_std=0.01, seed=3, batch_size=64
         )
-        assert np.array_equal(sequential.plaintexts, batched.plaintexts)
-        assert np.allclose(sequential.traces, batched.traces, rtol=1e-12, atol=0.0)
+        assert np.array_equal(plaintexts, batched.plaintexts)
+        assert np.allclose(sequential, batched.traces, rtol=1e-12, atol=0.0)
 
     def test_batch_size_does_not_change_result(self):
         circuit = build_sbox_circuit(0x5, "genuine", max_fanin=2)
@@ -294,16 +294,6 @@ class TestBatchedAcquisition:
         model = BatchedCircuitEnergyModel(circuit)
         energies = model.energies(np.zeros((0, 4), dtype=bool))
         assert energies.shape == (0,)
-
-    def test_flow_batched_matches_loop_campaign(self):
-        base = FlowConfig(name="batching")
-        batched = DesignFlow.sbox(key=0x9, trace_count=100, seed=5, config=base)
-        loop = DesignFlow.sbox(
-            key=0x9, trace_count=100, seed=5, batch_size=None, config=base
-        )
-        assert np.allclose(
-            batched.traces().traces, loop.traces().traces, rtol=1e-12, atol=0.0
-        )
 
 
 # ------------------------------------------------------------------- scenarios

@@ -1,31 +1,40 @@
-"""The compiled bit-sliced simulator backend (:mod:`repro.kernel`).
+"""The compiled bit-sliced simulator (:mod:`repro.kernel`).
 
 The kernel's contract is *bit-identity*: whatever circuit, gate style,
-width or back-annotated parasitics, the packed-uint64 backend must
+width or back-annotated parasitics, the packed-uint64 kernel must
 return exactly the float64 energy stream of the event-table reference
-model.  This suite pins that contract -- deterministically on
+model (:class:`~repro.sabl.simulator.BatchedCircuitEnergyModel`, kept
+as the oracle).  This suite pins that contract -- deterministically on
 representative circuits and scenarios, property-based on random mapped
-circuits, and end-to-end through the sharded engine and the artifact
-store's simulator equivalence class.
+circuits -- plus the kernel's memory bound and, through golden digests,
+the exact trace streams the flow produces.
 """
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.flow import CampaignConfig, DesignFlow, ExecutionConfig, FlowConfig
+from repro.flow import (
+    AssessmentConfig,
+    CampaignConfig,
+    DesignFlow,
+    ExecutionConfig,
+    FlowConfig,
+    LayoutConfig,
+    ScenarioConfig,
+)
 from repro.flow.config import ConfigError
-from repro.flow.registry import DuplicateBackendError, UnknownBackendError
 from repro.kernel import (
-    SIMULATORS,
     BitslicedCircuitEnergyModel,
     CompiledProgram,
+    KernelError,
     WORD_BITS,
     compile_circuit,
-    get_simulator,
     pack_bitplanes,
-    register_simulator,
     unpack_bitplanes,
     word_count,
 )
@@ -33,6 +42,7 @@ from repro.power.trace import acquire_circuit_traces, build_sbox_circuit
 from repro.sabl.circuit import map_expressions
 from repro.sabl.simulator import BatchedCircuitEnergyModel
 
+from oracles import oracle_traces
 from strategies import HAVE_HYPOTHESIS, expression_strategy
 
 
@@ -41,7 +51,13 @@ def _random_matrix(rng, cycles, width):
 
 
 def _event_model(program: CompiledProgram) -> BatchedCircuitEnergyModel:
-    return get_simulator("event")(program)
+    """The reference model over the program's shared gate tables."""
+    return BatchedCircuitEnergyModel(
+        program.circuit,
+        technology=program.technology,
+        gate_style=program.gate_style,
+        tables=program.tables,
+    )
 
 
 # ------------------------------------------------------------------ packing
@@ -71,39 +87,6 @@ class TestPacking:
         assert planes[0, 0] == np.uint64(0b11111)
 
 
-# ----------------------------------------------------------------- registry
-
-
-class TestRegistry:
-    def test_builtins_are_registered(self):
-        assert "event" in SIMULATORS
-        assert "bitslice" in SIMULATORS
-
-    def test_unknown_simulator_lists_available(self):
-        with pytest.raises(UnknownBackendError) as excinfo:
-            get_simulator("verilator")
-        message = str(excinfo.value)
-        assert "verilator" in message and "bitslice" in message
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(DuplicateBackendError):
-            register_simulator("event", lambda program: None)
-
-    def test_custom_backend_round_trip(self):
-        sentinel = object()
-        register_simulator("custom-test", lambda program: sentinel)
-        try:
-            assert get_simulator("custom-test")(None) is sentinel
-        finally:
-            SIMULATORS.unregister("custom-test")
-
-    def test_factories_share_the_compiled_tables(self):
-        circuit = build_sbox_circuit(0xB)
-        program = compile_circuit(circuit)
-        model = _event_model(program)
-        assert model._tables[0] is program.tables[0]
-
-
 # ------------------------------------------------------------- compilation
 
 
@@ -129,6 +112,35 @@ class TestCompiledProgram:
     def test_plan_is_cached(self):
         program = compile_circuit(build_sbox_circuit(0x7))
         assert program.plan() is program.plan()
+
+    def test_models_share_the_compiled_tables(self):
+        program = compile_circuit(build_sbox_circuit(0xB))
+        assert BitslicedCircuitEnergyModel(program)._tables[0] is program.tables[0]
+        assert _event_model(program)._tables[0] is program.tables[0]
+
+    def test_gate_without_a_function_is_a_kernel_error(self):
+        # Every DPDN builder annotates ``function``; only a hand-built
+        # network lacks it, and the kernel must name the gate it cannot
+        # compile instead of failing somewhere inside the plan.
+        from repro.network.netlist import DifferentialPullDownNetwork, Literal
+        from repro.sabl.circuit import Connection, DifferentialCircuit, GateInstance
+
+        bare = DifferentialPullDownNetwork(name="bare")
+        bare.add_transistor(Literal("A"), bare.x, bare.z)
+        bare.add_transistor(Literal("A", False), bare.y, bare.z)
+        assert bare.function is None
+        circuit = DifferentialCircuit(["p0"], name="hand_built")
+        circuit.add_gate(
+            GateInstance(
+                name="buf_unannotated",
+                dpdn=bare,
+                connections={"A": Connection("p0")},
+                output_net="n0",
+            )
+        )
+        circuit.set_output("F", "n0")
+        with pytest.raises(KernelError, match="buf_unannotated"):
+            acquire_circuit_traces(circuit, key=0, trace_count=10)
 
 
 # ------------------------------------------------------------- bit-identity
@@ -156,14 +168,20 @@ class TestBitIdentity:
     def test_sbox_circuit(self, gate_style, network_style):
         circuit = build_sbox_circuit(0xB, network_style=network_style)
         program = compile_circuit(circuit, gate_style=gate_style)
-        event = _event_model(program)
-        bitslice = BitslicedCircuitEnergyModel(program)
         rng = np.random.default_rng(7)
-        matrix = _random_matrix(rng, 300, 4)
-        assert np.array_equal(
-            event.energies(matrix, batch_size=77),
-            bitslice.energies(matrix, batch_size=77),
-        )
+        short = _random_matrix(rng, 300, 4)
+        # 5000 cycles in one 4096-cycle batch span several kernel tiles;
+        # a constant opening longer than a tile defers the first
+        # discharges of a genuine network past the first tile boundary.
+        long = _random_matrix(rng, 5000, 4)
+        long[:1500] = long[0]
+        for matrix, batch_size in ((short, 77), (long, 4096)):
+            assert np.array_equal(
+                _event_model(program).energies(matrix, batch_size=batch_size),
+                BitslicedCircuitEnergyModel(program).energies(
+                    matrix, batch_size=batch_size
+                ),
+            )
 
     def test_routed_net_loads(self):
         circuit = build_sbox_circuit(0xB)
@@ -185,13 +203,14 @@ class TestBitIdentity:
         model.reset()
         assert np.array_equal(first, model.energies(matrix, batch_size=48))
 
-    def test_acquire_circuit_traces_dispatches_by_name(self):
+    def test_acquire_circuit_traces_matches_the_oracle(self):
         circuit = build_sbox_circuit(0xB)
-        kwargs = dict(key=0xB, trace_count=400, noise_std=0.01)
-        event = acquire_circuit_traces(circuit, simulator="event", **kwargs)
-        bitslice = acquire_circuit_traces(circuit, simulator="bitslice", **kwargs)
-        assert np.array_equal(event.traces, bitslice.traces)
-        assert np.array_equal(event.plaintexts, bitslice.plaintexts)
+        traces = acquire_circuit_traces(circuit, key=0xB, trace_count=400, noise_std=0.01)
+        plaintexts, expected = oracle_traces(
+            circuit, 400, noise_std=0.01, stepped=False
+        )
+        assert np.array_equal(traces.plaintexts, plaintexts)
+        assert np.array_equal(traces.traces, expected)
 
     def test_foreign_program_is_rejected(self):
         circuit = build_sbox_circuit(0xB)
@@ -201,13 +220,32 @@ class TestBitIdentity:
                 circuit, key=0xB, trace_count=10, program=other
             )
 
-    def test_per_trace_loop_has_no_backends(self):
-        circuit = build_sbox_circuit(0xB)
-        with pytest.raises(ValueError):
-            acquire_circuit_traces(
-                circuit, key=0xB, trace_count=10, batch_size=None,
-                simulator="bitslice",
-            )
+
+class TestMemory:
+    @pytest.mark.parametrize(
+        "gate_style, network_style", [("cvsl", "fc"), ("sabl", "genuine")]
+    )
+    def test_peak_memory_does_not_grow_with_the_batch(self, gate_style, network_style):
+        # One 4096-cycle assessment chunk must not cost the kernel more
+        # memory than the reference model spends on the same input.
+        program = compile_circuit(
+            build_sbox_circuit(0xB, network_style=network_style),
+            gate_style=gate_style,
+        )
+        rng = np.random.default_rng(3)
+        warmup = _random_matrix(rng, 4, 4)
+        matrix = _random_matrix(rng, 4096, 4)
+        peaks = []
+        for model in (_event_model(program), BitslicedCircuitEnergyModel(program)):
+            model.energies(warmup, batch_size=4096)
+            tracemalloc.start()
+            try:
+                model.energies(matrix, batch_size=4096)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        oracle_peak, kernel_peak = peaks
+        assert kernel_peak <= oracle_peak, (kernel_peak, oracle_peak)
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
@@ -262,90 +300,137 @@ class TestBitIdentityProperties:
 # ------------------------------------------------------------ flow + engine
 
 
-def _sbox_flow(simulator, execution=None, **campaign_overrides):
-    config = FlowConfig(
-        name="kernel_test",
-        campaign=CampaignConfig(
-            key=0xB, trace_count=400, simulator=simulator, **campaign_overrides
-        ),
-    )
+def _sbox_flow(execution=None, **campaign_overrides):
+    campaign = dict(key=0xB, trace_count=400)
+    campaign.update(campaign_overrides)
+    config = FlowConfig(name="kernel_test", campaign=CampaignConfig(**campaign))
     if execution is not None:
         config = config.replace(execution=execution)
     return DesignFlow(None, config)
 
 
+def _digest(*arrays) -> str:
+    """First 16 hex digits of the sha256 over the arrays' bytes."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(array.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def _traces_digest(flow) -> str:
+    traces = flow.traces()
+    return _digest(traces.plaintexts, traces.traces)
+
+
 class TestFlowIntegration:
     def test_trace_stage_reports_the_simulator(self):
-        flow = _sbox_flow("bitslice")
+        flow = _sbox_flow()
         assert flow.result("traces").details["simulator"] == "bitslice"
 
-    def test_sharded_four_worker_run_matches_the_event_backend(self):
-        event = _sbox_flow(
-            "event", ExecutionConfig(workers=4, shard_size=100)
-        ).traces()
-        bitslice = _sbox_flow(
-            "bitslice", ExecutionConfig(workers=4, shard_size=100)
-        ).traces()
-        assert np.array_equal(event.traces, bitslice.traces)
-        assert np.array_equal(event.plaintexts, bitslice.plaintexts)
-
-    def test_unknown_simulator_is_a_flow_error(self):
-        from repro.flow.pipeline import FlowError
-
-        flow = _sbox_flow("verilator")
-        with pytest.raises(FlowError, match="verilator"):
-            flow.traces()
-
-    def test_assessment_stream_is_backend_independent(self):
-        results = {}
-        for simulator in ("event", "bitslice"):
-            flow = _sbox_flow(simulator)
-            flow.config = flow.config.replace(
-                assessment=flow.config.assessment.replace(
-                    enabled=True, traces_per_class=200
-                )
-            )
-            results[simulator] = flow.result("assessment")
-        assert (
-            results["event"].details["ttest_max_abs_t"]
-            == results["bitslice"].details["ttest_max_abs_t"]
-        )
-
-    def test_store_keys_ignore_the_simulator(self, tmp_path):
+    def test_store_keys_ignore_the_simulator(self):
+        # Store keys must not move with the simulator: this is the key
+        # the event-table model's campaigns were stored under.
         from repro.engine.runner import trace_store_record
         from repro.engine.store import content_key
 
-        keys = {
-            simulator: content_key(trace_store_record(_sbox_flow(simulator)))
-            for simulator in ("event", "bitslice")
-        }
-        assert keys["event"] == keys["bitslice"]
+        assert content_key(trace_store_record(_sbox_flow())) == (
+            "a61fb8636518437dc0dab14ea1b40edd3613aaa6a298ee9a1bed363126c74a93"
+        )
 
-    def test_bitslice_run_hits_the_event_backends_store_entry(self, tmp_path):
-        store = str(tmp_path / "store")
-        first = _sbox_flow(
-            "event", ExecutionConfig(store=store, shard_size=100)
+
+class TestGoldenStreams:
+    """Trace streams pinned by digest, as computed by the reference model.
+
+    Each digest is the first 16 hex digits of a sha256 over the
+    plaintexts then the traces (or over the TVLA rows), recorded when
+    the event-table model still produced every campaign.
+    """
+
+    @pytest.mark.parametrize(
+        "gate_style, network_style, digest",
+        [
+            ("sabl", "fc", "984a62d55fef6354"),
+            ("sabl", "genuine", "b33f80b980764695"),
+            ("cvsl", "fc", "980fa24c0754571a"),
+            ("cvsl", "genuine", "4e5a63714364e2b4"),
+        ],
+    )
+    def test_sbox_campaign(self, gate_style, network_style, digest):
+        flow = _sbox_flow(
+            trace_count=3000,
+            seed=7,
+            noise_std=0.01,
+            gate_style=gate_style,
+            network_style=network_style,
         )
-        assert first.result("traces").details["store"] == "miss"
-        second = _sbox_flow(
-            "bitslice", ExecutionConfig(store=store, shard_size=100)
+        assert _traces_digest(flow) == digest
+
+    def test_routed_present_round(self):
+        flow = DesignFlow(
+            None,
+            FlowConfig(
+                name="golden_routed",
+                campaign=CampaignConfig(
+                    key=0x6B, scenario="present_round", trace_count=1500, seed=11
+                ),
+                scenario=ScenarioConfig(params={"sboxes": 2}),
+                layout=LayoutConfig(router="unbalanced"),
+            ),
         )
-        assert second.result("traces").details["store"] == "hit"
-        assert np.array_equal(first.traces().traces, second.traces().traces)
+        assert _traces_digest(flow) == "f3903f45d585fd80"
+
+    def test_sharded_present_round(self):
+        flow = DesignFlow(
+            None,
+            FlowConfig(
+                name="golden_sharded",
+                campaign=CampaignConfig(
+                    key=0x2B51,
+                    scenario="present_round",
+                    trace_count=1200,
+                    seed=5,
+                    gate_style="cvsl",
+                    network_style="genuine",
+                ),
+                scenario=ScenarioConfig(params={"sboxes": 4}),
+                execution=ExecutionConfig(workers=2, shard_size=300),
+            ),
+        )
+        assert _traces_digest(flow) == "523011b1aaff8875"
+
+    def test_assessment_stream(self):
+        flow = DesignFlow(
+            None,
+            FlowConfig(
+                name="golden_tvla",
+                campaign=CampaignConfig(
+                    key=0x3, network_style="genuine", noise_std=0.002
+                ),
+                assessment=AssessmentConfig(enabled=True, seed=9),
+            ),
+        )
+        result = flow.assessment()["ttest"]
+        rows = repr([(t.order, t.statistic, t.leaks) for t in result.tests])
+        assert hashlib.sha256(rows.encode()).hexdigest()[:16] == "aa902c681977e237"
 
 
 class TestConfigValidation:
-    def test_simulator_must_be_non_empty(self):
-        with pytest.raises(ConfigError):
-            CampaignConfig(simulator="")
+    def test_simulator_key_is_a_config_error(self):
+        from repro.engine.cli import main
 
-    def test_per_trace_loop_rejects_other_simulators(self):
+        with pytest.raises(ConfigError, match="simulator"):
+            CampaignConfig.from_dict({"simulator": "bitslice"})
+        with pytest.raises(ConfigError, match="simulator"):
+            FlowConfig.from_dict({"campaign": {"simulator": "event"}})
+        assert main(["run", "--set", "simulator=bitslice"]) == 2
+
+    def test_batch_size_none_is_a_config_error(self):
+        # The per-trace loop that a null batch size used to select is gone.
         with pytest.raises(ConfigError, match="batch_size"):
-            CampaignConfig(batch_size=None, simulator="bitslice")
-
-    def test_per_trace_event_loop_still_allowed(self):
-        assert CampaignConfig(batch_size=None).simulator == "event"
+            CampaignConfig.from_dict({"batch_size": None})
+        with pytest.raises(ConfigError, match="batch_size"):
+            CampaignConfig(batch_size=0)
 
     def test_round_trips_through_dict(self):
-        config = CampaignConfig(simulator="bitslice")
-        assert CampaignConfig.from_dict(config.to_dict()).simulator == "bitslice"
+        config = CampaignConfig(batch_size=256)
+        assert CampaignConfig.from_dict(config.to_dict()).batch_size == 256

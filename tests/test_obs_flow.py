@@ -127,9 +127,7 @@ class TestEventParity:
             validate_event(event)
 
     def test_kernel_metrics_flow_back_from_workers(self):
-        _, events = _run_buffered(
-            ExecutionConfig(workers=2, shard_size=SHARD), simulator="bitslice"
-        )
+        _, events = _run_buffered(ExecutionConfig(workers=2, shard_size=SHARD))
         names = {e["name"] for e in events}
         assert "kernel.traces_per_s" in names
         assert "executor.map" in {e["name"] for e in events if e["kind"] == "span.end"}

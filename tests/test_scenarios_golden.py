@@ -163,39 +163,39 @@ def test_full_width_round_circuit_matches_golden_reference_bitsliced():
 
 
 def test_wide_and_multi_round_campaigns_run_bitsliced():
-    # Per-push campaign coverage of the widths the event backend made
-    # impractically slow: a full-width round and a multi-round datapath,
-    # traced through the compiled kernel and pinned to the reference
-    # backend trace-for-trace.
+    # Per-push campaign coverage of the widths the reference model makes
+    # slow: a full-width round and a multi-round datapath, traced
+    # through the compiled kernel and pinned to the reference model
+    # trace-for-trace.
     from repro.flow import CampaignConfig, DesignFlow, FlowConfig, ScenarioConfig
+
+    from oracles import oracle_traces
 
     cases = [
         ("present_round", {"sboxes": 16}, 0x0123_4567_89AB_CDEF),
         ("present_rounds", {"sboxes": 2, "rounds": 3}, 0x5C),
     ]
     for name, params, key in cases:
-        traces = {}
-        for simulator in ("event", "bitslice"):
-            flow = DesignFlow(
-                None,
-                FlowConfig(
-                    name=f"{name}_bitslice_ci",
-                    campaign=CampaignConfig(
-                        key=key,
-                        scenario=name,
-                        trace_count=96,
-                        simulator=simulator,
-                    ),
-                    scenario=ScenarioConfig(params=params),
-                ),
-            )
-            traces[simulator] = flow.traces()
-        assert np.array_equal(
-            traces["event"].traces, traces["bitslice"].traces
-        ), f"{name} campaign must be bit-identical across simulators"
-        assert np.array_equal(
-            traces["event"].plaintexts, traces["bitslice"].plaintexts
+        flow = DesignFlow(
+            None,
+            FlowConfig(
+                name=f"{name}_bitslice_ci",
+                campaign=CampaignConfig(key=key, scenario=name, trace_count=96),
+                scenario=ScenarioConfig(params=params),
+            ),
         )
+        traces = flow.traces()
+        plaintexts, expected = oracle_traces(
+            flow.circuit(),
+            96,
+            seed=flow.config.campaign.seed,
+            stepped=False,
+            tables=flow._compiled_program().tables,
+        )
+        assert np.array_equal(
+            traces.traces, expected
+        ), f"{name} campaign must be bit-identical to the reference model"
+        assert np.array_equal(traces.plaintexts, plaintexts)
 
 
 @pytest.mark.slow
