@@ -15,6 +15,19 @@ prefix sweep), the bootstrap gives a success *probability* per count, so
 protected implementations report a near-chance floor instead of a noisy
 binary outcome, and the curves of two implementations can be compared at
 equal trace budgets.
+
+**Cost.**  Every repetition re-runs the attack on its subsample.  The
+default attacks of :mod:`repro.power.dpa` reduce a subsample of n traces
+to per-plaintext-class sums in O(n) and score all K guesses from a
+``(guess x class)`` table in O(K*P), so a curve costs O(R*(n + K*P)) per
+step for R repetitions, with no per-trace Python work.
+
+**Ties.**  A repetition counts as a recovery only when the correct key
+ranks alone at the top: guesses whose class vectors are identical or
+complementary to the key's score bit-identically and count against the
+attacker (see :mod:`repro.power.dpa`).  DoM at ``target_bit=0`` on the
+PRESENT S-box, whose guesses fall into four such groups, therefore never
+recovers the key, and its ``mean_rank`` counts the key's group mates.
 """
 
 from __future__ import annotations
@@ -149,8 +162,8 @@ def bootstrap_success_rate(
     """Attack ``repetitions`` random subsamples of ``trace_count`` traces.
 
     Each repetition draws a subsample without replacement from the
-    campaign, runs the attack and records whether the top-ranked guess is
-    the correct key; the success rate is the fraction of recoveries and
+    campaign, runs the attack and records whether the correct key alone
+    ranks first; the success rate is the fraction of recoveries and
     ``mean_rank`` the average rank of the correct key (0 = recovered).
     """
     total = len(traces)

@@ -21,23 +21,24 @@ switch-level model, and this module is where those checks live:
   (:func:`check_device_count_preserved`).
 
 :func:`verify_gate` bundles the checks into a single report used by the
-cell-library generator and the benchmarks.
+cell-library generator and the benchmarks.  The first three checks read
+one :func:`~repro.network.analysis.conduction_table` -- one walk of the
+conducting graph per input event -- which :func:`verify_gate` builds
+once and shares between them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..boolexpr.ast import Expr
-from ..boolexpr.truthtable import assignments
 from ..network.analysis import (
-    branch_conducts,
+    EventConduction,
     complementary_assignments,
-    discharged_nodes,
+    conduction_table,
     evaluation_depth,
-    floating_internal_nodes,
 )
 from ..network.netlist import DifferentialPullDownNetwork
 
@@ -116,11 +117,19 @@ def check_differential_function(
     available the check only verifies differential consistency (exactly
     one branch conducts for every event).
     """
+    return _differential_function(dpdn, expected, conduction_table(dpdn))
+
+
+def _differential_function(
+    dpdn: DifferentialPullDownNetwork,
+    expected: Optional[Expr],
+    events: Sequence[EventConduction],
+) -> CheckResult:
     expected = expected if expected is not None else dpdn.function
     counterexamples: List[str] = []
-    for assignment in complementary_assignments(dpdn.variables()):
-        x_on = branch_conducts(dpdn, assignment, dpdn.x)
-        y_on = branch_conducts(dpdn, assignment, dpdn.y)
+    for event in events:
+        assignment = event.assignment
+        x_on, y_on = event.x_conducts, event.y_conducts
         if x_on == y_on:
             kind = "both branches conduct" if x_on else "neither branch conducts"
             counterexamples.append(f"{_format_assignment(assignment)}: {kind}")
@@ -146,12 +155,19 @@ def check_differential_function(
 
 def check_fully_connected(dpdn: DifferentialPullDownNetwork) -> CheckResult:
     """The paper's Section 3 property: no internal node ever floats."""
+    return _fully_connected(dpdn, conduction_table(dpdn))
+
+
+def _fully_connected(
+    dpdn: DifferentialPullDownNetwork, events: Sequence[EventConduction]
+) -> CheckResult:
+    internal = dpdn.internal_nodes()
     counterexamples: List[str] = []
-    for assignment in complementary_assignments(dpdn.variables()):
-        floating = floating_internal_nodes(dpdn, assignment)
+    for event in events:
+        floating = [node for node in internal if node not in event.discharged]
         if floating:
             counterexamples.append(
-                f"{_format_assignment(assignment)}: floating node(s) {sorted(floating)}"
+                f"{_format_assignment(event.assignment)}: floating node(s) {sorted(floating)}"
             )
     passed = not counterexamples
     details = (
@@ -176,12 +192,17 @@ def check_memory_effect_free(dpdn: DifferentialPullDownNetwork) -> CheckResult:
     of per-node behaviour: a node that discharges for some events and
     floats for others carries state between cycles.
     """
-    events = list(complementary_assignments(dpdn.variables()))
+    return _memory_effect_free(dpdn, conduction_table(dpdn))
+
+
+def _memory_effect_free(
+    dpdn: DifferentialPullDownNetwork, events: Sequence[EventConduction]
+) -> CheckResult:
+    labels = [_format_assignment(event.assignment) for event in events]
     stateful: List[str] = []
     for node in dpdn.internal_nodes():
         behaviour = {
-            _format_assignment(assignment): node in discharged_nodes(dpdn, assignment)
-            for assignment in events
+            label: node in event.discharged for label, event in zip(labels, events)
         }
         values = set(behaviour.values())
         if len(values) > 1:
@@ -321,11 +342,12 @@ def verify_gate(
     fail the full-connectivity check, an enhanced network is expected to
     also pass the depth and early-propagation checks).
     """
+    events = conduction_table(dpdn)
     report = GateReport(dpdn_name=dpdn.name)
-    report.checks.append(check_differential_function(dpdn, expected))
+    report.checks.append(_differential_function(dpdn, expected, events))
     if require_fully_connected:
-        report.checks.append(check_fully_connected(dpdn))
-        report.checks.append(check_memory_effect_free(dpdn))
+        report.checks.append(_fully_connected(dpdn, events))
+        report.checks.append(_memory_effect_free(dpdn, events))
     if require_constant_depth:
         report.checks.append(check_constant_evaluation_depth(dpdn))
     if require_no_early_propagation:

@@ -8,12 +8,15 @@ netlist export.
 
 from .analysis import (
     ConnectivityRecord,
+    EventConduction,
     branch_conducts,
     complementary_assignments,
     conducting_components,
     conducting_paths,
+    conduction_table,
     discharged_nodes,
     evaluation_depth,
+    event_conduction,
     evaluation_depths,
     floating_internal_nodes,
     full_connectivity_report,
@@ -54,6 +57,9 @@ __all__ = [
     "is_fully_connected",
     "full_connectivity_report",
     "ConnectivityRecord",
+    "EventConduction",
+    "event_conduction",
+    "conduction_table",
     "floating_internal_nodes",
     "discharged_nodes",
     "nodes_connected_to",

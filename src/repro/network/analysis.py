@@ -5,6 +5,9 @@ graph*: the graph whose edges are the transistors that conduct under a
 given complementary input assignment.  This module computes
 
 * connected components of the conducting graph,
+* one conduction analysis per input event -- the discharged nodes and
+  which branch conducts, from a single walk of the conducting graph
+  (:func:`event_conduction`, :func:`conduction_table`),
 * which nodes discharge during an evaluation phase and which float
   (:func:`discharged_nodes`, :func:`floating_internal_nodes`),
 * the *fully connected* property of Section 3
@@ -19,7 +22,6 @@ given complementary input assignment.  This module computes
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
@@ -30,6 +32,9 @@ from .netlist import DifferentialPullDownNetwork, Transistor
 
 __all__ = [
     "complementary_assignments",
+    "EventConduction",
+    "event_conduction",
+    "conduction_table",
     "conducting_components",
     "component_of",
     "nodes_connected_to",
@@ -110,6 +115,46 @@ def nodes_connected_to(
     return result
 
 
+@dataclass(frozen=True)
+class EventConduction:
+    """What one complementary input event does to the network.
+
+    ``discharged`` holds every node connected through conducting devices
+    to ``X``, ``Y`` or ``Z`` (see :func:`discharged_nodes`);
+    ``x_conducts`` and ``y_conducts`` tell whether each branch has a
+    conducting path to ``Z``.
+    """
+
+    assignment: Mapping[str, bool]
+    discharged: FrozenSet[str]
+    x_conducts: bool
+    y_conducts: bool
+
+
+def event_conduction(
+    dpdn: DifferentialPullDownNetwork, assignment: Mapping[str, bool]
+) -> EventConduction:
+    """Analyse one input event from a single build of its conducting graph."""
+    adjacency = dpdn.adjacency(assignment)
+    x_side = _bfs(adjacency, dpdn.x)
+    y_side = x_side if dpdn.y in x_side else _bfs(adjacency, dpdn.y)
+    z_side = x_side if dpdn.z in x_side else y_side if dpdn.z in y_side else _bfs(adjacency, dpdn.z)
+    return EventConduction(
+        assignment=assignment,
+        discharged=frozenset(x_side | y_side | z_side),
+        x_conducts=dpdn.z in x_side,
+        y_conducts=dpdn.z in y_side,
+    )
+
+
+def conduction_table(dpdn: DifferentialPullDownNetwork) -> List[EventConduction]:
+    """:func:`event_conduction` for every complementary input event, in order."""
+    return [
+        event_conduction(dpdn, assignment)
+        for assignment in complementary_assignments(dpdn.variables())
+    ]
+
+
 def discharged_nodes(
     dpdn: DifferentialPullDownNetwork, assignment: Mapping[str, bool]
 ) -> Set[str]:
@@ -124,16 +169,14 @@ def discharged_nodes(
     well; the remaining internal nodes float and keep their charge -- the
     memory effect.
     """
-    connected = nodes_connected_to(dpdn, assignment, (dpdn.x, dpdn.y, dpdn.z))
-    connected.update((dpdn.x, dpdn.y, dpdn.z))
-    return connected
+    return set(event_conduction(dpdn, assignment).discharged)
 
 
 def floating_internal_nodes(
     dpdn: DifferentialPullDownNetwork, assignment: Mapping[str, bool]
 ) -> Set[str]:
     """Internal nodes left floating (not discharged) under ``assignment``."""
-    discharged = discharged_nodes(dpdn, assignment)
+    discharged = event_conduction(dpdn, assignment).discharged
     return {node for node in dpdn.internal_nodes() if node not in discharged}
 
 
@@ -158,17 +201,14 @@ def full_connectivity_report(
     dpdn: DifferentialPullDownNetwork,
 ) -> List[ConnectivityRecord]:
     """Per-event connectivity of the internal nodes, for every input event."""
-    variables = dpdn.variables()
     internal = set(dpdn.internal_nodes())
     records: List[ConnectivityRecord] = []
-    for assignment in complementary_assignments(variables):
-        discharged = discharged_nodes(dpdn, assignment)
-        floating = frozenset(internal - discharged)
+    for event in conduction_table(dpdn):
         records.append(
             ConnectivityRecord(
-                assignment=tuple(sorted(assignment.items())),
-                discharged=frozenset(discharged & (internal | set(dpdn.external_nodes))),
-                floating=floating,
+                assignment=tuple(sorted(event.assignment.items())),
+                discharged=event.discharged,
+                floating=frozenset(internal - event.discharged),
             )
         )
     return records
@@ -182,14 +222,13 @@ def is_fully_connected(dpdn: DifferentialPullDownNetwork) -> bool:
     conducting devices to one of the external nodes -- and therefore
     discharges every evaluation phase.
     """
-    variables = dpdn.variables()
     internal = set(dpdn.internal_nodes())
     if not internal:
         return True
-    for assignment in complementary_assignments(variables):
-        if internal - discharged_nodes(dpdn, assignment):
-            return False
-    return True
+    return all(
+        internal <= event_conduction(dpdn, assignment).discharged
+        for assignment in complementary_assignments(dpdn.variables())
+    )
 
 
 # --------------------------------------------------------------------------- function
@@ -213,12 +252,10 @@ def realized_function(
     A correct differential network has exactly one of the two true for
     every event, with the X column equal to the gate function.
     """
-    result: Dict[Tuple[Tuple[str, bool], ...], Tuple[bool, bool]] = {}
-    for assignment in complementary_assignments(dpdn.variables()):
-        x_on = branch_conducts(dpdn, assignment, dpdn.x)
-        y_on = branch_conducts(dpdn, assignment, dpdn.y)
-        result[tuple(sorted(assignment.items()))] = (x_on, y_on)
-    return result
+    return {
+        tuple(sorted(event.assignment.items())): (event.x_conducts, event.y_conducts)
+        for event in conduction_table(dpdn)
+    }
 
 
 # --------------------------------------------------------------------------- paths / depth

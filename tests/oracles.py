@@ -58,3 +58,93 @@ def oracle_traces(
         energies = energies + rng.normal(0.0, sigma, size=trace_count)
     # TraceSet stores plaintexts as int64 (full-width draws wrap).
     return plaintexts.astype(np.int64), energies
+
+
+# --------------------------------------------------------------------------- attacks
+#
+# Per-guess reference attacks: each guess's hypothesis is built trace by
+# trace, the way the attacks of Kocher et al. (DoM) and Brier et al.
+# (CPA) read.  They follow the rules of :mod:`repro.power.dpa` that are
+# not about speed: a campaign of identical traces scores 0 for every
+# guess, a one-sided partition scores 0, and a CPA hypothesis is first
+# brought to its tie-canonical form (shifted to 0 on the first trace,
+# negated if its first non-zero entry is negative), so complementary
+# hypotheses score bit-identically.
+
+
+def _oracle_centred(measurements):
+    """Mean-centred traces, all zero for a campaign of identical traces."""
+    measurements = np.asarray(measurements, dtype=float)
+    if measurements.size == 0 or measurements.min() == measurements.max():
+        return np.zeros_like(measurements)
+    return measurements - measurements.mean()
+
+
+def _oracle_pearson(centred, hypothesis):
+    denominator_m = float(np.sqrt(np.sum(centred**2)))
+    if denominator_m == 0.0:
+        return 0.0
+    hypothesis = hypothesis - hypothesis.mean()
+    denominator_h = float(np.sqrt(np.sum(hypothesis**2)))
+    if denominator_h == 0.0:
+        return 0.0
+    return abs(float(np.sum(centred * hypothesis)) / (denominator_m * denominator_h))
+
+
+def _oracle_canonical(hypothesis):
+    shifted = hypothesis - hypothesis[:1]
+    nonzero = np.flatnonzero(shifted)
+    if nonzero.size and shifted[nonzero[0]] < 0:
+        shifted = -shifted
+    return shifted + 0.0
+
+
+def _oracle_result(scores, key):
+    from repro.power.dpa import AttackResult
+
+    return AttackResult(scores=tuple(scores), best_guess=int(np.argmax(scores)), correct_key=key)
+
+
+def oracle_dom(traces, sbox, target_bit=0, key_space=None):
+    """Difference-of-means DPA, one selection vector per guess."""
+    key_space = key_space or len(sbox)
+    measurements = _oracle_centred(traces.traces)
+    scores = []
+    for guess in range(key_space):
+        selection = np.array(
+            [(sbox[int(p) ^ guess] >> target_bit) & 1 for p in traces.plaintexts],
+            dtype=bool,
+        )
+        ones = measurements[selection]
+        zeros = measurements[~selection]
+        if ones.size == 0 or zeros.size == 0:
+            scores.append(0.0)
+            continue
+        scores.append(abs(float(np.mean(ones)) - float(np.mean(zeros))))
+    return _oracle_result(scores, traces.key)
+
+
+def oracle_cpa(traces, sbox, key_space=None, model=None):
+    """CPA, one per-trace hypothesis vector per guess."""
+    from repro.power.crypto import hamming_weight
+
+    key_space = key_space or len(sbox)
+    leakage_model = model or (lambda value: float(hamming_weight(value)))
+    centred = _oracle_centred(traces.traces)
+    scores = []
+    for guess in range(key_space):
+        hypothesis = np.array(
+            [leakage_model(sbox[int(p) ^ guess]) for p in traces.plaintexts], dtype=float
+        )
+        scores.append(_oracle_pearson(centred, _oracle_canonical(hypothesis)))
+    return _oracle_result(scores, traces.key)
+
+
+def oracle_profiled_cpa(traces, predictor, key_space=16):
+    """Profiled CPA, one predictor call and one correlation per guess."""
+    centred = _oracle_centred(traces.traces)
+    scores = [
+        _oracle_pearson(centred, predictor(traces.plaintexts, guess).astype(float))
+        for guess in range(key_space)
+    ]
+    return _oracle_result(scores, traces.key)

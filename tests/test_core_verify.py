@@ -1,5 +1,8 @@
 """Unit tests for the verification layer."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.boolexpr import parse
@@ -17,6 +20,11 @@ from repro.core import (
     verify_gate,
 )
 from repro.network import DifferentialPullDownNetwork, Literal, build_dpdn_from_branches, build_genuine_dpdn
+from repro.power import keyed_sbox_expressions
+
+#: ``GateReport.describe()`` of failing networks, recorded with the
+#: per-(node, event) verifier this module's checks replaced.
+GOLDEN_REPORTS = json.loads((Path(__file__).parent / "data" / "gate_reports.json").read_text())
 
 
 class TestDifferentialFunction:
@@ -102,3 +110,32 @@ class TestAggregateReport:
         assert_valid_fc_gate(and2_fc)
         with pytest.raises(VerificationError):
             assert_valid_fc_gate(and2_genuine)
+
+
+def _golden_report(name):
+    if name.startswith("sbox_"):
+        output = name.split("_")[1]
+        dpdn = build_genuine_dpdn(keyed_sbox_expressions(0xB)[output], name=f"{output}_genuine")
+        return verify_gate(dpdn, require_constant_depth=True, require_no_early_propagation=True)
+    if name == "neither":
+        return verify_gate(build_dpdn_from_branches(parse("A & B"), parse("~A & ~B")))
+    if name == "wrong":
+        return verify_gate(synthesize_fc_dpdn(parse("A & B"), name="AND2_fc"), parse("A | B"))
+    short = DifferentialPullDownNetwork("short", function=parse("A"))
+    short.add_transistor(Literal("A", True), "X", "Z")
+    short.add_transistor(Literal("A", True), "Y", "Z")
+    return verify_gate(short)
+
+
+class TestReportText:
+    """Failure reports read byte for byte as before, counterexample order included."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_describe_is_unchanged(self, name):
+        assert _golden_report(name).describe() == GOLDEN_REPORTS[name]
+
+    def test_genuine_sbox_output_fails_connectivity(self):
+        report = _golden_report("sbox_y0_genuine")
+        assert not report.check("fully_connected").passed
+        assert not report.check("memory_effect_free").passed
+        assert report.check("differential_function").passed

@@ -38,11 +38,12 @@ from repro.kernel import (
     unpack_bitplanes,
     word_count,
 )
+from repro.power import cpa_correlation, dpa_difference_of_means
 from repro.power.trace import acquire_circuit_traces, build_sbox_circuit
 from repro.sabl.circuit import map_expressions
 from repro.sabl.simulator import BatchedCircuitEnergyModel
 
-from oracles import oracle_traces
+from oracles import oracle_cpa, oracle_dom, oracle_traces
 from strategies import HAVE_HYPOTHESIS, expression_strategy
 
 
@@ -338,6 +339,48 @@ class TestFlowIntegration:
         )
 
 
+def _golden_flow(campaign: str) -> DesignFlow:
+    """The flow of one golden campaign: ``"<gate>/<network>"`` S-box,
+    ``"routed"`` or ``"sharded"`` PRESENT round slice."""
+    if campaign == "routed":
+        return DesignFlow(
+            None,
+            FlowConfig(
+                name="golden_routed",
+                campaign=CampaignConfig(
+                    key=0x6B, scenario="present_round", trace_count=1500, seed=11
+                ),
+                scenario=ScenarioConfig(params={"sboxes": 2}),
+                layout=LayoutConfig(router="unbalanced"),
+            ),
+        )
+    if campaign == "sharded":
+        return DesignFlow(
+            None,
+            FlowConfig(
+                name="golden_sharded",
+                campaign=CampaignConfig(
+                    key=0x2B51,
+                    scenario="present_round",
+                    trace_count=1200,
+                    seed=5,
+                    gate_style="cvsl",
+                    network_style="genuine",
+                ),
+                scenario=ScenarioConfig(params={"sboxes": 4}),
+                execution=ExecutionConfig(workers=2, shard_size=300),
+            ),
+        )
+    gate_style, network_style = campaign.split("/")
+    return _sbox_flow(
+        trace_count=3000,
+        seed=7,
+        noise_std=0.01,
+        gate_style=gate_style,
+        network_style=network_style,
+    )
+
+
 class TestGoldenStreams:
     """Trace streams pinned by digest, as computed by the reference model.
 
@@ -356,47 +399,36 @@ class TestGoldenStreams:
         ],
     )
     def test_sbox_campaign(self, gate_style, network_style, digest):
-        flow = _sbox_flow(
-            trace_count=3000,
-            seed=7,
-            noise_std=0.01,
-            gate_style=gate_style,
-            network_style=network_style,
-        )
+        flow = _golden_flow(f"{gate_style}/{network_style}")
         assert _traces_digest(flow) == digest
 
     def test_routed_present_round(self):
-        flow = DesignFlow(
-            None,
-            FlowConfig(
-                name="golden_routed",
-                campaign=CampaignConfig(
-                    key=0x6B, scenario="present_round", trace_count=1500, seed=11
-                ),
-                scenario=ScenarioConfig(params={"sboxes": 2}),
-                layout=LayoutConfig(router="unbalanced"),
-            ),
-        )
-        assert _traces_digest(flow) == "f3903f45d585fd80"
+        assert _traces_digest(_golden_flow("routed")) == "f3903f45d585fd80"
 
     def test_sharded_present_round(self):
-        flow = DesignFlow(
-            None,
-            FlowConfig(
-                name="golden_sharded",
-                campaign=CampaignConfig(
-                    key=0x2B51,
-                    scenario="present_round",
-                    trace_count=1200,
-                    seed=5,
-                    gate_style="cvsl",
-                    network_style="genuine",
-                ),
-                scenario=ScenarioConfig(params={"sboxes": 4}),
-                execution=ExecutionConfig(workers=2, shard_size=300),
-            ),
-        )
-        assert _traces_digest(flow) == "523011b1aaff8875"
+        assert _traces_digest(_golden_flow("sharded")) == "523011b1aaff8875"
+
+    @pytest.mark.parametrize(
+        "campaign",
+        ["sabl/fc", "sabl/genuine", "cvsl/fc", "cvsl/genuine", "routed", "sharded"],
+    )
+    def test_attacks_match_the_oracle(self, campaign):
+        # The flow's class-sum attacks rank every guess as the per-guess
+        # oracles do, on the attack point each campaign's analysis reads.
+        view, table, _ = _golden_flow(campaign)._attack_campaign()
+        pairs = [
+            (
+                dpa_difference_of_means(view, table, target_bit=bit),
+                oracle_dom(view, table, target_bit=bit),
+            )
+            for bit in range(4)
+        ]
+        pairs.append((cpa_correlation(view, table), oracle_cpa(view, table)))
+        scale = float(np.max(np.abs(view.traces)))
+        for fast, slow in pairs:
+            np.testing.assert_allclose(fast.scores, slow.scores, rtol=1e-9, atol=1e-12 * scale)
+            assert fast.best_guess == slow.best_guess
+            assert fast.correct_key_rank == slow.correct_key_rank
 
     def test_assessment_stream(self):
         flow = DesignFlow(

@@ -9,6 +9,7 @@ from repro.network import (
     complementary_assignments,
     conducting_components,
     conducting_paths,
+    conduction_table,
     discharged_nodes,
     evaluation_depth,
     evaluation_depths,
@@ -16,9 +17,11 @@ from repro.network import (
     full_connectivity_report,
     is_fully_connected,
     build_genuine_dpdn,
+    nodes_connected_to,
     path_variables,
     structural_paths,
 )
+from strategies import HAVE_HYPOTHESIS, expression_strategy
 
 
 class TestComplementaryAssignments:
@@ -113,3 +116,31 @@ class TestPathsAndDepth:
         depths = [depth for depth in evaluation_depths(dpdn).values()]
         assert all(depth is not None for depth in depths)
         assert max(depth for depth in depths) == 3
+
+
+
+def _check_conduction_table(dpdn):
+    events = conduction_table(dpdn)
+    assignments = list(complementary_assignments(dpdn.variables()))
+    assert [event.assignment for event in events] == assignments
+    for event in events:
+        expected = nodes_connected_to(dpdn, event.assignment, (dpdn.x, dpdn.y, dpdn.z))
+        assert event.discharged == expected | {dpdn.x, dpdn.y, dpdn.z}
+        assert event.x_conducts == branch_conducts(dpdn, event.assignment, dpdn.x)
+        assert event.y_conducts == branch_conducts(dpdn, event.assignment, dpdn.y)
+
+
+if HAVE_HYPOTHESIS:
+    from hypothesis import assume, given, settings
+
+    from repro.boolexpr import is_contradiction, is_tautology
+
+    class TestConductionTable:
+        """One walk per event agrees with the per-question helpers."""
+
+        @settings(max_examples=40, deadline=None)
+        @given(expression_strategy(max_leaves=6))
+        def test_matches_component_walks(self, expression):
+            assume(not (is_tautology(expression) or is_contradiction(expression)))
+            _check_conduction_table(build_genuine_dpdn(expression))
+            _check_conduction_table(synthesize_fc_dpdn(expression))
