@@ -54,7 +54,7 @@ def test_dpa_attack_genuine_vs_fully_connected(benchmark):
             flow.run(["circuit", "traces", "analysis"])
             traces = flow.traces()
             results[style] = {
-                "stats": energy_statistics(traces.traces.tolist()),
+                "stats": energy_statistics(traces.traces),
                 "cpa": flow.analysis()["cpa"],
                 "dom": flow.analysis()["dom"],
                 "profiled": profiled_cpa(traces, predictor),

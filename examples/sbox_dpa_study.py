@@ -51,7 +51,7 @@ def main() -> None:
         flow.run(["circuit", "traces", "analysis"])
         traces = flow.traces()
         attacks = flow.analysis()
-        stats = energy_statistics(traces.traces.tolist())
+        stats = energy_statistics(traces.traces)
         profiled = profiled_cpa(traces, predictor)
         score_rows[label] = profiled.scores
         rows.append([

@@ -655,7 +655,7 @@ class DesignFlow:
 
     def _trace_stage_details(self, traces: TraceSet) -> Dict[str, Any]:
         campaign = self.config.campaign
-        statistics = energy_statistics(traces.traces.tolist())
+        statistics = energy_statistics(traces.traces)
         details: Dict[str, Any] = {"count": len(traces)}
         if self.is_sbox_workload:
             details["scenario"] = campaign.scenario

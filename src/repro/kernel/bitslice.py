@@ -18,6 +18,14 @@ into straight-line data:
   memoryless part of a batch's energy is two fancy-index gathers and a
   prefix-sum.
 
+**Distinct-vector evaluation** -- a cycle's gate events, and so its
+steady-state energy, depend on its primary-input vector alone.  Each
+tile of cycles is therefore reduced to its distinct input rows before
+packing: logic, event extraction and the energy fold run once per
+distinct vector, and the per-vector energies are expanded back to every
+cycle.  A narrow circuit's cost thus scales with the distinct vectors it
+sees (at most 16 per tile for a 4-input S-box), not with the cycles.
+
 The *memory effect* (an internal node discharges free the first time it
 is ever connected, and costs a recharge on every later connection) is
 handled by exception: per gate, a uint64 mask tracks which internal
@@ -26,8 +34,10 @@ discharged -- after the first few batches of any realistic campaign --
 the gate's energies come straight from the stacked tables.  Gates that
 still have precharged reachable nodes take the *exact* per-batch
 correction path of the reference
-:class:`~repro.sabl.simulator.BatchedCircuitEnergyModel`, so the kernel
-and its oracle agree bit for bit on every trace.
+:class:`~repro.sabl.simulator.BatchedCircuitEnergyModel` -- with the
+distinct-vector events expanded to every cycle first, because a repeat
+of an earlier vector pays the recharge its first occurrence did not --
+so the kernel and its oracle agree bit for bit on every trace.
 """
 
 from __future__ import annotations
@@ -74,6 +84,31 @@ def _ordered_column_sum(energies: np.ndarray) -> np.ndarray:
         padded[:, :1] = energies
         return np.add.reduce(padded, axis=0)[:1]
     return np.add.reduce(energies, axis=0)
+
+
+def _distinct_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of the distinct rows of a boolean matrix.
+
+    ``first`` indexes one occurrence of each distinct row and
+    ``matrix[first][inverse]`` equals ``matrix``.  Rows are zero-padded
+    to at least 64 columns and packed in one flat ``np.packbits`` (far
+    cheaper than packing row by row), so rows of up to 64 columns become
+    one uint64 key each and the search is a 1-D sort; wider rows fall
+    back to the row-wise search over their packed bytes.
+    """
+    cycles, width = matrix.shape
+    padded = np.zeros((cycles, max(64, -(-width // 8) * 8)), dtype=bool)
+    padded[:, :width] = matrix
+    packed = np.packbits(padded, bitorder="little").reshape(cycles, -1)
+    if packed.shape[1] == 8:
+        _, first, inverse = np.unique(
+            packed.view(np.uint64).ravel(), return_index=True, return_inverse=True
+        )
+    else:
+        _, first, inverse = np.unique(
+            packed, axis=0, return_index=True, return_inverse=True
+        )
+    return first, inverse.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -369,10 +404,10 @@ class BitslicedCircuitEnergyModel:
     the energies of the reference
     :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel` bit for bit
     (same stateful memory effect across :meth:`energies` calls) while
-    evaluating gate logic 64 traces per word and replacing the
-    per-unique-vector Python circuit walk with flat array gathers --
-    throughput is therefore nearly independent of the primary-input
-    width.
+    evaluating each distinct input vector of a tile once, 64 vectors
+    per word, and replacing the per-unique-vector Python circuit walk
+    with flat array gathers -- throughput is therefore nearly
+    independent of the primary-input width.
     """
 
     def __init__(self, program) -> None:
@@ -420,12 +455,14 @@ class BitslicedCircuitEnergyModel:
         # Charge state carries across tiles, so tiling never changes the
         # result -- it only caps the working set.
         tile = min(batch_size, _CYCLE_TILE)
+        distinct = 0
         for start in range(0, matrix.shape[0], tile):
             stop = min(start + tile, matrix.shape[0])
-            self._accumulate(matrix[start:stop], total[start:stop])
+            distinct += self._accumulate(matrix[start:stop], total[start:stop])
         if obs.active and matrix.shape[0]:
             elapsed = time.perf_counter() - tick
             obs.counter("kernel.cycles", matrix.shape[0], simulator="bitslice")
+            obs.counter("kernel.distinct_cycles", distinct, simulator="bitslice")
             if elapsed > 0:
                 obs.histogram(
                     "kernel.traces_per_s",
@@ -451,50 +488,58 @@ class BitslicedCircuitEnergyModel:
             dtype=bool,
         ).reshape(len(vectors), len(self.circuit.primary_inputs))
 
-    def _accumulate(self, matrix: np.ndarray, out: np.ndarray) -> None:
-        """Add the total circuit energy of one batch of cycles into ``out``."""
+    def _accumulate(self, matrix: np.ndarray, out: np.ndarray) -> int:
+        """Add the total circuit energy of one batch of cycles into ``out``.
+
+        Returns the number of distinct input vectors evaluated (0 when the
+        constant fold answers the whole batch).
+        """
         cycles = matrix.shape[0]
         if cycles == 0 or not self._tables:
-            return
+            return 0
         plan = self._plan
         if plan.constant_fold is not None and not self._pending.size:
             # Constant-power circuit in steady state: every cycle draws
             # the same (exact) energy -- no logic evaluation needed.
             out += plan.constant_fold
-            return
-        packed = pack_bitplanes(matrix)
+            return 0
+        # A cycle's events depend on its input vector alone: evaluate each
+        # distinct vector once, then expand to every cycle via ``inverse``.
+        first, inverse = _distinct_rows(matrix)
+        distinct = first.size
+        if distinct == 1:
+            # Two identical columns keep the fold's reductions on NumPy's
+            # strided (sequential) loop; see _ordered_column_sum.
+            first = np.repeat(first, 2)
+        packed = pack_bitplanes(matrix[first])
         planes = np.zeros((plan.net_count, packed.shape[1]), dtype=np.uint64)
         planes[: packed.shape[0]] = packed
         plan.run_logic(planes)
-        events = plan.extract_events(planes, cycles)
+        events = plan.extract_events(planes, first.size)
 
         if self._pending.size:
-            # Warm-up batches: materialise the full (n_gates, cycles)
-            # energy matrix so the first-discharge corrections can
-            # overwrite whole rows, then fold.
+            # Warm-up batches: the first-discharge accounting is per
+            # cycle, so expand the events to every cycle first.  ``take``
+            # keeps them C-ordered (``events[:, inverse]`` would not, and
+            # a Fortran-ordered gather makes the column sum pairwise).
+            # Then materialise the full (n_gates, cycles) energy matrix so
+            # the corrections can overwrite whole rows, and fold.
+            events = np.take(events, inverse, axis=1)
             energies = plan.energy_flat[plan.offsets[:, None] + events]
             self._correct_memory_effect(events, energies)
             out += _ordered_column_sum(energies)
-            return
-
-        if cycles == 1:
-            # Single-cycle batches skip the chunked fold: the full
-            # gather is one column, and the chunk reductions would all
-            # run through the single-column ordered-sum detour anyway.
-            energies = plan.energy_flat[plan.offsets[:, None] + events]
-            out += _ordered_column_sum(energies)
-            return
+            return distinct
 
         # Steady state (every reachable internal node discharged): fold
         # gate chunks while their gathered energies are still cache-hot.
         # Seeding each chunk's reduction with the running accumulator as
         # row 0 keeps the float summation the exact left-fold the
         # reference model computes, chunk boundaries notwithstanding.
-        gate_count = events.shape[0]
+        gate_count, columns = events.shape
         chunk = _FOLD_CHUNK
-        flat = np.empty((min(chunk, gate_count), cycles), dtype=np.intp)
-        buffer = np.empty((flat.shape[0] + 1, cycles), dtype=float)
-        accumulator = np.zeros(cycles, dtype=float)
+        flat = np.empty((min(chunk, gate_count), columns), dtype=np.intp)
+        buffer = np.empty((flat.shape[0] + 1, columns), dtype=float)
+        accumulator = np.zeros(columns, dtype=float)
         offsets = plan.offsets
         for start in range(0, gate_count, chunk):
             stop = min(start + chunk, gate_count)
@@ -503,7 +548,8 @@ class BitslicedCircuitEnergyModel:
             np.take(plan.energy_flat, flat[:rows], out=buffer[1 : rows + 1])
             buffer[0] = accumulator
             np.add.reduce(buffer[: rows + 1], axis=0, out=accumulator)
-        out += accumulator
+        out += accumulator[inverse]
+        return distinct
 
     def _correct_memory_effect(self, events: np.ndarray, energies: np.ndarray) -> None:
         """Recompute rows whose gates still have precharged internal nodes.

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, Union
+
+import numpy as np
 
 __all__ = ["EnergyStatistics", "energy_statistics", "normalized_energy_deviation", "normalized_std_deviation"]
 
@@ -53,18 +55,30 @@ class EnergyStatistics:
         )
 
 
-def energy_statistics(energies: Iterable[float]) -> EnergyStatistics:
-    """Compute :class:`EnergyStatistics` over a collection of energies."""
-    values = [float(value) for value in energies]
-    if not values:
+def energy_statistics(energies: Union[np.ndarray, Iterable[float]]) -> EnergyStatistics:
+    """Compute :class:`EnergyStatistics` over a 1-D collection of energies.
+
+    The mean and the variance are plain left folds (``np.cumsum`` adds
+    strictly in order) over exact IEEE operations -- squares are
+    products, not the C library's ``pow`` -- so the figures depend
+    neither on NumPy's pairwise summation, nor on the interpreter's
+    ``sum()`` (compensated from Python 3.12 on), nor on the platform.
+    """
+    if not isinstance(energies, np.ndarray):
+        energies = list(energies)
+    values = np.asarray(energies, dtype=float)
+    if values.ndim != 1:
+        raise ValueError("expected a 1-D collection of energies")
+    if not values.size:
         raise ValueError("cannot compute statistics of an empty energy collection")
-    count = len(values)
-    mean = sum(values) / count
-    variance = sum((value - mean) ** 2 for value in values) / count
+    count = values.size
+    mean = float(np.cumsum(values)[-1] / count)
+    deviations = values - mean
+    variance = float(np.cumsum(deviations * deviations)[-1] / count)
     return EnergyStatistics(
         count=count,
-        minimum=min(values),
-        maximum=max(values),
+        minimum=float(values.min()),
+        maximum=float(values.max()),
         mean=mean,
         std=math.sqrt(variance),
     )

@@ -10,6 +10,10 @@ test can compare a campaign against an oracle trace for trace.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
+
 import numpy as np
 
 from repro.power.trace import nibble_matrix
@@ -148,3 +152,12 @@ def oracle_profiled_cpa(traces, predictor, key_space=16):
         for guess in range(key_space)
     ]
     return _oracle_result(scores, traces.key)
+
+
+def oracle_energy_statistics(values):
+    """``(mean, std)`` of ``values`` as explicit left folds in list order."""
+    values = [float(value) for value in values]
+    count = len(values)
+    mean = functools.reduce(operator.add, values) / count
+    squares = [(value - mean) * (value - mean) for value in values]
+    return mean, math.sqrt(functools.reduce(operator.add, squares) / count)

@@ -38,8 +38,10 @@ from repro.kernel import (
     unpack_bitplanes,
     word_count,
 )
+from repro.kernel.bitslice import _CYCLE_TILE, _distinct_rows
+from repro.obs import BufferSink, Observer, use_observer
 from repro.power import cpa_correlation, dpa_difference_of_means
-from repro.power.trace import acquire_circuit_traces, build_sbox_circuit
+from repro.power.trace import acquire_circuit_traces, build_sbox_circuit, nibble_matrix
 from repro.sabl.circuit import map_expressions
 from repro.sabl.simulator import BatchedCircuitEnergyModel
 
@@ -147,20 +149,19 @@ class TestCompiledProgram:
 # ------------------------------------------------------------- bit-identity
 
 
-def _assert_bit_identical(circuit, *, net_loads=None, batches=((64, 200), (33, 50))):
-    """Event and bitslice streams must agree bit-for-bit, including the
-    stateful memory effect across several ``energies`` calls with odd
-    batch sizes."""
-    program = compile_circuit(circuit, net_loads=net_loads)
+def _assert_bit_identical(program, matrices, batch_size=4096):
+    """Feed ``matrices`` in turn to a fresh oracle and a fresh kernel:
+    every call's energies must agree bit for bit, including the stateful
+    memory effect carried across calls.  Returns the kernel's energies."""
     event = _event_model(program)
     bitslice = BitslicedCircuitEnergyModel(program)
-    rng = np.random.default_rng(2005)
-    width = len(circuit.primary_inputs)
-    for batch_size, cycles in batches:
-        matrix = _random_matrix(rng, cycles, width)
+    results = []
+    for matrix in matrices:
         expected = event.energies(matrix, batch_size=batch_size)
         actual = bitslice.energies(matrix, batch_size=batch_size)
         assert np.array_equal(expected, actual)
+        results.append(actual)
+    return results
 
 
 class TestBitIdentity:
@@ -192,7 +193,12 @@ class TestBitIdentity:
             net: (float(rng.uniform(1e-16, 5e-15)), float(rng.uniform(1e-16, 5e-15)))
             for net in nets[:: 2]
         }
-        _assert_bit_identical(circuit, net_loads=loads)
+        rng = np.random.default_rng(2005)
+        _assert_bit_identical(
+            compile_circuit(circuit, net_loads=loads),
+            [_random_matrix(rng, 200, 4), _random_matrix(rng, 50, 4)],
+            batch_size=33,
+        )
 
     def test_reset_replays_the_memory_effect(self):
         circuit = build_sbox_circuit(0x3, network_style="genuine")
@@ -220,6 +226,138 @@ class TestBitIdentity:
             acquire_circuit_traces(
                 circuit, key=0xB, trace_count=10, program=other
             )
+
+
+def _present_round_circuit(sboxes: int):
+    return DesignFlow(
+        None,
+        FlowConfig(
+            name="distinct_vectors",
+            campaign=CampaignConfig(key=0x6B, scenario="present_round"),
+            scenario=ScenarioConfig(params={"sboxes": sboxes}),
+        ),
+    ).circuit()
+
+
+def _kernel_counters(model, matrix, batch_size=4096):
+    """``(kernel.cycles, kernel.distinct_cycles)`` of one ``energies`` call."""
+    buffer = []
+    with use_observer(Observer((BufferSink(buffer),))):
+        model.energies(matrix, batch_size=batch_size)
+    counters = {e["name"]: e["value"] for e in buffer if e["kind"] == "counter"}
+    return counters["kernel.cycles"], counters["kernel.distinct_cycles"]
+
+
+class TestDistinctVectors:
+    """The kernel evaluates each distinct input vector of a tile once and
+    expands the result to every cycle.  These pin that expansion against
+    the oracle where repeats meet tile boundaries, single cycles, wide
+    circuits and the per-cycle memory effect."""
+
+    @pytest.mark.parametrize("width", [1, 4, 16, 64, 65, 100])
+    def test_distinct_rows_round_trip(self, width):
+        rng = np.random.default_rng(width)
+        pool = _random_matrix(rng, 7, width)
+        matrix = pool[rng.integers(0, 7, size=300)]
+        first, inverse = _distinct_rows(matrix)
+        assert np.array_equal(matrix[first][inverse], matrix)
+        assert len({row.tobytes() for row in matrix[first]}) == first.size
+        assert first.size == len({row.tobytes() for row in matrix})
+
+    @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
+    @pytest.mark.parametrize("network_style", ["fc", "genuine"])
+    def test_fixed_plaintext_batch(self, gate_style, network_style):
+        # The TVLA fixed class: one distinct vector per tile, first in the
+        # warm-up tile of a fresh model, then in steady state.
+        program = compile_circuit(
+            build_sbox_circuit(0xB, network_style=network_style),
+            gate_style=gate_style,
+        )
+        fixed = np.tile(nibble_matrix(np.array([0x5]), 4), (2500, 1))
+        warmup = _random_matrix(np.random.default_rng(1), 40, 4)
+        _assert_bit_identical(program, [fixed, warmup, fixed])
+
+    @pytest.mark.parametrize("batch_size", [4096, 1000])
+    @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
+    def test_batch_crossing_a_tile_with_repeats(self, gate_style, batch_size):
+        program = compile_circuit(
+            build_sbox_circuit(0x3, network_style="genuine"), gate_style=gate_style
+        )
+        rng = np.random.default_rng(23)
+        pool = _random_matrix(rng, 5, 4)
+        matrix = pool[rng.integers(0, 5, size=2 * _CYCLE_TILE + 300)]
+        # The same vectors on both sides of the first tile boundary.
+        matrix[_CYCLE_TILE - 3 : _CYCLE_TILE + 3] = pool[0]
+        _assert_bit_identical(program, [matrix, matrix], batch_size=batch_size)
+
+    @pytest.mark.parametrize(
+        "gate_style, network_style", [("sabl", "genuine"), ("cvsl", "fc"), ("sabl", "fc")]
+    )
+    def test_one_cycle_batches(self, gate_style, network_style):
+        program = compile_circuit(
+            build_sbox_circuit(0x9, network_style=network_style), gate_style=gate_style
+        )
+        rng = np.random.default_rng(31)
+        matrices = [_random_matrix(rng, 1, 4) for _ in range(60)]
+        for batch_size in (1, 1024):
+            _assert_bit_identical(program, matrices, batch_size=batch_size)
+
+    def test_all_distinct_present_round_batch(self):
+        program = compile_circuit(_present_round_circuit(4), gate_style="cvsl")
+        rng = np.random.default_rng(41)
+        stimuli = rng.permutation(1 << 16)[:700]
+        matrix = nibble_matrix(stimuli, 16)
+        model = BitslicedCircuitEnergyModel(program)
+        assert _kernel_counters(model, matrix) == (700, 700)
+        _assert_bit_identical(program, [matrix, matrix[::-1].copy()])
+
+    def test_64_input_slice(self):
+        program = compile_circuit(_present_round_circuit(16))
+        assert len(program.circuit.primary_inputs) == 64
+        rng = np.random.default_rng(43)
+        pool = _random_matrix(rng, 12, 64)
+        matrix = pool[rng.integers(0, 12, size=40)]
+        _assert_bit_identical(program, [matrix, matrix])
+
+    def test_warmup_repeat_pays_the_recharge(self):
+        # A repeated vector in the warm-up tile shares its events with
+        # the first occurrence, but only the first occurrence discharges
+        # the internal nodes for free: energies must stay per cycle.
+        program = compile_circuit(build_sbox_circuit(0xB, network_style="genuine"))
+        vectors = nibble_matrix(np.array([0x6, 0x6, 0xA, 0x6, 0xA]), 4)
+        (energies,) = _assert_bit_identical(program, [vectors])
+        assert energies[0] < energies[1] == energies[3]
+
+    def test_warmup_expansion_keeps_the_sequential_fold(self):
+        # Regression: expanding the warm-up events with ``events[:, inverse]``
+        # leaves them Fortran-ordered, which turns the column sum over the
+        # gates pairwise and moves energies in the last ulp.
+        program = compile_circuit(build_sbox_circuit(0xB, network_style="genuine"))
+        assert len(program.circuit.gates) > 8
+        rng = np.random.default_rng(47)
+        pool = _random_matrix(rng, 6, 4)
+        matrix = pool[rng.integers(0, 6, size=500)]
+        _assert_bit_identical(program, [matrix])
+
+    def test_distinct_cycles_counter(self):
+        program = compile_circuit(build_sbox_circuit(0xB, network_style="genuine"))
+        model = BitslicedCircuitEnergyModel(program)
+        cycles = 2 * _CYCLE_TILE + 100
+        fixed = np.tile(nibble_matrix(np.array([0xC]), 4), (cycles, 1))
+        assert _kernel_counters(model, fixed) == (cycles, 3)
+        assert _kernel_counters(model, fixed, batch_size=500) == (cycles, 5)
+        rng = np.random.default_rng(53)
+        random = _random_matrix(rng, cycles, 4)
+        total, distinct = _kernel_counters(model, random)
+        assert distinct <= total and distinct <= 3 * 16
+
+    def test_constant_fold_evaluates_no_vectors(self):
+        program = compile_circuit(build_sbox_circuit(0xB))
+        assert program.plan().constant_fold is not None
+        model = BitslicedCircuitEnergyModel(program)
+        rng = np.random.default_rng(59)
+        model.energies(_random_matrix(rng, 64, 4))
+        assert _kernel_counters(model, _random_matrix(rng, 300, 4)) == (300, 0)
 
 
 class TestMemory:

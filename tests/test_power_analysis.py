@@ -26,6 +26,8 @@ from repro.power import (
 )
 from repro.power.trace import TraceSet
 
+from oracles import oracle_energy_statistics
+
 
 class TestCrypto:
     def test_sboxes_are_permutations(self):
@@ -114,6 +116,32 @@ class TestMetrics:
 
     def test_describe_contains_percentages(self):
         assert "%" in energy_statistics([1e-15, 2e-15]).describe()
+
+    def test_matches_the_left_fold_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            count = int(rng.integers(1, 3000))
+            values = rng.normal(1e-13, 1e-15 * rng.random(), size=count)
+            stats = energy_statistics(values)
+            assert (stats.mean, stats.std) == oracle_energy_statistics(values)
+            assert (stats.minimum, stats.maximum) == (values.min(), values.max())
+            assert stats.count == count
+
+    def test_sums_are_uncompensated_left_folds(self):
+        # 1 + 1e16 rounds back to 1e16, so the left fold loses the 1; a
+        # compensated or pairwise sum would keep it.
+        values = [1.0, 1e16, -1e16]
+        assert energy_statistics(values).mean == 0.0
+        assert energy_statistics(np.array(values)).mean == 0.0
+        assert oracle_energy_statistics(values)[0] == 0.0
+
+    def test_accepts_arrays_lists_and_iterables(self):
+        values = np.array([1e-15, 3e-15, 2e-15, 2e-15])
+        expected = energy_statistics(values)
+        assert energy_statistics(values.tolist()) == expected
+        assert energy_statistics(iter(values.tolist())) == expected
+        with pytest.raises(ValueError):
+            energy_statistics(values.reshape(2, 2))
 
 
 class TestTraceAcquisition:
