@@ -3,14 +3,14 @@
 The engine's pitch is throughput: campaigns map-reduce over worker
 processes (bit-identical to serial execution of the same shard plan)
 and sweeps skip re-acquisition through the content-addressed artifact
-store.  The measurement itself lives in the registered ``engine``
+store.  The measurement itself lives in the built-in ``engine``
 benchmark (:mod:`repro.perf.builtin`); this driver runs it under
 pytest-benchmark, prints the record, refreshes ``BENCH_engine.json``,
 appends the run to ``PERF_HISTORY.jsonl`` and asserts the acceptance
 numbers.
 
 Campaign size scales with ``$REPRO_BENCH_TRACES``; ``REPRO_BENCH_QUICK=1``
-switches to the registry's quick mode.  The parallel speedup assertion
+switches to the benchmark's quick mode.  The parallel speedup assertion
 only applies when the host actually has the cores (>= 4); the records
 keep whatever was measured either way.
 """

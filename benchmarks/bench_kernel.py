@@ -3,7 +3,7 @@
 The event-table reference model walks every gate's event table per
 batch, so trace throughput collapses roughly linearly with gate count;
 the bit-sliced kernel packs 64 traces per uint64 word and stays
-essentially width-independent.  The measurement lives in the registered
+essentially width-independent.  The measurement lives in the built-in
 ``kernel`` benchmark (:mod:`repro.perf.builtin`); this driver runs it
 under pytest-benchmark, prints the record, refreshes
 ``BENCH_kernel.json``, appends the run to ``PERF_HISTORY.jsonl`` and
@@ -11,7 +11,7 @@ asserts the kernel's acceptance number: the 16-S-box rate stays within
 ~2x of the 1-S-box rate.
 
 Campaign size scales with ``$REPRO_BENCH_TRACES``; ``REPRO_BENCH_QUICK=1``
-switches to the registry's quick mode.
+switches to the benchmark's quick mode.
 """
 
 import os

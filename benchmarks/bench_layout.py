@@ -1,7 +1,7 @@
 """Extension G -- back-end cost: place+route seconds and routed traces/s.
 
 The layout stage runs once per flow and its parasitics ride along with
-every trace; the registered ``layout`` benchmark
+every trace; the built-in ``layout`` benchmark
 (:mod:`repro.perf.builtin`) measures both sides of that bargain --
 place+route+extract wall clock per router, and routed-campaign
 throughput against the layout-free campaign.  This driver runs it under
@@ -9,7 +9,7 @@ pytest-benchmark, prints the record, refreshes ``BENCH_layout.json``
 and appends the run to ``PERF_HISTORY.jsonl``.
 
 Campaign size scales with ``$REPRO_BENCH_TRACES``; ``REPRO_BENCH_QUICK=1``
-switches to the registry's quick mode (S-box circuit only).
+switches to the benchmark's quick mode (S-box circuit only).
 """
 
 import os

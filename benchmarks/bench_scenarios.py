@@ -1,7 +1,7 @@
 """Extension F -- scenario throughput: traces/second vs datapath width.
 
-The scenario registry opened the engine to round datapaths; the
-registered ``scenarios`` benchmark (:mod:`repro.perf.builtin`) measures
+The scenario table opened the engine to round datapaths; the
+built-in ``scenarios`` benchmark (:mod:`repro.perf.builtin`) measures
 what that costs: one ``present_round`` campaign per S-box count (1, 2,
 4 -- widths 4, 8, 16 bits) at 1 and 4 workers, bit-identity checked
 inside the runner.  This driver runs it under pytest-benchmark, prints
@@ -9,7 +9,7 @@ the record, refreshes ``BENCH_scenarios.json`` and appends the run to
 ``PERF_HISTORY.jsonl``.
 
 Campaign size scales with ``$REPRO_BENCH_TRACES``; ``REPRO_BENCH_QUICK=1``
-switches to the registry's quick mode.
+switches to the benchmark's quick mode.
 """
 
 import os

@@ -3,7 +3,7 @@
 The paper's evaluation targets a single keyed S-box; real side-channel
 evaluations target *round datapaths*, where parallel S-boxes contribute
 algorithmic noise and the pLayer spreads every S-box output across the
-round register.  This example runs the registered ``present_round``
+round register.  This example runs the built-in ``present_round``
 scenario (a two-S-box slice, so it finishes in seconds) three ways:
 
 1. **DPA at round 1** against the unprotected leakage model: the

@@ -3,7 +3,7 @@
 Runs one :class:`~repro.flow.DesignFlow` per implementation of the
 key-mixed PRESENT S-box -- conventional (genuine) differential gates and
 fully connected gates -- through circuit mapping, a batched trace
-campaign and the registered attacks (single-bit DoM and CPA), then
+campaign and the built-in attacks (single-bit DoM and CPA), then
 layers a profiled (perfect-model) CPA on the recorded campaigns.  The
 fully connected implementation is the one that survives.
 

@@ -66,7 +66,6 @@ from .assess import (
     StreamingMoments,
     TVLAResult,
     make_noise_model,
-    register_noise_model,
     success_rate_curve,
     ttest_fixed_vs_random,
 )
@@ -86,29 +85,22 @@ from .flow import (
     ScenarioConfig,
     SynthesisConfig,
     TechnologyConfig,
-    register_assessment,
-    register_attack,
-    register_gate_style,
-    register_sbox,
-    register_technology,
 )
 from .scenarios import (
     Scenario,
     ScenarioError,
     get_scenario,
     make_scenario,
-    register_scenario,
 )
 from .kernel import CompiledProgram, compile_circuit
 from .obs import (
     Observer,
     get_observer,
-    register_sink,
     summarize_trace_file,
     use_observer,
 )
 
-__version__ = "2.9.0"
+__version__ = "3.0.0"
 
 
 __all__ = [
@@ -129,15 +121,9 @@ __all__ = [
     "AnalysisConfig",
     "AssessmentConfig",
     "ObservabilityConfig",
-    "register_technology",
-    "register_gate_style",
-    "register_attack",
-    "register_sbox",
-    "register_assessment",
     # scenarios
     "Scenario",
     "ScenarioError",
-    "register_scenario",
     "get_scenario",
     "make_scenario",
     # kernel (the compiled bit-sliced simulator)
@@ -147,13 +133,11 @@ __all__ = [
     "Observer",
     "get_observer",
     "use_observer",
-    "register_sink",
     "summarize_trace_file",
     # assess (leakage assessment)
     "StreamingMoments",
     "TVLAResult",
     "ttest_fixed_vs_random",
-    "register_noise_model",
     "make_noise_model",
     "MTDCurve",
     "success_rate_curve",

@@ -9,7 +9,7 @@ instruments:
   campaigns that never fit in memory;
 * :mod:`repro.assess.ttest` -- first- and second-order fixed-vs-random
   Welch t-tests with the TVLA ``|t| > 4.5`` convention;
-* :mod:`repro.assess.noise` -- a registry of measurement-environment
+* :mod:`repro.assess.noise` -- a table of measurement-environment
   models (Gaussian amplitude noise, ADC quantization, clock jitter);
 * :mod:`repro.assess.mtd` -- bootstrapped attack success-rate curves and
   measurements-to-disclosure estimates.
@@ -46,8 +46,6 @@ from .noise import (
     TemporalJitterNoise,
     known_noise_models,
     make_noise_model,
-    register_noise_model,
-    unregister_noise_model,
 )
 from .ttest import (
     TVLA_THRESHOLD,
@@ -81,8 +79,6 @@ __all__ = [
     "GaussianAmplitudeNoise",
     "AdcQuantizationNoise",
     "TemporalJitterNoise",
-    "register_noise_model",
-    "unregister_noise_model",
     "known_noise_models",
     "make_noise_model",
     # mtd

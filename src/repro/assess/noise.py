@@ -2,14 +2,14 @@
 
 The charge models produce *ideal* energies; a real acquisition chain adds
 amplifier noise, digitises with a finite-resolution ADC and jitters the
-sampling point.  Each effect is a registered **noise model**: a callable
+sampling point.  Each effect is a named **noise model**: a callable
 applied to a chunk of energies with the campaign RNG, so the same
 assessment can be run across environments of increasing realism to study
 how much measurement imperfection it takes to hide (or reveal) leakage.
 
-Models are registered by name (:func:`register_noise_model`) and
-instantiated from JSON-friendly specs (``{"name": "gaussian",
-"std": 0.01}`` or the bare string ``"gaussian"``), which is how
+Models are looked up by name in a closed table of built-ins and
+instantiated from JSON-friendly specs (``{"name": "gaussian", "std":
+0.01}`` or the bare string ``"gaussian"``), which is how
 :class:`repro.flow.config.AssessmentConfig` carries them.  Built-ins:
 
 * ``gaussian`` -- additive amplitude noise, sigma expressed as a
@@ -39,8 +39,6 @@ __all__ = [
     "GaussianAmplitudeNoise",
     "AdcQuantizationNoise",
     "TemporalJitterNoise",
-    "register_noise_model",
-    "unregister_noise_model",
     "known_noise_models",
     "normalize_noise_spec",
     "make_noise_model",
@@ -201,44 +199,8 @@ class NoiseChain(NoiseModel):
         return len(self.models)
 
 
-# ---------------------------------------------------------------------- registry
-
-#: Noise-model factories, keyed by model name.
-_NOISE_MODELS: Dict[str, Callable[..., NoiseModel]] = {}
-
-
-def register_noise_model(
-    name: str, factory: Callable[..., NoiseModel], overwrite: bool = False
-) -> None:
-    """Register a noise-model factory under ``name``.
-
-    The factory is called with the spec's keyword parameters; it must
-    return a :class:`NoiseModel` (anything with an ``apply(energies,
-    rng)`` transforming a chunk).
-    """
-    if not name:
-        raise ValueError("noise model name must be non-empty")
-    if not overwrite and name in _NOISE_MODELS:
-        raise ValueError(
-            f"noise model {name!r} is already registered; "
-            f"pass overwrite=True to replace it"
-        )
-    _NOISE_MODELS[name] = factory
-
-
-def unregister_noise_model(name: str) -> Callable[..., NoiseModel]:
-    """Remove and return the factory registered under ``name``."""
-    try:
-        return _NOISE_MODELS.pop(name)
-    except KeyError:
-        raise KeyError(
-            f"unknown noise model {name!r}; available: "
-            f"{', '.join(known_noise_models()) or '(none)'}"
-        ) from None
-
-
 def known_noise_models() -> Tuple[str, ...]:
-    """Sorted names of every registered noise model."""
+    """Sorted names of every noise model."""
     return tuple(sorted(_NOISE_MODELS))
 
 
@@ -281,7 +243,7 @@ def make_noise_model(spec: NoiseSpec) -> NoiseModel:
         except KeyError:
             raise ValueError(
                 f"unknown noise model {name!r}; available: "
-                f"{', '.join(known_noise_models()) or '(none)'}"
+                f"{', '.join(known_noise_models())}"
             ) from None
         return factory(**params)
     return NoiseChain([make_noise_model(part) for part in spec])
@@ -297,9 +259,12 @@ def _quantization_factory(
 
 
 # The bare-name defaults describe a plausible bench: 5 % amplifier
-# noise, an 8-bit scope ADC, 1 % sample slippage.
-register_noise_model("gaussian", lambda std=0.05, relative=True: GaussianAmplitudeNoise(
-    std=float(std), relative=bool(relative)))
-register_noise_model("quantization", _quantization_factory)
-register_noise_model("jitter", lambda probability=0.01: TemporalJitterNoise(
-    probability=float(probability)))
+# noise, an 8-bit scope ADC, 1 % sample slippage.  Each factory is called
+# with the spec's keyword parameters.
+_NOISE_MODELS: Dict[str, Callable[..., NoiseModel]] = {
+    "gaussian": lambda std=0.05, relative=True: GaussianAmplitudeNoise(
+        std=float(std), relative=bool(relative)),
+    "quantization": _quantization_factory,
+    "jitter": lambda probability=0.01: TemporalJitterNoise(
+        probability=float(probability)),
+}

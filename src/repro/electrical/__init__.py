@@ -4,21 +4,13 @@ in for the paper's HSPICE runs."""
 
 from .capacitance import CapacitanceExtraction, extract_capacitances
 from .energy import (
+    GATE_STYLES,
     known_gate_styles,
-    register_gate_style_roots,
-    unregister_gate_style_roots,
     CycleEnergyRecord,
     CycleEnergySimulator,
     EventEnergyModel,
     EventEnergyRecord,
 )
-
-
-def __getattr__(name):
-    # Live view of the registered style names (see repro.electrical.energy).
-    if name == "GATE_STYLES":
-        return known_gate_styles()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 from .rc import Switch, SwitchedRCCircuit
 from .technology import Technology, generic_65nm, generic_130nm, generic_180nm
 from .waveform import Trace, WaveformSet
@@ -36,8 +28,6 @@ __all__ = [
     "CycleEnergyRecord",
     "GATE_STYLES",
     "known_gate_styles",
-    "register_gate_style_roots",
-    "unregister_gate_style_roots",
     "SwitchedRCCircuit",
     "Switch",
     "Trace",

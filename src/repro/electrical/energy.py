@@ -42,8 +42,6 @@ from .technology import Technology, generic_180nm
 __all__ = [
     "GATE_STYLES",
     "DischargeRootsFn",
-    "register_gate_style_roots",
-    "unregister_gate_style_roots",
     "known_gate_styles",
     "EventEnergyRecord",
     "CycleEnergyRecord",
@@ -54,42 +52,6 @@ __all__ = [
 #: A gate style's discharge rule: which DPDN nodes are pulled low during
 #: the evaluation phase (everything conducting to them discharges too).
 DischargeRootsFn = Callable[[DifferentialPullDownNetwork], Tuple[str, ...]]
-
-_DISCHARGE_ROOTS: Dict[str, DischargeRootsFn] = {}
-
-
-def __getattr__(name: str):
-    # ``GATE_STYLES`` is a live view of the registered style names (the
-    # paper's sabl/cvsl plus any plugins), so membership checks against
-    # it stay correct after register_gate_style_roots.
-    if name == "GATE_STYLES":
-        return known_gate_styles()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def register_gate_style_roots(
-    name: str, roots: DischargeRootsFn, overwrite: bool = False
-) -> None:
-    """Register the discharge rule of a gate style.
-
-    The charge-based models (:class:`EventEnergyModel`,
-    :class:`CycleEnergySimulator` and the batched circuit model) accept
-    any registered style name.  ``overwrite`` must be passed explicitly
-    to replace an existing rule.
-    """
-    if not overwrite and name in _DISCHARGE_ROOTS:
-        raise ValueError(f"gate style {name!r} is already registered")
-    _DISCHARGE_ROOTS[name] = roots
-
-
-def unregister_gate_style_roots(name: str) -> None:
-    """Remove a gate style's discharge rule (no-op when absent)."""
-    _DISCHARGE_ROOTS.pop(name, None)
-
-
-def known_gate_styles() -> Tuple[str, ...]:
-    """Names of every registered gate style (built-in plus plugins)."""
-    return tuple(_DISCHARGE_ROOTS)
 
 
 def _sabl_discharge_roots(dpdn: DifferentialPullDownNetwork) -> Tuple[str, ...]:
@@ -102,8 +64,20 @@ def _cvsl_discharge_roots(dpdn: DifferentialPullDownNetwork) -> Tuple[str, ...]:
     return (dpdn.z,)
 
 
-register_gate_style_roots("sabl", _sabl_discharge_roots)
-register_gate_style_roots("cvsl", _cvsl_discharge_roots)
+#: The discharge rule of every gate style, keyed by style name: the one
+#: table the charge models and the flow's gate-style backends read.
+_DISCHARGE_ROOTS: Dict[str, DischargeRootsFn] = {
+    "sabl": _sabl_discharge_roots,
+    "cvsl": _cvsl_discharge_roots,
+}
+
+#: Names of the gate styles the charge models accept.
+GATE_STYLES: Tuple[str, ...] = tuple(_DISCHARGE_ROOTS)
+
+
+def known_gate_styles() -> Tuple[str, ...]:
+    """Names of every gate style the charge models accept."""
+    return GATE_STYLES
 
 
 def _discharge_roots(

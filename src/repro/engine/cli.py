@@ -19,7 +19,7 @@ script by ``pyproject.toml``):
   growing trace file: progress/ETA, per-worker heartbeat table and
   busiest spans, refreshed in place on a TTY;
 * ``repro bench`` -- list (``ls``), run (``run``), review (``history``)
-  and regression-gate (``compare --gate``) the registered benchmarks
+  and regression-gate (``compare --gate``) the built-in benchmarks
   and their append-only ``PERF_HISTORY.jsonl`` trajectory.
 
 Axis and ``--set`` values parse as JSON when possible (``0.01`` ->
@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from ..flow.config import ConfigError, FlowConfig
 from ..flow.pipeline import DesignFlow, FlowError
-from ..flow.registry import UnknownBackendError
+from ..registry import UnknownBackendError
 from ..obs import (
     ObsError,
     ProgressAggregator,
@@ -55,7 +55,6 @@ from ..obs import (
     use_observer,
 )
 from ..perf import (
-    BENCHMARKS,
     PerfError,
     append_history,
     benchmark_names,
@@ -197,8 +196,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario",
         metavar="NAME",
-        help="registered cipher-datapath scenario the campaign runs "
-        "(sbox, present_round, present_rounds, ...); shorthand for "
+        help="cipher-datapath scenario the campaign runs "
+        "(sbox, present_round, present_rounds); shorthand for "
         "--set scenario=NAME",
     )
     parser.add_argument(
@@ -211,8 +210,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--router",
         metavar="NAME",
-        help="registered differential routing mode for the back-end "
-        "layout stage (fat, diffpair, unbalanced, ...); shorthand for "
+        help="differential routing mode for the back-end "
+        "layout stage (fat, diffpair, unbalanced); shorthand for "
         "--set layout.router=NAME",
     )
     parser.add_argument(
@@ -400,12 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = commands.add_parser(
-        "bench", help="run, review and regression-gate the registered benchmarks"
+        "bench", help="run, review and regression-gate the built-in benchmarks"
     )
     bench_commands = bench.add_subparsers(dest="bench_command", required=True)
 
     bench_commands.add_parser(
-        "ls", help="list registered benchmarks and their metrics"
+        "ls", help="list the benchmarks and their metrics"
     )
 
     bench_run = bench_commands.add_parser(
@@ -416,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="NAME",
         help="benchmarks to run (see `repro bench ls`); none with --all "
-        "runs every registered benchmark",
+        "runs every benchmark",
     )
     bench_run.add_argument(
-        "--all", action="store_true", help="run every registered benchmark"
+        "--all", action="store_true", help="run every benchmark"
     )
     bench_run.add_argument(
         "--quick",
@@ -778,7 +777,7 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     else:
         raise PerfError(
             "name at least one benchmark or pass --all "
-            f"(registered: {', '.join(benchmark_names())})"
+            f"(available: {', '.join(benchmark_names())})"
         )
     if args.strict and benchmark_provenance().get("git_dirty"):
         raise PerfError(

@@ -23,13 +23,6 @@ campaigns *slower* than serial.  The pools are reclaimed at interpreter
 exit (``atexit``) or eagerly via :func:`shutdown_pools`; benchmarks call
 :func:`warm_pool` first so pool startup never pollutes a timing window.
 
-The flip side of persistence: a pool forked *before* a backend was
-registered in the parent will not see that registration.  Campaign
-workers resolve scenarios, simulators and assessment methods from their
-own process's registries, so register custom backends at import time (a
-module the workers also import), or call :func:`shutdown_pools` after
-registering to force fresh workers.
-
 Start method
 ------------
 
@@ -141,7 +134,7 @@ def default_start_method() -> str:
     """The start method the process executor pins when none is configured.
 
     ``fork`` wherever the platform offers it: workers inherit the
-    parent's imported modules (cheap startup, registries populated).
+    parent's imported modules (cheap startup).
     Platforms without ``fork`` fall back to their own default -- in
     practice ``spawn`` on Windows and current macOS.
     """
@@ -220,8 +213,7 @@ def shutdown_pools() -> None:
     """Terminate every warm worker pool (idempotent).
 
     Registered with ``atexit``; call it directly to reclaim worker
-    processes early or to force fresh workers after registering new
-    backends in the parent.
+    processes early or to force fresh workers.
     """
     while _WARM_POOLS:
         key, pool = _WARM_POOLS.popitem()

@@ -3,7 +3,7 @@
 :class:`DesignFlow` runs expr -> FC-DPDN synthesis -> verification ->
 cell/library build -> differential circuit -> trace campaign -> DPA from
 one validated config; backends (technologies, gate styles, attacks,
-S-boxes) are pluggable through named registries.
+S-boxes, assessments) are chosen by name from closed tables of built-ins.
 
 Quick start::
 
@@ -37,20 +37,13 @@ from .registry import (
     SBOXES,
     TECHNOLOGIES,
     AssessmentMethod,
-    DuplicateBackendError,
     GateStyleBackend,
-    Registry,
     UnknownBackendError,
     get_assessment,
     get_attack,
     get_gate_style,
     get_sbox,
     get_technology,
-    register_assessment,
-    register_attack,
-    register_gate_style,
-    register_sbox,
-    register_technology,
 )
 from .results import FlowReport, FlowResult
 
@@ -68,10 +61,8 @@ __all__ = [
     "ExecutionConfig",
     "ObservabilityConfig",
     "FlowConfig",
-    # registry
-    "Registry",
+    # backend tables
     "UnknownBackendError",
-    "DuplicateBackendError",
     "GateStyleBackend",
     "TECHNOLOGIES",
     "GATE_STYLES",
@@ -79,15 +70,10 @@ __all__ = [
     "SBOXES",
     "ASSESSMENTS",
     "AssessmentMethod",
-    "register_technology",
     "get_technology",
-    "register_gate_style",
     "get_gate_style",
-    "register_attack",
     "get_attack",
-    "register_sbox",
     "get_sbox",
-    "register_assessment",
     "get_assessment",
     # pipeline
     "STAGES",

@@ -6,11 +6,13 @@ value fails at config time, not three stages into a campaign), and every
 config round-trips through plain dictionaries (``to_dict`` /
 ``from_dict``) so flows can be stored next to their results as JSON.
 
-Names that select a pluggable backend (``TechnologyConfig.name``,
+Names that select a built-in backend (``TechnologyConfig.name``,
 ``CampaignConfig.gate_style``, ``AnalysisConfig.attacks``,
-``CampaignConfig.sbox``) are resolved against the registries of
-:mod:`repro.flow.registry` when the pipeline runs, so backends registered
-after a config was created are still honoured.
+``CampaignConfig.sbox`` and the like) are looked up in the closed name
+tables of :mod:`repro.flow.registry` (and their siblings in
+:mod:`repro.layout.route`, :mod:`repro.scenarios.registry` and
+:mod:`repro.obs.sinks`) when the flow first needs them; an unknown name
+fails there with an error listing the available ones.
 """
 
 from __future__ import annotations
@@ -161,9 +163,11 @@ class SynthesisConfig(_ConfigBase):
 class TechnologyConfig(_ConfigBase):
     """Which technology card the electrical models use.
 
-    ``name`` selects a registered technology
-    (:func:`repro.flow.registry.register_technology`); ``overrides``
-    rescales individual card fields, e.g. ``{"c_output_load": 5e-15}``.
+    ``name`` selects a built-in technology card
+    (:data:`repro.flow.registry.TECHNOLOGIES`: ``"generic_180nm"``,
+    ``"generic_130nm"``, ``"generic_65nm"``); ``overrides`` rescales
+    individual card fields, e.g. ``{"c_output_load": 5e-15}`` or
+    ``{"vdd": 0.9}``, which is how a custom card is described.
     """
 
     name: str = "generic_180nm"
@@ -211,9 +215,9 @@ class LayoutConfig(_ConfigBase):
     """The back-end place & route stage (:mod:`repro.layout`).
 
     Attributes:
-        router: registered differential routing mode
-            (:func:`repro.layout.register_router`; ``"fat"``,
-            ``"diffpair"`` and ``"unbalanced"`` ship built in).  ``None``
+        router: differential routing mode
+            (:data:`repro.layout.ROUTERS`: ``"fat"``, ``"diffpair"`` or
+            ``"unbalanced"``).  ``None``
             keeps the flow layout-free: no layout stage runs and every
             gate keeps the technology's ``c_wire_output`` constant --
             byte-identical to the pre-layout pipeline.  Sweepable as the
@@ -259,13 +263,13 @@ class LayoutConfig(_ConfigBase):
 
 @dataclass(frozen=True)
 class ScenarioConfig(_ConfigBase):
-    """Parameters of the campaign's registered scenario.
+    """Parameters of the campaign's scenario.
 
     The scenario *name* lives on :attr:`CampaignConfig.scenario` (it is
     a campaign axis, sweepable as ``--axis scenario=...``); this config
     carries the scenario-specific parameters, forwarded as keyword
-    arguments to the registered factory
-    (:func:`repro.scenarios.register_scenario`), e.g.
+    arguments to the scenario's factory
+    (:data:`repro.scenarios.SCENARIOS`), e.g.
     ``ScenarioConfig(params={"sboxes": 2})`` for a two-S-box
     ``present_round`` slice.
     """
@@ -308,13 +312,12 @@ class CampaignConfig(_ConfigBase):
         network_style: ``"fc"`` (protected) or ``"genuine"`` (leaky)
             gate networks for the mapped circuit.
         max_fanin: fan-in bound of the technology mapper.
-        gate_style: registered gate style backend (``"sabl"``/``"cvsl"``).
-        scenario: registered scenario backend
-            (:func:`repro.scenarios.register_scenario`); ``"sbox"`` (the
-            paper's keyed S-box), ``"present_round"`` and
-            ``"present_rounds"`` ship built in.  Scenario parameters
-            live in :class:`ScenarioConfig`.
-        sbox: registered S-box name (``"present"`` by default); the
+        gate_style: gate style backend (``"sabl"``/``"cvsl"``).
+        scenario: scenario backend (:data:`repro.scenarios.SCENARIOS`):
+            ``"sbox"`` (the paper's keyed S-box), ``"present_round"``
+            or ``"present_rounds"``.  Scenario parameters live in
+            :class:`ScenarioConfig`.
+        sbox: S-box name (``"present"`` by default, or ``"aes"``); the
             substitution table the selected scenario builds on.
         noise_std: Gaussian measurement noise, as a fraction of the mean
             cycle energy.
@@ -386,9 +389,9 @@ class CampaignConfig(_ConfigBase):
 class AnalysisConfig(_ConfigBase):
     """Which side-channel attacks the analysis stage runs, and where.
 
-    ``attacks`` names registered attack backends
-    (:func:`repro.flow.registry.register_attack`); ``key_space``
-    overrides the number of key guesses (defaults to the S-box size).
+    ``attacks`` names attack backends (:data:`repro.flow.registry.ATTACKS`:
+    ``"dom"``, ``"cpa"``); ``key_space`` overrides the number of key
+    guesses (defaults to the S-box size).
     The remaining fields select the scenario attack point:
     ``target_sbox`` picks which round-1 parallel S-box the selection
     function predicts (multi-S-box scenarios declare one attack point
@@ -434,10 +437,9 @@ class AssessmentConfig(_ConfigBase):
         enabled: include the ``assessment`` stage in default
             :meth:`~repro.flow.pipeline.DesignFlow.run` calls (the stage
             is always available on demand via ``flow.assessment()``).
-        methods: registered assessment backends
-            (:func:`repro.flow.registry.register_assessment`);
-            ``"ttest"`` (TVLA) and ``"stats"`` (per-class NED/NSD) ship
-            built in.
+        methods: assessment backends
+            (:data:`repro.flow.registry.ASSESSMENTS`): ``"ttest"``
+            (TVLA) and ``"stats"`` (per-class NED/NSD).
         traces_per_class: traces acquired for *each* of the fixed and
             random classes (the campaign streams ``2 *
             traces_per_class`` cycles through the accumulators).
@@ -662,9 +664,9 @@ class ObservabilityConfig(_ConfigBase):
             campaign completions, 2 adds shard/store/kernel detail,
             3 everything including span starts.  The CLI's ``-v``/``-q``
             flags map onto this.
-        sinks: additional registered sink names
-            (:func:`repro.obs.register_sink`) to attach beyond the two
-            implied by ``trace`` and ``progress``.
+        sinks: additional sink names (:data:`repro.obs.SINKS`:
+            ``"null"``, ``"jsonl"``, ``"console"``) to attach beyond the
+            two implied by ``trace`` and ``progress``.
         profile: wrap every observer span in :mod:`cProfile` and emit a
             ``span.profile`` event carrying the span's top-N cumulative
             hotspots (see :mod:`repro.obs.profile`).  Profiling is a

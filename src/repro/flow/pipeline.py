@@ -143,12 +143,12 @@ class DesignFlow:
 
     @property
     def is_sbox_workload(self) -> bool:
-        """True when the flow's outputs come from the campaign's registered
+        """True when the flow's outputs come from the campaign's
         scenario (a keyed cipher datapath -- the paper's S-box by default)
         rather than hand-written expressions."""
         return self._expression_spec is None
 
-    # ``is_sbox_workload`` predates the scenario registry; the generic
+    # ``is_sbox_workload`` predates the scenario table; the generic
     # name reads better in scenario-aware code.
     is_scenario_workload = is_sbox_workload
 
@@ -317,7 +317,7 @@ class DesignFlow:
 
     @staticmethod
     def _resolve(getter, name: str):
-        """Registry lookup surfacing unknown names as stage failures."""
+        """Name-table lookup surfacing unknown names as stage failures."""
         try:
             return getter(name)
         except UnknownBackendError as error:
@@ -351,7 +351,7 @@ class DesignFlow:
         if not self.is_sbox_workload:
             raise FlowError(
                 f"{what} needs the scenario workload -- the keyed S-box or "
-                f"another registered cipher datapath (use DesignFlow.sbox); "
+                f"another built-in cipher datapath (use DesignFlow.sbox); "
                 f"custom-expression flows stop at traces"
             )
         return self._scenario()

@@ -1,33 +1,32 @@
-"""Named, pluggable backend registries for the pipeline.
+"""The closed backend tables behind the flow configs' name fields.
 
-Five registries back the string-valued fields of the flow configs:
+Five tables, each a plain ``dict`` of the built-ins, back the
+string-valued fields of the flow configs:
 
 * :data:`TECHNOLOGIES` -- technology-card factories
-  (``"generic_180nm"`` and friends);
-* :data:`GATE_STYLES` -- differential gate styles: the gate class used
-  for single-gate views plus the discharge rule the charge models use
-  (SABL and CVSL ship as registered backends instead of hard-coded
-  classes);
-* :data:`ATTACKS` -- side-channel analysis methods (difference-of-means
-  DPA and CPA by default);
-* :data:`SBOXES` -- substitution boxes for the crypto workload;
-* :data:`ASSESSMENTS` -- streaming leakage-assessment methods
-  (fixed-vs-random TVLA t-tests and per-class energy statistics by
-  default, see :mod:`repro.assess`).
+  (``generic_180nm``, ``generic_130nm``, ``generic_65nm``); a custom card
+  is a built-in plus :attr:`~repro.flow.config.TechnologyConfig.overrides`;
+* :data:`GATE_STYLES` -- differential gate styles (``sabl``, ``cvsl``):
+  the gate class used for single-gate views plus the discharge rule the
+  charge models use, built from the energy module's one table of rules;
+* :data:`ATTACKS` -- side-channel analysis methods (``dom``
+  difference-of-means DPA and ``cpa``);
+* :data:`SBOXES` -- substitution boxes for the crypto workload
+  (``present``, ``aes``);
+* :data:`ASSESSMENTS` -- streaming leakage-assessment methods (``ttest``
+  fixed-vs-random TVLA and ``stats`` per-class energy statistics, see
+  :mod:`repro.assess`).
 
-Registering a backend makes it addressable from configs immediately::
-
-    register_technology("lab_45nm", lambda: generic_65nm().scaled(vdd=0.9))
-    flow = DesignFlow.sbox(0xB, config=FlowConfig(
-        technology=TechnologyConfig(name="lab_45nm")))
+The ``get_*`` functions are the read path; an unknown name raises
+:class:`~repro.registry.UnknownBackendError` listing the available ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
-from ..registry import DuplicateBackendError, Registry, UnknownBackendError
+from ..registry import UnknownBackendError, lookup
 from ..electrical import energy as _energy
 from ..electrical.technology import (
     Technology,
@@ -46,9 +45,7 @@ from ..sabl.gate import SABLGate
 from .config import AnalysisConfig, AssessmentConfig
 
 __all__ = [
-    "Registry",
     "UnknownBackendError",
-    "DuplicateBackendError",
     "GateStyleBackend",
     "TECHNOLOGIES",
     "GATE_STYLES",
@@ -56,44 +53,27 @@ __all__ = [
     "SBOXES",
     "ASSESSMENTS",
     "AssessmentMethod",
-    "register_technology",
     "get_technology",
-    "register_gate_style",
     "get_gate_style",
-    "register_attack",
     "get_attack",
-    "register_sbox",
     "get_sbox",
-    "register_assessment",
     "get_assessment",
 ]
-
-# ``Registry``, ``UnknownBackendError`` and ``DuplicateBackendError``
-# moved to :mod:`repro.registry` (a leaf module, importable from below
-# the flow package); they are re-exported here unchanged.
 
 
 # ------------------------------------------------------------------ technologies
 
 #: Technology-card factories, keyed by card name.
-TECHNOLOGIES: Registry[Callable[[], Technology]] = Registry("technology")
-
-
-def register_technology(
-    name: str, factory: Callable[[], Technology], overwrite: bool = False
-) -> None:
-    """Register a technology card factory under ``name``."""
-    TECHNOLOGIES.register(name, factory, overwrite=overwrite)
+TECHNOLOGIES: Dict[str, Callable[[], Technology]] = {
+    "generic_180nm": generic_180nm,
+    "generic_130nm": generic_130nm,
+    "generic_65nm": generic_65nm,
+}
 
 
 def get_technology(name: str) -> Technology:
-    """A fresh instance of the technology card registered under ``name``."""
-    return TECHNOLOGIES.get(name)()
-
-
-register_technology("generic_180nm", generic_180nm)
-register_technology("generic_130nm", generic_130nm)
-register_technology("generic_65nm", generic_65nm)
+    """A fresh instance of the technology card named ``name``."""
+    return lookup(TECHNOLOGIES, "technology", name)()
 
 
 # ------------------------------------------------------------------- gate styles
@@ -117,77 +97,23 @@ class GateStyleBackend:
         return self.gate_cls(dpdn, **kwargs)
 
 
-class _GateStyleRegistry(Registry[GateStyleBackend]):
-    """Keeps the charge models' discharge rules in sync on removal."""
-
-    def unregister(self, name: str) -> GateStyleBackend:
-        backend = super().unregister(name)
-        _energy.unregister_gate_style_roots(name)
-        return backend
-
-
-#: Differential gate styles, keyed by style name.
-GATE_STYLES: Registry[GateStyleBackend] = _GateStyleRegistry("gate style")
-
-
-def register_gate_style(
-    name: str,
-    gate_cls: Callable[..., object],
-    discharge_roots: Callable[[DifferentialPullDownNetwork], Tuple[str, ...]],
-    overwrite: bool = False,
-) -> GateStyleBackend:
-    """Register a gate style and plug its discharge rule into the charge models.
-
-    After registration the style name is accepted everywhere a
-    ``gate_style`` string is: :class:`repro.electrical.energy.EventEnergyModel`,
-    the circuit simulators, trace acquisition and the flow configs.
-
-    Without ``overwrite`` the name must be new to *both* registries --
-    including rules plugged directly into the charge models via
-    :func:`repro.electrical.register_gate_style_roots` -- so an existing
-    discharge rule is never replaced silently.
-    """
-    if not overwrite and name in _energy.known_gate_styles():
-        raise DuplicateBackendError("gate style", name)
-    backend = GateStyleBackend(name, gate_cls, discharge_roots)
-    GATE_STYLES.register(name, backend, overwrite=overwrite)
-    _energy.register_gate_style_roots(name, discharge_roots, overwrite=True)
-    return backend
+#: Differential gate styles, keyed by style name.  Each discharge rule
+#: comes from the energy module's table, which the charge models read.
+GATE_STYLES: Dict[str, GateStyleBackend] = {
+    name: GateStyleBackend(name, gate_cls, _energy._DISCHARGE_ROOTS[name])
+    for name, gate_cls in (("sabl", SABLGate), ("cvsl", CVSLGate))
+}
 
 
 def get_gate_style(name: str) -> GateStyleBackend:
-    """The gate style backend registered under ``name``."""
-    return GATE_STYLES.get(name)
-
-
-# The built-in styles already carry their discharge rules in the energy
-# module; only the backend wrappers need registering here.
-for _name, _cls, _roots in (
-    ("sabl", SABLGate, _energy._sabl_discharge_roots),
-    ("cvsl", CVSLGate, _energy._cvsl_discharge_roots),
-):
-    GATE_STYLES.register(_name, GateStyleBackend(_name, _cls, _roots))
-del _name, _cls, _roots
+    """The gate style backend named ``name``."""
+    return lookup(GATE_STYLES, "gate style", name)
 
 
 # ----------------------------------------------------------------------- attacks
 
 #: An attack backend: ``(traces, sbox, analysis_config) -> AttackResult``.
 AttackFn = Callable[[TraceSet, Sequence[int], AnalysisConfig], AttackResult]
-
-#: Side-channel attack methods, keyed by short name.
-ATTACKS: Registry[AttackFn] = Registry("attack")
-
-
-def register_attack(name: str, attack: AttackFn, overwrite: bool = False) -> None:
-    """Register an attack backend under ``name``."""
-    ATTACKS.register(name, attack, overwrite=overwrite)
-
-
-def get_attack(name: str) -> AttackFn:
-    """The attack backend registered under ``name``."""
-    return ATTACKS.get(name)
-
 
 def _dom_attack(
     traces: TraceSet, sbox: Sequence[int], config: AnalysisConfig
@@ -203,32 +129,28 @@ def _cpa_attack(
     return cpa_correlation(traces, sbox, key_space=config.key_space)
 
 
-register_attack("dom", _dom_attack)
-register_attack("cpa", _cpa_attack)
+#: Side-channel attack methods, keyed by short name.
+ATTACKS: Dict[str, AttackFn] = {"dom": _dom_attack, "cpa": _cpa_attack}
+
+
+def get_attack(name: str) -> AttackFn:
+    """The attack backend named ``name``."""
+    return lookup(ATTACKS, "attack", name)
 
 
 # ------------------------------------------------------------------------ sboxes
 
-#: Substitution boxes, keyed by cipher name.
-SBOXES: Registry[Tuple[int, ...]] = Registry("sbox")
-
-
-def register_sbox(name: str, table: Sequence[int], overwrite: bool = False) -> None:
-    """Register a substitution box (a permutation table) under ``name``."""
-    table = tuple(int(value) for value in table)
-    size = len(table)
-    if size < 2 or size & (size - 1):
-        raise ValueError(f"sbox size must be a power of two >= 2, got {size}")
-    SBOXES.register(name, table, overwrite=overwrite)
+#: Substitution boxes (permutations of a power-of-two size), keyed by
+#: cipher name.
+SBOXES: Dict[str, Tuple[int, ...]] = {
+    "present": PRESENT_SBOX,
+    "aes": AES_SBOX,
+}
 
 
 def get_sbox(name: str) -> Tuple[int, ...]:
-    """The S-box registered under ``name``."""
-    return SBOXES.get(name)
-
-
-register_sbox("present", PRESENT_SBOX)
-register_sbox("aes", AES_SBOX)
+    """The S-box named ``name``."""
+    return lookup(SBOXES, "sbox", name)
 
 
 # ------------------------------------------------------------------- assessments
@@ -255,26 +177,6 @@ class AssessmentMethod:
 #: An assessment factory: ``(AssessmentConfig) -> AssessmentMethod``.
 AssessmentFactory = Callable[[AssessmentConfig], AssessmentMethod]
 
-#: Streaming leakage-assessment methods, keyed by short name.
-ASSESSMENTS: Registry[AssessmentFactory] = Registry("assessment")
-
-
-def register_assessment(
-    name: str, factory: AssessmentFactory, overwrite: bool = False
-) -> None:
-    """Register an assessment-method factory under ``name``.
-
-    The factory receives the flow's
-    :class:`~repro.flow.config.AssessmentConfig` and returns a fresh
-    streaming method (see :class:`AssessmentMethod`) for one campaign.
-    """
-    ASSESSMENTS.register(name, factory, overwrite=overwrite)
-
-
-def get_assessment(name: str) -> AssessmentFactory:
-    """The assessment factory registered under ``name``."""
-    return ASSESSMENTS.get(name)
-
 
 def _ttest_assessment(config: AssessmentConfig) -> TVLATTest:
     return TVLATTest(orders=config.orders, threshold=config.threshold)
@@ -284,5 +186,15 @@ def _stats_assessment(config: AssessmentConfig) -> ClassEnergyStats:
     return ClassEnergyStats()
 
 
-register_assessment("ttest", _ttest_assessment)
-register_assessment("stats", _stats_assessment)
+#: Streaming leakage-assessment methods, keyed by short name.  Each
+#: factory receives the flow's :class:`~repro.flow.config.AssessmentConfig`
+#: and returns a fresh method (see :class:`AssessmentMethod`) per campaign.
+ASSESSMENTS: Dict[str, AssessmentFactory] = {
+    "ttest": _ttest_assessment,
+    "stats": _stats_assessment,
+}
+
+
+def get_assessment(name: str) -> AssessmentFactory:
+    """The assessment factory named ``name``."""
+    return lookup(ASSESSMENTS, "assessment", name)

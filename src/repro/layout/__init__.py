@@ -9,7 +9,7 @@ end for the mapped :class:`~repro.sabl.circuit.DifferentialCircuit`:
 * :mod:`repro.layout.place` -- deterministic, seedable grid placement
   (greedy constructive + simulated-annealing HPWL refinement);
 * :mod:`repro.layout.route` -- congestion-aware differential maze
-  routing with a :func:`register_router` registry of modes: ``fat`` (the
+  routing with a closed table of modes (:data:`ROUTERS`): ``fat`` (the
   paper's matched pair), ``diffpair`` (pairing penalty, small residual
   mismatch) and ``unbalanced`` (independent rails, the attacked
   baseline);
@@ -38,7 +38,6 @@ from .route import (
     RoutingResult,
     get_router,
     known_routers,
-    register_router,
     route_circuit,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "RoutingResult",
     "ROUTERS",
     "RouterFn",
-    "register_router",
     "get_router",
     "known_routers",
     "route_circuit",

@@ -4,8 +4,8 @@ Every circuit net is a *differential pair*: a true rail and a false rail
 that must both travel from the driving gate to every sink.  The paper's
 back-end insight is that the two rails must see the **same interconnect
 capacitance** -- i.e. the same routed length -- or the gate's supply
-energy depends on which rail swings.  Three registered routing modes
-reproduce the design space:
+energy depends on which rail swings.  Three routing modes, the closed
+table :data:`ROUTERS`, reproduce the design space:
 
 ========== =============================================================
 ``fat``        the paper's method: the pair is routed as *one* fat wire
@@ -26,8 +26,6 @@ Routing is congestion-aware Dijkstra on the sites grid (cost of entering
 a site grows with the tracks already through it), sinks are connected
 incrementally to the growing net tree, and all tie-breaking is by
 coordinates -- the whole step is deterministic for a given placement.
-New modes plug in through :func:`register_router`, the same backend
-pattern as the rest of the flow.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from ..flow.registry import Registry
+from ..registry import lookup
 from ..sabl.circuit import DifferentialCircuit
 from .place import LayoutError, NetTerminals, Placement, Site, net_terminals
 
@@ -45,7 +43,6 @@ __all__ = [
     "RoutingResult",
     "ROUTERS",
     "RouterFn",
-    "register_router",
     "get_router",
     "known_routers",
     "route_circuit",
@@ -106,35 +103,8 @@ class RoutingResult:
         )
 
 
-# -------------------------------------------------------------------- registry
-
 #: A router backend: ``(circuit, placement) -> RoutingResult``.
 RouterFn = Callable[[DifferentialCircuit, Placement], RoutingResult]
-
-#: Differential routing modes, keyed by short name.
-ROUTERS: Registry[RouterFn] = Registry("router")
-
-
-def register_router(name: str, router: RouterFn, overwrite: bool = False) -> None:
-    """Register a routing mode under ``name`` (see module docstring)."""
-    ROUTERS.register(name, router, overwrite=overwrite)
-
-
-def get_router(name: str) -> RouterFn:
-    """The router backend registered under ``name``."""
-    return ROUTERS.get(name)
-
-
-def known_routers() -> Tuple[str, ...]:
-    """Sorted names of every registered routing mode."""
-    return ROUTERS.names()
-
-
-def route_circuit(
-    circuit: DifferentialCircuit, placement: Placement, router: str = "fat"
-) -> RoutingResult:
-    """Route every net of ``circuit`` over ``placement`` with one mode."""
-    return get_router(router)(circuit, placement)
 
 
 # ------------------------------------------------------------------ grid maze
@@ -303,6 +273,26 @@ def _route_unbalanced(
     return RoutingResult(router="unbalanced", grid=placement.grid, nets=nets)
 
 
-register_router("fat", _route_fat)
-register_router("diffpair", _route_diffpair)
-register_router("unbalanced", _route_unbalanced)
+#: Differential routing modes, keyed by short name.
+ROUTERS: Dict[str, RouterFn] = {
+    "fat": _route_fat,
+    "diffpair": _route_diffpair,
+    "unbalanced": _route_unbalanced,
+}
+
+
+def get_router(name: str) -> RouterFn:
+    """The router backend named ``name``."""
+    return lookup(ROUTERS, "router", name)
+
+
+def known_routers() -> Tuple[str, ...]:
+    """Sorted names of every routing mode."""
+    return tuple(sorted(ROUTERS))
+
+
+def route_circuit(
+    circuit: DifferentialCircuit, placement: Placement, router: str = "fat"
+) -> RoutingResult:
+    """Route every net of ``circuit`` over ``placement`` with one mode."""
+    return get_router(router)(circuit, placement)

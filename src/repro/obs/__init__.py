@@ -6,8 +6,8 @@ it is doing: an :class:`Observer` that times :meth:`~Observer.span`
 sections, folds :meth:`~Observer.counter` / :meth:`~Observer.gauge` /
 :meth:`~Observer.histogram` updates into a live
 :class:`~repro.obs.metrics.MetricsRegistry`, and streams every event to
-pluggable sinks (:func:`register_sink`): a JSONL trace file, console
-progress lines on stderr, or anything a caller registers.
+the named sinks (:data:`SINKS`): a JSONL trace file, console progress
+lines on stderr, or the null sink.
 
 The cardinal rule is *observation never changes the result*: events
 carry timestamps and durations as side-channels only, workers buffer
@@ -76,7 +76,6 @@ from .sinks import (
     NullSink,
     Sink,
     get_sink,
-    register_sink,
 )
 from .summary import (
     SpanStats,
@@ -117,7 +116,6 @@ __all__ = [
     "JsonlSink",
     "ConsoleSink",
     "SINKS",
-    "register_sink",
     "get_sink",
     "SpanStats",
     "TraceSummary",

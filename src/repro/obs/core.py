@@ -402,7 +402,7 @@ def capture_events(enabled: Any):
 def observer_from_config(config: Any) -> Observer:
     """Build an observer from an :class:`~repro.flow.config.ObservabilityConfig`.
 
-    Resolves the config's sink selection through the registry: an
+    Resolves the config's sink selection through :data:`SINKS`: an
     active ``trace`` path adds the ``jsonl`` sink, ``progress`` adds
     ``console``, and every name in ``sinks`` is resolved as-is.  An
     inactive config returns :data:`NULL_OBSERVER`.

@@ -1,10 +1,8 @@
 """Event sinks: where the observability stream goes.
 
 A sink consumes schema events (:mod:`repro.obs.events`) one at a time.
-Like the flow's other backends, sinks are *registered by name*
-(:func:`register_sink`) so alternative consumers -- a service API's
-event stream, a test double, a metrics exporter -- plug in without
-touching the instrumented code.  Three built-ins ship:
+Like the flow's other backends, sinks are named in a closed table
+(:data:`SINKS`, read through :func:`get_sink`).  Three built-ins ship:
 
 * ``"null"`` -- drops everything; the default, and the zero-overhead
   contract: instrumented hot paths guard on ``observer.active`` and
@@ -27,7 +25,7 @@ import os
 import sys
 from typing import Any, Callable, Dict, List, Optional, TextIO
 
-from ..registry import Registry
+from ..registry import lookup
 from .events import ObsError
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "BufferSink",
     "SINKS",
     "SinkFactory",
-    "register_sink",
     "get_sink",
 ]
 
@@ -197,27 +194,9 @@ class ConsoleSink(Sink):
             print(self._format(event), file=self.stream)
 
 
-#: Sink factories, keyed by backend name:
-#: ``(ObservabilityConfig) -> Optional[Sink]``.
+#: A sink factory: ``(ObservabilityConfig) -> Optional[Sink]`` (``None``
+#: contributes nothing for that config).
 SinkFactory = Callable[[Any], Optional[Sink]]
-
-SINKS: Registry[SinkFactory] = Registry("sink")
-
-
-def register_sink(name: str, factory: SinkFactory, overwrite: bool = False) -> None:
-    """Register a sink factory under ``name``.
-
-    The factory receives the flow's
-    :class:`~repro.flow.config.ObservabilityConfig` and returns a
-    :class:`Sink` (or ``None`` to contribute nothing for that config);
-    the name becomes valid for ``ObservabilityConfig.sinks`` immediately.
-    """
-    SINKS.register(name, factory, overwrite=overwrite)
-
-
-def get_sink(name: str) -> SinkFactory:
-    """The sink factory registered under ``name``."""
-    return SINKS.get(name)
 
 
 def _null_factory(config: Any) -> Sink:
@@ -241,6 +220,14 @@ def _console_factory(config: Any) -> Optional[Sink]:
     return ConsoleSink(verbosity)
 
 
-register_sink("null", _null_factory)
-register_sink("jsonl", _jsonl_factory)
-register_sink("console", _console_factory)
+#: Sink factories, keyed by backend name.
+SINKS: Dict[str, SinkFactory] = {
+    "null": _null_factory,
+    "jsonl": _jsonl_factory,
+    "console": _console_factory,
+}
+
+
+def get_sink(name: str) -> SinkFactory:
+    """The sink factory named ``name``."""
+    return lookup(SINKS, "sink", name)

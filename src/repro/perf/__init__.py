@@ -1,9 +1,9 @@
-"""Performance engineering: the benchmark registry, history and gate.
+"""Performance engineering: the built-in benchmarks, history and gate.
 
 ``repro.perf`` turns the repository's benchmarks from ad-hoc pytest
-drivers into first-class, registered probes:
+drivers into first-class, named probes:
 
-* :func:`register_benchmark` / :func:`get_benchmark` -- the registry;
+* :data:`BENCHMARKS` / :func:`get_benchmark` -- the built-ins by name;
   each :class:`Benchmark` declares its metrics (unit, direction, worker
   assumption) and a runner with a ``--quick`` mode;
 * :func:`run_benchmark` / :func:`append_history` /
@@ -15,11 +15,10 @@ drivers into first-class, registered probes:
   both a relative threshold and the measured jitter band.
 
 The CLI front end is ``repro bench`` (ls / run / history / compare);
-the four built-in benchmarks (engine, kernel, layout, scenarios)
-register on import.
+the built-in benchmarks are engine, kernel, layout, obs and scenarios.
 """
 
-from .builtin import register_builtin_benchmarks
+from .builtin import BENCHMARKS, benchmark_names, get_benchmark
 from .compare import (
     DEFAULT_JITTER_FACTOR,
     DEFAULT_REL_THRESHOLD,
@@ -38,16 +37,7 @@ from .history import (
     read_history,
     run_benchmark,
 )
-from .registry import (
-    BENCHMARKS,
-    Benchmark,
-    BenchResult,
-    MetricSpec,
-    PerfError,
-    benchmark_names,
-    get_benchmark,
-    register_benchmark,
-)
+from .registry import Benchmark, BenchResult, MetricSpec, PerfError
 
 __all__ = [
     "PerfError",
@@ -55,7 +45,6 @@ __all__ = [
     "BenchResult",
     "Benchmark",
     "BENCHMARKS",
-    "register_benchmark",
     "get_benchmark",
     "benchmark_names",
     "HISTORY_SCHEMA_VERSION",
@@ -72,7 +61,4 @@ __all__ = [
     "compare_records",
     "compare_histories",
     "regressions",
-    "register_builtin_benchmarks",
 ]
-
-register_builtin_benchmarks()

@@ -3,10 +3,11 @@
 These absorb the four ad-hoc drivers that used to live only under
 ``benchmarks/`` -- same campaigns, same keys, same recorded shapes (the
 ``results`` block of each :class:`~repro.perf.registry.BenchResult`
-matches the committed ``BENCH_<name>.json`` files) -- but registered,
-so ``repro bench run engine --quick`` and the history store see them
-through one interface.  The pytest drivers remain as thin wrappers that
-run the registered benchmark and assert its acceptance numbers.
+matches the committed ``BENCH_<name>.json`` files) -- but named in one
+table, :data:`BENCHMARKS`, so ``repro bench run engine --quick`` and the
+history store see them through one interface.  The pytest drivers remain
+as thin wrappers that run the named benchmark and assert its acceptance
+numbers.
 
 ``--quick`` shrinks trace counts (and the event backend's wide-circuit
 cap) so a smoke run finishes in seconds; the *structure* -- worker
@@ -28,13 +29,14 @@ import os
 import shutil
 import tempfile
 import time
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from .registry import Benchmark, BenchResult, MetricSpec, PerfError, register_benchmark
+from ..registry import lookup
+from .registry import Benchmark, BenchResult, MetricSpec, PerfError
 
-__all__ = ["register_builtin_benchmarks"]
+__all__ = ["BENCHMARKS", "get_benchmark", "benchmark_names"]
 
 
 def _trace_count(full_default: int, quick_default: int, quick: bool) -> int:
@@ -660,13 +662,24 @@ SCENARIOS_BENCHMARK = Benchmark(
 )
 
 
-def register_builtin_benchmarks() -> None:
-    """Register the built-in benchmarks (idempotent)."""
+#: The built-in benchmarks, keyed by name.
+BENCHMARKS: Dict[str, Benchmark] = {
+    benchmark.name: benchmark
     for benchmark in (
         ENGINE_BENCHMARK,
         KERNEL_BENCHMARK,
         LAYOUT_BENCHMARK,
         OBS_BENCHMARK,
         SCENARIOS_BENCHMARK,
-    ):
-        register_benchmark(benchmark, overwrite=True)
+    )
+}
+
+
+def get_benchmark(name: str) -> Benchmark:
+    """The benchmark named ``name``."""
+    return lookup(BENCHMARKS, "benchmark", name)
+
+
+def benchmark_names() -> List[str]:
+    """Benchmark names, sorted."""
+    return sorted(BENCHMARKS)

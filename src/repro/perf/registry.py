@@ -1,14 +1,13 @@
-"""The benchmark registry: named, declared, runnable performance probes.
+"""Benchmark declarations: named, declared, runnable performance probes.
 
 The repository's benchmarks used to live only as ad-hoc pytest drivers
 under ``benchmarks/``; each invented its own result shape and its own
-JSON record.  This module gives them the same treatment every other
-pluggable piece of the stack already gets (simulators, routers, sinks,
-scenarios): a benchmark is *registered by name* with a declared set of
+JSON record.  Here a :class:`Benchmark` is a name with a declared set of
 metrics -- unit, direction, worker assumption -- and a runner, so the
 CLI (``repro bench run``), the history store (:mod:`repro.perf.history`)
 and the regression gate (:mod:`repro.perf.compare`) all speak one
-vocabulary.
+vocabulary.  The built-ins and their name table live in
+:mod:`repro.perf.builtin`.
 
 A :class:`MetricSpec` declares what a number *means*: ``traces_per_s``
 going down is a regression, ``compile_ms`` going down is an
@@ -20,19 +19,13 @@ the ``workers`` field lets the gate discount it (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from ..registry import Registry
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "PerfError",
     "MetricSpec",
     "BenchResult",
     "Benchmark",
-    "BENCHMARKS",
-    "register_benchmark",
-    "get_benchmark",
-    "benchmark_names",
 ]
 
 
@@ -102,7 +95,7 @@ BenchRunner = Callable[[bool], BenchResult]
 
 @dataclass(frozen=True)
 class Benchmark:
-    """One registered benchmark: a name, declared metrics, a runner."""
+    """One benchmark: a name, declared metrics, a runner."""
 
     name: str
     description: str
@@ -138,25 +131,3 @@ class Benchmark:
                 f"benchmark {self.name!r} produced undeclared metrics: "
                 f"{', '.join(unknown)}"
             )
-
-
-BENCHMARKS: Registry[Benchmark] = Registry("benchmark")
-
-
-def register_benchmark(benchmark: Benchmark, overwrite: bool = False) -> Benchmark:
-    """Register ``benchmark`` under its own name; returns it unchanged.
-
-    The name becomes valid for ``repro bench run`` immediately.
-    """
-    BENCHMARKS.register(benchmark.name, benchmark, overwrite=overwrite)
-    return benchmark
-
-
-def get_benchmark(name: str) -> Benchmark:
-    """The benchmark registered under ``name``."""
-    return BENCHMARKS.get(name)
-
-
-def benchmark_names() -> List[str]:
-    """Registered benchmark names, sorted."""
-    return sorted(BENCHMARKS.names())

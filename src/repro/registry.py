@@ -1,25 +1,26 @@
-"""The generic named-backend registry every subsystem builds on.
+"""Unknown-name errors for the closed backend tables.
 
-:mod:`repro.flow.registry` introduced the pattern -- a small name ->
-backend mapping with helpful errors -- and the engine, kernel, layout,
-scenario and observability registries all reuse it.  The class lives
-here, below every subsystem, so leaf modules (like :mod:`repro.obs`,
-which the simulators import) can host registries without dragging in
-the flow package's built-in backends.  :mod:`repro.flow.registry`
-re-exports these names unchanged, so existing imports keep working.
+Every string-valued backend field (technology, gate style, attack,
+S-box, assessment, sink, router, scenario, benchmark) resolves through
+one module-level ``dict`` of built-ins in the module that owns that
+kind.  :func:`lookup` is the shared read path: a miss raises
+:class:`UnknownBackendError` listing the available names.  The module
+sits below every subsystem so leaf modules (like :mod:`repro.obs`,
+which the simulators import) can use it without importing the flow
+package.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Sequence, Tuple, TypeVar
+from typing import Mapping, Sequence, TypeVar
 
-__all__ = ["Registry", "UnknownBackendError", "DuplicateBackendError"]
+__all__ = ["UnknownBackendError", "lookup"]
 
 T = TypeVar("T")
 
 
 class UnknownBackendError(KeyError):
-    """Lookup of a backend name that was never registered."""
+    """Lookup of a backend name that is not in its table."""
 
     def __init__(self, kind: str, name: str, available: Sequence[str]) -> None:
         self.kind = kind
@@ -33,64 +34,9 @@ class UnknownBackendError(KeyError):
         return self.args[0]
 
 
-class DuplicateBackendError(ValueError):
-    """Registration under a name that is already taken."""
-
-    def __init__(self, kind: str, name: str) -> None:
-        self.kind = kind
-        self.name = name
-        super().__init__(
-            f"{kind} {name!r} is already registered; pass overwrite=True to replace it"
-        )
-
-
-class Registry(Generic[T]):
-    """A small name -> backend mapping with helpful error messages."""
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self._entries: Dict[str, T] = {}
-
-    def register(self, name: str, backend: T, overwrite: bool = False) -> T:
-        """Register ``backend`` under ``name``; returns the backend.
-
-        Raises :class:`DuplicateBackendError` unless ``overwrite`` is
-        passed explicitly.
-        """
-        if not name:
-            raise ValueError(f"{self.kind} name must be non-empty")
-        if not overwrite and name in self._entries:
-            raise DuplicateBackendError(self.kind, name)
-        self._entries[name] = backend
-        return backend
-
-    def get(self, name: str) -> T:
-        """Backend registered under ``name``.
-
-        Raises :class:`UnknownBackendError` (listing the available
-        names) when the name is unknown.
-        """
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise UnknownBackendError(self.kind, name, self.names()) from None
-
-    def unregister(self, name: str) -> T:
-        """Remove and return the backend registered under ``name``."""
-        try:
-            return self._entries.pop(name)
-        except KeyError:
-            raise UnknownBackendError(self.kind, name, self.names()) from None
-
-    def names(self) -> Tuple[str, ...]:
-        """Sorted names of every registered backend."""
-        return tuple(sorted(self._entries))
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        return f"Registry({self.kind!r}, names={list(self.names())})"
+def lookup(table: Mapping[str, T], kind: str, name: str) -> T:
+    """``table[name]``, or :class:`UnknownBackendError` naming ``kind``."""
+    try:
+        return table[name]
+    except KeyError:
+        raise UnknownBackendError(kind, name, sorted(table)) from None

@@ -1,4 +1,4 @@
-"""Rendering benchmark registries, history records and perf deltas.
+"""Rendering benchmark tables, history records and perf deltas.
 
 The data side lives in :mod:`repro.perf`; this module turns its
 objects into the aligned text tables ``repro bench ls`` / ``run`` /
@@ -20,7 +20,7 @@ __all__ = [
 
 
 def format_benchmark_list(benchmarks: Iterable[Any]) -> str:
-    """Table of registered benchmarks and their declared metrics."""
+    """Table of the benchmarks and their declared metrics."""
     rows = [
         [
             bench.name,
@@ -34,7 +34,7 @@ def format_benchmark_list(benchmarks: Iterable[Any]) -> str:
     return format_table(
         ["benchmark", "metrics", "first metrics", "description"],
         rows,
-        title="Registered benchmarks",
+        title="Built-in benchmarks",
     )
 
 

@@ -1,4 +1,4 @@
-"""Registered multi-round cipher-datapath scenarios for the flow pipeline.
+"""Built-in multi-round cipher-datapath scenarios for the flow pipeline.
 
 The evaluation chain is workload-agnostic from synthesis down to the
 assessment statistics; this package supplies the workloads.  A scenario
@@ -46,7 +46,6 @@ from .registry import (
     ScenarioFactory,
     get_scenario,
     make_scenario,
-    register_scenario,
 )
 from .sbox import SboxScenario
 
@@ -71,10 +70,9 @@ __all__ = [
     "present80_encrypt",
     # sbox
     "SboxScenario",
-    # registry
+    # name table
     "SCENARIOS",
     "ScenarioFactory",
-    "register_scenario",
     "get_scenario",
     "make_scenario",
 ]

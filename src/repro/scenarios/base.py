@@ -1,4 +1,4 @@
-"""The scenario contract: a registered cipher datapath the flow can run.
+"""The scenario contract: a named cipher datapath the flow can run.
 
 A *scenario* is a combinational cryptographic workload the whole
 evaluation chain (synthesis -> secure cells -> differential circuit ->
@@ -91,7 +91,7 @@ class AttackPoint:
 
 
 class Scenario:
-    """Base class of registered cipher-datapath scenarios.
+    """Base class of named cipher-datapath scenarios.
 
     Subclasses set :attr:`name`, :attr:`key`, :attr:`input_width`,
     :attr:`output_width` and :attr:`rounds` in their constructors and

@@ -118,7 +118,7 @@ class PresentRoundsScenario(Scenario):
 
     Each round XORs the round key, applies ``sboxes`` parallel S-boxes
     and permutes the state through the sliced pLayer.  The substitution
-    table defaults to the PRESENT S-box but any registered 16-entry
+    table defaults to the PRESENT S-box but any 16-entry
     table is accepted, so the scenario doubles as a generic SPN round.
     """
 

@@ -1,12 +1,11 @@
-"""The scenario registry: named cipher-datapath backends for campaigns.
+"""The scenario table: named cipher-datapath backends for campaigns.
 
-Follows the same pattern as ``register_gate_style`` / ``register_attack``
-in :mod:`repro.flow.registry`: a scenario *factory* is registered under a
-short name and resolved when a campaign runs, so scenarios registered
-after a config was written still work.  A factory is called as
-``factory(key=..., sbox=..., **params)`` where ``key`` and ``sbox`` come
-from the campaign config (``sbox`` is the registered S-box *name*) and
-``params`` is the flow's :class:`~repro.flow.config.ScenarioConfig`
+Like the flow's other backends (:mod:`repro.flow.registry`), scenarios
+are a closed table, :data:`SCENARIOS`, mapping a short name to a
+scenario *factory* that is resolved when a campaign runs.  A factory is
+called as ``factory(key=..., sbox=..., **params)`` where ``key`` and
+``sbox`` come from the campaign config (``sbox`` is the S-box *name*)
+and ``params`` is the flow's :class:`~repro.flow.config.ScenarioConfig`
 parameter mapping.
 
 Built-ins:
@@ -22,9 +21,10 @@ name       datapath                                      parameters
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
-from ..flow.registry import Registry, get_sbox
+from ..flow.registry import get_sbox
+from ..registry import lookup
 from .base import Scenario, ScenarioError
 from .present import PresentRoundScenario, PresentRoundsScenario
 from .sbox import SboxScenario
@@ -32,7 +32,6 @@ from .sbox import SboxScenario
 __all__ = [
     "SCENARIOS",
     "ScenarioFactory",
-    "register_scenario",
     "get_scenario",
     "make_scenario",
 ]
@@ -40,25 +39,10 @@ __all__ = [
 #: A scenario factory: ``(key=..., sbox=..., **params) -> Scenario``.
 ScenarioFactory = Callable[..., Scenario]
 
-#: Cipher-datapath scenarios, keyed by short name.
-SCENARIOS: Registry[ScenarioFactory] = Registry("scenario")
-
-
-def register_scenario(
-    name: str, factory: ScenarioFactory, overwrite: bool = False
-) -> None:
-    """Register a scenario factory under ``name``.
-
-    The factory must accept ``key`` (the campaign's secret key) and
-    ``sbox`` (the campaign's registered S-box name) as keywords, plus any
-    scenario-specific parameters the flow's ``ScenarioConfig`` carries.
-    """
-    SCENARIOS.register(name, factory, overwrite=overwrite)
-
 
 def get_scenario(name: str) -> ScenarioFactory:
-    """The scenario factory registered under ``name``."""
-    return SCENARIOS.get(name)
+    """The scenario factory named ``name``."""
+    return lookup(SCENARIOS, "scenario", name)
 
 
 def make_scenario(
@@ -67,7 +51,7 @@ def make_scenario(
     sbox: str = "present",
     params: Optional[Mapping[str, Any]] = None,
 ) -> Scenario:
-    """Instantiate the scenario registered under ``name``.
+    """Instantiate the scenario named ``name``.
 
     ``params`` is forwarded as keyword arguments; an unknown parameter
     raises :class:`~repro.scenarios.base.ScenarioError` naming the
@@ -101,6 +85,11 @@ def _present_rounds_scenario(
     )
 
 
-register_scenario("sbox", _sbox_scenario)
-register_scenario("present_round", _present_round_scenario)
-register_scenario("present_rounds", _present_rounds_scenario)
+#: Cipher-datapath scenarios, keyed by short name.  A factory accepts
+#: ``key`` (the campaign's secret key) and ``sbox`` (the campaign's S-box
+#: name) as keywords, plus any scenario-specific parameters.
+SCENARIOS: Dict[str, ScenarioFactory] = {
+    "sbox": _sbox_scenario,
+    "present_round": _present_round_scenario,
+    "present_rounds": _present_rounds_scenario,
+}

@@ -1,9 +1,9 @@
-"""The paper's original workload as a registered scenario: one keyed S-box.
+"""The paper's original workload as a scenario: one keyed S-box.
 
 ``SboxScenario`` wraps ``S(p XOR key)`` -- the circuit the DATE 2005
 evaluation attacks -- in the :class:`~repro.scenarios.base.Scenario`
 contract, so the default flow behaviour is now just the ``"sbox"``
-backend of the scenario registry.  The expressions it produces are
+backend of the scenario table.  The expressions it produces are
 byte-for-byte the ones :func:`repro.power.crypto.keyed_sbox_expressions`
 always produced, which keeps every existing campaign (and its random
 streams, store keys aside) identical.
@@ -25,7 +25,7 @@ __all__ = ["SboxScenario"]
 class SboxScenario(Scenario):
     """A single keyed substitution: ``S(p XOR key)``.
 
-    Any registered power-of-two S-box is accepted for model campaigns
+    Any power-of-two S-box is accepted for model campaigns
     (the 8-bit AES box drives the Hamming-weight reference experiments);
     the circuit workload -- Boolean expressions and synthesis -- needs
     the 4-bit table, exactly as before scenarios existed.

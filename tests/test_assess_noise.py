@@ -1,4 +1,4 @@
-"""Noise models: behaviour, registry and spec parsing."""
+"""Noise models: behaviour, name table and spec parsing."""
 
 from __future__ import annotations
 
@@ -9,12 +9,9 @@ from repro.assess import (
     AdcQuantizationNoise,
     GaussianAmplitudeNoise,
     NoiseChain,
-    NoiseModel,
     TemporalJitterNoise,
     known_noise_models,
     make_noise_model,
-    register_noise_model,
-    unregister_noise_model,
 )
 
 
@@ -131,31 +128,6 @@ class TestSpecsAndRegistry:
             make_noise_model("no_such_model")
         with pytest.raises(ValueError, match="missing its 'name'"):
             make_noise_model({"std": 0.1})
-
-    def test_register_and_unregister(self, rng):
-        class Offset(NoiseModel):
-            name = "offset"
-
-            def __init__(self, amount):
-                self.amount = amount
-
-            def apply(self, energies, rng):
-                return energies + self.amount
-
-            def to_dict(self):
-                return {"name": self.name, "amount": self.amount}
-
-        register_noise_model("offset", lambda amount: Offset(amount))
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_noise_model("offset", lambda amount: Offset(amount))
-            model = make_noise_model({"name": "offset", "amount": 2.0})
-            np.testing.assert_array_equal(model(np.zeros(3), rng), np.full(3, 2.0))
-        finally:
-            unregister_noise_model("offset")
-        assert "offset" not in known_noise_models()
-        with pytest.raises(KeyError):
-            unregister_noise_model("offset")
 
     def test_serialisation_round_trip(self):
         for spec in (

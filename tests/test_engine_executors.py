@@ -34,16 +34,17 @@ from repro.flow import (
     DesignFlow,
     ExecutionConfig,
     FlowConfig,
-    register_assessment,
+    TechnologyConfig,
 )
 
 TRACES = 48
 SHARD = 16
 
 
-def _sbox_flow(execution, **campaign):
+def _sbox_flow(execution, technology=TechnologyConfig(), **campaign):
     config = FlowConfig(
         name="executor_test",
+        technology=technology,
         campaign=CampaignConfig(
             key=0xB, trace_count=TRACES, noise_std=0.01, **campaign
         ),
@@ -157,7 +158,7 @@ class TestShardTaskFailureInjection:
     """A shard task that raises, on both backends, with shard context."""
 
     @pytest.fixture()
-    def boom_method(self):
+    def boom_method(self, monkeypatch):
         class BoomMethod:
             def update(self, chunk):
                 raise RuntimeError("injected assessment failure")
@@ -168,9 +169,7 @@ class TestShardTaskFailureInjection:
             def finalize(self):  # pragma: no cover - never reached
                 return {}
 
-        register_assessment("boom", lambda config: BoomMethod())
-        yield
-        ASSESSMENTS.unregister("boom")
+        monkeypatch.setitem(ASSESSMENTS, "boom", lambda config: BoomMethod())
 
     def _assessed_flow(self, execution):
         config = FlowConfig(
@@ -214,16 +213,27 @@ class TestShardTaskFailureInjection:
 
 class TestStartMethods:
     def test_spawn_matches_fork_and_serial_bitwise(self):
-        serial = _sbox_flow(ExecutionConfig(workers=1, shard_size=SHARD)).traces()
-        fork = _sbox_flow(
-            ExecutionConfig(workers=2, shard_size=SHARD, start_method="fork")
-        ).traces()
-        spawn = _sbox_flow(
-            ExecutionConfig(workers=2, shard_size=SHARD, start_method="spawn")
-        ).traces()
-        assert np.array_equal(serial.traces, fork.traces)
-        assert np.array_equal(serial.traces, spawn.traces)
-        assert np.array_equal(serial.plaintexts, spawn.plaintexts)
+        # A custom card is a built-in plus overrides: config pickles into
+        # the workers, so it reaches spawn-started ones too.
+        custom = TechnologyConfig(name="generic_65nm", overrides={"vdd": 0.9})
+        runs = {}
+        for technology in (TechnologyConfig(), custom):
+            serial = _sbox_flow(
+                ExecutionConfig(workers=1, shard_size=SHARD), technology
+            ).traces()
+            fork = _sbox_flow(
+                ExecutionConfig(workers=2, shard_size=SHARD, start_method="fork"),
+                technology,
+            ).traces()
+            spawn = _sbox_flow(
+                ExecutionConfig(workers=2, shard_size=SHARD, start_method="spawn"),
+                technology,
+            ).traces()
+            assert np.array_equal(serial.traces, fork.traces)
+            assert np.array_equal(serial.traces, spawn.traces)
+            assert np.array_equal(serial.plaintexts, spawn.plaintexts)
+            runs[technology.name] = serial.traces
+        assert not np.array_equal(runs["generic_180nm"], runs["generic_65nm"])
 
     def test_execution_config_validates_the_start_method(self):
         from repro.flow.config import ConfigError

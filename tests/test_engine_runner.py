@@ -12,7 +12,6 @@ from repro.flow import (
     ExecutionConfig,
     FlowConfig,
     FlowError,
-    register_assessment,
 )
 from repro.flow.config import ConfigError
 from repro.flow.registry import ASSESSMENTS
@@ -168,7 +167,7 @@ class TestAssessmentEquivalence:
         assert np.isclose(s.fixed["mean"], p.fixed["mean"], rtol=1e-10, atol=0.0)
         assert np.isclose(s.random["mean"], p.random["mean"], rtol=1e-10, atol=0.0)
 
-    def test_unmergeable_method_fails_with_a_clear_error(self):
+    def test_unmergeable_method_fails_with_a_clear_error(self, monkeypatch):
         class NoMerge:
             def __init__(self):
                 self.count = 0
@@ -179,22 +178,19 @@ class TestAssessmentEquivalence:
             def finalize(self):
                 return {"count": self.count}
 
-        register_assessment("nomerge", lambda config: NoMerge())
-        try:
-            config = FlowConfig(
-                name="sbox_dpa",
-                campaign=CampaignConfig(source="model"),
-                assessment=AssessmentConfig(
-                    enabled=True, methods=("nomerge",), traces_per_class=40,
-                    chunk_size=16,
-                ),
-                execution=ExecutionConfig(shard_size=20),
-            )
-            flow = DesignFlow.sbox(0xB, config=config)
-            with pytest.raises(FlowError, match="merge"):
-                flow.assessment()
-        finally:
-            ASSESSMENTS.unregister("nomerge")
+        monkeypatch.setitem(ASSESSMENTS, "nomerge", lambda config: NoMerge())
+        config = FlowConfig(
+            name="sbox_dpa",
+            campaign=CampaignConfig(source="model"),
+            assessment=AssessmentConfig(
+                enabled=True, methods=("nomerge",), traces_per_class=40,
+                chunk_size=16,
+            ),
+            execution=ExecutionConfig(shard_size=20),
+        )
+        flow = DesignFlow.sbox(0xB, config=config)
+        with pytest.raises(FlowError, match="merge"):
+            flow.assessment()
 
 
 class TestExecutors:

@@ -15,7 +15,6 @@ from repro.flow import (
     DesignFlow,
     FlowConfig,
     FlowError,
-    register_assessment,
 )
 from repro.flow.registry import get_assessment
 
@@ -223,7 +222,7 @@ class TestAssessmentRegistry:
         assert "ttest" in ASSESSMENTS
         assert "stats" in ASSESSMENTS
 
-    def test_custom_method_flows_through(self):
+    def test_custom_method_flows_through(self, monkeypatch):
         class CountingMethod:
             def __init__(self):
                 self.seen = 0
@@ -244,16 +243,13 @@ class TestAssessmentRegistry:
             def summary_rows(self):
                 return [["counter", "traces seen", str(self.seen), ""]]
 
-        register_assessment("counter", lambda config: CountingMethod())
-        try:
-            flow = _assessed_flow("sabl", "fc", traces_per_class=60)
-            flow.config = flow.config.replace(
-                assessment=flow.config.assessment.replace(methods=("counter",))
-            )
-            outcome = flow.assessment()["counter"]
-            assert outcome.seen == 120
-        finally:
-            ASSESSMENTS.unregister("counter")
+        monkeypatch.setitem(ASSESSMENTS, "counter", lambda config: CountingMethod())
+        flow = _assessed_flow("sabl", "fc", traces_per_class=60)
+        flow.config = flow.config.replace(
+            assessment=flow.config.assessment.replace(methods=("counter",))
+        )
+        outcome = flow.assessment()["counter"]
+        assert outcome.seen == 120
 
     def test_get_assessment_unknown(self):
         from repro.flow import UnknownBackendError

@@ -1,80 +1,169 @@
-"""Tests for the pluggable backend registries of repro.flow."""
+"""Tests for the closed backend tables of repro.flow and its siblings."""
 
 import pytest
 
-from repro.electrical import CycleEnergySimulator, EventEnergyModel, known_gate_styles
+from repro.assess import make_noise_model
+from repro.assess.noise import _NOISE_MODELS
+from repro.electrical import GATE_STYLES as ENERGY_GATE_STYLES
+from repro.electrical import EventEnergyModel, energy
 from repro.flow import (
+    ASSESSMENTS,
     ATTACKS,
     GATE_STYLES,
     SBOXES,
     TECHNOLOGIES,
-    DuplicateBackendError,
-    Registry,
     UnknownBackendError,
+    get_assessment,
     get_gate_style,
     get_sbox,
     get_technology,
-    register_gate_style,
-    register_sbox,
-    register_technology,
 )
 from repro.flow.registry import get_attack
+from repro.layout import ROUTERS, get_router
+from repro.obs import SINKS, get_sink
+from repro.perf import BENCHMARKS, get_benchmark
 from repro.power import PRESENT_SBOX, acquire_model_traces
+from repro.registry import lookup
 from repro.sabl import SABLGate
+from repro.scenarios import SCENARIOS, make_scenario
 
 
 class TestRegistry:
-    def test_register_and_get(self):
-        registry = Registry("widget")
-        registry.register("a", 1)
-        assert registry.get("a") == 1
-        assert "a" in registry and "b" not in registry
-        assert registry.names() == ("a",)
-
-    def test_duplicate_name_rejected(self):
-        registry = Registry("widget")
-        registry.register("a", 1)
-        with pytest.raises(DuplicateBackendError, match="already registered"):
-            registry.register("a", 2)
-        assert registry.get("a") == 1
-
-    def test_overwrite_allows_replacement(self):
-        registry = Registry("widget")
-        registry.register("a", 1)
-        registry.register("a", 2, overwrite=True)
-        assert registry.get("a") == 2
-
     def test_unknown_name_lists_available(self):
-        registry = Registry("widget")
-        registry.register("alpha", 1)
-        registry.register("beta", 2)
+        table = {"beta": 2, "alpha": 1}
+        assert lookup(table, "widget", "alpha") == 1
         with pytest.raises(UnknownBackendError) as excinfo:
-            registry.get("gamma")
-        message = str(excinfo.value)
-        assert "gamma" in message and "alpha" in message and "beta" in message
+            lookup(table, "widget", "gamma")
+        assert isinstance(excinfo.value, KeyError)
+        assert str(excinfo.value) == "unknown widget 'gamma'; available: alpha, beta"
 
-    def test_unregister(self):
-        registry = Registry("widget")
-        registry.register("a", 1)
-        assert registry.unregister("a") == 1
-        with pytest.raises(UnknownBackendError):
-            registry.unregister("a")
 
-    def test_empty_name_rejected(self):
-        registry = Registry("widget")
-        with pytest.raises(ValueError):
-            registry.register("", 1)
+def _gate_styles_share_the_discharge_rules():
+    # The flow's backends are built from the energy module's one table.
+    assert set(GATE_STYLES) == set(energy._DISCHARGE_ROOTS)
+    assert ENERGY_GATE_STYLES == tuple(energy._DISCHARGE_ROOTS)
+    for name, backend in GATE_STYLES.items():
+        assert backend.name == name
+        assert backend.discharge_roots is energy._DISCHARGE_ROOTS[name]
+
+
+def _sboxes_are_power_of_two_permutations():
+    for name, table in SBOXES.items():
+        size = len(table)
+        assert size >= 2 and size & (size - 1) == 0, name
+        assert sorted(table) == list(range(size)), name
+
+
+#: kind -> (table, built-in names, unknown-name call, error type, message,
+#: extra invariant or None).
+TABLES = {
+    "technology": (
+        TECHNOLOGIES,
+        {"generic_180nm", "generic_130nm", "generic_65nm"},
+        lambda: get_technology("generic_45nm"),
+        UnknownBackendError,
+        "unknown technology 'generic_45nm'; available: "
+        "generic_130nm, generic_180nm, generic_65nm",
+        None,
+    ),
+    "gate_style": (
+        GATE_STYLES,
+        {"sabl", "cvsl"},
+        lambda: get_gate_style("ecrl"),
+        UnknownBackendError,
+        "unknown gate style 'ecrl'; available: cvsl, sabl",
+        _gate_styles_share_the_discharge_rules,
+    ),
+    "attack": (
+        ATTACKS,
+        {"dom", "cpa"},
+        lambda: get_attack("template"),
+        UnknownBackendError,
+        "unknown attack 'template'; available: cpa, dom",
+        None,
+    ),
+    "sbox": (
+        SBOXES,
+        {"present", "aes"},
+        lambda: get_sbox("des"),
+        UnknownBackendError,
+        "unknown sbox 'des'; available: aes, present",
+        _sboxes_are_power_of_two_permutations,
+    ),
+    "assessment": (
+        ASSESSMENTS,
+        {"ttest", "stats"},
+        lambda: get_assessment("snr"),
+        UnknownBackendError,
+        "unknown assessment 'snr'; available: stats, ttest",
+        None,
+    ),
+    "sink": (
+        SINKS,
+        {"null", "jsonl", "console"},
+        lambda: get_sink("statsd"),
+        UnknownBackendError,
+        "unknown sink 'statsd'; available: console, jsonl, null",
+        None,
+    ),
+    "router": (
+        ROUTERS,
+        {"fat", "diffpair", "unbalanced"},
+        lambda: get_router("steiner"),
+        UnknownBackendError,
+        "unknown router 'steiner'; available: diffpair, fat, unbalanced",
+        None,
+    ),
+    "scenario": (
+        SCENARIOS,
+        {"sbox", "present_round", "present_rounds"},
+        lambda: make_scenario("aes_round", key=0x1),
+        UnknownBackendError,
+        "unknown scenario 'aes_round'; available: "
+        "present_round, present_rounds, sbox",
+        None,
+    ),
+    "noise_model": (
+        _NOISE_MODELS,
+        {"gaussian", "quantization", "jitter"},
+        lambda: make_noise_model("drift"),
+        ValueError,
+        "unknown noise model 'drift'; available: gaussian, jitter, quantization",
+        None,
+    ),
+    "benchmark": (
+        BENCHMARKS,
+        {"engine", "kernel", "layout", "obs", "scenarios"},
+        lambda: get_benchmark("nonexistent"),
+        UnknownBackendError,
+        "unknown benchmark 'nonexistent'; available: "
+        "engine, kernel, layout, obs, scenarios",
+        None,
+    ),
+}
+
+
+class TestBuiltinTables:
+    @pytest.mark.parametrize("kind", sorted(TABLES))
+    def test_builtin_table(self, kind):
+        table, names, unknown, error, message, invariant = TABLES[kind]
+        assert isinstance(table, dict)
+        assert set(table) == names
+        with pytest.raises(error) as excinfo:
+            unknown()
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+        if invariant is not None:
+            invariant()
 
 
 class TestBuiltinBackends:
     def test_builtin_technologies(self):
-        assert {"generic_180nm", "generic_130nm", "generic_65nm"} <= set(
-            TECHNOLOGIES.names()
-        )
+        assert {"generic_180nm", "generic_130nm", "generic_65nm"} <= set(TECHNOLOGIES)
         assert get_technology("generic_130nm").name == "generic-130nm"
 
     def test_builtin_gate_styles(self):
-        assert {"sabl", "cvsl"} <= set(GATE_STYLES.names())
+        assert {"sabl", "cvsl"} <= set(GATE_STYLES)
         backend = get_gate_style("sabl")
         assert backend.gate_cls is SABLGate
 
@@ -96,81 +185,6 @@ class TestBuiltinBackends:
 
 
 class TestGateStyleRegistration:
-    def test_registered_style_reaches_charge_models(self, and2_fc):
-        name = "sabl_test_clone"
-        if name not in GATE_STYLES:
-            register_gate_style(
-                name, SABLGate, lambda dpdn: (dpdn.x, dpdn.y, dpdn.z)
-            )
-        assert name in known_gate_styles()
-        clone = EventEnergyModel(and2_fc, style=name)
-        reference = EventEnergyModel(and2_fc, style="sabl")
-        for assignment in ({"A": a, "B": b} for a in (0, 1) for b in (0, 1)):
-            assert clone.event_energy(assignment) == pytest.approx(
-                reference.event_energy(assignment)
-            )
-        CycleEnergySimulator(and2_fc, style=name).step({"A": True, "B": False})
-
     def test_unknown_style_rejected_by_models(self, and2_fc):
         with pytest.raises(ValueError, match="unknown gate style"):
             EventEnergyModel(and2_fc, style="nonsense")
-
-    def test_unregister_syncs_charge_models(self):
-        import repro.electrical as electrical
-
-        name = "unregister_sync_test"
-        if name not in GATE_STYLES:
-            register_gate_style(name, SABLGate, lambda dpdn: (dpdn.z,))
-        assert name in electrical.GATE_STYLES  # live view includes plugins
-        GATE_STYLES.unregister(name)
-        assert name not in electrical.GATE_STYLES
-        assert name not in known_gate_styles()
-        # The name is genuinely free again.
-        register_gate_style(name, SABLGate, lambda dpdn: (dpdn.z,))
-        GATE_STYLES.unregister(name)
-
-    def test_energy_layer_rule_not_silently_clobbered(self):
-        from repro.electrical import register_gate_style_roots
-
-        name = "energy_only_style_test"
-        if name not in known_gate_styles():
-            register_gate_style_roots(name, lambda dpdn: (dpdn.z,))
-        # The name is free in GATE_STYLES but taken in the charge models:
-        # a flow-level registration must still demand overwrite=True.
-        with pytest.raises(DuplicateBackendError):
-            register_gate_style(name, SABLGate, lambda dpdn: (dpdn.z,))
-        register_gate_style(
-            name, SABLGate, lambda dpdn: (dpdn.z,), overwrite=True
-        )
-
-
-class TestSboxRegistration:
-    def test_register_sbox_validates_size(self):
-        with pytest.raises(ValueError, match="power of two"):
-            register_sbox("broken", (1, 2, 3))
-
-    def test_register_custom_sbox(self):
-        name = "identity4_test"
-        if name not in SBOXES:
-            register_sbox(name, tuple(range(16)))
-        assert get_sbox(name) == tuple(range(16))
-
-
-class TestTechnologyRegistration:
-    def test_register_custom_technology(self):
-        name = "generic_180nm_lowvdd_test"
-        if name not in TECHNOLOGIES:
-            register_technology(
-                name, lambda: get_technology("generic_180nm").scaled(vdd=1.2)
-            )
-        assert get_technology(name).vdd == pytest.approx(1.2)
-
-    def test_duplicate_technology_rejected(self):
-        with pytest.raises(DuplicateBackendError):
-            register_technology("generic_180nm", lambda: None)
-
-
-class TestAttackRegistration:
-    def test_duplicate_attack_rejected(self):
-        with pytest.raises(DuplicateBackendError):
-            ATTACKS.register("dom", lambda *a: None)

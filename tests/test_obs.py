@@ -24,14 +24,13 @@ from repro.obs import (
     get_sink,
     make_event,
     observer_from_config,
-    register_sink,
     set_observer,
     summarize_events,
     summarize_trace_file,
     use_observer,
     validate_event,
 )
-from repro.registry import DuplicateBackendError, UnknownBackendError
+from repro.registry import UnknownBackendError
 from repro.flow import ObservabilityConfig
 from repro.reporting import format_trace_summary
 
@@ -178,10 +177,6 @@ class TestSinks:
     def test_unknown_sink_name_raises(self):
         with pytest.raises(UnknownBackendError, match="statsd"):
             get_sink("statsd")
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(DuplicateBackendError):
-            register_sink("null", lambda config: None)
 
     def test_jsonl_factory_requires_a_trace_path(self):
         with pytest.raises(ObsError, match="trace"):

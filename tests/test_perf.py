@@ -1,4 +1,4 @@
-"""The perf layer: benchmark registry, history store, gate, CLI.
+"""The perf layer: benchmark table, history store, gate, CLI.
 
 The acceptance behavior pinned here: the regression gate fires on an
 injected >= 2x slowdown (naming the metric), stays quiet across
@@ -26,7 +26,6 @@ from repro.perf import (
     cpus_available,
     get_benchmark,
     read_history,
-    register_benchmark,
     regressions,
     resolve_selector,
     run_benchmark,
@@ -68,15 +67,6 @@ class TestRegistry:
     def test_unknown_benchmark_lists_available(self):
         with pytest.raises(KeyError, match="engine"):
             get_benchmark("nonexistent")
-
-    def test_duplicate_registration_raises(self):
-        bench = _synthetic("dup_check")
-        register_benchmark(bench)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_benchmark(bench)
-        finally:
-            BENCHMARKS.unregister("dup_check")
 
     def test_benchmark_requires_metrics(self):
         with pytest.raises(PerfError, match="declares no metrics"):
@@ -276,11 +266,10 @@ class TestGate:
 
 class TestCliBench:
     @pytest.fixture()
-    def synth(self):
+    def synth(self, monkeypatch):
         bench = _synthetic("clisynth", values=[100.0, 100.0, 40.0])
-        register_benchmark(bench, overwrite=True)
-        yield bench
-        BENCHMARKS.unregister("clisynth")
+        monkeypatch.setitem(BENCHMARKS, "clisynth", bench)
+        return bench
 
     def test_ls_lists_builtins(self, capsys):
         assert main(["bench", "ls"]) == 0

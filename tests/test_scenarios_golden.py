@@ -1,4 +1,4 @@
-"""Golden-vector conformance of every registered scenario.
+"""Golden-vector conformance of every built-in scenario.
 
 Each scenario ships three views of the same keyed datapath -- Boolean
 expressions, a synthesized gate-level circuit and a pure-Python
@@ -23,9 +23,9 @@ from repro.scenarios import (
 )
 from repro.power.crypto import PRESENT_SBOX
 
-#: Narrow (exhaustively checked) parameters for every registered
-#: scenario.  The registry-completeness test fails when a scenario is
-#: registered without a conformance entry here.
+#: Narrow (exhaustively checked) parameters for every scenario.  The
+#: completeness test fails when a scenario is added to ``SCENARIOS``
+#: without a conformance entry here.
 NARROW_CASES = {
     "sbox": ({}, 0xB),
     "present_round": ({"sboxes": 1}, 0x6),
@@ -71,8 +71,8 @@ def _build_circuit(scenario, network_style="fc"):
 
 
 def test_every_registered_scenario_has_a_conformance_case():
-    assert set(SCENARIOS.names()) == set(NARROW_CASES), (
-        "every registered scenario needs a NARROW_CASES entry in the "
+    assert set(SCENARIOS) == set(NARROW_CASES), (
+        "every scenario in SCENARIOS needs a NARROW_CASES entry in the "
         "golden conformance suite"
     )
 
