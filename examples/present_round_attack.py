@@ -121,9 +121,7 @@ def main(trace_count=2000):
             noise_std=0.01,
             trace_count=16,
             assessment=AssessmentConfig(
-                enabled=True,
-                traces_per_class=max(200, trace_count // 4),
-                chunk_size=256,
+                enabled=True, traces_per_class=max(200, trace_count // 4)
             ),
         )
         flow.result("assessment")
@@ -147,18 +145,16 @@ def main(trace_count=2000):
 
     # -- 3. sharded engine: 4 workers, bit-identical ----------------------
     serial = build_flow(
-        "present_round_serial",
-        trace_count=min(trace_count, 256),
-        execution=ExecutionConfig(shard_size=64),
+        "present_round_serial", trace_count=min(trace_count, 1024)
     )
     parallel = build_flow(
         "present_round_parallel",
-        trace_count=min(trace_count, 256),
-        execution=ExecutionConfig(workers=4, shard_size=64),
+        trace_count=min(trace_count, 1024),
+        execution=ExecutionConfig(workers=4, shard_size=256),
     )
     identical = np.array_equal(serial.traces().traces, parallel.traces().traces)
     print(
-        f"sharded engine: serial vs 4 workers over "
+        f"sharded engine: in process vs 4 workers over "
         f"{len(serial.traces())} circuit traces -- "
         f"{'bit-identical' if identical else 'MISMATCH'}"
     )
@@ -179,18 +175,16 @@ def main(trace_count=2000):
             ),
         )
 
-    # The oracle replays the campaign's random stream (plaintexts, then
-    # warm-up cycles) through the reference model.
+    # The oracle replays the campaign's one block (child 0 of the seed's
+    # spawned streams) through the reference model in the steady state.
     pinned = full_round_flow(96)
     circuit = pinned.circuit()
     width = len(circuit.primary_inputs)
-    rng = np.random.default_rng(pinned.config.campaign.seed)
+    (child,) = np.random.SeedSequence(pinned.config.campaign.seed).spawn(1)
+    rng = np.random.default_rng(child)
     plaintexts = rng.integers(0, 1 << width, size=96, dtype=np.uint64)
-    warmup = rng.integers(
-        0, 1 << width, size=pinned.config.campaign.warmup_cycles, dtype=np.uint64
-    )
     oracle = BatchedCircuitEnergyModel(circuit)
-    oracle.energies(nibble_matrix(warmup, width))
+    oracle.reset(charged=False)
     expected = oracle.energies(nibble_matrix(plaintexts, width))
     identical = np.array_equal(pinned.traces().traces, expected)
     print(

@@ -7,7 +7,8 @@ not hours.  This example drives the :mod:`repro.engine` subsystem the
 way a lab would:
 
 1. one sharded campaign, demonstrating that a multi-process run is
-   bit-identical to the serial run of the same shard plan;
+   bit-identical to the serial run (any shard size gives the same
+   campaign);
 2. a parallel sweep over gate/network styles against a shared artifact
    store;
 3. the same sweep again, now served from the store (no re-acquisition).

@@ -1,18 +1,19 @@
 """Sharded campaign execution: parallel runner, artifact store, sweeps.
 
 The engine is the layer between the :mod:`repro.flow` pipeline API and
-the compute kernels.  It splits campaigns into deterministic shards
-(per-shard random streams via ``numpy.random.SeedSequence.spawn``),
+the compute kernels.  It groups a campaign's fixed block stream (one
+``numpy.random.SeedSequence.spawn`` child per block) into shards,
 executes them in an in-process loop or on a warm ``multiprocessing``
-pool, map-reduces the shard outputs -- trace blocks
-concatenate in shard order, assessment accumulators ``merge()`` -- and
-caches stage results in a content-addressed disk store so sweeps and
-re-runs skip acquisition.
+pool, map-reduces the shard outputs -- trace blocks concatenate in
+block order, per-block assessment accumulators ``merge()`` in block
+order -- and caches stage results in a content-addressed disk store so
+sweeps and re-runs skip acquisition.
 
 It is driven from three places:
 
-* transparently by :meth:`repro.flow.DesignFlow.run`, once
-  :class:`repro.flow.ExecutionConfig` activates it::
+* by :meth:`repro.flow.DesignFlow.run`, whose ``traces`` and
+  ``assessment`` stages always run through the runner, shaped by
+  :class:`repro.flow.ExecutionConfig`::
 
       config = FlowConfig(execution=ExecutionConfig(workers=4, store="./artifacts"))
       DesignFlow.sbox(0xB, config=config).run()   # traces + assessment fan out
@@ -21,9 +22,9 @@ It is driven from three places:
   configs across worker processes against one shared store;
 * by the ``repro`` console script (:mod:`repro.engine.cli`).
 
-Parallel execution is *bit-identical* to serial execution of the same
-shard plan: the plan depends only on the config, never on the worker
-count, and the reduce preserves shard order.
+Every execution of a campaign is *bit-identical*: the blocks own every
+random draw, so neither the shard size nor the worker count, executor
+or start method changes a result or a store key.
 """
 
 from .executors import (
@@ -43,16 +44,14 @@ from .runner import (
     sample_resource_gauges,
     trace_store_record,
 )
-from .sharding import AssessmentShard, Shard, plan_assessment_shards, plan_shards
+from .sharding import Shard, plan_shards
 from .store import ArtifactStore, content_key
 from .sweep import SweepReport, build_grid, run_sweep
 
 __all__ = [
     # sharding
     "Shard",
-    "AssessmentShard",
     "plan_shards",
-    "plan_assessment_shards",
     # executors
     "ExecutorError",
     "ShardTimeoutError",

@@ -218,7 +218,11 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, metavar="N", help="worker processes (default 1)"
     )
     parser.add_argument(
-        "--shard-size", type=int, metavar="N", help="traces per shard"
+        "--shard-size",
+        type=int,
+        metavar="N",
+        help="traces per shard, rounded up to whole 256-trace blocks "
+        "(scheduling only: results do not depend on it)",
     )
     parser.add_argument(
         "--executor",

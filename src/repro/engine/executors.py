@@ -1,7 +1,7 @@
 """The process pool that sharded campaigns and sweeps map over.
 
 The engine runs a list of payloads one of two ways, chosen from
-:class:`repro.flow.ExecutionConfig` by :func:`_uses_pool`: an in-process
+:attr:`repro.flow.ExecutionConfig.pooled`: an in-process
 loop (``executor="serial"``, or a single worker), or the warm
 :class:`ProcessPoolExecutor` (``executor="process"`` with ``workers >
 1``).  Both return results *in payload order* -- the only contract the
@@ -251,7 +251,7 @@ class ProcessPoolExecutor:
             worker then hangs the map -- configure a timeout for
             unattended campaigns).
 
-    The engine never builds a one-worker pool: :func:`_uses_pool` keeps
+    The engine never builds a one-worker pool: ``ExecutionConfig.pooled`` keeps
     ``ExecutionConfig(executor="process")`` at the default ``workers=1``
     on the in-process loop, so it pays no process or flow-rebuild
     overhead.
@@ -394,16 +394,6 @@ class ProcessPoolExecutor:
                 return iterator.next(wait)
             except multiprocessing.TimeoutError:
                 pump()
-
-
-def _uses_pool(execution: Any) -> bool:
-    """Whether ``execution`` maps on the warm pool or the in-process loop.
-
-    The one place the choice is made: the pool runs for
-    ``executor="process"`` with more than one worker, the loop
-    otherwise.  ``execution`` is a :class:`repro.flow.ExecutionConfig`.
-    """
-    return execution.resolved_executor == "process" and execution.workers > 1
 
 
 def _map_on_pool(

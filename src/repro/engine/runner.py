@@ -1,19 +1,21 @@
-"""The sharded campaign runner: map shards in process or on a pool, reduce.
+"""The campaign runner: map shards in process or on a pool, reduce.
 
-The runner turns a flow's ``traces`` or ``assessment`` stage into a
-deterministic map-reduce:
+Every ``traces`` and ``assessment`` stage runs here, as a deterministic
+map-reduce over the campaign's fixed block stream:
 
-1. **plan** -- the campaign is split into shards whose random streams
-   come from ``SeedSequence.spawn`` (:mod:`repro.engine.sharding`); the
-   plan depends only on the config, never on the worker count;
+1. **plan** -- the campaign's blocks (:func:`repro.power.trace.campaign_blocks`,
+   each with its own spawned ``SeedSequence``) are grouped into shards
+   of whole consecutive blocks (:mod:`repro.engine.sharding`);
 2. **map** -- each shard runs in an in-process loop or on the warm
-   process pool (:mod:`repro.engine.executors`).  Worker processes
-   rebuild the flow from its config dict (cached per process -- and the
-   pools are *persistent*, so a worker synthesises the circuit once and
-   keeps it warm across every map of the same campaign, sweep cell
-   after sweep cell);
-3. **reduce** -- trace blocks are concatenated in shard order,
-   assessment methods are ``merge()``-d in shard order.
+   process pool (:mod:`repro.engine.executors`).  An in-process run that
+   sets no shard size is one task covering every block.  Worker
+   processes rebuild the flow from its config dict (cached per process
+   -- and the pools are *persistent*, so a worker synthesises the
+   circuit once and keeps it warm across every map of the same
+   campaign, sweep cell after sweep cell);
+3. **reduce** -- trace blocks are concatenated in block order; an
+   assessment shard returns one set of method accumulators per block,
+   and the parent ``merge()``-s them left to right in block order.
 
 Every shard result -- trace blocks and assessment accumulators alike --
 comes back through the pool's ordinary result pipe.
@@ -24,9 +26,11 @@ shard identity and the flow it belonged to, and a shard that exceeds
 ``ExecutionConfig.shard_timeout`` fails the campaign loudly instead of
 hanging the map.
 
-Because the plan is executor-independent and the reduce is ordered, a
-campaign run on a 4-worker pool is *bit-identical* to the same campaign
-run serially -- the equivalence the engine tests pin.
+Because the blocks own every random draw and every kernel energy
+depends on its own input vector alone, the reduced result -- down to
+the floating-point order of the accumulator merges -- is the same at
+every shard size, worker count, executor and start method; the engine
+tests pin that.
 """
 
 from __future__ import annotations
@@ -39,13 +43,8 @@ import numpy as np
 from ..flow.config import ExecutionConfig, FlowConfig
 from ..flow.pipeline import DesignFlow, FlowError
 from ..obs import capture_events, rss_bytes, worker_task
-from .executors import (
-    ShardTimeoutError,
-    _map_on_pool,
-    _uses_pool,
-    warm_pool_stats,
-)
-from .sharding import AssessmentShard, Shard, plan_assessment_shards, plan_shards
+from .executors import ShardTimeoutError, _map_on_pool, warm_pool_stats
+from .sharding import Shard, plan_shards
 
 __all__ = [
     "ShardTaskError",
@@ -151,7 +150,7 @@ def _shard_error(
     if isinstance(key, int):
         campaign += f" (campaign key 0x{key:X})"
     return ShardTaskError(
-        f"{shard.describe()} of {campaign} failed in the {stage} stage: "
+        f"{stage} {shard.describe()} of {campaign} failed: "
         f"{type(exc).__name__}: {exc}",
         shard_index=shard.index,
         flow_name=name if isinstance(name, str) else None,
@@ -160,7 +159,7 @@ def _shard_error(
 
 def _trace_shard_task(
     payload: Tuple[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]], Shard]
-) -> Tuple[np.ndarray, np.ndarray, Optional[List[Dict[str, Any]]]]:
+) -> Tuple[Tuple[np.ndarray, np.ndarray], Optional[List[Dict[str, Any]]]]:
     """Executed on a pool worker: acquire one trace shard.
 
     Observability events are buffered and returned *with* the shard
@@ -175,17 +174,15 @@ def _trace_shard_task(
         flow = _flow_from_spec(spec)
         with worker_task("traces", shard=shard.index, traces=shard.count):
             with capture_events(flow.config.obs) as (_, events):
-                plaintexts, traces = flow._acquire_trace_shard(shard)
+                result = flow._acquire_trace_shard(shard)
     except Exception as exc:
         raise _shard_error("traces", spec, shard, exc) from exc
-    return plaintexts, traces, events
+    return result, events
 
 
 def _assessment_shard_task(
-    payload: Tuple[
-        Tuple[str, Optional[Tuple[Tuple[str, str], ...]]], AssessmentShard
-    ]
-) -> Tuple[Dict[str, Any], int, Optional[List[Dict[str, Any]]]]:
+    payload: Tuple[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]], Shard]
+) -> Tuple[List[Dict[str, Any]], Optional[List[Dict[str, Any]]]]:
     """Executed on a pool worker: stream one assessment shard.
 
     Like :func:`_trace_shard_task`, buffered observability events ride
@@ -194,16 +191,12 @@ def _assessment_shard_task(
     spec, shard = payload
     try:
         flow = _flow_from_spec(spec)
-        with worker_task(
-            "assessment",
-            shard=shard.index,
-            traces=shard.fixed_count + shard.random_count,
-        ):
+        with worker_task("assessment", shard=shard.index, traces=shard.count):
             with capture_events(flow.config.obs) as (_, events):
-                methods, chunks = flow._run_assessment_shard(shard)
+                result = flow._run_assessment_shard(shard)
     except Exception as exc:
         raise _shard_error("assessment", spec, shard, exc) from exc
-    return methods, chunks, events
+    return result, events
 
 
 # ------------------------------------------------------------------ map-reduce
@@ -246,7 +239,7 @@ def _map_shards(flow: DesignFlow, task, shards) -> List[Any]:
     """
     execution = flow.config.execution
     stage = "traces" if task is _trace_shard_task else "assessment"
-    if not _uses_pool(execution):
+    if not execution.pooled:
         local = (
             flow._acquire_trace_shard
             if task is _trace_shard_task
@@ -265,7 +258,7 @@ def _map_shards(flow: DesignFlow, task, shards) -> List[Any]:
     else:
         total, unit = len(shards), "shards"
     try:
-        return _map_on_pool(
+        results = _map_on_pool(
             task,
             [(spec, shard) for shard in shards],
             execution,
@@ -277,24 +270,24 @@ def _map_shards(flow: DesignFlow, task, shards) -> List[Any]:
         )
     except ShardTimeoutError as exc:
         raise _shard_error(stage, spec, shards[exc.payload_index], exc) from exc
+    return [result for (result,) in results]
 
 
-def _reduce_trace_parts(
-    parts: List[Tuple[np.ndarray, np.ndarray]]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate trace shard parts (plaintexts, traces) in shard order."""
-    return (
-        np.concatenate([plaintexts for plaintexts, _ in parts]),
-        np.concatenate([traces for _, traces in parts]),
-    )
+def _engine_details(execution: ExecutionConfig, shards) -> Dict[str, Any]:
+    return {
+        "executor": execution.resolved_executor,
+        "workers": execution.workers,
+        "shards": len(shards),
+        "shard_size": shards[0].count,
+    }
 
 
 def run_trace_campaign(flow: DesignFlow) -> Tuple[Any, Dict[str, Any]]:
     """Acquire the flow's trace campaign as a sharded map-reduce.
 
     Returns ``(trace_set, details)``; the trace arrays are concatenated
-    in shard order, so the result is independent of executor backend and
-    worker count (given the same shard size).
+    in block order, so the result is independent of the shard size,
+    executor backend and worker count.
     """
     from ..power.trace import TraceSet
 
@@ -310,24 +303,16 @@ def run_trace_campaign(flow: DesignFlow) -> Tuple[Any, Dict[str, Any]]:
         workers=execution.workers,
     ):
         parts = _map_shards(flow, _trace_shard_task, shards)
-        plaintexts, traces = _reduce_trace_parts(parts)
+        plaintexts = np.concatenate([part[0] for part in parts])
+        traces = np.concatenate([part[1] for part in parts])
         sample_resource_gauges(flow)
     trace_set = TraceSet(
         plaintexts=plaintexts,
         traces=traces,
         key=campaign.key,
-        description=(
-            f"{flow.config.name} sharded campaign "
-            f"({len(shards)} shards x <= {execution.effective_shard_size})"
-        ),
+        description=f"{flow.config.name} campaign",
     )
-    details = {
-        "executor": execution.resolved_executor,
-        "workers": execution.workers,
-        "shards": len(shards),
-        "shard_size": execution.effective_shard_size,
-    }
-    return trace_set, details
+    return trace_set, _engine_details(execution, shards)
 
 
 def run_assessment_campaign(
@@ -335,15 +320,16 @@ def run_assessment_campaign(
 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Run the flow's assessment campaign as a sharded map-reduce.
 
-    Each shard streams its slice of the fixed-vs-random campaign into
-    fresh method instances; shard methods are reduced with ``merge()``
-    in shard order and finalized once.  Returns ``(outcomes, details)``
-    like the in-process assessment stage.
+    Each shard streams its blocks of the fixed-vs-random campaign, one
+    fresh set of method instances per block.  The per-block methods are
+    reduced with ``merge()`` left to right in block order and finalized
+    once, so the floating-point reduction is the same at every shard
+    size.  Returns ``(outcomes, details)``.
     """
     config = flow.config.assessment
     execution = flow.config.execution
-    shards = plan_assessment_shards(
-        config.traces_per_class, execution.effective_shard_size, config.seed
+    shards = plan_shards(
+        2 * config.traces_per_class, execution.effective_shard_size, config.seed
     )
     with flow._observer().span(
         "engine.assessment",
@@ -353,26 +339,21 @@ def run_assessment_campaign(
     ):
         results = _map_shards(flow, _assessment_shard_task, shards)
         sample_resource_gauges(flow)
-    methods, chunks = results[0]
-    for other_methods, other_chunks in results[1:]:
-        chunks += other_chunks
+    per_block = [methods for result in results for methods in result]
+    methods = per_block[0]
+    for name, method in methods.items():
+        if not hasattr(method, "merge"):
+            raise FlowError(
+                f"assessment method {name!r} does not implement merge(); "
+                f"every campaign block streams into its own accumulators, "
+                f"so add a merge() to the method"
+            )
+    for other in per_block[1:]:
         for name, method in methods.items():
-            merge = getattr(method, "merge", None)
-            if merge is None:
-                raise FlowError(
-                    f"assessment method {name!r} does not implement merge() "
-                    f"and cannot run sharded; use ExecutionConfig() (inactive) "
-                    f"or add a merge() to the method"
-                )
-            merge(other_methods[name])
+            method.merge(other[name])
     outcomes = {name: method.finalize() for name, method in methods.items()}
-    details = {
-        "executor": execution.resolved_executor,
-        "workers": execution.workers,
-        "shards": len(shards),
-        "shard_size": execution.effective_shard_size,
-        "chunks": chunks,
-    }
+    details = _engine_details(execution, shards)
+    details["blocks"] = len(per_block)
     return outcomes, details
 
 
@@ -407,11 +388,6 @@ def _common_store_record(flow: DesignFlow) -> Dict[str, Any]:
             if config.layout.routed and config.campaign.source != "model"
             else None
         ),
-        "sharding": (
-            config.execution.effective_shard_size
-            if config.execution.active
-            else None
-        ),
     }
     # Leakage-model campaigns read the analysis attack point (the round
     # register, and for the selection-bit model the S-box and bit); it
@@ -428,9 +404,8 @@ def trace_store_record(flow: DesignFlow) -> Dict[str, Any]:
     """Everything that determines the ``traces`` stage result.
 
     Hash this record (:func:`repro.engine.store.content_key`) to get the
-    stage's store key.  The sharding layout is part of the content --
-    sharded and unsharded campaigns consume different random streams --
-    but the worker count and executor backend are not.
+    stage's store key.  No execution field is part of the content: the
+    result does not depend on shard size, worker count or executor.
     """
     record = _common_store_record(flow)
     record["stage"] = "traces"

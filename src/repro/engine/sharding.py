@@ -1,147 +1,75 @@
 """Deterministic shard plans for campaign map-reduce.
 
-A shard plan splits a campaign of ``total`` traces into contiguous
-shards of at most ``shard_size`` traces and hands each shard one child
-of ``numpy.random.SeedSequence(seed).spawn(...)``.  Spawned children are
-the NumPy-sanctioned way to derive *provably non-overlapping* random
-streams from one root seed, so shard results depend only on the plan --
-never on which worker (or how many workers) executed them.  Executing
-the same plan serially or on a process pool therefore yields
-bit-identical campaigns; that equivalence is the contract the runner's
-tests pin.
+A campaign is a fixed stream of blocks (:func:`repro.power.trace.campaign_blocks`):
+block ``i`` holds up to :data:`~repro.power.trace.BLOCK_SIZE` traces and
+draws from child ``i`` of ``numpy.random.SeedSequence(seed).spawn(...)``.
+A shard plan only groups those blocks into runs of whole consecutive
+blocks.  Since every random draw belongs to a block, shard results
+depend on neither the shard size nor which worker (or how many workers)
+executed them: any plan of the same campaign, run serially or on a
+process pool, reduces to the same bit-identical result.  That
+equivalence is the contract the runner's tests pin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-import numpy as np
+from ..power.trace import BLOCK_SIZE, Block, campaign_blocks
 
-__all__ = ["Shard", "AssessmentShard", "plan_shards", "plan_assessment_shards"]
+__all__ = ["Shard", "plan_shards"]
 
 
 @dataclass(frozen=True)
 class Shard:
-    """One contiguous slice of a trace campaign.
+    """A run of whole consecutive blocks of one campaign.
 
     Attributes:
-        index: position of the shard in the plan (and of its output
-            block in the reduced campaign).
-        start: index of the shard's first trace in the campaign.
-        count: number of traces the shard acquires.
-        seed_sequence: the shard's spawned ``SeedSequence`` child; pass
-            it as the ``seed`` of the acquisition functions.
+        index: position of the shard in the plan (and of its output in
+            the reduced campaign).
+        blocks: the shard's blocks, in campaign order; each carries its
+            spawned ``SeedSequence``.
     """
 
     index: int
-    start: int
-    count: int
-    seed_sequence: np.random.SeedSequence
+    blocks: Tuple[Block, ...]
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"shard count must be positive, got {self.count}")
+        if not self.blocks:
+            raise ValueError("a shard holds at least one block")
+
+    @property
+    def start(self) -> int:
+        """Index of the shard's first trace in the campaign."""
+        return self.blocks[0].start
+
+    @property
+    def count(self) -> int:
+        """Number of traces the shard streams."""
+        return sum(block.count for block in self.blocks)
 
     def describe(self) -> str:
         """Human-readable identity for error messages and logs."""
         return (
-            f"trace shard {self.index} "
+            f"shard {self.index} "
             f"(traces {self.start}..{self.start + self.count - 1})"
         )
 
 
-@dataclass(frozen=True)
-class AssessmentShard:
-    """One slice of a fixed-vs-random assessment campaign.
+def plan_shards(total: int, shard_size: Optional[int], seed) -> Tuple[Shard, ...]:
+    """Group the blocks of a ``total``-trace campaign into shards.
 
-    Attributes:
-        index: position of the shard in the plan (the merge order).
-        fixed_count: fixed-class traces this shard streams.
-        random_count: random-class traces this shard streams.
-        seed_sequence: the shard's spawned ``SeedSequence`` child
-            (stimulus order, class interleaving, noise and warmup draws).
+    ``shard_size`` rounds up to whole blocks; ``None`` makes the whole
+    campaign one shard.  Every shard but the last holds exactly that many
+    traces.  The plan is a pure function of the arguments, and the
+    traces it yields are a pure function of ``(total, seed)``.
     """
-
-    index: int
-    fixed_count: int
-    random_count: int
-    seed_sequence: np.random.SeedSequence
-
-    def __post_init__(self) -> None:
-        if self.fixed_count < 0 or self.random_count < 0:
-            raise ValueError("shard class budgets must be non-negative")
-        if self.fixed_count + self.random_count < 1:
-            raise ValueError("shard must stream at least one trace")
-
-    def describe(self) -> str:
-        """Human-readable identity for error messages and logs."""
-        return (
-            f"assessment shard {self.index} "
-            f"({self.fixed_count} fixed + {self.random_count} random)"
-        )
-
-
-def _shard_counts(total: int, shard_size: int) -> List[int]:
-    if total < 1:
-        raise ValueError(f"total must be positive, got {total}")
-    if shard_size < 1:
+    if shard_size is not None and shard_size < 1:
         raise ValueError(f"shard_size must be positive, got {shard_size}")
-    full, rest = divmod(total, shard_size)
-    return [shard_size] * full + ([rest] if rest else [])
-
-
-def plan_shards(
-    total: int,
-    shard_size: int,
-    seed: int,
-    min_shard_size: Optional[int] = None,
-) -> Tuple[Shard, ...]:
-    """Split ``total`` traces into deterministic shards.
-
-    Every shard but the last holds exactly ``shard_size`` traces.  The
-    plan (and each shard's random stream) is a pure function of the
-    arguments, so two runs of the same campaign -- at any worker count
-    -- execute identical shards.
-
-    ``min_shard_size`` floors the shard size: vectorized acquisition
-    back-ends amortise per-batch overhead over the traces of a shard,
-    so slicing a narrow campaign into many tiny shards makes the
-    parallel run *slower* than the serial one.  Campaign-level code
-    usually gets this for free from
-    :attr:`repro.flow.config.ExecutionConfig.effective_shard_size`,
-    which applies the same floor.
-    """
-    if min_shard_size is not None and shard_size < min_shard_size:
-        shard_size = min_shard_size
-    counts = _shard_counts(total, shard_size)
-    children = np.random.SeedSequence(seed).spawn(len(counts))
-    shards: List[Shard] = []
-    start = 0
-    for index, (count, child) in enumerate(zip(counts, children)):
-        shards.append(Shard(index=index, start=start, count=count, seed_sequence=child))
-        start += count
-    return tuple(shards)
-
-
-def plan_assessment_shards(
-    traces_per_class: int, shard_size: int, seed: int
-) -> Tuple[AssessmentShard, ...]:
-    """Split a fixed-vs-random campaign into deterministic shards.
-
-    The two classes are split identically (each shard streams the same
-    number of fixed and random traces, ``~shard_size`` in total), so the
-    merged campaign keeps the exact per-class totals and every shard's
-    t-statistics are estimated from a balanced sample.
-    """
-    per_class = _shard_counts(traces_per_class, max(1, shard_size // 2))
-    children = np.random.SeedSequence(seed).spawn(len(per_class))
+    blocks = campaign_blocks(total, seed)
+    per_shard = len(blocks) if shard_size is None else -(-shard_size // BLOCK_SIZE)
     return tuple(
-        AssessmentShard(
-            index=index,
-            fixed_count=count,
-            random_count=count,
-            seed_sequence=child,
-        )
-        for index, (count, child) in enumerate(zip(per_class, children))
+        Shard(index=index, blocks=blocks[start : start + per_shard])
+        for index, start in enumerate(range(0, len(blocks), per_shard))
     )

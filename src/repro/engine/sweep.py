@@ -41,7 +41,7 @@ from ..obs import (
     worker_task,
 )
 from ..reporting.tables import format_table
-from .executors import ShardTimeoutError, _map_on_pool, _uses_pool
+from .executors import ShardTimeoutError, _map_on_pool
 from .runner import _sample_gauges
 
 __all__ = ["SweepReport", "build_grid", "run_sweep"]
@@ -270,7 +270,7 @@ def run_sweep(
         with use_observer(obs), obs.span(
             "sweep", cells=len(payloads), workers=workers
         ):
-            if _uses_pool(sweep_execution):
+            if sweep_execution.pooled:
                 # Heartbeats and the cells-done counter stream mid-sweep;
                 # the per-cell buffered events stay the durable record.
                 records = [

@@ -24,6 +24,7 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 from ..assess.noise import normalize_noise_spec as _normalize_noise_spec
 from ..boolexpr.decompose import DecompositionStyle
 from ..electrical.technology import Technology
+from ..power.trace import BLOCK_SIZE
 
 __all__ = [
     "ConfigError",
@@ -40,10 +41,10 @@ __all__ = [
     "FlowConfig",
 ]
 
-#: Shard size used when execution is active but none was configured.
-#: Fixed (never derived from the worker count) so the shard plan -- and
-#: with it every random stream -- is identical at any parallelism.
-DEFAULT_SHARD_SIZE = 256
+#: The campaign block size (:data:`repro.power.trace.BLOCK_SIZE`): the
+#: unit shard sizes round up to, and the shard size of a pooled run that
+#: configures none.
+DEFAULT_SHARD_SIZE = BLOCK_SIZE
 
 
 class ConfigError(ValueError):
@@ -320,14 +321,11 @@ class CampaignConfig(_ConfigBase):
         sbox: S-box name (``"present"`` by default, or ``"aes"``); the
             substitution table the selected scenario builds on.
         noise_std: Gaussian measurement noise, as a fraction of the mean
-            cycle energy.
-        seed: RNG seed of the campaign.
-        warmup_cycles: random cycles simulated (and discarded) before
-            recording, so charge state starts from steady state.
-        batch_size: cycles per chunk fed to the bit-sliced kernel
-            (:class:`repro.kernel.BitslicedCircuitEnergyModel`), which
-            runs every circuit campaign; a positive integer.  The
-            traces do not depend on it.
+            cycle energy of each campaign block.
+        seed: RNG seed of the campaign: the root of its block stream
+            (:func:`repro.power.trace.campaign_blocks`).  Circuit
+            campaigns are evaluated from the circuit's steady state, so
+            no warm-up is drawn.
     """
 
     key: int = 0xB
@@ -341,8 +339,6 @@ class CampaignConfig(_ConfigBase):
     sbox: str = "present"
     noise_std: float = 0.0
     seed: int = 2005
-    warmup_cycles: int = 4
-    batch_size: int = 1024
 
     def __post_init__(self) -> None:
         if self.key < 0:
@@ -375,14 +371,6 @@ class CampaignConfig(_ConfigBase):
             raise ConfigError("sbox must be non-empty")
         if self.noise_std < 0.0:
             raise ConfigError(f"noise_std must be non-negative, got {self.noise_std}")
-        if self.warmup_cycles < 0:
-            raise ConfigError(
-                f"warmup_cycles must be non-negative, got {self.warmup_cycles}"
-            )
-        if self.batch_size is None or self.batch_size < 1:
-            raise ConfigError(
-                f"batch_size must be a positive integer, got {self.batch_size!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -441,13 +429,11 @@ class AssessmentConfig(_ConfigBase):
             (:data:`repro.flow.registry.ASSESSMENTS`): ``"ttest"``
             (TVLA) and ``"stats"`` (per-class NED/NSD).
         traces_per_class: traces acquired for *each* of the fixed and
-            random classes (the campaign streams ``2 *
-            traces_per_class`` cycles through the accumulators).
-        chunk_size: traces per streamed chunk; bounds peak memory.  The
-            moment accumulation is chunking-invariant (the equivalence
-            tests pin this), but the chunking changes how the campaign
-            RNG is consumed, so two chunk sizes sample statistically
-            equivalent -- not bitwise identical -- campaigns.
+            random classes.  The campaign streams ``2 *
+            traces_per_class`` cycles as blocks of
+            :data:`DEFAULT_SHARD_SIZE` traces, half fixed and half random
+            in a shuffled order; each block updates its own
+            accumulators, merged in block order.
         orders: t-test orders, a subset of ``(1, 2)``.
         threshold: the ``|t|`` pass/fail threshold (4.5 is the TVLA
             convention).
@@ -460,14 +446,13 @@ class AssessmentConfig(_ConfigBase):
             :mod:`repro.assess.noise`.  The campaign's ``noise_std``
             (the environment the trace/analysis stages record) is
             applied first, before these models.
-        seed: RNG seed of the assessment campaign (stimulus order,
-            class interleaving and noise draws).
+        seed: RNG seed of the assessment campaign: the root of its
+            block stream (stimulus, class interleaving and noise draws).
     """
 
     enabled: bool = False
     methods: Tuple[str, ...] = ("ttest",)
     traces_per_class: int = 2000
-    chunk_size: int = 4096
     orders: Tuple[int, ...] = (1, 2)
     threshold: float = 4.5
     fixed_plaintext: int = 0
@@ -483,8 +468,6 @@ class AssessmentConfig(_ConfigBase):
                 f"traces_per_class must be at least 2 (Welch's t-test needs "
                 f"two samples per class), got {self.traces_per_class}"
             )
-        if self.chunk_size < 1:
-            raise ConfigError(f"chunk_size must be positive, got {self.chunk_size}")
         orders = tuple(int(order) for order in _as_tuple(self.orders))
         object.__setattr__(self, "orders", orders)
         if not orders:
@@ -518,21 +501,18 @@ class AssessmentConfig(_ConfigBase):
 class ExecutionConfig(_ConfigBase):
     """How the heavy stages (``traces``, ``assessment``) execute.
 
-    The default config is *inactive*: campaigns run unsharded in
-    process, exactly as before the :mod:`repro.engine` subsystem
-    existed.  Execution becomes active -- campaigns are split into
-    deterministic shards executed in process or on a worker pool and
-    map-reduced back together -- as soon as any of ``workers``,
-    ``shard_size`` or ``executor`` is set.  Setting only ``store``
-    enables the disk-backed artifact cache without changing how (or
-    with which random streams) campaigns are computed.
+    Every campaign is a fixed stream of :data:`DEFAULT_SHARD_SIZE`-trace
+    blocks (:func:`repro.power.trace.campaign_blocks`) and runs through
+    the engine's runner as shards of whole consecutive blocks, in an
+    in-process loop or on a worker pool.  No field here changes a
+    result or an artifact-store key: the blocks, not the shards, own
+    every random draw.
 
     Attributes:
         workers: worker processes of the ``"process"`` executor; 1 keeps
-            execution serial (but still sharded when ``shard_size`` or
-            ``executor`` is set).
-        executor: ``"serial"`` runs the sharded plan in an in-process
-            loop; ``"process"`` maps it over the warm worker pool when
+            execution in process.
+        executor: ``"serial"`` runs the shards in an in-process loop;
+            ``"process"`` maps them over the warm worker pool when
             ``workers > 1`` (one worker stays in process).  ``None``
             resolves to ``"process"`` when ``workers > 1`` and
             ``"serial"`` otherwise.
@@ -540,25 +520,14 @@ class ExecutionConfig(_ConfigBase):
             executor pins via ``get_context`` -- ``"fork"``,
             ``"spawn"`` or ``"forkserver"``.  ``None`` picks the
             documented default (``fork`` where the platform has it,
-            the platform default elsewhere); results are bit-identical
-            across start methods.  Does not activate the engine and is
-            not part of artifact-store keys.
+            the platform default elsewhere).
         shard_timeout: seconds the executor waits for each shard's
             result before declaring the pool wedged and failing the
             campaign loudly (a dead worker otherwise hangs the map
             forever).  ``None`` -- the default -- waits indefinitely.
-            Does not activate the engine and is not part of store keys.
-        shard_size: traces per shard.  ``None`` uses
-            :data:`DEFAULT_SHARD_SIZE` when execution is active.  The
-            shard plan depends only on the campaign (seed, trace count)
-            and this value -- never on ``workers`` -- so results are
-            bit-identical at any parallelism.
-        min_shard_size: floor on the effective shard size.  Small
-            campaigns pay process-pool overhead per shard; raising the
-            floor keeps tiny shard counts from regressing below the
-            serial rate.  Like ``shard_size`` it feeds the shard plan
-            (and therefore the random streams), never the worker count.
-            Setting only this field does *not* activate the engine.
+        shard_size: traces per shard, rounded up to whole blocks.
+            ``None`` runs an in-process campaign as one shard and ships
+            one block per shard to a pool.
         store: root directory of the disk-backed artifact store
             (:class:`repro.engine.ArtifactStore`); ``None`` disables
             caching.
@@ -571,7 +540,6 @@ class ExecutionConfig(_ConfigBase):
     start_method: Optional[str] = None
     shard_timeout: Optional[float] = None
     shard_size: Optional[int] = None
-    min_shard_size: Optional[int] = None
     store: Optional[str] = None
     store_mmap: bool = False
 
@@ -607,10 +575,6 @@ class ExecutionConfig(_ConfigBase):
             raise ConfigError(
                 f"shard_size must be positive or None, got {self.shard_size}"
             )
-        if self.min_shard_size is not None and self.min_shard_size < 1:
-            raise ConfigError(
-                f"min_shard_size must be positive or None, got {self.min_shard_size}"
-            )
         if self.store is not None:
             # Accept path-like objects but normalise to str: the config
             # must stay JSON-serialisable (worker specs, sweep payloads).
@@ -620,21 +584,20 @@ class ExecutionConfig(_ConfigBase):
             object.__setattr__(self, "store", store)
 
     @property
-    def active(self) -> bool:
-        """True when campaigns run through the sharded engine."""
-        return self.workers > 1 or self.shard_size is not None or self.executor is not None
+    def pooled(self) -> bool:
+        """Whether shards map on the warm worker pool (else in process)."""
+        return self.resolved_executor == "process" and self.workers > 1
 
     @property
-    def effective_shard_size(self) -> int:
-        """The shard size the engine uses when execution is active.
+    def effective_shard_size(self) -> Optional[int]:
+        """Traces per shard: ``shard_size`` rounded up to whole blocks.
 
-        ``min_shard_size`` floors the configured (or default) size, so
-        the value recorded in store keys always matches the plan.
+        Unset, a pooled run ships one block per shard and an in-process
+        run takes the whole campaign as one shard (``None``).
         """
-        size = self.shard_size if self.shard_size is not None else DEFAULT_SHARD_SIZE
-        if self.min_shard_size is not None and size < self.min_shard_size:
-            return self.min_shard_size
-        return size
+        if self.shard_size is None:
+            return DEFAULT_SHARD_SIZE if self.pooled else None
+        return -(-self.shard_size // DEFAULT_SHARD_SIZE) * DEFAULT_SHARD_SIZE
 
     @property
     def resolved_executor(self) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -603,50 +603,57 @@ class DesignFlow:
         )
         return self._program
 
-    def _acquire_campaign(self, trace_count: int, seed) -> TraceSet:
-        """Acquire ``trace_count`` traces with the given random source.
+    def _acquire_blocks(self, blocks) -> TraceSet:
+        """Acquire a run of consecutive campaign blocks.
 
-        ``seed`` is anything :data:`repro.power.trace.SeedLike` allows;
-        the whole-campaign path passes the campaign's integer seed, the
-        sharded engine passes each shard's spawned ``SeedSequence``.
+        ``blocks`` come from :func:`repro.power.trace.campaign_blocks`
+        over the campaign's trace count and seed; the runner hands each
+        shard its run, an in-process campaign hands over all of them.
         """
         campaign = self.config.campaign
         if campaign.source == "model":
             scenario = self._require_scenario_workload("the leakage-model campaign")
             table, description = self._model_leakage_table(scenario)
-            return acquire_table_model_traces(
-                table,
+            parts = [
+                acquire_table_model_traces(
+                    table,
+                    key=campaign.key,
+                    trace_count=block.count,
+                    noise_std=campaign.noise_std,
+                    seed=block.seed,
+                )
+                for block in blocks
+            ]
+            return TraceSet(
+                plaintexts=np.concatenate([part.plaintexts for part in parts]),
+                traces=np.concatenate([part.traces for part in parts]),
                 key=campaign.key,
-                trace_count=trace_count,
-                noise_std=campaign.noise_std,
-                seed=seed,
                 description=description,
             )
         technology, gate_style = self._circuit_campaign_params()
         return acquire_circuit_traces(
             self.circuit(),
             key=campaign.key,
-            trace_count=trace_count,
+            trace_count=campaign.trace_count,
             technology=technology,
             gate_style=gate_style.name,
             noise_std=campaign.noise_std,
-            seed=seed,
-            warmup_cycles=campaign.warmup_cycles,
-            batch_size=campaign.batch_size,
+            seed=campaign.seed,
             net_loads=self._net_loads(),
             program=self._compiled_program(),
+            block_range=(blocks[0].index, blocks[-1].index + 1),
         )
 
     def _acquire_trace_shard(self, shard) -> Tuple[np.ndarray, np.ndarray]:
         """Acquire one engine shard (see :mod:`repro.engine.sharding`).
 
         Returns the shard's ``(plaintexts, traces)`` arrays -- the
-        picklable payload the runner concatenates in shard order.
+        picklable payload the runner concatenates in block order.
         """
         obs = self._observer()
         start = time.perf_counter()
         with obs.span("shard.traces", index=shard.index, count=shard.count):
-            traces = self._acquire_campaign(shard.count, shard.seed_sequence)
+            traces = self._acquire_blocks(shard.blocks)
         if obs.active:
             obs.histogram(
                 "shard.duration_s", time.perf_counter() - start, stage="traces"
@@ -691,8 +698,6 @@ class DesignFlow:
         return self._store_handle
 
     def _compute_traces(self) -> Tuple[TraceSet, Dict[str, Any]]:
-        campaign = self.config.campaign
-        execution = self.config.execution
         store = self._artifact_store()
         record = key = None
         if store is not None:
@@ -710,13 +715,9 @@ class DesignFlow:
                     details = self._trace_stage_details(cached)
                 details["store"] = "hit"
                 return cached, details
-        engine_details: Dict[str, Any] = {}
-        if execution.active:
-            from ..engine.runner import run_trace_campaign
+        from ..engine.runner import run_trace_campaign
 
-            traces, engine_details = run_trace_campaign(self)
-        else:
-            traces = self._acquire_campaign(campaign.trace_count, campaign.seed)
+        traces, engine_details = run_trace_campaign(self)
         stage_details = self._trace_stage_details(traces)
         details = dict(stage_details)
         details.update(engine_details)
@@ -781,22 +782,16 @@ class DesignFlow:
 
     # ----------------------------------------------------- assessment streaming
 
-    def _assessment_energy_source(
-        self, warmup_rng: Optional[np.random.Generator] = None
-    ) -> Tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    def _assessment_energy_source(self) -> Tuple[int, Callable[[np.ndarray], np.ndarray]]:
         """The assessment stream's energy backend.
 
         Returns ``(width, energies)`` where ``width`` is the stimulus bit
         width and ``energies`` maps a vector of stimulus values to their
-        measured energies.  ``source="circuit"`` wraps a fresh (stateful)
-        bit-sliced kernel model of the mapped circuit, warmed up with
-        draws from ``warmup_rng`` (defaulting to a generator seeded with
-        the assessment seed; the sharded engine passes each shard's own
-        generator); ``source="model"`` evaluates the unprotected leakage
-        model directly.
+        measured energies.  ``source="circuit"`` wraps the bit-sliced
+        kernel of the mapped circuit; ``source="model"`` evaluates the
+        unprotected leakage model directly.
         """
         campaign = self.config.campaign
-        chunk_size = self.config.assessment.chunk_size
         if campaign.source == "model":
             scenario = self._require_scenario_workload(
                 "the leakage-model assessment"
@@ -813,81 +808,50 @@ class DesignFlow:
         model = BitslicedCircuitEnergyModel(self._compiled_program())
         width = len(self.circuit().primary_inputs)
 
-        if campaign.warmup_cycles:
-            if warmup_rng is None:
-                warmup_rng = np.random.default_rng(self.config.assessment.seed)
-            warmup = warmup_rng.integers(0, 1 << width, size=campaign.warmup_cycles)
-            model.energies(nibble_matrix(warmup, width), batch_size=chunk_size)
-
         def energies(plaintexts: np.ndarray) -> np.ndarray:
-            return model.energies(nibble_matrix(plaintexts, width), batch_size=chunk_size)
+            return model.energies(nibble_matrix(plaintexts, width))
 
         return width, energies
 
-    def _assessment_chunks(
-        self,
-        noise: NoiseChain,
-        seed=None,
-        fixed_budget: Optional[int] = None,
-        random_budget: Optional[int] = None,
-    ) -> Iterator[AssessmentChunk]:
-        """Stream the fixed-vs-random campaign in constant memory.
+    def _assessment_chunks(self, blocks, noise: NoiseChain) -> List[AssessmentChunk]:
+        """The fixed-vs-random chunks of a run of assessment blocks.
 
-        Each chunk interleaves the two classes with exact final counts
-        (the per-chunk fixed count is drawn hypergeometrically from the
-        remaining budget), simulates its energies through the batched
-        backend and applies the ``noise`` chain -- nothing larger than
-        one chunk is ever materialised.
-
-        ``seed`` (an integer or a ``SeedSequence``, *not* a live
-        generator: warmup and stimulus use two *separately constructed*
-        generators seeded from the same source -- their streams start
-        identically, exactly as the pre-engine assessment stage seeded
-        both from ``config.seed`` -- and a live generator cannot be
-        re-constructed twice) and the per-class budgets default to the
-        assessment config; the sharded engine passes each shard's
-        spawned ``SeedSequence`` and its slice of the budgets.
+        Each block (see :func:`repro.power.trace.campaign_blocks`) holds
+        equal fixed and random halves in a shuffled order: its generator
+        draws the class order, then the stimuli, then the ``noise``
+        chain's draws.  The stimuli of every block go through one
+        energy-source call.
         """
         config = self.config.assessment
-        if seed is None:
-            seed = config.seed
-        width, energies = self._assessment_energy_source(
-            warmup_rng=np.random.default_rng(seed)
-        )
+        width, energies = self._assessment_energy_source()
         if not 0 <= config.fixed_plaintext < (1 << width):
             raise FlowError(
                 f"fixed_plaintext {config.fixed_plaintext:#x} does not fit the "
                 f"{width}-bit stimulus of flow {self.config.name!r}"
             )
-        rng = np.random.default_rng(seed)
-        remaining_fixed = (
-            fixed_budget if fixed_budget is not None else config.traces_per_class
-        )
-        remaining_random = (
-            random_budget if random_budget is not None else config.traces_per_class
-        )
-        while remaining_fixed or remaining_random:
-            remaining = remaining_fixed + remaining_random
-            count = min(config.chunk_size, remaining)
-            if count == remaining:
-                fixed_count = remaining_fixed
-            else:
-                fixed_count = int(
-                    rng.hypergeometric(remaining_fixed, remaining_random, count)
-                )
-            labels = np.zeros(count, dtype=bool)
-            labels[:fixed_count] = True
-            rng.shuffle(labels)
-            plaintexts = rng.integers(0, 1 << width, size=count)
-            plaintexts[labels] = config.fixed_plaintext
-            measured = energies(plaintexts)
+        rngs = [block.rng() for block in blocks]
+        labels = []
+        plaintexts = []
+        for block, rng in zip(blocks, rngs):
+            block_labels = np.zeros(block.count, dtype=bool)
+            block_labels[: block.count // 2] = True
+            rng.shuffle(block_labels)
+            stimuli = rng.integers(0, 1 << width, size=block.count)
+            stimuli[block_labels] = config.fixed_plaintext
+            labels.append(block_labels)
+            plaintexts.append(stimuli)
+        measured = energies(np.concatenate(plaintexts))
+        bounds = np.cumsum([block.count for block in blocks])[:-1]
+        chunks = []
+        for block_labels, stimuli, part, rng in zip(
+            labels, plaintexts, np.split(measured, bounds), rngs
+        ):
             if len(noise):
-                measured = noise(measured, rng)
-            yield AssessmentChunk(
-                plaintexts=plaintexts, labels=labels, energies=measured
+                part = noise(part, rng)
+            chunks.append(
+                AssessmentChunk(plaintexts=stimuli, labels=block_labels, energies=part)
             )
-            remaining_fixed -= fixed_count
-            remaining_random -= count - fixed_count
+        return chunks
 
     def _assessment_noise_chain(self) -> NoiseChain:
         """The assessment bench: campaign noise first, then the configured models.
@@ -920,57 +884,29 @@ class DesignFlow:
             for name in config.methods
         }
 
-    def _stream_assessment(
-        self,
-        methods: Dict[str, Any],
-        noise: NoiseChain,
-        seed=None,
-        fixed_budget: Optional[int] = None,
-        random_budget: Optional[int] = None,
-    ) -> int:
-        """Stream one (whole or shard) campaign into ``methods``.
+    def _run_assessment_shard(self, shard) -> List[Dict[str, Any]]:
+        """Stream one engine shard, one fresh set of methods per block.
 
-        The single streaming protocol shared by the unsharded stage and
-        the engine's shard tasks, so the two paths cannot diverge.
-        Returns the number of chunks streamed.
-        """
-        chunks = 0
-        for chunk in self._assessment_chunks(
-            noise, seed=seed, fixed_budget=fixed_budget, random_budget=random_budget
-        ):
-            chunks += 1
-            for method in methods.values():
-                method.update(chunk)
-        return chunks
-
-    def _run_assessment_shard(self, shard) -> Tuple[Dict[str, Any], int]:
-        """Stream one engine shard into fresh method instances.
-
-        Returns ``(methods, chunks)``; the runner reduces shard methods
-        with ``merge()`` in shard order (see
+        Returns the per-block methods in block order; the runner merges
+        them left to right (see
         :func:`repro.engine.runner.run_assessment_campaign`).
         """
         obs = self._observer()
         start = time.perf_counter()
-        with obs.span(
-            "shard.assessment",
-            index=shard.index,
-            fixed=shard.fixed_count,
-            random=shard.random_count,
-        ):
-            methods = self._fresh_assessment_methods()
-            chunks = self._stream_assessment(
-                methods,
-                self._assessment_noise_chain(),
-                seed=shard.seed_sequence,
-                fixed_budget=shard.fixed_count,
-                random_budget=shard.random_count,
-            )
+        with obs.span("shard.assessment", index=shard.index, count=shard.count):
+            per_block = []
+            for chunk in self._assessment_chunks(
+                shard.blocks, self._assessment_noise_chain()
+            ):
+                methods = self._fresh_assessment_methods()
+                for method in methods.values():
+                    method.update(chunk)
+                per_block.append(methods)
         if obs.active:
             obs.histogram(
                 "shard.duration_s", time.perf_counter() - start, stage="assessment"
             )
-        return methods, chunks
+        return per_block
 
     #: Reconstructors of cached assessment results, keyed by the
     #: ``"method"`` field of each result's ``to_dict()`` record.
@@ -1028,7 +964,6 @@ class DesignFlow:
 
     def _compute_assessment(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         config = self.config.assessment
-        execution = self.config.execution
         store = self._artifact_store()
         record = key = None
         if store is not None:
@@ -1046,17 +981,12 @@ class DesignFlow:
                 if len(cached_noise):
                     details["noise"] = cached_noise.describe()
                 return cached, self._assessment_verdict_details(cached, details)
+        from ..engine.runner import run_assessment_campaign
+
         details = {"traces": 2 * config.traces_per_class}
         noise = self._assessment_noise_chain()
-        if execution.active:
-            from ..engine.runner import run_assessment_campaign
-
-            outcomes, engine_details = run_assessment_campaign(self)
-            details.update(engine_details)
-        else:
-            methods = self._fresh_assessment_methods()
-            details["chunks"] = self._stream_assessment(methods, noise)
-            outcomes = {name: method.finalize() for name, method in methods.items()}
+        outcomes, engine_details = run_assessment_campaign(self)
+        details.update(engine_details)
         if len(noise):
             details["noise"] = noise.describe()
         if store is not None:

@@ -14,9 +14,8 @@ into straight-line data:
   the energy tables are keyed by.
 * **stacked energy tables** -- the per-gate ``(2**k,)`` event tables of
   :func:`repro.sabl.simulator.build_gate_tables` are concatenated into
-  flat arrays addressed as ``offset[gate] + event``, so the
-  memoryless part of a batch's energy is two fancy-index gathers and a
-  prefix-sum.
+  flat arrays addressed as ``offset[gate] + event``, so a batch's
+  energy is two fancy-index gathers and a left fold.
 
 **Distinct-vector evaluation** -- a cycle's gate events, and so its
 steady-state energy, depend on its primary-input vector alone.  Each
@@ -26,18 +25,14 @@ distinct vector, and the per-vector energies are expanded back to every
 cycle.  A narrow circuit's cost thus scales with the distinct vectors it
 sees (at most 16 per tile for a 4-input S-box), not with the cycles.
 
-The *memory effect* (an internal node discharges free the first time it
-is ever connected, and costs a recharge on every later connection) is
-handled by exception: per gate, a uint64 mask tracks which internal
-nodes have discharged; once every reachable node of a gate has
-discharged -- after the first few batches of any realistic campaign --
-the gate's energies come straight from the stacked tables.  Gates that
-still have precharged reachable nodes take the *exact* per-batch
-correction path of the reference
-:class:`~repro.sabl.simulator.BatchedCircuitEnergyModel` -- with the
-distinct-vector events expanded to every cycle first, because a repeat
-of an earlier vector pays the recharge its first occurrence did not --
-so the kernel and its oracle agree bit for bit on every trace.
+**Steady state** -- the kernel evaluates every cycle from the circuit's
+steady state, in which each internal node that any input event can
+connect has already discharged once.  There a connected node costs a
+recharge on every cycle, so a gate's energy is a pure function of its
+event (the stacked tables) and the kernel holds no charge state: a
+call's result never depends on earlier calls.  The reference
+:class:`~repro.sabl.simulator.BatchedCircuitEnergyModel` put into that
+state produces the same energies bit for bit.
 """
 
 from __future__ import annotations
@@ -63,27 +58,9 @@ _FOLD_CHUNK = 128
 
 #: Most cycles :meth:`BitslicedCircuitEnergyModel.energies` evaluates
 #: at once, whatever the caller's batch size: the per-call working set
-#: (bit planes, event indices, the warm-up energy matrix) grows with the
-#: cycles in flight, so larger batches are walked in tiles of this size.
+#: (bit planes, event indices) grows with the cycles in flight, so larger
+#: batches are walked in tiles of this size.
 _CYCLE_TILE = 1024
-
-
-def _ordered_column_sum(energies: np.ndarray) -> np.ndarray:
-    """Column sums with the reference model's strict row-by-row add order.
-
-    ``np.add.reduce`` over the leading axis walks rows sequentially --
-    the same left fold as the reference model's per-gate ``out +=`` --
-    for matrices at least two columns wide, but a single-column matrix
-    is contiguous along the reduction axis and NumPy routes it through
-    the pairwise 1-D kernel, whose rounding differs in the last ulp.
-    Single-column input therefore takes a two-column detour that forces
-    the strided (sequential) reduction loop.
-    """
-    if energies.shape[1] == 1:
-        padded = np.zeros((energies.shape[0], 2), dtype=energies.dtype)
-        padded[:, :1] = energies
-        return np.add.reduce(padded, axis=0)[:1]
-    return np.add.reduce(energies, axis=0)
 
 
 def _distinct_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -149,14 +126,11 @@ class BitslicePlan:
     events_dtype: np.dtype
     # Stacked per-event energy tables.
     offsets: np.ndarray  # (n_gates,) int32 offsets into the flat tables
-    energy_flat: np.ndarray  # (sum 2**k,) memoryless per-event energy
-    touch_flat: np.ndarray  # (sum 2**k,) uint64 masks of connected internal nodes
-    touchable: np.ndarray  # (n_gates,) uint64 union of a gate's touch masks
-    maskable: np.ndarray  # (n_gates,) bool: internal nodes fit a uint64 mask
+    energy_flat: np.ndarray  # (sum 2**k,) steady-state per-event energy
     #: Exact left-fold of the per-gate energies when *every* gate's table
     #: is event-independent (the paper's protected fc/SABL circuits with
-    #: balanced routing), else ``None``.  In steady state such a circuit
-    #: draws this constant on every cycle, so the whole batch skips logic
+    #: balanced routing), else ``None``.  Such a circuit draws this
+    #: constant on every cycle, so the whole batch skips logic
     #: evaluation -- the bit-sliced analogue of "constant power".
     constant_fold: Optional[np.float64]
 
@@ -350,9 +324,6 @@ def build_bitslice_plan(program) -> BitslicePlan:
         offsets[1:] = np.cumsum(sizes[:-1])
     total_events = int(sum(sizes))
     energy_flat = np.zeros(total_events, dtype=float)
-    touch_flat = np.zeros(total_events, dtype=np.uint64)
-    touchable = np.zeros(len(tables), dtype=np.uint64)
-    maskable = np.ones(len(tables), dtype=bool)
     for row, table in enumerate(tables):
         start = int(offsets[row])
         stop = start + sizes[row]
@@ -362,14 +333,6 @@ def build_bitslice_plan(program) -> BitslicePlan:
         if table.extra is not None:
             total = total + table.extra
         energy_flat[start:stop] = technology.switching_energy(total)
-        n_internal = table.internal_caps.shape[0]
-        if n_internal > 64:
-            maskable[row] = False
-            continue
-        if n_internal:
-            bit_values = np.uint64(1) << np.arange(n_internal, dtype=np.uint64)
-            touch_flat[start:stop] = table.connected.astype(np.uint64) @ bit_values
-            touchable[row] = np.bitwise_or.reduce(touch_flat[start:stop])
 
     constant_fold: Optional[np.float64] = None
     if tables and all(
@@ -390,9 +353,6 @@ def build_bitslice_plan(program) -> BitslicePlan:
         events_dtype=np.dtype(np.uint8 if max_fanin <= 8 else np.int32),
         offsets=offsets,
         energy_flat=energy_flat,
-        touch_flat=touch_flat,
-        touchable=touchable,
-        maskable=maskable,
         constant_fold=constant_fold,
     )
 
@@ -401,13 +361,13 @@ class BitslicedCircuitEnergyModel:
     """The per-cycle energy model every circuit campaign runs through.
 
     Built from a :class:`~repro.kernel.compile.CompiledProgram`; produces
-    the energies of the reference
+    the steady-state energies of the reference
     :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel` bit for bit
-    (same stateful memory effect across :meth:`energies` calls) while
-    evaluating each distinct input vector of a tile once, 64 vectors
-    per word, and replacing the per-unique-vector Python circuit walk
-    with flat array gathers -- throughput is therefore nearly
-    independent of the primary-input width.
+    while evaluating each distinct input vector of a tile once, 64
+    vectors per word, and replacing the per-unique-vector Python circuit
+    walk with flat array gathers -- throughput is therefore nearly
+    independent of the primary-input width.  The model holds no charge
+    state: :meth:`energies` is a pure function of its input.
     """
 
     def __init__(self, program) -> None:
@@ -417,19 +377,6 @@ class BitslicedCircuitEnergyModel:
         self.gate_style = program.gate_style
         self._tables = list(program.tables)
         self._plan: BitslicePlan = program.plan()
-        self.reset()
-
-    def reset(self) -> None:
-        """Return every internal node to the precharged state."""
-        self._discharged = [
-            np.zeros(table.internal_caps.shape, dtype=bool) for table in self._tables
-        ]
-        self._discharged_mask = np.zeros(len(self._tables), dtype=np.uint64)
-        # Gates that may still hit the first-discharge correction path.
-        self._pending = np.flatnonzero(
-            ((self._plan.touchable & ~self._discharged_mask) != 0)
-            | ~self._plan.maskable
-        )
 
     # ---------------------------------------------------------------- energies
 
@@ -443,8 +390,8 @@ class BitslicedCircuitEnergyModel:
         ``vectors`` is a ``(cycles, inputs)`` boolean array with columns
         ordered like ``circuit.primary_inputs``, or a sequence of input
         mappings.  ``batch_size`` (capped at :data:`_CYCLE_TILE`) bounds
-        the cycles evaluated at once; gate charge state carries across
-        batches, so the result is independent of it.
+        the cycles evaluated at once; every cycle's energy depends on its
+        own input vector alone, so the result is independent of it.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -452,8 +399,6 @@ class BitslicedCircuitEnergyModel:
         total = np.zeros(matrix.shape[0], dtype=float)
         obs = get_observer()
         tick = time.perf_counter() if obs.active else 0.0
-        # Charge state carries across tiles, so tiling never changes the
-        # result -- it only caps the working set.
         tile = min(batch_size, _CYCLE_TILE)
         distinct = 0
         for start in range(0, matrix.shape[0], tile):
@@ -498,9 +443,9 @@ class BitslicedCircuitEnergyModel:
         if cycles == 0 or not self._tables:
             return 0
         plan = self._plan
-        if plan.constant_fold is not None and not self._pending.size:
-            # Constant-power circuit in steady state: every cycle draws
-            # the same (exact) energy -- no logic evaluation needed.
+        if plan.constant_fold is not None:
+            # Constant-power circuit: every cycle draws the same (exact)
+            # energy -- no logic evaluation needed.
             out += plan.constant_fold
             return 0
         # A cycle's events depend on its input vector alone: evaluate each
@@ -508,8 +453,9 @@ class BitslicedCircuitEnergyModel:
         first, inverse = _distinct_rows(matrix)
         distinct = first.size
         if distinct == 1:
-            # Two identical columns keep the fold's reductions on NumPy's
-            # strided (sequential) loop; see _ordered_column_sum.
+            # A single column would send the fold's reductions down
+            # NumPy's pairwise 1-D loop; two identical columns keep them
+            # on the strided (sequential) loop.
             first = np.repeat(first, 2)
         packed = pack_bitplanes(matrix[first])
         planes = np.zeros((plan.net_count, packed.shape[1]), dtype=np.uint64)
@@ -517,24 +463,11 @@ class BitslicedCircuitEnergyModel:
         plan.run_logic(planes)
         events = plan.extract_events(planes, first.size)
 
-        if self._pending.size:
-            # Warm-up batches: the first-discharge accounting is per
-            # cycle, so expand the events to every cycle first.  ``take``
-            # keeps them C-ordered (``events[:, inverse]`` would not, and
-            # a Fortran-ordered gather makes the column sum pairwise).
-            # Then materialise the full (n_gates, cycles) energy matrix so
-            # the corrections can overwrite whole rows, and fold.
-            events = np.take(events, inverse, axis=1)
-            energies = plan.energy_flat[plan.offsets[:, None] + events]
-            self._correct_memory_effect(events, energies)
-            out += _ordered_column_sum(energies)
-            return distinct
-
-        # Steady state (every reachable internal node discharged): fold
-        # gate chunks while their gathered energies are still cache-hot.
-        # Seeding each chunk's reduction with the running accumulator as
-        # row 0 keeps the float summation the exact left-fold the
-        # reference model computes, chunk boundaries notwithstanding.
+        # Fold gate chunks while their gathered energies are still
+        # cache-hot.  Seeding each chunk's reduction with the running
+        # accumulator as row 0 keeps the float summation the exact
+        # left-fold the reference model computes, chunk boundaries
+        # notwithstanding.
         gate_count, columns = events.shape
         chunk = _FOLD_CHUNK
         flat = np.empty((min(chunk, gate_count), columns), dtype=np.intp)
@@ -550,38 +483,3 @@ class BitslicedCircuitEnergyModel:
             np.add.reduce(buffer[: rows + 1], axis=0, out=accumulator)
         out += accumulator[inverse]
         return distinct
-
-    def _correct_memory_effect(self, events: np.ndarray, energies: np.ndarray) -> None:
-        """Recompute rows whose gates still have precharged internal nodes.
-
-        Applies the reference model's first-discharge accounting exactly,
-        then drops gates whose reachable internal nodes have all
-        discharged from the pending set.
-        """
-        plan = self._plan
-        pending = self._pending
-        masks = plan.touch_flat[plan.offsets[pending][:, None] + events[pending]]
-        batch_touch = np.bitwise_or.reduce(masks, axis=1)
-        needs_fix = ((batch_touch & ~self._discharged_mask[pending]) != 0) | ~(
-            plan.maskable[pending]
-        )
-        for row in pending[needs_fix]:
-            table = self._tables[row]
-            indices = events[row]
-            connected = table.connected[indices]
-            capacitance = table.cap_dot[indices]
-            touched = connected.any(axis=0)
-            fresh = touched & ~self._discharged[row]
-            if fresh.any():
-                first_cycle = connected[:, fresh].argmax(axis=0)
-                np.subtract.at(capacitance, first_cycle, table.internal_caps[fresh])
-            self._discharged[row] |= touched
-            total_capacitance = table.baseline[indices] + capacitance
-            if table.extra is not None:
-                total_capacitance += table.extra[indices]
-            energies[row] = self.technology.switching_energy(total_capacitance)
-        self._discharged_mask[pending] |= batch_touch
-        still_pending = (
-            (plan.touchable[pending] & ~self._discharged_mask[pending]) != 0
-        ) | ~plan.maskable[pending]
-        self._pending = pending[still_pending]

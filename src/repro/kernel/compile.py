@@ -36,7 +36,7 @@ class CompiledProgram:
     """A circuit compiled for repeated simulation.
 
     Instances are immutable in spirit: the tables and plan are shared,
-    read-only inputs of the (stateful) energy models built from them.
+    read-only inputs of the energy models built from them.
     """
 
     circuit: DifferentialCircuit

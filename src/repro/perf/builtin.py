@@ -549,8 +549,7 @@ OBS_BENCHMARK = Benchmark(
 SCENARIO_SBOX_COUNTS = (1, 2, 4)
 SCENARIO_WORKER_COUNTS = (1, 4)
 SCENARIO_KEYS = {1: 0xB, 2: 0x6B, 4: 0x2B51}
-SCENARIO_SHARD_SIZE = 256
-SCENARIO_MIN_SHARD_SIZE = 500
+SCENARIO_SHARD_SIZE = 512
 
 
 def _run_scenarios(quick: bool) -> BenchResult:
@@ -578,9 +577,7 @@ def _run_scenarios(quick: bool) -> BenchResult:
                 ),
                 scenario=ScenarioConfig(params={"sboxes": sboxes}),
                 execution=ExecutionConfig(
-                    workers=workers,
-                    shard_size=SCENARIO_SHARD_SIZE,
-                    min_shard_size=SCENARIO_MIN_SHARD_SIZE,
+                    workers=workers, shard_size=SCENARIO_SHARD_SIZE
                 ),
             ),
         )
@@ -626,7 +623,6 @@ def _run_scenarios(quick: bool) -> BenchResult:
         "scenario": "present_round",
         "trace_count": traces,
         "shard_size": SCENARIO_SHARD_SIZE,
-        "min_shard_size": SCENARIO_MIN_SHARD_SIZE,
         "by_sbox_count": record,
     }
     params = {"trace_count": traces, "quick": quick}

@@ -28,6 +28,9 @@ from .crypto import PRESENT_SBOX, hamming_weight, keyed_sbox_expressions
 __all__ = [
     "TraceSet",
     "SeedLike",
+    "BLOCK_SIZE",
+    "Block",
+    "campaign_blocks",
     "build_sbox_circuit",
     "acquire_circuit_traces",
     "acquire_model_traces",
@@ -53,13 +56,79 @@ def nibble_matrix(values: np.ndarray, width: int = 4) -> np.ndarray:
 #: ``(energies, rng) -> energies`` (see :mod:`repro.assess.noise`).
 NoiseModelFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
-#: Anything the acquisition functions accept as their random source: a
-#: plain integer seed, a :class:`numpy.random.SeedSequence` (e.g. one
-#: child of :meth:`numpy.random.SeedSequence.spawn`, so sharded
-#: campaigns draw from provably non-overlapping streams) or an existing
-#: :class:`numpy.random.Generator` (consumed in place -- successive
-#: calls continue the same stream instead of reseeding).
+#: Anything the leakage-model acquisition functions accept as their
+#: random source: a plain integer seed, a
+#: :class:`numpy.random.SeedSequence` or an existing
+#: :class:`numpy.random.Generator` (consumed in place -- successive calls
+#: continue the same stream instead of reseeding).  Circuit campaigns
+#: take an integer or a ``SeedSequence``: the root of their block stream
+#: (see :func:`campaign_blocks`).
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
+
+#: Traces per campaign block.  A campaign is a fixed stream of blocks:
+#: block ``i`` draws its stimuli and noise from child ``i`` of
+#: ``SeedSequence(seed).spawn(n_blocks)``, so how the blocks are grouped
+#: into kernel calls, shards or worker processes never changes a trace.
+BLOCK_SIZE = 256
+
+
+@dataclass(frozen=True)
+class Block:
+    """One block of a campaign: ``count`` traces from ``start`` on.
+
+    ``seed`` is the block's spawned ``SeedSequence`` child; every draw of
+    the block (stimuli, class labels, noise) comes from :meth:`rng`.
+    """
+
+    index: int
+    start: int
+    count: int
+    seed: np.random.SeedSequence
+
+    def rng(self) -> np.random.Generator:
+        """A fresh generator over the block's stream."""
+        return np.random.default_rng(self.seed)
+
+
+def campaign_blocks(
+    total: int,
+    seed: Union[int, np.random.SeedSequence],
+    first: int = 0,
+    stop: Optional[int] = None,
+) -> Tuple[Block, ...]:
+    """Blocks ``first .. stop - 1`` of a ``total``-trace campaign.
+
+    Every block holds :data:`BLOCK_SIZE` traces but the last, which holds
+    the rest.  Block ``i`` is seeded with child ``i`` of
+    ``SeedSequence(seed).spawn(n_blocks)`` (built directly, so a
+    ``SeedSequence`` root is never mutated and any run of blocks can be
+    planned on its own).  This is the one definition of a campaign's
+    blocks: trace acquisition, the assessment stream and the engine's
+    shard plans all read it.
+    """
+    if total < 1:
+        raise ValueError(f"total must be positive, got {total}")
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    n_blocks = -(-total // BLOCK_SIZE)
+    stop = n_blocks if stop is None else stop
+    if not 0 <= first < stop <= n_blocks:
+        raise ValueError(
+            f"block range {first}..{stop} is outside the {n_blocks} blocks "
+            f"of a {total}-trace campaign"
+        )
+    return tuple(
+        Block(
+            index=index,
+            start=index * BLOCK_SIZE,
+            count=min(BLOCK_SIZE, total - index * BLOCK_SIZE),
+            seed=np.random.SeedSequence(
+                root.entropy,
+                spawn_key=root.spawn_key + (index,),
+                pool_size=root.pool_size,
+            ),
+        )
+        for index in range(first, stop)
+    )
 
 
 @dataclass
@@ -115,37 +184,37 @@ def acquire_circuit_traces(
     technology: Optional[Technology] = None,
     gate_style: str = "sabl",
     noise_std: float = 0.0,
-    seed: SeedLike = 2005,
-    warmup_cycles: int = 4,
-    batch_size: int = 1024,
+    seed: Union[int, np.random.SeedSequence] = 2005,
     noise_model: Optional[NoiseModelFn] = None,
     net_loads: Optional[Mapping[str, Tuple[float, float]]] = None,
     program: Optional[Any] = None,
+    block_range: Optional[Tuple[int, int]] = None,
 ) -> TraceSet:
     """Record one power sample per cycle from the gate-level charge model.
 
-    ``noise_std`` is expressed as a fraction of the mean cycle energy
-    (e.g. 0.05 adds Gaussian noise with a sigma of 5 % of the mean),
-    modelling measurement noise and the activity of unrelated logic.
-    ``noise_model`` plugs in a full measurement-environment model from
-    :mod:`repro.assess.noise` (ADC quantization, jitter, composed
-    chains); it is applied to the energies, with the campaign RNG, after
-    ``noise_std``.  ``warmup_cycles`` random cycles are simulated before
-    recording so the internal charge states start from a realistic
-    steady state rather than the artificial all-charged reset state.
+    The campaign is the block stream of :func:`campaign_blocks`: each
+    block draws its plaintexts, then its noise, from its own spawned
+    child of ``seed`` (an integer or a ``SeedSequence``).
+    ``block_range=(first, stop)`` acquires only those blocks of the
+    ``trace_count``-trace campaign -- an engine shard -- and the
+    concatenated shards equal the whole campaign bit for bit.
 
-    ``seed`` also accepts a :class:`numpy.random.SeedSequence` or an
-    existing :class:`numpy.random.Generator` (see :data:`SeedLike`):
-    sharded campaigns hand each shard one ``SeedSequence.spawn`` child so
-    the shards draw from non-overlapping streams instead of every call
-    reseeding ``default_rng(seed)``.
+    ``noise_std`` is expressed as a fraction of the mean cycle energy of
+    each block (e.g. 0.05 adds Gaussian noise with a sigma of 5 % of the
+    block's mean), modelling measurement noise and the activity of
+    unrelated logic.  ``noise_model`` plugs in a full
+    measurement-environment model from :mod:`repro.assess.noise` (ADC
+    quantization, jitter, composed chains); it is applied to each block's
+    energies, with the block's generator, after ``noise_std``.
 
     The energies come from the compiled bit-sliced kernel
-    (:class:`repro.kernel.BitslicedCircuitEnergyModel`), fed in chunks of
-    ``batch_size`` cycles; the result does not depend on the chunking.
-    The kernel is bit-identical to the reference models of
-    :mod:`repro.sabl.simulator`, which stay as test oracles.
-    ``program`` optionally supplies an existing
+    (:class:`repro.kernel.BitslicedCircuitEnergyModel`) in one call over
+    all the requested blocks.  Every cycle is evaluated from the
+    circuit's steady state, in which each internal node an input event
+    can connect has already discharged once, so a trace depends on its
+    own plaintext alone.  The kernel is bit-identical to the reference
+    models of :mod:`repro.sabl.simulator` put into that state, which stay
+    as test oracles.  ``program`` optionally supplies an existing
     :class:`~repro.kernel.CompiledProgram` of ``circuit`` so repeated
     acquisitions (engine shards, sweeps) skip recompilation.
 
@@ -161,13 +230,6 @@ def acquire_circuit_traces(
     from ..kernel import BitslicedCircuitEnergyModel, compile_circuit
 
     width = len(circuit.primary_inputs)
-    rng = np.random.default_rng(seed)
-    # Full-width (64-bit) slices overflow the default int64 draw; the
-    # uint64 branch is taken only there so every narrower campaign keeps
-    # its pinned random stream bit-for-bit.
-    draw_dtype = {"dtype": np.uint64} if width >= 64 else {}
-    plaintexts = rng.integers(0, 1 << width, size=trace_count, **draw_dtype)
-    warmup = rng.integers(0, 1 << width, size=warmup_cycles, **draw_dtype)
     if program is None:
         program = compile_circuit(
             circuit,
@@ -180,15 +242,31 @@ def acquire_circuit_traces(
             "program was compiled from a different circuit than the one "
             "being traced; recompile with repro.kernel.compile_circuit"
         )
-    model = BitslicedCircuitEnergyModel(program)
-    if warmup_cycles:
-        model.energies(nibble_matrix(warmup, width), batch_size=batch_size)
-    energies = model.energies(nibble_matrix(plaintexts, width), batch_size=batch_size)
-    if noise_std > 0.0:
-        sigma = noise_std * float(np.mean(energies))
-        energies = energies + rng.normal(0.0, sigma, size=trace_count)
-    if noise_model is not None:
-        energies = noise_model(energies, rng)
+    blocks = campaign_blocks(trace_count, seed, *(block_range or ()))
+    rngs = [block.rng() for block in blocks]
+    # Full-width (64-bit) slices overflow the default int64 draw; the
+    # uint64 branch is taken only there.
+    draw_dtype = {"dtype": np.uint64} if width >= 64 else {}
+    plaintexts = np.concatenate(
+        [
+            rng.integers(0, 1 << width, size=block.count, **draw_dtype)
+            for block, rng in zip(blocks, rngs)
+        ]
+    )
+    energies = BitslicedCircuitEnergyModel(program).energies(
+        nibble_matrix(plaintexts, width)
+    )
+    if noise_std > 0.0 or noise_model is not None:
+        measured = []
+        bounds = np.cumsum([block.count for block in blocks])[:-1]
+        for part, rng in zip(np.split(energies, bounds), rngs):
+            if noise_std > 0.0:
+                sigma = noise_std * float(np.mean(part))
+                part = part + rng.normal(0.0, sigma, size=part.shape[0])
+            if noise_model is not None:
+                part = noise_model(part, rng)
+            measured.append(part)
+        energies = np.concatenate(measured)
     return TraceSet(
         plaintexts=plaintexts,
         traces=energies,
@@ -203,18 +281,15 @@ def simulated_energy_predictor(
     sbox: Sequence[int] = PRESENT_SBOX,
     technology: Optional[Technology] = None,
     gate_style: str = "sabl",
-    warmup_cycles: int = 4,
-    batch_size: int = 1024,
 ):
     """Build a per-key-guess energy predictor for profiled (template) CPA.
 
     The returned callable ``predict(plaintexts, guess)`` simulates a clone
     of the target implementation keyed with ``guess`` on the given
-    plaintext sequence and returns its per-cycle energies.  Attacking with
-    this predictor models the strongest reasonable adversary: one that
-    owns an identical device (or a perfect simulator of it) and can
-    profile it for every key guess.  ``batch_size`` behaves as in
-    :func:`acquire_circuit_traces`.
+    plaintext sequence and returns its steady-state per-cycle energies.
+    Attacking with this predictor models the strongest reasonable
+    adversary: one that owns an identical device (or a perfect simulator
+    of it) and can profile it for every key guess.
     """
     from ..kernel import BitslicedCircuitEnergyModel, compile_circuit
 
@@ -226,11 +301,8 @@ def simulated_energy_predictor(
         model = BitslicedCircuitEnergyModel(
             compile_circuit(circuit, technology=technology, gate_style=gate_style)
         )
-        if warmup_cycles:
-            warmup = np.zeros(warmup_cycles, dtype=np.int64)
-            model.energies(nibble_matrix(warmup), batch_size=batch_size)
         plaintexts_array = np.asarray(plaintexts, dtype=np.int64)
-        return model.energies(nibble_matrix(plaintexts_array), batch_size=batch_size)
+        return model.energies(nibble_matrix(plaintexts_array))
 
     return predict
 

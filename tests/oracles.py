@@ -1,11 +1,12 @@
 """Reference trace campaigns for checking the bit-sliced kernel.
 
 Every circuit campaign runs through
-:class:`repro.kernel.BitslicedCircuitEnergyModel`.  These helpers replay
-the random stream of :func:`repro.power.trace.acquire_circuit_traces`
-(plaintext draws, then warm-up draws, then the optional Gaussian noise)
-through the slow reference models of :mod:`repro.sabl.simulator`, so a
-test can compare a campaign against an oracle trace for trace.
+:class:`repro.kernel.BitslicedCircuitEnergyModel`, evaluated from the
+circuit's steady state.  These helpers put the slow reference models of
+:mod:`repro.sabl.simulator` into that state -- computed from the gate
+tables' ``connected`` matrices, not from the kernel plan -- and replay a
+campaign's block stream through them (restated here, not imported), so
+a test can compare a campaign against an oracle trace for trace.
 """
 
 from __future__ import annotations
@@ -17,14 +18,45 @@ import operator
 import numpy as np
 
 from repro.power.trace import nibble_matrix
-from repro.sabl.simulator import BatchedCircuitEnergyModel, CircuitPowerSimulator
+from repro.sabl.simulator import (
+    BatchedCircuitEnergyModel,
+    CircuitPowerSimulator,
+    build_gate_tables,
+)
+
+#: Traces per campaign block: block ``i`` draws its plaintexts, then its
+#: noise, from child ``i`` of ``SeedSequence(seed).spawn(n_blocks)``.
+ORACLE_BLOCK = 256
+
+
+def steady_state(model):
+    """Put a reference model into the circuit's steady state, in place.
+
+    Every internal node that some input event of its gate connects --
+    a ``True`` anywhere in its column of ``GateTable.connected`` -- has
+    discharged; nodes no event reaches keep their precharge.  Accepts a
+    :class:`BatchedCircuitEnergyModel` or a
+    :class:`CircuitPowerSimulator`; returns it.
+    """
+    if isinstance(model, BatchedCircuitEnergyModel):
+        for position, table in enumerate(model._tables):
+            model._discharged[position] = table.connected.any(axis=0)
+        return model
+    tables = build_gate_tables(
+        model.circuit, technology=model.technology, gate_style=model.gate_style
+    )
+    for table in tables:
+        simulator = model._simulators[table.gate.name]
+        reached = table.connected.any(axis=0)
+        for node, discharged in zip(table.gate.dpdn.internal_nodes(), reached):
+            simulator._charged[node] = not discharged
+    return model
 
 
 def oracle_traces(
     circuit,
     trace_count,
     seed=2005,
-    warmup_cycles=4,
     noise_std=0.0,
     stepped=True,
     batch_size=1024,
@@ -32,36 +64,89 @@ def oracle_traces(
 ):
     """``(plaintexts, traces)`` of an oracle campaign over ``circuit``.
 
-    ``stepped=True`` steps a :class:`CircuitPowerSimulator` one cycle at
-    a time (the per-trace oracle); ``stepped=False`` feeds a
-    :class:`BatchedCircuitEnergyModel` in ``batch_size`` chunks.
-    ``model_kwargs`` (``technology``, ``gate_style``, ``net_loads``,
-    ``tables``) go to the model's constructor.
+    ``stepped=True`` steps a steady-state :class:`CircuitPowerSimulator`
+    one cycle at a time (the per-trace oracle); ``stepped=False`` feeds a
+    steady-state :class:`BatchedCircuitEnergyModel` in ``batch_size``
+    chunks.  ``model_kwargs`` (``technology``, ``gate_style``,
+    ``net_loads``, ``tables``) go to the model's constructor.
     """
     width = len(circuit.primary_inputs)
-    rng = np.random.default_rng(seed)
     draw_dtype = {"dtype": np.uint64} if width >= 64 else {}
-    plaintexts = rng.integers(0, 1 << width, size=trace_count, **draw_dtype)
-    warmup = rng.integers(0, 1 << width, size=warmup_cycles, **draw_dtype)
     if stepped:
-        simulator = CircuitPowerSimulator(circuit, **model_kwargs)
-        rows = nibble_matrix(np.concatenate([warmup, plaintexts]), width)
-        energies = np.array(
-            [
-                simulator.step(dict(zip(circuit.primary_inputs, row))).total_energy
-                for row in rows
-            ]
-        )[warmup_cycles:]
+        simulator = steady_state(CircuitPowerSimulator(circuit, **model_kwargs))
+
+        def energies(plaintexts):
+            return np.array(
+                [
+                    simulator.step(dict(zip(circuit.primary_inputs, row))).total_energy
+                    for row in nibble_matrix(plaintexts, width)
+                ]
+            )
+
     else:
-        model = BatchedCircuitEnergyModel(circuit, **model_kwargs)
-        if warmup_cycles:
-            model.energies(nibble_matrix(warmup, width), batch_size=batch_size)
-        energies = model.energies(nibble_matrix(plaintexts, width), batch_size=batch_size)
-    if noise_std > 0.0:
-        sigma = noise_std * float(np.mean(energies))
-        energies = energies + rng.normal(0.0, sigma, size=trace_count)
+        model = steady_state(BatchedCircuitEnergyModel(circuit, **model_kwargs))
+
+        def energies(plaintexts):
+            return model.energies(nibble_matrix(plaintexts, width), batch_size=batch_size)
+
+    blocks = -(-trace_count // ORACLE_BLOCK)
+    plaintext_parts, energy_parts = [], []
+    for index, child in enumerate(np.random.SeedSequence(seed).spawn(blocks)):
+        count = min(ORACLE_BLOCK, trace_count - index * ORACLE_BLOCK)
+        rng = np.random.default_rng(child)
+        plaintexts = rng.integers(0, 1 << width, size=count, **draw_dtype)
+        block = energies(plaintexts)
+        if noise_std > 0.0:
+            sigma = noise_std * float(np.mean(block))
+            block = block + rng.normal(0.0, sigma, size=count)
+        plaintext_parts.append(plaintexts)
+        energy_parts.append(block)
     # TraceSet stores plaintexts as int64 (full-width draws wrap).
-    return plaintexts.astype(np.int64), energies
+    return (
+        np.concatenate(plaintext_parts).astype(np.int64),
+        np.concatenate(energy_parts),
+    )
+
+
+def oracle_assessment_stream(flow):
+    """``(energies, labels)`` of a flow's fixed-vs-random campaign.
+
+    Replays the assessment block stream through a steady-state
+    :class:`BatchedCircuitEnergyModel` of the flow's circuit: each block
+    of ``2 * traces_per_class`` holds equal fixed and random halves;
+    its generator shuffles the class order, draws the stimuli, then the
+    campaign's relative Gaussian noise.
+    """
+    campaign = flow.config.campaign
+    config = flow.config.assessment
+    circuit = flow.circuit()
+    program = flow._compiled_program()
+    model = steady_state(
+        BatchedCircuitEnergyModel(
+            circuit,
+            technology=program.technology,
+            gate_style=program.gate_style,
+            tables=program.tables,
+        )
+    )
+    width = len(circuit.primary_inputs)
+    total = 2 * config.traces_per_class
+    blocks = -(-total // ORACLE_BLOCK)
+    energy_parts, label_parts = [], []
+    for index, child in enumerate(np.random.SeedSequence(config.seed).spawn(blocks)):
+        count = min(ORACLE_BLOCK, total - index * ORACLE_BLOCK)
+        rng = np.random.default_rng(child)
+        labels = np.arange(count) < count // 2
+        rng.shuffle(labels)
+        stimuli = rng.integers(0, 1 << width, size=count)
+        stimuli[labels] = config.fixed_plaintext
+        energies = model.energies(nibble_matrix(stimuli, width))
+        if campaign.noise_std > 0.0:
+            sigma = campaign.noise_std * float(np.mean(np.abs(energies)))
+            energies = energies + rng.normal(0.0, sigma, size=count)
+        energy_parts.append(energies)
+        label_parts.append(labels)
+    return np.concatenate(energy_parts), np.concatenate(label_parts)
 
 
 # --------------------------------------------------------------------------- attacks

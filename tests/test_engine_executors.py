@@ -176,7 +176,7 @@ class TestShardTaskFailureInjection:
             name="boom_flow",
             campaign=CampaignConfig(key=0xB, trace_count=TRACES),
             assessment=AssessmentConfig(
-                enabled=True, methods=("boom",), traces_per_class=40, chunk_size=16
+                enabled=True, methods=("boom",), traces_per_class=40
             ),
             execution=execution,
         )

@@ -1,4 +1,9 @@
-"""The sharded runner: parallel == serial, merge reduce, RNG plumbing."""
+"""The campaign runner: every execution of a campaign is one result.
+
+Shard size, worker count, executor and start method only schedule the
+campaign's fixed block stream; traces, TVLA rows and store keys must
+not move with them, and must equal the block-stream oracle.
+"""
 
 from __future__ import annotations
 
@@ -13,12 +18,26 @@ from repro.flow import (
     FlowConfig,
     FlowError,
 )
+from repro.assess.ttest import ttest_fixed_vs_random
+from repro.engine.runner import assessment_store_record, trace_store_record
+from repro.engine.store import content_key
 from repro.flow.config import ConfigError
 from repro.flow.registry import ASSESSMENTS
 from repro.power import acquire_circuit_traces, acquire_model_traces, build_sbox_circuit
 
-TRACES = 48
-SHARD = 16
+from oracles import oracle_assessment_stream, oracle_traces
+
+TRACES = 600
+SHARD = 256
+
+#: Every execution the invariance tests compare: shard sizes (unset, one
+#: block, a size that rounds up, more than the campaign) in process and
+#: on two workers, plus one spawn-started pool.
+EXECUTIONS = tuple(
+    ExecutionConfig(workers=workers, shard_size=shard_size)
+    for shard_size in (None, 256, 300, 4096)
+    for workers in (1, 2)
+) + (ExecutionConfig(workers=2, shard_size=300, start_method="spawn"),)
 
 
 def _sbox_flow(execution, **campaign):
@@ -44,9 +63,19 @@ class TestTraceEquivalence:
         assert parallel.result("traces").details["executor"] == "process"
 
     def test_worker_count_does_not_change_the_result(self):
-        two = _sbox_flow(ExecutionConfig(workers=2, shard_size=SHARD))
-        four = _sbox_flow(ExecutionConfig(workers=4, shard_size=SHARD))
-        assert np.array_equal(two.traces().traces, four.traces().traces)
+        # Nor does the shard size, the executor or the start method: the
+        # traces and the store key stay those of the block-stream oracle.
+        reference = _sbox_flow(ExecutionConfig(), network_style="genuine", noise_std=0.01)
+        plaintexts, expected = oracle_traces(
+            reference.circuit(), TRACES, noise_std=0.01, stepped=False
+        )
+        key = content_key(trace_store_record(reference))
+        for execution in EXECUTIONS:
+            flow = _sbox_flow(execution, network_style="genuine", noise_std=0.01)
+            traces = flow.traces()
+            assert np.array_equal(traces.plaintexts, plaintexts), execution
+            assert np.array_equal(traces.traces, expected), execution
+            assert content_key(trace_store_record(flow)) == key, execution
 
     def test_model_source_shards_identically(self):
         serial = _sbox_flow(
@@ -73,16 +102,18 @@ class TestTraceEquivalence:
         parallel = build(ExecutionConfig(workers=2, shard_size=SHARD))
         assert np.array_equal(serial.traces().traces, parallel.traces().traces)
 
-    def test_inactive_execution_keeps_the_legacy_stream(self):
-        legacy = _sbox_flow(ExecutionConfig())
+    def test_default_execution_is_one_in_process_shard(self):
+        flow = _sbox_flow(ExecutionConfig())
         direct = acquire_circuit_traces(
             build_sbox_circuit(0xB, "fc", max_fanin=2),
             key=0xB,
             trace_count=TRACES,
             seed=2005,
         )
-        assert np.array_equal(legacy.traces().plaintexts, direct.plaintexts)
-        assert "shards" not in legacy.result("traces").details
+        assert np.array_equal(flow.traces().plaintexts, direct.plaintexts)
+        assert np.array_equal(flow.traces().traces, direct.traces)
+        details = flow.result("traces").details
+        assert (details["executor"], details["shards"]) == ("serial", 1)
 
     def test_mtd_statistics_match_between_serial_and_parallel(self):
         from repro.assess import success_rate_curve
@@ -124,46 +155,48 @@ class TestAssessmentEquivalence:
             campaign=CampaignConfig(
                 network_style="genuine", gate_style="cvsl", noise_std=0.01
             ),
-            assessment=AssessmentConfig(
-                enabled=True, traces_per_class=200, chunk_size=64
-            ),
+            assessment=AssessmentConfig(enabled=True, traces_per_class=700),
             execution=execution,
         )
         return DesignFlow.sbox(0xB, config=config)
 
     def test_sharded_assessment_matches_serial_bitwise(self):
-        serial = self._flow(ExecutionConfig(shard_size=100))
-        parallel = self._flow(ExecutionConfig(workers=2, shard_size=100))
-        four = self._flow(ExecutionConfig(workers=4, shard_size=100))
-        s = serial.assessment()["ttest"]
-        p = parallel.assessment()["ttest"]
-        f = four.assessment()["ttest"]
-        for order in (1, 2):
-            assert s.test(order).statistic == p.test(order).statistic
-            assert s.test(order).statistic == f.test(order).statistic
-        assert s.test(1).count_fixed == 200
-        assert parallel.result("assessment").details["shards"] == 4
+        # Per-block accumulators merge in block order, so the TVLA rows
+        # are bit-identical at every shard size, worker count and start
+        # method -- and agree with a one-shot t-test of the oracle stream.
+        reference = self._flow(ExecutionConfig())
+        rows = reference.assessment()["ttest"].tests
+        key = content_key(assessment_store_record(reference))
+        energies, labels = oracle_assessment_stream(reference)
+        oracle = ttest_fixed_vs_random(energies, labels)
+        for test, expected in zip(rows, oracle.tests):
+            assert np.isclose(test.statistic, expected.statistic, rtol=1e-9, atol=0.0)
+        assert rows[0].count_fixed == 700
+        for execution in EXECUTIONS:
+            flow = self._flow(execution)
+            assert flow.assessment()["ttest"].tests == rows, execution
+            assert content_key(assessment_store_record(flow)) == key, execution
+            assert flow.result("assessment").details["blocks"] == 6
 
     def test_stats_method_merges_too(self):
         config = FlowConfig(
             name="sbox_dpa",
             campaign=CampaignConfig(source="model", noise_std=0.2),
             assessment=AssessmentConfig(
-                enabled=True, methods=("ttest", "stats"),
-                traces_per_class=150, chunk_size=64,
+                enabled=True, methods=("ttest", "stats"), traces_per_class=300,
             ),
-            execution=ExecutionConfig(shard_size=60),
+            execution=ExecutionConfig(shard_size=256),
         )
         serial = DesignFlow.sbox(0xB, config=config)
         parallel = DesignFlow.sbox(
             0xB,
             config=config.replace(
-                execution=ExecutionConfig(workers=2, shard_size=60)
+                execution=ExecutionConfig(workers=2, shard_size=256)
             ),
         )
         s = serial.assessment()["stats"]
         p = parallel.assessment()["stats"]
-        assert s.fixed["count"] == p.fixed["count"] == 150
+        assert s.fixed["count"] == p.fixed["count"] == 300
         assert np.isclose(s.fixed["mean"], p.fixed["mean"], rtol=1e-10, atol=0.0)
         assert np.isclose(s.random["mean"], p.random["mean"], rtol=1e-10, atol=0.0)
 
@@ -183,10 +216,8 @@ class TestAssessmentEquivalence:
             name="sbox_dpa",
             campaign=CampaignConfig(source="model"),
             assessment=AssessmentConfig(
-                enabled=True, methods=("nomerge",), traces_per_class=40,
-                chunk_size=16,
+                enabled=True, methods=("nomerge",), traces_per_class=40
             ),
-            execution=ExecutionConfig(shard_size=20),
         )
         flow = DesignFlow.sbox(0xB, config=config)
         with pytest.raises(FlowError, match="merge"):

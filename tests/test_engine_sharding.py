@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import plan_assessment_shards, plan_shards
+from repro.engine import plan_shards
+from repro.power.trace import BLOCK_SIZE, campaign_blocks
+
+
+def _draws(shard, size=32):
+    """The first draws of a shard's first block."""
+    return shard.blocks[0].rng().integers(0, 1 << 30, size)
 
 
 class TestTracePlans:
@@ -27,16 +33,11 @@ class TestTracePlans:
         first = plan_shards(1000, 128, seed=7)
         second = plan_shards(1000, 128, seed=7)
         for a, b in zip(first, second):
-            rng_a = np.random.default_rng(a.seed_sequence)
-            rng_b = np.random.default_rng(b.seed_sequence)
-            assert np.array_equal(rng_a.integers(0, 16, 64), rng_b.integers(0, 16, 64))
+            assert np.array_equal(_draws(a), _draws(b))
 
     def test_shards_draw_from_distinct_streams(self):
         shards = plan_shards(1000, 256, seed=7)
-        draws = [
-            np.random.default_rng(shard.seed_sequence).integers(0, 1 << 30, 32)
-            for shard in shards
-        ]
+        draws = [_draws(shard) for shard in shards]
         for i in range(len(draws)):
             for j in range(i + 1, len(draws)):
                 assert not np.array_equal(draws[i], draws[j])
@@ -44,10 +45,7 @@ class TestTracePlans:
     def test_plan_depends_on_the_seed(self):
         a = plan_shards(256, 256, seed=1)[0]
         b = plan_shards(256, 256, seed=2)[0]
-        assert not np.array_equal(
-            np.random.default_rng(a.seed_sequence).integers(0, 1 << 30, 32),
-            np.random.default_rng(b.seed_sequence).integers(0, 1 << 30, 32),
-        )
+        assert not np.array_equal(_draws(a), _draws(b))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -55,41 +53,46 @@ class TestTracePlans:
         with pytest.raises(ValueError):
             plan_shards(100, 0, seed=1)
 
-    def test_min_shard_size_floors_the_shard_size(self):
-        shards = plan_shards(4000, 256, seed=1, min_shard_size=500)
-        assert [shard.count for shard in shards] == [500] * 8
-        # A floor below the requested size changes nothing.
-        small = plan_shards(1000, 256, seed=1, min_shard_size=100)
-        assert [shard.count for shard in small] == [256, 256, 256, 232]
+    def test_shards_are_runs_of_the_same_blocks(self):
+        # Whatever the shard size, the plan regroups one block stream.
+        blocks = campaign_blocks(3000, seed=9)
+        for shard_size in (None, 1, 256, 300, 1000, 4096):
+            shards = plan_shards(3000, shard_size, seed=9)
+            regrouped = [block for shard in shards for block in shard.blocks]
+            assert [b.index for b in regrouped] == [b.index for b in blocks]
+            for mine, theirs in zip(regrouped, blocks):
+                assert mine.count == theirs.count
+                assert np.array_equal(mine.rng().random(4), theirs.rng().random(4))
 
-    def test_min_shard_size_matches_an_explicit_plan(self):
-        floored = plan_shards(4000, 64, seed=9, min_shard_size=500)
-        explicit = plan_shards(4000, 500, seed=9)
-        assert [shard.count for shard in floored] == [
-            shard.count for shard in explicit
-        ]
-        for a, b in zip(floored, explicit):
+    def test_blocks_are_spawned_children_of_the_seed(self):
+        children = np.random.SeedSequence(2005).spawn(4)
+        blocks = campaign_blocks(1000, 2005)
+        assert [block.count for block in blocks] == [256, 256, 256, 232]
+        for block, child in zip(blocks, children):
             assert np.array_equal(
-                np.random.default_rng(a.seed_sequence).integers(0, 1 << 30, 16),
-                np.random.default_rng(b.seed_sequence).integers(0, 1 << 30, 16),
+                block.rng().integers(0, 1 << 30, 8),
+                np.random.default_rng(child).integers(0, 1 << 30, 8),
             )
+        # A run of blocks is planned on its own, without a shared root.
+        (third,) = campaign_blocks(1000, 2005, first=2, stop=3)
+        assert np.array_equal(third.rng().random(4), blocks[2].rng().random(4))
+        with pytest.raises(ValueError):
+            campaign_blocks(1000, 2005, first=3, stop=5)
 
 
 class TestMinShardSizeConfig:
-    """The ExecutionConfig-level floor the benchmarks rely on."""
+    """The floor on a shard: one whole block."""
 
     def test_effective_shard_size_is_floored(self):
         from repro.flow.config import ExecutionConfig
 
-        config = ExecutionConfig(workers=4, shard_size=64, min_shard_size=500)
-        assert config.effective_shard_size == 500
-        assert ExecutionConfig(shard_size=512, min_shard_size=100).effective_shard_size == 512
-
-    def test_min_shard_size_alone_does_not_activate_the_engine(self):
-        from repro.flow.config import ExecutionConfig
-
-        assert ExecutionConfig(min_shard_size=500).active is False
-        assert ExecutionConfig(workers=4, min_shard_size=500).active is True
+        assert ExecutionConfig(workers=4, shard_size=64).effective_shard_size == 256
+        assert ExecutionConfig(shard_size=300).effective_shard_size == 512
+        assert ExecutionConfig(shard_size=512).effective_shard_size == 512
+        # Unset: one block per pooled shard, one in-process shard.
+        assert ExecutionConfig(workers=2).effective_shard_size == BLOCK_SIZE
+        assert ExecutionConfig().effective_shard_size is None
+        assert ExecutionConfig(workers=2, executor="serial").effective_shard_size is None
 
     def test_floored_parallel_campaign_stays_bit_identical(self):
         from repro.flow import DesignFlow
@@ -98,7 +101,7 @@ class TestMinShardSizeConfig:
             flow = DesignFlow.sbox(0xB, trace_count=600)
             flow.config = flow.config.replace(
                 execution=flow.config.execution.replace(
-                    workers=workers, shard_size=64, min_shard_size=300
+                    workers=workers, shard_size=64
                 )
             )
             return flow.traces()
@@ -110,13 +113,13 @@ class TestMinShardSizeConfig:
 
 class TestAssessmentPlans:
     def test_classes_split_identically_and_exactly(self):
-        shards = plan_assessment_shards(1000, 256, seed=3)
-        assert all(shard.fixed_count == shard.random_count for shard in shards)
-        assert sum(shard.fixed_count for shard in shards) == 1000
-        # ~shard_size traces per shard: shard_size // 2 per class.
-        assert {shard.fixed_count for shard in shards[:-1]} == {128}
+        # An assessment of 1000 traces per class is a 2000-trace block
+        # stream; every block splits evenly into the two classes.
+        blocks = [block for shard in plan_shards(2000, 256, seed=3) for block in shard.blocks]
+        assert all(block.count % 2 == 0 for block in blocks)
+        assert sum(block.count // 2 for block in blocks) == 1000
+        assert {block.count // 2 for block in blocks[:-1]} == {BLOCK_SIZE // 2}
 
     def test_tiny_shard_size_still_progresses(self):
-        shards = plan_assessment_shards(3, 1, seed=3)
-        assert sum(shard.fixed_count for shard in shards) == 3
-        assert all(shard.fixed_count >= 1 for shard in shards)
+        shards = plan_shards(6, 1, seed=3)
+        assert [shard.count for shard in shards] == [6]

@@ -52,18 +52,19 @@ class TestContentKey:
         assert key_of(trace_count=100, noise_std=0.01) != base
         assert key_of(trace_count=100, seed=7) != base
 
-    def test_sharding_layout_is_part_of_the_content(self):
+    def test_execution_is_not_part_of_the_content(self):
+        # Shard size, workers and executor only schedule the campaign's
+        # block stream, so no execution field moves the key.
         def key_with(execution):
             flow = DesignFlow.sbox(
                 0xB, config=FlowConfig(execution=execution)
             )
             return content_key(trace_store_record(flow))
 
-        inactive = key_with(ExecutionConfig())
-        sharded = key_with(ExecutionConfig(shard_size=64))
-        assert inactive != sharded
-        # Worker count and executor do not change the streams.
-        assert key_with(ExecutionConfig(workers=4, shard_size=64)) == sharded
+        base = key_with(ExecutionConfig())
+        assert key_with(ExecutionConfig(shard_size=64)) == base
+        assert key_with(ExecutionConfig(workers=4, shard_size=300)) == base
+        assert key_with(ExecutionConfig(executor="serial", store="x")) == base
 
 
 class TestScenarioKeys:
@@ -237,7 +238,7 @@ class TestPipelineCaching:
                 campaign=CampaignConfig(source="model", noise_std=0.2),
                 assessment=AssessmentConfig(
                     enabled=True, methods=("ttest", "stats"),
-                    traces_per_class=120, chunk_size=64,
+                    traces_per_class=120,
                 ),
                 execution=ExecutionConfig(store=str(tmp_path / "store")),
             )

@@ -28,7 +28,7 @@ def _assessed_flow(gate_style, network_style, traces_per_class=400, **overrides)
         ),
         assessment=AssessmentConfig(
             enabled=True, methods=("ttest", "stats"),
-            traces_per_class=traces_per_class, chunk_size=256, **overrides,
+            traces_per_class=traces_per_class, **overrides,
         ),
     )
     return DesignFlow.sbox(config=config)
@@ -47,8 +47,8 @@ class TestAssessmentConfig:
             AssessmentConfig(methods="ttest")  # a bare string, not a tuple
         with pytest.raises(ConfigError):
             AssessmentConfig(traces_per_class=1)
-        with pytest.raises(ConfigError):
-            AssessmentConfig(chunk_size=0)
+        with pytest.raises(ConfigError, match="chunk_size"):
+            AssessmentConfig.from_dict({"chunk_size": 4096})
         with pytest.raises(ConfigError):
             AssessmentConfig(orders=(3,))
         with pytest.raises(ConfigError):
@@ -180,15 +180,13 @@ class TestEndToEnd:
         with pytest.raises(FlowError, match="unknown assessment"):
             flow.assessment()
 
-    def test_chunk_size_does_not_change_class_budgets(self):
-        for chunk_size in (17, 100, 4096):
-            flow = _assessed_flow("sabl", "fc", traces_per_class=150)
-            flow.config = flow.config.replace(
-                assessment=flow.config.assessment.replace(chunk_size=chunk_size)
-            )
+    def test_blocks_keep_exact_class_budgets(self):
+        # Every block holds equal halves, a partial last block included.
+        for traces_per_class in (2, 128, 150, 300):
+            flow = _assessed_flow("sabl", "fc", traces_per_class=traces_per_class)
             result = flow.assessment()["ttest"].test(1)
-            assert result.count_fixed == 150
-            assert result.count_random == 150
+            assert result.count_fixed == traces_per_class
+            assert result.count_random == traces_per_class
 
     def test_campaign_noise_std_applies_to_assessment(self):
         quiet = _assessed_flow("cvsl", "genuine", traces_per_class=200)
@@ -229,6 +227,9 @@ class TestAssessmentRegistry:
 
             def update(self, chunk):
                 self.seen += len(chunk)
+
+            def merge(self, other):
+                self.seen += other.seen
 
             def finalize(self):
                 return self

@@ -68,7 +68,7 @@ class TestConfigs:
             {"network_style": "open"},
             {"max_fanin": 1},
             {"noise_std": -0.1},
-            {"batch_size": 0},
+            {"gate_style": ""},
             {"source": "oscilloscope"},
             {"model_leakage": "cubic"},
         ],
@@ -275,17 +275,36 @@ class TestBatchedAcquisition:
     def test_batched_equals_sequential(self, network_style):
         circuit = build_sbox_circuit(0xB, network_style, max_fanin=3)
         plaintexts, sequential = oracle_traces(circuit, 200, seed=3, noise_std=0.01)
-        batched = acquire_circuit_traces(
-            circuit, 0xB, 200, noise_std=0.01, seed=3, batch_size=64
-        )
+        batched = acquire_circuit_traces(circuit, 0xB, 200, noise_std=0.01, seed=3)
         assert np.array_equal(plaintexts, batched.plaintexts)
         assert np.allclose(sequential, batched.traces, rtol=1e-12, atol=0.0)
 
     def test_batch_size_does_not_change_result(self):
+        # The kernel's batch size only bounds its working set.
+        from repro.kernel import BitslicedCircuitEnergyModel, compile_circuit
+
         circuit = build_sbox_circuit(0x5, "genuine", max_fanin=2)
-        small = acquire_circuit_traces(circuit, 0x5, 150, seed=9, batch_size=7)
-        large = acquire_circuit_traces(circuit, 0x5, 150, seed=9, batch_size=4096)
-        assert np.allclose(small.traces, large.traces, rtol=1e-12, atol=0.0)
+        model = BitslicedCircuitEnergyModel(compile_circuit(circuit))
+        matrix = np.random.default_rng(9).integers(0, 2, size=(1500, 4)).astype(bool)
+        assert np.array_equal(
+            model.energies(matrix, batch_size=7), model.energies(matrix, batch_size=4096)
+        )
+
+    def test_block_ranges_concatenate_to_the_campaign(self):
+        circuit = build_sbox_circuit(0x5, "genuine", max_fanin=2)
+        whole = acquire_circuit_traces(circuit, 0x5, 700, seed=9, noise_std=0.05)
+        parts = [
+            acquire_circuit_traces(
+                circuit, 0x5, 700, seed=9, noise_std=0.05, block_range=block_range
+            )
+            for block_range in ((0, 1), (1, 3))
+        ]
+        assert np.array_equal(
+            np.concatenate([part.traces for part in parts]), whole.traces
+        )
+        assert np.array_equal(
+            np.concatenate([part.plaintexts for part in parts]), whole.plaintexts
+        )
 
     def test_empty_campaign_returns_empty_energies(self):
         from repro.sabl import BatchedCircuitEnergyModel

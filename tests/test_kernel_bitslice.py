@@ -4,15 +4,17 @@ The kernel's contract is *bit-identity*: whatever circuit, gate style,
 width or back-annotated parasitics, the packed-uint64 kernel must
 return exactly the float64 energy stream of the event-table reference
 model (:class:`~repro.sabl.simulator.BatchedCircuitEnergyModel`, kept
-as the oracle).  This suite pins that contract -- deterministically on
-representative circuits and scenarios, property-based on random mapped
-circuits -- plus the kernel's memory bound and, through golden digests,
-the exact trace streams the flow produces.
+as the oracle) put into the circuit's steady state.  This suite pins
+that contract -- deterministically on representative circuits and
+scenarios, property-based on random circuits -- plus the kernel's
+statelessness, its memory bound and, through golden digests, the exact
+trace streams the flow produces.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -42,10 +44,19 @@ from repro.kernel.bitslice import _CYCLE_TILE, _distinct_rows
 from repro.obs import BufferSink, Observer, use_observer
 from repro.power import cpa_correlation, dpa_difference_of_means
 from repro.power.trace import acquire_circuit_traces, build_sbox_circuit, nibble_matrix
-from repro.sabl.circuit import map_expressions
-from repro.sabl.simulator import BatchedCircuitEnergyModel
+from repro.boolexpr.parser import parse
+from repro.core.synthesis import synthesize_fc_dpdn
+from repro.kernel.bitslice import _ExprStep
+from repro.network.build import build_genuine_dpdn
+from repro.sabl.circuit import (
+    Connection,
+    DifferentialCircuit,
+    GateInstance,
+    map_expressions,
+)
+from repro.sabl.simulator import BatchedCircuitEnergyModel, CircuitPowerSimulator
 
-from oracles import oracle_cpa, oracle_dom, oracle_traces
+from oracles import oracle_cpa, oracle_dom, oracle_traces, steady_state
 from strategies import HAVE_HYPOTHESIS, expression_strategy
 
 
@@ -54,13 +65,46 @@ def _random_matrix(rng, cycles, width):
 
 
 def _event_model(program: CompiledProgram) -> BatchedCircuitEnergyModel:
-    """The reference model over the program's shared gate tables."""
-    return BatchedCircuitEnergyModel(
-        program.circuit,
-        technology=program.technology,
-        gate_style=program.gate_style,
-        tables=program.tables,
+    """The steady-state reference model over the program's gate tables."""
+    return steady_state(
+        BatchedCircuitEnergyModel(
+            program.circuit,
+            technology=program.technology,
+            gate_style=program.gate_style,
+            tables=program.tables,
+        )
     )
+
+
+def _network_circuit(expressions, network_style="genuine"):
+    """One gate per expression, its DPDN built straight from the
+    expression (so a function that is not a flat AND/OR of literals runs
+    as an ``_ExprStep``).  Gate ``i`` reads the primary inputs, the odd
+    ones through inverted rails, and variable ``Z`` -- when present --
+    from the previous gate's output (the first gate: from input A)."""
+    build = build_genuine_dpdn if network_style == "genuine" else synthesize_fc_dpdn
+    inputs = sorted(
+        {"A", "B", "C", "D"}.union(*(expr.variables() for expr in expressions)) - {"Z"}
+    )
+    circuit = DifferentialCircuit(inputs, name="networks")
+    for index, expr in enumerate(expressions):
+        connections = {
+            name: Connection(name, inverted=bool(position % 2))
+            for position, name in enumerate(sorted(expr.variables()))
+            if name != "Z"
+        }
+        if "Z" in expr.variables():
+            connections["Z"] = Connection(f"n{index - 1}" if index else inputs[0])
+        circuit.add_gate(
+            GateInstance(
+                name=f"g{index}",
+                dpdn=build(expr),
+                connections=connections,
+                output_net=f"n{index}",
+            )
+        )
+    circuit.set_output("F", f"n{len(expressions) - 1}")
+    return circuit
 
 
 # ------------------------------------------------------------------ packing
@@ -150,9 +194,9 @@ class TestCompiledProgram:
 
 
 def _assert_bit_identical(program, matrices, batch_size=4096):
-    """Feed ``matrices`` in turn to a fresh oracle and a fresh kernel:
-    every call's energies must agree bit for bit, including the stateful
-    memory effect carried across calls.  Returns the kernel's energies."""
+    """Feed ``matrices`` in turn to a steady-state oracle and a kernel:
+    every call's energies must agree bit for bit.  Returns the kernel's
+    energies."""
     event = _event_model(program)
     bitslice = BitslicedCircuitEnergyModel(program)
     results = []
@@ -172,9 +216,8 @@ class TestBitIdentity:
         program = compile_circuit(circuit, gate_style=gate_style)
         rng = np.random.default_rng(7)
         short = _random_matrix(rng, 300, 4)
-        # 5000 cycles in one 4096-cycle batch span several kernel tiles;
-        # a constant opening longer than a tile defers the first
-        # discharges of a genuine network past the first tile boundary.
+        # 5000 cycles in one 4096-cycle batch span several kernel tiles,
+        # one of them a single repeated vector.
         long = _random_matrix(rng, 5000, 4)
         long[:1500] = long[0]
         for matrix, batch_size in ((short, 77), (long, 4096)):
@@ -184,6 +227,32 @@ class TestBitIdentity:
                     matrix, batch_size=batch_size
                 ),
             )
+
+    @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
+    @pytest.mark.parametrize("network_style", ["fc", "genuine"])
+    def test_wide_gates_and_expression_steps(self, gate_style, network_style):
+        # A 6-input XOR network (93 internal nodes, more than a uint64
+        # mask holds) and a chained non-flat gate, both run as _ExprStep
+        # gates, plus a flat 10-input AND (int32 event indices).
+        names = "ABCDEFGHIJ"
+        circuit = _network_circuit(
+            [
+                parse(" ^ ".join(names[:6])),
+                parse(" & ".join(names)),
+                parse("(Z & A) | (B & ~C)"),
+            ],
+            network_style=network_style,
+        )
+        assert max(len(g.dpdn.internal_nodes()) for g in circuit.gates) > 64
+        program = compile_circuit(circuit, gate_style=gate_style)
+        plan = program.plan()
+        assert plan.events_dtype == np.int32
+        steps = [step for level in plan.levels for step in level]
+        assert sum(isinstance(step, _ExprStep) for step in steps) == 2
+        rng = np.random.default_rng(17)
+        pool = _random_matrix(rng, 300, 10)
+        matrix = pool[rng.integers(0, 300, size=_CYCLE_TILE + 200)]
+        _assert_bit_identical(program, [matrix, matrix[:37]], batch_size=4096)
 
     def test_routed_net_loads(self):
         circuit = build_sbox_circuit(0xB)
@@ -200,24 +269,50 @@ class TestBitIdentity:
             batch_size=33,
         )
 
-    def test_reset_replays_the_memory_effect(self):
+    def test_calls_do_not_depend_on_earlier_calls(self):
+        # The kernel holds no charge state: the same input gives the same
+        # energies before and after other calls, alone or inside a batch.
         circuit = build_sbox_circuit(0x3, network_style="genuine")
         program = compile_circuit(circuit)
         model = BitslicedCircuitEnergyModel(program)
+        state = dict(vars(model))
         rng = np.random.default_rng(5)
         matrix = _random_matrix(rng, 120, 4)
+        other = _random_matrix(rng, 300, 4)
         first = model.energies(matrix, batch_size=48)
-        model.reset()
+        model.energies(other)
         assert np.array_equal(first, model.energies(matrix, batch_size=48))
+        assert np.array_equal(first, model.energies(np.vstack([other, matrix]))[300:])
+        assert np.array_equal(first, BitslicedCircuitEnergyModel(program).energies(matrix))
+        assert vars(model).keys() == state.keys()
+        assert all(vars(model)[name] is value for name, value in state.items())
 
     def test_acquire_circuit_traces_matches_the_oracle(self):
         circuit = build_sbox_circuit(0xB)
         traces = acquire_circuit_traces(circuit, key=0xB, trace_count=400, noise_std=0.01)
-        plaintexts, expected = oracle_traces(
-            circuit, 400, noise_std=0.01, stepped=False
-        )
-        assert np.array_equal(traces.plaintexts, plaintexts)
-        assert np.array_equal(traces.traces, expected)
+        for stepped in (False, True):
+            plaintexts, expected = oracle_traces(
+                circuit, 400, noise_std=0.01, stepped=stepped
+            )
+            assert np.array_equal(traces.plaintexts, plaintexts)
+            assert np.array_equal(traces.traces, expected)
+
+    @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
+    def test_discharged_reset_is_the_steady_state(self, gate_style):
+        # Nodes no event connects never recharge, so starting the
+        # reference models with every node discharged is energetically
+        # the steady state the oracle computes from the gate tables.
+        circuit = build_sbox_circuit(0x6, network_style="genuine")
+        program = compile_circuit(circuit, gate_style=gate_style)
+        matrix = _random_matrix(np.random.default_rng(19), 80, 4)
+        batched = BatchedCircuitEnergyModel(circuit, gate_style=gate_style)
+        batched.reset(charged=False)
+        stepped = CircuitPowerSimulator(circuit, gate_style=gate_style)
+        stepped.reset(charged=False)
+        expected = _event_model(program).energies(matrix)
+        assert np.array_equal(batched.energies(matrix), expected)
+        vectors = [dict(zip(circuit.primary_inputs, row)) for row in matrix]
+        assert np.array_equal(np.array(stepped.energies(vectors)), expected)
 
     def test_foreign_program_is_rejected(self):
         circuit = build_sbox_circuit(0xB)
@@ -267,8 +362,8 @@ class TestDistinctVectors:
     @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
     @pytest.mark.parametrize("network_style", ["fc", "genuine"])
     def test_fixed_plaintext_batch(self, gate_style, network_style):
-        # The TVLA fixed class: one distinct vector per tile, first in the
-        # warm-up tile of a fresh model, then in steady state.
+        # The TVLA fixed class: one distinct vector per tile, between
+        # random batches.
         program = compile_circuit(
             build_sbox_circuit(0xB, network_style=network_style),
             gate_style=gate_style,
@@ -319,26 +414,6 @@ class TestDistinctVectors:
         matrix = pool[rng.integers(0, 12, size=40)]
         _assert_bit_identical(program, [matrix, matrix])
 
-    def test_warmup_repeat_pays_the_recharge(self):
-        # A repeated vector in the warm-up tile shares its events with
-        # the first occurrence, but only the first occurrence discharges
-        # the internal nodes for free: energies must stay per cycle.
-        program = compile_circuit(build_sbox_circuit(0xB, network_style="genuine"))
-        vectors = nibble_matrix(np.array([0x6, 0x6, 0xA, 0x6, 0xA]), 4)
-        (energies,) = _assert_bit_identical(program, [vectors])
-        assert energies[0] < energies[1] == energies[3]
-
-    def test_warmup_expansion_keeps_the_sequential_fold(self):
-        # Regression: expanding the warm-up events with ``events[:, inverse]``
-        # leaves them Fortran-ordered, which turns the column sum over the
-        # gates pairwise and moves energies in the last ulp.
-        program = compile_circuit(build_sbox_circuit(0xB, network_style="genuine"))
-        assert len(program.circuit.gates) > 8
-        rng = np.random.default_rng(47)
-        pool = _random_matrix(rng, 6, 4)
-        matrix = pool[rng.integers(0, 6, size=500)]
-        _assert_bit_identical(program, [matrix])
-
     def test_distinct_cycles_counter(self):
         program = compile_circuit(build_sbox_circuit(0xB, network_style="genuine"))
         model = BitslicedCircuitEnergyModel(program)
@@ -356,7 +431,6 @@ class TestDistinctVectors:
         assert program.plan().constant_fold is not None
         model = BitslicedCircuitEnergyModel(program)
         rng = np.random.default_rng(59)
-        model.energies(_random_matrix(rng, 64, 4))
         assert _kernel_counters(model, _random_matrix(rng, 300, 4)) == (300, 0)
 
 
@@ -365,18 +439,16 @@ class TestMemory:
         "gate_style, network_style", [("cvsl", "fc"), ("sabl", "genuine")]
     )
     def test_peak_memory_does_not_grow_with_the_batch(self, gate_style, network_style):
-        # One 4096-cycle assessment chunk must not cost the kernel more
+        # One 4096-cycle batch must not cost the kernel more
         # memory than the reference model spends on the same input.
         program = compile_circuit(
             build_sbox_circuit(0xB, network_style=network_style),
             gate_style=gate_style,
         )
         rng = np.random.default_rng(3)
-        warmup = _random_matrix(rng, 4, 4)
         matrix = _random_matrix(rng, 4096, 4)
         peaks = []
         for model in (_event_model(program), BitslicedCircuitEnergyModel(program)):
-            model.energies(warmup, batch_size=4096)
             tracemalloc.start()
             try:
                 model.energies(matrix, batch_size=4096)
@@ -387,28 +459,85 @@ class TestMemory:
         assert kernel_peak <= oracle_peak, (kernel_peak, oracle_peak)
 
 
+def _circuit_strategy(st):
+    """Random circuits of every shape the kernel compiles differently:
+    mapped 4-input circuits (flat AND/OR groups), mapped 10-input ANDs at
+    fan-in 10 (int32 event indices) and expression-step gates built
+    straight from their networks, a 6-input XOR among them (93 internal
+    nodes)."""
+    mapped = st.tuples(
+        st.lists(expression_strategy(max_leaves=6), min_size=1, max_size=3),
+        st.sampled_from(["fc", "genuine"]),
+        st.sampled_from([2, 3]),
+    ).map(
+        lambda args: map_expressions(
+            {f"F{i}": expr for i, expr in enumerate(args[0])},
+            primary_inputs=["A", "B", "C", "D"],
+            network_style=args[1],
+            max_fanin=args[2],
+            name="prop",
+        )
+    )
+    names = "ABCDEFGHIJ"
+    wide = st.tuples(
+        st.lists(st.booleans(), min_size=10, max_size=10),
+        st.sampled_from(["fc", "genuine"]),
+    ).map(
+        lambda args: map_expressions(
+            {
+                "F": parse(
+                    " & ".join(
+                        f"~{name}" if negated else name
+                        for name, negated in zip(names, args[0])
+                    )
+                )
+            },
+            primary_inputs=list(names),
+            network_style=args[1],
+            max_fanin=10,
+            name="wide",
+        )
+    )
+    def varies(expr):
+        variables = sorted(expr.variables())
+        values = {
+            expr.evaluate(dict(zip(variables, bits)))
+            for bits in itertools.product([False, True], repeat=len(variables))
+        }
+        return len(values) == 2
+
+    networks = st.tuples(
+        st.lists(
+            expression_strategy(max_leaves=5, variables=("A", "B", "C", "D", "Z")).filter(
+                varies
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.booleans(),
+        st.sampled_from(["fc", "genuine"]),
+    ).map(
+        lambda args: _network_circuit(
+            ([parse("A ^ B ^ C ^ D ^ E ^ F")] if args[1] else []) + args[0],
+            network_style=args[2],
+        )
+    )
+    return st.one_of(mapped, wide, networks)
+
+
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 class TestBitIdentityProperties:
     def test_random_mapped_circuits_are_bit_identical(self):
         from hypothesis import given, settings, strategies as st
 
-        @settings(max_examples=25, deadline=None)
+        @settings(max_examples=40, deadline=None)
         @given(
-            expressions=st.lists(
-                expression_strategy(max_leaves=6), min_size=1, max_size=3
-            ),
+            circuit=_circuit_strategy(st),
             gate_style=st.sampled_from(["sabl", "cvsl"]),
-            network_style=st.sampled_from(["fc", "genuine"]),
             load_seed=st.integers(0, 2**16),
             data=st.data(),
         )
-        def check(expressions, gate_style, network_style, load_seed, data):
-            circuit = map_expressions(
-                {f"F{i}": expr for i, expr in enumerate(expressions)},
-                primary_inputs=["A", "B", "C", "D"],
-                network_style=network_style,
-                name="prop",
-            )
+        def check(circuit, gate_style, load_seed, data):
             rng = np.random.default_rng(load_seed)
             net_loads = None
             if data.draw(st.booleans()):
@@ -423,14 +552,24 @@ class TestBitIdentityProperties:
             program = compile_circuit(
                 circuit, gate_style=gate_style, net_loads=net_loads
             )
-            event = _event_model(program)
             bitslice = BitslicedCircuitEnergyModel(program)
-            cycles = data.draw(st.integers(1, 150))
-            batch_size = data.draw(st.integers(1, 96))
-            matrix = _random_matrix(rng, cycles, 4)
+            # Up to three 1024-cycle tiles, drawn from a small pool so
+            # repeats meet the tile boundaries.
+            cycles = data.draw(st.sampled_from([1, 150, 700, 2 * _CYCLE_TILE + 300]))
+            batch_size = data.draw(st.sampled_from([1, 96, 4096]))
+            width = len(circuit.primary_inputs)
+            pool = _random_matrix(rng, data.draw(st.integers(1, 40)), width)
+            matrix = pool[rng.integers(0, pool.shape[0], size=cycles)]
+            energies = bitslice.energies(matrix, batch_size=batch_size)
             assert np.array_equal(
-                event.energies(matrix, batch_size=batch_size),
-                bitslice.energies(matrix, batch_size=batch_size),
+                _event_model(program).energies(matrix, batch_size=batch_size),
+                energies,
+            )
+            # One call over every block equals one call per block.
+            blocks = [matrix[start : start + 256] for start in range(0, cycles, 256)]
+            assert np.array_equal(
+                np.concatenate([bitslice.energies(block) for block in blocks]),
+                energies,
             )
 
         check()
@@ -467,19 +606,20 @@ class TestFlowIntegration:
         assert flow.result("traces").details["simulator"] == "bitslice"
 
     def test_store_keys_ignore_the_simulator(self):
-        # Store keys must not move with the simulator: this is the key
-        # the event-table model's campaigns were stored under.
+        # Store keys carry no simulator or execution field: this is the
+        # key of the default campaign's block stream.
         from repro.engine.runner import trace_store_record
         from repro.engine.store import content_key
 
         assert content_key(trace_store_record(_sbox_flow())) == (
-            "a61fb8636518437dc0dab14ea1b40edd3613aaa6a298ee9a1bed363126c74a93"
+            "5c26ff73170ad6e980b1d42fdb2abfd1b3044379f8b355396fa7dc51e13d2f26"
         )
 
 
-def _golden_flow(campaign: str) -> DesignFlow:
+def _golden_flow(campaign: str, execution=None) -> DesignFlow:
     """The flow of one golden campaign: ``"<gate>/<network>"`` S-box,
-    ``"routed"`` or ``"sharded"`` PRESENT round slice."""
+    ``"routed"`` or ``"sharded"`` PRESENT round slice.  ``execution``
+    replaces the ``"sharded"`` campaign's two-worker execution."""
     if campaign == "routed":
         return DesignFlow(
             None,
@@ -506,7 +646,7 @@ def _golden_flow(campaign: str) -> DesignFlow:
                     network_style="genuine",
                 ),
                 scenario=ScenarioConfig(params={"sboxes": 4}),
-                execution=ExecutionConfig(workers=2, shard_size=300),
+                execution=execution or ExecutionConfig(workers=2, shard_size=300),
             ),
         )
     gate_style, network_style = campaign.split("/")
@@ -520,20 +660,21 @@ def _golden_flow(campaign: str) -> DesignFlow:
 
 
 class TestGoldenStreams:
-    """Trace streams pinned by digest, as computed by the reference model.
+    """Trace streams pinned by digest.
 
     Each digest is the first 16 hex digits of a sha256 over the
-    plaintexts then the traces (or over the TVLA rows), recorded when
-    the event-table model still produced every campaign.
+    plaintexts then the traces (or over the TVLA rows) of the campaign's
+    block stream evaluated from the steady state; the S-box and routed
+    digests were checked against the block-stream oracle when pinned.
     """
 
     @pytest.mark.parametrize(
         "gate_style, network_style, digest",
         [
-            ("sabl", "fc", "984a62d55fef6354"),
-            ("sabl", "genuine", "b33f80b980764695"),
-            ("cvsl", "fc", "980fa24c0754571a"),
-            ("cvsl", "genuine", "4e5a63714364e2b4"),
+            ("sabl", "fc", "a9c59bbab4455b53"),
+            ("sabl", "genuine", "11915df2d162c79a"),
+            ("cvsl", "fc", "8666b59c80ce5a17"),
+            ("cvsl", "genuine", "1f5fff4f07985188"),
         ],
     )
     def test_sbox_campaign(self, gate_style, network_style, digest):
@@ -541,10 +682,30 @@ class TestGoldenStreams:
         assert _traces_digest(flow) == digest
 
     def test_routed_present_round(self):
-        assert _traces_digest(_golden_flow("routed")) == "f3903f45d585fd80"
+        assert _traces_digest(_golden_flow("routed")) == "ac88fc5117d85fc8"
 
     def test_sharded_present_round(self):
-        assert _traces_digest(_golden_flow("sharded")) == "523011b1aaff8875"
+        # The two-worker, 300-trace-shard golden and its default
+        # (in-process, one-shard) twin are one stream.
+        for execution in (None, ExecutionConfig()):
+            flow = _golden_flow("sharded", execution)
+            assert _traces_digest(flow) == "e48d067cbc298de0"
+
+    @pytest.mark.parametrize("campaign", ["sabl/fc", "cvsl/genuine", "routed"])
+    def test_streams_match_the_block_oracle(self, campaign):
+        flow = _golden_flow(campaign)
+        traces = flow.traces()
+        plaintexts, expected = oracle_traces(
+            flow.circuit(),
+            flow.config.campaign.trace_count,
+            seed=flow.config.campaign.seed,
+            noise_std=flow.config.campaign.noise_std,
+            stepped=False,
+            tables=flow._compiled_program().tables,
+            gate_style=flow.config.campaign.gate_style,
+        )
+        assert np.array_equal(traces.plaintexts, plaintexts)
+        assert np.array_equal(traces.traces, expected)
 
     @pytest.mark.parametrize(
         "campaign",
@@ -581,7 +742,7 @@ class TestGoldenStreams:
         )
         result = flow.assessment()["ttest"]
         rows = repr([(t.order, t.statistic, t.leaks) for t in result.tests])
-        assert hashlib.sha256(rows.encode()).hexdigest()[:16] == "aa902c681977e237"
+        assert hashlib.sha256(rows.encode()).hexdigest()[:16] == "2a87c673f993cb4d"
 
 
 class TestConfigValidation:
@@ -595,12 +756,15 @@ class TestConfigValidation:
         assert main(["run", "--set", "simulator=bitslice"]) == 2
 
     def test_batch_size_none_is_a_config_error(self):
-        # The per-trace loop that a null batch size used to select is gone.
+        # The block is the unit of kernel calls: a stale config that
+        # still carries a batch size (or a warm-up) fails loudly.
         with pytest.raises(ConfigError, match="batch_size"):
             CampaignConfig.from_dict({"batch_size": None})
         with pytest.raises(ConfigError, match="batch_size"):
-            CampaignConfig(batch_size=0)
+            CampaignConfig().replace(batch_size=0)
+        with pytest.raises(ConfigError, match="warmup_cycles"):
+            CampaignConfig.from_dict({"warmup_cycles": 4})
 
     def test_round_trips_through_dict(self):
-        config = CampaignConfig(batch_size=256)
-        assert CampaignConfig.from_dict(config.to_dict()).batch_size == 256
+        config = CampaignConfig(seed=256, noise_std=0.01)
+        assert CampaignConfig.from_dict(config.to_dict()) == config

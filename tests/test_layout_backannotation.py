@@ -123,20 +123,14 @@ class TestStreamIdentity:
     """The acceptance pins: uniform annotation == legacy, bit for bit."""
 
     @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
-    @pytest.mark.parametrize("batch_size", [1, 64])
-    def test_uniform_c_wire_output_reproduces_legacy_streams(
-        self, circuit, gate_style, batch_size
-    ):
+    def test_uniform_c_wire_output_reproduces_legacy_streams(self, circuit, gate_style):
         tech = generic_180nm()
-        legacy = acquire_circuit_traces(
-            circuit, 0xB, 160, gate_style=gate_style, batch_size=batch_size
-        )
+        legacy = acquire_circuit_traces(circuit, 0xB, 160, gate_style=gate_style)
         annotated = acquire_circuit_traces(
             circuit,
             0xB,
             160,
             gate_style=gate_style,
-            batch_size=batch_size,
             net_loads=uniform_loads(circuit, tech.c_wire_output),
         )
         assert np.array_equal(legacy.plaintexts, annotated.plaintexts)

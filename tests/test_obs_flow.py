@@ -26,8 +26,8 @@ from repro.flow import (
 )
 from repro.obs import BufferSink, Observer, summarize_trace_file, use_observer
 
-TRACES = 48
-SHARD = 16
+TRACES = 768
+SHARD = 256
 
 #: Activates obs without touching the filesystem or the console.
 SILENT_OBS = ObservabilityConfig(sinks=("null",))
@@ -78,7 +78,7 @@ class TestBitIdentity:
                 name="obs_verdict",
                 campaign=CampaignConfig(key=0xB, trace_count=64),
                 assessment=AssessmentConfig(
-                    enabled=True, traces_per_class=200, chunk_size=128
+                    enabled=True, traces_per_class=200
                 ),
                 execution=ExecutionConfig(workers=2, shard_size=128),
                 obs=obs,

@@ -61,8 +61,8 @@ from repro.obs import (
 )
 from repro.obs import live as obs_live
 
-TRACES = 48
-SHARD = 16
+TRACES = 768
+SHARD = 256
 
 #: Live streaming with no console/file output: heartbeats every 50 ms,
 #: every event forwarded (no sampling), results untouched by contract.
@@ -441,7 +441,7 @@ class TestLiveBitIdentity:
                 name="live_verdict",
                 campaign=CampaignConfig(key=0xB, trace_count=64),
                 assessment=AssessmentConfig(
-                    enabled=True, traces_per_class=200, chunk_size=128
+                    enabled=True, traces_per_class=200
                 ),
                 execution=ExecutionConfig(workers=2, shard_size=128),
                 obs=obs,

@@ -176,7 +176,7 @@ def _round_flow(execution, **overrides):
             scenario=ScenarioConfig(params={"sboxes": 2}),
             analysis=AnalysisConfig(target_sbox=1, target_bit=2),
             assessment=AssessmentConfig(
-                enabled=True, traces_per_class=48, chunk_size=32
+                enabled=True, traces_per_class=48
             ),
             execution=execution,
         ),
