@@ -1,9 +1,11 @@
 """Extension D -- throughput of the streaming leakage-assessment stage.
 
 Certification-grade TVLA campaigns run millions of traces, far beyond
-what fits in memory as a single array.  The assessment stage streams
-batched traces straight into constant-memory moment accumulators
-(:mod:`repro.assess.accumulators`); this benchmark records
+what fits in memory as a single array.  The assessment stage streams the
+campaign's 256-trace blocks (128 fixed and 128 random traces each),
+a few blocks per kernel call, straight into moment accumulators
+(:mod:`repro.assess.accumulators`), so its memory does not grow with
+the campaign; this benchmark records
 
 * the pure accumulator throughput on synthetic data (the ceiling of the
   streaming layer itself),
@@ -20,6 +22,7 @@ import numpy as np
 
 from repro.assess import StreamingMoments, ttest_fixed_vs_random
 from repro.flow import AssessmentConfig, CampaignConfig, DesignFlow, FlowConfig
+from repro.power.trace import BLOCK_SIZE
 from repro.reporting import format_table
 
 KEY = 0xB
@@ -38,7 +41,6 @@ def _flow(name, gate_style, network_style):
         assessment=AssessmentConfig(
             enabled=True,
             traces_per_class=TRACES_PER_CLASS,
-            chunk_size=CHUNK_SIZE,
             noise=({"name": "gaussian", "std": 0.01},),
         ),
     ))
@@ -79,7 +81,7 @@ def test_streaming_assessment_throughput(benchmark):
         [[name, f"{rate:,.0f}"] for name, rate in results.items()],
         title=f"Extension D -- streaming leakage assessment "
               f"({2 * TRACES_PER_CLASS} traces/implementation, "
-              f"chunks of {CHUNK_SIZE})",
+              f"{BLOCK_SIZE}-trace blocks)",
     ))
 
     # The streaming layer must not be the bottleneck of an assessment.

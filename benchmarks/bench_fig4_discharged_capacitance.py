@@ -17,7 +17,7 @@ from repro.reporting import format_table
 from repro.sabl import SABLGate
 
 
-def test_fig4_discharge_capacitance(benchmark, and2_fc, and2_genuine, technology):
+def test_fig4_discharged_capacitance(benchmark, and2_fc, and2_genuine, technology):
     def run():
         fc_model = EventEnergyModel(and2_fc, technology, style="sabl")
         genuine_model = EventEnergyModel(and2_genuine, technology, style="sabl")

@@ -4,7 +4,7 @@ The engine runs a list of payloads one of two ways, chosen from
 :attr:`repro.flow.ExecutionConfig.pooled`: an in-process
 loop (``executor="serial"``, or a single worker), or the warm
 :class:`ProcessPoolExecutor` (``executor="process"`` with ``workers >
-1``).  Both return results *in payload order* -- the only contract the
+1``).  Both deliver results *in payload order* -- the only contract the
 runner's map-reduce needs -- and the loop is the reference the pool must
 match bit for bit.  :func:`_map_on_pool` is the one pool path: the
 runner's shard maps and the sweep's cell maps both go through it.
@@ -293,7 +293,19 @@ class ProcessPoolExecutor:
         self.heartbeat_s: Optional[float] = None
         self._handler_warned = False
 
-    def map(self, fn: Callable[[P], R], payloads: Sequence[P]) -> List[R]:
+    def map(
+        self,
+        fn: Callable[[P], R],
+        payloads: Sequence[P],
+        consume: Optional[Callable[[R], None]] = None,
+    ) -> List[R]:
+        """``fn`` over ``payloads`` on the pool, results in payload order.
+
+        With ``consume``, each result is handed to it as soon as it is
+        next in order and nothing is collected (the returned list is
+        empty), so a caller that folds results holds only the ones still
+        in flight.
+        """
         if not payloads:
             return []
         with get_observer().span(
@@ -303,9 +315,14 @@ class ProcessPoolExecutor:
             payloads=len(payloads),
             start_method=self.start_method,
         ):
-            return self._pool_map(fn, payloads)
+            return self._pool_map(fn, payloads, consume)
 
-    def _pool_map(self, fn: Callable[[P], R], payloads: Sequence[P]) -> List[R]:
+    def _pool_map(
+        self,
+        fn: Callable[[P], R],
+        payloads: Sequence[P],
+        consume: Optional[Callable[[R], None]],
+    ) -> List[R]:
         pool = _pool(self.start_method, self.workers)
         channel = _pool_channel(self.start_method, self.workers)
         streaming = channel is not None and self.on_live_events is not None
@@ -342,12 +359,13 @@ class ProcessPoolExecutor:
             # holding a task.
             iterator = pool.imap(fn, payloads, chunksize=1)
             results: List[R] = []
+            emit = results.append if consume is None else consume
             for index in range(len(payloads)):
                 try:
                     if streaming:
-                        results.append(self._next_streaming(iterator, pump))
+                        result = self._next_streaming(iterator, pump)
                     else:
-                        results.append(iterator.next(self.timeout))
+                        result = iterator.next(self.timeout)
                 except multiprocessing.TimeoutError:
                     age = (
                         time.monotonic() - last_heartbeat[0]
@@ -360,6 +378,7 @@ class ProcessPoolExecutor:
                         heartbeat_age=age,
                         heartbeat_s=self.heartbeat_s,
                     ) from None
+                emit(result)
                 pump()
             pump()
             return results
@@ -405,7 +424,8 @@ def _map_on_pool(
     total: int,
     unit: str,
     resource_sampler: Callable[[], None],
-) -> List[Tuple[Any, ...]]:
+    consume: Callable[[Tuple[Any, ...]], None],
+) -> None:
     """Map ``task`` over ``payloads`` on the warm pool, in payload order.
 
     The pool is built from ``execution``'s ``workers``, ``start_method``
@@ -418,8 +438,9 @@ def _map_on_pool(
     the events its worker buffered (:func:`repro.obs.capture_events`).
     They are replayed into ``observer`` in payload order -- live copies
     only fed the progress display, so this replay is their single
-    delivery into the parent's sinks -- and the bare ``result`` tuples
-    are returned.
+    delivery into the parent's sinks -- after the map, and the bare
+    ``result`` tuples go to ``consume`` as they arrive, so the caller
+    can fold them without holding every result at once.
     """
     executor = ProcessPoolExecutor(
         execution.workers,
@@ -439,13 +460,18 @@ def _map_on_pool(
         )
         executor.on_live_events = dispatcher
         executor.heartbeat_s = obs_config.heartbeat_s
+    buffered: List[List[Dict[str, Any]]] = []
+
+    def take(output: Tuple[Any, ...]) -> None:
+        *result, events = output
+        if events:
+            buffered.append(events)
+        consume(tuple(result))
+
     try:
-        results: List[Tuple[Any, ...]] = []
-        for *result, events in executor.map(task, payloads):
-            if events:
-                observer.replay(events)
-            results.append(tuple(result))
-        return results
+        executor.map(task, payloads, take)
+        for events in buffered:
+            observer.replay(events)
     finally:
         if dispatcher is not None:
             dispatcher.finish()

@@ -14,8 +14,10 @@ map-reduce over the campaign's fixed block stream:
    circuit once and keeps it warm across every map of the same
    campaign, sweep cell after sweep cell);
 3. **reduce** -- trace blocks are concatenated in block order; an
-   assessment shard returns one set of method accumulators per block,
-   and the parent ``merge()``-s them left to right in block order.
+   assessment shard on the pool returns one set of method accumulators
+   per block, and the parent ``merge()``-s them left to right in block
+   order as they arrive (in process each block updates the running
+   accumulators directly, the same arithmetic).
 
 Every shard result -- trace blocks and assessment accumulators alike --
 comes back through the pool's ordinary result pipe.
@@ -229,36 +231,33 @@ def sample_resource_gauges(flow: DesignFlow) -> None:
     _sample_gauges(flow._observer(), flow._artifact_store())
 
 
-def _map_shards(flow: DesignFlow, task, shards) -> List[Any]:
+def _map_shards(flow: DesignFlow, task, local, shards, consume) -> None:
     """Run shard tasks in shard order: in process or on the warm pool.
 
-    The in-process loop runs against the *local* flow object (reusing
-    its cached circuit); the pool ships the flow spec to the workers.
-    Both paths compute identical shards, and both surface a failed
-    shard as :class:`ShardTaskError` with the same context.
+    In process ``local(shard)`` runs against the *local* flow object
+    (reusing its cached circuit); the pool ships the flow spec to the
+    workers, which run ``task``.  Each shard's result goes to
+    ``consume`` as soon as it is next in shard order, so a fold holds
+    only the shards in flight.  Both paths surface a failed shard as
+    :class:`ShardTaskError` with the same context.
     """
     execution = flow.config.execution
     stage = "traces" if task is _trace_shard_task else "assessment"
     if not execution.pooled:
-        local = (
-            flow._acquire_trace_shard
-            if task is _trace_shard_task
-            else flow._run_assessment_shard
-        )
-        results: List[Any] = []
         for shard in shards:
             try:
-                results.append(local(shard))
+                result = local(shard)
             except Exception as exc:
                 raise _shard_error(stage, _flow_spec(flow), shard, exc) from exc
-        return results
+            consume(result)
+        return
     spec = _flow_spec(flow)
     if task is _trace_shard_task:
         total, unit = sum(shard.count for shard in shards), "traces"
     else:
         total, unit = len(shards), "shards"
     try:
-        results = _map_on_pool(
+        _map_on_pool(
             task,
             [(spec, shard) for shard in shards],
             execution,
@@ -267,10 +266,10 @@ def _map_shards(flow: DesignFlow, task, shards) -> List[Any]:
             total=total,
             unit=unit,
             resource_sampler=lambda: sample_resource_gauges(flow),
+            consume=lambda result: consume(result[0]),
         )
     except ShardTimeoutError as exc:
         raise _shard_error(stage, spec, shards[exc.payload_index], exc) from exc
-    return [result for (result,) in results]
 
 
 def _engine_details(execution: ExecutionConfig, shards) -> Dict[str, Any]:
@@ -302,7 +301,10 @@ def run_trace_campaign(flow: DesignFlow) -> Tuple[Any, Dict[str, Any]]:
         executor=execution.resolved_executor,
         workers=execution.workers,
     ):
-        parts = _map_shards(flow, _trace_shard_task, shards)
+        parts: List[Tuple[np.ndarray, np.ndarray]] = []
+        _map_shards(
+            flow, _trace_shard_task, flow._acquire_trace_shard, shards, parts.append
+        )
         plaintexts = np.concatenate([part[0] for part in parts])
         traces = np.concatenate([part[1] for part in parts])
         sample_resource_gauges(flow)
@@ -320,27 +322,21 @@ def run_assessment_campaign(
 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Run the flow's assessment campaign as a sharded map-reduce.
 
-    Each shard streams its blocks of the fixed-vs-random campaign, one
-    fresh set of method instances per block.  The per-block methods are
-    reduced with ``merge()`` left to right in block order and finalized
-    once, so the floating-point reduction is the same at every shard
-    size.  Returns ``(outcomes, details)``.
+    The result is the left fold, in block order, of one set of method
+    accumulators per block, finalized once -- the same floating-point
+    reduction at every shard size.  A pool shard returns its per-block
+    sets and the parent merges them into the running methods as they
+    arrive; in process each block updates the running methods directly,
+    which is the same arithmetic.  Either way the parent holds the
+    running methods and the shards in flight, never the whole campaign.
+    Returns ``(outcomes, details)``.
     """
     config = flow.config.assessment
     execution = flow.config.execution
     shards = plan_shards(
         2 * config.traces_per_class, execution.effective_shard_size, config.seed
     )
-    with flow._observer().span(
-        "engine.assessment",
-        shards=len(shards),
-        executor=execution.resolved_executor,
-        workers=execution.workers,
-    ):
-        results = _map_shards(flow, _assessment_shard_task, shards)
-        sample_resource_gauges(flow)
-    per_block = [methods for result in results for methods in result]
-    methods = per_block[0]
+    methods = flow._fresh_assessment_methods()
     for name, method in methods.items():
         if not hasattr(method, "merge"):
             raise FlowError(
@@ -348,12 +344,29 @@ def run_assessment_campaign(
                 f"every campaign block streams into its own accumulators, "
                 f"so add a merge() to the method"
             )
-    for other in per_block[1:]:
-        for name, method in methods.items():
-            method.merge(other[name])
+
+    def merge_blocks(per_block: List[Dict[str, Any]]) -> None:
+        for other in per_block:
+            for name, method in methods.items():
+                method.merge(other[name])
+
+    with flow._observer().span(
+        "engine.assessment",
+        shards=len(shards),
+        executor=execution.resolved_executor,
+        workers=execution.workers,
+    ):
+        _map_shards(
+            flow,
+            _assessment_shard_task,
+            lambda shard: flow._run_assessment_shard(shard, methods),
+            shards,
+            merge_blocks,
+        )
+        sample_resource_gauges(flow)
     outcomes = {name: method.finalize() for name, method in methods.items()}
     details = _engine_details(execution, shards)
-    details["blocks"] = len(per_block)
+    details["blocks"] = shards[-1].stop
     return outcomes, details
 
 

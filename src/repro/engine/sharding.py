@@ -14,7 +14,9 @@ equivalence is the contract the runner's tests pin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple, Union
+
+import numpy as np
 
 from ..power.trace import BLOCK_SIZE, Block, campaign_blocks
 
@@ -23,31 +25,53 @@ __all__ = ["Shard", "plan_shards"]
 
 @dataclass(frozen=True)
 class Shard:
-    """A run of whole consecutive blocks of one campaign.
+    """Blocks ``first .. stop - 1`` of one campaign.
 
     Attributes:
         index: position of the shard in the plan (and of its output in
             the reduced campaign).
-        blocks: the shard's blocks, in campaign order; each carries its
-            spawned ``SeedSequence``.
+        total: the campaign's trace count.
+        seed: the campaign's seed, the root of its block stream.
+        first: the shard's first block.
+        stop: one past the shard's last block.
+
+    A shard holds only its block range: the blocks, each with its
+    spawned ``SeedSequence``, are built when they are read, so neither a
+    plan nor a shard grows with the campaign.
     """
 
     index: int
-    blocks: Tuple[Block, ...]
+    total: int
+    seed: Union[int, np.random.SeedSequence]
+    first: int
+    stop: int
 
     def __post_init__(self) -> None:
-        if not self.blocks:
+        if not self.first < self.stop:
             raise ValueError("a shard holds at least one block")
+
+    @property
+    def blocks(self) -> Tuple[Block, ...]:
+        """The shard's blocks, in campaign order."""
+        return campaign_blocks(self.total, self.seed, self.first, self.stop)
+
+    def block_runs(self, size: int) -> Iterator[Tuple[Block, ...]]:
+        """The shard's blocks in consecutive runs of at most ``size``,
+        each run built when it is reached."""
+        for first in range(self.first, self.stop, size):
+            yield campaign_blocks(
+                self.total, self.seed, first, min(first + size, self.stop)
+            )
 
     @property
     def start(self) -> int:
         """Index of the shard's first trace in the campaign."""
-        return self.blocks[0].start
+        return self.first * BLOCK_SIZE
 
     @property
     def count(self) -> int:
         """Number of traces the shard streams."""
-        return sum(block.count for block in self.blocks)
+        return min(self.stop * BLOCK_SIZE, self.total) - self.start
 
     def describe(self) -> str:
         """Human-readable identity for error messages and logs."""
@@ -57,7 +81,9 @@ class Shard:
         )
 
 
-def plan_shards(total: int, shard_size: Optional[int], seed) -> Tuple[Shard, ...]:
+def plan_shards(
+    total: int, shard_size: Optional[int], seed: Union[int, np.random.SeedSequence]
+) -> Tuple[Shard, ...]:
     """Group the blocks of a ``total``-trace campaign into shards.
 
     ``shard_size`` rounds up to whole blocks; ``None`` makes the whole
@@ -65,11 +91,19 @@ def plan_shards(total: int, shard_size: Optional[int], seed) -> Tuple[Shard, ...
     traces.  The plan is a pure function of the arguments, and the
     traces it yields are a pure function of ``(total, seed)``.
     """
+    if total < 1:
+        raise ValueError(f"total must be positive, got {total}")
     if shard_size is not None and shard_size < 1:
         raise ValueError(f"shard_size must be positive, got {shard_size}")
-    blocks = campaign_blocks(total, seed)
-    per_shard = len(blocks) if shard_size is None else -(-shard_size // BLOCK_SIZE)
+    n_blocks = -(-total // BLOCK_SIZE)
+    per_shard = n_blocks if shard_size is None else -(-shard_size // BLOCK_SIZE)
     return tuple(
-        Shard(index=index, blocks=blocks[start : start + per_shard])
-        for index, start in enumerate(range(0, len(blocks), per_shard))
+        Shard(
+            index=index,
+            total=total,
+            seed=seed,
+            first=first,
+            stop=min(first + per_shard, n_blocks),
+        )
+        for index, first in enumerate(range(0, n_blocks, per_shard))
     )

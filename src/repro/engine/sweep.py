@@ -273,19 +273,18 @@ def run_sweep(
             if sweep_execution.pooled:
                 # Heartbeats and the cells-done counter stream mid-sweep;
                 # the per-cell buffered events stay the durable record.
-                records = [
-                    record
-                    for (record,) in _map_on_pool(
-                        _sweep_cell_task,
-                        payloads,
-                        sweep_execution,
-                        base.obs,
-                        obs,
-                        total=len(payloads),
-                        unit="cells",
-                        resource_sampler=lambda: _sample_gauges(obs),
-                    )
-                ]
+                records = []
+                _map_on_pool(
+                    _sweep_cell_task,
+                    payloads,
+                    sweep_execution,
+                    base.obs,
+                    obs,
+                    total=len(payloads),
+                    unit="cells",
+                    resource_sampler=lambda: _sample_gauges(obs),
+                    consume=lambda result: records.append(result[0]),
+                )
             else:
                 # In process the cells emit into ``obs`` directly; a
                 # buffer comes back only when ``obs`` is inactive, where

@@ -21,7 +21,18 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -86,6 +97,11 @@ _DEPENDENCIES: Dict[str, Tuple[str, ...]] = {
     "analysis": ("traces",),
     "assessment": ("layout",),
 }
+
+#: Assessment blocks per energy-source call: 16 blocks are 4096 traces,
+#: four kernel tiles -- enough to amortise the per-call cost, small
+#: enough that the stream's working set stays bounded.
+ASSESSMENT_BLOCKS_PER_CALL = 16
 
 
 class FlowError(RuntimeError):
@@ -603,12 +619,12 @@ class DesignFlow:
         )
         return self._program
 
-    def _acquire_blocks(self, blocks) -> TraceSet:
-        """Acquire a run of consecutive campaign blocks.
+    def _acquire_blocks(self, shard) -> TraceSet:
+        """Acquire an engine shard's run of consecutive campaign blocks.
 
-        ``blocks`` come from :func:`repro.power.trace.campaign_blocks`
-        over the campaign's trace count and seed; the runner hands each
-        shard its run, an in-process campaign hands over all of them.
+        The blocks are those of :func:`repro.power.trace.campaign_blocks`
+        over the campaign's trace count and seed; an in-process campaign
+        is one shard holding all of them.
         """
         campaign = self.config.campaign
         if campaign.source == "model":
@@ -622,7 +638,7 @@ class DesignFlow:
                     noise_std=campaign.noise_std,
                     seed=block.seed,
                 )
-                for block in blocks
+                for block in shard.blocks
             ]
             return TraceSet(
                 plaintexts=np.concatenate([part.plaintexts for part in parts]),
@@ -641,7 +657,7 @@ class DesignFlow:
             seed=campaign.seed,
             net_loads=self._net_loads(),
             program=self._compiled_program(),
-            block_range=(blocks[0].index, blocks[-1].index + 1),
+            block_range=(shard.first, shard.stop),
         )
 
     def _acquire_trace_shard(self, shard) -> Tuple[np.ndarray, np.ndarray]:
@@ -653,7 +669,7 @@ class DesignFlow:
         obs = self._observer()
         start = time.perf_counter()
         with obs.span("shard.traces", index=shard.index, count=shard.count):
-            traces = self._acquire_blocks(shard.blocks)
+            traces = self._acquire_blocks(shard)
         if obs.active:
             obs.histogram(
                 "shard.duration_s", time.perf_counter() - start, stage="traces"
@@ -813,14 +829,15 @@ class DesignFlow:
 
         return width, energies
 
-    def _assessment_chunks(self, blocks, noise: NoiseChain) -> List[AssessmentChunk]:
-        """The fixed-vs-random chunks of a run of assessment blocks.
+    def _assessment_chunks(self, shard) -> Iterator[AssessmentChunk]:
+        """The fixed-vs-random chunks of a shard's blocks, in block order.
 
         Each block (see :func:`repro.power.trace.campaign_blocks`) holds
         equal fixed and random halves in a shuffled order: its generator
-        draws the class order, then the stimuli, then the ``noise``
-        chain's draws.  The stimuli of every block go through one
-        energy-source call.
+        draws the class order, then the stimuli, then the noise chain's
+        draws.  The stimuli go through the energy source
+        :data:`ASSESSMENT_BLOCKS_PER_CALL` blocks at a time, so the
+        working set does not grow with the shard.
         """
         config = self.config.assessment
         width, energies = self._assessment_energy_source()
@@ -829,29 +846,29 @@ class DesignFlow:
                 f"fixed_plaintext {config.fixed_plaintext:#x} does not fit the "
                 f"{width}-bit stimulus of flow {self.config.name!r}"
             )
-        rngs = [block.rng() for block in blocks]
-        labels = []
-        plaintexts = []
-        for block, rng in zip(blocks, rngs):
-            block_labels = np.zeros(block.count, dtype=bool)
-            block_labels[: block.count // 2] = True
-            rng.shuffle(block_labels)
-            stimuli = rng.integers(0, 1 << width, size=block.count)
-            stimuli[block_labels] = config.fixed_plaintext
-            labels.append(block_labels)
-            plaintexts.append(stimuli)
-        measured = energies(np.concatenate(plaintexts))
-        bounds = np.cumsum([block.count for block in blocks])[:-1]
-        chunks = []
-        for block_labels, stimuli, part, rng in zip(
-            labels, plaintexts, np.split(measured, bounds), rngs
-        ):
-            if len(noise):
-                part = noise(part, rng)
-            chunks.append(
-                AssessmentChunk(plaintexts=stimuli, labels=block_labels, energies=part)
-            )
-        return chunks
+        noise = self._assessment_noise_chain()
+        for group in shard.block_runs(ASSESSMENT_BLOCKS_PER_CALL):
+            rngs = [block.rng() for block in group]
+            labels = []
+            plaintexts = []
+            for block, rng in zip(group, rngs):
+                block_labels = np.zeros(block.count, dtype=bool)
+                block_labels[: block.count // 2] = True
+                rng.shuffle(block_labels)
+                stimuli = rng.integers(0, 1 << width, size=block.count)
+                stimuli[block_labels] = config.fixed_plaintext
+                labels.append(block_labels)
+                plaintexts.append(stimuli)
+            measured = energies(np.concatenate(plaintexts))
+            bounds = np.cumsum([block.count for block in group])[:-1]
+            for block_labels, stimuli, part, rng in zip(
+                labels, plaintexts, np.split(measured, bounds), rngs
+            ):
+                if len(noise):
+                    part = noise(part, rng)
+                yield AssessmentChunk(
+                    plaintexts=stimuli, labels=block_labels, energies=part
+                )
 
     def _assessment_noise_chain(self) -> NoiseChain:
         """The assessment bench: campaign noise first, then the configured models.
@@ -884,24 +901,31 @@ class DesignFlow:
             for name in config.methods
         }
 
-    def _run_assessment_shard(self, shard) -> List[Dict[str, Any]]:
-        """Stream one engine shard, one fresh set of methods per block.
+    def _run_assessment_shard(
+        self, shard, methods: Optional[Dict[str, Any]] = None
+    ) -> List[Dict[str, Any]]:
+        """Stream one engine shard's blocks into assessment methods.
 
-        Returns the per-block methods in block order; the runner merges
-        them left to right (see
-        :func:`repro.engine.runner.run_assessment_campaign`).
+        Without ``methods`` (a pool worker) every block streams into a
+        fresh set, and the per-block sets come back in block order for
+        the parent to merge left to right (see
+        :func:`repro.engine.runner.run_assessment_campaign`).  In process
+        the runner passes its running ``methods`` and each block updates
+        them directly -- the same arithmetic, since ``update`` folds a
+        block's moments in with the formula ``merge`` uses -- and the
+        returned list is empty.
         """
         obs = self._observer()
         start = time.perf_counter()
+        per_block: List[Dict[str, Any]] = []
         with obs.span("shard.assessment", index=shard.index, count=shard.count):
-            per_block = []
-            for chunk in self._assessment_chunks(
-                shard.blocks, self._assessment_noise_chain()
-            ):
-                methods = self._fresh_assessment_methods()
-                for method in methods.values():
+            for chunk in self._assessment_chunks(shard):
+                target = methods
+                if target is None:
+                    target = self._fresh_assessment_methods()
+                    per_block.append(target)
+                for method in target.values():
                     method.update(chunk)
-                per_block.append(methods)
         if obs.active:
             obs.histogram(
                 "shard.duration_s", time.perf_counter() - start, stage="assessment"

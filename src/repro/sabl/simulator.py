@@ -81,15 +81,10 @@ class CircuitPowerSimulator:
         }
         self._cycle = 0
 
-    def reset(self, charged: bool = True) -> None:
-        """Reset every gate's internal charge state and the cycle counter.
-
-        ``charged=False`` starts from every internal node discharged:
-        energetically the circuit's steady state, since a node no input
-        event connects never costs a recharge either way.
-        """
+    def reset(self) -> None:
+        """Reset every gate's internal charge state and the cycle counter."""
         for simulator in self._simulators.values():
-            simulator.reset(charged)
+            simulator.reset()
         self._cycle = 0
 
     @property
@@ -291,15 +286,11 @@ class BatchedCircuitEnergyModel:
         self._event_rows: Dict[Tuple[bool, ...], np.ndarray] = {}
         self.reset()
 
-    def reset(self, charged: bool = True) -> None:
-        """Return every internal node to the precharged state.
-
-        ``charged=False`` discharges every internal node instead, like
-        :meth:`CircuitPowerSimulator.reset`.
-        """
+    def reset(self) -> None:
+        """Return every internal node to the precharged state."""
         # True once a node has discharged (lost its initial precharge).
         self._discharged = [
-            np.full(table.internal_caps.shape, not charged) for table in self._tables
+            np.zeros(table.internal_caps.shape, dtype=bool) for table in self._tables
         ]
 
     # ------------------------------------------------------------------ events

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,23 @@ class TestEndToEnd:
             result = flow.assessment()["ttest"].test(1)
             assert result.count_fixed == traces_per_class
             assert result.count_random == traces_per_class
+
+    def test_peak_memory_does_not_grow_with_the_campaign(self):
+        # The in-process stream walks 16 blocks per kernel call into
+        # running accumulators: an 8x longer campaign peaks no higher.
+        def peak(traces_per_class):
+            flow = _assessed_flow("sabl", "genuine", traces_per_class=traces_per_class)
+            flow.circuit()  # synthesis stays outside the measurement
+            tracemalloc.start()
+            try:
+                flow.assessment()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(128)  # first-use allocations stay outside the comparison
+        short, long = peak(4096), peak(32768)
+        assert long < 1.25 * short
 
     def test_campaign_noise_std_applies_to_assessment(self):
         quiet = _assessed_flow("cvsl", "genuine", traces_per_class=200)

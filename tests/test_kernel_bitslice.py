@@ -54,7 +54,7 @@ from repro.sabl.circuit import (
     GateInstance,
     map_expressions,
 )
-from repro.sabl.simulator import BatchedCircuitEnergyModel, CircuitPowerSimulator
+from repro.sabl.simulator import BatchedCircuitEnergyModel
 
 from oracles import oracle_cpa, oracle_dom, oracle_traces, steady_state
 from strategies import HAVE_HYPOTHESIS, expression_strategy
@@ -296,23 +296,6 @@ class TestBitIdentity:
             )
             assert np.array_equal(traces.plaintexts, plaintexts)
             assert np.array_equal(traces.traces, expected)
-
-    @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
-    def test_discharged_reset_is_the_steady_state(self, gate_style):
-        # Nodes no event connects never recharge, so starting the
-        # reference models with every node discharged is energetically
-        # the steady state the oracle computes from the gate tables.
-        circuit = build_sbox_circuit(0x6, network_style="genuine")
-        program = compile_circuit(circuit, gate_style=gate_style)
-        matrix = _random_matrix(np.random.default_rng(19), 80, 4)
-        batched = BatchedCircuitEnergyModel(circuit, gate_style=gate_style)
-        batched.reset(charged=False)
-        stepped = CircuitPowerSimulator(circuit, gate_style=gate_style)
-        stepped.reset(charged=False)
-        expected = _event_model(program).energies(matrix)
-        assert np.array_equal(batched.energies(matrix), expected)
-        vectors = [dict(zip(circuit.primary_inputs, row)) for row in matrix]
-        assert np.array_equal(np.array(stepped.energies(vectors)), expected)
 
     def test_foreign_program_is_rejected(self):
         circuit = build_sbox_circuit(0xB)
