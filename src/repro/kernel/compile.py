@@ -3,8 +3,9 @@
 A :class:`CompiledProgram` bundles everything the energy models
 need that is independent of the trace data: the circuit, the resolved
 technology card, the per-gate event/energy tables
-(:func:`repro.sabl.simulator.build_gate_tables` -- the expensive,
-width-independent part of model construction) and, built lazily on
+(:func:`repro.sabl.simulator.build_gate_tables`, which walks the input
+events of each distinct gate network once, so its cost scales with the
+circuit's gate templates, not its gate instances) and, built lazily on
 first use, the bit-sliced straight-line plan of
 :mod:`repro.kernel.bitslice`.  The flow pipeline caches one program per
 flow alongside the circuit stage, and every engine worker reuses its
@@ -106,7 +107,9 @@ def compile_circuit(
 
     The arguments mirror the simulator constructors; ``net_loads``
     back-annotates routed per-net rail capacitances exactly like
-    :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel`.
+    :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel`.  With
+    observability on, the ``kernel.gate_templates`` counter reports how
+    many distinct gate networks had their event tables built.
     """
     technology = technology or generic_180nm()
     obs = get_observer()
@@ -125,6 +128,11 @@ def compile_circuit(
             "kernel.compile_s",
             time.perf_counter() - tick,
             gates=len(tables),
+            gate_style=gate_style,
+        )
+        obs.counter(
+            "kernel.gate_templates",
+            len({id(table.connected) for table in tables}),
             gate_style=gate_style,
         )
     return CompiledProgram(

@@ -168,6 +168,9 @@ class _Mapper:
         self.network_style = network_style
         self.prefix = prefix
         self._counter = 0
+        # One synthesised network per (operator, fan-in): the network
+        # style is fixed per mapper, and every gate gets its own copy.
+        self._templates: Dict[Tuple[type, int], DifferentialPullDownNetwork] = {}
 
     def _fresh(self, stem: str) -> str:
         self._counter += 1
@@ -200,18 +203,22 @@ class _Mapper:
             connections = grouped
         return self._emit_gate(operator, connections)
 
+    def _template(self, operator, fanin: int) -> DifferentialPullDownNetwork:
+        key = (operator, fanin)
+        template = self._templates.get(key)
+        if template is None:
+            function = operator(*(Var(f"in{i}") for i in range(fanin)))
+            build = synthesize_fc_dpdn if self.network_style == "fc" else build_genuine_dpdn
+            template = self._templates[key] = build(function)
+        return template
+
     def _emit_gate(self, operator, connections: List[Connection]) -> Connection:
         variables = [f"in{i}" for i in range(len(connections))]
-        function = operator(*(Var(name) for name in variables))
         gate_name = self._fresh("g")
-        if self.network_style == "fc":
-            dpdn = synthesize_fc_dpdn(function, name=gate_name)
-        else:
-            dpdn = build_genuine_dpdn(function, name=gate_name)
         output_net = self._fresh("n")
         gate = GateInstance(
             name=gate_name,
-            dpdn=dpdn,
+            dpdn=self._template(operator, len(connections)).copy(name=gate_name),
             connections={
                 variable: connection
                 for variable, connection in zip(variables, connections)
@@ -241,6 +248,9 @@ def map_expressions(
             ``"genuine"`` builds conventional (leaky) gates -- the two
             circuits compared by the DPA benchmark.
         name: circuit name.
+
+    Each distinct ``(operator, fan-in)`` network is synthesised once per
+    call; every gate holds its own copy of it, named after the gate.
     """
     if primary_inputs is None:
         names = set()

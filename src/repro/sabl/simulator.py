@@ -16,7 +16,7 @@ to its differential power analysis.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -135,9 +135,11 @@ class GateTable:
     baseline capacitance (recharged module outputs plus output load), so
     a whole campaign reduces to NumPy gathers over these tables.
 
-    Tables are immutable once built and hold no charge state, so one set
-    can be shared between any number of energy models (the compiled
-    kernel of :mod:`repro.kernel` and this module's reference model).
+    Tables hold no charge state and their arrays are read-only: gates of
+    one network structure share them (see :func:`build_gate_tables`),
+    and one set can be shared between any number of energy models (the
+    compiled kernel of :mod:`repro.kernel` and this module's reference
+    model).
     """
 
     gate: GateInstance
@@ -155,6 +157,10 @@ class GateTable:
     def __post_init__(self) -> None:
         if self.cap_dot is None:
             self.cap_dot = self.connected @ self.internal_caps
+        arrays = (self.internal_caps, self.connected, self.baseline, self.cap_dot, self.extra)
+        for array in arrays:
+            if array is not None:
+                array.setflags(write=False)
 
     def event_index(self, event: Mapping[str, bool]) -> int:
         index = 0
@@ -162,6 +168,52 @@ class GateTable:
             if event[variable]:
                 index |= 1 << bit
         return index
+
+
+def _baseline(model: EventEnergyModel, recharged) -> np.ndarray:
+    """Recharged module outputs plus output load, per event."""
+    return np.array(
+        [model.capacitances.total(nodes) + model.output_load for nodes in recharged],
+        dtype=float,
+    )
+
+
+def _walk_events(gate: GateInstance, model: EventEnergyModel):
+    """Walk every input event of ``gate``'s network once.
+
+    Returns ``(table, recharged, values)``: the gate's layout-free
+    table, and per event the module outputs (X, Y) it discharges and the
+    gate's output value (none without a function, which a routed gate
+    must have), from which a routed gate's ``baseline`` and ``extra``
+    are built.
+    """
+    dpdn = gate.dpdn
+    variables = tuple(dpdn.variables())
+    internal = dpdn.internal_nodes()
+    caps = np.array(
+        [model.capacitances.capacitance(node) for node in internal], dtype=float
+    )
+    event_count = 1 << len(variables)
+    connected = np.zeros((event_count, len(internal)), dtype=bool)
+    recharged = []
+    values = []
+    for index in range(event_count):
+        assignment = {
+            variable: bool((index >> bit) & 1) for bit, variable in enumerate(variables)
+        }
+        nodes = model.discharged_nodes(assignment)
+        connected[index] = [node in nodes for node in internal]
+        recharged.append(tuple(node for node in (dpdn.x, dpdn.y) if node in nodes))
+        if dpdn.function is not None:
+            values.append(bool(dpdn.function.evaluate(assignment)))
+    table = GateTable(
+        gate=gate,
+        variables=variables,
+        internal_caps=caps,
+        connected=connected,
+        baseline=_baseline(model, recharged),
+    )
+    return table, recharged, values
 
 
 def build_gate_tables(
@@ -173,59 +225,50 @@ def build_gate_tables(
 ) -> List[GateTable]:
     """Build the per-gate event tables of ``circuit``, in gate order.
 
-    This is the (one-time, width-independent) expensive part of
-    constructing a :class:`BatchedCircuitEnergyModel`; it is exposed so
-    :mod:`repro.kernel` can compile a circuit once and share the tables
-    between its kernel and the reference model.
+    A mapped circuit instantiates a few gate networks many times, so the
+    per-event walk (which internal nodes each event connects, which
+    module outputs discharge, the output value) runs once per distinct
+    network structure, and every gate of that structure shares its
+    read-only ``connected``, ``internal_caps`` and ``cap_dot`` arrays.
+    A gate whose output net has a routed wire load in ``net_loads`` gets
+    its own ``baseline`` and ``extra``, computed from its own charge
+    model; the others share the structure's layout-free ``baseline``.
+    :mod:`repro.kernel` compiles circuits through this function and
+    shares the tables between its kernel and the reference model.
     """
     technology = technology or generic_180nm()
     net_loads = net_loads or {}
+    walks: Dict[tuple, tuple] = {}
     tables: List[GateTable] = []
     for gate in circuit.gates:
+        dpdn = gate.dpdn
+        structure = (dpdn.x, dpdn.y, dpdn.z, dpdn.transistors, dpdn.function)
+        walk = walks.get(structure)
+        if walk is None:
+            model = EventEnergyModel(
+                dpdn, technology, style=gate_style, output_load=output_load
+            )
+            walk = walks[structure] = _walk_events(gate, model)
+        template, recharged, values = walk
+        wire_load = net_loads.get(gate.output_net)
+        if wire_load is None:
+            tables.append(replace(template, gate=gate))
+            continue
         model = EventEnergyModel(
-            gate.dpdn,
+            dpdn,
             technology,
             style=gate_style,
             output_load=output_load,
-            wire_load=net_loads.get(gate.output_net),
+            wire_load=wire_load,
         )
-        variables = tuple(gate.dpdn.variables())
-        internal = gate.dpdn.internal_nodes()
-        caps = np.array(
-            [model.capacitances.capacitance(node) for node in internal], dtype=float
-        )
-        event_count = 1 << len(variables)
-        connected = np.zeros((event_count, len(internal)), dtype=bool)
-        baseline = np.empty(event_count, dtype=float)
-        extra = (
-            np.empty(event_count, dtype=float)
-            if model.wire_load is not None
-            else None
-        )
-        for index in range(event_count):
-            assignment = {
-                variable: bool((index >> bit) & 1)
-                for bit, variable in enumerate(variables)
-            }
-            nodes = model.discharged_nodes(assignment)
-            connected[index] = [node in nodes for node in internal]
-            recharged_outputs = [
-                node for node in (gate.dpdn.x, gate.dpdn.y) if node in nodes
-            ]
-            baseline[index] = (
-                model.capacitances.total(recharged_outputs) + model.output_load
-            )
-            if extra is not None:
-                value = bool(gate.dpdn.function.evaluate(assignment))
-                extra[index] = model.swing_excess(value)
         tables.append(
-            GateTable(
+            replace(
+                template,
                 gate=gate,
-                variables=variables,
-                internal_caps=caps,
-                connected=connected,
-                baseline=baseline,
-                extra=extra,
+                baseline=_baseline(model, recharged),
+                extra=np.array(
+                    [model.swing_excess(value) for value in values], dtype=float
+                ),
             )
         )
     return tables

@@ -3,26 +3,29 @@
 Every circuit campaign runs through
 :class:`repro.kernel.BitslicedCircuitEnergyModel`, evaluated from the
 circuit's steady state.  These helpers put the slow reference models of
-:mod:`repro.sabl.simulator` into that state -- computed from the gate
-tables' ``connected`` matrices, not from the kernel plan -- and replay a
-campaign's block stream through them (restated here, not imported), so
-a test can compare a campaign against an oracle trace for trace.
+:mod:`repro.sabl.simulator` into that state -- the batched model from
+its gate tables' ``connected`` matrices, the per-trace simulator from
+each gate's own charge model, neither from the kernel plan -- and
+replay a campaign's block stream through them (restated here, not
+imported), so a test can compare a campaign against an oracle trace for
+trace.  :func:`oracle_gate_tables` restates the per-gate table build
+that :func:`repro.sabl.simulator.build_gate_tables` shares between
+gates of one network structure.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 
 import numpy as np
 
+from repro.electrical.energy import EventEnergyModel
+from repro.electrical.technology import generic_180nm
 from repro.power.trace import nibble_matrix
-from repro.sabl.simulator import (
-    BatchedCircuitEnergyModel,
-    CircuitPowerSimulator,
-    build_gate_tables,
-)
+from repro.sabl.simulator import BatchedCircuitEnergyModel, CircuitPowerSimulator
 
 #: Traces per campaign block: block ``i`` draws its plaintexts, then its
 #: noise, from child ``i`` of ``SeedSequence(seed).spawn(n_blocks)``.
@@ -32,25 +35,88 @@ ORACLE_BLOCK = 256
 def steady_state(model):
     """Put a reference model into the circuit's steady state, in place.
 
-    Every internal node that some input event of its gate connects --
-    a ``True`` anywhere in its column of ``GateTable.connected`` -- has
-    discharged; nodes no event reaches keep their precharge.  Accepts a
-    :class:`BatchedCircuitEnergyModel` or a
-    :class:`CircuitPowerSimulator`; returns it.
+    Every internal node that some input event of its gate connects has
+    discharged; nodes no event reaches keep their precharge.  For a
+    :class:`BatchedCircuitEnergyModel` the reached nodes are a ``True``
+    anywhere in a column of ``GateTable.connected``; for a
+    :class:`CircuitPowerSimulator` they are the union of each gate's own
+    ``EventEnergyModel.discharged_nodes`` over all ``2**k`` events, so
+    the stepped oracle shares no table with the fast path.  Returns the
+    model.
     """
     if isinstance(model, BatchedCircuitEnergyModel):
         for position, table in enumerate(model._tables):
             model._discharged[position] = table.connected.any(axis=0)
         return model
-    tables = build_gate_tables(
-        model.circuit, technology=model.technology, gate_style=model.gate_style
-    )
-    for table in tables:
-        simulator = model._simulators[table.gate.name]
-        reached = table.connected.any(axis=0)
-        for node, discharged in zip(table.gate.dpdn.internal_nodes(), reached):
-            simulator._charged[node] = not discharged
+    for gate in model.circuit.gates:
+        simulator = model._simulators[gate.name]
+        variables = gate.dpdn.variables()
+        reached = set()
+        for values in itertools.product((False, True), repeat=len(variables)):
+            reached |= simulator.model.discharged_nodes(dict(zip(variables, values)))
+        for node in gate.dpdn.internal_nodes():
+            simulator._charged[node] = node not in reached
     return model
+
+
+def oracle_gate_tables(
+    circuit, technology=None, gate_style="sabl", output_load=None, net_loads=None
+):
+    """Per-gate event tables, each gate's events walked on their own.
+
+    One dict per gate, in gate order, with the fields of
+    :class:`repro.sabl.simulator.GateTable` (``cap_dot`` is
+    ``connected @ internal_caps``, ``extra`` is ``None`` without a wire
+    load), built by one charge model per gate as the table build did
+    before it shared walks between gates of one network structure.
+    """
+    technology = technology or generic_180nm()
+    net_loads = net_loads or {}
+    tables = []
+    for gate in circuit.gates:
+        model = EventEnergyModel(
+            gate.dpdn,
+            technology,
+            style=gate_style,
+            output_load=output_load,
+            wire_load=net_loads.get(gate.output_net),
+        )
+        variables = tuple(gate.dpdn.variables())
+        internal = gate.dpdn.internal_nodes()
+        caps = np.array(
+            [model.capacitances.capacitance(node) for node in internal], dtype=float
+        )
+        event_count = 1 << len(variables)
+        connected = np.zeros((event_count, len(internal)), dtype=bool)
+        baseline = np.empty(event_count, dtype=float)
+        extra = np.empty(event_count, dtype=float) if model.wire_load is not None else None
+        for index in range(event_count):
+            assignment = {
+                variable: bool((index >> bit) & 1)
+                for bit, variable in enumerate(variables)
+            }
+            nodes = model.discharged_nodes(assignment)
+            connected[index] = [node in nodes for node in internal]
+            recharged_outputs = [
+                node for node in (gate.dpdn.x, gate.dpdn.y) if node in nodes
+            ]
+            baseline[index] = (
+                model.capacitances.total(recharged_outputs) + model.output_load
+            )
+            if extra is not None:
+                value = bool(gate.dpdn.function.evaluate(assignment))
+                extra[index] = model.swing_excess(value)
+        tables.append(
+            {
+                "variables": variables,
+                "internal_caps": caps,
+                "connected": connected,
+                "baseline": baseline,
+                "cap_dot": connected @ caps,
+                "extra": extra,
+            }
+        )
+    return tables
 
 
 def oracle_traces(
