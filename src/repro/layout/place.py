@@ -11,10 +11,16 @@ Placement is the classic two-step recipe:
 
 1. **greedy constructive** -- gates are placed in topological (netlist)
    order, each at the free site nearest to the centroid of its already
-   placed fan-in, which gives a sane initial wirelength;
+   placed fan-in, which gives a sane initial wirelength.  The nearest
+   site is a masked ``argmin`` of the Manhattan distance over the whole
+   grid (occupied sites are ``inf``): the first minimum in row-major
+   order, i.e. ties go to the smallest ``(row, col)``;
 2. **simulated-annealing refinement** -- seeded random move/swap
    proposals accepted by half-perimeter-wirelength (HPWL) delta under a
-   geometric temperature schedule.
+   geometric temperature schedule.  Each net's pad bounding box and gate
+   pins are fixed up front, so a touched net's HPWL is a scan of its
+   gates' current sites; HPWLs are integer-valued, so every sum is exact
+   and independent of order.
 
 Both steps are fully deterministic for a fixed seed (the annealer draws
 from ``numpy.random.default_rng(seed)``), which is what lets layout
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,9 +113,11 @@ def terminal_pin_sites(
 ) -> List[Site]:
     """Pin sites of one net: driver (gate or pad), sinks, output pads.
 
-    The single geometry rule shared by HPWL accounting (constructive and
-    annealing) and the router -- the three must always agree on where a
-    net's pins are.
+    The single geometry rule behind every pin: the router reads it
+    through :meth:`Placement.pin_sites`, and :func:`_net_bounds` splits
+    it into the fixed pad bounds and the gate pins from which the placer
+    computes each net's HPWL -- all of them must agree on where a net's
+    pins are.
     """
     sites = [
         input_pads[terminal.driver] if terminal.is_input else gates[terminal.driver]
@@ -163,23 +171,53 @@ def _edge_pads(names: Sequence[str], rows: int, column: int) -> Dict[str, Site]:
     }
 
 
-def _net_pins(
-    terminals: Mapping[str, NetTerminals],
-    gates: Mapping[str, Site],
+#: One net's HPWL inputs: its pad bounding box ``(row_min, row_max,
+#: col_min, col_max)`` (``None`` without pads) and its gate pins (gate
+#: indices, driver first when a gate drives it).
+_NetBounds = Tuple[Optional[Tuple[int, int, int, int]], Tuple[int, ...]]
+
+
+def _net_bounds(
+    terminal: NetTerminals,
+    gate_index: Mapping[str, int],
     input_pads: Mapping[str, Site],
     output_pads: Mapping[str, Site],
-) -> Dict[str, List[Site]]:
-    """Pin sites of every net under one gate assignment."""
-    return {
-        net: terminal_pin_sites(terminal, gates, input_pads, output_pads)
-        for net, terminal in terminals.items()
-    }
+) -> _NetBounds:
+    """Split one net's :func:`terminal_pin_sites` into pads and gate pins."""
+    if terminal.is_input:
+        pads, gates = [input_pads[terminal.driver]], []
+    else:
+        pads, gates = [], [gate_index[terminal.driver]]
+    gates.extend(gate_index[sink] for sink in terminal.sinks)
+    pads.extend(output_pads[name] for name in terminal.output_names)
+    if not pads:
+        return None, tuple(gates)
+    rows = [site[0] for site in pads]
+    cols = [site[1] for site in pads]
+    return (min(rows), max(rows), min(cols), max(cols)), tuple(gates)
 
 
-def _hpwl(pins: Sequence[Site]) -> float:
-    rows = [site[0] for site in pins]
-    cols = [site[1] for site in pins]
-    return float(max(rows) - min(rows) + max(cols) - min(cols))
+def _net_hpwl(bounds: _NetBounds, gate_row: List[int], gate_col: List[int]) -> float:
+    """HPWL of one net with its gates at ``(gate_row[g], gate_col[g])``."""
+    box, gates = bounds
+    if box is None:
+        first = gates[0]
+        row_lo = row_hi = gate_row[first]
+        col_lo = col_hi = gate_col[first]
+    else:
+        row_lo, row_hi, col_lo, col_hi = box
+    for gate in gates:
+        row = gate_row[gate]
+        if row < row_lo:
+            row_lo = row
+        elif row > row_hi:
+            row_hi = row
+        col = gate_col[gate]
+        if col < col_lo:
+            col_lo = col
+        elif col > col_hi:
+            col_hi = col
+    return float(row_hi - row_lo + col_hi - col_lo)
 
 
 def place_circuit(
@@ -193,12 +231,14 @@ def place_circuit(
     ``grid`` fixes the ``(rows, columns)`` site array (it must hold every
     gate); ``None`` picks a square grid targeting ~65 % utilization.
     ``anneal_moves`` move/swap proposals refine the greedy placement
-    (``0`` keeps the constructive result).  Deterministic for a fixed
-    ``seed``.
+    (``0`` keeps the constructive result; a negative count is a
+    :class:`LayoutError`).  Deterministic for a fixed ``seed``.
     """
     gate_names = [gate.name for gate in circuit.gates]
     if not gate_names:
         raise LayoutError("cannot place a circuit without gates")
+    if anneal_moves < 0:
+        raise LayoutError(f"anneal_moves must be non-negative, got {anneal_moves}")
     if grid is None:
         side = max(2, math.ceil(math.sqrt(len(gate_names) / _TARGET_UTILIZATION)))
         grid = (side, side)
@@ -217,7 +257,8 @@ def place_circuit(
 
     # -- greedy constructive pass ------------------------------------------
     gates: Dict[str, Site] = {}
-    free: Set[Site] = {(r, c) for r in range(rows) for c in range(cols)}
+    site_rows, site_cols = np.divmod(np.arange(rows * cols, dtype=np.float64), cols)
+    occupied = np.zeros(rows * cols, dtype=bool)
     for gate in circuit.gates:
         anchors: List[Site] = []
         for connection in gate.connections.values():
@@ -233,75 +274,79 @@ def place_circuit(
             )
         else:
             target = ((rows - 1) / 2.0, (cols - 1) / 2.0)
-        site = min(
-            free,
-            key=lambda s: (abs(s[0] - target[0]) + abs(s[1] - target[1]), s),
-        )
-        gates[gate.name] = site
-        free.remove(site)
+        distance = np.abs(site_rows - target[0]) + np.abs(site_cols - target[1])
+        distance[occupied] = np.inf
+        index = int(distance.argmin())
+        occupied[index] = True
+        gates[gate.name] = divmod(index, cols)
 
-    pins = _net_pins(terminals, gates, input_pads, output_pads)
-    net_cost = {net: _hpwl(sites) for net, sites in pins.items()}
-    initial_hpwl = sum(net_cost.values())
+    gate_index = {name: index for index, name in enumerate(gate_names)}
+    gate_row = [gates[name][0] for name in gate_names]
+    gate_col = [gates[name][1] for name in gate_names]
+    bounds = [
+        _net_bounds(terminal, gate_index, input_pads, output_pads)
+        for terminal in terminals.values()
+    ]
+    net_cost = [_net_hpwl(net, gate_row, gate_col) for net in bounds]
+    initial_hpwl = sum(net_cost)
 
     # -- simulated-annealing refinement ------------------------------------
-    gate_nets: Dict[str, List[str]] = {name: [] for name in gate_names}
-    for net, terminal in terminals.items():
-        if not terminal.is_input:
-            gate_nets[terminal.driver].append(net)
-        for sink in terminal.sinks:
-            if net not in gate_nets[sink]:
-                gate_nets[sink].append(net)
+    gate_nets: List[List[int]] = [[] for _ in gate_names]
+    for net, (_, pins) in enumerate(bounds):
+        for gate in set(pins):
+            gate_nets[gate].append(net)
 
-    site_gate: Dict[Site, str] = {site: name for name, site in gates.items()}
+    site_gate = [-1] * (rows * cols)
+    for gate, (row, col) in enumerate(zip(gate_row, gate_col)):
+        site_gate[row * cols + col] = gate
     rng = np.random.default_rng(seed)
-    total = initial_hpwl
     if anneal_moves > 0:
         cooling = (_ANNEAL_T_END / _ANNEAL_T_START) ** (1.0 / anneal_moves)
         temperature = _ANNEAL_T_START
         for _ in range(anneal_moves):
-            name = gate_names[int(rng.integers(0, len(gate_names)))]
-            target = (int(rng.integers(0, rows)), int(rng.integers(0, cols)))
-            source = gates[name]
-            if target == source:
+            gate = int(rng.integers(0, len(gate_names)))
+            row, col = int(rng.integers(0, rows)), int(rng.integers(0, cols))
+            source_row, source_col = gate_row[gate], gate_col[gate]
+            if row == source_row and col == source_col:
                 temperature *= cooling
                 continue
-            partner = site_gate.get(target)
-            moved = [name] if partner is None else [name, partner]
-            touched = sorted({net for moved_name in moved for net in gate_nets[moved_name]})
-            before = sum(net_cost[net] for net in touched)
-            gates[name] = target
-            if partner is not None:
-                gates[partner] = source
+            partner = site_gate[row * cols + col]
+            touched = set(gate_nets[gate])
+            if partner >= 0:
+                touched.update(gate_nets[partner])
+                gate_row[partner], gate_col[partner] = source_row, source_col
+            gate_row[gate], gate_col[gate] = row, col
+            before = 0.0
             after = 0.0
-            proposed_cost: Dict[str, float] = {}
+            proposed_cost = []
             for net in touched:
-                proposed_cost[net] = _hpwl(
-                    terminal_pin_sites(terminals[net], gates, input_pads, output_pads)
-                )
-                after += proposed_cost[net]
+                cost = _net_hpwl(bounds[net], gate_row, gate_col)
+                proposed_cost.append((net, cost))
+                before += net_cost[net]
+                after += cost
             delta = after - before
             if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
                 # accept: update caches
-                site_gate.pop(source, None)
-                site_gate[target] = name
-                if partner is not None:
-                    site_gate[source] = partner
-                net_cost.update(proposed_cost)
+                site_gate[source_row * cols + source_col] = partner
+                site_gate[row * cols + col] = gate
+                for net, cost in proposed_cost:
+                    net_cost[net] = cost
             else:
                 # reject: restore
-                gates[name] = source
-                if partner is not None:
-                    gates[partner] = target
+                gate_row[gate], gate_col[gate] = source_row, source_col
+                if partner >= 0:
+                    gate_row[partner], gate_col[partner] = row, col
             temperature *= cooling
-        total = sum(net_cost.values())
 
     return Placement(
         grid=(rows, cols),
-        gates=dict(gates),
+        gates={
+            name: (gate_row[index], gate_col[index])
+            for index, name in enumerate(gate_names)
+        },
         input_pads=dict(input_pads),
         output_pads=dict(output_pads),
-        hpwl=float(total),
+        hpwl=float(sum(net_cost)),
         initial_hpwl=float(initial_hpwl),
         seed=seed,
     )

@@ -26,17 +26,32 @@ Routing is congestion-aware Dijkstra on the sites grid (cost of entering
 a site grows with the tracks already through it), sinks are connected
 incrementally to the growing net tree, and all tie-breaking is by
 coordinates -- the whole step is deterministic for a given placement.
+The maze works on flat site indices ``row * cols + col``; row-major
+indices order exactly like ``(row, col)`` tuples, so every tie breaks as
+it would on coordinates, and sites become ``(row, col)`` again only in
+each :class:`RoutedNet`.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..registry import lookup
 from ..sabl.circuit import DifferentialCircuit
-from .place import LayoutError, NetTerminals, Placement, Site, net_terminals
+from .place import LayoutError, Placement, Site, net_terminals
 
 __all__ = [
     "RoutedNet",
@@ -111,57 +126,73 @@ RouterFn = Callable[[DifferentialCircuit, Placement], RoutingResult]
 
 
 class _GridMaze:
-    """Congestion-aware incremental tree router on the sites grid."""
+    """Congestion-aware incremental tree router on the sites grid.
+
+    Sites are flat indices ``row * cols + col``.  Each site's neighbours
+    are built once, in up/down/left/right order, and ``step[m]`` holds
+    the cost of entering site ``m``, ``1.0 + _CONGESTION_WEIGHT *
+    usage[m]`` (the same double the expression gives per visit).  The
+    heap orders ``(cost, site)``; row-major indices sort exactly like
+    ``(row, col)`` tuples, so ties -- and with them every path -- break
+    as they would on coordinates.
+    """
 
     def __init__(self, grid: Tuple[int, int]) -> None:
-        self.rows, self.cols = grid
-        self.usage: Dict[Site, int] = {}
-
-    def _cost(self, site: Site, attraction: Optional[FrozenSet[Site]]) -> float:
-        cost = 1.0 + _CONGESTION_WEIGHT * self.usage.get(site, 0)
-        if attraction is not None and site not in attraction:
-            cost += _PAIRING_PENALTY
-        return cost
-
-    def _neighbours(self, site: Site) -> List[Site]:
-        row, col = site
+        self.rows, self.cols = rows, cols = grid
+        self.usage = [0] * (rows * cols)
+        self.step = [1.0] * (rows * cols)
         neighbours = []
-        if row > 0:
-            neighbours.append((row - 1, col))
-        if row + 1 < self.rows:
-            neighbours.append((row + 1, col))
-        if col > 0:
-            neighbours.append((row, col - 1))
-        if col + 1 < self.cols:
-            neighbours.append((row, col + 1))
-        return neighbours
+        for row in range(rows):
+            for col in range(cols):
+                site = row * cols + col
+                around = []
+                if row > 0:
+                    around.append(site - cols)
+                if row + 1 < rows:
+                    around.append(site + cols)
+                if col > 0:
+                    around.append(site - 1)
+                if col + 1 < cols:
+                    around.append(site + 1)
+                neighbours.append(tuple(around))
+        self.neighbours: Tuple[Tuple[int, ...], ...] = tuple(neighbours)
+
+    def sites(self, cells: AbstractSet[int]) -> FrozenSet[Site]:
+        """``(row, col)`` coordinates of flat ``cells``."""
+        return frozenset(divmod(cell, self.cols) for cell in cells)
 
     def _path_to(
-        self, tree: FrozenSet[Site], sink: Site, attraction: Optional[FrozenSet[Site]]
-    ) -> List[Site]:
+        self, tree: AbstractSet[int], sink: int, step: Sequence[float]
+    ) -> List[int]:
         """Cheapest path from the current tree to ``sink`` (Dijkstra)."""
         if sink in tree:
             return [sink]
-        best: Dict[Site, float] = {site: 0.0 for site in tree}
-        parent: Dict[Site, Optional[Site]] = {site: None for site in tree}
-        frontier = [(0.0, site) for site in sorted(tree)]
-        heapq.heapify(frontier)
+        neighbours = self.neighbours
+        best = [math.inf] * len(neighbours)
+        parent = [-2] * len(neighbours)  # -2: unreached, -1: a tree site
+        for site in tree:
+            best[site] = 0.0
+            parent[site] = -1
+        frontier = [(0.0, site) for site in sorted(tree)]  # sorted: a heap
+        heappush, heappop = heapq.heappush, heapq.heappop
         while frontier:
-            cost, site = heapq.heappop(frontier)
-            if cost > best.get(site, float("inf")):
+            cost, site = heappop(frontier)
+            if cost > best[site]:
                 continue
             if site == sink:
                 break
-            for neighbour in self._neighbours(site):
-                next_cost = cost + self._cost(neighbour, attraction)
-                if next_cost < best.get(neighbour, float("inf")):
+            for neighbour in neighbours[site]:
+                next_cost = cost + step[neighbour]
+                if next_cost < best[neighbour]:
                     best[neighbour] = next_cost
                     parent[neighbour] = site
-                    heapq.heappush(frontier, (next_cost, neighbour))
-        if sink not in parent:
-            raise LayoutError(f"no route to sink {sink} on {self.rows}x{self.cols}")
+                    heappush(frontier, (next_cost, neighbour))
+        if parent[sink] == -2:
+            raise LayoutError(
+                f"no route to sink {divmod(sink, self.cols)} on {self.rows}x{self.cols}"
+            )
         path = [sink]
-        while parent[path[-1]] is not None:
+        while parent[path[-1]] >= 0:
             path.append(parent[path[-1]])
         path.reverse()
         return path
@@ -170,39 +201,43 @@ class _GridMaze:
         self,
         pins: Sequence[Site],
         tracks: int = 1,
-        attraction: Optional[FrozenSet[Site]] = None,
-    ) -> Tuple[FrozenSet[Site], int]:
+        attraction: Optional[AbstractSet[int]] = None,
+    ) -> Tuple[FrozenSet[int], int]:
         """Route one net tree over its ``pins``; commit ``tracks`` of usage.
 
-        Returns ``(cells, length)`` with ``length`` in grid edges.  Sinks
-        are connected to the growing tree farthest-first (deterministic),
-        which keeps the trunk shared.  ``attraction`` discounts sites on
-        a partner rail's track (the ``diffpair`` pairing penalty).
+        Returns ``(cells, length)``: the tree's flat site indices and its
+        length in grid edges.  Sinks are connected to the growing tree
+        farthest-first (deterministic), which keeps the trunk shared.
+        ``attraction`` holds a partner rail's cells; every site off it
+        costs ``_PAIRING_PENALTY`` more (the ``diffpair`` pull).
         """
-        driver = pins[0]
+        cols = self.cols
+        step = self.step
+        if attraction is not None:
+            step = [cost + _PAIRING_PENALTY for cost in step]
+            for site in attraction:
+                step[site] = self.step[site]
+        driver_row, driver_col = pins[0]
+        driver = driver_row * cols + driver_col
         tree = {driver}
         length = 0
         remaining = sorted(
-            set(pins[1:]),
-            key=lambda s: (-(abs(s[0] - driver[0]) + abs(s[1] - driver[1])), s),
+            {row * cols + col for row, col in pins[1:]},
+            key=lambda s: (
+                -(abs(s // cols - driver_row) + abs(s % cols - driver_col)),
+                s,
+            ),
         )
         for sink in remaining:
-            path = self._path_to(frozenset(tree), sink, attraction)
+            path = self._path_to(tree, sink, step)
             new_cells = [site for site in path if site not in tree]
             length += len(new_cells)
             tree.update(new_cells)
-        cells = frozenset(tree)
-        for site in cells:
-            self.usage[site] = self.usage.get(site, 0) + tracks
-        return cells, length
-
-
-def _ordered_terminals(circuit: DifferentialCircuit) -> List[NetTerminals]:
-    return list(net_terminals(circuit).values())
-
-
-def _pin_sites(terminal: NetTerminals, placement: Placement) -> List[Site]:
-    return placement.pin_sites(terminal)
+        usage = self.usage
+        for site in tree:
+            usage[site] += tracks
+            self.step[site] = 1.0 + _CONGESTION_WEIGHT * usage[site]
+        return frozenset(tree), length
 
 
 # ----------------------------------------------------------------- built-ins
@@ -212,14 +247,15 @@ def _route_fat(circuit: DifferentialCircuit, placement: Placement) -> RoutingRes
     """The paper's router: one fat wire per pair, split after routing."""
     maze = _GridMaze(placement.grid)
     nets: Dict[str, RoutedNet] = {}
-    for terminal in _ordered_terminals(circuit):
-        cells, length = maze.route_tree(_pin_sites(terminal, placement), tracks=2)
+    for terminal in net_terminals(circuit).values():
+        cells, length = maze.route_tree(placement.pin_sites(terminal), tracks=2)
+        sites = maze.sites(cells)
         nets[terminal.net] = RoutedNet(
             net=terminal.net,
             true_length=length,
             false_length=length,
-            true_cells=cells,
-            false_cells=cells,
+            true_cells=sites,
+            false_cells=sites,
         )
     return RoutingResult(router="fat", grid=placement.grid, nets=nets)
 
@@ -230,8 +266,8 @@ def _route_diffpair(
     """Separate rails with a pairing penalty pulling the false rail along."""
     maze = _GridMaze(placement.grid)
     nets: Dict[str, RoutedNet] = {}
-    for terminal in _ordered_terminals(circuit):
-        pins = _pin_sites(terminal, placement)
+    for terminal in net_terminals(circuit).values():
+        pins = placement.pin_sites(terminal)
         true_cells, true_length = maze.route_tree(pins, tracks=1)
         false_cells, false_length = maze.route_tree(
             pins, tracks=1, attraction=true_cells
@@ -240,8 +276,8 @@ def _route_diffpair(
             net=terminal.net,
             true_length=true_length,
             false_length=false_length,
-            true_cells=true_cells,
-            false_cells=false_cells,
+            true_cells=maze.sites(true_cells),
+            false_cells=maze.sites(false_cells),
         )
     return RoutingResult(router="diffpair", grid=placement.grid, nets=nets)
 
@@ -251,24 +287,24 @@ def _route_unbalanced(
 ) -> RoutingResult:
     """Independent rails: all true rails first, false rails through the mess."""
     maze = _GridMaze(placement.grid)
-    terminals = _ordered_terminals(circuit)
-    true_routes: Dict[str, Tuple[FrozenSet[Site], int]] = {}
+    terminals = list(net_terminals(circuit).values())
+    true_routes: Dict[str, Tuple[FrozenSet[int], int]] = {}
     for terminal in terminals:
         true_routes[terminal.net] = maze.route_tree(
-            _pin_sites(terminal, placement), tracks=1
+            placement.pin_sites(terminal), tracks=1
         )
     nets: Dict[str, RoutedNet] = {}
     for terminal in terminals:
         false_cells, false_length = maze.route_tree(
-            _pin_sites(terminal, placement), tracks=1
+            placement.pin_sites(terminal), tracks=1
         )
         true_cells, true_length = true_routes[terminal.net]
         nets[terminal.net] = RoutedNet(
             net=terminal.net,
             true_length=true_length,
             false_length=false_length,
-            true_cells=true_cells,
-            false_cells=false_cells,
+            true_cells=maze.sites(true_cells),
+            false_cells=maze.sites(false_cells),
         )
     return RoutingResult(router="unbalanced", grid=placement.grid, nets=nets)
 

@@ -10,20 +10,33 @@ replay a campaign's block stream through them (restated here, not
 imported), so a test can compare a campaign against an oracle trace for
 trace.  :func:`oracle_gate_tables` restates the per-gate table build
 that :func:`repro.sabl.simulator.build_gate_tables` shares between
-gates of one network structure.
+gates of one network structure.  :func:`oracle_place_circuit` and
+:func:`oracle_route_circuit` are the original tuple-and-dict placer and
+maze router that :mod:`repro.layout` replaced with flat-index loops.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import operator
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.electrical.energy import EventEnergyModel
 from repro.electrical.technology import generic_180nm
+from repro.layout import (
+    LayoutError,
+    NetTerminals,
+    Placement,
+    RoutedNet,
+    RoutingResult,
+    net_terminals,
+)
+from repro.layout.place import Site, terminal_pin_sites
 from repro.power.trace import nibble_matrix
 from repro.sabl.simulator import BatchedCircuitEnergyModel, CircuitPowerSimulator
 
@@ -312,3 +325,333 @@ def oracle_energy_statistics(values):
     mean = functools.reduce(operator.add, values) / count
     squares = [(value - mean) * (value - mean) for value in values]
     return mean, math.sqrt(functools.reduce(operator.add, squares) / count)
+
+
+# ------------------------------------------------------- place and route
+
+
+#: Constants of :mod:`repro.layout.place` / :mod:`repro.layout.route`,
+#: restated so a change there shows as an oracle mismatch.
+_TARGET_UTILIZATION = 0.65
+_ANNEAL_T_START = 3.0
+_ANNEAL_T_END = 0.05
+_CONGESTION_WEIGHT = 0.5
+_PAIRING_PENALTY = 4.0
+
+
+def _edge_pads(names: Sequence[str], rows: int, column: int) -> Dict[str, Site]:
+    """Pads for ``names`` evenly spaced along one grid column."""
+    count = len(names)
+    if count == 0:
+        return {}
+    return {
+        name: (min(rows - 1, (index * rows + rows // 2) // count), column)
+        for index, name in enumerate(names)
+    }
+
+
+def _net_pins(
+    terminals: Mapping[str, NetTerminals],
+    gates: Mapping[str, Site],
+    input_pads: Mapping[str, Site],
+    output_pads: Mapping[str, Site],
+) -> Dict[str, List[Site]]:
+    """Pin sites of every net under one gate assignment."""
+    return {
+        net: terminal_pin_sites(terminal, gates, input_pads, output_pads)
+        for net, terminal in terminals.items()
+    }
+
+
+def _hpwl(pins: Sequence[Site]) -> float:
+    rows = [site[0] for site in pins]
+    cols = [site[1] for site in pins]
+    return float(max(rows) - min(rows) + max(cols) - min(cols))
+
+
+def oracle_place_circuit(
+    circuit: DifferentialCircuit,
+    grid: Optional[Tuple[int, int]] = None,
+    seed: int = 2005,
+    anneal_moves: int = 1500,
+) -> Placement:
+    """The original :func:`repro.layout.place_circuit`: Python ``min`` over
+    the free sites, pin lists rebuilt per annealing move.
+
+    ``grid`` fixes the ``(rows, columns)`` site array (it must hold every
+    gate); ``None`` picks a square grid targeting ~65 % utilization.
+    ``anneal_moves`` move/swap proposals refine the greedy placement
+    (``0`` keeps the constructive result).  Deterministic for a fixed
+    ``seed``.
+    """
+    gate_names = [gate.name for gate in circuit.gates]
+    if not gate_names:
+        raise LayoutError("cannot place a circuit without gates")
+    if grid is None:
+        side = max(2, math.ceil(math.sqrt(len(gate_names) / _TARGET_UTILIZATION)))
+        grid = (side, side)
+    rows, cols = int(grid[0]), int(grid[1])
+    if rows < 1 or cols < 1:
+        raise LayoutError(f"grid must have positive dimensions, got {grid}")
+    if rows * cols < len(gate_names):
+        raise LayoutError(
+            f"grid {rows}x{cols} has {rows * cols} sites for "
+            f"{len(gate_names)} gates"
+        )
+
+    terminals = net_terminals(circuit)
+    input_pads = _edge_pads(circuit.primary_inputs, rows, column=0)
+    output_pads = _edge_pads(sorted(circuit.outputs), rows, column=cols - 1)
+
+    # -- greedy constructive pass ------------------------------------------
+    gates: Dict[str, Site] = {}
+    free: Set[Site] = {(r, c) for r in range(rows) for c in range(cols)}
+    for gate in circuit.gates:
+        anchors: List[Site] = []
+        for connection in gate.connections.values():
+            terminal = terminals[connection.net]
+            if terminal.is_input:
+                anchors.append(input_pads[terminal.driver])
+            elif terminal.driver in gates:
+                anchors.append(gates[terminal.driver])
+        if anchors:
+            target = (
+                sum(site[0] for site in anchors) / len(anchors),
+                sum(site[1] for site in anchors) / len(anchors),
+            )
+        else:
+            target = ((rows - 1) / 2.0, (cols - 1) / 2.0)
+        site = min(
+            free,
+            key=lambda s: (abs(s[0] - target[0]) + abs(s[1] - target[1]), s),
+        )
+        gates[gate.name] = site
+        free.remove(site)
+
+    pins = _net_pins(terminals, gates, input_pads, output_pads)
+    net_cost = {net: _hpwl(sites) for net, sites in pins.items()}
+    initial_hpwl = sum(net_cost.values())
+
+    # -- simulated-annealing refinement ------------------------------------
+    gate_nets: Dict[str, List[str]] = {name: [] for name in gate_names}
+    for net, terminal in terminals.items():
+        if not terminal.is_input:
+            gate_nets[terminal.driver].append(net)
+        for sink in terminal.sinks:
+            if net not in gate_nets[sink]:
+                gate_nets[sink].append(net)
+
+    site_gate: Dict[Site, str] = {site: name for name, site in gates.items()}
+    rng = np.random.default_rng(seed)
+    total = initial_hpwl
+    if anneal_moves > 0:
+        cooling = (_ANNEAL_T_END / _ANNEAL_T_START) ** (1.0 / anneal_moves)
+        temperature = _ANNEAL_T_START
+        for _ in range(anneal_moves):
+            name = gate_names[int(rng.integers(0, len(gate_names)))]
+            target = (int(rng.integers(0, rows)), int(rng.integers(0, cols)))
+            source = gates[name]
+            if target == source:
+                temperature *= cooling
+                continue
+            partner = site_gate.get(target)
+            moved = [name] if partner is None else [name, partner]
+            touched = sorted({net for moved_name in moved for net in gate_nets[moved_name]})
+            before = sum(net_cost[net] for net in touched)
+            gates[name] = target
+            if partner is not None:
+                gates[partner] = source
+            after = 0.0
+            proposed_cost: Dict[str, float] = {}
+            for net in touched:
+                proposed_cost[net] = _hpwl(
+                    terminal_pin_sites(terminals[net], gates, input_pads, output_pads)
+                )
+                after += proposed_cost[net]
+            delta = after - before
+            if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
+                # accept: update caches
+                site_gate.pop(source, None)
+                site_gate[target] = name
+                if partner is not None:
+                    site_gate[source] = partner
+                net_cost.update(proposed_cost)
+            else:
+                # reject: restore
+                gates[name] = source
+                if partner is not None:
+                    gates[partner] = target
+            temperature *= cooling
+        total = sum(net_cost.values())
+
+    return Placement(
+        grid=(rows, cols),
+        gates=dict(gates),
+        input_pads=dict(input_pads),
+        output_pads=dict(output_pads),
+        hpwl=float(total),
+        initial_hpwl=float(initial_hpwl),
+        seed=seed,
+    )
+
+
+class _GridMaze:
+    """Congestion-aware incremental tree router on the sites grid."""
+
+    def __init__(self, grid: Tuple[int, int]) -> None:
+        self.rows, self.cols = grid
+        self.usage: Dict[Site, int] = {}
+
+    def _cost(self, site: Site, attraction: Optional[FrozenSet[Site]]) -> float:
+        cost = 1.0 + _CONGESTION_WEIGHT * self.usage.get(site, 0)
+        if attraction is not None and site not in attraction:
+            cost += _PAIRING_PENALTY
+        return cost
+
+    def _neighbours(self, site: Site) -> List[Site]:
+        row, col = site
+        neighbours = []
+        if row > 0:
+            neighbours.append((row - 1, col))
+        if row + 1 < self.rows:
+            neighbours.append((row + 1, col))
+        if col > 0:
+            neighbours.append((row, col - 1))
+        if col + 1 < self.cols:
+            neighbours.append((row, col + 1))
+        return neighbours
+
+    def _path_to(
+        self, tree: FrozenSet[Site], sink: Site, attraction: Optional[FrozenSet[Site]]
+    ) -> List[Site]:
+        """Cheapest path from the current tree to ``sink`` (Dijkstra)."""
+        if sink in tree:
+            return [sink]
+        best: Dict[Site, float] = {site: 0.0 for site in tree}
+        parent: Dict[Site, Optional[Site]] = {site: None for site in tree}
+        frontier = [(0.0, site) for site in sorted(tree)]
+        heapq.heapify(frontier)
+        while frontier:
+            cost, site = heapq.heappop(frontier)
+            if cost > best.get(site, float("inf")):
+                continue
+            if site == sink:
+                break
+            for neighbour in self._neighbours(site):
+                next_cost = cost + self._cost(neighbour, attraction)
+                if next_cost < best.get(neighbour, float("inf")):
+                    best[neighbour] = next_cost
+                    parent[neighbour] = site
+                    heapq.heappush(frontier, (next_cost, neighbour))
+        if sink not in parent:
+            raise LayoutError(f"no route to sink {sink} on {self.rows}x{self.cols}")
+        path = [sink]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return path
+
+    def route_tree(
+        self,
+        pins: Sequence[Site],
+        tracks: int = 1,
+        attraction: Optional[FrozenSet[Site]] = None,
+    ) -> Tuple[FrozenSet[Site], int]:
+        """Route one net tree over its ``pins``; commit ``tracks`` of usage.
+
+        Returns ``(cells, length)`` with ``length`` in grid edges.  Sinks
+        are connected to the growing tree farthest-first (deterministic),
+        which keeps the trunk shared.  ``attraction`` discounts sites on
+        a partner rail's track (the ``diffpair`` pairing penalty).
+        """
+        driver = pins[0]
+        tree = {driver}
+        length = 0
+        remaining = sorted(
+            set(pins[1:]),
+            key=lambda s: (-(abs(s[0] - driver[0]) + abs(s[1] - driver[1])), s),
+        )
+        for sink in remaining:
+            path = self._path_to(frozenset(tree), sink, attraction)
+            new_cells = [site for site in path if site not in tree]
+            length += len(new_cells)
+            tree.update(new_cells)
+        cells = frozenset(tree)
+        for site in cells:
+            self.usage[site] = self.usage.get(site, 0) + tracks
+        return cells, length
+
+
+def _oracle_route_fat(circuit: DifferentialCircuit, placement: Placement) -> RoutingResult:
+    """The paper's router: one fat wire per pair, split after routing."""
+    maze = _GridMaze(placement.grid)
+    nets: Dict[str, RoutedNet] = {}
+    for terminal in list(net_terminals(circuit).values()):
+        cells, length = maze.route_tree(placement.pin_sites(terminal), tracks=2)
+        nets[terminal.net] = RoutedNet(
+            net=terminal.net,
+            true_length=length,
+            false_length=length,
+            true_cells=cells,
+            false_cells=cells,
+        )
+    return RoutingResult(router="fat", grid=placement.grid, nets=nets)
+
+
+def _oracle_route_diffpair(
+    circuit: DifferentialCircuit, placement: Placement
+) -> RoutingResult:
+    """Separate rails with a pairing penalty pulling the false rail along."""
+    maze = _GridMaze(placement.grid)
+    nets: Dict[str, RoutedNet] = {}
+    for terminal in list(net_terminals(circuit).values()):
+        pins = placement.pin_sites(terminal)
+        true_cells, true_length = maze.route_tree(pins, tracks=1)
+        false_cells, false_length = maze.route_tree(
+            pins, tracks=1, attraction=true_cells
+        )
+        nets[terminal.net] = RoutedNet(
+            net=terminal.net,
+            true_length=true_length,
+            false_length=false_length,
+            true_cells=true_cells,
+            false_cells=false_cells,
+        )
+    return RoutingResult(router="diffpair", grid=placement.grid, nets=nets)
+
+
+def _oracle_route_unbalanced(
+    circuit: DifferentialCircuit, placement: Placement
+) -> RoutingResult:
+    """Independent rails: all true rails first, false rails through the mess."""
+    maze = _GridMaze(placement.grid)
+    terminals = list(net_terminals(circuit).values())
+    true_routes: Dict[str, Tuple[FrozenSet[Site], int]] = {}
+    for terminal in terminals:
+        true_routes[terminal.net] = maze.route_tree(
+            placement.pin_sites(terminal), tracks=1
+        )
+    nets: Dict[str, RoutedNet] = {}
+    for terminal in terminals:
+        false_cells, false_length = maze.route_tree(
+            placement.pin_sites(terminal), tracks=1
+        )
+        true_cells, true_length = true_routes[terminal.net]
+        nets[terminal.net] = RoutedNet(
+            net=terminal.net,
+            true_length=true_length,
+            false_length=false_length,
+            true_cells=true_cells,
+            false_cells=false_cells,
+        )
+    return RoutingResult(router="unbalanced", grid=placement.grid, nets=nets)
+
+
+def oracle_route_circuit(circuit, placement, router="fat"):
+    """The original :func:`repro.layout.route_circuit`: Dijkstra over
+    ``(row, col)`` tuples with per-site dict lookups."""
+    return {
+        "fat": _oracle_route_fat,
+        "diffpair": _oracle_route_diffpair,
+        "unbalanced": _oracle_route_unbalanced,
+    }[router](circuit, placement)

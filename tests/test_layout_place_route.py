@@ -1,4 +1,5 @@
-"""Placement and differential routing: legality, determinism, matching."""
+"""Placement and differential routing: legality, determinism, matching,
+and bit-for-bit agreement with the original placer and maze router."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import pytest
 
 from repro.boolexpr import parse
 from repro.electrical.technology import generic_130nm, generic_180nm
+from repro.flow import CampaignConfig, DesignFlow, FlowConfig, ScenarioConfig
 from repro.layout import (
     LayoutError,
     RoutingResult,
@@ -20,6 +22,10 @@ from repro.power.trace import build_sbox_circuit
 from repro.sabl.circuit import map_expressions
 
 from hypothesis import given, settings, strategies as st
+
+from oracles import _hpwl, oracle_place_circuit, oracle_route_circuit
+
+ROUTERS = ("fat", "diffpair", "unbalanced")
 
 
 def small_circuit():
@@ -37,6 +43,27 @@ def small_circuit():
 @pytest.fixture(scope="module")
 def sbox_circuit():
     return build_sbox_circuit(0xB)
+
+
+def present_round_circuit(sboxes, gate_style, network_style):
+    """A PRESENT round slice of ``sboxes`` S-boxes, mapped for one style."""
+    return DesignFlow(
+        None,
+        FlowConfig(
+            name="layout_oracle",
+            campaign=CampaignConfig(
+                key=0xB if sboxes == 1 else 0x6B,
+                scenario="present_round",
+                gate_style=gate_style,
+                network_style=network_style,
+            ),
+            scenario=ScenarioConfig(params={"sboxes": sboxes}),
+        ),
+    ).circuit()
+
+
+#: Non-square grids catch a swapped ``rows``/``cols`` in a flat index.
+GRIDS = st.sampled_from([None, (4, 6), (6, 4), (7, 3), (3, 7), (5, 5)])
 
 
 class TestNetTerminals:
@@ -88,6 +115,26 @@ class TestPlacement:
         assert placement.grid == (4, 6)
         with pytest.raises(LayoutError):
             place_circuit(circuit, grid=(1, 2), seed=0)  # too few sites
+
+    def test_negative_anneal_moves_are_rejected(self):
+        with pytest.raises(LayoutError, match="anneal_moves must be non-negative, got -1"):
+            place_circuit(small_circuit(), anneal_moves=-1)
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        anneal_moves=st.integers(min_value=0, max_value=300),
+        grid=GRIDS,
+    )
+    def test_hpwl_is_the_pin_site_rule(self, seed, anneal_moves, grid):
+        # The annealer's per-net bounds and the router's pin sites are one
+        # geometry rule: the reported HPWL is the sum over pin_sites.
+        circuit = small_circuit()
+        placement = place_circuit(
+            circuit, grid=grid, seed=seed, anneal_moves=anneal_moves
+        )
+        terminals = net_terminals(circuit).values()
+        assert placement.hpwl == sum(_hpwl(placement.pin_sites(t)) for t in terminals)
 
     @settings(deadline=None, max_examples=15)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -177,6 +224,51 @@ class TestRouting:
         )
         assert layout.routing.max_mismatch == 0
         assert layout.parasitics.max_mismatch() == 0.0
+
+
+class TestOracleEquivalence:
+    """The flat-index placer and router reproduce the originals exactly."""
+
+    @pytest.mark.parametrize(
+        "sboxes, gate_style, network_style",
+        [
+            (sboxes, gate_style, network_style)
+            for sboxes in (1, 2, 4)
+            for gate_style, network_style in (("sabl", "fc"), ("cvsl", "genuine"))
+        ],
+    )
+    def test_present_round_slices(self, sboxes, gate_style, network_style):
+        circuit = present_round_circuit(sboxes, gate_style, network_style)
+        placement = place_circuit(circuit)
+        assert placement == oracle_place_circuit(circuit)
+        for router in ROUTERS:
+            routing = route_circuit(circuit, placement, router=router)
+            assert routing == oracle_route_circuit(circuit, placement, router)
+
+    @pytest.mark.parametrize("router", ROUTERS)
+    def test_sbox_circuit(self, sbox_circuit, router):
+        placement = place_circuit(sbox_circuit, seed=7)
+        assert placement == oracle_place_circuit(sbox_circuit, seed=7)
+        routing = route_circuit(sbox_circuit, placement, router=router)
+        assert routing == oracle_route_circuit(sbox_circuit, placement, router)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        anneal_moves=st.integers(min_value=0, max_value=300),
+        grid=GRIDS,
+    )
+    def test_small_circuit_on_any_grid(self, seed, anneal_moves, grid):
+        circuit = small_circuit()
+        placement = place_circuit(
+            circuit, grid=grid, seed=seed, anneal_moves=anneal_moves
+        )
+        assert placement == oracle_place_circuit(
+            circuit, grid=grid, seed=seed, anneal_moves=anneal_moves
+        )
+        for router in ROUTERS:
+            routing = route_circuit(circuit, placement, router=router)
+            assert routing == oracle_route_circuit(circuit, placement, router)
 
 
 class TestParasitics:
