@@ -1,6 +1,6 @@
 """The ``repro`` command-line interface.
 
-Three subcommands drive the engine from a shell (installed as a console
+Five subcommands drive the engine from a shell (installed as a console
 script by ``pyproject.toml``):
 
 * ``repro run`` -- execute one flow and print its stage summary (plus
@@ -17,10 +17,7 @@ script by ``pyproject.toml``):
   tables; ``--follow`` tails a trace still being written;
 * ``repro top`` -- live status of a running campaign tailed from its
   growing trace file: progress/ETA, per-worker heartbeat table and
-  busiest spans, refreshed in place on a TTY;
-* ``repro bench`` -- list (``ls``), run (``run``), review (``history``)
-  and regression-gate (``compare --gate``) the built-in benchmarks
-  and their append-only ``PERF_HISTORY.jsonl`` trajectory.
+  busiest spans, refreshed in place on a TTY.
 
 Axis and ``--set`` values parse as JSON when possible (``0.01`` ->
 float, ``[1,2]`` -> list) and fall back to plain strings (``sabl``), so
@@ -53,23 +50,6 @@ from ..obs import (
     observer_from_config,
     summarize_trace_file,
     use_observer,
-)
-from ..perf import (
-    PerfError,
-    append_history,
-    benchmark_names,
-    compare_histories,
-    get_benchmark,
-    read_history,
-    regressions,
-    run_benchmark,
-)
-from ..reporting.bench import benchmark_provenance, write_benchmark_json
-from ..reporting.perf import (
-    format_bench_record,
-    format_benchmark_list,
-    format_deltas,
-    format_history,
 )
 from ..reporting.tables import format_table
 from ..reporting.trace import format_live_status, format_trace_summary
@@ -402,138 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="read the trace once, print the status block, and exit",
     )
 
-    bench = commands.add_parser(
-        "bench", help="run, review and regression-gate the built-in benchmarks"
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_commands.add_parser(
-        "ls", help="list the benchmarks and their metrics"
-    )
-
-    bench_run = bench_commands.add_parser(
-        "run", help="run benchmarks and append records to the perf history"
-    )
-    bench_run.add_argument(
-        "names",
-        nargs="*",
-        metavar="NAME",
-        help="benchmarks to run (see `repro bench ls`); none with --all "
-        "runs every benchmark",
-    )
-    bench_run.add_argument(
-        "--all", action="store_true", help="run every benchmark"
-    )
-    bench_run.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrink campaign sizes for a seconds-scale smoke run (metric "
-        "names stay comparable with full runs)",
-    )
-    bench_run.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        metavar="N",
-        help="repetitions per benchmark; the record keeps the median and "
-        "the observed spread the gate's jitter band uses (default 1)",
-    )
-    bench_run.add_argument(
-        "--history",
-        metavar="FILE",
-        help="perf history file to append to (default PERF_HISTORY.jsonl "
-        "in $REPRO_BENCH_DIR or the current directory)",
-    )
-    bench_run.add_argument(
-        "--no-history",
-        action="store_true",
-        help="run and print without appending to the history",
-    )
-    bench_run.add_argument(
-        "--bench-json",
-        action="store_true",
-        help="also write/update each benchmark's BENCH_<name>.json record",
-    )
-    bench_run.add_argument(
-        "--strict",
-        action="store_true",
-        help="refuse to record results from a dirty working tree (the "
-        "provenance SHA would not name the code that ran)",
-    )
-    bench_run.add_argument(
-        "--json",
-        metavar="FILE",
-        help="also write the new records as JSON to FILE ('-' for stdout)",
-    )
-
-    bench_history = bench_commands.add_parser(
-        "history", help="list the perf history records"
-    )
-    bench_history.add_argument(
-        "--history", metavar="FILE", help="perf history file to read"
-    )
-    bench_history.add_argument(
-        "--benchmark", metavar="NAME", help="restrict to one benchmark"
-    )
-    bench_history.add_argument(
-        "--last", type=int, metavar="N", help="only the newest N records"
-    )
-    bench_history.add_argument(
-        "--json",
-        metavar="FILE",
-        help="also write the records as JSON to FILE ('-' for stdout)",
-    )
-
-    bench_compare = bench_commands.add_parser(
-        "compare", help="compare two history records per benchmark"
-    )
-    bench_compare.add_argument(
-        "old",
-        nargs="?",
-        default="prev",
-        metavar="OLD",
-        help="baseline selector: latest/prev, an index, or a git SHA "
-        "prefix (default prev)",
-    )
-    bench_compare.add_argument(
-        "new",
-        nargs="?",
-        default="latest",
-        metavar="NEW",
-        help="candidate selector (default latest)",
-    )
-    bench_compare.add_argument(
-        "--history", metavar="FILE", help="perf history file to read"
-    )
-    bench_compare.add_argument(
-        "--benchmark", metavar="NAME", help="restrict to one benchmark"
-    )
-    bench_compare.add_argument(
-        "--gate",
-        action="store_true",
-        help="exit nonzero when any metric regresses beyond both the "
-        "relative threshold and the measured jitter band",
-    )
-    bench_compare.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="relative worsening a regression must exceed (default 0.10)",
-    )
-    bench_compare.add_argument(
-        "--jitter",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="multiple of the measured run-to-run spread a regression "
-        "must also exceed (default 2.0)",
-    )
-    bench_compare.add_argument(
-        "--json",
-        metavar="FILE",
-        help="also write the deltas as JSON to FILE ('-' for stdout)",
-    )
     return parser
 
 
@@ -755,115 +603,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_json_payload(args: argparse.Namespace, payload: Any, label: str) -> None:
-    if args.json == "-":
-        sys.stdout.write(json.dumps(payload, indent=2))
-        sys.stdout.write("\n")
-    elif args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"\n{label} written to {args.json}", file=_human_stream(args))
-
-
-def _cmd_bench_ls(args: argparse.Namespace) -> int:
-    benchmarks = [get_benchmark(name) for name in benchmark_names()]
-    print(format_benchmark_list(benchmarks), file=_human_stream(args))
-    return 0
-
-
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    out = _human_stream(args)
-    if args.all:
-        names = benchmark_names()
-    elif args.names:
-        names = list(args.names)
-    else:
-        raise PerfError(
-            "name at least one benchmark or pass --all "
-            f"(available: {', '.join(benchmark_names())})"
-        )
-    if args.strict and benchmark_provenance().get("git_dirty"):
-        raise PerfError(
-            "--strict: the working tree is dirty, so recorded provenance "
-            "would not name the code that ran; commit or stash first"
-        )
-    records = []
-    for name in names:
-        benchmark = get_benchmark(name)
-        mode = "quick" if args.quick else "full"
-        print(
-            f"running benchmark {name} ({mode}, {args.repeat} repetition(s)) ...",
-            file=out,
-        )
-        record = run_benchmark(benchmark, quick=args.quick, repetitions=args.repeat)
-        records.append(record)
-        if not args.no_history:
-            path = append_history(record, args.history)
-            print(f"recorded in {path}", file=out)
-        if args.bench_json:
-            bench_path = write_benchmark_json(
-                name, record["results"], strict=args.strict
-            )
-            print(f"wrote {bench_path}", file=out)
-        print(format_bench_record(record), file=out)
-        print(file=out)
-    _write_json_payload(args, records, "records")
-    return 0
-
-
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    records = read_history(args.history, benchmark=args.benchmark)
-    if args.last is not None:
-        records = records[-max(0, args.last):]
-    print(format_history(records), file=_human_stream(args))
-    _write_json_payload(args, records, "history")
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    out = _human_stream(args)
-    records = read_history(args.history)
-    kwargs: Dict[str, Any] = {}
-    if args.threshold is not None:
-        kwargs["rel_threshold"] = args.threshold
-    if args.jitter is not None:
-        kwargs["jitter_factor"] = args.jitter
-    deltas = compare_histories(
-        records, args.old, args.new, benchmark=args.benchmark, **kwargs
-    )
-    if not deltas:
-        raise PerfError(
-            f"nothing to compare between {args.old!r} and {args.new!r} "
-            f"(need two records of the same benchmark; see "
-            f"`repro bench history`)"
-        )
-    print(format_deltas(deltas), file=out)
-    _write_json_payload(args, [delta.to_dict() for delta in deltas], "deltas")
-    failed = regressions(deltas)
-    if failed:
-        names = ", ".join(f"{d.benchmark}.{d.metric}" for d in failed)
-        print(
-            f"repro bench compare: {len(failed)} regression(s): {names}",
-            file=sys.stderr,
-        )
-        if args.gate:
-            return 1
-    elif args.gate:
-        print("repro bench compare: gate passed", file=out)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    handlers = {
-        "ls": _cmd_bench_ls,
-        "run": _cmd_bench_run,
-        "history": _cmd_bench_history,
-        "compare": _cmd_bench_compare,
-    }
-    return handlers[args.bench_command](args)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console-script entry point; returns the process exit code."""
     parser = build_parser()
@@ -874,7 +613,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "store": _cmd_store,
         "trace": _cmd_trace,
         "top": _cmd_top,
-        "bench": _cmd_bench,
     }
     try:
         return handlers[args.command](args)
@@ -886,7 +624,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         FlowError,
         UnknownBackendError,
         ObsError,
-        PerfError,
         OSError,
     ) as error:
         print(f"repro {args.command}: {error}", file=sys.stderr)

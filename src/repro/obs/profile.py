@@ -4,9 +4,9 @@ When :attr:`~repro.flow.config.ObservabilityConfig.profile` is set, the
 observer wraps each :meth:`~repro.obs.core.Observer.span` body in a
 :class:`cProfile.Profile` and emits one ``span.profile`` event per
 profiled span, carrying the span's top-N *cumulative-time* hotspots.
-That is the attribution half of perf observability: ``repro bench
-compare --gate`` says *which metric* regressed, the profile events in
-the trace say *which function* ate the time.
+That is the attribution half of perf observability: the perfbench gate
+(``benchmarks/record.py``) says *which metric* regressed, the profile
+events in the trace say *which function* ate the time.
 
 Profiling is a pure side-channel -- cProfile observes the interpreter,
 it never touches any computation or random stream -- so a profiled run

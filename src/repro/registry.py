@@ -1,7 +1,7 @@
 """Unknown-name errors for the closed backend tables.
 
 Every string-valued backend field (technology, gate style, attack,
-S-box, assessment, sink, router, scenario, benchmark) resolves through
+S-box, assessment, sink, router, scenario) resolves through
 one module-level ``dict`` of built-ins in the module that owns that
 kind.  :func:`lookup` is the shared read path: a miss raises
 :class:`UnknownBackendError` listing the available names.  The module

@@ -1,15 +1,8 @@
-"""Reporting helpers: text tables, ASCII plots, experiment and benchmark records."""
+"""Reporting helpers: text tables, ASCII plots and experiment records."""
 
-from .bench import bench_output_path, benchmark_provenance, write_benchmark_json
 from .figures import ascii_plot, ascii_waveform
 from .layout import format_routing_imbalance
 from .leakage import format_leakage_assessment
-from .perf import (
-    format_bench_record,
-    format_benchmark_list,
-    format_deltas,
-    format_history,
-)
 from .results import ExperimentResult, format_experiment_results
 from .tables import format_table
 from .trace import format_live_status, format_trace_summary
@@ -18,17 +11,10 @@ __all__ = [
     "format_table",
     "format_trace_summary",
     "format_live_status",
-    "format_benchmark_list",
-    "format_bench_record",
-    "format_history",
-    "format_deltas",
     "format_leakage_assessment",
     "format_routing_imbalance",
     "ascii_plot",
     "ascii_waveform",
     "ExperimentResult",
     "format_experiment_results",
-    "bench_output_path",
-    "benchmark_provenance",
-    "write_benchmark_json",
 ]

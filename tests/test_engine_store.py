@@ -15,6 +15,7 @@ from repro.flow import (
     FlowConfig,
     ScenarioConfig,
 )
+from repro.obs import BufferSink, Observer, use_observer
 from repro.power.trace import TraceSet
 
 
@@ -203,14 +204,23 @@ class TestPipelineCaching:
         return DesignFlow.sbox(0xB, config=config)
 
     def test_second_run_hits_the_store(self, tmp_path):
+        def counters(flow):
+            buffer = []
+            with use_observer(Observer((BufferSink(buffer),))):
+                traces = flow.traces()
+            return traces, {e["name"] for e in buffer if e["kind"] == "counter"}
+
         first = self._flow(tmp_path / "store")
-        original = first.traces()
+        original, miss_counters = counters(first)
         assert first.result("traces").details["store"] == "miss"
+        assert "kernel.cycles" in miss_counters
 
         second = self._flow(tmp_path / "store")
-        cached = second.traces()
+        cached, hit_counters = counters(second)
         hit_details = second.result("traces").details
         assert hit_details["store"] == "hit"
+        # A hit evaluates no kernel.
+        assert "kernel.cycles" not in hit_counters
         # Summary statistics come from the stored meta, not a re-walk.
         miss_details = first.result("traces").details
         assert hit_details["mean_energy_J"] == miss_details["mean_energy_J"]

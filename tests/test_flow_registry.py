@@ -21,7 +21,6 @@ from repro.flow import (
 from repro.flow.registry import get_attack
 from repro.layout import ROUTERS, get_router
 from repro.obs import SINKS, get_sink
-from repro.perf import BENCHMARKS, get_benchmark
 from repro.power import PRESENT_SBOX, acquire_model_traces
 from repro.registry import lookup
 from repro.sabl import SABLGate
@@ -129,15 +128,6 @@ TABLES = {
         lambda: make_noise_model("drift"),
         ValueError,
         "unknown noise model 'drift'; available: gaussian, jitter, quantization",
-        None,
-    ),
-    "benchmark": (
-        BENCHMARKS,
-        {"engine", "kernel", "layout", "obs", "scenarios"},
-        lambda: get_benchmark("nonexistent"),
-        UnknownBackendError,
-        "unknown benchmark 'nonexistent'; available: "
-        "engine, kernel, layout, obs, scenarios",
         None,
     ),
 }

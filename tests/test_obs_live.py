@@ -631,11 +631,3 @@ class TestCli:
         assert config.obs.live and config.obs.heartbeat_s == 0.2
         assert not config.obs.progress
 
-
-class TestPerfBenchmark:
-    def test_obs_benchmark_is_registered(self):
-        from repro.perf import benchmark_names, get_benchmark
-
-        assert "obs" in benchmark_names()
-        specs = {spec.name for spec in get_benchmark("obs").metrics}
-        assert {"untraced_tps", "traced_tps", "overhead_ratio"} <= specs
