@@ -16,8 +16,8 @@ script by ``pyproject.toml``):
   ``--trace``) into per-span timing, counter, quantile and profile
   tables; ``--follow`` tails a trace still being written;
 * ``repro top`` -- live status of a running campaign tailed from its
-  growing trace file: progress/ETA, per-worker heartbeat table and
-  busiest spans, refreshed in place on a TTY.
+  growing trace file: progress/ETA, a per-worker table of finished
+  shards and cells, and the busiest spans, refreshed in place on a TTY.
 
 Axis and ``--set`` values parse as JSON when possible (``0.01`` ->
 float, ``[1,2]`` -> list) and fall back to plain strings (``sabl``), so
@@ -131,16 +131,7 @@ def _obs_overrides(args: argparse.Namespace, config: FlowConfig) -> FlowConfig:
     verbose = getattr(args, "verbose", 0)
     quiet = getattr(args, "quiet", 0)
     if getattr(args, "progress", False) or verbose:
-        # Progress rendering rides the live channel, so --progress
-        # implies --live (parallel runs would otherwise stay dark
-        # until shards complete).
         overrides["progress"] = True
-        overrides["live"] = True
-    if getattr(args, "live", False):
-        overrides["live"] = True
-    if getattr(args, "heartbeat", None) is not None:
-        overrides["heartbeat_s"] = args.heartbeat
-        overrides["live"] = True
     if verbose or quiet:
         overrides["verbosity"] = max(0, min(3, obs.verbosity + verbose - quiet))
     if getattr(args, "profile", False):
@@ -244,22 +235,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--progress",
         action="store_true",
-        help="render a live progress line (done/total, rate, ETA, worker "
-        "heartbeat age) on stderr while running; implies --live",
-    )
-    parser.add_argument(
-        "--live",
-        action="store_true",
-        help="stream worker heartbeats and sampled events to the parent "
-        "mid-shard over the executor's live channel (results stay "
-        "bit-identical; the buffered trace stays canonical)",
-    )
-    parser.add_argument(
-        "--heartbeat",
-        type=float,
-        metavar="SECONDS",
-        help="worker heartbeat interval on the live channel "
-        "(implies --live; default 1.0)",
+        help="render a progress line (done/total, rate, ETA, age of the "
+        "last worker result) on stderr while running; a pooled run "
+        "advances it once per finished shard or sweep cell",
     )
     parser.add_argument(
         "--profile",
@@ -509,7 +487,7 @@ def _watch_trace(
 
     Events feed both the :class:`TraceSummary` aggregate and a
     :class:`ProgressAggregator` driven by the events' own file
-    timestamps, so rates and heartbeat ages replay exactly as recorded.
+    timestamps, so rates and last-result ages replay exactly as recorded.
     ``on_status`` fires at most every ``interval`` seconds of wall time;
     ``duration`` bounds the follow (otherwise it runs until Ctrl-C,
     which ends the watch cleanly rather than raising).

@@ -54,12 +54,9 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import multiprocessing.pool
-import sys
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..obs import LiveDispatcher, get_observer
-from ..obs import live as obs_live
+from ..obs import ProgressDispatcher, get_observer
 
 __all__ = [
     "ExecutorError",
@@ -85,49 +82,18 @@ class ShardTimeoutError(ExecutorError):
     Raised in the parent after the worker pool has been terminated and
     evicted; ``payload_index`` identifies the payload whose result never
     arrived (typically because its worker died or wedged).
-
-    When the map ran with the live channel attached, ``heartbeat_age``
-    carries the seconds since the last ``worker.heartbeat`` arrived --
-    the difference between "the workers are dead" (stale heartbeats)
-    and "the shard is just slower than the timeout" (fresh ones), which
-    the message spells out.  Without live telemetry both fields are
-    ``None`` and the message is the classic one.
     """
 
-    def __init__(
-        self,
-        payload_index: int,
-        timeout: float,
-        heartbeat_age: Optional[float] = None,
-        heartbeat_s: Optional[float] = None,
-    ) -> None:
+    def __init__(self, payload_index: int, timeout: float) -> None:
         self.payload_index = payload_index
         self.timeout = timeout
-        self.heartbeat_age = heartbeat_age
-        self.heartbeat_s = heartbeat_s
-        message = (
+        super().__init__(
             f"payload {payload_index} did not complete within {timeout:g}s; "
             f"the worker pool was terminated (worker died or wedged?)"
         )
-        if heartbeat_age is not None:
-            # Within a few missed beats the worker was demonstrably alive
-            # moments ago; far beyond that, it is presumed dead.
-            interval = heartbeat_s if heartbeat_s else 1.0
-            verdict = (
-                "alive but slow?"
-                if heartbeat_age <= 3.0 * interval
-                else "dead since then?"
-            )
-            message += (
-                f"; last worker heartbeat was {heartbeat_age:.1f}s ago ({verdict})"
-            )
-        super().__init__(message)
 
     def __reduce__(self):
-        return (
-            type(self),
-            (self.payload_index, self.timeout, self.heartbeat_age, self.heartbeat_s),
-        )
+        return (type(self), (self.payload_index, self.timeout))
 
 
 def default_start_method() -> str:
@@ -147,40 +113,21 @@ def default_start_method() -> str:
 #: program caches in the workers stay warm for a whole sweep.
 _WARM_POOLS: Dict[Tuple[str, int], multiprocessing.pool.Pool] = {}
 
-#: Each warm pool's live event channel, same key.  The queue is built
-#: from the pool's own context *before* the pool (workers inherit it
-#: through the initializer) and lives exactly as long as its pool.
-_POOL_CHANNELS: Dict[Tuple[str, int], obs_live.LiveChannel] = {}
-
 
 def _pool(start_method: str, workers: int) -> multiprocessing.pool.Pool:
     key = (start_method, workers)
     pool = _WARM_POOLS.get(key)
     if pool is None:
-        context = multiprocessing.get_context(start_method)
-        queue = context.Queue(obs_live.LIVE_QUEUE_SIZE)
-        pool = context.Pool(
-            processes=workers,
-            initializer=obs_live.install_worker_channel,
-            initargs=(queue,),
-        )
+        pool = multiprocessing.get_context(start_method).Pool(processes=workers)
         _WARM_POOLS[key] = pool
-        _POOL_CHANNELS[key] = obs_live.LiveChannel(queue)
     return pool
-
-
-def _pool_channel(start_method: str, workers: int) -> Optional[obs_live.LiveChannel]:
-    return _POOL_CHANNELS.get((start_method, workers))
 
 
 def _evict_pool(start_method: str, workers: int) -> None:
     pool = _WARM_POOLS.pop((start_method, workers), None)
-    channel = _POOL_CHANNELS.pop((start_method, workers), None)
     if pool is not None:
         pool.terminate()
         pool.join()
-    if channel is not None:
-        channel.close()
 
 
 def _warm_noop(_value: int) -> None:
@@ -204,7 +151,7 @@ def warm_pool(workers: int, start_method: Optional[str] = None) -> None:
 def warm_pool_stats() -> Tuple[int, int]:
     """``(warm pool count, worker processes across them)`` right now.
 
-    A resource gauge for the live telemetry; reads module state only.
+    A resource gauge for the progress events; reads module state only.
     """
     return len(_WARM_POOLS), sum(key[1] for key in _WARM_POOLS)
 
@@ -216,15 +163,9 @@ def shutdown_pools() -> None:
     processes early or to force fresh workers.
     """
     while _WARM_POOLS:
-        key, pool = _WARM_POOLS.popitem()
-        channel = _POOL_CHANNELS.pop(key, None)
+        _, pool = _WARM_POOLS.popitem()
         pool.terminate()
         pool.join()
-        if channel is not None:
-            channel.close()
-    while _POOL_CHANNELS:  # channels orphaned by direct _WARM_POOLS edits
-        _, channel = _POOL_CHANNELS.popitem()
-        channel.close()
 
 
 atexit.register(shutdown_pools)
@@ -257,11 +198,6 @@ class ProcessPoolExecutor:
     overhead.
     """
 
-    #: How long ``_pool_map`` waits on the result iterator between live
-    #: channel drains when a handler is attached.  Short enough that
-    #: heartbeats surface promptly; long enough to stay off the hot path.
-    live_poll_s = 0.1
-
     def __init__(
         self,
         workers: int,
@@ -282,16 +218,6 @@ class ProcessPoolExecutor:
         self.workers = workers
         self.start_method = start_method or default_start_method()
         self.timeout = timeout
-        #: Optional live-event callback :func:`_map_on_pool` attaches
-        #: before ``map``: called with each non-empty batch of events drained
-        #: from the pool's live channel *while* the map is in flight.
-        self.on_live_events: Optional[
-            Callable[[List[Dict[str, Any]]], None]
-        ] = None
-        #: The configured worker heartbeat interval (seconds); only used
-        #: to phrase :class:`ShardTimeoutError`'s liveness verdict.
-        self.heartbeat_s: Optional[float] = None
-        self._handler_warned = False
 
     def map(
         self,
@@ -324,34 +250,6 @@ class ProcessPoolExecutor:
         consume: Optional[Callable[[R], None]],
     ) -> List[R]:
         pool = _pool(self.start_method, self.workers)
-        channel = _pool_channel(self.start_method, self.workers)
-        streaming = channel is not None and self.on_live_events is not None
-        if streaming:
-            channel.drain()  # drop leftovers a previous map never consumed
-        last_heartbeat: List[float] = []
-
-        def pump() -> None:
-            """Drain the live channel into the handler (never raises)."""
-            nonlocal streaming
-            if not streaming:
-                return
-            events = channel.drain()
-            if not events:
-                return
-            if any(e.get("kind") == "worker.heartbeat" for e in events):
-                last_heartbeat[:] = [time.monotonic()]
-            try:
-                self.on_live_events(events)
-            except Exception as error:  # noqa: BLE001 - obs must not kill maps
-                streaming = False
-                if not self._handler_warned:
-                    self._handler_warned = True
-                    print(
-                        f"repro: live event handler disabled after error: "
-                        f"{type(error).__name__}: {error}",
-                        file=sys.stderr,
-                    )
-
         try:
             # imap instead of map: results are consumed one at a time,
             # which is what makes a per-payload timeout possible at all
@@ -362,25 +260,10 @@ class ProcessPoolExecutor:
             emit = results.append if consume is None else consume
             for index in range(len(payloads)):
                 try:
-                    if streaming:
-                        result = self._next_streaming(iterator, pump)
-                    else:
-                        result = iterator.next(self.timeout)
+                    result = iterator.next(self.timeout)
                 except multiprocessing.TimeoutError:
-                    age = (
-                        time.monotonic() - last_heartbeat[0]
-                        if last_heartbeat
-                        else None
-                    )
-                    raise ShardTimeoutError(
-                        index,
-                        self.timeout,
-                        heartbeat_age=age,
-                        heartbeat_s=self.heartbeat_s,
-                    ) from None
+                    raise ShardTimeoutError(index, self.timeout) from None
                 emit(result)
-                pump()
-            pump()
             return results
         except ShardTimeoutError:
             # The pool still holds the wedged/lost task: terminate it and
@@ -389,30 +272,6 @@ class ProcessPoolExecutor:
             raise
         # Task exceptions (re-raised by the pool in the parent) leave the
         # pool healthy and warm: no eviction.
-
-    def _next_streaming(self, iterator: Any, pump: Callable[[], None]) -> Any:
-        """One result off ``iterator``, draining the live channel while
-        waiting.
-
-        The per-payload timeout contract is preserved exactly: the wait
-        is chopped into ``live_poll_s`` slices with a pump between them,
-        and ``multiprocessing.TimeoutError`` propagates once the total
-        exceeds ``self.timeout``.
-        """
-        deadline = (
-            time.monotonic() + self.timeout if self.timeout is not None else None
-        )
-        while True:
-            wait = self.live_poll_s
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise multiprocessing.TimeoutError
-                wait = min(wait, remaining)
-            try:
-                return iterator.next(wait)
-            except multiprocessing.TimeoutError:
-                pump()
 
 
 def _map_on_pool(
@@ -429,18 +288,19 @@ def _map_on_pool(
     """Map ``task`` over ``payloads`` on the warm pool, in payload order.
 
     The pool is built from ``execution``'s ``workers``, ``start_method``
-    and ``shard_timeout`` (the timeout applies per payload).  When
-    ``obs_config.live`` is set, a :class:`~repro.obs.LiveDispatcher`
-    counting ``total`` ``unit`` feeds progress and heartbeats from the
-    pool's live channel while the map runs.
+    and ``shard_timeout`` (the timeout applies per payload).
 
     Every task returns ``(*result, events)``: the trailing list holds
     the events its worker buffered (:func:`repro.obs.capture_events`).
-    They are replayed into ``observer`` in payload order -- live copies
-    only fed the progress display, so this replay is their single
-    delivery into the parent's sinks -- after the map, and the bare
-    ``result`` tuples go to ``consume`` as they arrive, so the caller
-    can fold them without holding every result at once.
+    As each payload's output arrives (in payload order), its events are
+    replayed into ``observer`` and then the bare ``result`` tuple goes
+    to ``consume``, so the trace file holds every worker event once, in
+    payload order, and the parent holds no payload's events or result
+    longer than the fold needs.  When ``observer`` is active and the
+    workers buffer (``obs_config.active``), the same events feed a
+    :class:`~repro.obs.ProgressDispatcher` counting ``total`` ``unit``:
+    the ``engine.progress`` events, the ``resource_sampler`` gauges and,
+    with ``obs_config.progress``, the stderr progress line.
     """
     executor = ProcessPoolExecutor(
         execution.workers,
@@ -448,8 +308,8 @@ def _map_on_pool(
         timeout=execution.shard_timeout,
     )
     dispatcher = None
-    if obs_config.live:
-        dispatcher = LiveDispatcher(
+    if observer.active and obs_config.active:
+        dispatcher = ProgressDispatcher(
             observer,
             total=total,
             unit=unit,
@@ -458,20 +318,17 @@ def _map_on_pool(
             progress=obs_config.progress and obs_config.verbosity > 0,
             resource_sampler=resource_sampler,
         )
-        executor.on_live_events = dispatcher
-        executor.heartbeat_s = obs_config.heartbeat_s
-    buffered: List[List[Dict[str, Any]]] = []
 
     def take(output: Tuple[Any, ...]) -> None:
         *result, events = output
         if events:
-            buffered.append(events)
+            observer.replay(events)
+            if dispatcher is not None:
+                dispatcher(events)
         consume(tuple(result))
 
     try:
         executor.map(task, payloads, take)
-        for events in buffered:
-            observer.replay(events)
     finally:
         if dispatcher is not None:
             dispatcher.finish()

@@ -44,7 +44,7 @@ import numpy as np
 
 from ..flow.config import ExecutionConfig, FlowConfig
 from ..flow.pipeline import DesignFlow, FlowError
-from ..obs import capture_events, rss_bytes, worker_task
+from ..obs import capture_events, rss_bytes
 from .executors import ShardTimeoutError, _map_on_pool, warm_pool_stats
 from .sharding import Shard, plan_shards
 
@@ -174,9 +174,8 @@ def _trace_shard_task(
     spec, shard = payload
     try:
         flow = _flow_from_spec(spec)
-        with worker_task("traces", shard=shard.index, traces=shard.count):
-            with capture_events(flow.config.obs) as (_, events):
-                result = flow._acquire_trace_shard(shard)
+        with capture_events(flow.config.obs) as (_, events):
+            result = flow._acquire_trace_shard(shard)
     except Exception as exc:
         raise _shard_error("traces", spec, shard, exc) from exc
     return result, events
@@ -193,9 +192,8 @@ def _assessment_shard_task(
     spec, shard = payload
     try:
         flow = _flow_from_spec(spec)
-        with worker_task("assessment", shard=shard.index, traces=shard.count):
-            with capture_events(flow.config.obs) as (_, events):
-                result = flow._run_assessment_shard(shard)
+        with capture_events(flow.config.obs) as (_, events):
+            result = flow._run_assessment_shard(shard)
     except Exception as exc:
         raise _shard_error("assessment", spec, shard, exc) from exc
     return result, events

@@ -270,14 +270,21 @@ class ArtifactStore:
         return records
 
     def size_bytes(self) -> int:
-        """Total bytes the store occupies on disk."""
-        if not self.root.is_dir():
-            return 0
-        return sum(
-            path.stat().st_size
-            for path in self.root.rglob("*")
-            if path.is_file()
-        )
+        """Total bytes the store occupies on disk.
+
+        Other processes may write to the store while this walks it: a
+        writer renames its staging dir into place, and the loser of a
+        race deletes its own.  A dir or file that vanishes mid-walk
+        counts as gone instead of failing the caller.
+        """
+        total = 0
+        for directory, _, files in os.walk(self.root):
+            for name in files:
+                try:
+                    total += os.stat(os.path.join(directory, name)).st_size
+                except FileNotFoundError:
+                    pass
+        return total
 
     def stats(self) -> Dict[str, Any]:
         """Store state and access counters of this handle.

@@ -33,13 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..flow.config import CampaignConfig, ConfigError, FlowConfig
 from ..flow.pipeline import DesignFlow, FlowError
-from ..obs import (
-    capture_events,
-    get_observer,
-    observer_from_config,
-    use_observer,
-    worker_task,
-)
+from ..obs import capture_events, get_observer, observer_from_config, use_observer
 from ..reporting.tables import format_table
 from .executors import ShardTimeoutError, _map_on_pool
 from .runner import _sample_gauges
@@ -126,11 +120,10 @@ def _sweep_cell_task(
     config = FlowConfig.from_dict(json.loads(config_json))
     flow = DesignFlow(None, config)
     start = time.perf_counter()
-    with worker_task("sweep", cell=name):
-        with capture_events(config.obs) as (obs, events):
-            with obs.span("sweep.cell", cell=name):
-                report = flow.run(list(stages) if stages is not None else None)
-            obs.counter("sweep.cells_done", 1, cell=name)
+    with capture_events(config.obs) as (obs, events):
+        with obs.span("sweep.cell", cell=name):
+            report = flow.run(list(stages) if stages is not None else None)
+        obs.counter("sweep.cells_done", 1, cell=name)
     elapsed = time.perf_counter() - start
     record: Dict[str, Any] = {
         "cell": name,
@@ -271,8 +264,8 @@ def run_sweep(
             "sweep", cells=len(payloads), workers=workers
         ):
             if sweep_execution.pooled:
-                # Heartbeats and the cells-done counter stream mid-sweep;
-                # the per-cell buffered events stay the durable record.
+                # Each cell's buffered events are replayed as its record
+                # arrives, so progress advances once per finished cell.
                 records = []
                 _map_on_pool(
                     _sweep_cell_task,

@@ -638,18 +638,10 @@ class ObservabilityConfig(_ConfigBase):
             only takes effect when some sink is active to receive the
             events (``trace``, ``progress`` or ``sinks``).
         profile_top: hotspot entries kept per profiled span.
-        live: stream a throttled sample of worker events plus periodic
-            ``worker.heartbeat`` beats to the parent *mid-shard* over
-            the process executor's live channel
-            (:mod:`repro.obs.live`) -- the engine of ``--progress``
-            ETA rendering and ``repro top``.  The live channel is a
-            lossy display path on top of the durable buffered one; a
-            live run stays bit-identical to a buffered or untraced
-            one.  Serial execution ignores the flag (events are
-            already immediate in-process).
-        heartbeat_s: seconds between a live worker's heartbeats.
-        live_interval_s: worker-side minimum interval between sampled
-            (non-critical) live events; 0 streams everything.
+
+    Pool workers buffer their events and the parent replays each
+    payload's events as its result arrives; the same events drive the
+    progress display (:mod:`repro.obs.progress`).
     """
 
     trace: Optional[str] = None
@@ -658,9 +650,6 @@ class ObservabilityConfig(_ConfigBase):
     sinks: Tuple[str, ...] = ()
     profile: bool = False
     profile_top: int = 10
-    live: bool = False
-    heartbeat_s: float = 1.0
-    live_interval_s: float = 0.25
 
     def __post_init__(self) -> None:
         if self.trace is not None:
@@ -678,21 +667,11 @@ class ObservabilityConfig(_ConfigBase):
             raise ConfigError(
                 f"profile_top must be in 1..100, got {self.profile_top}"
             )
-        if not self.heartbeat_s > 0:
-            raise ConfigError(
-                f"heartbeat_s must be positive, got {self.heartbeat_s}"
-            )
-        if self.live_interval_s < 0:
-            raise ConfigError(
-                f"live_interval_s must be >= 0, got {self.live_interval_s}"
-            )
 
     @property
     def active(self) -> bool:
         """True when the flow builds an observer at all."""
-        return (
-            self.trace is not None or self.progress or bool(self.sinks) or self.live
-        )
+        return self.trace is not None or self.progress or bool(self.sinks)
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,12 @@ or from the CLI::
     repro sweep --axis sbox_bits=3,4 --trace events.jsonl --progress
     repro trace summary events.jsonl
 
-On top of the durable buffered path, :mod:`repro.obs.live` streams a
-throttled sample of worker events plus ``worker.heartbeat`` beats to
-the parent *mid-shard* over a pool-owned queue -- the live rendering
-behind ``--progress``, ``repro top`` and ``repro trace summary
---follow``.  The live channel is lossy by design and the buffer stays
-canonical, so the cardinal rule holds unchanged.
+Each pooled payload's events ride back with its result, and the parent
+replays them as soon as that result arrives.  The same replayed events
+drive :mod:`repro.obs.progress` -- the ``--progress`` line, the
+``engine.progress`` events and the per-worker table ``repro top`` reads
+back from a trace file -- so there is one event path, and it advances
+once per finished shard or sweep cell.
 """
 
 from .core import (
@@ -55,17 +55,7 @@ from .events import (
     make_event,
     validate_event,
 )
-from .live import (
-    LiveChannel,
-    LiveDispatcher,
-    LiveSink,
-    ProgressAggregator,
-    install_worker_channel,
-    rss_bytes,
-    start_heartbeat,
-    worker_queue,
-    worker_task,
-)
+from .progress import ProgressAggregator, ProgressDispatcher, rss_bytes
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import DEFAULT_PROFILE_TOP, SpanProfiler, hotspots_from_profile
 from .sinks import (
@@ -122,13 +112,7 @@ __all__ = [
     "summarize_events",
     "summarize_trace_file",
     "iter_trace_events",
-    "LiveChannel",
-    "LiveDispatcher",
-    "LiveSink",
     "ProgressAggregator",
-    "install_worker_channel",
-    "worker_queue",
-    "worker_task",
-    "start_heartbeat",
+    "ProgressDispatcher",
     "rss_bytes",
 ]

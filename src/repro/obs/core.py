@@ -5,7 +5,7 @@ fans schema events (:mod:`repro.obs.events`) out to its sinks and folds
 metric updates into its live :class:`~repro.obs.metrics.MetricsRegistry`.
 The module also owns the *current* observer -- a process-global the
 deep layers (artifact store, kernels, executors) read with
-:func:`get_observer`, so instrumentation works without threading an
+:func:`get_observer`, so instrumentation works without passing an
 observer argument through every call chain.
 
 The default current observer is :data:`NULL_OBSERVER`: ``active`` is
@@ -36,7 +36,6 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .events import METRIC_KINDS, make_event
-from .live import LiveSink, start_heartbeat, worker_queue
 from .metrics import MetricsRegistry
 from .profile import DEFAULT_PROFILE_TOP, SpanProfiler
 from .sinks import BufferSink, NullSink, Sink, get_sink
@@ -197,7 +196,7 @@ class Observer:
         """Emit one event of an arbitrary schema kind.
 
         The generic escape hatch for kinds without a dedicated helper
-        (the live-telemetry ``progress`` events use it); span and
+        (the ``engine.progress`` events use it); span and
         metric emission should go through their typed methods, which
         also maintain the metrics registry.
         """
@@ -323,7 +322,7 @@ def capture_events(enabled: Any):
 
     When the current observer is already active *in this process* (the
     in-process serial path under a CLI-installed observer) events are
-    emitted live and the buffer is ``None`` -- nothing travels, nothing
+    emitted directly and the buffer is ``None`` -- nothing travels, nothing
     is replayed twice.  A fork-started pool worker inherits the
     parent's installed observer, but emitting into that copy's sinks
     would be lost (or, for the jsonl sink, interleave appends from many
@@ -342,23 +341,12 @@ def capture_events(enabled: Any):
     single campaign -- re-evaluates ``enabled`` from the flow spec on
     every shard, so the buffered-event piggybacking survives warm pools
     and every start method unchanged.  Events travel as plain dicts in
-    the shard result tuple regardless of whether the bulk arrays ride
-    the pickle pipe or shared-memory segments.
-
-    When the worker has a live channel installed by its pool
-    (:func:`repro.obs.live.install_worker_channel`) and the config asks
-    for it (``live=True``), the buffering observer gains a
-    :class:`~repro.obs.live.LiveSink` streaming a throttled sample of
-    the same events to the parent mid-shard, and a heartbeat thread
-    pulses ``worker.heartbeat`` events every ``heartbeat_s`` seconds
-    for the duration of the block.  Both are lossy side channels on top
-    of the buffer, never replacements for it.
+    the shard result tuple, through the pool's result pipe.
     """
     config = enabled if not isinstance(enabled, bool) else None
     active = bool(getattr(enabled, "active", enabled))
     current = get_observer()
-    live = current.active and current.pid == os.getpid()
-    if live:
+    if current.active and current.pid == os.getpid():
         yield current, None
         return
     if not active:
@@ -369,34 +357,15 @@ def capture_events(enabled: Any):
             yield current, None
         return
     buffer: List[Dict[str, Any]] = []
-    sinks: List[Sink] = [BufferSink(buffer)]
-    queue = worker_queue()
-    streaming = queue is not None and bool(getattr(config, "live", False))
-    if streaming:
-        # The live side channel: a throttled sample of the event flow
-        # streams to the parent mid-shard, while the buffer stays the
-        # complete durable record that piggybacks on the shard result.
-        sinks.append(
-            LiveSink(queue, interval_s=getattr(config, "live_interval_s", 0.25))
-        )
     observer = Observer(
-        sinks,
+        (BufferSink(buffer),),
         profile=bool(getattr(config, "profile", False)),
         profile_top=int(
             getattr(config, "profile_top", DEFAULT_PROFILE_TOP) or DEFAULT_PROFILE_TOP
         ),
     )
-    heartbeat = (
-        start_heartbeat(queue, getattr(config, "heartbeat_s", 1.0))
-        if streaming
-        else None
-    )
-    try:
-        with use_observer(observer):
-            yield observer, buffer
-    finally:
-        if heartbeat is not None:
-            heartbeat.stop()
+    with use_observer(observer):
+        yield observer, buffer
 
 
 def observer_from_config(config: Any) -> Observer:

@@ -31,14 +31,13 @@ profiled span is followed by one ``span.profile`` event whose
 "cumtime_s": float}`` -- so a perf regression report can point at the
 function that caused it.
 
-Version 3 added the live-telemetry kinds (:data:`LIVE_KINDS`):
-``worker.heartbeat`` (periodic worker liveness -- ``value`` is the
-worker's cumulative traces completed, ``attrs`` carry the current
-shard/cell, ``traces_done`` and ``rss_mb``) and ``progress``
-(parent-side aggregate -- ``value`` is units done, ``attrs`` the
-aggregator snapshot with rate/ETA/worker count).  Both exist only on
-the live channel (:mod:`repro.obs.live`); they describe the run, never
-the results.
+Version 3 added the run-status kinds (:data:`LIVE_KINDS`):
+``progress`` (parent-side aggregate -- ``value`` is units done,
+``attrs`` the :class:`~repro.obs.progress.ProgressAggregator` snapshot
+with rate/ETA/worker count) and ``worker.heartbeat``.  Nothing emits
+``worker.heartbeat`` any more; the kind still validates so version-3
+trace files that hold worker beats stay readable.  Both kinds describe
+the run, never the results.
 
 Timestamps and durations are observability side-channels: they never
 feed back into any computation, which is why a traced campaign stays
@@ -70,7 +69,7 @@ __all__ = [
 SCHEMA_VERSION = 3
 
 #: Older schema versions whose events still validate (versions 2 and 3
-#: only *added* kinds -- ``span.profile``, then the live kinds -- so
+#: only *added* kinds -- ``span.profile``, then the run-status kinds -- so
 #: version-1 and version-2 logs stay readable).
 SUPPORTED_SCHEMA_VERSIONS = (1, 2, SCHEMA_VERSION)
 
@@ -86,8 +85,9 @@ METRIC_KINDS = ("counter", "gauge", "histogram")
 #: top-N cumulative hotspots in the ``profile`` field.
 PROFILE_KINDS = ("span.profile",)
 
-#: Live-telemetry kinds (schema version 3): worker liveness beats and
-#: parent-side progress aggregates, streamed by :mod:`repro.obs.live`.
+#: Run-status kinds (schema version 3): the parent's ``progress``
+#: aggregates, and ``worker.heartbeat``, which only older version-3
+#: trace files hold.
 LIVE_KINDS = ("worker.heartbeat", "progress")
 
 EVENT_KINDS = SPAN_KINDS + METRIC_KINDS + PROFILE_KINDS + LIVE_KINDS

@@ -159,11 +159,9 @@ class ConsoleSink(Sink):
         if kind == "span.profile":
             return 2
         if kind == "progress":
-            # The live dispatcher renders its own progress line; the
-            # console copy is detail for -v.
+            # The progress dispatcher renders its own progress line;
+            # the console copy is detail for -v.
             return 2
-        if kind == "worker.heartbeat":
-            return 3
         return 3  # span.start
 
     def _format(self, event: Dict[str, Any]) -> str:

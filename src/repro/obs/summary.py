@@ -72,8 +72,6 @@ class TraceSummary:
 
     events: int = 0
     errors: int = 0
-    #: ``worker.heartbeat`` events seen (live-channel traces only).
-    heartbeats: int = 0
     #: span name -> aggregate timing, insertion-ordered by first completion.
     spans: Dict[str, SpanStats] = field(default_factory=dict)
     #: counter name -> summed value.
@@ -116,8 +114,6 @@ class TraceSummary:
             if stats is None:
                 stats = self.histograms[name] = Histogram()
             stats.observe(event.get("value", 0.0))
-        elif kind == "worker.heartbeat":
-            self.heartbeats += 1
         elif kind == "span.profile":
             merged = self.profiles.setdefault(name, {})
             for entry in event.get("profile", ()):  # validated upstream
@@ -144,7 +140,6 @@ class TraceSummary:
         return {
             "events": self.events,
             "errors": self.errors,
-            "heartbeats": self.heartbeats,
             "spans": {name: stats.to_dict() for name, stats in self.spans.items()},
             "counters": dict(self.counters),
             "histograms": {

@@ -6,8 +6,8 @@ The data side lives in :mod:`repro.obs.summary`; this module turns a
 totals (cache hits and misses included), metric distributions and --
 for sweep traces -- the per-cell breakdown.  :func:`format_live_status`
 is the compact companion view ``repro top`` refreshes while tailing a
-growing trace: progress line, per-worker heartbeat table, busiest
-spans.
+growing trace: progress line, per-worker table of finished shards and
+cells, busiest spans.
 """
 
 from __future__ import annotations
@@ -125,13 +125,15 @@ def format_live_status(summary, aggregator, now: Optional[float] = None) -> str:
 
     ``summary`` is the :class:`~repro.obs.summary.TraceSummary` of
     everything read so far, ``aggregator`` the
-    :class:`~repro.obs.live.ProgressAggregator` fed the same events with
-    their file timestamps, and ``now`` the newest event timestamp seen
-    (heartbeat ages are relative to it, so a finished trace reads as a
-    snapshot of its final moment, not as ever-growing staleness).
+    :class:`~repro.obs.progress.ProgressAggregator` fed the same events
+    with their file timestamps, and ``now`` the newest event timestamp
+    seen (result ages are relative to it, so a finished trace reads as a
+    snapshot of its final moment, not as ever-growing staleness).  The
+    Workers table has one row per pid that finished a shard or sweep
+    cell: its last result and the traces it has finished.
     """
     header = aggregator.render_line(now)
-    counts = f"{summary.events} events, {summary.heartbeats} heartbeats"
+    counts = f"{summary.events} events"
     if summary.errors:
         counts += f", {summary.errors} errors"
     blocks: List[str] = [f"{header}\n{counts}"]
@@ -149,13 +151,12 @@ def format_live_status(summary, aggregator, now: Optional[float] = None) -> str:
                     _dash(state.get("shard")),
                     _dash(state.get("cell")),
                     _dash(state.get("traces_done")),
-                    _dash(state.get("rss_mb")),
                     age,
                 ]
             )
         blocks.append(
             format_table(
-                ["pid", "task", "shard", "cell", "traces", "rss [MB]", "hb [s]"],
+                ["pid", "task", "shard", "cell", "traces", "last [s]"],
                 rows,
                 title="Workers",
             )

@@ -25,6 +25,7 @@ from repro.engine import (
     default_start_method,
     shutdown_pools,
     warm_pool,
+    warm_pool_stats,
 )
 from repro.engine.executors import _WARM_POOLS, ProcessPoolExecutor
 from repro.flow import (
@@ -129,12 +130,15 @@ class TestPersistentPools:
     def test_warm_pool_and_shutdown(self):
         shutdown_pools()
         assert _WARM_POOLS == {}
+        assert warm_pool_stats() == (0, 0)
         warm_pool(2)
         assert (default_start_method(), 2) in _WARM_POOLS
+        assert warm_pool_stats() == (1, 2)
         warm_pool(1)  # no pool needed for one worker
         assert (default_start_method(), 1) not in _WARM_POOLS
         shutdown_pools()
         assert _WARM_POOLS == {}
+        assert warm_pool_stats() == (0, 0)
 
 
 class TestWorkerDeath:
@@ -152,6 +156,7 @@ class TestWorkerDeath:
 
         error = pickle.loads(pickle.dumps(ShardTimeoutError(3, 2.5)))
         assert error.payload_index == 3 and error.timeout == 2.5
+        assert "payload 3 did not complete within 2.5s" in str(error)
 
 
 class TestShardTaskFailureInjection:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,28 @@ class TestArtifactStore:
         assert store.size_bytes() > 0
         assert store.clear() == 2
         assert store.entries() == []
+
+    def test_size_bytes_survives_a_concurrent_writer(self, tmp_path, monkeypatch):
+        # Sweep cells on a pool share one store: a cell sampling the
+        # store gauges walks it while another cell's staging dir is
+        # renamed away.  Files that vanish mid-walk count as gone.
+        store = ArtifactStore(tmp_path / "store")
+        store.put_traceset("e" * 64, _traceset(), {"stage": "traces"})
+        committed = store.size_bytes()
+        staging = store.root / ".ffffffffffff-writer"
+        staging.mkdir()
+        (staging / "meta.json").write_text("{}")
+        real_walk = os.walk
+
+        def racing_walk(top, *args, **kwargs):
+            for directory, dirs, files in real_walk(top, *args, **kwargs):
+                if directory == str(staging):
+                    shutil.rmtree(staging)  # listed, then renamed away
+                yield directory, dirs, files
+
+        monkeypatch.setattr(os, "walk", racing_walk)
+        assert store.size_bytes() == committed
+        assert store.stats()["bytes"] == committed
 
     @pytest.mark.parametrize("damage", ["truncated_array", "garbled_meta"])
     def test_damaged_entry_is_replaced_by_the_next_put(self, tmp_path, damage):

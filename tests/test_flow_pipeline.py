@@ -13,6 +13,7 @@ from repro.flow import (
     DesignFlow,
     FlowConfig,
     FlowError,
+    ObservabilityConfig,
     ScenarioConfig,
     SynthesisConfig,
     TechnologyConfig,
@@ -45,9 +46,21 @@ class TestConfigs:
         config = FlowConfig(cells=CellConfig(names=("AND2",)))
         json.dumps(config.to_dict())
 
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown keys"):
-            FlowConfig.from_dict({"name": "x", "turbo": True})
+    @pytest.mark.parametrize(
+        "cls, data",
+        [
+            (FlowConfig, {"name": "x", "turbo": True}),
+            # The live-channel knobs are gone: a stale config fails loudly.
+            (ObservabilityConfig, {"live": True}),
+            (ObservabilityConfig, {"heartbeat_s": 1.0}),
+            (ObservabilityConfig, {"live_interval_s": 0}),
+        ],
+        ids=["turbo", "live", "heartbeat_s", "live_interval_s"],
+    )
+    def test_unknown_keys_rejected(self, cls, data):
+        field = next(key for key in data if key != "name")
+        with pytest.raises(ConfigError, match=rf"unknown keys \['{field}'\]"):
+            cls.from_dict(data)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -107,11 +107,13 @@ class TestEventParity:
         def shard_shape(events):
             # stage.* spans differ legitimately: worker processes rebuild
             # the flow, re-running the circuit stages the serial path
-            # computed once.  The sharded work itself must match.
+            # computed once.  The sharded work itself must match; the
+            # pool's engine.progress status events have no serial twin.
             return Multiset(
                 (e["kind"], e["name"])
                 for e in events
                 if e["name"].startswith(("shard.", "engine."))
+                and e["kind"] != "progress"
             )
 
         assert shard_shape(serial) == shard_shape(parallel)
@@ -193,19 +195,33 @@ class TestSweepTracing:
                 base, {"campaign.noise_std": [0.0, 0.02]}, workers=2
             ).cells
 
-        def comparable(record):
+        def comparable(cell):
             # Strip wall-clock readings; everything else must match.
-            clean = json.loads(json.dumps(record, default=str))
-            for cell in ([clean] if isinstance(clean, dict) else clean):
-                cell.pop("elapsed_s", None)
-                for stage in cell.get("stages", {}).values():
-                    stage.get("details", {}).pop("elapsed_s", None)
-                    stage.pop("elapsed_s", None)
+            clean = json.loads(json.dumps(cell, default=str))
+            clean.pop("elapsed_s", None)
+            for stage in clean.get("stages", {}).values():
+                stage.get("details", {}).pop("elapsed_s", None)
+                stage.pop("elapsed_s", None)
             return clean
 
         traced = cells(ObservabilityConfig(trace=str(tmp_path / "e.jsonl")), "s1")
         untraced = cells(ObservabilityConfig(), "s2")
-        assert comparable(traced) == comparable(untraced)
+        assert [c["cell"] for c in traced] == [c["cell"] for c in untraced]
+        # Compare cell by cell and stage by stage, so a failure names
+        # the cell, the stage and the key that differ.
+        for traced_cell, untraced_cell in zip(traced, untraced):
+            name = traced_cell["cell"]
+            a, b = comparable(traced_cell), comparable(untraced_cell)
+            a_stages, b_stages = a.pop("stages"), b.pop("stages")
+            assert list(a_stages) == list(b_stages), name
+            for stage in a_stages:
+                a_stage, b_stage = a_stages[stage], b_stages[stage]
+                for key in sorted(set(a_stage) | set(b_stage)):
+                    assert a_stage.get(key) == b_stage.get(key), (
+                        f"cell {name!r} stage {stage!r} key {key!r}"
+                    )
+            for key in sorted(set(a) | set(b)):
+                assert a.get(key) == b.get(key), f"cell {name!r} key {key!r}"
 
 
 class TestCli:
