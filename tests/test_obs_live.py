@@ -6,26 +6,40 @@ progress aggregator, the ``engine.progress`` events and the per-worker
 table ``repro top`` prints.  These tests pin that contract: a traced
 pooled run stays bit-identical to an untraced one (fork and spawn,
 traces and verdicts), each payload is replayed before it is consumed
-and exactly once, in payload order, and every status view is built
+and exactly once, in payload order, a failing sink or progress display
+drops telemetry but never a result, and every status view is built
 from event timestamps, never from a wall-clock period.  They also pin
 the schema v3 kinds, tail-safe trace reading and the ``repro top`` /
 ``trace summary --follow`` CLI.
+
+Several classes keep the names of the live side channel these rules
+once belonged to; each now pins the same rule on the replay path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import pickle
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.engine import run_sweep
+from repro.engine import (
+    ShardTimeoutError,
+    run_sweep,
+    shutdown_pools,
+    warm_pool,
+    warm_pool_stats,
+)
 from repro.engine import executors as engine_executors
 from repro.engine import runner as engine_runner
 from repro.engine.cli import main
+from repro.engine.executors import ProcessPoolExecutor, default_start_method
 from repro.flow import (
     AssessmentConfig,
     CampaignConfig,
@@ -41,8 +55,10 @@ from repro.obs import (
     ObsError,
     Observer,
     ProgressAggregator,
+    ProgressDispatcher,
     iter_trace_events,
     make_event,
+    rss_bytes,
     summarize_events,
     summarize_trace_file,
     use_observer,
@@ -68,11 +84,15 @@ def _flow(execution, obs=TRACED_OBS, **campaign):
     return DesignFlow.sbox(0xB, config=config)
 
 
-def _run_traced(execution, obs=TRACED_OBS, **campaign):
+def _run_traced(execution, obs=TRACED_OBS, sinks=(), **campaign):
     buffer = []
-    with use_observer(Observer((BufferSink(buffer),))):
+    with use_observer(Observer((*sinks, BufferSink(buffer)))):
         traces = _flow(execution, obs=obs, **campaign).traces()
     return traces, buffer
+
+
+def _untraced(execution):
+    return _flow(execution, obs=ObservabilityConfig()).traces()
 
 
 def _event(kind, name, seq=0, ts=None, pid=None, **kwargs):
@@ -90,6 +110,132 @@ def _shard_ends(events, name="shard.traces"):
         for event in events
         if event["kind"] == "span.end" and event["name"] == name
     ]
+
+
+def _shard_end(count, index=0, ts=0.0, pid=1, kind="span.end"):
+    return _event(
+        kind,
+        "shard.traces",
+        ts=ts,
+        pid=pid,
+        duration_s=0.1,
+        attrs={"index": index, "count": count},
+    )
+
+
+# Module-level so it pickles into pool workers.
+
+
+def _die(_payload):
+    os._exit(13)
+
+
+class _FailingSink:
+    """Raises ``error`` on the first replayed worker event."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def emit(self, event):
+        if event["name"].startswith("shard."):
+            raise self.error
+
+    def close(self):
+        pass
+
+
+class _BrokenStream:
+    def isatty(self):
+        return False
+
+    def write(self, text):
+        raise OSError("stderr is gone")
+
+    def flush(self):
+        raise OSError("stderr is gone")
+
+
+class _RecordingObserver:
+    active = True
+
+    def __init__(self):
+        self.events = []
+
+    def event(self, kind, name, **fields):
+        self.events.append(make_event(kind, name, seq=len(self.events), **fields))
+
+
+class TestSafePutAndLiveSink:
+    """Telemetry drop rules: a failing sink or display loses events,
+    never a result, and completions are never sampled away."""
+
+    def _assert_sink_drops_once(self, error, capsys):
+        pooled = ExecutionConfig(workers=2, shard_size=SHARD)
+        untraced = _untraced(pooled)
+        capsys.readouterr()
+        traces, events = _run_traced(pooled, sinks=(_FailingSink(error),))
+        err = capsys.readouterr().err
+        assert err.count("sink disabled after error") == 1
+        assert str(error) in err
+        # The sibling sink still got every shard, once, in order.
+        assert _shard_ends(events) == list(range(TRACES // SHARD))
+        assert np.array_equal(untraced.traces, traces.traces)
+
+    def test_full_queue_drops_with_a_single_warning(self, capsys):
+        self._assert_sink_drops_once(OSError(28, "No space left on device"), capsys)
+
+    def test_closed_queue_drops_with_a_single_warning(self, capsys):
+        self._assert_sink_drops_once(
+            ValueError("I/O operation on closed file"), capsys
+        )
+
+    def test_sink_never_raises_into_the_observer(self):
+        dispatcher = ProgressDispatcher(_RecordingObserver(), 256, progress=True)
+        dispatcher.stream = _BrokenStream()
+        dispatcher([_shard_end(256)])  # must not raise
+        dispatcher.finish()
+        assert dispatcher.progress is False  # the display is off ...
+        assert dispatcher.observer.events[-1]["value"] == 256.0  # ... not progress
+
+    def test_span_starts_never_stream(self):
+        agg = ProgressAggregator(256, unit="traces")
+        agg.note_event(
+            _event(
+                "span.start",
+                "shard.traces",
+                ts=1.0,
+                pid=3,
+                attrs={"index": 0, "count": 256},
+            ),
+            now=1.0,
+        )
+        assert agg.done == 0 and agg.shards_done == 0 and agg.workers == {}
+
+    def test_critical_events_bypass_the_sampler(self):
+        observer = _RecordingObserver()
+        dispatcher = ProgressDispatcher(observer, 768)
+        dispatcher.INTERVAL_S = 3600.0
+        for index in range(3):
+            dispatcher([_shard_end(256, index=index)])
+        # Progress events are sampled, completions are not: every shard
+        # end is counted and the final event reports all of them.
+        assert len(observer.events) == 1
+        assert dispatcher.aggregator.done == 768
+        dispatcher.finish()
+        assert observer.events[-1]["attrs"]["done"] == 768
+        assert observer.events[-1]["attrs"]["shards_done"] == 3
+
+    def test_noncritical_events_are_time_sampled(self):
+        samples = []
+        observer = _RecordingObserver()
+        dispatcher = ProgressDispatcher(
+            observer, 768, resource_sampler=lambda: samples.append(1)
+        )
+        dispatcher.INTERVAL_S = 3600.0
+        dispatcher([_shard_end(256, index=0)])
+        dispatcher([_shard_end(256, index=1)])  # throttled
+        assert len(samples) == 1 and len(observer.events) == 1
+        assert observer.events[0]["value"] == 256.0
 
 
 class TestMetrics:
@@ -111,6 +257,16 @@ class TestMetrics:
 
 
 class TestSchemaV3:
+    def _old_heartbeat(self):
+        # Nothing emits worker.heartbeat any more, but version-3 trace
+        # files written while it existed must still read.
+        return _event(
+            "worker.heartbeat",
+            "worker.heartbeat",
+            value=256.0,
+            attrs={"task": "traces", "shard": 0, "traces_done": 256, "rss_mb": 80.1},
+        )
+
     def test_live_kinds_validate(self):
         assert SCHEMA_VERSION == 3
         progress = _event(
@@ -118,15 +274,16 @@ class TestSchemaV3:
         )
         assert validate_event(progress)["v"] == 3
 
+    def test_heartbeat_reports_task_and_rss(self):
+        beat = validate_event(self._old_heartbeat())
+        assert beat["attrs"]["task"] == "traces"
+        assert beat["attrs"]["shard"] == 0
+        assert beat["attrs"]["rss_mb"] >= 0
+        # RSS now comes from the parent's proc.rss_mb gauge.
+        assert rss_bytes() > 0
+
     def test_old_heartbeat_traces_validate_and_summarise(self):
-        # Nothing emits worker.heartbeat any more, but version-3 trace
-        # files written while it existed must still read.
-        beat = _event(
-            "worker.heartbeat",
-            "worker.heartbeat",
-            value=256.0,
-            attrs={"task": "traces", "shard": 0, "traces_done": 256, "rss_mb": 80.1},
-        )
+        beat = self._old_heartbeat()
         assert validate_event(beat)["kind"] == "worker.heartbeat"
         end = _event("span.end", "shard.traces", duration_s=0.1, attrs={"count": 8})
         summary = summarize_events([beat, end])
@@ -200,32 +357,41 @@ class TestTailSafeReading:
 
 
 class TestProgressAggregator:
-    def _shard_end(self, count, index=0, ts=0.0, pid=1, kind="span.end"):
-        return _event(
-            kind,
-            "shard.traces",
-            ts=ts,
-            pid=pid,
-            duration_s=0.1,
-            attrs={"index": index, "count": count},
-        )
-
     def test_ewma_rate_and_eta_are_deterministic(self):
         agg = ProgressAggregator(100, unit="traces")
-        agg.note_event(self._shard_end(10), now=0.0)
+        agg.note_event(_shard_end(10), now=0.0)
         assert agg.done == 10 and agg.rate is None and agg.eta_s() is None
-        agg.note_event(self._shard_end(10), now=1.0)
+        agg.note_event(_shard_end(10), now=1.0)
         assert agg.rate == pytest.approx(10.0)
         assert agg.eta_s() == pytest.approx(8.0)
         line = agg.render_line()
         assert "traces 20/100 (20.0%)" in line
         assert "10.0/s" in line and "ETA 8.0s" in line
 
+    def test_heartbeats_feed_liveness_but_never_completion(self):
+        # A version-3 trace file may hold worker.heartbeat events; they
+        # complete nothing.  Liveness comes from the worker's results.
+        agg = ProgressAggregator(100, unit="traces")
+        beat = _event(
+            "worker.heartbeat",
+            "worker.heartbeat",
+            ts=5.0,
+            pid=9,
+            value=0.0,
+            attrs={"task": "traces", "shard": 0, "rss_mb": 80.1},
+        )
+        agg.note_event(beat, now=5.0)
+        assert agg.done == 0 and agg.workers == {}
+        agg.note_event(_shard_end(16, ts=6.0, pid=9), now=6.0)
+        assert agg.done == 16
+        assert agg.last_result_age(6.5) == pytest.approx(0.5)
+        assert "1 worker(s)" in agg.render_line(6.5)
+
     def test_span_ends_build_the_worker_table(self):
         agg = ProgressAggregator(768, unit="traces")
-        agg.note_event(self._shard_end(256, index=0, ts=10.0, pid=41), now=99.0)
-        agg.note_event(self._shard_end(256, index=1, ts=11.0, pid=42), now=99.0)
-        agg.note_event(self._shard_end(256, index=2, ts=12.5, pid=41), now=99.0)
+        agg.note_event(_shard_end(256, index=0, ts=10.0, pid=41), now=99.0)
+        agg.note_event(_shard_end(256, index=1, ts=11.0, pid=42), now=99.0)
+        agg.note_event(_shard_end(256, index=2, ts=12.5, pid=41), now=99.0)
         # Events without a worker result never touch the table.
         agg.note_event(
             _event("counter", "kernel.cycles", ts=13.0, pid=43, value=1.0), now=99.0
@@ -247,13 +413,13 @@ class TestProgressAggregator:
     def test_failed_shard_is_a_result_but_finishes_no_traces(self):
         agg = ProgressAggregator(None, unit="traces")
         agg.note_event(
-            self._shard_end(256, index=4, ts=3.0, pid=7, kind="span.error"), now=3.0
+            _shard_end(256, index=4, ts=3.0, pid=7, kind="span.error"), now=3.0
         )
         assert agg.workers[7]["shard"] == 4 and agg.workers[7]["traces_done"] == 0
 
     def test_sweep_cells_fill_the_cell_column(self):
         agg = ProgressAggregator(2, unit="cells")
-        agg.note_event(self._shard_end(32, index=0, ts=1.0, pid=5), now=1.0)
+        agg.note_event(_shard_end(32, index=0, ts=1.0, pid=5), now=1.0)
         agg.note_event(
             _event(
                 "span.end",
@@ -290,52 +456,10 @@ class TestProgressAggregator:
         assert agg.render_line() == "repro: traces 32"
 
 
-class TestTracedBitIdentity:
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_traced_pool_matches_untraced_and_serial(self, start_method):
-        pooled = ExecutionConfig(
-            workers=2, shard_size=SHARD, start_method=start_method
-        )
-        untraced = _flow(pooled, obs=ObservabilityConfig()).traces()
-        serial, _ = _run_traced(ExecutionConfig(shard_size=SHARD))
-        traced, events = _run_traced(pooled)
-        assert _shard_ends(events) == list(range(TRACES // SHARD))
-        assert np.array_equal(untraced.traces, traced.traces)
-        assert np.array_equal(untraced.plaintexts, traced.plaintexts)
-        assert np.array_equal(serial.traces, traced.traces)
-
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_traced_assessment_verdict_matches_untraced(self, start_method):
-        def verdict(obs):
-            config = FlowConfig(
-                name="obs_verdict",
-                campaign=CampaignConfig(key=0xB, trace_count=64),
-                assessment=AssessmentConfig(
-                    enabled=True, traces_per_class=200
-                ),
-                execution=ExecutionConfig(
-                    workers=2, shard_size=128, start_method=start_method
-                ),
-                obs=obs,
-            )
-            flow = DesignFlow.sbox(config=config)
-            details = flow.run(["assessment"])["assessment"].details
-            return {
-                key: value
-                for key, value in details.items()
-                if key == "leaks" or key.endswith("_max_abs_t")
-            }
-
-        buffer = []
-        with use_observer(Observer((BufferSink(buffer),))):
-            traced = verdict(TRACED_OBS)
-        untraced = verdict(ObservabilityConfig())
-        assert traced == untraced
-        assert any(e["name"] == "shard.assessment" for e in buffer)
-
-
-class TestReplayOnArrival:
-    def test_each_payload_is_replayed_before_it_is_consumed(self, monkeypatch):
+class TestExecutorLiveProtocol:
+    def test_events_arrive_mid_map(self, monkeypatch):
+        # Replay on arrival: each payload's events reach the sink before
+        # its result is consumed, and before any later payload's.
         buffer = []
         seen = []
         real = engine_runner._map_on_pool
@@ -363,11 +487,147 @@ class TestReplayOnArrival:
             _flow(ExecutionConfig(workers=2, shard_size=SHARD)).traces()
         shards = TRACES // SHARD
         assert shards >= 4 and seen == list(range(shards))
-        # The finished trace holds each shard's span end once, in order.
-        assert _shard_ends(buffer) == list(range(shards))
 
-    def test_progress_reaches_the_parent_observer(self):
+    def test_handler_error_disables_streaming_not_the_map(self, monkeypatch):
+        # A failing gauge sampler and a dead stderr switch the progress
+        # display off; the map, its results and its events carry on.
+        pooled = ExecutionConfig(workers=2, shard_size=SHARD)
+        untraced = _untraced(pooled)
+        built = []
+        real = engine_executors.ProgressDispatcher
+
+        def broken_sampler():
+            raise RuntimeError("gauge source gone")
+
+        def spy(*args, **kwargs):
+            kwargs["resource_sampler"] = broken_sampler
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(engine_executors, "ProgressDispatcher", spy)
+        monkeypatch.setattr(sys, "stderr", _BrokenStream())
+        traces, events = _run_traced(
+            pooled, obs=ObservabilityConfig(sinks=("null",), progress=True)
+        )
+        assert len(built) == 1 and built[0].progress is False
+        assert np.array_equal(untraced.traces, traces.traces)
+        assert _shard_ends(events) == list(range(TRACES // SHARD))
+        progress = [e for e in events if e["kind"] == "progress"]
+        assert progress[-1]["attrs"]["done"] == TRACES
+
+    def test_eviction_closes_the_live_channel(self):
+        shutdown_pools()
+        warm_pool(2)
+        assert warm_pool_stats() == (1, 2)
+        executor = ProcessPoolExecutor(2, timeout=3.0)
+        with pytest.raises(ShardTimeoutError):
+            executor.map(_die, [0, 1])
+        # The pool died with its worker: eviction closed it and dropped
+        # it from the warm cache, so nothing of it outlives the map.
+        assert warm_pool_stats() == (0, 0)
+        assert engine_executors._WARM_POOLS.get((default_start_method(), 2)) is None
+
+    def test_warm_pool_stats_counts_pools_and_workers(self):
+        shutdown_pools()
+        assert warm_pool_stats() == (0, 0)
+        warm_pool(2)
+        assert warm_pool_stats() == (1, 2)
+        shutdown_pools()
+        assert warm_pool_stats() == (0, 0)
+
+
+class TestShardTimeoutHeartbeatContext:
+    def test_plain_message_is_unchanged_without_heartbeats(self):
+        error = ShardTimeoutError(1, 5.0)
+        assert str(error) == (
+            "payload 1 did not complete within 5s; "
+            "the worker pool was terminated (worker died or wedged?)"
+        )
+        assert "heartbeat" not in str(error)
+
+    def test_pickles_with_heartbeat_context(self):
+        error = pickle.loads(pickle.dumps(ShardTimeoutError(3, 2.5)))
+        assert error.payload_index == 3 and error.timeout == 2.5
+        assert str(error) == str(ShardTimeoutError(3, 2.5))
+        # The heartbeat context is gone from the constructor.
+        with pytest.raises(TypeError):
+            ShardTimeoutError(3, 2.5, heartbeat_age=9.0, heartbeat_s=0.5)
+
+
+class TestLiveBitIdentity:
+    def test_live_matches_buffered_and_untraced(self):
+        pooled = ExecutionConfig(workers=2, shard_size=SHARD, start_method="fork")
+        untraced = _untraced(pooled)
+        serial, _ = _run_traced(ExecutionConfig(shard_size=SHARD))
+        traced, events = _run_traced(pooled)
+        assert _shard_ends(events) == list(range(TRACES // SHARD))
+        assert np.array_equal(untraced.traces, traced.traces)
+        assert np.array_equal(untraced.plaintexts, traced.plaintexts)
+        assert np.array_equal(serial.traces, traced.traces)
+
+    def test_live_spawn_matches_fork(self):
+        spawn_pool = ExecutionConfig(
+            workers=2, shard_size=SHARD, start_method="spawn"
+        )
+        untraced = _untraced(spawn_pool)
+        fork, _ = _run_traced(
+            ExecutionConfig(workers=2, shard_size=SHARD, start_method="fork")
+        )
+        spawn, events = _run_traced(spawn_pool)
+        assert _shard_ends(events) == list(range(TRACES // SHARD))
+        assert np.array_equal(fork.traces, spawn.traces)
+        assert np.array_equal(fork.plaintexts, spawn.plaintexts)
+        assert np.array_equal(untraced.traces, spawn.traces)
+
+    def test_live_assessment_verdict_matches_untraced(self):
+        def verdict(obs, start_method):
+            config = FlowConfig(
+                name="obs_verdict",
+                campaign=CampaignConfig(key=0xB, trace_count=64),
+                assessment=AssessmentConfig(
+                    enabled=True, traces_per_class=200
+                ),
+                execution=ExecutionConfig(
+                    workers=2, shard_size=128, start_method=start_method
+                ),
+                obs=obs,
+            )
+            flow = DesignFlow.sbox(config=config)
+            details = flow.run(["assessment"])["assessment"].details
+            return {
+                key: value
+                for key, value in details.items()
+                if key == "leaks" or key.endswith("_max_abs_t")
+            }
+
+        for start_method in ("fork", "spawn"):
+            buffer = []
+            with use_observer(Observer((BufferSink(buffer),))):
+                traced = verdict(TRACED_OBS, start_method)
+            untraced = verdict(ObservabilityConfig(), start_method)
+            assert traced == untraced, start_method
+            assert any(e["name"] == "shard.assessment" for e in buffer)
+
+    def test_full_live_queue_never_corrupts_results(self, capsys):
+        # The only sink dies on the first replayed worker event, so the
+        # observer deactivates mid-map; the results must not notice.
+        pooled = ExecutionConfig(workers=2, shard_size=SHARD)
+        untraced = _untraced(pooled)
+        observer = Observer((_FailingSink(OSError(28, "No space left")),))
+        with use_observer(observer):
+            traced = _flow(pooled).traces()
+        assert not observer.active
+        assert "sink disabled after error" in capsys.readouterr().err
+        assert np.array_equal(untraced.traces, traced.traces)
+        assert np.array_equal(untraced.plaintexts, traced.plaintexts)
+
+
+class TestLiveEndToEnd:
+    def test_heartbeats_and_progress_reach_the_parent_observer(self):
         _, events = _run_traced(ExecutionConfig(workers=2, shard_size=SHARD))
+        # Progress and the worker table reach the parent from the
+        # replayed results; nothing emits heartbeats any more.
+        assert "worker.heartbeat" not in {e["kind"] for e in events}
         progress = [e for e in events if e["kind"] == "progress"]
         assert progress
         assert all(e["name"] == "engine.progress" for e in progress)
@@ -380,6 +640,11 @@ class TestReplayOnArrival:
         assert os.getpid() not in worker_pids
         assert final["workers"] == len(worker_pids)
 
+    def test_buffered_replay_stays_the_single_delivery(self):
+        _, events = _run_traced(ExecutionConfig(workers=2, shard_size=SHARD))
+        # Each shard's span end appears exactly once, in shard order.
+        assert _shard_ends(events) == list(range(TRACES // SHARD))
+
     def test_resource_gauges_are_sampled(self):
         _, events = _run_traced(ExecutionConfig(workers=2, shard_size=SHARD))
         gauges = {e["name"]: e["value"] for e in events if e["kind"] == "gauge"}
@@ -390,7 +655,7 @@ class TestReplayOnArrival:
         } <= set(gauges)
         assert gauges["proc.rss_mb"] > 0
 
-    def test_only_pooled_runs_build_a_dispatcher(self, monkeypatch):
+    def test_serial_runs_skip_the_live_machinery(self, monkeypatch):
         built = []
         real = engine_executors.ProgressDispatcher
 
@@ -407,8 +672,8 @@ class TestReplayOnArrival:
         assert built == ["traces"]
 
 
-class TestSweepProgress:
-    def test_sweep_counts_cells_once_each(self, tmp_path):
+class TestSweepLive:
+    def test_sweep_streams_heartbeats_and_counts_cells(self, tmp_path):
         base = FlowConfig(
             name="swp",
             campaign=CampaignConfig(trace_count=32),
@@ -425,6 +690,7 @@ class TestSweepProgress:
             if event["kind"] == "counter" and event["name"] == "sweep.cells_done"
         )
         assert cells_done == 2.0
+        # Each cell's span end streams back once, in cell order.
         cell_ends = [
             event["attrs"]["cell"]
             for event in buffer
@@ -434,6 +700,41 @@ class TestSweepProgress:
         progress = [e for e in buffer if e["kind"] == "progress"]
         assert progress and progress[-1]["attrs"]["unit"] == "cells"
         assert progress[-1]["attrs"]["done"] == 2
+
+
+class TestObsConfig:
+    def test_live_knobs_validate(self):
+        assert [f.name for f in dataclasses.fields(ObservabilityConfig)] == [
+            "trace",
+            "progress",
+            "verbosity",
+            "sinks",
+            "profile",
+            "profile_top",
+        ]
+        for knob, value in (
+            ("live", True),
+            ("heartbeat_s", 0.5),
+            ("live_interval_s", 0.0),
+        ):
+            with pytest.raises(TypeError, match=knob):
+                ObservabilityConfig(**{knob: value})
+        config = ObservabilityConfig(progress=True, sinks=("null",))
+        assert ObservabilityConfig.from_dict(config.to_dict()) == config
+
+    def test_live_knobs_stay_out_of_store_keys(self, tmp_path):
+        execution = ExecutionConfig(
+            shard_size=SHARD, store=str(tmp_path / "store")
+        )
+        _flow(execution, obs=ObservabilityConfig()).traces()
+        buffer = []
+        with use_observer(Observer((BufferSink(buffer),))):
+            _flow(
+                execution, obs=ObservabilityConfig(sinks=("null",), progress=True)
+            ).traces()
+        hits = [e for e in buffer if e["name"] == "store.hit"]
+        misses = [e for e in buffer if e["name"] == "store.miss"]
+        assert hits and not misses
 
 
 class TestCli:
@@ -494,6 +795,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert "Trace summary:" in captured.out
         assert "repro: traces" in captured.err  # the follow status line
+
+    def test_progress_implies_live(self):
+        # --progress alone turns the observer on: the display reads the
+        # replayed events, the only event path there is.
+        from repro.engine.cli import _obs_overrides, build_parser
+
+        args = build_parser().parse_args(["run", "--progress"])
+        config = _obs_overrides(args, FlowConfig(name="x"))
+        assert config.obs.progress and config.obs.active
+        args = build_parser().parse_args(["run"])
+        assert not _obs_overrides(args, FlowConfig(name="x")).obs.progress
 
     @pytest.mark.parametrize("flag", [["--live"], ["--heartbeat", "0.5"]])
     def test_removed_live_flags_exit_2(self, flag, capsys):
