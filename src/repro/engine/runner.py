@@ -7,12 +7,15 @@ map-reduce over the campaign's fixed block stream:
    each with its own spawned ``SeedSequence``) are grouped into shards
    of whole consecutive blocks (:mod:`repro.engine.sharding`);
 2. **map** -- each shard runs in an in-process loop or on the warm
-   process pool (:mod:`repro.engine.executors`).  An in-process run that
-   sets no shard size is one task covering every block.  Worker
-   processes rebuild the flow from its config dict (cached per process
-   -- and the pools are *persistent*, so a worker synthesises the
-   circuit once and keeps it warm across every map of the same
-   campaign, sweep cell after sweep cell);
+   process pool (:mod:`repro.engine.executors`).  A run that sets no
+   shard size is one task covering every block in process, and one
+   shard per worker on a pool
+   (:meth:`~repro.flow.config.ExecutionConfig.effective_shard_size`).
+   Worker processes rebuild the flow from its config dict and build the
+   circuit themselves -- the parent of an unrouted campaign maps none --
+   caching the flow per process (the pools are *persistent*, so a
+   repeated campaign finds its circuit warm, sweep cell after sweep
+   cell);
 3. **reduce** -- trace blocks are concatenated in block order; an
    assessment shard on the pool returns one set of method accumulators
    per block, and the parent ``merge()``-s them left to right in block
@@ -86,11 +89,12 @@ class ShardTaskError(FlowError):
 # ------------------------------------------------------------------ worker side
 
 #: Per-process cache of reconstructed flows, keyed by the flow spec.
-#: A pool worker typically executes several shards of the same campaign
-#: -- and, the pools being persistent, several campaigns over its
-#: lifetime; caching the flow means the circuit is synthesised (and its
-#: ``CompiledProgram`` built) once per worker process, not once per
-#: shard or once per ``map``.
+#: A pool worker may execute several shards of the same campaign (an
+#: explicit small ``shard_size``, or a long campaign past the default
+#: plan's 16-block cap) -- and, the pools being persistent, the same
+#: campaign again later; caching the flow means the circuit is mapped
+#: (and its ``CompiledProgram`` built) once per worker process, not once
+#: per shard or once per ``map``.
 _WORKER_FLOWS: Dict[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]], DesignFlow] = {}
 
 #: Upper bound on cached worker flows (sweeps cycle through many
@@ -202,7 +206,7 @@ def _assessment_shard_task(
 # ------------------------------------------------------------------ map-reduce
 
 
-def _sample_gauges(obs: Any, store: Any = None) -> None:
+def _sample_gauges(obs: Any) -> None:
     """Sample engine resource state into ``obs`` (no-op when inactive)."""
     if not obs.active:
         return
@@ -210,23 +214,21 @@ def _sample_gauges(obs: Any, store: Any = None) -> None:
     obs.gauge("executor.pools", pools)
     obs.gauge("executor.pool_workers", pool_workers)
     obs.gauge("proc.rss_mb", round(rss_bytes() / 1e6, 1))
-    if store is not None:
-        stats = store.stats()
-        obs.gauge("store.entries", stats["entries"])
-        obs.gauge("store.bytes", stats["bytes"])
 
 
 def sample_resource_gauges(flow: DesignFlow) -> None:
     """Sample the engine's resource state into the flow observer.
 
     Gauges: warm pool state (``executor.pools`` /
-    ``executor.pool_workers``), the artifact store (``store.entries`` /
-    ``store.bytes``, when one is configured) and the parent's RSS
-    (``proc.rss_mb``).  Observability only --
-    reads engine state, never changes it; a no-op when the flow's
-    observer is inactive.
+    ``executor.pool_workers``) and the parent's RSS (``proc.rss_mb``),
+    all O(1) reads.  The artifact store is not sampled: its on-disk
+    size takes a walk of every entry (``repro store stats``), and its
+    accesses already reach the trace as ``store.hit`` / ``store.miss``
+    / ``store.write`` counters.  Observability only -- reads engine
+    state, never changes it; a no-op when the flow's observer is
+    inactive.
     """
-    _sample_gauges(flow._observer(), flow._artifact_store())
+    _sample_gauges(flow._observer())
 
 
 def _map_shards(flow: DesignFlow, task, local, shards, consume) -> None:
@@ -291,7 +293,9 @@ def run_trace_campaign(flow: DesignFlow) -> Tuple[Any, Dict[str, Any]]:
     campaign = flow.config.campaign
     execution = flow.config.execution
     shards = plan_shards(
-        campaign.trace_count, execution.effective_shard_size, campaign.seed
+        campaign.trace_count,
+        execution.effective_shard_size(campaign.trace_count),
+        campaign.seed,
     )
     with flow._observer().span(
         "engine.traces",
@@ -331,9 +335,8 @@ def run_assessment_campaign(
     """
     config = flow.config.assessment
     execution = flow.config.execution
-    shards = plan_shards(
-        2 * config.traces_per_class, execution.effective_shard_size, config.seed
-    )
+    total = 2 * config.traces_per_class
+    shards = plan_shards(total, execution.effective_shard_size(total), config.seed)
     methods = flow._fresh_assessment_methods()
     for name, method in methods.items():
         if not hasattr(method, "merge"):

@@ -42,9 +42,14 @@ __all__ = [
 ]
 
 #: The campaign block size (:data:`repro.power.trace.BLOCK_SIZE`): the
-#: unit shard sizes round up to, and the shard size of a pooled run that
-#: configures none.
+#: unit shard sizes round up to.
 DEFAULT_SHARD_SIZE = BLOCK_SIZE
+
+#: Assessment blocks per energy-source call: 16 blocks are 4096 traces,
+#: four kernel tiles -- enough to amortise the per-call cost, small
+#: enough that the stream's working set stays bounded.  Also the most
+#: blocks in one shard of a pooled run that configures no shard size.
+ASSESSMENT_BLOCKS_PER_CALL = 16
 
 
 class ConfigError(ValueError):
@@ -526,8 +531,10 @@ class ExecutionConfig(_ConfigBase):
             campaign loudly (a dead worker otherwise hangs the map
             forever).  ``None`` -- the default -- waits indefinitely.
         shard_size: traces per shard, rounded up to whole blocks.
-            ``None`` runs an in-process campaign as one shard and ships
-            one block per shard to a pool.
+            ``None`` runs an in-process campaign as one shard and splits
+            a pooled one into one shard per worker, of at most
+            :data:`ASSESSMENT_BLOCKS_PER_CALL` blocks each (see
+            :meth:`effective_shard_size`).
         store: root directory of the disk-backed artifact store
             (:class:`repro.engine.ArtifactStore`); ``None`` disables
             caching.
@@ -588,16 +595,24 @@ class ExecutionConfig(_ConfigBase):
         """Whether shards map on the warm worker pool (else in process)."""
         return self.resolved_executor == "process" and self.workers > 1
 
-    @property
-    def effective_shard_size(self) -> Optional[int]:
-        """Traces per shard: ``shard_size`` rounded up to whole blocks.
+    def effective_shard_size(self, total: int) -> Optional[int]:
+        """Traces per shard of a ``total``-trace campaign.
 
-        Unset, a pooled run ships one block per shard and an in-process
-        run takes the whole campaign as one shard (``None``).
+        An explicit ``shard_size`` rounds up to whole blocks.  Unset, an
+        in-process run takes the whole campaign as one shard (``None``)
+        and a pooled run splits its blocks evenly over the workers:
+        ``ceil(blocks / workers)`` blocks per shard, so each worker
+        builds the campaign's circuit once, capped at
+        :data:`ASSESSMENT_BLOCKS_PER_CALL` blocks so a long campaign
+        still reports progress and times out shard by shard.
         """
-        if self.shard_size is None:
-            return DEFAULT_SHARD_SIZE if self.pooled else None
-        return -(-self.shard_size // DEFAULT_SHARD_SIZE) * DEFAULT_SHARD_SIZE
+        if self.shard_size is not None:
+            return -(-self.shard_size // DEFAULT_SHARD_SIZE) * DEFAULT_SHARD_SIZE
+        if not self.pooled:
+            return None
+        blocks = -(-total // DEFAULT_SHARD_SIZE)
+        per_shard = min(-(-blocks // self.workers), ASSESSMENT_BLOCKS_PER_CALL)
+        return per_shard * DEFAULT_SHARD_SIZE
 
     @property
     def resolved_executor(self) -> str:

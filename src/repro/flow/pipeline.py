@@ -4,8 +4,10 @@ A flow runs the expr -> FC-DPDN synthesis -> verification -> cell/library
 build -> differential circuit -> trace campaign -> DPA chain from a
 single :class:`~repro.flow.config.FlowConfig`.  Stages are computed
 lazily and cached: asking for ``flow.traces()`` computes (and keeps) the
-expressions, the mapped circuit and the campaign, but not the library or
-the attacks; a later ``flow.run()`` reuses everything already computed.
+campaign and what it reads -- in process the expressions and the mapped
+circuit; for an unrouted campaign on a worker pool nothing more, since
+the workers build their own -- but not the library or the attacks; a
+later ``flow.run()`` reuses everything already computed.
 
 Two kinds of workload exist:
 
@@ -57,7 +59,7 @@ from ..power.trace import (
 )
 from ..obs import get_observer, observer_from_config, use_observer
 from ..sabl.circuit import DifferentialCircuit, map_expressions
-from .config import FlowConfig
+from .config import ASSESSMENT_BLOCKS_PER_CALL, FlowConfig
 from .registry import (
     UnknownBackendError,
     get_assessment,
@@ -85,7 +87,9 @@ STAGES = (
 #: Direct dependencies of each stage (used for lazy evaluation and
 #: downstream invalidation).  ``traces`` and ``assessment`` hang off
 #: ``layout`` (which is a cheap no-op for layout-free configs) so a
-#: router change invalidates every measured result.
+#: router change invalidates every measured result.  Lazy evaluation
+#: skips the dependencies a config does not read (see
+#: :meth:`DesignFlow._stage_dependencies`); invalidation keeps them all.
 _DEPENDENCIES: Dict[str, Tuple[str, ...]] = {
     "expressions": (),
     "synthesis": ("expressions",),
@@ -97,11 +101,6 @@ _DEPENDENCIES: Dict[str, Tuple[str, ...]] = {
     "analysis": ("traces",),
     "assessment": ("layout",),
 }
-
-#: Assessment blocks per energy-source call: 16 blocks are 4096 traces,
-#: four kernel tiles -- enough to amortise the per-call cost, small
-#: enough that the stream's working set stays bounded.
-ASSESSMENT_BLOCKS_PER_CALL = 16
 
 
 class FlowError(RuntimeError):
@@ -199,6 +198,11 @@ class DesignFlow:
     def _stage_dependencies(self, stage: str) -> Tuple[str, ...]:
         # Leakage-model campaigns need no mapped circuit.
         if stage in ("traces", "assessment") and self.config.campaign.source == "model":
+            return ()
+        # An unrouted layout reads no circuit: resolving it must not map
+        # one in the parent of a pooled campaign, whose workers build
+        # their own.  In process the campaign maps it on first use.
+        if stage == "layout" and not self.config.layout.routed:
             return ()
         return _DEPENDENCIES[stage]
 
@@ -492,13 +496,16 @@ class DesignFlow:
             # Fix the input ordering to the scenario's plaintext bits:
             # narrow output cones must not reorder (or drop) stimulus bits.
             primary_inputs = [f"p{i}" for i in range(self._scenario().input_width)]
-        circuit = map_expressions(
-            expressions,
-            primary_inputs=primary_inputs,
-            max_fanin=campaign.max_fanin,
-            network_style=campaign.network_style,
-            name=f"{self.config.name}_{campaign.network_style}",
-        )
+        try:
+            circuit = map_expressions(
+                expressions,
+                primary_inputs=primary_inputs,
+                max_fanin=campaign.max_fanin,
+                network_style=campaign.network_style,
+                name=f"{self.config.name}_{campaign.network_style}",
+            )
+        except ValueError as error:
+            raise FlowError(f"mapping failed: {error}") from error
         return circuit, {
             "network_style": campaign.network_style,
             "gates": circuit.gate_count(),

@@ -216,7 +216,16 @@ def _flat_connection_args(expr: Expr) -> Optional[Tuple[str, List[Tuple[str, boo
 
 
 def build_bitslice_plan(program) -> BitslicePlan:
-    """Compile a :class:`~repro.kernel.compile.CompiledProgram` into a plan."""
+    """Compile a :class:`~repro.kernel.compile.CompiledProgram` into a plan.
+
+    Work that depends only on a gate's network runs once per gate
+    template, keyed the way :func:`~repro.sabl.simulator.build_gate_tables`
+    shares arrays: gates whose tables share ``connected`` share a
+    network, so its function analysis; gates whose tables also share
+    ``baseline`` and ``extra`` (every unrouted gate of a network) share
+    an energy row and its constancy test.  Per gate instance only the
+    integer wiring is left.
+    """
     from .compile import KernelError
 
     circuit = program.circuit
@@ -227,20 +236,42 @@ def build_bitslice_plan(program) -> BitslicePlan:
         net: i for i, net in enumerate(circuit.primary_inputs)
     }
     net_level: Dict[str, int] = {net: 0 for net in circuit.primary_inputs}
+    functions: Dict[int, Optional[Tuple[str, List[Tuple[str, bool]]]]] = {}
+    energy_rows: Dict[Tuple[int, int, int], Tuple[np.ndarray, bool]] = {}
 
-    # ---------------------------------------------------------------- logic
     staged: Dict[int, List[object]] = {}
-    group_accum: Dict[Tuple[int, str, int], List[Tuple[List[int], List[int], int]]] = {}
-    for gate in circuit.gates:
-        if gate.dpdn.function is None:
-            raise KernelError(
-                f"gate {gate.name} has no function annotation; the bit-sliced "
-                "kernel cannot evaluate it"
-            )
+    group_accum: Dict[Tuple[int, str, int], List[Tuple[List[int], List[bool], int]]] = {}
+    # Per gate-input position b: (gate rows, source nets, inverted).
+    positions: List[Tuple[List[int], List[int], List[bool]]] = []
+    gate_energies: List[np.ndarray] = []
+    constant = True
+    for row, (gate, table) in enumerate(zip(circuit.gates, tables)):
+        # ------------------------------------------------- per template
+        network = id(table.connected)
+        if network not in functions:
+            if gate.dpdn.function is None:
+                raise KernelError(
+                    f"gate {gate.name} has no function annotation; the bit-sliced "
+                    "kernel cannot evaluate it"
+                )
+            functions[network] = _flat_connection_args(gate.dpdn.function)
+        flat = functions[network]
+        rows_key = (id(table.baseline), id(table.cap_dot), id(table.extra))
+        energy = energy_rows.get(rows_key)
+        if energy is None:
+            # The exact scalar chain of the reference model:
+            # (baseline + cap_dot) [+ extra] -> switching_energy, elementwise.
+            total = table.baseline + table.cap_dot
+            if table.extra is not None:
+                total = total + table.extra
+            values = technology.switching_energy(total)
+            energy = energy_rows[rows_key] = (values, bool(np.ptp(values) == 0.0))
+        gate_energies.append(energy[0])
+        constant = constant and energy[1]
+
+        # ------------------------------------------------- per instance
         missing = [
-            variable
-            for variable in gate.dpdn.variables()
-            if variable not in gate.connections
+            variable for variable in table.variables if variable not in gate.connections
         ]
         if missing:
             raise KernelError(
@@ -258,7 +289,6 @@ def build_bitslice_plan(program) -> BitslicePlan:
         net_index[gate.output_net] = output
         net_level[gate.output_net] = level
 
-        flat = _flat_connection_args(gate.dpdn.function)
         if flat is not None:
             kind, literals = flat
             row_sources = [sources[name][0] for name, _ in literals]
@@ -279,82 +309,65 @@ def build_bitslice_plan(program) -> BitslicePlan:
                     output=output,
                 )
             )
+        for position, variable in enumerate(table.variables):
+            if position == len(positions):
+                positions.append(([], [], []))
+            rows, source_nets, inverted = positions[position]
+            rows.append(row)
+            source_nets.append(sources[variable][0])
+            inverted.append(sources[variable][1])
 
     for (level, kind, fanin), rows in group_accum.items():
         staged.setdefault(level, []).append(
             _OpGroup(
                 kind=kind,
                 sources=np.array([row[0] for row in rows], dtype=np.intp),
-                inverted=np.where(
-                    np.array([row[1] for row in rows], dtype=bool),
-                    _ALL_ONES,
-                    np.uint64(0),
-                ),
+                inverted=_masks([row[1] for row in rows]),
                 outputs=np.array([row[2] for row in rows], dtype=np.intp),
             )
         )
     levels = tuple(tuple(staged[level]) for level in sorted(staged))
-
-    # --------------------------------------------------------------- events
-    max_fanin = max((len(table.variables) for table in tables), default=0)
-    event_positions = []
-    for position in range(max_fanin):
-        rows: List[int] = []
-        source_nets: List[int] = []
-        masks: List[np.uint64] = []
-        for row, (gate, table) in enumerate(zip(circuit.gates, tables)):
-            if position >= len(table.variables):
-                continue
-            connection = gate.connections[table.variables[position]]
-            rows.append(row)
-            source_nets.append(net_index[connection.net])
-            masks.append(_ALL_ONES if connection.inverted else np.uint64(0))
-        event_positions.append(
-            (
-                np.array(rows, dtype=np.intp),
-                np.array(source_nets, dtype=np.intp),
-                np.array(masks, dtype=np.uint64),
-            )
+    event_positions = tuple(
+        (
+            np.array(rows, dtype=np.intp),
+            np.array(source_nets, dtype=np.intp),
+            _masks(inverted),
         )
+        for rows, source_nets, inverted in positions
+    )
 
     # -------------------------------------------------------- energy tables
-    sizes = [table.baseline.shape[0] for table in tables]
+    sizes = [values.shape[0] for values in gate_energies]
     offsets = np.zeros(len(tables), dtype=np.int32)
     if tables:
         offsets[1:] = np.cumsum(sizes[:-1])
-    total_events = int(sum(sizes))
-    energy_flat = np.zeros(total_events, dtype=float)
-    for row, table in enumerate(tables):
-        start = int(offsets[row])
-        stop = start + sizes[row]
-        # The exact scalar chain of the reference model:
-        # (baseline + cap_dot) [+ extra] -> switching_energy, elementwise.
-        total = table.baseline + table.cap_dot
-        if table.extra is not None:
-            total = total + table.extra
-        energy_flat[start:stop] = technology.switching_energy(total)
+    energy_flat = np.zeros(int(sum(sizes)), dtype=float)
+    if gate_energies:
+        energy_flat[:] = np.concatenate(gate_energies)
 
     constant_fold: Optional[np.float64] = None
-    if tables and all(
-        np.ptp(energy_flat[int(offsets[row]) : int(offsets[row]) + sizes[row]]) == 0.0
-        for row in range(len(tables))
-    ):
-        accumulator = np.float64(0.0)
-        for row in range(len(tables)):
+    if tables and constant:
+        accumulator = 0.0
+        for value in energy_flat[offsets].tolist():
             # Same IEEE add chain as the reference model's per-gate fold.
-            accumulator = accumulator + energy_flat[int(offsets[row])]
-        constant_fold = accumulator
+            accumulator += value
+        constant_fold = np.float64(accumulator)
 
     return BitslicePlan(
         net_count=len(net_index),
         net_index=net_index,
         levels=levels,
-        event_positions=tuple(event_positions),
-        events_dtype=np.dtype(np.uint8 if max_fanin <= 8 else np.int32),
+        event_positions=event_positions,
+        events_dtype=np.dtype(np.uint8 if len(positions) <= 8 else np.int32),
         offsets=offsets,
         energy_flat=energy_flat,
         constant_fold=constant_fold,
     )
+
+
+def _masks(inverted) -> np.ndarray:
+    """XOR masks (``~0`` where inverted, else 0) of a nested bool list."""
+    return np.where(np.array(inverted, dtype=bool), _ALL_ONES, np.uint64(0))
 
 
 class BitslicedCircuitEnergyModel:

@@ -16,7 +16,7 @@ to its differential power analysis.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -252,7 +252,7 @@ def build_gate_tables(
         template, recharged, values = walk
         wire_load = net_loads.get(gate.output_net)
         if wire_load is None:
-            tables.append(replace(template, gate=gate))
+            tables.append(_share(template, gate))
             continue
         model = EventEnergyModel(
             dpdn,
@@ -262,9 +262,9 @@ def build_gate_tables(
             wire_load=wire_load,
         )
         tables.append(
-            replace(
+            _share(
                 template,
-                gate=gate,
+                gate,
                 baseline=_baseline(model, recharged),
                 extra=np.array(
                     [model.swing_excess(value) for value in values], dtype=float
@@ -272,6 +272,21 @@ def build_gate_tables(
             )
         )
     return tables
+
+
+def _share(template: GateTable, gate: GateInstance, **arrays: np.ndarray) -> GateTable:
+    """``template``'s table for ``gate``, another gate of its network.
+
+    A field copy, not ``dataclasses.replace``: that would re-run
+    ``__post_init__`` on the shared, already read-only arrays once per
+    gate.  ``arrays`` (a routed gate's own ``baseline`` and ``extra``)
+    are made read-only here.
+    """
+    for array in arrays.values():
+        array.setflags(write=False)
+    table = object.__new__(GateTable)
+    table.__dict__.update(template.__dict__, gate=gate, **arrays)
+    return table
 
 
 class BatchedCircuitEnergyModel:

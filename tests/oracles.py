@@ -10,7 +10,9 @@ replay a campaign's block stream through them (restated here, not
 imported), so a test can compare a campaign against an oracle trace for
 trace.  :func:`oracle_gate_tables` restates the per-gate table build
 that :func:`repro.sabl.simulator.build_gate_tables` shares between
-gates of one network structure.  :func:`oracle_place_circuit` and
+gates of one network structure, and :func:`oracle_bitslice_plan` the
+per-gate plan build that :func:`repro.kernel.bitslice.build_bitslice_plan`
+does once per gate template.  :func:`oracle_place_circuit` and
 :func:`oracle_route_circuit` are the original tuple-and-dict placer and
 maze router that :mod:`repro.layout` replaced with flat-index loops.
 """
@@ -130,6 +132,146 @@ def oracle_gate_tables(
             }
         )
     return tables
+
+
+def oracle_bitslice_plan(program):
+    """The bit-sliced plan built gate by gate.
+
+    Every gate gets its own function analysis, energy row and constancy
+    test, as the plan build did before it shared them between the gates
+    of one template.  Returns a :class:`repro.kernel.bitslice.BitslicePlan`.
+    """
+    from repro.kernel.bitslice import (
+        _ALL_ONES,
+        BitslicePlan,
+        _ExprStep,
+        _OpGroup,
+        _flat_connection_args,
+    )
+    from repro.kernel.compile import KernelError
+
+    circuit = program.circuit
+    tables = program.tables
+    technology = program.technology
+
+    net_index = {net: i for i, net in enumerate(circuit.primary_inputs)}
+    net_level = {net: 0 for net in circuit.primary_inputs}
+
+    staged = {}
+    group_accum = {}
+    for gate in circuit.gates:
+        if gate.dpdn.function is None:
+            raise KernelError(
+                f"gate {gate.name} has no function annotation; the bit-sliced "
+                "kernel cannot evaluate it"
+            )
+        missing = [
+            variable
+            for variable in gate.dpdn.variables()
+            if variable not in gate.connections
+        ]
+        if missing:
+            raise KernelError(
+                f"gate {gate.name} leaves DPDN variables {missing} unconnected"
+            )
+        sources = {
+            variable: (net_index[connection.net], connection.inverted)
+            for variable, connection in gate.connections.items()
+        }
+        level = 1 + max(
+            (net_level[connection.net] for connection in gate.connections.values()),
+            default=0,
+        )
+        output = len(net_index)
+        net_index[gate.output_net] = output
+        net_level[gate.output_net] = level
+
+        flat = _flat_connection_args(gate.dpdn.function)
+        if flat is not None:
+            kind, literals = flat
+            row_sources = [sources[name][0] for name, _ in literals]
+            row_inverted = [sources[name][1] ^ negated for name, negated in literals]
+            group_accum.setdefault((level, kind, len(literals)), []).append(
+                (row_sources, row_inverted, output)
+            )
+        else:
+            staged.setdefault(level, []).append(
+                _ExprStep(
+                    expr=gate.dpdn.function,
+                    var_planes=tuple(
+                        (name, index, inverted)
+                        for name, (index, inverted) in sorted(sources.items())
+                    ),
+                    output=output,
+                )
+            )
+
+    for (level, kind, fanin), rows in group_accum.items():
+        staged.setdefault(level, []).append(
+            _OpGroup(
+                kind=kind,
+                sources=np.array([row[0] for row in rows], dtype=np.intp),
+                inverted=np.where(
+                    np.array([row[1] for row in rows], dtype=bool),
+                    _ALL_ONES,
+                    np.uint64(0),
+                ),
+                outputs=np.array([row[2] for row in rows], dtype=np.intp),
+            )
+        )
+    levels = tuple(tuple(staged[level]) for level in sorted(staged))
+
+    max_fanin = max((len(table.variables) for table in tables), default=0)
+    event_positions = []
+    for position in range(max_fanin):
+        rows, source_nets, masks = [], [], []
+        for row, (gate, table) in enumerate(zip(circuit.gates, tables)):
+            if position >= len(table.variables):
+                continue
+            connection = gate.connections[table.variables[position]]
+            rows.append(row)
+            source_nets.append(net_index[connection.net])
+            masks.append(_ALL_ONES if connection.inverted else np.uint64(0))
+        event_positions.append(
+            (
+                np.array(rows, dtype=np.intp),
+                np.array(source_nets, dtype=np.intp),
+                np.array(masks, dtype=np.uint64),
+            )
+        )
+
+    sizes = [table.baseline.shape[0] for table in tables]
+    offsets = np.zeros(len(tables), dtype=np.int32)
+    if tables:
+        offsets[1:] = np.cumsum(sizes[:-1])
+    energy_flat = np.zeros(int(sum(sizes)), dtype=float)
+    for row, table in enumerate(tables):
+        start = int(offsets[row])
+        total = table.baseline + table.cap_dot
+        if table.extra is not None:
+            total = total + table.extra
+        energy_flat[start : start + sizes[row]] = technology.switching_energy(total)
+
+    constant_fold = None
+    if tables and all(
+        np.ptp(energy_flat[int(offsets[row]) : int(offsets[row]) + sizes[row]]) == 0.0
+        for row in range(len(tables))
+    ):
+        accumulator = np.float64(0.0)
+        for row in range(len(tables)):
+            accumulator = accumulator + energy_flat[int(offsets[row])]
+        constant_fold = accumulator
+
+    return BitslicePlan(
+        net_count=len(net_index),
+        net_index=net_index,
+        levels=levels,
+        event_positions=tuple(event_positions),
+        events_dtype=np.dtype(np.uint8 if max_fanin <= 8 else np.int32),
+        offsets=offsets,
+        energy_flat=energy_flat,
+        constant_fold=constant_fold,
+    )
 
 
 def oracle_traces(

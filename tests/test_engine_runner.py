@@ -17,6 +17,7 @@ from repro.flow import (
     ExecutionConfig,
     FlowConfig,
     FlowError,
+    LayoutConfig,
 )
 from repro.assess.ttest import ttest_fixed_vs_random
 from repro.engine.runner import assessment_store_record, trace_store_record
@@ -237,6 +238,58 @@ class TestExecutors:
         flow.traces()
         # The parent process must not have rebuilt the flow from spec.
         assert _WORKER_FLOWS == {}
+
+
+class TestParentStaysLight:
+    """A pooled campaign's workers build the circuit; an unrouted parent
+    maps nothing it does not read."""
+
+    def test_pooled_unrouted_parent_maps_no_circuit(self):
+        flow = _sbox_flow(ExecutionConfig(workers=2), noise_std=0.01)
+        serial = _sbox_flow(ExecutionConfig(), noise_std=0.01)
+        assert np.array_equal(flow.traces().traces, serial.traces().traces)
+        assert "circuit" not in flow.computed_stages()
+        assert "expressions" not in flow.computed_stages()
+        # The in-process run maps it on first use, as before.
+        assert "circuit" in serial.computed_stages()
+
+    def test_pooled_unrouted_assessment_maps_no_circuit(self):
+        config = FlowConfig(
+            name="sbox_dpa",
+            assessment=AssessmentConfig(traces_per_class=600),
+            execution=ExecutionConfig(workers=2),
+        )
+        flow = DesignFlow.sbox(0xB, config=config)
+        assert not flow.assessment()["ttest"].leaks
+        assert "circuit" not in flow.computed_stages()
+        # An explicit request still maps it.
+        assert flow.circuit().gate_count() > 0
+        assert "circuit" in flow.computed_stages()
+
+    def test_pooled_routed_parent_still_maps_and_routes(self):
+        config = FlowConfig(
+            name="sbox_dpa",
+            campaign=CampaignConfig(trace_count=300),
+            layout=LayoutConfig(router="fat"),
+            execution=ExecutionConfig(workers=2),
+        )
+        flow = DesignFlow.sbox(0xB, config=config)
+        flow.traces()
+        assert {"circuit", "layout"} <= set(flow.computed_stages())
+        assert flow.layout() is not None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mapping_failure_names_its_cause(self, workers):
+        flow = DesignFlow(
+            {"F": "1"},
+            FlowConfig(
+                name="constant",
+                campaign=CampaignConfig(trace_count=300),
+                execution=ExecutionConfig(workers=workers),
+            ),
+        )
+        with pytest.raises(FlowError, match="mapping failed: constant nets"):
+            flow.traces()
 
 
 class TestSeedLikeAcquisition:

@@ -86,13 +86,55 @@ class TestMinShardSizeConfig:
     def test_effective_shard_size_is_floored(self):
         from repro.flow.config import ExecutionConfig
 
-        assert ExecutionConfig(workers=4, shard_size=64).effective_shard_size == 256
-        assert ExecutionConfig(shard_size=300).effective_shard_size == 512
-        assert ExecutionConfig(shard_size=512).effective_shard_size == 512
-        # Unset: one block per pooled shard, one in-process shard.
-        assert ExecutionConfig(workers=2).effective_shard_size == BLOCK_SIZE
-        assert ExecutionConfig().effective_shard_size is None
-        assert ExecutionConfig(workers=2, executor="serial").effective_shard_size is None
+        for total in (100, 4000, 100_000):
+            assert ExecutionConfig(workers=4, shard_size=64).effective_shard_size(total) == 256
+            assert ExecutionConfig(shard_size=300).effective_shard_size(total) == 512
+            assert ExecutionConfig(shard_size=512).effective_shard_size(total) == 512
+            # Unset: one shard per worker on a pool, one in-process shard.
+            assert ExecutionConfig().effective_shard_size(total) is None
+            assert (
+                ExecutionConfig(workers=2, executor="serial").effective_shard_size(total)
+                is None
+            )
+        assert ExecutionConfig(workers=2).effective_shard_size(4000) == 8 * BLOCK_SIZE
+
+    @pytest.mark.parametrize(
+        "total, workers, counts",
+        [
+            # ceil(blocks / workers) blocks per shard: one shard per worker.
+            (4000, 2, [8 * 256, 8 * 256 - 96]),
+            (2560, 2, [5 * 256, 5 * 256]),
+            (704, 2, [512, 192]),
+            (1000, 3, [512, 488]),
+            (700, 4, [256, 256, 188]),
+            (100, 2, [100]),
+            # At most 16 blocks per shard.
+            (33 * 256, 2, [16 * 256, 16 * 256, 256]),
+            (20_000, 2, [4096] * 4 + [3616]),
+        ],
+    )
+    def test_default_pooled_plan(self, total, workers, counts):
+        from repro.flow.config import ASSESSMENT_BLOCKS_PER_CALL, ExecutionConfig
+
+        assert ASSESSMENT_BLOCKS_PER_CALL == 16
+        execution = ExecutionConfig(workers=workers)
+        size = execution.effective_shard_size(total)
+        assert size % BLOCK_SIZE == 0 and size <= 16 * BLOCK_SIZE
+        shards = plan_shards(total, size, seed=7)
+        assert [shard.count for shard in shards] == counts
+        assert len(shards) <= workers or size == 16 * BLOCK_SIZE
+
+    def test_explicit_shard_size_keeps_its_meaning_on_a_pool(self):
+        from repro.flow.config import ExecutionConfig
+
+        for shard_size, expected in ((1, 256), (256, 256), (300, 512), (20_000, 20_224)):
+            execution = ExecutionConfig(workers=2, shard_size=shard_size)
+            assert execution.effective_shard_size(4000) == expected
+        # A shard size past the campaign gives one shard, even on a pool.
+        (shard,) = plan_shards(
+            4000, ExecutionConfig(workers=2, shard_size=8192).effective_shard_size(4000), 1
+        )
+        assert shard.count == 4000
 
     def test_floored_parallel_campaign_stays_bit_identical(self):
         from repro.flow import DesignFlow

@@ -46,7 +46,9 @@ from repro.power import cpa_correlation, dpa_difference_of_means
 from repro.power.trace import acquire_circuit_traces, build_sbox_circuit, nibble_matrix
 from repro.boolexpr.parser import parse
 from repro.core.synthesis import synthesize_fc_dpdn
-from repro.kernel.bitslice import _ExprStep
+from repro.kernel.bitslice import _ExprStep, _OpGroup, build_bitslice_plan
+from repro.electrical.technology import generic_180nm
+from repro.layout import layout_circuit
 from repro.network.build import build_genuine_dpdn
 from repro.sabl.circuit import (
     Connection,
@@ -56,7 +58,13 @@ from repro.sabl.circuit import (
 )
 from repro.sabl.simulator import BatchedCircuitEnergyModel
 
-from oracles import oracle_cpa, oracle_dom, oracle_traces, steady_state
+from oracles import (
+    oracle_bitslice_plan,
+    oracle_cpa,
+    oracle_dom,
+    oracle_traces,
+    steady_state,
+)
 from strategies import HAVE_HYPOTHESIS, expression_strategy
 
 
@@ -442,6 +450,16 @@ class TestMemory:
         assert kernel_peak <= oracle_peak, (kernel_peak, oracle_peak)
 
 
+def _varies(expr):
+    """Whether ``expr`` is not a constant function (one a DPDN can build)."""
+    variables = sorted(expr.variables())
+    values = {
+        expr.evaluate(dict(zip(variables, bits)))
+        for bits in itertools.product([False, True], repeat=len(variables))
+    }
+    return len(values) == 2
+
+
 def _circuit_strategy(st):
     """Random circuits of every shape the kernel compiles differently:
     mapped 4-input circuits (flat AND/OR groups), mapped 10-input ANDs at
@@ -481,18 +499,10 @@ def _circuit_strategy(st):
             name="wide",
         )
     )
-    def varies(expr):
-        variables = sorted(expr.variables())
-        values = {
-            expr.evaluate(dict(zip(variables, bits)))
-            for bits in itertools.product([False, True], repeat=len(variables))
-        }
-        return len(values) == 2
-
     networks = st.tuples(
         st.lists(
             expression_strategy(max_leaves=5, variables=("A", "B", "C", "D", "Z")).filter(
-                varies
+                _varies
             ),
             min_size=1,
             max_size=3,
@@ -557,6 +567,175 @@ class TestBitIdentityProperties:
 
         check()
 
+
+def _assert_plans_equal(plan, reference):
+    """``plan`` equals ``reference`` field by field, arrays bit for bit."""
+
+    def same(actual, expected, what):
+        assert actual.dtype == expected.dtype, what
+        assert actual.shape == expected.shape, what
+        assert actual.tobytes() == expected.tobytes(), what
+
+    assert plan.net_count == reference.net_count
+    assert list(plan.net_index.items()) == list(reference.net_index.items())
+    assert [len(level) for level in plan.levels] == [
+        len(level) for level in reference.levels
+    ]
+    for depth, (level, expected_level) in enumerate(zip(plan.levels, reference.levels)):
+        for step, expected in zip(level, expected_level):
+            assert type(step) is type(expected), depth
+            if isinstance(step, _OpGroup):
+                assert step.kind == expected.kind, depth
+                for name in ("sources", "inverted", "outputs"):
+                    same(getattr(step, name), getattr(expected, name), (depth, name))
+            else:
+                assert step == expected, depth
+    assert len(plan.event_positions) == len(reference.event_positions)
+    for position, (arrays, expected) in enumerate(
+        zip(plan.event_positions, reference.event_positions)
+    ):
+        for name, actual, wanted in zip(("rows", "sources", "masks"), arrays, expected):
+            same(actual, wanted, (position, name))
+    assert plan.events_dtype == reference.events_dtype
+    same(plan.offsets, reference.offsets, "offsets")
+    same(plan.energy_flat, reference.energy_flat, "energy_flat")
+    if reference.constant_fold is None:
+        assert plan.constant_fold is None
+    else:
+        assert type(plan.constant_fold) is type(reference.constant_fold)
+        assert plan.constant_fold.tobytes() == reference.constant_fold.tobytes()
+
+
+def _slice_circuit(sboxes: int, network_style: str):
+    return DesignFlow(
+        None,
+        FlowConfig(
+            name="templated_plan",
+            campaign=CampaignConfig(
+                key=0x6B2A & ((1 << (4 * sboxes)) - 1),
+                scenario="present_round",
+                network_style=network_style,
+            ),
+            scenario=ScenarioConfig(params={"sboxes": sboxes}),
+        ),
+    ).circuit()
+
+
+class TestTemplatedPlan:
+    """The plan does the function analysis and the energy row once per
+    gate template; it must equal the per-gate build of
+    ``tests/oracles.py::oracle_bitslice_plan`` field by field."""
+
+    @pytest.mark.parametrize("network_style", ["fc", "genuine"])
+    @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
+    @pytest.mark.parametrize("sboxes", [0, 1, 2, 4])  # 0: the paper's S-box
+    def test_equal_to_the_per_gate_build(self, sboxes, gate_style, network_style):
+        if sboxes:
+            circuit = _slice_circuit(sboxes, network_style)
+            assert len(circuit.gates) == 124 * sboxes
+        else:
+            circuit = build_sbox_circuit(0xB, network_style=network_style)
+        program = compile_circuit(circuit, gate_style=gate_style)
+        plan = build_bitslice_plan(program)
+        _assert_plans_equal(plan, oracle_bitslice_plan(program))
+        # Only the paper's protected style folds to a constant.
+        assert (plan.constant_fold is not None) == (
+            (gate_style, network_style) == ("sabl", "fc")
+        )
+
+    @pytest.mark.parametrize("router", ["fat", "unbalanced"])
+    @pytest.mark.parametrize("network_style", ["fc", "genuine"])
+    @pytest.mark.parametrize("sboxes", [0, 2])  # 0: the paper's S-box
+    def test_routed_gates(self, sboxes, network_style, router):
+        # Every routed gate has its own baseline and extra, so its own row.
+        if sboxes:
+            circuit = _slice_circuit(sboxes, network_style)
+        else:
+            circuit = build_sbox_circuit(0xB, network_style=network_style)
+        loads = layout_circuit(circuit, generic_180nm(), router=router, seed=7)
+        program = compile_circuit(
+            circuit, net_loads=loads.parasitics.rail_loads()
+        )
+        assert all(table.extra is not None for table in program.tables)
+        plan = build_bitslice_plan(program)
+        _assert_plans_equal(plan, oracle_bitslice_plan(program))
+        if router == "unbalanced" or network_style == "genuine":
+            assert plan.constant_fold is None
+
+    def test_partly_routed_mixed_arities(self):
+        # Routed and unrouted gates of one template, flat gates of three
+        # fan-ins and expression steps side by side.
+        circuit = _network_circuit(
+            [parse("A ^ B ^ C"), parse("A & B & ~C"), parse("(Z & A) | B"), parse("A | D")]
+        )
+        circuit.add_gate(
+            GateInstance(
+                name="g_and",
+                dpdn=build_genuine_dpdn(parse("A & B & ~C")),
+                connections={name: Connection(name) for name in "ABC"},
+                output_net="n_and",
+            )
+        )
+        program = compile_circuit(
+            circuit, gate_style="cvsl", net_loads={"n1": (1e-15, 3e-15)}
+        )
+        plan = build_bitslice_plan(program)
+        assert sum(isinstance(step, _ExprStep) for level in plan.levels for step in level) == 2
+        _assert_plans_equal(plan, oracle_bitslice_plan(program))
+
+    def test_kernel_errors_name_the_first_failing_gate(self):
+        circuit = build_sbox_circuit(0xB)
+        for gate in circuit.gates[3:]:
+            gate.dpdn.function = None
+        program = compile_circuit(circuit)
+        with pytest.raises(KernelError, match=f"gate {circuit.gates[3].name} "):
+            build_bitslice_plan(program)
+        with pytest.raises(KernelError, match=f"gate {circuit.gates[3].name} "):
+            oracle_bitslice_plan(program)
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    def test_random_expression_step_circuits(self):
+        from hypothesis import given, settings, strategies as st
+
+        # A 3-input XOR gate (an expression step) and random networks,
+        # each network twice so gates share templates, some routed.
+        @settings(max_examples=30, deadline=None)
+        @given(
+            expressions=st.lists(
+                expression_strategy(
+                    max_leaves=5, variables=("A", "B", "C", "D", "Z")
+                ).filter(_varies),
+                min_size=1,
+                max_size=3,
+            ),
+            network_style=st.sampled_from(["fc", "genuine"]),
+            gate_style=st.sampled_from(["sabl", "cvsl"]),
+            load_seed=st.integers(0, 2**16),
+            routed_share=st.sampled_from([0.0, 0.5, 1.0]),
+        )
+        def check(expressions, network_style, gate_style, load_seed, routed_share):
+            circuit = _network_circuit(
+                [parse("A ^ B ^ C")] + expressions * 2, network_style=network_style
+            )
+            rng = np.random.default_rng(load_seed)
+            net_loads = {
+                gate.output_net: (
+                    float(rng.uniform(1e-16, 5e-15)),
+                    float(rng.uniform(1e-16, 5e-15)),
+                )
+                for gate in circuit.gates
+                if rng.random() < routed_share
+            }
+            program = compile_circuit(
+                circuit, gate_style=gate_style, net_loads=net_loads or None
+            )
+            plan = build_bitslice_plan(program)
+            assert any(
+                isinstance(step, _ExprStep) for level in plan.levels for step in level
+            )
+            _assert_plans_equal(plan, oracle_bitslice_plan(program))
+
+        check()
 
 # ------------------------------------------------------------ flow + engine
 

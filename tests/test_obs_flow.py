@@ -13,6 +13,7 @@ import json
 from collections import Counter as Multiset
 
 import numpy as np
+import pytest
 
 from repro.engine import run_sweep
 from repro.engine.cli import main
@@ -43,6 +44,10 @@ def _flow(execution, obs=SILENT_OBS, **campaign):
         obs=obs,
     )
     return DesignFlow.sbox(0xB, config=config)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the artifact store was walked")
 
 
 def _run_buffered(execution, **campaign):
@@ -160,6 +165,41 @@ class TestStoreStats:
         hits = [e for e in buffer if e["name"] == "store.hit"]
         misses = [e for e in buffer if e["name"] == "store.miss"]
         assert hits and not misses
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_campaign_does_not_walk_the_store(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # A traced campaign samples resource gauges after its map (and,
+        # on a pool, as results arrive); none of them may cost a read of
+        # every store entry.
+        from repro.engine.store import ArtifactStore
+
+        root = tmp_path / "store"
+        seeded = ArtifactStore(root)
+        entries = 40
+        for index in range(entries):
+            seeded.put_json(f"{index:064x}", {"index": index}, {"index": index})
+        reads = []
+        read_meta = ArtifactStore._read_meta
+
+        def counting(self, key):
+            reads.append(key)
+            return read_meta(self, key)
+
+        monkeypatch.setattr(ArtifactStore, "_read_meta", counting)
+        monkeypatch.setattr(ArtifactStore, "size_bytes", _forbidden)
+        buffer = []
+        with use_observer(Observer((BufferSink(buffer),))):
+            flow = _flow(ExecutionConfig(workers=workers, store=str(root)))
+            flow.run(["traces"])
+            flow.assessment()
+        assert flow.result("traces").details["store"] == "miss"
+        # One lookup per stage, none per stored entry.
+        assert len(reads) == 2, reads
+        gauges = {e["name"] for e in buffer if e["kind"] == "gauge"}
+        assert "proc.rss_mb" in gauges
+        assert not {name for name in gauges if name.startswith("store.")}
 
 
 class TestSweepTracing:
