@@ -39,6 +39,7 @@ from .executors import (
 from .runner import (
     ShardTaskError,
     assessment_store_record,
+    layout_store_record,
     run_assessment_campaign,
     run_trace_campaign,
     sample_resource_gauges,
@@ -65,6 +66,7 @@ __all__ = [
     "run_trace_campaign",
     "run_assessment_campaign",
     "trace_store_record",
+    "layout_store_record",
     "assessment_store_record",
     "sample_resource_gauges",
     # store

@@ -12,7 +12,9 @@ map-reduce over the campaign's fixed block stream:
    shard per worker on a pool
    (:meth:`~repro.flow.config.ExecutionConfig.effective_shard_size`).
    Worker processes rebuild the flow from its config dict and build the
-   circuit themselves -- the parent of an unrouted campaign maps none --
+   circuit themselves -- the parent of an unrouted campaign maps none,
+   and a routed campaign's parent ships its layout with the shard
+   tasks, so no worker places and routes --
    caching the flow per process (the pools are *persistent*, so a
    repeated campaign finds its circuit warm, sweep cell after sweep
    cell);
@@ -56,6 +58,7 @@ __all__ = [
     "run_trace_campaign",
     "run_assessment_campaign",
     "trace_store_record",
+    "layout_store_record",
     "assessment_store_record",
     "sample_resource_gauges",
 ]
@@ -163,8 +166,14 @@ def _shard_error(
     )
 
 
+#: A shard task's payload: the flow spec, the shard and the parent's
+#: routed :class:`~repro.layout.CircuitLayout` (``None`` when the
+#: campaign is not routed), so a worker never places and routes.
+_ShardPayload = Tuple[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]], Shard, Any]
+
+
 def _trace_shard_task(
-    payload: Tuple[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]], Shard]
+    payload: _ShardPayload,
 ) -> Tuple[Tuple[np.ndarray, np.ndarray], Optional[List[Dict[str, Any]]]]:
     """Executed on a pool worker: acquire one trace shard.
 
@@ -175,9 +184,10 @@ def _trace_shard_task(
     untouched.  Any failure is re-raised as :class:`ShardTaskError`
     with the shard's identity.
     """
-    spec, shard = payload
+    spec, shard, layout = payload
     try:
         flow = _flow_from_spec(spec)
+        flow._adopt_layout(layout)
         with capture_events(flow.config.obs) as (_, events):
             result = flow._acquire_trace_shard(shard)
     except Exception as exc:
@@ -186,16 +196,17 @@ def _trace_shard_task(
 
 
 def _assessment_shard_task(
-    payload: Tuple[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]], Shard]
+    payload: _ShardPayload,
 ) -> Tuple[List[Dict[str, Any]], Optional[List[Dict[str, Any]]]]:
     """Executed on a pool worker: stream one assessment shard.
 
     Like :func:`_trace_shard_task`, buffered observability events ride
     back with the result and failures wrap into :class:`ShardTaskError`.
     """
-    spec, shard = payload
+    spec, shard, layout = payload
     try:
         flow = _flow_from_spec(spec)
+        flow._adopt_layout(layout)
         with capture_events(flow.config.obs) as (_, events):
             result = flow._run_assessment_shard(shard)
     except Exception as exc:
@@ -252,6 +263,7 @@ def _map_shards(flow: DesignFlow, task, local, shards, consume) -> None:
             consume(result)
         return
     spec = _flow_spec(flow)
+    layout = flow._routed_layout()
     if task is _trace_shard_task:
         total, unit = sum(shard.count for shard in shards), "traces"
     else:
@@ -259,7 +271,7 @@ def _map_shards(flow: DesignFlow, task, local, shards, consume) -> None:
     try:
         _map_on_pool(
             task,
-            [(spec, shard) for shard in shards],
+            [(spec, shard, layout) for shard in shards],
             execution,
             flow.config.obs,
             flow._observer(),
@@ -423,6 +435,19 @@ def trace_store_record(flow: DesignFlow) -> Dict[str, Any]:
     """
     record = _common_store_record(flow)
     record["stage"] = "traces"
+    return record
+
+
+def layout_store_record(flow: DesignFlow) -> Dict[str, Any]:
+    """Everything that determines the routed ``layout`` stage result.
+
+    Unlike the trace and assessment records this one carries the flow
+    name: gate and net names embed it, so two flows differing only in
+    name route equal geometry under different net names.
+    """
+    record = _common_store_record(flow)
+    record["stage"] = "layout"
+    record["name"] = flow.config.name
     return record
 
 

@@ -36,7 +36,7 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -136,8 +136,11 @@ class ArtifactStore:
         try:
             for name, array in arrays.items():
                 np.save(staging / f"{name}.npy", np.ascontiguousarray(array))
-            with open(staging / "meta.json", "w", encoding="utf-8") as handle:
-                json.dump(meta, handle, indent=2, sort_keys=True)
+            # One compact C-encoder dump: an indented one is several
+            # times larger and slower on a layout entry.
+            (staging / "meta.json").write_text(
+                json.dumps(meta, sort_keys=True), encoding="utf-8"
+            )
             entry_bytes = sum(
                 path.stat().st_size for path in staging.iterdir() if path.is_file()
             )
@@ -245,14 +248,36 @@ class ArtifactStore:
         }
         self._write_entry(key, meta, {})
 
-    def get_json(self, key: str, kind: str = "json") -> Optional[Any]:
-        """The cached JSON payload under ``key``, or ``None`` on a miss."""
+    def get_json(
+        self,
+        key: str,
+        kind: str = "json",
+        decode: Optional[Callable[[Any], Any]] = None,
+    ) -> Optional[Any]:
+        """The cached JSON payload under ``key``, or ``None`` on a miss.
+
+        With ``decode`` the result is ``decode(payload)`` instead.  A
+        payload it cannot decode -- it returns ``None`` or raises a
+        ``LookupError``, ``TypeError`` or ``ValueError`` -- is a damaged
+        entry: it is removed (see :meth:`_discard`) and reads as a miss,
+        so the recomputed result takes its place.
+        """
         meta = self._read_meta(key)
         if meta is None or meta.get("kind") != kind:
             self._count(hit=False, kind=kind)
             return None
+        payload = meta.get("payload")
+        if decode is not None:
+            try:
+                payload = decode(payload)
+            except (LookupError, TypeError, ValueError):
+                payload = None
+            if payload is None:
+                self._discard(key)
+                self._count(hit=False, kind=kind)
+                return None
         self._count(hit=True, kind=kind)
-        return meta.get("payload")
+        return payload
 
     # ------------------------------------------------------------ maintenance
 

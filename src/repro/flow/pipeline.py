@@ -107,6 +107,14 @@ class FlowError(RuntimeError):
     """A pipeline stage failed (bad input, failed verification, ...)."""
 
 
+def _decode_layout_payload(payload) -> Tuple[Any, Dict[str, Any]]:
+    """``(layout, details)`` of a stored ``kind="layout"`` entry."""
+    from ..layout import CircuitLayout
+
+    details = {str(name): value for name, value in payload["details"]}
+    return CircuitLayout.from_record(payload["layout"]), details
+
+
 class DesignFlow:
     """Facade over the paper's design and evaluation chain.
 
@@ -556,12 +564,42 @@ class DesignFlow:
         return technology, gate_style
 
     def _compute_layout(self) -> Tuple[Any, Dict[str, Any]]:
-        """Place & route the mapped circuit (no-op for layout-free configs)."""
+        """Place & route the mapped circuit (no-op for layout-free configs).
+
+        With a store configured the routed layout and its details are
+        one ``kind="layout"`` entry: a hit decodes it and runs no
+        place-and-route, and reports the same details a miss does.
+        """
         config = self.config.layout
         if not config.routed:
             return None, {"routed": False}
+        store = self._artifact_store()
+        record = key = None
+        if store is not None:
+            from ..engine.runner import layout_store_record
+            from ..engine.store import content_key
+
+            record = layout_store_record(self)
+            key = content_key(record)
+            cached = store.get_json(key, kind="layout", decode=_decode_layout_payload)
+            if cached is not None:
+                return cached
+        layout, details = self._place_and_route()
+        if store is not None:
+            # Details as ``[name, value]`` pairs: a hit reports them in
+            # the miss's order.
+            payload = {
+                "layout": layout.to_record(),
+                "details": [[name, value] for name, value in details.items()],
+            }
+            store.put_json(key, payload, record, kind="layout")
+        return layout, details
+
+    def _place_and_route(self) -> Tuple[Any, Dict[str, Any]]:
+        """The routed layout of the mapped circuit and its stage details."""
         from ..layout import LayoutError, layout_circuit
 
+        config = self.config.layout
         technology, _ = self._circuit_campaign_params()
         try:
             layout = layout_circuit(
@@ -590,6 +628,21 @@ class DesignFlow:
             details["worst_pair"] = worst[0]
         return layout, details
 
+    def _adopt_layout(self, layout) -> None:
+        """Take the ``layout`` stage's value from the parent of a pooled
+        campaign, so a worker never places and routes (``None``: the
+        campaign is not routed, nothing to take)."""
+        if layout is not None and "layout" not in self._results:
+            self._results["layout"] = FlowResult(
+                stage="layout", value=layout, details={}, elapsed=0.0
+            )
+
+    def _routed_layout(self):
+        """The routed layout of a circuit campaign, or ``None``."""
+        if not self.config.layout.routed or self.config.campaign.source == "model":
+            return None
+        return self.result("layout").value
+
     def _net_loads(self):
         """The routed rail loads of a circuit campaign, or ``None``.
 
@@ -598,9 +651,8 @@ class DesignFlow:
         capacitances replace the technology's ``c_wire_output`` constant
         inside the energy simulators.
         """
-        if not self.config.layout.routed or self.config.campaign.source == "model":
-            return None
-        return self.result("layout").value.parasitics.rail_loads()
+        layout = self._routed_layout()
+        return None if layout is None else layout.parasitics.rail_loads()
 
     def _compiled_program(self):
         """The campaign circuit compiled once for the bit-sliced kernel.
@@ -1003,8 +1055,8 @@ class DesignFlow:
 
             record = assessment_store_record(self)
             key = content_key(record)
-            cached = self._decode_assessment_payload(
-                store.get_json(key, kind="assessment")
+            cached = store.get_json(
+                key, kind="assessment", decode=self._decode_assessment_payload
             )
             if cached is not None:
                 details = {"traces": 2 * config.traces_per_class, "store": "hit"}

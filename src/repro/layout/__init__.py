@@ -25,12 +25,19 @@ pipeline exposes it as the cached ``layout`` stage
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..electrical.technology import Technology, generic_180nm
 from ..sabl.circuit import DifferentialCircuit
 from .parasitics import NetParasitics, extract_net_parasitics
-from .place import LayoutError, NetTerminals, Placement, net_terminals, place_circuit
+from .place import (
+    LayoutError,
+    NetTerminals,
+    Placement,
+    Site,
+    net_terminals,
+    place_circuit,
+)
 from .route import (
     ROUTERS,
     RoutedNet,
@@ -68,6 +75,139 @@ class CircuitLayout:
     placement: Placement
     routing: RoutingResult
     parasitics: NetParasitics
+
+    def to_record(self) -> Dict[str, Any]:
+        """JSON-able record of the whole layout, exact to the last bit.
+
+        Sites are flat indices ``row * cols + col`` and cell sets sorted
+        lists of them; mappings are ``[key, ...]`` lists in their own
+        order (a ``sort_keys`` dump must not reorder them); floats are
+        kept as they are, which JSON round-trips exactly.  A ``fat``
+        pair shares one cell set, stored once.
+        :meth:`from_record` rebuilds a layout ``==`` to this one.
+        """
+        cols = self.placement.grid[1]
+
+        def sites(mapping: Mapping[str, Site]) -> List[List[Any]]:
+            return [[name, row * cols + col] for name, (row, col) in mapping.items()]
+
+        def cells(cell_set) -> List[int]:
+            return sorted(row * cols + col for row, col in cell_set)
+
+        placement = self.placement
+        parasitics = self.parasitics
+        return {
+            "grid": list(placement.grid),
+            "placement": {
+                "gates": sites(placement.gates),
+                "input_pads": sites(placement.input_pads),
+                "output_pads": sites(placement.output_pads),
+                "hpwl": placement.hpwl,
+                "initial_hpwl": placement.initial_hpwl,
+                "seed": placement.seed,
+            },
+            "routing": {
+                "router": self.routing.router,
+                "grid": list(self.routing.grid),
+                "nets": [
+                    [
+                        net.net,
+                        net.true_length,
+                        net.false_length,
+                        cells(net.true_cells),
+                        None
+                        if net.false_cells is net.true_cells
+                        else cells(net.false_cells),
+                    ]
+                    for net in self.routing.nets.values()
+                ],
+            },
+            "parasitics": {
+                "router": parasitics.router,
+                "technology": parasitics.technology,
+                "pairs": [
+                    [net, *parasitics.pair_capacitance[net], *parasitics.pair_length_um[net]]
+                    for net in parasitics.pair_capacitance
+                ],
+                "annotatable": list(parasitics.annotatable),
+            },
+        }
+
+    @classmethod
+    def from_record(cls, record: Mapping[str, Any]) -> "CircuitLayout":
+        """Rebuild the layout :meth:`to_record` wrote.
+
+        Raises :class:`LayoutError` on a record of any other shape.
+        """
+        try:
+            rows, cols = (int(size) for size in record["grid"])
+            if rows < 1 or cols < 1:
+                raise ValueError(f"grid {rows}x{cols}")
+
+            coordinates = [divmod(index, cols) for index in range(rows * cols)]
+
+            def site(index: int) -> Site:
+                if not isinstance(index, int) or index < 0:
+                    raise ValueError(f"site {index!r} is off the {rows}x{cols} grid")
+                return coordinates[index]
+
+            def sites(pairs) -> Dict[str, Site]:
+                return {str(name): site(index) for name, index in pairs}
+
+            def cells(indices) -> frozenset:
+                if indices and not (
+                    all(isinstance(index, int) for index in indices)
+                    and min(indices) >= 0
+                ):
+                    raise ValueError(f"cell sites {indices!r} are not grid sites")
+                return frozenset(map(coordinates.__getitem__, indices))
+
+            placed = record["placement"]
+            placement = Placement(
+                grid=(rows, cols),
+                gates=sites(placed["gates"]),
+                input_pads=sites(placed["input_pads"]),
+                output_pads=sites(placed["output_pads"]),
+                hpwl=float(placed["hpwl"]),
+                initial_hpwl=float(placed["initial_hpwl"]),
+                seed=int(placed["seed"]),
+            )
+            routed = record["routing"]
+            nets: Dict[str, RoutedNet] = {}
+            for net, true_length, false_length, true_cells, false_cells in routed["nets"]:
+                true_set = cells(true_cells)
+                nets[str(net)] = RoutedNet(
+                    net=str(net),
+                    true_length=int(true_length),
+                    false_length=int(false_length),
+                    true_cells=true_set,
+                    false_cells=true_set if false_cells is None else cells(false_cells),
+                )
+            routing = RoutingResult(
+                router=str(routed["router"]),
+                grid=tuple(int(size) for size in routed["grid"]),
+                nets=nets,
+            )
+            extracted = record["parasitics"]
+            capacitance: Dict[str, Tuple[float, float]] = {}
+            lengths: Dict[str, Tuple[float, float]] = {}
+            for net, c_true, c_false, l_true, l_false in extracted["pairs"]:
+                capacitance[str(net)] = (float(c_true), float(c_false))
+                lengths[str(net)] = (float(l_true), float(l_false))
+            annotatable = tuple(str(net) for net in extracted["annotatable"])
+            unknown = sorted(set(annotatable) - set(capacitance))
+            if unknown:
+                raise ValueError(f"annotatable nets {unknown} were never extracted")
+            parasitics = NetParasitics(
+                router=str(extracted["router"]),
+                technology=str(extracted["technology"]),
+                pair_capacitance=capacitance,
+                pair_length_um=lengths,
+                annotatable=annotatable,
+            )
+        except (LookupError, TypeError, ValueError) as error:
+            raise LayoutError(f"malformed layout record: {error}") from error
+        return cls(placement=placement, routing=routing, parasitics=parasitics)
 
     def describe(self) -> str:
         return "\n".join(

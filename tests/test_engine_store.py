@@ -347,7 +347,7 @@ class TestStagingHygiene:
         def interrupt(*_args, **_kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr("repro.engine.store.json.dump", interrupt)
+        monkeypatch.setattr("repro.engine.store.json.dumps", interrupt)
         with pytest.raises(KeyboardInterrupt):
             store.put_traceset("b" * 64, _traceset(), {"stage": "traces"})
         leftovers = [p.name for p in store.root.iterdir() if p.name.startswith(".")]

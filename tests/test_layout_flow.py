@@ -17,6 +17,7 @@ from repro.flow import (
     FlowConfig,
     FlowError,
     LayoutConfig,
+    ObservabilityConfig,
 )
 from repro.power.trace import acquire_circuit_traces
 
@@ -147,8 +148,8 @@ class TestEngineIntegration:
         config = routed_config("unbalanced").replace(
             execution=ExecutionConfig(shard_size=32)
         )
-        sharded = DesignFlow.sbox(0xB, config=config, trace_count=96)
-        serial = DesignFlow.sbox(
+        serial = DesignFlow.sbox(0xB, config=config, trace_count=96)
+        sharded = DesignFlow.sbox(
             0xB,
             config=config.replace(
                 execution=ExecutionConfig(shard_size=32, workers=2)
@@ -156,6 +157,34 @@ class TestEngineIntegration:
             trace_count=96,
         )
         assert np.array_equal(sharded.traces().traces, serial.traces().traces)
+
+    def test_pooled_routed_campaign_places_and_routes_once(self, tmp_path):
+        # The parent ships its layout with the shard tasks: the workers'
+        # replayed spans hold no stage.layout of their own.
+        trace = tmp_path / "spans.jsonl"
+        config = routed_config("fat").replace(
+            execution=ExecutionConfig(workers=2),
+            obs=ObservabilityConfig(trace=str(trace)),
+        )
+        pooled = DesignFlow.sbox(0xB, config=config, trace_count=1000)
+        traces = pooled.traces()
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        layouts = [
+            e for e in events if e["kind"] == "span.end" and e["name"] == "stage.layout"
+        ]
+        assert len(layouts) == 1
+        # Worker spans did come back: each worker built its circuit.
+        circuits = {
+            e["pid"]
+            for e in events
+            if e["kind"] == "span.end" and e["name"] == "stage.circuit"
+        }
+        assert len(circuits) >= 2
+        serial = DesignFlow.sbox(
+            0xB, config=routed_config("fat"), trace_count=1000
+        ).traces()
+        assert np.array_equal(traces.traces, serial.traces)
+        assert np.array_equal(traces.plaintexts, serial.plaintexts)
 
     def test_store_keys_cover_the_layout_config(self):
         def key(**layout):
