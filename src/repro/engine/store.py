@@ -19,7 +19,9 @@ Layout (one directory per artifact, named by the full SHA-256 key)::
 Arrays are stored as one ``.npy`` file each (NumPy's native format)
 precisely so huge cached campaigns can be *memory-mapped* on load
 instead of read into RAM; JSON-only artifacts (assessment verdicts,
-sweep reports) carry their payload inside ``meta.json``.
+routed layouts, sweep reports) carry their payload inside ``meta.json``,
+written as one compact line (entries written indented by older
+versions read the same).
 
 Writes are atomic: an artifact is assembled in a temporary directory and
 renamed into place, so parallel sweep cells racing on the same key never

@@ -108,7 +108,6 @@ class CircuitLayout:
             },
             "routing": {
                 "router": self.routing.router,
-                "grid": list(self.routing.grid),
                 "nets": [
                     [
                         net.net,
@@ -126,8 +125,8 @@ class CircuitLayout:
                 "router": parasitics.router,
                 "technology": parasitics.technology,
                 "pairs": [
-                    [net, *parasitics.pair_capacitance[net], *parasitics.pair_length_um[net]]
-                    for net in parasitics.pair_capacitance
+                    [net, *capacitance, *parasitics.pair_length_um[net]]
+                    for net, capacitance in parasitics.pair_capacitance.items()
                 ],
                 "annotatable": list(parasitics.annotatable),
             },
@@ -146,20 +145,18 @@ class CircuitLayout:
 
             coordinates = [divmod(index, cols) for index in range(rows * cols)]
 
+            # A list index past the grid raises; a negative one must too.
             def site(index: int) -> Site:
-                if not isinstance(index, int) or index < 0:
-                    raise ValueError(f"site {index!r} is off the {rows}x{cols} grid")
+                if index < 0:
+                    raise ValueError(f"site {index} is off the {rows}x{cols} grid")
                 return coordinates[index]
 
             def sites(pairs) -> Dict[str, Site]:
                 return {str(name): site(index) for name, index in pairs}
 
             def cells(indices) -> frozenset:
-                if indices and not (
-                    all(isinstance(index, int) for index in indices)
-                    and min(indices) >= 0
-                ):
-                    raise ValueError(f"cell sites {indices!r} are not grid sites")
+                if indices and min(indices) < 0:
+                    raise ValueError(f"negative site among {indices}")
                 return frozenset(map(coordinates.__getitem__, indices))
 
             placed = record["placement"]
@@ -174,19 +171,22 @@ class CircuitLayout:
             )
             routed = record["routing"]
             nets: Dict[str, RoutedNet] = {}
-            for net, true_length, false_length, true_cells, false_cells in routed["nets"]:
-                true_set = cells(true_cells)
+            for entry in routed["nets"]:
+                net, true_length, false_length, true_sites, false_sites = entry
+                true_cells = cells(true_sites)
+                if false_sites is not None:
+                    false_cells = cells(false_sites)
+                else:
+                    false_cells = true_cells
                 nets[str(net)] = RoutedNet(
                     net=str(net),
                     true_length=int(true_length),
                     false_length=int(false_length),
-                    true_cells=true_set,
-                    false_cells=true_set if false_cells is None else cells(false_cells),
+                    true_cells=true_cells,
+                    false_cells=false_cells,
                 )
             routing = RoutingResult(
-                router=str(routed["router"]),
-                grid=tuple(int(size) for size in routed["grid"]),
-                nets=nets,
+                router=str(routed["router"]), grid=(rows, cols), nets=nets
             )
             extracted = record["parasitics"]
             capacitance: Dict[str, Tuple[float, float]] = {}

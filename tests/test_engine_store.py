@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 
@@ -160,6 +161,18 @@ class TestArtifactStore:
         store.put_json("d" * 64, {"answer": 42}, {"stage": "assessment"}, kind="assessment")
         assert store.get_json("d" * 64, kind="assessment") == {"answer": 42}
         assert store.get_json("d" * 64, kind="json") is None
+
+    def test_meta_is_compact_and_indented_entries_still_read(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        key = "8" * 64
+        payload = {"answer": [1, 2.5, "x"]}
+        store.put_json(key, payload, {"stage": "assessment"}, kind="assessment")
+        meta_path = store.path(key) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta_path.read_text() == json.dumps(meta, sort_keys=True)
+        # The layout older versions wrote.
+        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True))
+        assert store.get_json(key, kind="assessment") == payload
 
     def test_entries_and_clear(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")

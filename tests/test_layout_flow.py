@@ -158,12 +158,15 @@ class TestEngineIntegration:
         )
         assert np.array_equal(sharded.traces().traces, serial.traces().traces)
 
-    def test_pooled_routed_campaign_places_and_routes_once(self, tmp_path):
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pooled_routed_campaign_places_and_routes_once(
+        self, tmp_path, start_method
+    ):
         # The parent ships its layout with the shard tasks: the workers'
         # replayed spans hold no stage.layout of their own.
         trace = tmp_path / "spans.jsonl"
         config = routed_config("fat").replace(
-            execution=ExecutionConfig(workers=2),
+            execution=ExecutionConfig(workers=2, start_method=start_method),
             obs=ObservabilityConfig(trace=str(trace)),
         )
         pooled = DesignFlow.sbox(0xB, config=config, trace_count=1000)
