@@ -777,6 +777,37 @@ class TestFlowIntegration:
             "5c26ff73170ad6e980b1d42fdb2abfd1b3044379f8b355396fa7dc51e13d2f26"
         )
 
+    def test_routed_store_keys_are_pinned(self):
+        # The layout, traces and assessment keys of one routed,
+        # assessment-enabled campaign.
+        from repro.engine.runner import (
+            assessment_store_record,
+            layout_store_record,
+            trace_store_record,
+        )
+        from repro.engine.store import content_key
+
+        config = _sbox_flow().config.replace(
+            layout=LayoutConfig(router="fat"),
+            assessment=AssessmentConfig(enabled=True, traces_per_class=256),
+        )
+        flow = DesignFlow(None, config)
+        keys = {
+            stage: content_key(record(flow))
+            for stage, record in (
+                ("layout", layout_store_record),
+                ("traces", trace_store_record),
+                ("assessment", assessment_store_record),
+            )
+        }
+        assert keys == {
+            "layout": "4a40f2812d4a71b3a9cc64054838cbd5ecab2c68bd3dc540899fc48de328ccbe",
+            "traces": "c4338f355016578167601ac70d64272f155ed4923321b297beb62ac363b4ba26",
+            "assessment": (
+                "29798fdc482797056631556e28b24b5a62f2b2e2ab80bb94010065886bb738e2"
+            ),
+        }
+
 
 def _golden_flow(campaign: str, execution=None) -> DesignFlow:
     """The flow of one golden campaign: ``"<gate>/<network>"`` S-box,
