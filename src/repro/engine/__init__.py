@@ -38,15 +38,13 @@ from .executors import (
 )
 from .runner import (
     ShardTaskError,
-    assessment_store_record,
-    layout_store_record,
     run_assessment_campaign,
     run_trace_campaign,
     sample_resource_gauges,
-    trace_store_record,
 )
 from .sharding import Shard, plan_shards
 from .store import ArtifactStore, content_key
+from .stored import STORED_STAGES, get_or_compute, store_record
 from .sweep import SweepReport, build_grid, run_sweep
 
 __all__ = [
@@ -65,13 +63,14 @@ __all__ = [
     "ShardTaskError",
     "run_trace_campaign",
     "run_assessment_campaign",
-    "trace_store_record",
-    "layout_store_record",
-    "assessment_store_record",
     "sample_resource_gauges",
     # store
     "ArtifactStore",
     "content_key",
+    # stored stages
+    "STORED_STAGES",
+    "store_record",
+    "get_or_compute",
     # sweep
     "SweepReport",
     "build_grid",

@@ -115,8 +115,6 @@ def _execution_overrides(args: argparse.Namespace, config: FlowConfig) -> FlowCo
         overrides["shard_timeout"] = args.shard_timeout
     if args.store is not None:
         overrides["store"] = args.store
-    if getattr(args, "mmap", False):
-        overrides["store_mmap"] = True
     if overrides:
         config = config.replace(execution=config.execution.replace(**overrides))
     return config
@@ -216,9 +214,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "wait forever)",
     )
     parser.add_argument("--store", metavar="DIR", help="artifact store directory")
-    parser.add_argument(
-        "--mmap", action="store_true", help="memory-map cached trace arrays"
-    )
     parser.add_argument(
         "--json",
         metavar="FILE",

@@ -27,6 +27,12 @@ map-reduce over the campaign's fixed block stream:
 Every shard result -- trace blocks and assessment accumulators alike --
 comes back through the pool's ordinary result pipe.
 
+The runner only computes.  With a store configured the flow asks the
+store first: its ``traces`` and ``assessment`` stages reach the runner
+through :func:`repro.engine.stored.get_or_compute`, which keys each
+stage by :func:`repro.engine.stored.store_record` and calls the runner
+only on a miss.
+
 Worker failures follow one contract on both paths: a shard task that
 raises surfaces in the parent as :class:`ShardTaskError` carrying the
 shard identity and the flow it belonged to, and a shard that exceeds
@@ -57,9 +63,6 @@ __all__ = [
     "ShardTaskError",
     "run_trace_campaign",
     "run_assessment_campaign",
-    "trace_store_record",
-    "layout_store_record",
-    "assessment_store_record",
     "sample_resource_gauges",
 ]
 
@@ -381,79 +384,3 @@ def run_assessment_campaign(
     details = _engine_details(execution, shards)
     details["blocks"] = shards[-1].stop
     return outcomes, details
-
-
-# ------------------------------------------------------------------ store keys
-
-
-def _expressions_record(flow: DesignFlow) -> Optional[Dict[str, str]]:
-    spec = flow._expression_spec
-    if spec is None:
-        return None
-    return {name: str(expr) for name, expr in sorted(spec.items())}
-
-
-def _common_store_record(flow: DesignFlow) -> Dict[str, Any]:
-    config = flow.config
-    record: Dict[str, Any] = {
-        "campaign": config.campaign.to_dict(),
-        "technology": config.technology.to_dict(),
-        # The campaign carries the scenario *name*; the scenario hash
-        # also needs the parameters -- two configs differing only in,
-        # say, the S-box count of a present_round slice must never
-        # collide on a store key.
-        "scenario": config.scenario.to_dict(),
-        "expressions": _expressions_record(flow),
-        # The back end changes the measured energies: the full layout
-        # config (router, placement seed, grid, annealing budget) is part
-        # of the content whenever a circuit campaign is routed.  Model
-        # campaigns and layout-free flows hash ``None`` so every
-        # pre-layout key stays in one equivalence class.
-        "layout": (
-            config.layout.to_dict()
-            if config.layout.routed and config.campaign.source != "model"
-            else None
-        ),
-    }
-    # Leakage-model campaigns read the analysis attack point (the round
-    # register, and for the selection-bit model the S-box and bit); it
-    # is part of the campaign content only in that mode.
-    if config.campaign.source == "model":
-        record["target_round"] = config.analysis.target_round
-        if config.campaign.model_leakage == "bit":
-            record["target_bit"] = config.analysis.target_bit
-            record["target_sbox"] = config.analysis.target_sbox
-    return record
-
-
-def trace_store_record(flow: DesignFlow) -> Dict[str, Any]:
-    """Everything that determines the ``traces`` stage result.
-
-    Hash this record (:func:`repro.engine.store.content_key`) to get the
-    stage's store key.  No execution field is part of the content: the
-    result does not depend on shard size, worker count or executor.
-    """
-    record = _common_store_record(flow)
-    record["stage"] = "traces"
-    return record
-
-
-def layout_store_record(flow: DesignFlow) -> Dict[str, Any]:
-    """Everything that determines the routed ``layout`` stage result.
-
-    Unlike the trace and assessment records this one carries the flow
-    name: gate and net names embed it, so two flows differing only in
-    name route equal geometry under different net names.
-    """
-    record = _common_store_record(flow)
-    record["stage"] = "layout"
-    record["name"] = flow.config.name
-    return record
-
-
-def assessment_store_record(flow: DesignFlow) -> Dict[str, Any]:
-    """Everything that determines the ``assessment`` stage result."""
-    record = _common_store_record(flow)
-    record["stage"] = "assessment"
-    record["assessment"] = flow.config.assessment.to_dict()
-    return record

@@ -3,10 +3,13 @@
 Trace campaigns dominate the cost of every sweep, and a sweep grid
 re-runs many cells that differ only in their analysis settings.  The
 store caches stage results on disk, keyed by a **content hash** of
-everything that determines the result -- the stage's config
-``to_dict()`` output plus the inputs feeding it -- so a re-run (or
-another grid cell with the same campaign) loads the traces instead of
-re-acquiring them.
+everything that determines the result, so a re-run (or another grid
+cell with the same campaign) loads the traces instead of re-acquiring
+them.  The flow's stored stages -- the routed layout, the traces and the
+assessment -- all reach it through one path,
+:func:`repro.engine.stored.get_or_compute`, which also builds every key
+(:func:`repro.engine.stored.store_record`); this module only stores and
+loads.
 
 Layout (one directory per artifact, named by the full SHA-256 key)::
 
@@ -14,14 +17,13 @@ Layout (one directory per artifact, named by the full SHA-256 key)::
         <64-hex-char key>/
             meta.json          # kind, the keyed config record, array names
             traces.npy         # trace arrays, one .npy per array
-            plaintexts.npy     # (memory-mappable: np.load(..., mmap_mode="r"))
+            plaintexts.npy
 
-Arrays are stored as one ``.npy`` file each (NumPy's native format)
-precisely so huge cached campaigns can be *memory-mapped* on load
-instead of read into RAM; JSON-only artifacts (assessment verdicts,
-routed layouts, sweep reports) carry their payload inside ``meta.json``,
-written as one compact line (entries written indented by older
-versions read the same).
+Arrays are stored as one ``.npy`` file each (NumPy's native format);
+JSON-only artifacts (assessment verdicts, routed layouts, sweep reports)
+carry their payload inside ``meta.json``, written as one compact line
+(entries written indented by older versions read the same).  A lookup
+reads ``meta.json`` once.
 
 Writes are atomic: an artifact is assembled in a temporary directory and
 renamed into place, so parallel sweep cells racing on the same key never
@@ -51,6 +53,12 @@ __all__ = ["ArtifactStore", "content_key"]
 _STORE_FORMAT = 1
 
 
+def _details(meta: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
+    """The summary details stored in an entry's ``meta.json``, if any."""
+    details = meta.get("details")
+    return dict(details) if isinstance(details, Mapping) else None
+
+
 def content_key(payload: Mapping[str, Any]) -> str:
     """SHA-256 content hash of a JSON-able payload (canonical form).
 
@@ -68,13 +76,10 @@ class ArtifactStore:
 
     Args:
         root: store directory (created on first write).
-        mmap: memory-map cached arrays on load (``np.load`` with
-            ``mmap_mode="r"``) instead of reading them into RAM.
     """
 
-    def __init__(self, root: os.PathLike, mmap: bool = False) -> None:
+    def __init__(self, root: os.PathLike) -> None:
         self.root = Path(root)
-        self.mmap = mmap
         # Access counters since this handle was opened (not persisted);
         # ``stats()`` reports them and the observer mirrors them as
         # ``store.hit`` / ``store.miss`` / ``store.write`` events.
@@ -183,8 +188,7 @@ class ArtifactStore:
         ``config`` is the keyed config record; it is stored verbatim in
         ``meta.json`` so ``repro store ls`` can explain every entry.
         ``details`` carries the producing stage's summary statistics, so
-        cache hits report them without re-walking the (possibly
-        memory-mapped) arrays.
+        cache hits report them without re-walking the arrays.
         """
         meta = {
             "format": _STORE_FORMAT,
@@ -204,36 +208,43 @@ class ArtifactStore:
             {"plaintexts": traces.plaintexts, "traces": traces.traces},
         )
 
-    def get_traceset(self, key: str) -> Optional[TraceSet]:
-        """The cached trace set under ``key``, or ``None`` on a miss."""
+    def get_traceset(
+        self, key: str, decode: Optional[Callable[[Any], Any]] = None
+    ) -> Optional[Any]:
+        """The cached trace set under ``key``, or ``None`` on a miss.
+
+        With ``decode`` the result is ``decode((traces, details))``
+        instead, ``details`` being what :meth:`get_details` returns, read
+        from the same ``meta.json`` load; a pair it cannot decode is a
+        damaged entry, as in :meth:`get_json`.
+        """
         meta = self._read_meta(key)
         if meta is None or meta.get("kind") != "traces":
             self._count(hit=False, kind="traces")
             return None
         directory = self.path(key)
-        mmap_mode = "r" if self.mmap else None
         try:
-            plaintexts = np.load(directory / "plaintexts.npy", mmap_mode=mmap_mode)
-            traces = np.load(directory / "traces.npy", mmap_mode=mmap_mode)
+            plaintexts = np.load(directory / "plaintexts.npy")
+            traces = np.load(directory / "traces.npy")
         except (OSError, ValueError, EOFError):
             self._discard(key)
             self._count(hit=False, kind="traces")
             return None
-        self._count(hit=True, kind="traces")
-        return TraceSet(
+        traceset = TraceSet(
             plaintexts=plaintexts,
             traces=traces,
             key=int(meta.get("trace_key", 0)),
             description=str(meta.get("description", "")),
         )
+        if decode is None:
+            self._count(hit=True, kind="traces")
+            return traceset
+        return self._decoded(key, "traces", (traceset, _details(meta)), decode)
 
     def get_details(self, key: str) -> Optional[Dict[str, Any]]:
         """The producing stage's summary details, when the entry has them."""
         meta = self._read_meta(key)
-        if meta is None:
-            return None
-        details = meta.get("details")
-        return dict(details) if isinstance(details, Mapping) else None
+        return None if meta is None else _details(meta)
 
     # ------------------------------------------------------------------- json
 
@@ -269,17 +280,27 @@ class ArtifactStore:
             self._count(hit=False, kind=kind)
             return None
         payload = meta.get("payload")
-        if decode is not None:
-            try:
-                payload = decode(payload)
-            except (LookupError, TypeError, ValueError):
-                payload = None
-            if payload is None:
-                self._discard(key)
-                self._count(hit=False, kind=kind)
-                return None
+        if decode is None:
+            self._count(hit=True, kind=kind)
+            return payload
+        return self._decoded(key, kind, payload, decode)
+
+    def _decoded(
+        self, key: str, kind: str, payload: Any, decode: Callable[[Any], Any]
+    ) -> Optional[Any]:
+        """``decode(payload)`` of the entry under ``key``, counted as a
+        hit; ``None``, counted as a miss, after removing the entry when
+        ``decode`` refuses the payload."""
+        try:
+            result = decode(payload)
+        except (LookupError, TypeError, ValueError):
+            result = None
+        if result is None:
+            self._discard(key)
+            self._count(hit=False, kind=kind)
+            return None
         self._count(hit=True, kind=kind)
-        return payload
+        return result
 
     # ------------------------------------------------------------ maintenance
 
@@ -375,4 +396,4 @@ class ArtifactStore:
         return removed
 
     def __repr__(self) -> str:
-        return f"ArtifactStore({str(self.root)!r}, mmap={self.mmap})"
+        return f"ArtifactStore({str(self.root)!r})"

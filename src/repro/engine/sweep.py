@@ -220,7 +220,6 @@ def run_sweep(
     workers: int = 1,
     executor: Optional[str] = None,
     store: Optional[str] = None,
-    store_mmap: bool = False,
     stages: Optional[Sequence[str]] = None,
 ) -> SweepReport:
     """Run the full grid and reduce it into a :class:`SweepReport`.
@@ -240,7 +239,6 @@ def run_sweep(
             workers=1,
             executor=None,
             store=store if store is not None else config.execution.store,
-            store_mmap=store_mmap or config.execution.store_mmap,
         )
         config = config.replace(execution=execution)
         payloads.append(

@@ -538,8 +538,6 @@ class ExecutionConfig(_ConfigBase):
         store: root directory of the disk-backed artifact store
             (:class:`repro.engine.ArtifactStore`); ``None`` disables
             caching.
-        store_mmap: memory-map cached trace arrays on load instead of
-            reading them into RAM (sweeps over huge cached campaigns).
     """
 
     workers: int = 1
@@ -548,7 +546,6 @@ class ExecutionConfig(_ConfigBase):
     shard_timeout: Optional[float] = None
     shard_size: Optional[int] = None
     store: Optional[str] = None
-    store_mmap: bool = False
 
     #: Start methods ``multiprocessing`` knows about on any platform;
     #: availability on *this* platform is checked when the executor is

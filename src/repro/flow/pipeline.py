@@ -107,12 +107,32 @@ class FlowError(RuntimeError):
     """A pipeline stage failed (bad input, failed verification, ...)."""
 
 
-def _decode_layout_payload(payload) -> Tuple[Any, Dict[str, Any]]:
+def _encode_layout(result: Tuple[Any, Dict[str, Any]]) -> Dict[str, Any]:
+    """The stored ``kind="layout"`` payload of ``(layout, details)``.
+
+    Details go as ``[name, value]`` pairs: a hit reports them in the
+    miss's order.
+    """
+    layout, details = result
+    return {
+        "layout": layout.to_record(),
+        "details": [[name, value] for name, value in details.items()],
+    }
+
+
+def _decode_layout(payload) -> Tuple[Any, Dict[str, Any]]:
     """``(layout, details)`` of a stored ``kind="layout"`` entry."""
     from ..layout import CircuitLayout
 
     details = {str(name): value for name, value in payload["details"]}
     return CircuitLayout.from_record(payload["layout"]), details
+
+
+def _encode_traces(result):
+    """The stored ``(traces, details)`` of a computed traces result:
+    the stage's own details, without the engine's."""
+    traces, details, _ = result
+    return traces, details
 
 
 class DesignFlow:
@@ -570,30 +590,12 @@ class DesignFlow:
         one ``kind="layout"`` entry: a hit decodes it and runs no
         place-and-route, and reports the same details a miss does.
         """
-        config = self.config.layout
-        if not config.routed:
+        if not self.config.layout.routed:
             return None, {"routed": False}
-        store = self._artifact_store()
-        record = key = None
-        if store is not None:
-            from ..engine.runner import layout_store_record
-            from ..engine.store import content_key
-
-            record = layout_store_record(self)
-            key = content_key(record)
-            cached = store.get_json(key, kind="layout", decode=_decode_layout_payload)
-            if cached is not None:
-                return cached
-        layout, details = self._place_and_route()
-        if store is not None:
-            # Details as ``[name, value]`` pairs: a hit reports them in
-            # the miss's order.
-            payload = {
-                "layout": layout.to_record(),
-                "details": [[name, value] for name, value in details.items()],
-            }
-            store.put_json(key, payload, record, kind="layout")
-        return layout, details
+        result, _ = self._stored(
+            "layout", self._place_and_route, _encode_layout, _decode_layout
+        )
+        return result
 
     def _place_and_route(self) -> Tuple[Any, Dict[str, Any]]:
         """The routed layout of the mapped circuit and its stage details."""
@@ -767,39 +769,52 @@ class DesignFlow:
         if self._store_handle is None:
             from ..engine.store import ArtifactStore
 
-            self._store_handle = ArtifactStore(
-                execution.store, mmap=execution.store_mmap
-            )
+            self._store_handle = ArtifactStore(execution.store)
         return self._store_handle
 
-    def _compute_traces(self) -> Tuple[TraceSet, Dict[str, Any]]:
-        store = self._artifact_store()
-        record = key = None
-        if store is not None:
-            from ..engine.runner import trace_store_record
-            from ..engine.store import content_key
+    def _stored(
+        self,
+        stage: str,
+        compute: Callable[[], Any],
+        encode: Callable[[Any], Any],
+        decode: Callable[[Any], Any],
+    ) -> Tuple[Any, Optional[str]]:
+        """``(result, status)`` of a stored stage: ``compute()``'s result
+        or, with a store configured, its stored one.
 
-            record = trace_store_record(self)
-            key = content_key(record)
-            cached = store.get_traceset(key)
-            if cached is not None:
-                # Stored summary statistics avoid re-walking the arrays
-                # (which would defeat store_mmap on huge campaigns).
-                details = store.get_details(key)
-                if details is None:
-                    details = self._trace_stage_details(cached)
-                details["store"] = "hit"
-                return cached, details
+        See :func:`repro.engine.stored.get_or_compute`; ``status`` is
+        ``"hit"``, ``"miss"`` or ``None`` (nothing stored).
+        """
+        from ..engine.stored import get_or_compute
+
+        return get_or_compute(self, stage, compute, encode, decode)
+
+    def _compute_traces(self) -> Tuple[TraceSet, Dict[str, Any]]:
+        (traces, details, engine_details), status = self._stored(
+            "traces", self._run_traces, _encode_traces, self._decode_traces
+        )
+        details.update(engine_details)
+        if status is not None:
+            details["store"] = status
+        return traces, details
+
+    def _run_traces(self) -> Tuple[TraceSet, Dict[str, Any], Dict[str, Any]]:
+        """``(traces, stage details, engine details)`` of a campaign run."""
         from ..engine.runner import run_trace_campaign
 
         traces, engine_details = run_trace_campaign(self)
-        stage_details = self._trace_stage_details(traces)
-        details = dict(stage_details)
-        details.update(engine_details)
-        if store is not None:
-            store.put_traceset(key, traces, record, details=stage_details)
-            details["store"] = "miss"
-        return traces, details
+        return traces, self._trace_stage_details(traces), engine_details
+
+    def _decode_traces(self, payload):
+        """A stored ``(traces, details)`` as :meth:`_run_traces` returns it.
+
+        Stored summary statistics avoid re-walking the arrays; an entry
+        stored without them gets them recomputed.
+        """
+        traces, details = payload
+        if details is None:
+            details = self._trace_stage_details(traces)
+        return traces, details, {}
 
     def _attack_campaign(self) -> Tuple[TraceSet, Tuple[int, ...], Dict[str, Any]]:
         """The campaign projected onto the configured attack point.
@@ -998,8 +1013,11 @@ class DesignFlow:
         "stats": ClassStatsResult.from_dict,
     }
 
-    def _decode_assessment_payload(self, payload) -> Optional[Dict[str, Any]]:
-        """Rebuild cached assessment outcomes, or ``None`` when not possible."""
+    def _decode_assessment(
+        self, payload
+    ) -> Optional[Tuple[Dict[str, Any], Dict[str, Any]]]:
+        """``(outcomes, details)`` of a stored verdict, or ``None`` when
+        the payload cannot be rebuilt."""
         if not isinstance(payload, Mapping):
             return None
         outcomes: Dict[str, Any] = {}
@@ -1011,10 +1029,12 @@ class DesignFlow:
             if decoder is None:
                 return None
             outcomes[name] = decoder(dict(entry))
-        return outcomes
+        # A hit reports its store status ahead of the noise chain.
+        return outcomes, self._assessment_details({"store": "hit"})
 
-    def _encode_assessment_outcomes(self, outcomes: Dict[str, Any]):
+    def _encode_assessment(self, result) -> Optional[Dict[str, Any]]:
         """JSON payload of the outcomes, or ``None`` when not round-trippable."""
+        outcomes, _ = result
         payload: Dict[str, Any] = {}
         for name, outcome in outcomes.items():
             to_dict = getattr(outcome, "to_dict", None)
@@ -1046,35 +1066,26 @@ class DesignFlow:
         return details
 
     def _compute_assessment(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        config = self.config.assessment
-        store = self._artifact_store()
-        record = key = None
-        if store is not None:
-            from ..engine.runner import assessment_store_record
-            from ..engine.store import content_key
+        (outcomes, details), status = self._stored(
+            "assessment",
+            self._run_assessment,
+            self._encode_assessment,
+            self._decode_assessment,
+        )
+        if status is not None:
+            details["store"] = status
+        return outcomes, self._assessment_verdict_details(outcomes, details)
 
-            record = assessment_store_record(self)
-            key = content_key(record)
-            cached = store.get_json(
-                key, kind="assessment", decode=self._decode_assessment_payload
-            )
-            if cached is not None:
-                details = {"traces": 2 * config.traces_per_class, "store": "hit"}
-                cached_noise = self._assessment_noise_chain()
-                if len(cached_noise):
-                    details["noise"] = cached_noise.describe()
-                return cached, self._assessment_verdict_details(cached, details)
+    def _run_assessment(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         from ..engine.runner import run_assessment_campaign
 
-        details = {"traces": 2 * config.traces_per_class}
-        noise = self._assessment_noise_chain()
         outcomes, engine_details = run_assessment_campaign(self)
-        details.update(engine_details)
+        return outcomes, self._assessment_details(engine_details)
+
+    def _assessment_details(self, fields: Dict[str, Any]) -> Dict[str, Any]:
+        """The stage's trace count, then ``fields``, then its noise chain."""
+        details = {"traces": 2 * self.config.assessment.traces_per_class, **fields}
+        noise = self._assessment_noise_chain()
         if len(noise):
             details["noise"] = noise.describe()
-        if store is not None:
-            payload = self._encode_assessment_outcomes(outcomes)
-            if payload is not None:
-                store.put_json(key, payload, record, kind="assessment")
-                details["store"] = "miss"
-        return outcomes, self._assessment_verdict_details(outcomes, details)
+        return details

@@ -20,8 +20,8 @@ from repro.flow import (
     LayoutConfig,
 )
 from repro.assess.ttest import ttest_fixed_vs_random
-from repro.engine.runner import assessment_store_record, trace_store_record
 from repro.engine.store import content_key
+from repro.engine.stored import store_record
 from repro.flow.config import ConfigError
 from repro.flow.registry import ASSESSMENTS
 from repro.power import acquire_circuit_traces, acquire_model_traces, build_sbox_circuit
@@ -70,13 +70,13 @@ class TestTraceEquivalence:
         plaintexts, expected = oracle_traces(
             reference.circuit(), TRACES, noise_std=0.01, stepped=False
         )
-        key = content_key(trace_store_record(reference))
+        key = content_key(store_record(reference, "traces"))
         for execution in EXECUTIONS:
             flow = _sbox_flow(execution, network_style="genuine", noise_std=0.01)
             traces = flow.traces()
             assert np.array_equal(traces.plaintexts, plaintexts), execution
             assert np.array_equal(traces.traces, expected), execution
-            assert content_key(trace_store_record(flow)) == key, execution
+            assert content_key(store_record(flow, "traces")) == key, execution
 
     def test_model_source_shards_identically(self):
         serial = _sbox_flow(
@@ -167,7 +167,7 @@ class TestAssessmentEquivalence:
         # method -- and agree with a one-shot t-test of the oracle stream.
         reference = self._flow(ExecutionConfig())
         rows = reference.assessment()["ttest"].tests
-        key = content_key(assessment_store_record(reference))
+        key = content_key(store_record(reference, "assessment"))
         energies, labels = oracle_assessment_stream(reference)
         oracle = ttest_fixed_vs_random(energies, labels)
         for test, expected in zip(rows, oracle.tests):
@@ -176,7 +176,7 @@ class TestAssessmentEquivalence:
         for execution in EXECUTIONS:
             flow = self._flow(execution)
             assert flow.assessment()["ttest"].tests == rows, execution
-            assert content_key(assessment_store_record(flow)) == key, execution
+            assert content_key(store_record(flow, "assessment")) == key, execution
             assert flow.result("assessment").details["blocks"] == 6
 
     def test_stats_method_merges_too(self):

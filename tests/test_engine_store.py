@@ -9,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.engine import ArtifactStore, content_key, trace_store_record
+from repro.engine import ArtifactStore, content_key, store_record
 from repro.flow import (
     AnalysisConfig,
     AssessmentConfig,
@@ -49,7 +49,7 @@ class TestContentKey:
             flow = DesignFlow.sbox(
                 0xB, config=FlowConfig(campaign=CampaignConfig(**campaign))
             )
-            return content_key(trace_store_record(flow))
+            return content_key(store_record(flow, "traces"))
 
         base = key_of(trace_count=100)
         assert key_of(trace_count=200) != base
@@ -64,7 +64,7 @@ class TestContentKey:
             flow = DesignFlow.sbox(
                 0xB, config=FlowConfig(execution=execution)
             )
-            return content_key(trace_store_record(flow))
+            return content_key(store_record(flow, "traces"))
 
         base = key_with(ExecutionConfig())
         assert key_with(ExecutionConfig(shard_size=64)) == base
@@ -85,7 +85,7 @@ class TestScenarioKeys:
                 analysis=analysis or AnalysisConfig(),
             ),
         )
-        return content_key(trace_store_record(flow))
+        return content_key(store_record(flow, "traces"))
 
     def test_scenario_name_is_part_of_the_key(self):
         assert self._key(scenario="sbox") != self._key(scenario="present_round")
@@ -143,13 +143,6 @@ class TestArtifactStore:
         assert np.array_equal(loaded.traces, original.traces)
         assert loaded.key == original.key
         assert loaded.description == original.description
-
-    def test_memmap_load(self, tmp_path):
-        plain = ArtifactStore(tmp_path / "store")
-        plain.put_traceset("b" * 64, _traceset(), {"stage": "traces"})
-        mapped = ArtifactStore(tmp_path / "store", mmap=True)
-        loaded = mapped.get_traceset("b" * 64)
-        assert np.array_equal(loaded.traces, _traceset().traces)
 
     def test_miss_returns_none(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
@@ -266,6 +259,40 @@ class TestPipelineCaching:
         assert np.array_equal(cached.traces, original.traces)
         assert np.array_equal(cached.plaintexts, original.plaintexts)
 
+    def test_a_traces_hit_reads_its_meta_once(self, tmp_path, monkeypatch):
+        self._flow(tmp_path / "store").traces()
+        reads = []
+        read_meta = ArtifactStore._read_meta
+
+        def counting(self, key):
+            reads.append(key)
+            return read_meta(self, key)
+
+        monkeypatch.setattr(ArtifactStore, "_read_meta", counting)
+        hit = self._flow(tmp_path / "store")
+        hit.traces()
+        assert hit.result("traces").details["store"] == "hit"
+        assert reads == [content_key(store_record(hit, "traces"))]
+
+    def test_a_hit_without_stored_details_recomputes_them(self, tmp_path):
+        miss = self._flow(tmp_path / "store")
+        miss.traces()
+        store = ArtifactStore(tmp_path / "store")
+        meta_path = store.path(content_key(store_record(miss, "traces"))) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["details"]
+        meta_path.write_text(json.dumps(meta))
+        hit = self._flow(tmp_path / "store")
+        hit.traces()
+        details = dict(hit.result("traces").details)
+        assert details.pop("store") == "hit"
+        expected = miss.result("traces").details
+        assert details == {name: expected[name] for name in details}
+
+    def test_unknown_stages_have_no_store_record(self, tmp_path):
+        with pytest.raises(ValueError, match="no stored stage 'analysis'"):
+            store_record(self._flow(tmp_path / "store"), "analysis")
+
     def test_different_campaign_misses(self, tmp_path):
         self._flow(tmp_path / "store").traces()
         other = self._flow(tmp_path / "store", noise_std=0.01)
@@ -304,6 +331,39 @@ class TestPipelineCaching:
         # Verdict helpers survive the round-trip.
         assert cached["ttest"].leaks == outcome["ttest"].leaks
         assert cached["ttest"].max_abs_t == outcome["ttest"].max_abs_t
+
+    def test_assessment_details_keep_their_order(self, tmp_path):
+        # A miss reports the engine fields and the noise chain before its
+        # store status; a hit reports its store status first.
+        def flow():
+            config = FlowConfig(
+                name="sbox_dpa",
+                campaign=CampaignConfig(trace_count=40, noise_std=0.1),
+                assessment=AssessmentConfig(enabled=True, traces_per_class=128),
+                execution=ExecutionConfig(store=str(tmp_path / "store")),
+            )
+            return DesignFlow.sbox(0xB, config=config)
+
+        miss = flow()
+        miss.assessment()
+        hit = flow()
+        hit.assessment()
+        verdict = ["ttest_max_abs_t", "leaks"]
+        engine = ["executor", "workers", "shards", "shard_size", "blocks"]
+        assert list(miss.result("assessment").details) == (
+            ["traces", *engine, "noise", "store", *verdict]
+        )
+        assert list(hit.result("assessment").details) == (
+            ["traces", "store", "noise", *verdict]
+        )
+
+    def test_the_mmap_flag_is_gone(self, capsys):
+        from repro.engine.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--mmap"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_pathlike_store_is_coerced_to_str(self, tmp_path):
         # The config must stay JSON-serialisable (worker/sweep payloads).

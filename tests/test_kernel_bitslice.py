@@ -770,22 +770,16 @@ class TestFlowIntegration:
     def test_store_keys_ignore_the_simulator(self):
         # Store keys carry no simulator or execution field: this is the
         # key of the default campaign's block stream.
-        from repro.engine.runner import trace_store_record
-        from repro.engine.store import content_key
+        from repro.engine import content_key, store_record
 
-        assert content_key(trace_store_record(_sbox_flow())) == (
+        assert content_key(store_record(_sbox_flow(), "traces")) == (
             "5c26ff73170ad6e980b1d42fdb2abfd1b3044379f8b355396fa7dc51e13d2f26"
         )
 
     def test_routed_store_keys_are_pinned(self):
         # The layout, traces and assessment keys of one routed,
         # assessment-enabled campaign.
-        from repro.engine.runner import (
-            assessment_store_record,
-            layout_store_record,
-            trace_store_record,
-        )
-        from repro.engine.store import content_key
+        from repro.engine import content_key, store_record
 
         config = _sbox_flow().config.replace(
             layout=LayoutConfig(router="fat"),
@@ -793,12 +787,8 @@ class TestFlowIntegration:
         )
         flow = DesignFlow(None, config)
         keys = {
-            stage: content_key(record(flow))
-            for stage, record in (
-                ("layout", layout_store_record),
-                ("traces", trace_store_record),
-                ("assessment", assessment_store_record),
-            )
+            stage: content_key(store_record(flow, stage))
+            for stage in ("layout", "traces", "assessment")
         }
         assert keys == {
             "layout": "4a40f2812d4a71b3a9cc64054838cbd5ecab2c68bd3dc540899fc48de328ccbe",

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine import content_key, trace_store_record
+from repro.engine import content_key, store_record
 from repro.engine.cli import main as repro_main
 from repro.flow import (
     AssessmentConfig,
@@ -194,7 +194,7 @@ class TestEngineIntegration:
             flow = DesignFlow.sbox(
                 0xB, config=FlowConfig(layout=LayoutConfig(**layout))
             )
-            return content_key(trace_store_record(flow))
+            return content_key(store_record(flow, "traces"))
 
         plain = key()
         fat = key(router="fat")
@@ -208,7 +208,7 @@ class TestEngineIntegration:
             flow = DesignFlow.sbox(
                 0xB, config=FlowConfig(layout=LayoutConfig(**layout))
             )
-            return content_key(trace_store_record(flow))
+            return content_key(store_record(flow, "traces"))
 
         # without a router the placement parameters cannot change the
         # campaign, so they must not fragment the cache
@@ -220,7 +220,8 @@ class TestEngineIntegration:
                 layout=LayoutConfig(router=router),
                 campaign=FlowConfig().campaign.replace(source="model"),
             )
-            return content_key(trace_store_record(DesignFlow.sbox(0xB, config=config)))
+            flow = DesignFlow.sbox(0xB, config=config)
+            return content_key(store_record(flow, "traces"))
 
         assert key(None) == key("fat")
 

@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 import repro.layout
-from repro.engine import (
-    ArtifactStore,
-    assessment_store_record,
-    content_key,
-    layout_store_record,
-    trace_store_record,
-)
+from repro.engine import ArtifactStore, content_key, store_record
 from repro.flow import (
     AssessmentConfig,
     CampaignConfig,
@@ -125,23 +119,19 @@ class TestKeys:
         second = _flow(name="zzz")
         # Gate and net names embed the flow name, so the layouts differ...
         assert set(first.layout().routing.nets) != set(second.layout().routing.nets)
-        assert content_key(layout_store_record(first)) != content_key(
-            layout_store_record(second)
+        assert content_key(store_record(first, "layout")) != content_key(
+            store_record(second, "layout")
         )
         # ...while the traces those layouts back-annotate share one key.
-        assert content_key(trace_store_record(first)) == content_key(
-            trace_store_record(second)
+        assert content_key(store_record(first, "traces")) == content_key(
+            store_record(second, "traces")
         )
 
     def test_layout_keys_differ_from_the_other_stages(self):
         flow = _flow(assessment=True)
         keys = {
-            content_key(record(flow))
-            for record in (
-                layout_store_record,
-                trace_store_record,
-                assessment_store_record,
-            )
+            content_key(store_record(flow, stage))
+            for stage in ("layout", "traces", "assessment")
         }
         assert len(keys) == 3
 
@@ -183,7 +173,7 @@ class TestRoutedHits:
         miss = _flow("unbalanced", 2, store=store_path)
         original = miss.traces()
         store = ArtifactStore(store_path)
-        store._discard(content_key(trace_store_record(miss)))
+        store._discard(content_key(store_record(miss, "traces")))
 
         reacquired = _flow("unbalanced", 2, store=store_path)
         events = _events(reacquired.traces)
@@ -203,8 +193,7 @@ class TestHealing:
 
     @staticmethod
     def _key(flow, kind):
-        record = {"assessment": assessment_store_record, "layout": layout_store_record}
-        return content_key(record[kind](flow))
+        return content_key(store_record(flow, kind))
 
     @pytest.mark.parametrize("kind", ["assessment", "layout"])
     def test_an_undecodable_entry_is_removed_and_rewritten(self, tmp_path, kind):
@@ -242,7 +231,7 @@ class TestHealing:
         store.put_json(key, self.BAD_PAYLOADS[kind], {"stage": kind}, kind=kind)
         flow = _flow(assessment=True)
         decode = {
-            "assessment": flow._decode_assessment_payload,
+            "assessment": flow._decode_assessment,
             "layout": lambda payload: CircuitLayout.from_record(payload["layout"]),
         }[kind]
         assert store.get_json(key, kind=kind, decode=decode) is None
