@@ -44,7 +44,7 @@ from .runner import (
 )
 from .sharding import Shard, plan_shards
 from .store import ArtifactStore, content_key
-from .stored import STORED_STAGES, get_or_compute, store_record
+from .stored import store_record
 from .sweep import SweepReport, build_grid, run_sweep
 
 __all__ = [
@@ -68,9 +68,7 @@ __all__ = [
     "ArtifactStore",
     "content_key",
     # stored stages
-    "STORED_STAGES",
     "store_record",
-    "get_or_compute",
     # sweep
     "SweepReport",
     "build_grid",

@@ -27,11 +27,8 @@ map-reduce over the campaign's fixed block stream:
 Every shard result -- trace blocks and assessment accumulators alike --
 comes back through the pool's ordinary result pipe.
 
-The runner only computes.  With a store configured the flow asks the
-store first: its ``traces`` and ``assessment`` stages reach the runner
-through :func:`repro.engine.stored.get_or_compute`, which keys each
-stage by :func:`repro.engine.stored.store_record` and calls the runner
-only on a miss.
+The runner only computes: with a store configured, the flow's stages
+call it on a store miss only (:mod:`repro.engine.stored`).
 
 Worker failures follow one contract on both paths: a shard task that
 raises surfaces in the parent as :class:`ShardTaskError` carrying the

@@ -5,11 +5,8 @@ re-runs many cells that differ only in their analysis settings.  The
 store caches stage results on disk, keyed by a **content hash** of
 everything that determines the result, so a re-run (or another grid
 cell with the same campaign) loads the traces instead of re-acquiring
-them.  The flow's stored stages -- the routed layout, the traces and the
-assessment -- all reach it through one path,
-:func:`repro.engine.stored.get_or_compute`, which also builds every key
-(:func:`repro.engine.stored.store_record`); this module only stores and
-loads.
+them.  The flow's stages reach it through :mod:`repro.engine.stored`,
+which also builds every key; this module only stores and loads.
 
 Layout (one directory per artifact, named by the full SHA-256 key)::
 
@@ -51,12 +48,6 @@ __all__ = ["ArtifactStore", "content_key"]
 
 #: Bump when the on-disk layout (not the keyed configs) changes shape.
 _STORE_FORMAT = 1
-
-
-def _details(meta: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
-    """The summary details stored in an entry's ``meta.json``, if any."""
-    details = meta.get("details")
-    return dict(details) if isinstance(details, Mapping) else None
 
 
 def content_key(payload: Mapping[str, Any]) -> str:
@@ -208,15 +199,12 @@ class ArtifactStore:
             {"plaintexts": traces.plaintexts, "traces": traces.traces},
         )
 
-    def get_traceset(
-        self, key: str, decode: Optional[Callable[[Any], Any]] = None
-    ) -> Optional[Any]:
+    def get_traceset(self, key: str, decode=None) -> Optional[Any]:
         """The cached trace set under ``key``, or ``None`` on a miss.
 
-        With ``decode`` the result is ``decode((traces, details))``
-        instead, ``details`` being what :meth:`get_details` returns, read
-        from the same ``meta.json`` load; a pair it cannot decode is a
-        damaged entry, as in :meth:`get_json`.
+        With ``decode`` the result is ``decode((traces, details))``, the
+        raw ``details`` read from the same ``meta.json`` (see
+        :meth:`get_json`).
         """
         meta = self._read_meta(key)
         if meta is None or meta.get("kind") != "traces":
@@ -236,15 +224,17 @@ class ArtifactStore:
             key=int(meta.get("trace_key", 0)),
             description=str(meta.get("description", "")),
         )
-        if decode is None:
-            self._count(hit=True, kind="traces")
-            return traceset
-        return self._decoded(key, "traces", (traceset, _details(meta)), decode)
+        if decode is not None:
+            traceset = (traceset, meta.get("details"))
+        return self._served(key, "traces", traceset, decode)
 
     def get_details(self, key: str) -> Optional[Dict[str, Any]]:
         """The producing stage's summary details, when the entry has them."""
         meta = self._read_meta(key)
-        return None if meta is None else _details(meta)
+        if meta is None:
+            return None
+        details = meta.get("details")
+        return dict(details) if isinstance(details, Mapping) else None
 
     # ------------------------------------------------------------------- json
 
@@ -279,28 +269,23 @@ class ArtifactStore:
         if meta is None or meta.get("kind") != kind:
             self._count(hit=False, kind=kind)
             return None
-        payload = meta.get("payload")
-        if decode is None:
-            self._count(hit=True, kind=kind)
-            return payload
-        return self._decoded(key, kind, payload, decode)
+        return self._served(key, kind, meta.get("payload"), decode)
 
-    def _decoded(
-        self, key: str, kind: str, payload: Any, decode: Callable[[Any], Any]
-    ) -> Optional[Any]:
-        """``decode(payload)`` of the entry under ``key``, counted as a
-        hit; ``None``, counted as a miss, after removing the entry when
-        ``decode`` refuses the payload."""
-        try:
-            result = decode(payload)
-        except (LookupError, TypeError, ValueError):
-            result = None
-        if result is None:
-            self._discard(key)
-            self._count(hit=False, kind=kind)
-            return None
+    def _served(self, key: str, kind: str, payload: Any, decode) -> Optional[Any]:
+        """``payload`` (or ``decode(payload)``) of the entry under ``key``,
+        counted as a hit; a payload ``decode`` refuses removes the entry
+        and counts as a miss."""
+        if decode is not None:
+            try:
+                payload = decode(payload)
+            except (LookupError, TypeError, ValueError):
+                payload = None
+            if payload is None:
+                self._discard(key)
+                self._count(hit=False, kind=kind)
+                return None
         self._count(hit=True, kind=kind)
-        return result
+        return payload
 
     # ------------------------------------------------------------ maintenance
 

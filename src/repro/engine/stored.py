@@ -1,79 +1,54 @@
 """Stored stages: one key record and one get-or-compute path.
 
-The flow keeps its three costly results in the artifact store
-(:mod:`repro.engine.store`): the routed ``layout``, the ``traces``
-campaign and the ``assessment`` verdict.  All three take the same path,
-:func:`get_or_compute`:
-
-1. hash the stage's :func:`store_record` into its content key;
-2. look the key up -- a trace set for ``traces``, a JSON entry of kind
-   ``stage`` for the others -- and decode a hit;
-3. on a miss compute the result and write its encoding back.
-
-A stage supplies only its compute function and the encode/decode pair
-between its result and the stored payload.  Which config fields go into
-a stage's key is decided here, in :func:`store_record`, and nowhere
-else.
+The flow's costly results -- the routed ``layout``, the ``traces`` and
+the ``assessment`` verdict -- reach the artifact store
+(:mod:`repro.engine.store`) only through :func:`get_or_compute`, under
+the key of :func:`store_record`: the one place that decides which
+config fields a stage's key holds.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .store import content_key
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..flow.pipeline import DesignFlow
+__all__ = ["store_record", "get_or_compute"]
 
-__all__ = ["STORED_STAGES", "store_record", "get_or_compute"]
-
-#: The flow stages whose results the artifact store keeps.
 STORED_STAGES = ("layout", "traces", "assessment")
 
 
-def store_record(flow: "DesignFlow", stage: str) -> Dict[str, Any]:
+def store_record(flow, stage: str) -> Dict[str, Any]:
     """Everything that determines the stored ``stage`` result of ``flow``.
 
-    Hash it (:func:`repro.engine.store.content_key`) to get the stage's
-    store key.  No execution field is part of the content: a result does
-    not depend on shard size, worker count or executor.  On top of the
-    fields every stage shares, the ``layout`` record names the flow --
-    gate and net names embed it, so two flows differing only in name
-    route equal geometry under different net names -- and the
-    ``assessment`` record carries the assessment config.
+    No execution field is part of it.  The ``layout`` record also names
+    the flow (gate and net names embed it); the ``assessment`` record
+    also carries the assessment config.
     """
     if stage not in STORED_STAGES:
         raise ValueError(f"no stored stage {stage!r}; expected one of {STORED_STAGES}")
     config = flow.config
     spec = flow._expression_spec
+    expressions = None if spec is None else {n: str(e) for n, e in sorted(spec.items())}
     record: Dict[str, Any] = {
         "stage": stage,
         "campaign": config.campaign.to_dict(),
         "technology": config.technology.to_dict(),
-        # The campaign carries the scenario *name*; the scenario hash
-        # also needs the parameters -- two configs differing only in,
-        # say, the S-box count of a present_round slice must never
-        # collide on a store key.
+        # The campaign carries the scenario *name*; the parameters are
+        # keyed too, so two present_round slices differing only in
+        # S-box count never collide.
         "scenario": config.scenario.to_dict(),
-        "expressions": (
-            None
-            if spec is None
-            else {name: str(expr) for name, expr in sorted(spec.items())}
-        ),
-        # The back end changes the measured energies: the full layout
-        # config (router, placement seed, grid, annealing budget) is part
-        # of the content whenever a circuit campaign is routed.  Model
-        # campaigns and layout-free flows hash ``None`` so every
-        # pre-layout key stays in one equivalence class.
+        "expressions": expressions,
+        # Routing changes a circuit campaign's energies; model campaigns
+        # and layout-free flows key ``None``, so every pre-layout key
+        # stays in one equivalence class.
         "layout": (
             config.layout.to_dict()
             if config.layout.routed and config.campaign.source != "model"
             else None
         ),
     }
-    # Leakage-model campaigns read the analysis attack point (the round
-    # register, and for the selection-bit model the S-box and bit); it
-    # is part of the campaign content only in that mode.
+    # A leakage-model campaign reads the analysis attack point.
     if config.campaign.source == "model":
         record["target_round"] = config.analysis.target_round
         if config.campaign.model_leakage == "bit":
@@ -87,26 +62,16 @@ def store_record(flow: "DesignFlow", stage: str) -> Dict[str, Any]:
 
 
 def get_or_compute(
-    flow: "DesignFlow",
-    stage: str,
-    compute: Callable[[], Any],
-    encode: Callable[[Any], Any],
-    decode: Callable[[Any], Any],
+    flow, stage: str, compute: Callable, encode: Callable, decode: Callable
 ) -> Tuple[Any, Optional[str]]:
-    """``(result, status)`` of ``stage``, served from the flow's store.
+    """``(result, status)`` of a stored ``stage`` of ``flow``.
 
-    ``status`` is ``"hit"`` when the result is ``decode(payload)`` of a
-    stored entry, ``"miss"`` when ``compute()`` made it and its
-    ``encode(result)`` was written, and ``None`` when ``compute()`` made
-    it and nothing was written: the flow has no store, or ``encode``
-    returned ``None`` for a result it cannot store.
-
-    A ``traces`` payload is the pair ``(TraceSet, details)`` -- the
-    details are ``None`` on a hit of an entry stored without them; any
-    other stage's payload is the JSON value of a ``kind=stage`` entry.
-    A payload ``decode`` refuses (see
-    :meth:`~repro.engine.store.ArtifactStore.get_json`) is a damaged
-    entry: it is removed and the stage recomputes.
+    A hit returns ``decode(payload)`` with status ``"hit"``; otherwise
+    ``compute()`` runs and ``encode(result)`` is written (``"miss"``),
+    unless the flow has no store or ``encode`` returns ``None`` (status
+    ``None``).  A ``traces`` payload is ``(TraceSet, stored details)``,
+    any other the JSON payload of a ``kind=stage`` entry; a payload
+    ``decode`` refuses is removed and recomputed.
     """
     store = flow._artifact_store()
     if store is None:
@@ -124,8 +89,7 @@ def get_or_compute(
     if payload is None:
         return result, None
     if stage == "traces":
-        traces, details = payload
-        store.put_traceset(key, traces, record, details=details)
+        store.put_traceset(key, payload[0], record, details=payload[1])
     else:
         store.put_json(key, payload, record, kind=stage)
     return result, "miss"

@@ -108,11 +108,8 @@ class FlowError(RuntimeError):
 
 
 def _encode_layout(result: Tuple[Any, Dict[str, Any]]) -> Dict[str, Any]:
-    """The stored ``kind="layout"`` payload of ``(layout, details)``.
-
-    Details go as ``[name, value]`` pairs: a hit reports them in the
-    miss's order.
-    """
+    """The stored payload of ``(layout, details)``; details as pairs, so a
+    hit reports them in the miss's order."""
     layout, details = result
     return {
         "layout": layout.to_record(),
@@ -126,13 +123,6 @@ def _decode_layout(payload) -> Tuple[Any, Dict[str, Any]]:
 
     details = {str(name): value for name, value in payload["details"]}
     return CircuitLayout.from_record(payload["layout"]), details
-
-
-def _encode_traces(result):
-    """The stored ``(traces, details)`` of a computed traces result:
-    the stage's own details, without the engine's."""
-    traces, details, _ = result
-    return traces, details
 
 
 class DesignFlow:
@@ -772,26 +762,16 @@ class DesignFlow:
             self._store_handle = ArtifactStore(execution.store)
         return self._store_handle
 
-    def _stored(
-        self,
-        stage: str,
-        compute: Callable[[], Any],
-        encode: Callable[[Any], Any],
-        decode: Callable[[Any], Any],
-    ) -> Tuple[Any, Optional[str]]:
-        """``(result, status)`` of a stored stage: ``compute()``'s result
-        or, with a store configured, its stored one.
-
-        See :func:`repro.engine.stored.get_or_compute`; ``status`` is
-        ``"hit"``, ``"miss"`` or ``None`` (nothing stored).
-        """
+    def _stored(self, stage: str, compute, encode, decode) -> Tuple[Any, Optional[str]]:
+        """See :func:`repro.engine.stored.get_or_compute`."""
         from ..engine.stored import get_or_compute
 
         return get_or_compute(self, stage, compute, encode, decode)
 
     def _compute_traces(self) -> Tuple[TraceSet, Dict[str, Any]]:
+        # The store keeps the stage's own details, not the engine's.
         (traces, details, engine_details), status = self._stored(
-            "traces", self._run_traces, _encode_traces, self._decode_traces
+            "traces", self._run_traces, lambda result: result[:2], self._decode_traces
         )
         details.update(engine_details)
         if status is not None:
@@ -806,13 +786,9 @@ class DesignFlow:
         return traces, self._trace_stage_details(traces), engine_details
 
     def _decode_traces(self, payload):
-        """A stored ``(traces, details)`` as :meth:`_run_traces` returns it.
-
-        Stored summary statistics avoid re-walking the arrays; an entry
-        stored without them gets them recomputed.
-        """
+        # Stored summary statistics avoid re-walking the arrays.
         traces, details = payload
-        if details is None:
+        if not isinstance(details, dict):
             details = self._trace_stage_details(traces)
         return traces, details, {}
 
@@ -1013,9 +989,7 @@ class DesignFlow:
         "stats": ClassStatsResult.from_dict,
     }
 
-    def _decode_assessment(
-        self, payload
-    ) -> Optional[Tuple[Dict[str, Any], Dict[str, Any]]]:
+    def _decode_assessment(self, payload) -> Optional[Tuple[Dict, Dict]]:
         """``(outcomes, details)`` of a stored verdict, or ``None`` when
         the payload cannot be rebuilt."""
         if not isinstance(payload, Mapping):
