@@ -10,9 +10,9 @@ Names that select a built-in backend (``TechnologyConfig.name``,
 ``CampaignConfig.gate_style``, ``AnalysisConfig.attacks``,
 ``CampaignConfig.sbox`` and the like) are looked up in the closed name
 tables of :mod:`repro.flow.registry` (and their siblings in
-:mod:`repro.layout.route`, :mod:`repro.scenarios.registry` and
-:mod:`repro.obs.sinks`) when the flow first needs them; an unknown name
-fails there with an error listing the available ones.
+:mod:`repro.layout.route` and :mod:`repro.scenarios.registry`) when the
+flow first needs them; an unknown name fails there with an error listing
+the available ones.
 """
 
 from __future__ import annotations
@@ -630,25 +630,23 @@ class ObservabilityConfig(_ConfigBase):
     verdicts are bit-identical to an untraced one.
 
     Attributes:
-        trace: path of the JSONL event log (the ``jsonl`` sink); every
-            span, counter and histogram event of the run is appended as
-            one JSON object per line.  ``None`` disables the file sink.
-        progress: stream human-readable progress lines to stderr (the
-            ``console`` sink).
+        trace: path of the JSONL event log (a
+            :class:`~repro.obs.sinks.JsonlSink`); every span, counter and
+            histogram event of the run is appended as one JSON object per
+            line.  ``None`` disables the file sink.
+        progress: stream human-readable progress lines to stderr (a
+            :class:`~repro.obs.sinks.ConsoleSink`, none at verbosity 0).
         verbosity: console detail level 0..3 -- 0 silent, 1 stage and
             campaign completions, 2 adds shard/store/kernel detail,
             3 everything including span starts.  The CLI's ``-v``/``-q``
             flags map onto this.
-        sinks: additional sink names (:data:`repro.obs.SINKS`:
-            ``"null"``, ``"jsonl"``, ``"console"``) to attach beyond the
-            two implied by ``trace`` and ``progress``.
         profile: wrap every observer span in :mod:`cProfile` and emit a
             ``span.profile`` event carrying the span's top-N cumulative
             hotspots (see :mod:`repro.obs.profile`).  Profiling is a
             side-channel like every other observability feature -- a
             profiled run stays bit-identical to an unprofiled one -- and
             only takes effect when some sink is active to receive the
-            events (``trace``, ``progress`` or ``sinks``).
+            events (``trace`` or ``progress``).
         profile_top: hotspot entries kept per profiled span.
 
     Pool workers buffer their events and the parent replays each
@@ -659,7 +657,6 @@ class ObservabilityConfig(_ConfigBase):
     trace: Optional[str] = None
     progress: bool = False
     verbosity: int = 1
-    sinks: Tuple[str, ...] = ()
     profile: bool = False
     profile_top: int = 10
 
@@ -671,10 +668,6 @@ class ObservabilityConfig(_ConfigBase):
             object.__setattr__(self, "trace", trace)
         if not 0 <= self.verbosity <= 3:
             raise ConfigError(f"verbosity must be in 0..3, got {self.verbosity}")
-        object.__setattr__(self, "sinks", _as_tuple(self.sinks))
-        bad = sorted({str(name) for name in self.sinks if not name})
-        if bad or any(not isinstance(name, str) for name in self.sinks):
-            raise ConfigError("sink names must be non-empty strings")
         if not 1 <= self.profile_top <= 100:
             raise ConfigError(
                 f"profile_top must be in 1..100, got {self.profile_top}"
@@ -683,7 +676,7 @@ class ObservabilityConfig(_ConfigBase):
     @property
     def active(self) -> bool:
         """True when the flow builds an observer at all."""
-        return self.trace is not None or self.progress or bool(self.sinks)
+        return self.trace is not None or self.progress
 
 
 @dataclass(frozen=True)

@@ -181,10 +181,6 @@ class DesignFlow:
         rather than hand-written expressions."""
         return self._expression_spec is None
 
-    # ``is_sbox_workload`` predates the scenario table; the generic
-    # name reads better in scenario-aware code.
-    is_scenario_workload = is_sbox_workload
-
     def computed_stages(self) -> Tuple[str, ...]:
         """Stages whose results are currently cached, in canonical order."""
         return tuple(stage for stage in STAGES if stage in self._results)
@@ -1003,8 +999,7 @@ class DesignFlow:
             if decoder is None:
                 return None
             outcomes[name] = decoder(dict(entry))
-        # A hit reports its store status ahead of the noise chain.
-        return outcomes, self._assessment_details({"store": "hit"})
+        return outcomes, self._assessment_details({})
 
     def _encode_assessment(self, result) -> Optional[Dict[str, Any]]:
         """JSON payload of the outcomes, or ``None`` when not round-trippable."""

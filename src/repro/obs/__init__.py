@@ -3,11 +3,12 @@
 ``repro.obs`` gives the whole stack -- flow stages, engine shards, the
 artifact store, sweeps and the compiled kernels -- one way to say what
 it is doing: an :class:`Observer` that times :meth:`~Observer.span`
-sections, folds :meth:`~Observer.counter` / :meth:`~Observer.gauge` /
-:meth:`~Observer.histogram` updates into a live
-:class:`~repro.obs.metrics.MetricsRegistry`, and streams every event to
-the named sinks (:data:`SINKS`): a JSONL trace file, console progress
-lines on stderr, or the null sink.
+sections, emits :meth:`~Observer.counter` / :meth:`~Observer.gauge` /
+:meth:`~Observer.histogram` events, and streams every event to the
+sinks its config implies: a JSONL trace file (``trace``) and console
+progress lines on stderr (``progress``).  :class:`TraceSummary` is the
+one aggregate of those events (:func:`summarize_events` over a
+buffered run, :func:`summarize_trace_file` over a trace file).
 
 The cardinal rule is *observation never changes the result*: events
 carry timestamps and durations as side-channels only, workers buffer
@@ -23,7 +24,7 @@ Enable it from a flow config::
 
 or from the CLI::
 
-    repro sweep --axis sbox_bits=3,4 --trace events.jsonl --progress
+    repro sweep --axis gate_style=sabl,cvsl --trace events.jsonl --progress
     repro trace summary events.jsonl
 
 Each pooled payload's events ride back with its result, and the parent
@@ -56,18 +57,10 @@ from .events import (
     validate_event,
 )
 from .progress import ProgressAggregator, ProgressDispatcher, rss_bytes
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import DEFAULT_PROFILE_TOP, SpanProfiler, hotspots_from_profile
-from .sinks import (
-    SINKS,
-    BufferSink,
-    ConsoleSink,
-    JsonlSink,
-    NullSink,
-    Sink,
-    get_sink,
-)
+from .sinks import BufferSink, ConsoleSink, JsonlSink, Sink
 from .summary import (
+    Histogram,
     SpanStats,
     TraceSummary,
     iter_trace_events,
@@ -96,17 +89,11 @@ __all__ = [
     "SpanProfiler",
     "hotspots_from_profile",
     "DEFAULT_PROFILE_TOP",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Sink",
-    "NullSink",
     "BufferSink",
     "JsonlSink",
     "ConsoleSink",
-    "SINKS",
-    "get_sink",
+    "Histogram",
     "SpanStats",
     "TraceSummary",
     "summarize_events",

@@ -1,8 +1,9 @@
-"""The observer: spans, metrics and the process-wide current instance.
+"""The observer: spans, metric events and the process-wide current instance.
 
 An :class:`Observer` is the one object instrumented code talks to.  It
-fans schema events (:mod:`repro.obs.events`) out to its sinks and folds
-metric updates into its live :class:`~repro.obs.metrics.MetricsRegistry`.
+fans schema events (:mod:`repro.obs.events`) out to its sinks; the one
+aggregate of those events is :class:`~repro.obs.summary.TraceSummary`,
+read back from the sink (:func:`~repro.obs.summary.summarize_events`).
 The module also owns the *current* observer -- a process-global the
 deep layers (artifact store, kernels, executors) read with
 :func:`get_observer`, so instrumentation works without passing an
@@ -35,10 +36,9 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .events import METRIC_KINDS, make_event
-from .metrics import MetricsRegistry
+from .events import make_event
 from .profile import DEFAULT_PROFILE_TOP, SpanProfiler
-from .sinks import BufferSink, NullSink, Sink, get_sink
+from .sinks import BufferSink, ConsoleSink, JsonlSink, Sink
 
 __all__ = [
     "Observer",
@@ -130,23 +130,21 @@ class _Span:
 
 
 class Observer:
-    """Fans events out to sinks and keeps live metric aggregates.
+    """Fans events out to sinks.
 
-    ``active`` is True for every observer with at least one real sink;
-    the :data:`NULL_OBSERVER` singleton is the only inactive instance.
-    Observers are context managers closing their sinks on exit.
+    ``active`` is True for every observer with at least one sink (until
+    its last sink fails); :data:`NULL_OBSERVER` has none.  Observers are
+    context managers closing their sinks on exit.
     """
 
     def __init__(
         self,
         sinks: Sequence[Sink],
-        active: bool = True,
         profile: bool = False,
         profile_top: int = DEFAULT_PROFILE_TOP,
     ) -> None:
         self._sinks: Tuple[Sink, ...] = tuple(sinks)
-        self.active = active and bool(self._sinks)
-        self.metrics = MetricsRegistry()
+        self.active = bool(self._sinks)
         self._seq = 0
         #: Wrap spans in cProfile and emit ``span.profile`` hotspot
         #: events (see :mod:`repro.obs.profile`).
@@ -197,8 +195,7 @@ class Observer:
 
         The generic escape hatch for kinds without a dedicated helper
         (the ``engine.progress`` events use it); span and
-        metric emission should go through their typed methods, which
-        also maintain the metrics registry.
+        metric emission should go through their typed methods.
         """
         if not self.active:
             return
@@ -211,43 +208,30 @@ class Observer:
         return _Span(self, name, attrs)
 
     def counter(self, name: str, value: float = 1, **attrs: Any) -> None:
-        """Increment the counter ``name`` by ``value`` and emit the event."""
+        """Emit a ``counter`` event: ``name`` grew by ``value``."""
         if not self.active:
             return
-        self.metrics.counter(name).inc(value)
         self._emit("counter", name, value=value, attrs=attrs)
 
     def gauge(self, name: str, value: float, **attrs: Any) -> None:
-        """Set the gauge ``name`` to ``value`` and emit the event."""
+        """Emit a ``gauge`` event: ``name`` now reads ``value``."""
         if not self.active:
             return
-        self.metrics.gauge(name).set(value)
         self._emit("gauge", name, value=value, attrs=attrs)
 
     def histogram(self, name: str, value: float, **attrs: Any) -> None:
-        """Observe ``value`` into the histogram ``name`` and emit the event."""
+        """Emit a ``histogram`` event: one sample ``value`` of ``name``."""
         if not self.active:
             return
-        self.metrics.histogram(name).observe(value)
         self._emit("histogram", name, value=value, attrs=attrs)
 
     # ----------------------------------------------------------------- replay
 
     def replay(self, events: Iterable[Dict[str, Any]]) -> None:
-        """Re-emit buffered worker events verbatim (ts/pid/seq preserved)
-        and fold their metric updates into this observer's registry."""
+        """Re-emit buffered worker events verbatim (ts/pid/seq preserved)."""
         if not self.active:
             return
         for event in events:
-            kind = event.get("kind")
-            if kind in METRIC_KINDS:
-                value = event.get("value", 0)
-                if kind == "counter":
-                    self.metrics.counter(event["name"]).inc(value)
-                elif kind == "gauge":
-                    self.metrics.gauge(event["name"]).set(value)
-                else:
-                    self.metrics.histogram(event["name"]).observe(value)
             self._dispatch(event)
 
     # -------------------------------------------------------------- lifecycle
@@ -281,7 +265,7 @@ class Observer:
 
 
 #: The inactive default: every operation is a no-op.
-NULL_OBSERVER = Observer((), active=False)
+NULL_OBSERVER = Observer(())
 
 _current: Observer = NULL_OBSERVER
 
@@ -310,15 +294,20 @@ def use_observer(observer: Observer):
         set_observer(previous)
 
 
+def _build_observer(sinks: Sequence[Sink], config: Any) -> Observer:
+    """An observer over ``sinks`` with the profiling flags of ``config``."""
+    return Observer(sinks, profile=config.profile, profile_top=config.profile_top)
+
+
 @contextmanager
-def capture_events(enabled: Any):
+def capture_events(config: Any):
     """Worker-side event capture: ``(observer, buffered_events)``.
 
-    ``enabled`` is either a plain bool or an
-    :class:`~repro.flow.config.ObservabilityConfig`-like object; passing
-    the config lets the buffering observer inherit the profiling flags,
-    so ``span.profile`` events from worker processes ride back with the
-    shard results like every other event.
+    ``config`` is the flow's
+    :class:`~repro.flow.config.ObservabilityConfig`; the buffering
+    observer inherits its profiling flags, so ``span.profile`` events
+    from worker processes ride back with the shard results like every
+    other event.
 
     When the current observer is already active *in this process* (the
     in-process serial path under a CLI-installed observer) events are
@@ -327,29 +316,27 @@ def capture_events(enabled: Any):
     parent's installed observer, but emitting into that copy's sinks
     would be lost (or, for the jsonl sink, interleave appends from many
     processes); the pid stamp identifies the stale copy, and the worker
-    buffers instead.  When ``enabled`` (the flow's obs config is
-    active), a buffering observer is installed for the block and the
-    caller ships the returned list back to the parent alongside its
-    result.  The buffer holds plain JSON-able dicts, so it pickles
-    through the process executor unchanged.
+    buffers instead.  When ``config`` is active, a buffering observer is
+    installed for the block and the caller ships the returned list back
+    to the parent alongside its result.  The buffer holds plain
+    JSON-able dicts, so it pickles through the process executor
+    unchanged.
 
     This decision tree is deliberately independent of *how* the worker
     started and *when*: a spawn-started worker simply has no installed
     observer (fresh interpreter) and takes the config-driven buffering
     path, and a **persistent** pool worker -- which may have been forked
     before any observer existed in the parent, and which outlives any
-    single campaign -- re-evaluates ``enabled`` from the flow spec on
-    every shard, so the buffered-event piggybacking survives warm pools
-    and every start method unchanged.  Events travel as plain dicts in
-    the shard result tuple, through the pool's result pipe.
+    single campaign -- re-evaluates ``config.active`` from the flow spec
+    on every shard, so the buffered-event piggybacking survives warm
+    pools and every start method unchanged.  Events travel as plain
+    dicts in the shard result tuple, through the pool's result pipe.
     """
-    config = enabled if not isinstance(enabled, bool) else None
-    active = bool(getattr(enabled, "active", enabled))
     current = get_observer()
     if current.active and current.pid == os.getpid():
         yield current, None
         return
-    if not active:
+    if not config.active:
         if current.active:  # stale forked copy: silence it for the block
             with use_observer(NULL_OBSERVER):
                 yield NULL_OBSERVER, None
@@ -357,13 +344,7 @@ def capture_events(enabled: Any):
             yield current, None
         return
     buffer: List[Dict[str, Any]] = []
-    observer = Observer(
-        (BufferSink(buffer),),
-        profile=bool(getattr(config, "profile", False)),
-        profile_top=int(
-            getattr(config, "profile_top", DEFAULT_PROFILE_TOP) or DEFAULT_PROFILE_TOP
-        ),
-    )
+    observer = _build_observer((BufferSink(buffer),), config)
     with use_observer(observer):
         yield observer, buffer
 
@@ -371,32 +352,16 @@ def capture_events(enabled: Any):
 def observer_from_config(config: Any) -> Observer:
     """Build an observer from an :class:`~repro.flow.config.ObservabilityConfig`.
 
-    Resolves the config's sink selection through :data:`SINKS`: an
-    active ``trace`` path adds the ``jsonl`` sink, ``progress`` adds
-    ``console``, and every name in ``sinks`` is resolved as-is.  An
-    inactive config returns :data:`NULL_OBSERVER`.
+    ``trace`` adds a :class:`~repro.obs.sinks.JsonlSink` on that path,
+    and ``progress`` adds a :class:`~repro.obs.sinks.ConsoleSink` when
+    ``verbosity`` is above 0.  A config that implies no sink returns
+    :data:`NULL_OBSERVER`.
     """
-    if not getattr(config, "active", False):
-        return NULL_OBSERVER
-    names: List[str] = []
-    if getattr(config, "trace", None):
-        names.append("jsonl")
-    if getattr(config, "progress", False):
-        names.append("console")
-    for name in getattr(config, "sinks", ()):
-        if name not in names:
-            names.append(name)
     sinks: List[Sink] = []
-    for name in names:
-        sink = get_sink(name)(config)
-        if sink is not None and not isinstance(sink, NullSink):
-            sinks.append(sink)
+    if config.trace is not None:
+        sinks.append(JsonlSink(config.trace))
+    if config.progress and config.verbosity > 0:
+        sinks.append(ConsoleSink(config.verbosity))
     if not sinks:
         return NULL_OBSERVER
-    return Observer(
-        sinks,
-        profile=bool(getattr(config, "profile", False)),
-        profile_top=int(
-            getattr(config, "profile_top", DEFAULT_PROFILE_TOP) or DEFAULT_PROFILE_TOP
-        ),
-    )
+    return _build_observer(sinks, config)

@@ -3,9 +3,9 @@
 Every signal the instrumented code emits -- span boundaries, metric
 updates -- is one flat, JSON-able dictionary.  A fixed, versioned shape
 (rather than free-form dicts) is what makes the downstream consumers
-possible: the ``jsonl`` sink appends one line per event, ``repro trace
+possible: the jsonl sink appends one line per event, ``repro trace
 summary`` aggregates a file of them without knowing who produced each
-line, and the service API can stream them to clients verbatim.
+line, and ``repro top`` tails a growing file of them.
 
 Schema (version 2; version-1 lines remain valid)::
 

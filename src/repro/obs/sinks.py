@@ -1,21 +1,19 @@
 """Event sinks: where the observability stream goes.
 
 A sink consumes schema events (:mod:`repro.obs.events`) one at a time.
-Like the flow's other backends, sinks are named in a closed table
-(:data:`SINKS`, read through :func:`get_sink`).  Three built-ins ship:
+The flow's :class:`~repro.flow.config.ObservabilityConfig` implies its
+sinks (:func:`repro.obs.observer_from_config`):
 
-* ``"null"`` -- drops everything; the default, and the zero-overhead
-  contract: instrumented hot paths guard on ``observer.active`` and
-  never even build their event payloads.
-* ``"jsonl"`` -- appends one JSON object per line to the file named by
-  :attr:`~repro.flow.config.ObservabilityConfig.trace`; the durable,
-  machine-readable record ``repro trace summary`` aggregates.
-* ``"console"`` -- human-readable progress lines on stderr, filtered by
-  the configured verbosity (stderr so ``repro sweep --json -`` keeps a
-  clean stdout).
+* :class:`JsonlSink` -- set by ``trace``: appends one JSON object per
+  line to that file; the durable, machine-readable record
+  ``repro trace summary`` aggregates.
+* :class:`ConsoleSink` -- set by ``progress`` (at ``verbosity`` above
+  0): human-readable progress lines on stderr, filtered by the
+  verbosity (stderr so ``repro sweep --json -`` keeps a clean stdout).
 
-A sink factory receives the flow's ``ObservabilityConfig`` and returns
-a sink (or ``None`` to opt out for that config).
+A config that implies neither gets the null observer: instrumented hot
+paths guard on ``observer.active`` and never even build their event
+payloads.  :class:`BufferSink` is the worker-side transport.
 """
 
 from __future__ import annotations
@@ -23,21 +21,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Any, Callable, Dict, List, Optional, TextIO
+from typing import Any, Dict, List, Optional, TextIO
 
-from ..registry import lookup
 from .events import ObsError
 
-__all__ = [
-    "Sink",
-    "NullSink",
-    "JsonlSink",
-    "ConsoleSink",
-    "BufferSink",
-    "SINKS",
-    "SinkFactory",
-    "get_sink",
-]
+__all__ = ["Sink", "JsonlSink", "ConsoleSink", "BufferSink"]
 
 
 class Sink:
@@ -53,13 +41,6 @@ class Sink:
 
     def close(self) -> None:
         """Release resources; emitting after close is undefined."""
-
-
-class NullSink(Sink):
-    """Drops every event (the default backend)."""
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        pass
 
 
 class BufferSink(Sink):
@@ -190,42 +171,3 @@ class ConsoleSink(Sink):
     def emit(self, event: Dict[str, Any]) -> None:
         if self._level(event) <= self.verbosity:
             print(self._format(event), file=self.stream)
-
-
-#: A sink factory: ``(ObservabilityConfig) -> Optional[Sink]`` (``None``
-#: contributes nothing for that config).
-SinkFactory = Callable[[Any], Optional[Sink]]
-
-
-def _null_factory(config: Any) -> Sink:
-    return NullSink()
-
-
-def _jsonl_factory(config: Any) -> Sink:
-    trace = getattr(config, "trace", None)
-    if not trace:
-        raise ObsError(
-            "the jsonl sink needs ObservabilityConfig.trace (the event-log "
-            "path); set it or pass --trace FILE"
-        )
-    return JsonlSink(trace)
-
-
-def _console_factory(config: Any) -> Optional[Sink]:
-    verbosity = getattr(config, "verbosity", 1)
-    if verbosity <= 0:
-        return None
-    return ConsoleSink(verbosity)
-
-
-#: Sink factories, keyed by backend name.
-SINKS: Dict[str, SinkFactory] = {
-    "null": _null_factory,
-    "jsonl": _jsonl_factory,
-    "console": _console_factory,
-}
-
-
-def get_sink(name: str) -> SinkFactory:
-    """The sink factory named ``name``."""
-    return lookup(SINKS, "sink", name)

@@ -18,20 +18,105 @@ exposes the same reader as a generator with an optional follow mode
 from __future__ import annotations
 
 import json
+import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .events import ObsError, validate_event
-from .metrics import Histogram
 
 __all__ = [
+    "Histogram",
     "SpanStats",
     "TraceSummary",
     "summarize_events",
     "summarize_trace_file",
     "iter_trace_events",
 ]
+
+
+class Histogram:
+    """Running summary of observed samples, quantiles included.
+
+    Exact count/total/min/max/mean plus *approximate* p50/p95/p99 from a
+    fixed-size uniform reservoir (Vitter's algorithm R): constant memory
+    regardless of sample count, exact while the sample count stays
+    within the reservoir.  The replacement draws come from a
+    fixed-seeded private PRNG, so two identical observation streams
+    always report identical quantiles -- determinism the observability
+    bit-identity contract extends to its own outputs.
+    """
+
+    __slots__ = ("count", "total", "min", "max", "_reservoir", "_rng")
+
+    #: Samples kept for quantile estimation.  512 bounds the p99 error
+    #: to a few percent while keeping snapshots cheap to sort.
+    RESERVOIR_SIZE = 512
+
+    #: The quantiles every snapshot reports.
+    QUANTILES: Tuple[Tuple[str, float], ...] = (
+        ("p50", 0.50),
+        ("p95", 0.95),
+        ("p99", 0.99),
+    )
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.min = float("inf")
+        self.max = float("-inf")
+        self._reservoir: List[float] = []
+        self._rng = random.Random(0x0B5E)
+
+    def observe(self, value: float) -> None:
+        value = float(value)
+        self.count += 1
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        if len(self._reservoir) < self.RESERVOIR_SIZE:
+            self._reservoir.append(value)
+        else:
+            slot = self._rng.randrange(self.count)
+            if slot < self.RESERVOIR_SIZE:
+                self._reservoir[slot] = value
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def quantile(self, q: float) -> float:
+        """Approximate ``q``-quantile (linear interpolation over the
+        reservoir); 0.0 with no samples."""
+        if not self._reservoir:
+            return 0.0
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in 0..1, got {q}")
+        ordered = sorted(self._reservoir)
+        position = q * (len(ordered) - 1)
+        low = int(position)
+        high = min(low + 1, len(ordered) - 1)
+        fraction = position - low
+        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+
+    def quantiles(self) -> Dict[str, float]:
+        """The standard snapshot quantiles (:data:`QUANTILES`)."""
+        return {name: self.quantile(q) for name, q in self.QUANTILES}
+
+    def to_dict(self) -> Dict[str, Any]:
+        if not self.count:
+            return {"type": "histogram", "count": 0}
+        return {
+            "type": "histogram",
+            "count": self.count,
+            "total": self.total,
+            "min": self.min,
+            "max": self.max,
+            "mean": self.mean,
+            **self.quantiles(),
+        }
 
 
 @dataclass

@@ -1,13 +1,12 @@
 """Unknown-name errors for the closed backend tables.
 
 Every string-valued backend field (technology, gate style, attack,
-S-box, assessment, sink, router, scenario) resolves through
+S-box, assessment, router, scenario) resolves through
 one module-level ``dict`` of built-ins in the module that owns that
 kind.  :func:`lookup` is the shared read path: a miss raises
 :class:`UnknownBackendError` listing the available names.  The module
-sits below every subsystem so leaf modules (like :mod:`repro.obs`,
-which the simulators import) can use it without importing the flow
-package.
+sits below every subsystem so leaf modules can use it without importing
+the flow package.
 """
 
 from __future__ import annotations

@@ -333,8 +333,8 @@ class TestPipelineCaching:
         assert cached["ttest"].max_abs_t == outcome["ttest"].max_abs_t
 
     def test_assessment_details_keep_their_order(self, tmp_path):
-        # A miss reports the engine fields and the noise chain before its
-        # store status; a hit reports its store status first.
+        # Both report the noise chain before their store status; a hit
+        # has no engine fields.
         def flow():
             config = FlowConfig(
                 name="sbox_dpa",
@@ -354,7 +354,7 @@ class TestPipelineCaching:
             ["traces", *engine, "noise", "store", *verdict]
         )
         assert list(hit.result("assessment").details) == (
-            ["traces", "store", "noise", *verdict]
+            ["traces", "noise", "store", *verdict]
         )
 
     def test_the_mmap_flag_is_gone(self, capsys):

@@ -20,7 +20,6 @@ from repro.flow import (
 )
 from repro.flow.registry import get_attack
 from repro.layout import ROUTERS, get_router
-from repro.obs import SINKS, get_sink
 from repro.power import PRESENT_SBOX, acquire_model_traces
 from repro.registry import lookup
 from repro.sabl import SABLGate
@@ -95,14 +94,6 @@ TABLES = {
         lambda: get_assessment("snr"),
         UnknownBackendError,
         "unknown assessment 'snr'; available: stats, ttest",
-        None,
-    ),
-    "sink": (
-        SINKS,
-        {"null", "jsonl", "console"},
-        lambda: get_sink("statsd"),
-        UnknownBackendError,
-        "unknown sink 'statsd'; available: console, jsonl, null",
         None,
     ),
     "router": (

@@ -11,17 +11,14 @@ from repro.obs import (
     NULL_OBSERVER,
     BufferSink,
     ConsoleSink,
-    Counter,
     Histogram,
     JsonlSink,
-    MetricsRegistry,
     ObsError,
     Observer,
     SCHEMA_VERSION,
     TraceSummary,
     capture_events,
     get_observer,
-    get_sink,
     make_event,
     observer_from_config,
     set_observer,
@@ -30,8 +27,7 @@ from repro.obs import (
     use_observer,
     validate_event,
 )
-from repro.registry import UnknownBackendError
-from repro.flow import ObservabilityConfig
+from repro.flow import ConfigError, FlowConfig, ObservabilityConfig
 from repro.reporting import format_trace_summary
 
 
@@ -126,7 +122,7 @@ class TestSpans:
         assert NULL_OBSERVER.span("a") is NULL_OBSERVER.span("b")
         NULL_OBSERVER.counter("store.hit")
         NULL_OBSERVER.histogram("h", 1.0)
-        assert len(NULL_OBSERVER.metrics) == 0
+        assert not NULL_OBSERVER.active
 
     def test_observer_without_sinks_is_inactive(self):
         assert not Observer(()).active
@@ -136,13 +132,6 @@ class TestSpans:
 
 
 class TestMetrics:
-    def test_counter_only_increases(self):
-        counter = Counter()
-        counter.inc(2)
-        assert counter.value == 2.0
-        with pytest.raises(ValueError, match="only increase"):
-            counter.inc(-1)
-
     def test_histogram_running_stats(self):
         hist = Histogram()
         for value in (1.0, 3.0, 2.0):
@@ -151,36 +140,28 @@ class TestMetrics:
         assert hist.min == 1.0 and hist.max == 3.0
         assert hist.mean == pytest.approx(2.0)
 
-    def test_registry_rejects_type_mismatch(self):
-        registry = MetricsRegistry()
-        registry.counter("store.hit")
-        with pytest.raises(ValueError, match="Counter"):
-            registry.gauge("store.hit")
-
-    def test_observer_updates_its_registry(self):
+    def test_observer_emits_metric_events(self):
         observer, buffer = _buffered_observer()
         observer.counter("store.hit")
         observer.counter("store.hit", 2)
         observer.gauge("g", 7.0)
         observer.histogram("h", 0.5)
-        snap = observer.metrics.snapshot()
-        assert snap["store.hit"]["value"] == 3.0
-        assert snap["g"]["value"] == 7.0
-        assert snap["h"]["count"] == 1
         assert [e["kind"] for e in buffer] == ["counter", "counter", "gauge", "histogram"]
+        summary = summarize_events(buffer)
+        assert summary.counters == {"store.hit": 3.0}
+        assert summary.histograms["h"].count == 1
 
 
 # ---------------------------------------------------------------------- sinks
 
 
 class TestSinks:
-    def test_unknown_sink_name_raises(self):
-        with pytest.raises(UnknownBackendError, match="statsd"):
-            get_sink("statsd")
-
     def test_jsonl_factory_requires_a_trace_path(self):
         with pytest.raises(ObsError, match="trace"):
-            get_sink("jsonl")(ObservabilityConfig(progress=True))
+            JsonlSink("")
+        # A config without a trace path builds no jsonl sink.
+        observer = observer_from_config(ObservabilityConfig(progress=True))
+        assert [type(sink) for sink in observer._sinks] == [ConsoleSink]
 
     def test_jsonl_sink_is_lazy_and_line_oriented(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -212,8 +193,12 @@ class TestSinks:
         )
         assert "shard.traces done" in stream.getvalue()
 
-    def test_console_factory_opts_out_when_quiet(self):
-        assert get_sink("console")(ObservabilityConfig(progress=True, verbosity=0)) is None
+    def test_console_factory_opts_out_when_quiet(self, tmp_path):
+        config = ObservabilityConfig(
+            trace=str(tmp_path / "e.jsonl"), progress=True, verbosity=0
+        )
+        observer = observer_from_config(config)
+        assert [type(sink) for sink in observer._sinks] == [JsonlSink]
 
 
 # ------------------------------------------------------------ current observer
@@ -237,18 +222,19 @@ class TestCurrentObserver:
             set_observer(previous)
 
     def test_capture_buffers_only_when_nothing_is_live(self):
-        with capture_events(True) as (observer, buffer):
+        active = ObservabilityConfig(progress=True, verbosity=0)
+        with capture_events(active) as (observer, buffer):
             assert buffer == []
             observer.counter("store.hit")
         assert len(buffer) == 1
 
-        with capture_events(False) as (observer, buffer):
+        with capture_events(ObservabilityConfig()) as (observer, buffer):
             assert buffer is None
             assert not observer.active
 
         live, live_buffer = _buffered_observer()
         with use_observer(live):
-            with capture_events(True) as (observer, buffer):
+            with capture_events(active) as (observer, buffer):
                 assert observer is live
                 assert buffer is None
                 observer.counter("store.hit")
@@ -264,7 +250,7 @@ class TestCurrentObserver:
         parent.replay(worker_buffer)
         assert [e["seq"] for e in parent_buffer] == [0, 0, 1, 2]
         assert parent_buffer[1] == worker_buffer[0]
-        assert parent.metrics.counter("store.miss").value == 2.0
+        assert summarize_events(parent_buffer).counters["store.miss"] == 2.0
 
     def test_observer_from_config(self, tmp_path):
         assert observer_from_config(ObservabilityConfig()) is NULL_OBSERVER
@@ -291,7 +277,15 @@ class TestObservabilityConfig:
     def test_any_output_activates(self, tmp_path):
         assert ObservabilityConfig(trace=str(tmp_path / "e.jsonl")).active
         assert ObservabilityConfig(progress=True).active
-        assert ObservabilityConfig(sinks=("null",)).active
+        assert ObservabilityConfig(progress=True, verbosity=0).active
+
+    def test_the_sinks_knob_is_gone(self, capsys):
+        with pytest.raises(ConfigError, match="sinks"):
+            FlowConfig.from_dict({"obs": {"sinks": []}})
+        from repro.engine.cli import main
+
+        assert main(["run", "--set", 'obs.sinks=["null"]']) == 2
+        assert "sinks" in capsys.readouterr().err
 
     def test_round_trips_through_dict(self, tmp_path):
         config = ObservabilityConfig(
@@ -548,7 +542,7 @@ class TestSpanProfiling:
         assert "Profile hotspots: outer" in rendered
 
     def test_capture_events_inherits_profile_from_config(self):
-        config = ObservabilityConfig(sinks=("null",), profile=True)
+        config = ObservabilityConfig(progress=True, verbosity=0, profile=True)
         with capture_events(config) as (observer, buffer):
             assert observer.profile is True
             with observer.span("outer"):

@@ -31,7 +31,7 @@ TRACES = 768
 SHARD = 256
 
 #: Activates obs without touching the filesystem or the console.
-SILENT_OBS = ObservabilityConfig(sinks=("null",))
+SILENT_OBS = ObservabilityConfig(progress=True, verbosity=0)
 
 
 def _flow(execution, obs=SILENT_OBS, **campaign):
@@ -342,7 +342,7 @@ class TestProfiledFlows:
     """Span profiling extends the cardinal rule: profiled == unprofiled."""
 
     #: Workers inherit profiling from the flow config they rebuild.
-    PROFILED_OBS = ObservabilityConfig(sinks=("null",), profile=True)
+    PROFILED_OBS = ObservabilityConfig(progress=True, verbosity=0, profile=True)
 
     def _run_profiled(self, execution):
         buffer = []

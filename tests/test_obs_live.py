@@ -51,7 +51,6 @@ from repro.flow import (
 from repro.obs import (
     SCHEMA_VERSION,
     BufferSink,
-    MetricsRegistry,
     ObsError,
     Observer,
     ProgressAggregator,
@@ -69,7 +68,7 @@ TRACES = 1024
 SHARD = 256
 
 #: Workers buffer their events; no console or file output.
-TRACED_OBS = ObservabilityConfig(sinks=("null",))
+TRACED_OBS = ObservabilityConfig(progress=True, verbosity=0)
 
 
 def _flow(execution, obs=TRACED_OBS, **campaign):
@@ -236,24 +235,6 @@ class TestSafePutAndLiveSink:
         dispatcher([_shard_end(256, index=1)])  # throttled
         assert len(samples) == 1 and len(observer.events) == 1
         assert observer.events[0]["value"] == 256.0
-
-
-class TestMetrics:
-    def test_gauge_inc_dec(self):
-        gauge = MetricsRegistry().gauge("executor.pool_workers")
-        gauge.inc()
-        gauge.inc(2.0)
-        gauge.dec()
-        assert gauge.value == 2.0
-        gauge.set(7.5)
-        assert gauge.value == 7.5
-
-    def test_snapshot_is_sorted_by_name(self):
-        registry = MetricsRegistry()
-        registry.counter("zeta").inc()
-        registry.gauge("alpha").set(1)
-        registry.histogram("mid").observe(3.0)
-        assert list(registry.snapshot()) == ["alpha", "mid", "zeta"]
 
 
 class TestSchemaV3:
@@ -507,7 +488,7 @@ class TestExecutorLiveProtocol:
         monkeypatch.setattr(engine_executors, "ProgressDispatcher", spy)
         monkeypatch.setattr(sys, "stderr", _BrokenStream())
         traces, events = _run_traced(
-            pooled, obs=ObservabilityConfig(sinks=("null",), progress=True)
+            pooled, obs=ObservabilityConfig(progress=True)
         )
         assert len(built) == 1 and built[0].progress is False
         assert np.array_equal(untraced.traces, traces.traces)
@@ -708,7 +689,6 @@ class TestObsConfig:
             "trace",
             "progress",
             "verbosity",
-            "sinks",
             "profile",
             "profile_top",
         ]
@@ -719,7 +699,7 @@ class TestObsConfig:
         ):
             with pytest.raises(TypeError, match=knob):
                 ObservabilityConfig(**{knob: value})
-        config = ObservabilityConfig(progress=True, sinks=("null",))
+        config = ObservabilityConfig(progress=True, verbosity=0)
         assert ObservabilityConfig.from_dict(config.to_dict()) == config
 
     def test_live_knobs_stay_out_of_store_keys(self, tmp_path):
@@ -730,7 +710,7 @@ class TestObsConfig:
         buffer = []
         with use_observer(Observer((BufferSink(buffer),))):
             _flow(
-                execution, obs=ObservabilityConfig(sinks=("null",), progress=True)
+                execution, obs=ObservabilityConfig(progress=True)
             ).traces()
         hits = [e for e in buffer if e["name"] == "store.hit"]
         misses = [e for e in buffer if e["name"] == "store.miss"]
