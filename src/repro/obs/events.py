@@ -7,10 +7,10 @@ possible: the jsonl sink appends one line per event, ``repro trace
 summary`` aggregates a file of them without knowing who produced each
 line, and ``repro top`` tails a growing file of them.
 
-Schema (version 2; version-1 lines remain valid)::
+Schema (version 3; version-1 and version-2 lines remain valid)::
 
     {
-      "v": 2,                  # schema version
+      "v": 3,                  # schema version
       "ts": 1754556000.123,    # unix wall-clock seconds (float)
       "pid": 4242,             # emitting process (worker provenance)
       "seq": 17,               # per-observer monotone sequence number
