@@ -230,7 +230,7 @@ def _sample_gauges(obs: Any) -> None:
 def sample_resource_gauges(flow: DesignFlow) -> None:
     """Sample the engine's resource state into the flow observer.
 
-    Gauges: warm pool state (``executor.pools`` /
+    It emits gauge events for the warm pool state (``executor.pools`` /
     ``executor.pool_workers``) and the parent's RSS (``proc.rss_mb``),
     all O(1) reads.  The artifact store is not sampled: its on-disk
     size takes a walk of every entry (``repro store stats``), and its
