@@ -146,13 +146,19 @@ to_and_or_not = to_nnf
 
 
 def is_nnf(expr: Expr) -> bool:
-    """True when ``expr`` contains no XOR and negations only on variables."""
-    for node in expr.walk():
-        if isinstance(node, Xor):
-            return False
-        if isinstance(node, Not) and not isinstance(node.operand, Var):
-            return False
-    return True
+    """True when ``expr`` contains no XOR and negations only on variables.
+
+    Such an expression is its own :func:`to_nnf` (the AND/OR constructors
+    already flatten nested operators of one kind).
+    """
+    if isinstance(expr, (And, Or)):
+        for arg in expr.args:
+            if not is_nnf(arg):
+                return False
+        return True
+    if isinstance(expr, Not):
+        return isinstance(expr.operand, Var)
+    return not isinstance(expr, Xor)
 
 
 def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:

@@ -24,6 +24,7 @@ __all__ = [
     "minterms",
     "maxterms",
     "expression_from_function",
+    "expression_from_column",
 ]
 
 
@@ -168,16 +169,33 @@ def expression_from_function(
     variables in its cone of influence, keeping the product count at
     ``2**len(variables)`` instead of ``2**width``.
     """
+    names = list(variables)
+    return expression_from_column(
+        names, [function(assignment) for assignment in assignments(names)]
+    )
+
+
+def expression_from_column(variables: Sequence[str], column: Sequence[bool]) -> Expr:
+    """The :func:`expression_from_function` result of a truth column.
+
+    ``column[j]`` is the output under assignment ``j`` in
+    :func:`assignments` order (first variable = most significant bit),
+    so a caller can compute a whole column at once, e.g. with NumPy.
+    """
     from .ast import And, FALSE, TRUE, Not, Or, Var
 
     names = list(variables)
     if not names:
-        return TRUE if function({}) else FALSE
+        return TRUE if column[0] else FALSE
+    positive = [Var(name) for name in names]
+    negative = [Not(var) for var in positive]
+    last = len(names) - 1
     products: List[Expr] = []
-    for assignment in assignments(names):
-        if function(assignment):
+    for index, value in enumerate(column):
+        if value:
             literals = [
-                Var(name) if assignment[name] else Not(Var(name)) for name in names
+                positive[bit] if (index >> (last - bit)) & 1 else negative[bit]
+                for bit in range(len(names))
             ]
             products.append(And(*literals) if len(literals) > 1 else literals[0])
     if not products:

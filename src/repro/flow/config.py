@@ -675,8 +675,11 @@ class ObservabilityConfig(_ConfigBase):
 
     @property
     def active(self) -> bool:
-        """True when the flow builds an observer at all."""
-        return self.trace is not None or self.progress
+        """True when the config implies a sink: a trace file, or progress
+        shown at ``verbosity`` above 0 (what
+        :func:`repro.obs.observer_from_config` builds).  Only then do
+        pool workers buffer their events for the parent."""
+        return self.trace is not None or (self.progress and self.verbosity > 0)
 
 
 @dataclass(frozen=True)

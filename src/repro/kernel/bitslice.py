@@ -45,7 +45,6 @@ import numpy as np
 
 from ..boolexpr.ast import And, Const, Expr, Not, Or, Var, Xor
 from ..obs import get_observer
-from ..sabl.simulator import GateTable
 from .pack import pack_bitplanes, unpack_bitplanes
 
 __all__ = ["BitslicePlan", "build_bitslice_plan", "BitslicedCircuitEnergyModel"]
@@ -218,135 +217,193 @@ def _flat_connection_args(expr: Expr) -> Optional[Tuple[str, List[Tuple[str, boo
 def build_bitslice_plan(program) -> BitslicePlan:
     """Compile a :class:`~repro.kernel.compile.CompiledProgram` into a plan.
 
-    Work that depends only on a gate's network runs once per gate
-    template, keyed the way :func:`~repro.sabl.simulator.build_gate_tables`
-    shares arrays: gates whose tables share ``connected`` share a
-    network, so its function analysis; gates whose tables also share
-    ``baseline`` and ``extra`` (every unrouted gate of a network) share
-    an energy row and its constancy test.  Per gate instance only the
-    integer wiring is left.
+    The plan is built from the circuit's arrays (see
+    :mod:`repro.sabl.circuit`).  Work that depends only on a gate's
+    network -- its function analysis, the port behind each event bit
+    and, for unrouted gates, its energy row with the constancy test --
+    runs once per gate template.  Levels, op groups, event positions and
+    energy offsets are NumPy indexing over the per-gate template ids;
+    only expression-step gates and routed gates (each with its own
+    energy row) are visited one at a time.
     """
     from .compile import KernelError
 
     circuit = program.circuit
-    tables: Sequence[GateTable] = program.tables
     technology = program.technology
+    templates = circuit.templates
+    gate_template = circuit.gate_template
+    inputs = circuit.gate_inputs
+    inverted = circuit.gate_inverted
+    outputs = circuit.gate_output
+    gate_count = int(gate_template.shape[0])
+    net_names = circuit.net_names
+    net_index: Dict[str, int] = dict(zip(net_names, range(len(net_names))))
+    uses = np.bincount(gate_template, minlength=len(templates))
 
-    net_index: Dict[str, int] = {
-        net: i for i, net in enumerate(circuit.primary_inputs)
-    }
-    net_level: Dict[str, int] = {net: 0 for net in circuit.primary_inputs}
-    functions: Dict[int, Optional[Tuple[str, List[Tuple[str, bool]]]]] = {}
-    energy_rows: Dict[Tuple[int, int, int], Tuple[np.ndarray, bool]] = {}
-
-    staged: Dict[int, List[object]] = {}
-    group_accum: Dict[Tuple[int, str, int], List[Tuple[List[int], List[bool], int]]] = {}
-    # Per gate-input position b: (gate rows, source nets, inverted).
-    positions: List[Tuple[List[int], List[int], List[bool]]] = []
-    gate_energies: List[np.ndarray] = []
-    constant = True
-    for row, (gate, table) in enumerate(zip(circuit.gates, tables)):
-        # ------------------------------------------------- per template
-        network = id(table.connected)
-        if network not in functions:
-            if gate.dpdn.function is None:
-                raise KernelError(
-                    f"gate {gate.name} has no function annotation; the bit-sliced "
-                    "kernel cannot evaluate it"
-                )
-            functions[network] = _flat_connection_args(gate.dpdn.function)
-        flat = functions[network]
-        rows_key = (id(table.baseline), id(table.cap_dot), id(table.extra))
-        energy = energy_rows.get(rows_key)
-        if energy is None:
-            # The exact scalar chain of the reference model:
-            # (baseline + cap_dot) [+ extra] -> switching_energy, elementwise.
-            total = table.baseline + table.cap_dot
-            if table.extra is not None:
-                total = total + table.extra
-            values = technology.switching_energy(total)
-            energy = energy_rows[rows_key] = (values, bool(np.ptp(values) == 0.0))
-        gate_energies.append(energy[0])
-        constant = constant and energy[1]
-
-        # ------------------------------------------------- per instance
-        missing = [
-            variable for variable in table.variables if variable not in gate.connections
-        ]
-        if missing:
-            raise KernelError(
-                f"gate {gate.name} leaves DPDN variables {missing} unconnected"
+    # ---------------------------------------------------- per template
+    failures: Dict[int, str] = {}
+    flats: List[Optional[Tuple[str, List[int], List[bool]]]] = [None] * len(templates)
+    event_columns: List[List[int]] = [[] for _ in templates]
+    for index, (template, table) in enumerate(zip(templates, program.tables)):
+        if not uses[index]:
+            continue
+        function = template.network.function
+        if function is None:
+            failures[index] = (
+                "has no function annotation; the bit-sliced kernel cannot evaluate it"
             )
-        sources = {
-            variable: (net_index[connection.net], connection.inverted)
-            for variable, connection in gate.connections.items()
-        }
-        level = 1 + max(
-            (net_level[connection.net] for connection in gate.connections.values()),
-            default=0,
-        )
-        output = len(net_index)
-        net_index[gate.output_net] = output
-        net_level[gate.output_net] = level
-
+            continue
+        column = {port: position for position, port in enumerate(template.ports)}
+        missing = [variable for variable in table.variables if variable not in column]
+        if missing:
+            failures[index] = f"leaves DPDN variables {missing} unconnected"
+            continue
+        event_columns[index] = [column[variable] for variable in table.variables]
+        flat = _flat_connection_args(function)
         if flat is not None:
             kind, literals = flat
-            row_sources = [sources[name][0] for name, _ in literals]
-            row_inverted = [
-                sources[name][1] ^ negated for name, negated in literals
-            ]
-            group_accum.setdefault((level, kind, len(literals)), []).append(
-                (row_sources, row_inverted, output)
+            flats[index] = (
+                kind,
+                [column[name] for name, _ in literals],
+                [negated for _, negated in literals],
             )
-        else:
-            staged.setdefault(level, []).append(
-                _ExprStep(
-                    expr=gate.dpdn.function,
-                    var_planes=tuple(
-                        (name, index, inverted)
-                        for name, (index, inverted) in sorted(sources.items())
-                    ),
-                    output=output,
+    if failures:
+        row = int(np.flatnonzero(np.isin(gate_template, list(failures)))[0])
+        raise KernelError(
+            f"gate {circuit.gate_names[row]} {failures[int(gate_template[row])]}"
+        )
+
+    # ------------------------------------------------------- levels
+    # Relax ``level = 1 + max(input levels)`` over every gate at once until
+    # it settles (the circuit's depth in rounds); the extra last entry of
+    # ``net_level`` is the 0 the ``-1`` port padding reads.
+    net_level = np.zeros(len(net_names) + 1, dtype=np.intp)
+    gate_level = np.ones(gate_count, dtype=np.intp)
+    while True:
+        net_level[outputs] = gate_level
+        deeper = 1 + net_level[inputs].max(axis=1, initial=0)
+        if np.array_equal(deeper, gate_level):
+            break
+        gate_level = deeper
+
+    # ----------------------------------------------------- logic steps
+    staged: Dict[int, List[object]] = {}
+    kind_of = np.array([-1 if flat is None else int(flat[0] == "or") for flat in flats])
+    gate_kind = kind_of[gate_template] if templates else np.zeros(0, dtype=int)
+    input_rows = inputs.tolist() if (gate_kind < 0).any() else []
+    inverted_rows = inverted.tolist() if input_rows else []
+    for row in np.flatnonzero(gate_kind < 0).tolist():
+        template = templates[int(gate_template[row])]
+        staged.setdefault(int(gate_level[row]), []).append(
+            _ExprStep(
+                expr=template.network.function,
+                var_planes=tuple(
+                    sorted(zip(template.ports, input_rows[row], inverted_rows[row]))
+                ),
+                output=int(outputs[row]),
+            )
+        )
+    flat_rows = np.flatnonzero(gate_kind >= 0)
+    if flat_rows.size:
+        width = max(len(flat[1]) for flat in flats if flat is not None)
+        columns = np.zeros((len(templates), width), dtype=np.intp)
+        negated = np.zeros((len(templates), width), dtype=bool)
+        fanin = np.zeros(len(templates), dtype=np.intp)
+        for index, flat in enumerate(flats):
+            if flat is not None:
+                fanin[index] = len(flat[1])
+                columns[index, : fanin[index]] = flat[1]
+                negated[index, : fanin[index]] = flat[2]
+        flat_templates = gate_template[flat_rows]
+        gate_columns = columns[flat_templates]
+        sources = np.take_along_axis(inputs[flat_rows], gate_columns, axis=1)
+        rails = (
+            np.take_along_axis(inverted[flat_rows], gate_columns, axis=1)
+            ^ negated[flat_templates]
+        )
+        # Gates of one level, operator and fan-in form one group; groups
+        # are staged in the order of their first gate.
+        group_fanin = fanin[flat_templates]
+        keys = (gate_level[flat_rows] * 2 + gate_kind[flat_rows]) * (width + 1) + group_fanin
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        stops = np.append(starts[1:], keys.shape[0])
+        sources, masks = sources[order], _masks(rails[order])
+        group_rows, group_fanin = flat_rows[order], group_fanin[order]
+        for start, stop in sorted(
+            zip(starts.tolist(), stops.tolist()), key=lambda span: order[span[0]]
+        ):
+            size = int(group_fanin[start])
+            staged.setdefault(int(gate_level[group_rows[start]]), []).append(
+                _OpGroup(
+                    kind=flats[int(gate_template[group_rows[start]])][0],
+                    sources=sources[start:stop, :size],
+                    inverted=masks[start:stop, :size],
+                    outputs=outputs[group_rows[start:stop]],
                 )
             )
-        for position, variable in enumerate(table.variables):
-            if position == len(positions):
-                positions.append(([], [], []))
-            rows, source_nets, inverted = positions[position]
-            rows.append(row)
-            source_nets.append(sources[variable][0])
-            inverted.append(sources[variable][1])
-
-    for (level, kind, fanin), rows in group_accum.items():
-        staged.setdefault(level, []).append(
-            _OpGroup(
-                kind=kind,
-                sources=np.array([row[0] for row in rows], dtype=np.intp),
-                inverted=_masks([row[1] for row in rows]),
-                outputs=np.array([row[2] for row in rows], dtype=np.intp),
-            )
-        )
     levels = tuple(tuple(staged[level]) for level in sorted(staged))
-    event_positions = tuple(
-        (
-            np.array(rows, dtype=np.intp),
-            np.array(source_nets, dtype=np.intp),
-            _masks(inverted),
-        )
-        for rows, source_nets, inverted in positions
-    )
+
+    # -------------------------------------------------- event positions
+    counts = np.array([len(columns) for columns in event_columns], dtype=np.intp)
+    gate_counts = counts[gate_template] if templates else np.zeros(0, dtype=np.intp)
+    depth = int(gate_counts.max()) if gate_count else 0
+    event_positions = []
+    if depth:
+        padded = np.zeros((len(templates), depth), dtype=np.intp)
+        for index, columns in enumerate(event_columns):
+            padded[index, : len(columns)] = columns
+        gate_columns = padded[gate_template]
+        event_sources = np.take_along_axis(inputs, gate_columns, axis=1)
+        event_rails = np.take_along_axis(inverted, gate_columns, axis=1)
+        for position in range(depth):
+            rows = np.flatnonzero(gate_counts > position)
+            event_positions.append(
+                (rows, event_sources[rows, position], _masks(event_rails[rows, position]))
+            )
 
     # -------------------------------------------------------- energy tables
-    sizes = [values.shape[0] for values in gate_energies]
-    offsets = np.zeros(len(tables), dtype=np.int32)
-    if tables:
+    # The exact scalar chain of the reference model:
+    # (baseline + cap_dot) [+ extra] -> switching_energy, elementwise.
+    sizes = np.left_shift(1, gate_counts)
+    offsets = np.zeros(gate_count, dtype=np.int32)
+    if gate_count:
         offsets[1:] = np.cumsum(sizes[:-1])
-    energy_flat = np.zeros(int(sum(sizes)), dtype=float)
-    if gate_energies:
-        energy_flat[:] = np.concatenate(gate_energies)
+    energy_flat = np.zeros(int(sizes.sum()), dtype=float)
+    unrouted = np.ones(gate_count, dtype=bool)
+    unrouted[list(program.routed)] = False
+    constant = True
+    if unrouted.any():
+        rows = []
+        for index, table in enumerate(program.tables):
+            values = np.zeros(1 << counts[index], dtype=float)
+            if uses[index]:
+                values = technology.switching_energy(table.baseline + table.cap_dot)
+            rows.append(values)
+        template_flat = np.concatenate(rows)
+        template_start = np.zeros(len(rows), dtype=np.intp)
+        template_start[1:] = np.cumsum([values.shape[0] for values in rows[:-1]])
+        used = np.zeros(len(templates), dtype=bool)
+        used[gate_template[unrouted]] = True
+        constant = all(
+            bool(np.ptp(values) == 0.0) for values, live in zip(rows, used) if live
+        )
+        lengths = sizes[unrouted]
+        within = np.arange(int(lengths.sum())) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths
+        )
+        energy_flat[np.repeat(offsets[unrouted], lengths) + within] = template_flat[
+            np.repeat(template_start[gate_template[unrouted]], lengths) + within
+        ]
+    for row, table in program.routed.items():
+        values = technology.switching_energy(table.baseline + table.cap_dot + table.extra)
+        start = int(offsets[row])
+        energy_flat[start : start + values.shape[0]] = values
+        constant = constant and bool(np.ptp(values) == 0.0)
 
     constant_fold: Optional[np.float64] = None
-    if tables and constant:
+    if gate_count and constant:
         accumulator = 0.0
         for value in energy_flat[offsets].tolist():
             # Same IEEE add chain as the reference model's per-gate fold.
@@ -357,8 +414,8 @@ def build_bitslice_plan(program) -> BitslicePlan:
         net_count=len(net_index),
         net_index=net_index,
         levels=levels,
-        event_positions=event_positions,
-        events_dtype=np.dtype(np.uint8 if len(positions) <= 8 else np.int32),
+        event_positions=tuple(event_positions),
+        events_dtype=np.dtype(np.uint8 if depth <= 8 else np.int32),
         offsets=offsets,
         energy_flat=energy_flat,
         constant_fold=constant_fold,
@@ -388,7 +445,6 @@ class BitslicedCircuitEnergyModel:
         self.circuit = program.circuit
         self.technology = program.technology
         self.gate_style = program.gate_style
-        self._tables = list(program.tables)
         self._plan: BitslicePlan = program.plan()
 
     # ---------------------------------------------------------------- energies
@@ -453,9 +509,9 @@ class BitslicedCircuitEnergyModel:
         constant fold answers the whole batch).
         """
         cycles = matrix.shape[0]
-        if cycles == 0 or not self._tables:
-            return 0
         plan = self._plan
+        if cycles == 0 or not plan.offsets.size:
+            return 0
         if plan.constant_fold is not None:
             # Constant-power circuit: every cycle draws the same (exact)
             # energy -- no logic evaluation needed.

@@ -1,29 +1,32 @@
 """Compile a differential circuit once; simulate it many times.
 
 A :class:`CompiledProgram` bundles everything the energy models
-need that is independent of the trace data: the circuit, the resolved
-technology card, the per-gate event/energy tables
-(:func:`repro.sabl.simulator.build_gate_tables`, which walks the input
-events of each distinct gate network once, so its cost scales with the
-circuit's gate templates, not its gate instances) and, built lazily on
-first use, the bit-sliced straight-line plan of
-:mod:`repro.kernel.bitslice`.  The flow pipeline caches one program per
-flow alongside the circuit stage, and every engine worker reuses its
-flow's program across shards.
+need that is independent of the trace data: the circuit (its gate
+templates plus per-gate template ids and net ids, see
+:mod:`repro.sabl.circuit`), the resolved technology card, one event
+table per gate template and one per routed gate
+(:func:`repro.sabl.simulator.build_template_tables`: the input events of
+each distinct template network are walked once, so the cost scales with
+the circuit's templates and routed gates, not its gate instances) and,
+built lazily on first use, the bit-sliced straight-line plan of
+:mod:`repro.kernel.bitslice`.  Nothing here builds a per-gate object for
+an unrouted gate.  The flow pipeline caches one program per flow
+alongside the circuit stage, and every engine worker reuses its flow's
+program across shards.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..electrical.technology import Technology, generic_180nm
 from ..obs import get_observer
 from ..sabl.circuit import DifferentialCircuit
-from ..sabl.simulator import GateTable, build_gate_tables
+from ..sabl.simulator import GateTable, build_template_tables
 
 __all__ = ["KernelError", "CompiledProgram", "compile_circuit"]
 
@@ -37,7 +40,9 @@ class CompiledProgram:
     """A circuit compiled for repeated simulation.
 
     Instances are immutable in spirit: the tables and plan are shared,
-    read-only inputs of the energy models built from them.
+    read-only inputs of the energy models built from them.  ``tables[t]``
+    is the table of ``circuit.templates[t]``; ``routed`` maps the row of
+    each gate with a routed wire load to its own table.
     """
 
     circuit: DifferentialCircuit
@@ -46,6 +51,7 @@ class CompiledProgram:
     output_load: Optional[float]
     net_loads: Optional[Mapping[str, Tuple[float, float]]]
     tables: Tuple[GateTable, ...]
+    routed: Mapping[int, GateTable]
     _plan: Optional[object] = field(default=None, repr=False, compare=False)
 
     def plan(self):
@@ -60,12 +66,19 @@ class CompiledProgram:
                 obs.histogram(
                     "kernel.plan_s",
                     time.perf_counter() - tick,
-                    gates=len(self.tables),
+                    gates=self.gate_count(),
                 )
         return self._plan
 
     def gate_count(self) -> int:
-        return len(self.tables)
+        return self.circuit.gate_count()
+
+    def gate_tables(self) -> List[GateTable]:
+        """The table of every gate, in gate order (for the reference models)."""
+        return [
+            self.routed.get(row, self.tables[template])
+            for row, template in enumerate(self.circuit.gate_template.tolist())
+        ]
 
     def evaluate_outputs(self, matrix: np.ndarray) -> Dict[str, np.ndarray]:
         """Logic-only bit-sliced evaluation of the circuit outputs.
@@ -107,27 +120,26 @@ def compile_circuit(
 
     The arguments mirror the simulator constructors; ``net_loads``
     back-annotates routed per-net rail capacitances exactly like
-    :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel`.  With
-    observability on, the ``kernel.gate_templates`` counter reports how
-    many distinct gate networks had their event tables built.
+    :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel`; only the
+    gates it routes get tables of their own.  With observability on, the
+    ``kernel.gate_templates`` counter reports how many distinct gate
+    networks had their event tables built.
     """
     technology = technology or generic_180nm()
     obs = get_observer()
     tick = time.perf_counter() if obs.active else 0.0
-    tables = tuple(
-        build_gate_tables(
-            circuit,
-            technology=technology,
-            gate_style=gate_style,
-            output_load=output_load,
-            net_loads=net_loads,
-        )
+    tables, routed = build_template_tables(
+        circuit,
+        technology=technology,
+        gate_style=gate_style,
+        output_load=output_load,
+        net_loads=net_loads,
     )
     if obs.active:
         obs.histogram(
             "kernel.compile_s",
             time.perf_counter() - tick,
-            gates=len(tables),
+            gates=circuit.gate_count(),
             gate_style=gate_style,
         )
         obs.counter(
@@ -142,4 +154,5 @@ def compile_circuit(
         output_load=output_load,
         net_loads=dict(net_loads) if net_loads else None,
         tables=tables,
+        routed=routed,
     )

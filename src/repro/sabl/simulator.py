@@ -24,12 +24,14 @@ import numpy as np
 from ..electrical.energy import CycleEnergySimulator, EventEnergyModel
 from ..electrical.technology import Technology, generic_180nm
 from ..obs import get_observer
-from .circuit import DifferentialCircuit, GateInstance
+from ..network.netlist import DifferentialPullDownNetwork
+from .circuit import DifferentialCircuit
 
 __all__ = [
     "CyclePowerRecord",
     "CircuitPowerSimulator",
     "GateTable",
+    "build_template_tables",
     "build_gate_tables",
     "BatchedCircuitEnergyModel",
 ]
@@ -126,7 +128,7 @@ class CircuitPowerSimulator:
 
 @dataclass
 class GateTable:
-    """Per-gate lookup tables of the batched energy model.
+    """Event tables of one gate template (or of one routed gate).
 
     A gate with ``k`` inputs sees one of ``2**k`` complementary input
     events per cycle.  For every event index (little-endian over the
@@ -135,14 +137,14 @@ class GateTable:
     baseline capacitance (recharged module outputs plus output load), so
     a whole campaign reduces to NumPy gathers over these tables.
 
-    Tables hold no charge state and their arrays are read-only: gates of
-    one network structure share them (see :func:`build_gate_tables`),
-    and one set can be shared between any number of energy models (the
-    compiled kernel of :mod:`repro.kernel` and this module's reference
-    model).
+    Tables hold no charge state and their arrays are read-only: every
+    unrouted gate of a template uses its template's table, and a routed
+    gate's table shares the template's arrays except its own
+    ``baseline`` and ``extra`` (see :func:`build_template_tables`).  One
+    set can be shared between any number of energy models (the compiled
+    kernel of :mod:`repro.kernel` and this module's reference model).
     """
 
-    gate: GateInstance
     variables: Tuple[str, ...]
     internal_caps: np.ndarray  # (n_internal,) capacitance per internal node
     connected: np.ndarray  # (2**k, n_internal) bool
@@ -178,16 +180,15 @@ def _baseline(model: EventEnergyModel, recharged) -> np.ndarray:
     )
 
 
-def _walk_events(gate: GateInstance, model: EventEnergyModel):
-    """Walk every input event of ``gate``'s network once.
+def _walk_events(dpdn: DifferentialPullDownNetwork, model: EventEnergyModel):
+    """Walk every input event of the network ``dpdn`` once.
 
-    Returns ``(table, recharged, values)``: the gate's layout-free
+    Returns ``(table, recharged, values)``: the network's layout-free
     table, and per event the module outputs (X, Y) it discharges and the
-    gate's output value (none without a function, which a routed gate
-    must have), from which a routed gate's ``baseline`` and ``extra``
-    are built.
+    output value (none without a function, which a routed gate must
+    have), from which a routed gate's ``baseline`` and ``extra`` are
+    built.
     """
-    dpdn = gate.dpdn
     variables = tuple(dpdn.variables())
     internal = dpdn.internal_nodes()
     caps = np.array(
@@ -207,13 +208,71 @@ def _walk_events(gate: GateInstance, model: EventEnergyModel):
         if dpdn.function is not None:
             values.append(bool(dpdn.function.evaluate(assignment)))
     table = GateTable(
-        gate=gate,
         variables=variables,
         internal_caps=caps,
         connected=connected,
         baseline=_baseline(model, recharged),
     )
     return table, recharged, values
+
+
+def build_template_tables(
+    circuit: DifferentialCircuit,
+    technology: Optional[Technology] = None,
+    gate_style: str = "sabl",
+    output_load: Optional[float] = None,
+    net_loads: Optional[Mapping[str, Tuple[float, float]]] = None,
+) -> Tuple[Tuple[GateTable, ...], Dict[int, GateTable]]:
+    """Build the event tables of ``circuit``: ``(tables, routed)``.
+
+    ``tables[t]`` is the table of ``circuit.templates[t]``.  The
+    per-event walk (which internal nodes each event connects, which
+    module outputs discharge, the output value) runs once per distinct
+    network structure, so templates of one structure share a table.
+    ``routed`` maps the row of every gate whose output net has a routed
+    wire load in ``net_loads`` to that gate's own table: its template's
+    read-only ``connected``, ``internal_caps`` and ``cap_dot`` with its
+    own ``baseline`` and ``extra``, computed from its own charge model.
+    Every other gate uses its template's table.
+    """
+    technology = technology or generic_180nm()
+    walks: Dict[tuple, tuple] = {}
+    template_walks = []
+    for template in circuit.templates:
+        dpdn = template.network
+        structure = (dpdn.x, dpdn.y, dpdn.z, dpdn.transistors, dpdn.function)
+        walk = walks.get(structure)
+        if walk is None:
+            model = EventEnergyModel(
+                dpdn, technology, style=gate_style, output_load=output_load
+            )
+            walk = walks[structure] = _walk_events(dpdn, model)
+        template_walks.append(walk)
+    routed: Dict[int, GateTable] = {}
+    if net_loads:
+        names = circuit.net_names
+        templates = circuit.gate_template.tolist()
+        for row, net in enumerate(circuit.gate_output.tolist()):
+            wire_load = net_loads.get(names[net])
+            if wire_load is None:
+                continue
+            template_id = templates[row]
+            table, recharged, values = template_walks[template_id]
+            model = EventEnergyModel(
+                circuit.templates[template_id].network,
+                technology,
+                style=gate_style,
+                output_load=output_load,
+                wire_load=wire_load,
+            )
+            routed[row] = _share(
+                table,
+                baseline=_baseline(model, recharged),
+                extra=np.array(
+                    [model.swing_excess(value) for value in values], dtype=float
+                ),
+            )
+    return tuple(walk[0] for walk in template_walks), routed
 
 
 def build_gate_tables(
@@ -223,69 +282,36 @@ def build_gate_tables(
     output_load: Optional[float] = None,
     net_loads: Optional[Mapping[str, Tuple[float, float]]] = None,
 ) -> List[GateTable]:
-    """Build the per-gate event tables of ``circuit``, in gate order.
+    """The event table of every gate of ``circuit``, in gate order.
 
-    A mapped circuit instantiates a few gate networks many times, so the
-    per-event walk (which internal nodes each event connects, which
-    module outputs discharge, the output value) runs once per distinct
-    network structure, and every gate of that structure shares its
-    read-only ``connected``, ``internal_caps`` and ``cap_dot`` arrays.
-    A gate whose output net has a routed wire load in ``net_loads`` gets
-    its own ``baseline`` and ``extra``, computed from its own charge
-    model; the others share the structure's layout-free ``baseline``.
-    :mod:`repro.kernel` compiles circuits through this function and
-    shares the tables between its kernel and the reference model.
+    The tables of :func:`build_template_tables`, one entry per gate: a
+    routed gate's own table, else its template's (shared, not copied).
     """
-    technology = technology or generic_180nm()
-    net_loads = net_loads or {}
-    walks: Dict[tuple, tuple] = {}
-    tables: List[GateTable] = []
-    for gate in circuit.gates:
-        dpdn = gate.dpdn
-        structure = (dpdn.x, dpdn.y, dpdn.z, dpdn.transistors, dpdn.function)
-        walk = walks.get(structure)
-        if walk is None:
-            model = EventEnergyModel(
-                dpdn, technology, style=gate_style, output_load=output_load
-            )
-            walk = walks[structure] = _walk_events(gate, model)
-        template, recharged, values = walk
-        wire_load = net_loads.get(gate.output_net)
-        if wire_load is None:
-            tables.append(_share(template, gate))
-            continue
-        model = EventEnergyModel(
-            dpdn,
-            technology,
-            style=gate_style,
-            output_load=output_load,
-            wire_load=wire_load,
-        )
-        tables.append(
-            _share(
-                template,
-                gate,
-                baseline=_baseline(model, recharged),
-                extra=np.array(
-                    [model.swing_excess(value) for value in values], dtype=float
-                ),
-            )
-        )
-    return tables
+    tables, routed = build_template_tables(
+        circuit,
+        technology=technology,
+        gate_style=gate_style,
+        output_load=output_load,
+        net_loads=net_loads,
+    )
+    return [
+        routed.get(row, tables[template])
+        for row, template in enumerate(circuit.gate_template.tolist())
+    ]
 
 
-def _share(template: GateTable, gate: GateInstance, **arrays: np.ndarray) -> GateTable:
-    """``template``'s table for ``gate``, another gate of its network.
+def _share(template: GateTable, **arrays: np.ndarray) -> GateTable:
+    """A copy of ``template``'s table with its own ``arrays``.
 
     A field copy, not ``dataclasses.replace``: that would re-run
-    ``__post_init__`` on the shared, already read-only arrays once per
-    gate.  ``arrays`` (a routed gate's own ``baseline`` and ``extra``)
-    are made read-only here.
+    ``__post_init__`` on the shared, already read-only arrays.
+    ``arrays`` (a routed gate's own ``baseline`` and ``extra``) are made
+    read-only here.
     """
     for array in arrays.values():
         array.setflags(write=False)
     table = object.__new__(GateTable)
-    table.__dict__.update(template.__dict__, gate=gate, **arrays)
+    table.__dict__.update(template.__dict__, **arrays)
     return table
 
 
@@ -335,9 +361,9 @@ class BatchedCircuitEnergyModel:
                 output_load=output_load,
                 net_loads=net_loads,
             )
-        elif len(tables) != len(circuit.gates):
+        elif len(tables) != circuit.gate_count():
             raise ValueError(
-                f"expected {len(circuit.gates)} gate tables, got {len(tables)}"
+                f"expected {circuit.gate_count()} gate tables, got {len(tables)}"
             )
         self._tables: List[GateTable] = list(tables)
         # Per unique primary-input vector: event index of every gate.
@@ -360,8 +386,8 @@ class BatchedCircuitEnergyModel:
             net_values = self.circuit.evaluate_nets(inputs)
             row = np.array(
                 [
-                    table.event_index(table.gate.input_event(net_values))
-                    for table in self._tables
+                    table.event_index(gate.input_event(net_values))
+                    for gate, table in zip(self.circuit.gates, self._tables)
                 ],
                 dtype=np.int64,
             )

@@ -29,7 +29,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ..boolexpr.ast import Expr
-from ..boolexpr.truthtable import expression_from_function
+from ..boolexpr.truthtable import expression_from_column
 from ..power.crypto import PRESENT_SBOX
 from .base import (
     MAX_EXPRESSION_SUPPORT,
@@ -221,30 +221,47 @@ class PresentRoundsScenario(Scenario):
         return tuple(tuple(sorted(support)) for support in supports)
 
     def expressions(self) -> Dict[str, Expr]:
-        expressions: Dict[str, Expr] = {}
-        for bit, support in enumerate(self._bit_supports()):
+        """One sum of products per output bit, over the bit's support.
+
+        Bits of one support share one vectorised encryption of all the
+        support's assignments; each bit's truth column is read off it and
+        turned into the SOP :func:`expression_from_function` builds.
+        """
+        supports = self._bit_supports()
+        for bit, support in enumerate(supports):
             if len(support) > MAX_EXPRESSION_SUPPORT:
                 raise ScenarioError(
                     f"output bit {bit} of scenario {self.name!r} depends on "
                     f"{len(support)} plaintext bits (> {MAX_EXPRESSION_SUPPORT}); "
                     f"reduce rounds or sboxes to keep synthesis tractable"
                 )
-            variables = [f"p{position}" for position in support]
-
-            def bit_function(assignment, bit=bit, support=support):
-                plaintext = 0
-                for position in support:
-                    if assignment[f"p{position}"]:
-                        plaintext |= 1 << position
-                return bool((self.encrypt(plaintext) >> bit) & 1)
-
-            expressions[f"y{bit}"] = expression_from_function(bit_function, variables)
+        ciphertexts: Dict[Tuple[int, ...], np.ndarray] = {}
+        expressions: Dict[str, Expr] = {}
+        for bit, support in enumerate(supports):
+            states = ciphertexts.get(support)
+            if states is None:
+                # Assignment j sets support[i] to bit (k - 1 - i) of j, the
+                # first variable most significant, as in ``assignments``.
+                codes = np.arange(1 << len(support), dtype=np.uint64)
+                states = np.zeros_like(codes)
+                for index, position in enumerate(support):
+                    shift = np.uint64(len(support) - 1 - index)
+                    states |= ((codes >> shift) & np.uint64(1)) << np.uint64(position)
+                for round_key in self._round_keys:
+                    states = self._player_np(
+                        self._sbox_layer_np(states ^ np.uint64(round_key))
+                    )
+                ciphertexts[support] = states
+            column = ((states >> np.uint64(bit)) & np.uint64(1)).astype(bool).tolist()
+            expressions[f"y{bit}"] = expression_from_column(
+                [f"p{position}" for position in support], column
+            )
         return expressions
 
     # ----------------------------------------------------------- state tables
 
     def _sbox_layer_np(self, states: np.ndarray) -> np.ndarray:
-        table = np.asarray(self._table, dtype=np.int64)
+        table = np.asarray(self._table, dtype=states.dtype)
         result = np.zeros_like(states)
         for index in range(self.sboxes):
             result |= table[(states >> (4 * index)) & 0xF] << (4 * index)

@@ -8,7 +8,9 @@ its gate tables' ``connected`` matrices, the per-trace simulator from
 each gate's own charge model, neither from the kernel plan -- and
 replay a campaign's block stream through them (restated here, not
 imported), so a test can compare a campaign against an oracle trace for
-trace.  :func:`oracle_gate_tables` restates the per-gate table build
+trace.  :func:`oracle_map_expressions` is the per-gate technology
+mapper that :func:`repro.sabl.circuit.map_expressions` replaced with
+gate rows over shared templates.  :func:`oracle_gate_tables` restates the per-gate table build
 that :func:`repro.sabl.simulator.build_gate_tables` shares between
 gates of one network structure, and :func:`oracle_bitslice_plan` the
 per-gate plan build that :func:`repro.kernel.bitslice.build_bitslice_plan`
@@ -28,6 +30,9 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
+from repro.boolexpr.ast import And, Const, Not, Or, Var
+from repro.boolexpr.transforms import to_nnf
+from repro.core.synthesis import synthesize_fc_dpdn
 from repro.electrical.energy import EventEnergyModel
 from repro.electrical.technology import generic_180nm
 from repro.layout import (
@@ -39,7 +44,9 @@ from repro.layout import (
     net_terminals,
 )
 from repro.layout.place import Site, terminal_pin_sites
+from repro.network.build import build_genuine_dpdn
 from repro.power.trace import nibble_matrix
+from repro.sabl.circuit import Connection, DifferentialCircuit, GateInstance
 from repro.sabl.simulator import BatchedCircuitEnergyModel, CircuitPowerSimulator
 
 #: Traces per campaign block: block ``i`` draws its plaintexts, then its
@@ -72,6 +79,102 @@ def steady_state(model):
         for node in gate.dpdn.internal_nodes():
             simulator._charged[node] = node not in reached
     return model
+
+
+class _OracleMapper:
+    """The recursive bounded-fan-in mapper, one ``GateInstance`` per gate."""
+
+    def __init__(self, circuit, max_fanin, network_style, prefix):
+        if max_fanin < 2:
+            raise ValueError("max_fanin must be at least 2")
+        if network_style not in ("fc", "genuine"):
+            raise ValueError("network_style must be 'fc' or 'genuine'")
+        self.circuit = circuit
+        self.max_fanin = max_fanin
+        self.network_style = network_style
+        self.prefix = prefix
+        self._counter = 0
+        # One synthesised network per (operator, fan-in); every gate
+        # gets its own copy.
+        self._templates = {}
+
+    def _fresh(self, stem):
+        self._counter += 1
+        return f"{self.prefix}{stem}{self._counter}"
+
+    def map_expression(self, expr):
+        return self._map(to_nnf(expr))
+
+    def _map(self, expr):
+        if isinstance(expr, Const):
+            raise ValueError("constant nets are not supported in differential circuits")
+        if isinstance(expr, Var):
+            return Connection(expr.name, False)
+        if isinstance(expr, Not) and isinstance(expr.operand, Var):
+            return Connection(expr.operand.name, True)
+        if not isinstance(expr, (And, Or)):
+            raise ValueError(f"unsupported expression node {type(expr).__name__}")
+
+        connections = [self._map(arg) for arg in expr.args]
+        operator = And if isinstance(expr, And) else Or
+        while len(connections) > self.max_fanin:
+            grouped = []
+            for start in range(0, len(connections), self.max_fanin):
+                chunk = connections[start : start + self.max_fanin]
+                if len(chunk) == 1:
+                    grouped.append(chunk[0])
+                else:
+                    grouped.append(self.emit_gate(operator, chunk))
+            connections = grouped
+        return self.emit_gate(operator, connections)
+
+    def _template(self, operator, fanin):
+        key = (operator, fanin)
+        template = self._templates.get(key)
+        if template is None:
+            function = operator(*(Var(f"in{i}") for i in range(fanin)))
+            build = synthesize_fc_dpdn if self.network_style == "fc" else build_genuine_dpdn
+            template = self._templates[key] = build(function)
+        return template
+
+    def emit_gate(self, operator, connections):
+        variables = [f"in{i}" for i in range(len(connections))]
+        gate_name = self._fresh("g")
+        output_net = self._fresh("n")
+        gate = GateInstance(
+            name=gate_name,
+            dpdn=self._template(operator, len(connections)).copy(name=gate_name),
+            connections=dict(zip(variables, connections)),
+            output_net=output_net,
+        )
+        self.circuit.add_gate(gate)
+        return Connection(output_net, False)
+
+
+def oracle_map_expressions(
+    expressions, primary_inputs=None, max_fanin=2, network_style="fc", name="circuit"
+):
+    """The per-gate technology mapper.
+
+    Same arguments and circuit as :func:`repro.sabl.circuit.map_expressions`,
+    built gate by gate: each gate is a ``GateInstance`` with its own copy
+    of its ``(operator, fan-in)`` network, added with
+    ``DifferentialCircuit.add_gate`` (so each is its own template).
+    """
+    if primary_inputs is None:
+        names = set()
+        for expr in expressions.values():
+            names |= expr.variables()
+        primary_inputs = sorted(names)
+    circuit = DifferentialCircuit(primary_inputs, name=name)
+    mapper = _OracleMapper(circuit, max_fanin, network_style, prefix=f"{name}_")
+    for output_name, expr in expressions.items():
+        connection = mapper.map_expression(expr)
+        if connection.inverted:
+            # A top-level complemented net is realised by a buffer gate.
+            connection = mapper.emit_gate(Or, [connection, connection])
+        circuit.set_output(output_name, connection.net)
+    return circuit
 
 
 def oracle_gate_tables(
@@ -137,9 +240,12 @@ def oracle_gate_tables(
 def oracle_bitslice_plan(program):
     """The bit-sliced plan built gate by gate.
 
-    Every gate gets its own function analysis, energy row and constancy
-    test, as the plan build did before it shared them between the gates
-    of one template.  Returns a :class:`repro.kernel.bitslice.BitslicePlan`.
+    Walks ``program.circuit.gates`` (the per-gate objects) with the
+    per-gate tables of :func:`oracle_gate_tables`, not the program's
+    template tables: every gate gets its own function analysis, energy
+    row and constancy test, as the plan build did before it worked per
+    gate template over the circuit's arrays.  Returns a
+    :class:`repro.kernel.bitslice.BitslicePlan`.
     """
     from repro.kernel.bitslice import (
         _ALL_ONES,
@@ -151,8 +257,14 @@ def oracle_bitslice_plan(program):
     from repro.kernel.compile import KernelError
 
     circuit = program.circuit
-    tables = program.tables
     technology = program.technology
+    tables = oracle_gate_tables(
+        circuit,
+        technology=technology,
+        gate_style=program.gate_style,
+        output_load=program.output_load,
+        net_loads=program.net_loads,
+    )
 
     net_index = {net: i for i, net in enumerate(circuit.primary_inputs)}
     net_level = {net: 0 for net in circuit.primary_inputs}
@@ -221,14 +333,14 @@ def oracle_bitslice_plan(program):
         )
     levels = tuple(tuple(staged[level]) for level in sorted(staged))
 
-    max_fanin = max((len(table.variables) for table in tables), default=0)
+    max_fanin = max((len(table["variables"]) for table in tables), default=0)
     event_positions = []
     for position in range(max_fanin):
         rows, source_nets, masks = [], [], []
         for row, (gate, table) in enumerate(zip(circuit.gates, tables)):
-            if position >= len(table.variables):
+            if position >= len(table["variables"]):
                 continue
-            connection = gate.connections[table.variables[position]]
+            connection = gate.connections[table["variables"][position]]
             rows.append(row)
             source_nets.append(net_index[connection.net])
             masks.append(_ALL_ONES if connection.inverted else np.uint64(0))
@@ -240,16 +352,16 @@ def oracle_bitslice_plan(program):
             )
         )
 
-    sizes = [table.baseline.shape[0] for table in tables]
+    sizes = [table["baseline"].shape[0] for table in tables]
     offsets = np.zeros(len(tables), dtype=np.int32)
     if tables:
         offsets[1:] = np.cumsum(sizes[:-1])
     energy_flat = np.zeros(int(sum(sizes)), dtype=float)
     for row, table in enumerate(tables):
         start = int(offsets[row])
-        total = table.baseline + table.cap_dot
-        if table.extra is not None:
-            total = total + table.extra
+        total = table["baseline"] + table["cap_dot"]
+        if table["extra"] is not None:
+            total = total + table["extra"]
         energy_flat[start : start + sizes[row]] = technology.switching_energy(total)
 
     constant_fold = None
@@ -347,7 +459,7 @@ def oracle_assessment_stream(flow):
             circuit,
             technology=program.technology,
             gate_style=program.gate_style,
-            tables=program.tables,
+            tables=program.gate_tables(),
         )
     )
     width = len(circuit.primary_inputs)

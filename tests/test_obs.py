@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 import pytest
 
@@ -222,7 +223,7 @@ class TestCurrentObserver:
             set_observer(previous)
 
     def test_capture_buffers_only_when_nothing_is_live(self):
-        active = ObservabilityConfig(progress=True, verbosity=0)
+        active = ObservabilityConfig(trace=os.devnull)
         with capture_events(active) as (observer, buffer):
             assert buffer == []
             observer.counter("store.hit")
@@ -277,7 +278,9 @@ class TestObservabilityConfig:
     def test_any_output_activates(self, tmp_path):
         assert ObservabilityConfig(trace=str(tmp_path / "e.jsonl")).active
         assert ObservabilityConfig(progress=True).active
-        assert ObservabilityConfig(progress=True, verbosity=0).active
+        # Progress shown at verbosity 0 implies no sink, so nothing
+        # needs the events: workers must not buffer them.
+        assert not ObservabilityConfig(progress=True, verbosity=0).active
 
     def test_the_sinks_knob_is_gone(self, capsys):
         with pytest.raises(ConfigError, match="sinks"):
@@ -542,7 +545,7 @@ class TestSpanProfiling:
         assert "Profile hotspots: outer" in rendered
 
     def test_capture_events_inherits_profile_from_config(self):
-        config = ObservabilityConfig(progress=True, verbosity=0, profile=True)
+        config = ObservabilityConfig(trace=os.devnull, profile=True)
         with capture_events(config) as (observer, buffer):
             assert observer.profile is True
             with observer.span("outer"):

@@ -10,6 +10,7 @@ artifact-store keys so traced and untraced runs share cache entries.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter as Multiset
 
 import numpy as np
@@ -30,8 +31,8 @@ from repro.obs import BufferSink, Observer, summarize_trace_file, use_observer
 TRACES = 768
 SHARD = 256
 
-#: Activates obs without touching the filesystem or the console.
-SILENT_OBS = ObservabilityConfig(progress=True, verbosity=0)
+#: Activates obs with no output: events go to the null device.
+SILENT_OBS = ObservabilityConfig(trace=os.devnull)
 
 
 def _flow(execution, obs=SILENT_OBS, **campaign):
@@ -138,6 +139,41 @@ class TestEventParity:
         names = {e["name"] for e in events}
         assert "kernel.traces_per_s" in names
         assert "executor.map" in {e["name"] for e in events if e["kind"] == "span.end"}
+
+
+    @pytest.mark.parametrize("quiet", [True, False])
+    def test_workers_buffer_only_for_a_config_with_a_sink(
+        self, tmp_path, monkeypatch, quiet
+    ):
+        # ``--progress -q`` implies no sink: pool workers must ship no
+        # events for the parent to drop.  A trace file still gets them.
+        from repro.engine import executors
+
+        shipped = []
+        pool_map = executors.ProcessPoolExecutor.map
+
+        def recording(self, fn, payloads, consume=None):
+            def take(output):
+                shipped.append(output[-1])
+                consume(output)
+
+            return pool_map(self, fn, payloads, take)
+
+        monkeypatch.setattr(executors.ProcessPoolExecutor, "map", recording)
+        obs = (
+            ObservabilityConfig(progress=True, verbosity=0)
+            if quiet
+            else ObservabilityConfig(trace=str(tmp_path / "trace.jsonl"))
+        )
+        assert obs.active is not quiet
+        traces = _flow(ExecutionConfig(workers=2), obs=obs, trace_count=2048).traces()
+        assert len(shipped) == 2
+        if quiet:
+            assert all(events is None for events in shipped)
+        else:
+            assert all(events for events in shipped)
+        reference = _flow(ExecutionConfig(), obs=ObservabilityConfig(), trace_count=2048)
+        assert np.array_equal(traces.traces, reference.traces().traces)
 
 
 class TestStoreStats:
@@ -342,7 +378,7 @@ class TestProfiledFlows:
     """Span profiling extends the cardinal rule: profiled == unprofiled."""
 
     #: Workers inherit profiling from the flow config they rebuild.
-    PROFILED_OBS = ObservabilityConfig(progress=True, verbosity=0, profile=True)
+    PROFILED_OBS = ObservabilityConfig(trace=os.devnull, profile=True)
 
     def _run_profiled(self, execution):
         buffer = []

@@ -68,7 +68,7 @@ TRACES = 1024
 SHARD = 256
 
 #: Workers buffer their events; no console or file output.
-TRACED_OBS = ObservabilityConfig(progress=True, verbosity=0)
+TRACED_OBS = ObservabilityConfig(trace=os.devnull)
 
 
 def _flow(execution, obs=TRACED_OBS, **campaign):
@@ -699,7 +699,7 @@ class TestObsConfig:
         ):
             with pytest.raises(TypeError, match=knob):
                 ObservabilityConfig(**{knob: value})
-        config = ObservabilityConfig(progress=True, verbosity=0)
+        config = ObservabilityConfig(trace=os.devnull)
         assert ObservabilityConfig.from_dict(config.to_dict()) == config
 
     def test_live_knobs_stay_out_of_store_keys(self, tmp_path):

@@ -108,8 +108,8 @@ class TestGateTables:
         tables = build_gate_tables(circuit, net_loads=loads)
         # A 2-input AND and a 2-input OR: two walks for 124 gates.
         assert len({id(table.connected) for table in tables}) == 2
-        for table in tables:
-            routed = table.gate.output_net in loads
+        for gate, table in zip(circuit.gates, tables):
+            routed = gate.output_net in loads
             assert (table.extra is not None) == routed
         routed = [table for table in tables if table.extra is not None]
         assert len({id(table.baseline) for table in routed}) == len(routed)
@@ -132,7 +132,12 @@ class TestGateTables:
         assert np.array_equal(sibling.connected, before)
 
     def test_a_mutated_gate_gets_its_own_walk(self):
-        circuit = build_sbox_circuit(0xB, network_style="genuine")
+        # Hand-built gates are their own templates: changing one's
+        # network is what the table build sees.
+        mapped = build_sbox_circuit(0xB, network_style="genuine")
+        circuit = DifferentialCircuit(mapped.primary_inputs, name=mapped.name)
+        for gate in mapped.gates:
+            circuit.add_gate(gate)
         moved, grown, untouched = circuit.gates[:3]
         device = moved.dpdn.transistors[0]
         moved.dpdn.move_terminal(device.name, device.source, "spare")

@@ -190,7 +190,7 @@ def test_wide_and_multi_round_campaigns_run_bitsliced():
             96,
             seed=flow.config.campaign.seed,
             stepped=False,
-            tables=flow._compiled_program().tables,
+            tables=flow._compiled_program().gate_tables(),
         )
         assert np.array_equal(
             traces.traces, expected
@@ -292,3 +292,37 @@ class TestScenarioValidation:
         )
         with pytest.raises(ScenarioError, match="reduce rounds or sboxes"):
             scenario.expressions()
+
+
+@pytest.mark.parametrize(
+    "scenario, params",
+    [
+        ("present_round", {"sboxes": 1}),
+        ("present_round", {"sboxes": 2}),
+        ("present_round", {"sboxes": 4}),
+        ("present_rounds", {"sboxes": 1, "rounds": 1}),
+        ("present_rounds", {"sboxes": 1, "rounds": 2}),
+        ("present_rounds", {"sboxes": 2, "rounds": 2}),
+    ],
+)
+def test_expressions_equal_the_per_assignment_build(scenario, params):
+    # The vectorised truth columns build the very SOPs that sweeping
+    # every support assignment through ``encrypt`` builds.
+    from repro.boolexpr.truthtable import expression_from_function
+    from repro.scenarios import make_scenario
+
+    model = make_scenario(scenario, key=0x6B & ((1 << (4 * params["sboxes"])) - 1), params=params)
+    expected = {}
+    for bit, support in enumerate(model._bit_supports()):
+
+        def bit_function(assignment, bit=bit, support=support):
+            plaintext = 0
+            for position in support:
+                if assignment[f"p{position}"]:
+                    plaintext |= 1 << position
+            return bool((model.encrypt(plaintext) >> bit) & 1)
+
+        expected[f"y{bit}"] = expression_from_function(
+            bit_function, [f"p{position}" for position in support]
+        )
+    assert model.expressions() == expected
