@@ -1,7 +1,10 @@
 """Bit-sliced execution of a compiled differential circuit.
 
 The compiled plan turns a mapped :class:`~repro.sabl.circuit.DifferentialCircuit`
-into straight-line data:
+-- gate templates plus per-gate template ids, input net ids, inversion
+flags and output net ids -- into straight-line data, working per gate
+template and with NumPy indexing over those arrays, never per gate
+object:
 
 * **logic steps** -- the gate DAG flattened into topological *levels*;
   within a level, gates with the same operator and fan-in are fused into
@@ -12,8 +15,9 @@ into straight-line data:
   one ``np.unpackbits`` recovers that input bit for every (gate, trace)
   pair at once, accumulating the little-endian per-gate event indices
   the energy tables are keyed by.
-* **stacked energy tables** -- the per-gate ``(2**k,)`` event tables of
-  :func:`repro.sabl.simulator.build_gate_tables` are concatenated into
+* **stacked energy tables** -- each gate's ``(2**k,)`` energy row (its
+  template's, or its own when it is routed; see
+  :func:`repro.sabl.simulator.build_template_tables`) is laid out in
   flat arrays addressed as ``offset[gate] + event``, so a batch's
   energy is two fancy-index gathers and a left fold.
 
@@ -288,11 +292,14 @@ def build_bitslice_plan(program) -> BitslicePlan:
 
     # ----------------------------------------------------- logic steps
     staged: Dict[int, List[object]] = {}
-    kind_of = np.array([-1 if flat is None else int(flat[0] == "or") for flat in flats])
-    gate_kind = kind_of[gate_template] if templates else np.zeros(0, dtype=int)
-    input_rows = inputs.tolist() if (gate_kind < 0).any() else []
-    inverted_rows = inverted.tolist() if input_rows else []
-    for row in np.flatnonzero(gate_kind < 0).tolist():
+    kind_of = np.array(
+        [-1 if flat is None else int(flat[0] == "or") for flat in flats], dtype=np.intp
+    )
+    gate_kind = kind_of[gate_template]
+    expression_rows = np.flatnonzero(gate_kind < 0).tolist()
+    if expression_rows:
+        input_rows, inverted_rows = inputs.tolist(), inverted.tolist()
+    for row in expression_rows:
         template = templates[int(gate_template[row])]
         staged.setdefault(int(gate_level[row]), []).append(
             _ExprStep(
@@ -347,7 +354,7 @@ def build_bitslice_plan(program) -> BitslicePlan:
 
     # -------------------------------------------------- event positions
     counts = np.array([len(columns) for columns in event_columns], dtype=np.intp)
-    gate_counts = counts[gate_template] if templates else np.zeros(0, dtype=np.intp)
+    gate_counts = counts[gate_template]
     depth = int(gate_counts.max()) if gate_count else 0
     event_positions = []
     if depth:

@@ -212,9 +212,12 @@ def acquire_circuit_traces(
     all the requested blocks.  Every cycle is evaluated from the
     circuit's steady state, in which each internal node an input event
     can connect has already discharged once, so a trace depends on its
-    own plaintext alone.  The kernel is bit-identical to the reference
-    models of :mod:`repro.sabl.simulator` put into that state, which stay
-    as test oracles.  ``program`` optionally supplies an existing
+    own plaintext alone.  The kernel is bit-identical to the batched
+    reference model of :mod:`repro.sabl.simulator` put into that state,
+    and to its per-trace simulator on mapped circuits (a hand-built
+    network with many internal nodes sums them in another order there,
+    and agrees to within a few ulp); both stay as test oracles.
+    ``program`` optionally supplies an existing
     :class:`~repro.kernel.CompiledProgram` of ``circuit`` so repeated
     acquisitions (engine shards, sweeps) skip recompilation.
 

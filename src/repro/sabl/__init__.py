@@ -2,7 +2,13 @@
 Fig. 1, the CVSL baseline, clocking, gate-level circuits and the
 cycle-accurate power simulator."""
 
-from .circuit import Connection, DifferentialCircuit, GateInstance, map_expressions
+from .circuit import (
+    Connection,
+    DifferentialCircuit,
+    GateInstance,
+    GateTemplate,
+    map_expressions,
+)
 from .clocking import PhaseSchedule, clock_waveform, input_rail_waveform, rail_waveforms
 from .cvsl import CVSLGate
 from .gate import SABLGate, TransientResult
@@ -19,6 +25,7 @@ __all__ = [
     "rail_waveforms",
     "DifferentialCircuit",
     "GateInstance",
+    "GateTemplate",
     "Connection",
     "map_expressions",
     "CircuitPowerSimulator",

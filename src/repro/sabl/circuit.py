@@ -182,8 +182,8 @@ class DifferentialCircuit:
         row = len(self.gate_names)
         self._append_rows(
             np.array([len(self.templates) - 1], dtype=np.intp),
-            np.array([[ids[c.net] for c in connections]], dtype=np.intp).reshape(1, -1),
-            np.array([[c.inverted for c in connections]], dtype=bool).reshape(1, -1),
+            np.array([[ids[c.net] for c in connections]], dtype=np.intp),
+            np.array([[c.inverted for c in connections]], dtype=bool),
             [gate.name],
             [gate.output_net],
         )
