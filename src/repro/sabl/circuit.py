@@ -386,20 +386,12 @@ class _Mapper:
 
     def rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(gate_template, gate_inputs, gate_inverted)`` of the mapped gates."""
-        count = len(self.gate_template)
         arity = np.array(self.arity, dtype=np.intp)
-        width = int(arity.max()) if count else 0
-        nets = np.array([wire[0] for wire in self.wires], dtype=np.intp)
-        rails = np.array([wire[1] for wire in self.wires], dtype=bool)
-        if count and int(arity.min()) == width:
-            inputs = nets.reshape(count, width)
-            inverted = rails.reshape(count, width)
-        else:
-            used = np.arange(width) < arity[:, None]
-            inputs = np.full((count, width), -1, dtype=np.intp)
-            inverted = np.zeros((count, width), dtype=bool)
-            inputs[used] = nets
-            inverted[used] = rails
+        used = np.arange(int(arity.max(initial=0))) < arity[:, None]
+        inputs = np.full(used.shape, -1, dtype=np.intp)
+        inverted = np.zeros(used.shape, dtype=bool)
+        inputs[used] = [wire[0] for wire in self.wires]
+        inverted[used] = [wire[1] for wire in self.wires]
         return np.array(self.gate_template, dtype=np.intp), inputs, inverted
 
 
