@@ -84,22 +84,35 @@ def test_random_expression_sets_map_like_the_oracle():
                 map_expressions(named, **kwargs)
             assert str(refused.value) == str(error)
             return
-        _assert_same_circuit(map_expressions(named, **kwargs), reference)
+        circuit = map_expressions(named, **kwargs)
+        _assert_same_circuit(circuit, reference)
+        if circuit.gate_count():
+            _assert_plans_equal(
+                build_bitslice_plan(compile_circuit(circuit)),
+                oracle_bitslice_plan(compile_circuit(reference)),
+            )
 
     check()
 
 
 @pytest.mark.parametrize("max_fanin", [2, 3, 4])
 def test_wide_fan_in_and_inverted_outputs(max_fanin):
+    # "E | D" puts an OR gate ahead of the level's AND gates: op groups
+    # are staged in the order of their first gate.
     expressions = {
+        "L": parse("E | D"),
         "F": parse("(A & B & C & D & E & ~A) | ~D | (B & C)"),
         "G": parse("~B"),
         "H": parse("A"),
         "K": parse("~(A | B | C | D | E)"),
     }
     kwargs = dict(primary_inputs=list("EDCBA"), max_fanin=max_fanin, name="wide")
-    _assert_same_circuit(
-        map_expressions(expressions, **kwargs), oracle_map_expressions(expressions, **kwargs)
+    circuit = map_expressions(expressions, **kwargs)
+    reference = oracle_map_expressions(expressions, **kwargs)
+    _assert_same_circuit(circuit, reference)
+    _assert_plans_equal(
+        build_bitslice_plan(compile_circuit(circuit)),
+        oracle_bitslice_plan(compile_circuit(reference)),
     )
 
 
