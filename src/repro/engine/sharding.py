@@ -55,13 +55,11 @@ class Shard:
         """The shard's blocks, in campaign order."""
         return campaign_blocks(self.total, self.seed, self.first, self.stop)
 
-    def block_runs(self, size: int) -> Iterator[Tuple[Block, ...]]:
-        """The shard's blocks in consecutive runs of at most ``size``,
-        each run built when it is reached."""
-        for first in range(self.first, self.stop, size):
-            yield campaign_blocks(
-                self.total, self.seed, first, min(first + size, self.stop)
-            )
+    def iter_blocks(self) -> Iterator[Block]:
+        """The shard's blocks in campaign order, each built when it is
+        reached (a long in-process stream holds no block list)."""
+        for index in range(self.first, self.stop):
+            yield from campaign_blocks(self.total, self.seed, index, index + 1)
 
     @property
     def start(self) -> int:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from ..assess.noise import normalize_noise_spec as _normalize_noise_spec
 from ..boolexpr.decompose import DecompositionStyle
 from ..electrical.technology import Technology
-from ..power.trace import BLOCK_SIZE
+from ..power.trace import ASSESSMENT_BLOCKS_PER_CALL, BLOCK_SIZE
 
 __all__ = [
     "ConfigError",
@@ -45,18 +46,23 @@ __all__ = [
 #: unit shard sizes round up to.
 DEFAULT_SHARD_SIZE = BLOCK_SIZE
 
-#: Assessment blocks per energy-source call: 16 blocks are 4096 traces,
-#: four kernel tiles -- enough to amortise the per-call cost, small
-#: enough that the stream's working set stays bounded.  Also the most
-#: blocks in one shard of a pooled run that configures no shard size.
-ASSESSMENT_BLOCKS_PER_CALL = 16
-
 
 class ConfigError(ValueError):
     """A configuration value failed validation."""
 
 
 _TECHNOLOGY_FIELDS = {f.name for f in fields(Technology)}
+
+#: Scalar and mapping field annotations (``Optional[...]`` stripped)
+#: -> (accepted type, description).  Sequence fields go through
+#: :func:`_as_tuple`; bool fields take any value's truth.
+_FIELD_TYPES = {
+    "int": (Integral, "an integer"),
+    "float": (Real, "a number"),
+    "str": ((str, os.PathLike), "a string"),
+    "Mapping[str, float]": (Mapping, "a mapping"),
+    "Mapping[str, Any]": (Mapping, "a mapping"),
+}
 
 
 class _ConfigBase:
@@ -81,9 +87,10 @@ class _ConfigBase:
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown keys raise :class:`ConfigError` (they usually indicate a
-        typo or a config written by a newer version).
+        typo or a config written by a newer version), and so does a
+        value of the wrong type for its field (``"0xB"`` for ``key``).
         """
-        cls._check_known(data)
+        cls._check_fields(data)
         kwargs: Dict[str, Any] = {}
         for name, value in data.items():
             nested = _NESTED_CONFIG_FIELDS.get((cls.__name__, name))
@@ -95,26 +102,46 @@ class _ConfigBase:
     def replace(self, **overrides: Any):
         """Copy of the config with some fields replaced (re-validates).
 
-        Unknown field names raise :class:`ConfigError`, like
-        :meth:`from_dict`.
+        Unknown field names and mistyped values raise
+        :class:`ConfigError`, like :meth:`from_dict`.
         """
-        self._check_known(overrides)
+        self._check_fields(overrides)
         return replace(self, **overrides)
 
     @classmethod
-    def _check_known(cls, names: Iterable[str]) -> None:
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(names) - known)
+    def _check_fields(cls, values: Mapping[str, Any]) -> None:
+        known = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(values) - set(known))
         if unknown:
             raise ConfigError(
                 f"{cls.__name__}: unknown keys {unknown}; expected a subset of "
                 f"{sorted(known)}"
             )
+        # The values of --set and config JSON arrive untyped: a value of
+        # the wrong type fails here, naming the field, rather than as a
+        # TypeError inside validation.
+        for name, value in values.items():
+            annotation = known[name]
+            optional = annotation.startswith("Optional[")
+            if optional and value is None:
+                continue
+            base = annotation[len("Optional["):-1] if optional else annotation
+            expected = _FIELD_TYPES.get(base)
+            if expected is None:
+                continue
+            kind, wanted = expected
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(
+                    f"{cls.__name__}.{name} must be {wanted}"
+                    f"{' or None' if optional else ''}, got {value!r}"
+                )
 
 
 def _as_tuple(value) -> tuple:
     if isinstance(value, str):
         raise ConfigError(f"expected a sequence of names, got the string {value!r}")
+    if not isinstance(value, Iterable):
+        raise ConfigError(f"expected a sequence, got {value!r}")
     return tuple(value)
 
 
@@ -303,11 +330,14 @@ class CampaignConfig(_ConfigBase):
             the default S-box scenario; the exact bound follows the
             selected scenario and is checked when the campaign runs).
         trace_count: number of recorded traces.
-        source: ``"circuit"`` records the gate-level charge model;
-            ``"model"`` records the leakage of an unprotected
-            implementation (the attack-validation reference, see
-            :func:`repro.power.trace.acquire_model_traces`; there
-            ``noise_std`` is in units of the per-bit energy).
+        source: the energy source both the trace campaign and the
+            assessment stream measure
+            (:func:`repro.power.trace.measure_blocks`): ``"circuit"``
+            runs the gate-level charge model of the mapped circuit;
+            ``"model"`` looks each stimulus up in the scenario's leakage
+            table of an unprotected implementation (the
+            attack-validation reference; there ``noise_std`` is an
+            absolute sigma in leakage units -- Hamming weight or bit).
         model_leakage: leakage of the ``"model"`` source --
             ``"hamming"`` (Hamming weight of the round register named by
             the analysis config's ``target_round``), ``"bit"`` (the
@@ -325,8 +355,10 @@ class CampaignConfig(_ConfigBase):
             :class:`ScenarioConfig`.
         sbox: S-box name (``"present"`` by default, or ``"aes"``); the
             substitution table the selected scenario builds on.
-        noise_std: Gaussian measurement noise, as a fraction of the mean
-            cycle energy of each campaign block.
+        noise_std: Gaussian measurement noise
+            (:class:`repro.assess.noise.GaussianAmplitudeNoise`), as a
+            fraction of the mean cycle energy of each campaign block for
+            ``source="circuit"``.
         seed: RNG seed of the campaign: the root of its block stream
             (:func:`repro.power.trace.campaign_blocks`).  Circuit
             campaigns are evaluated from the circuit's steady state, so

@@ -53,13 +53,14 @@ from ..network.netlist import DifferentialPullDownNetwork
 from ..power.metrics import energy_statistics
 from ..power.trace import (
     TraceSet,
-    nibble_matrix,
     acquire_circuit_traces,
-    acquire_table_model_traces,
+    kernel_energy_source,
+    measure_blocks,
+    measure_traces,
 )
 from ..obs import get_observer, observer_from_config, use_observer
 from ..sabl.circuit import DifferentialCircuit, map_expressions
-from .config import ASSESSMENT_BLOCKS_PER_CALL, FlowConfig
+from .config import FlowConfig
 from .registry import (
     UnknownBackendError,
     get_assessment,
@@ -526,8 +527,8 @@ class DesignFlow:
             "devices": circuit.device_count(),
         }
 
-    def _model_leakage_table(self, scenario) -> Tuple[np.ndarray, str]:
-        """The leakage table and description of a ``source="model"`` campaign.
+    def _model_leakage_table(self, scenario) -> np.ndarray:
+        """The leakage table of a ``source="model"`` campaign.
 
         The table comes from the scenario's round-register state tables
         (see :meth:`repro.scenarios.Scenario.leakage_table`); the attack
@@ -539,7 +540,7 @@ class DesignFlow:
         campaign = self.config.campaign
         analysis = self.config.analysis
         try:
-            table = scenario.leakage_table(
+            return scenario.leakage_table(
                 campaign.model_leakage,
                 target_round=analysis.target_round,
                 target_sbox=analysis.target_sbox,
@@ -547,19 +548,22 @@ class DesignFlow:
             )
         except ScenarioError as error:
             raise FlowError(str(error)) from error
+
+    def _model_description(self) -> str:
+        """The trace-set description of a ``source="model"`` campaign."""
+        campaign = self.config.campaign
+        analysis = self.config.analysis
         if campaign.model_leakage == "bit":
-            description = (
+            return (
                 f"single-bit model (bit {analysis.target_bit}, "
                 f"noise={campaign.noise_std})"
             )
-        elif campaign.model_leakage == "distance":
-            description = (
+        if campaign.model_leakage == "distance":
+            return (
                 f"hamming-distance model (round {analysis.target_round}, "
                 f"noise={campaign.noise_std})"
             )
-        else:
-            description = f"hamming-weight model (noise={campaign.noise_std})"
-        return table, description
+        return f"hamming-weight model (noise={campaign.noise_std})"
 
     def _circuit_campaign_params(self):
         """Resolved ``(technology, gate_style)`` of a circuit campaign."""
@@ -671,27 +675,21 @@ class DesignFlow:
 
         The blocks are those of :func:`repro.power.trace.campaign_blocks`
         over the campaign's trace count and seed; an in-process campaign
-        is one shard holding all of them.
+        is one shard holding all of them.  Both sources measure them
+        through :func:`repro.power.trace.measure_blocks`; a circuit
+        campaign through its public front end,
+        :func:`~repro.power.trace.acquire_circuit_traces`.
         """
         campaign = self.config.campaign
         if campaign.source == "model":
-            scenario = self._require_scenario_workload("the leakage-model campaign")
-            table, description = self._model_leakage_table(scenario)
-            parts = [
-                acquire_table_model_traces(
-                    table,
-                    key=campaign.key,
-                    trace_count=block.count,
-                    noise_std=campaign.noise_std,
-                    seed=block.seed,
-                )
-                for block in shard.blocks
-            ]
-            return TraceSet(
-                plaintexts=np.concatenate([part.plaintexts for part in parts]),
-                traces=np.concatenate([part.traces for part in parts]),
+            width, energies = self._energy_source()
+            return measure_traces(
+                shard.blocks,
+                width,
+                energies,
+                self._campaign_noise(),
                 key=campaign.key,
-                description=description,
+                description=self._model_description(),
             )
         technology, gate_style = self._circuit_campaign_params()
         return acquire_circuit_traces(
@@ -844,97 +842,66 @@ class DesignFlow:
 
     # ----------------------------------------------------- assessment streaming
 
-    def _assessment_energy_source(self) -> Tuple[int, Callable[[np.ndarray], np.ndarray]]:
-        """The assessment stream's energy backend.
+    def _energy_source(self) -> Tuple[int, Callable[[np.ndarray], np.ndarray]]:
+        """The campaign's energy source: ``(width, energies)``.
 
-        Returns ``(width, energies)`` where ``width`` is the stimulus bit
-        width and ``energies`` maps a vector of stimulus values to their
-        measured energies.  ``source="circuit"`` wraps the bit-sliced
-        kernel of the mapped circuit; ``source="model"`` evaluates the
-        unprotected leakage model directly.
+        ``width`` is the stimulus bit width and ``energies`` maps a
+        vector of stimulus values to their noiseless energies (see
+        :func:`repro.power.trace.measure_blocks`).
+        ``source="circuit"`` runs the bit-sliced kernel of the mapped
+        circuit; ``source="model"`` looks the stimuli up in the
+        scenario's leakage table.  This is the one place the measurement
+        tells the two sources apart.
         """
+        if self.config.campaign.source == "circuit":
+            return kernel_energy_source(self._compiled_program())
+        scenario = self._require_scenario_workload("the leakage-model campaign")
+        table = self._model_leakage_table(scenario)
+        return scenario.input_width, lambda plaintexts: table[plaintexts]
+
+    def _campaign_noise(self) -> GaussianAmplitudeNoise:
+        """The campaign's ``noise_std`` as Gaussian amplitude noise:
+        relative to each block's mean energy for circuit campaigns,
+        absolute (in leakage units) for the leakage model."""
         campaign = self.config.campaign
-        if campaign.source == "model":
-            scenario = self._require_scenario_workload(
-                "the leakage-model assessment"
-            )
-            leakage, _ = self._model_leakage_table(scenario)
-
-            def energies(plaintexts: np.ndarray) -> np.ndarray:
-                return leakage[plaintexts]
-
-            return scenario.input_width, energies
-
-        from ..kernel import BitslicedCircuitEnergyModel
-
-        model = BitslicedCircuitEnergyModel(self._compiled_program())
-        width = len(self.circuit().primary_inputs)
-
-        def energies(plaintexts: np.ndarray) -> np.ndarray:
-            return model.energies(nibble_matrix(plaintexts, width))
-
-        return width, energies
+        return GaussianAmplitudeNoise(
+            std=campaign.noise_std, relative=campaign.source == "circuit"
+        )
 
     def _assessment_chunks(self, shard) -> Iterator[AssessmentChunk]:
         """The fixed-vs-random chunks of a shard's blocks, in block order.
 
         Each block (see :func:`repro.power.trace.campaign_blocks`) holds
-        equal fixed and random halves in a shuffled order: its generator
-        draws the class order, then the stimuli, then the noise chain's
-        draws.  The stimuli go through the energy source
-        :data:`ASSESSMENT_BLOCKS_PER_CALL` blocks at a time, so the
-        working set does not grow with the shard.
+        equal fixed and random halves in a shuffled order, measured by
+        :func:`repro.power.trace.measure_blocks` with the assessment's
+        noise chain; the blocks are built as the stream reaches them, so
+        the working set does not grow with the shard.
         """
         config = self.config.assessment
-        width, energies = self._assessment_energy_source()
+        width, energies = self._energy_source()
         if not 0 <= config.fixed_plaintext < (1 << width):
             raise FlowError(
                 f"fixed_plaintext {config.fixed_plaintext:#x} does not fit the "
                 f"{width}-bit stimulus of flow {self.config.name!r}"
             )
-        noise = self._assessment_noise_chain()
-        for group in shard.block_runs(ASSESSMENT_BLOCKS_PER_CALL):
-            rngs = [block.rng() for block in group]
-            labels = []
-            plaintexts = []
-            for block, rng in zip(group, rngs):
-                block_labels = np.zeros(block.count, dtype=bool)
-                block_labels[: block.count // 2] = True
-                rng.shuffle(block_labels)
-                stimuli = rng.integers(0, 1 << width, size=block.count)
-                stimuli[block_labels] = config.fixed_plaintext
-                labels.append(block_labels)
-                plaintexts.append(stimuli)
-            measured = energies(np.concatenate(plaintexts))
-            bounds = np.cumsum([block.count for block in group])[:-1]
-            for block_labels, stimuli, part, rng in zip(
-                labels, plaintexts, np.split(measured, bounds), rngs
-            ):
-                if len(noise):
-                    part = noise(part, rng)
-                yield AssessmentChunk(
-                    plaintexts=stimuli, labels=block_labels, energies=part
-                )
+        for stimuli, labels, measured in measure_blocks(
+            shard.iter_blocks(),
+            width,
+            energies,
+            self._assessment_noise_chain(),
+            fixed=config.fixed_plaintext,
+        ):
+            yield AssessmentChunk(plaintexts=stimuli, labels=labels, energies=measured)
 
     def _assessment_noise_chain(self) -> NoiseChain:
         """The assessment bench: campaign noise first, then the configured models.
 
         The campaign's ``noise_std`` describes the same measurement
         environment the trace/analysis stages record, so the assessment
-        applies it too (as Gaussian amplitude noise -- relative to the
-        mean energy for circuit campaigns, absolute in per-bit units for
-        the leakage model, matching the acquisition functions) before the
+        applies it too (:meth:`_campaign_noise`) before the
         assessment-specific noise models.
         """
-        campaign = self.config.campaign
-        models = []
-        if campaign.noise_std > 0.0:
-            models.append(
-                GaussianAmplitudeNoise(
-                    std=campaign.noise_std,
-                    relative=campaign.source == "circuit",
-                )
-            )
+        models = [self._campaign_noise()] if self.config.campaign.noise_std > 0.0 else []
         models.extend(
             make_noise_model(spec) for spec in self.config.assessment.noise
         )

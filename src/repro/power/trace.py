@@ -1,23 +1,32 @@
 """Power-trace acquisition for the side-channel experiments.
 
-A *trace campaign* plays random plaintext nibbles into a key-mixed S-box
-circuit, records the per-cycle supply energy (plus optional Gaussian
-measurement noise) and keeps the plaintexts so the analysis side of
+A *trace campaign* plays random plaintexts into a key-mixed circuit,
+records the per-cycle supply energy (plus optional Gaussian measurement
+noise) and keeps the plaintexts so the analysis side of
 :mod:`repro.power.dpa` can correlate hypotheses against the
-measurements.  Two acquisition back-ends exist:
+measurements.
 
-* :func:`acquire_circuit_traces` -- the gate-level charge model, used for
+Every campaign -- traces or the fixed-vs-random assessment stream --
+is measured by one function, :func:`measure_blocks`: each block of the
+campaign (:func:`campaign_blocks`) draws its stimuli, an *energy
+source* maps them to energies and a noise model adds the measurement
+environment, all from the block's own generator.  Two energy sources
+exist:
+
+* the gate-level charge model (:func:`acquire_circuit_traces`), used for
   the protected-vs-unprotected comparisons (this is where the fully
   connected networks earn their keep);
-* :func:`acquire_model_traces` -- a plain Hamming-weight leakage model of
-  ``S(p XOR k)``, used as a sanity check of the attack code itself and as
-  the "unprotected CMOS" upper bound.
+* a leakage table of an unprotected implementation
+  (:func:`acquire_table_model_traces`, :func:`acquire_model_traces`),
+  used as a sanity check of the attack code itself and as the
+  "unprotected CMOS" upper bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +40,10 @@ __all__ = [
     "BLOCK_SIZE",
     "Block",
     "campaign_blocks",
+    "ASSESSMENT_BLOCKS_PER_CALL",
+    "measure_blocks",
+    "measure_traces",
+    "kernel_energy_source",
     "build_sbox_circuit",
     "acquire_circuit_traces",
     "acquire_model_traces",
@@ -52,10 +65,6 @@ def nibble_matrix(values: np.ndarray, width: int = 4) -> np.ndarray:
     return ((values[:, None] >> shifts) & values.dtype.type(1)).astype(bool)
 
 
-#: A measurement-environment model applied to the acquired energies:
-#: ``(energies, rng) -> energies`` (see :mod:`repro.assess.noise`).
-NoiseModelFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
-
 #: Anything the leakage-model acquisition functions accept as their
 #: random source: a plain integer seed, a
 #: :class:`numpy.random.SeedSequence` or an existing
@@ -65,11 +74,22 @@ NoiseModelFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 #: (see :func:`campaign_blocks`).
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
+#: An energy source: a vector of stimulus values to their noiseless
+#: per-cycle energies.
+EnergySource = Callable[[np.ndarray], np.ndarray]
+
 #: Traces per campaign block.  A campaign is a fixed stream of blocks:
 #: block ``i`` draws its stimuli and noise from child ``i`` of
 #: ``SeedSequence(seed).spawn(n_blocks)``, so how the blocks are grouped
 #: into kernel calls, shards or worker processes never changes a trace.
 BLOCK_SIZE = 256
+
+#: Blocks per energy-source call of :func:`measure_blocks`: 16 blocks
+#: are 4096 traces, four kernel tiles -- enough to amortise the
+#: per-call cost, small enough that a campaign's working set stays
+#: bounded.  Also the most blocks in one shard of a pooled run that
+#: configures no shard size.
+ASSESSMENT_BLOCKS_PER_CALL = 16
 
 
 @dataclass(frozen=True)
@@ -77,13 +97,15 @@ class Block:
     """One block of a campaign: ``count`` traces from ``start`` on.
 
     ``seed`` is the block's spawned ``SeedSequence`` child; every draw of
-    the block (stimuli, class labels, noise) comes from :meth:`rng`.
+    the block (stimuli, class labels, noise) comes from :meth:`rng`.  A
+    one-block stream may take any :data:`SeedLike` instead (a
+    ``Generator`` is then drawn from in place).
     """
 
     index: int
     start: int
     count: int
-    seed: np.random.SeedSequence
+    seed: SeedLike
 
     def rng(self) -> np.random.Generator:
         """A fresh generator over the block's stream."""
@@ -177,6 +199,82 @@ def build_sbox_circuit(
     )
 
 
+def measure_blocks(
+    blocks: Iterable[Block],
+    width: int,
+    energies: EnergySource,
+    noise: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    fixed: Optional[int] = None,
+) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]]:
+    """Measure a run of campaign blocks: ``(stimuli, labels, energies)``
+    per block, in block order.
+
+    Each block's generator draws, in this order: the class labels when
+    ``fixed`` is set (equal fixed and random halves, shuffled; the fixed
+    traces' stimulus is ``fixed``), the ``width``-bit stimuli (as
+    ``uint64`` from 64 bits on, where the default ``int64`` draw
+    overflows), then whatever ``noise(energies, rng)`` draws.  Without
+    ``fixed``, ``labels`` is ``None``.  The energy source is called on
+    the stimuli of :data:`ASSESSMENT_BLOCKS_PER_CALL` blocks at a time,
+    so the working set does not grow with the run (``blocks`` may be a
+    lazy iterator); since every draw belongs to a block, the grouping
+    never changes a result.  This is the one measurement loop: trace
+    campaigns, leakage-model campaigns and the assessment stream all
+    run through it.
+    """
+    draw = {"dtype": np.uint64} if width >= 64 else {}
+    blocks = iter(blocks)
+    while True:
+        group = tuple(islice(blocks, ASSESSMENT_BLOCKS_PER_CALL))
+        if not group:
+            return
+        rngs = [block.rng() for block in group]
+        drawn = []
+        for block, rng in zip(group, rngs):
+            labels = None
+            if fixed is not None:
+                labels = np.zeros(block.count, dtype=bool)
+                labels[: block.count // 2] = True
+                rng.shuffle(labels)
+            stimuli = rng.integers(0, 1 << width, size=block.count, **draw)
+            if fixed is not None:
+                stimuli[labels] = fixed
+            drawn.append((stimuli, labels))
+        measured = energies(np.concatenate([stimuli for stimuli, _ in drawn]))
+        bounds = np.cumsum([block.count for block in group])[:-1]
+        for (stimuli, labels), part, rng in zip(drawn, np.split(measured, bounds), rngs):
+            yield stimuli, labels, noise(part, rng)
+
+
+def measure_traces(
+    blocks: Iterable[Block],
+    width: int,
+    energies: EnergySource,
+    noise: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    key: int,
+    description: str = "",
+) -> TraceSet:
+    """The trace set :func:`measure_blocks` records over ``blocks``."""
+    stimuli, _, measured = zip(*measure_blocks(blocks, width, energies, noise))
+    return TraceSet(
+        plaintexts=np.concatenate(stimuli),
+        traces=np.concatenate(measured),
+        key=key,
+        description=description,
+    )
+
+
+def kernel_energy_source(program: Any) -> Tuple[int, EnergySource]:
+    """``(width, energies)`` of a compiled circuit: its stimulus width and
+    the bit-sliced kernel over the stimuli's little-endian bits (plaintext
+    bit ``i`` drives ``circuit.primary_inputs[i]``)."""
+    from ..kernel import BitslicedCircuitEnergyModel
+
+    model = BitslicedCircuitEnergyModel(program)
+    width = len(program.circuit.primary_inputs)
+    return width, lambda stimuli: model.energies(nibble_matrix(stimuli, width))
+
+
 def acquire_circuit_traces(
     circuit: DifferentialCircuit,
     key: int,
@@ -185,39 +283,36 @@ def acquire_circuit_traces(
     gate_style: str = "sabl",
     noise_std: float = 0.0,
     seed: Union[int, np.random.SeedSequence] = 2005,
-    noise_model: Optional[NoiseModelFn] = None,
     net_loads: Optional[Mapping[str, Tuple[float, float]]] = None,
     program: Optional[Any] = None,
     block_range: Optional[Tuple[int, int]] = None,
 ) -> TraceSet:
     """Record one power sample per cycle from the gate-level charge model.
 
-    The campaign is the block stream of :func:`campaign_blocks`: each
-    block draws its plaintexts, then its noise, from its own spawned
-    child of ``seed`` (an integer or a ``SeedSequence``).
-    ``block_range=(first, stop)`` acquires only those blocks of the
-    ``trace_count``-trace campaign -- an engine shard -- and the
-    concatenated shards equal the whole campaign bit for bit.
+    The campaign is the block stream of :func:`campaign_blocks`, measured
+    by :func:`measure_blocks`: each block draws its plaintexts, then its
+    noise, from its own spawned child of ``seed`` (an integer or a
+    ``SeedSequence``).  ``block_range=(first, stop)`` acquires only those
+    blocks of the ``trace_count``-trace campaign -- an engine shard --
+    and the concatenated shards equal the whole campaign bit for bit.
 
     ``noise_std`` is expressed as a fraction of the mean cycle energy of
     each block (e.g. 0.05 adds Gaussian noise with a sigma of 5 % of the
-    block's mean), modelling measurement noise and the activity of
-    unrelated logic.  ``noise_model`` plugs in a full
-    measurement-environment model from :mod:`repro.assess.noise` (ADC
-    quantization, jitter, composed chains); it is applied to each block's
-    energies, with the block's generator, after ``noise_std``.
+    block's mean; :class:`repro.assess.noise.GaussianAmplitudeNoise`),
+    modelling measurement noise and the activity of unrelated logic.
 
     The energies come from the compiled bit-sliced kernel
-    (:class:`repro.kernel.BitslicedCircuitEnergyModel`) in one call over
-    all the requested blocks.  Every cycle is evaluated from the
-    circuit's steady state, in which each internal node an input event
-    can connect has already discharged once, so a trace depends on its
-    own plaintext alone.  The kernel is bit-identical to the batched
-    reference model of :mod:`repro.sabl.simulator` put into that state,
-    and to its per-trace simulator on mapped circuits (a hand-built
-    network with many internal nodes sums them in another order there,
-    and agrees to within a few ulp); both stay as test oracles.
-    ``program`` optionally supplies an existing
+    (:class:`repro.kernel.BitslicedCircuitEnergyModel`), called on
+    :data:`ASSESSMENT_BLOCKS_PER_CALL` blocks at a time.  Every cycle is
+    evaluated from the circuit's steady state, in which each internal
+    node an input event can connect has already discharged once, so a
+    trace depends on its own plaintext alone.  The kernel is
+    bit-identical to the batched reference model of
+    :mod:`repro.sabl.simulator` put into that state, and to its
+    per-trace simulator on mapped circuits (a hand-built network with
+    many internal nodes sums them in another order there, and agrees to
+    within a few ulp); both stay as test oracles.  ``program``
+    optionally supplies an existing
     :class:`~repro.kernel.CompiledProgram` of ``circuit`` so repeated
     acquisitions (engine shards, sweeps) skip recompilation.
 
@@ -230,9 +325,9 @@ def acquire_circuit_traces(
     :meth:`repro.layout.NetParasitics.rail_loads`) into the kernel;
     ``None`` keeps the layout-free streams byte-identical.
     """
-    from ..kernel import BitslicedCircuitEnergyModel, compile_circuit
+    from ..assess.noise import GaussianAmplitudeNoise
+    from ..kernel import compile_circuit
 
-    width = len(circuit.primary_inputs)
     if program is None:
         program = compile_circuit(
             circuit,
@@ -245,38 +340,15 @@ def acquire_circuit_traces(
             "program was compiled from a different circuit than the one "
             "being traced; recompile with repro.kernel.compile_circuit"
         )
-    blocks = campaign_blocks(trace_count, seed, *(block_range or ()))
-    rngs = [block.rng() for block in blocks]
-    # Full-width (64-bit) slices overflow the default int64 draw; the
-    # uint64 branch is taken only there.
-    draw_dtype = {"dtype": np.uint64} if width >= 64 else {}
-    plaintexts = np.concatenate(
-        [
-            rng.integers(0, 1 << width, size=block.count, **draw_dtype)
-            for block, rng in zip(blocks, rngs)
-        ]
-    )
-    energies = BitslicedCircuitEnergyModel(program).energies(
-        nibble_matrix(plaintexts, width)
-    )
-    if noise_std > 0.0 or noise_model is not None:
-        measured = []
-        bounds = np.cumsum([block.count for block in blocks])[:-1]
-        for part, rng in zip(np.split(energies, bounds), rngs):
-            if noise_std > 0.0:
-                sigma = noise_std * float(np.mean(part))
-                part = part + rng.normal(0.0, sigma, size=part.shape[0])
-            if noise_model is not None:
-                part = noise_model(part, rng)
-            measured.append(part)
-        energies = np.concatenate(measured)
-    return TraceSet(
-        plaintexts=plaintexts,
-        traces=energies,
+    width, energies = kernel_energy_source(program)
+    return measure_traces(
+        campaign_blocks(trace_count, seed, *(block_range or ())),
+        width,
+        energies,
+        GaussianAmplitudeNoise(std=noise_std),
         key=key,
         description=f"{circuit.name} ({gate_style}, noise={noise_std})",
     )
-
 
 def simulated_energy_predictor(
     network_style: str = "genuine",
@@ -294,18 +366,17 @@ def simulated_energy_predictor(
     adversary: one that owns an identical device (or a perfect simulator
     of it) and can profile it for every key guess.
     """
-    from ..kernel import BitslicedCircuitEnergyModel, compile_circuit
+    from ..kernel import compile_circuit
 
     def predict(plaintexts: np.ndarray, guess: int) -> np.ndarray:
         circuit = build_sbox_circuit(
             guess, network_style=network_style, max_fanin=max_fanin, sbox=sbox,
             name=f"predictor_{network_style}_{guess:x}",
         )
-        model = BitslicedCircuitEnergyModel(
+        _, energies = kernel_energy_source(
             compile_circuit(circuit, technology=technology, gate_style=gate_style)
         )
-        plaintexts_array = np.asarray(plaintexts, dtype=np.int64)
-        return model.energies(nibble_matrix(plaintexts_array))
+        return energies(np.asarray(plaintexts, dtype=np.int64))
 
     return predict
 
@@ -314,71 +385,64 @@ def acquire_table_model_traces(
     leakage_table: np.ndarray,
     key: int,
     trace_count: int,
-    energy_per_bit: float = 1.0,
     noise_std: float = 0.0,
     seed: SeedLike = 2005,
-    noise_model: Optional[NoiseModelFn] = None,
     description: str = "",
 ) -> TraceSet:
-    """Batched leakage-model acquisition from a per-plaintext table.
+    """Leakage-model acquisition from a per-plaintext table.
 
     ``leakage_table[p]`` is the noiseless leakage of plaintext ``p``
     (e.g. the Hamming weight or Hamming distance of a multi-bit round
     register, with the key already folded in -- see
     :meth:`repro.scenarios.Scenario.leakage_table`); the table length
-    must be a power of two and fixes the plaintext space.  The whole
-    campaign is a single vectorized gather, so wide-state scenario
-    models acquire at array speed.  The random stream (plaintext draws
-    first, then the optional Gaussian noise) matches
-    :func:`acquire_model_traces` exactly.
+    must be a power of two and fixes the plaintext space.  The campaign
+    is one block over ``seed`` (see :data:`SeedLike`), measured by
+    :func:`measure_blocks` as a single vectorized gather: the plaintext
+    draws first, then Gaussian noise of absolute sigma ``noise_std``
+    (in the table's units).  The flow's ``source="model"`` campaigns
+    measure the same table over their block stream instead.
     """
-    leakage_table = np.asarray(leakage_table, dtype=float)
-    size = leakage_table.shape[0]
+    from ..assess.noise import GaussianAmplitudeNoise
+
+    table = np.asarray(leakage_table, dtype=float)
+    size = table.shape[0]
     if size < 2 or size & (size - 1):
         raise ValueError(
             f"leakage table length must be a power of two >= 2, got {size}"
         )
-    rng = np.random.default_rng(seed)
-    plaintexts = rng.integers(0, size, size=trace_count)
-    leakage = leakage_table[plaintexts] * energy_per_bit
-    if noise_std > 0.0:
-        leakage = leakage + rng.normal(0.0, noise_std * energy_per_bit, size=trace_count)
-    if noise_model is not None:
-        leakage = noise_model(leakage, rng)
-    return TraceSet(
-        plaintexts=plaintexts,
-        traces=leakage,
+    return measure_traces(
+        [Block(index=0, start=0, count=trace_count, seed=seed)],
+        size.bit_length() - 1,
+        lambda plaintexts: table[plaintexts],
+        GaussianAmplitudeNoise(std=noise_std, relative=False),
         key=key,
         description=description or f"table model (noise={noise_std})",
     )
-
 
 def acquire_model_traces(
     key: int,
     trace_count: int,
     sbox: Sequence[int] = PRESENT_SBOX,
-    energy_per_bit: float = 1.0,
     noise_std: float = 0.0,
     seed: SeedLike = 2005,
     target_bit: Optional[int] = None,
-    noise_model: Optional[NoiseModelFn] = None,
 ) -> TraceSet:
     """Leakage model of an unprotected implementation.
 
-    By default each trace is ``HW(S(p XOR key)) * energy_per_bit`` plus
-    optional Gaussian noise -- the textbook Hamming-weight model, used to
-    validate the attack implementation and as the unprotected-CMOS
-    reference.  With ``target_bit`` set, the leakage is that single bit
-    of the S-box output instead (the Kocher-style selection-bit model;
-    note that full Hamming-weight leakage of a 4-bit S-box produces
-    exact difference-of-means ghost peaks, so single-bit DPA needs this
+    By default each trace is ``HW(S(p XOR key))`` plus optional Gaussian
+    noise of sigma ``noise_std`` (in Hamming-weight units) -- the
+    textbook Hamming-weight model, used to validate the attack
+    implementation and as the unprotected-CMOS reference.  With
+    ``target_bit`` set, the leakage is that single bit of the S-box
+    output instead (the Kocher-style selection-bit model; note that full
+    Hamming-weight leakage of a 4-bit S-box produces exact
+    difference-of-means ghost peaks, so single-bit DPA needs this
     variant to demonstrate a recovery).  ``seed`` accepts an integer, a
     :class:`numpy.random.SeedSequence` or a live
     :class:`numpy.random.Generator` (see :data:`SeedLike`).
 
     This is the single-S-box front end of
-    :func:`acquire_table_model_traces`; multi-round scenarios tabulate
-    their round-register leakage and call the table back end directly.
+    :func:`acquire_table_model_traces`.
     """
     if target_bit is None:
         table = np.array(
@@ -394,9 +458,7 @@ def acquire_model_traces(
         table,
         key=key,
         trace_count=trace_count,
-        energy_per_bit=energy_per_bit,
         noise_std=noise_std,
         seed=seed,
-        noise_model=noise_model,
         description=description,
     )

@@ -9,9 +9,10 @@ amplifier and without the equalising transistor M1 -- so only the
 conducting branch discharges, and the internal nodes of the other branch
 (and any floating node) keep their charge.
 
-The class mirrors :class:`repro.sabl.gate.SABLGate` so that the
-benchmarks can swap one for the other; the charge-based models are shared
-with :mod:`repro.electrical.energy` (style ``"cvsl"``) and the transient
+The class shares :class:`repro.sabl.gate.DifferentialGate` with
+:class:`repro.sabl.gate.SABLGate` so that the benchmarks can swap one
+for the other; the charge-based models are shared with
+:mod:`repro.electrical.energy` (style ``"cvsl"``) and the transient
 view builds the classic precharged DCVS structure: two precharge PMOS,
 two cross-coupled PMOS keeping the high output high, and the clocked foot
 device.
@@ -19,75 +20,20 @@ device.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from ..boolexpr.ast import Expr
 from ..electrical.capacitance import extract_capacitances
-from ..electrical.energy import CycleEnergySimulator, EventEnergyModel, EventEnergyRecord
 from ..electrical.rc import SwitchedRCCircuit
-from ..electrical.technology import Technology, generic_180nm
-from ..network.netlist import DifferentialPullDownNetwork
-from .clocking import PhaseSchedule, clock_waveform, rail_waveforms
-from .gate import GND_NET, VDD_NET, CLK_NET, TransientResult
+from .clocking import clock_waveform, rail_waveforms
+from .gate import GND_NET, VDD_NET, CLK_NET, DifferentialGate
 
 __all__ = ["CVSLGate"]
 
 
-class CVSLGate:
+class CVSLGate(DifferentialGate):
     """A precharged CVSL-style differential gate (the paper's baseline)."""
 
-    def __init__(
-        self,
-        dpdn: DifferentialPullDownNetwork,
-        technology: Optional[Technology] = None,
-        output_load: Optional[float] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        self.dpdn = dpdn
-        self.technology = technology or generic_180nm()
-        self.output_load = (
-            output_load if output_load is not None else self.technology.c_output_load
-        )
-        self.name = name or f"cvsl_{dpdn.name}"
-        self._event_model = EventEnergyModel(
-            dpdn, self.technology, style="cvsl", output_load=self.output_load
-        )
-
-    # ----------------------------------------------------------------- logical
-
-    @property
-    def function(self) -> Optional[Expr]:
-        return self.dpdn.function
-
-    def variables(self) -> List[str]:
-        return self.dpdn.variables()
-
-    def logic_output(self, assignment: Mapping[str, bool]) -> bool:
-        if self.dpdn.function is None:
-            raise ValueError(f"gate {self.name} has no function annotation")
-        return bool(self.dpdn.function.evaluate(assignment))
-
-    # ------------------------------------------------------------- charge view
-
-    @property
-    def event_model(self) -> EventEnergyModel:
-        return self._event_model
-
-    def cycle_simulator(self) -> CycleEnergySimulator:
-        return CycleEnergySimulator(
-            self.dpdn, self.technology, style="cvsl", output_load=self.output_load
-        )
-
-    def discharged_capacitance(self, assignment: Mapping[str, bool]) -> float:
-        return self._event_model.discharged_capacitance(assignment)
-
-    def event_energy(self, assignment: Mapping[str, bool]) -> float:
-        return self._event_model.event_energy(assignment)
-
-    def energy_sweep(self) -> List[EventEnergyRecord]:
-        return self._event_model.sweep()
-
-    # ---------------------------------------------------------- transient view
+    style = "cvsl"
 
     def build_transient_circuit(
         self, events: Sequence[Mapping[str, bool]]
@@ -136,34 +82,3 @@ class CVSLGate:
                 gate=transistor.gate.rail_name,
             )
         return circuit
-
-    def transient(
-        self,
-        events: Sequence[Mapping[str, bool]],
-        time_step: Optional[float] = None,
-    ) -> TransientResult:
-        """Simulate a sequence of precharge/evaluation cycles."""
-        events = [dict(event) for event in events]
-        circuit = self.build_transient_circuit(events)
-        schedule = PhaseSchedule(self.technology)
-        waveforms = circuit.simulate(
-            t_stop=len(events) * self.technology.clock_period, time_step=time_step
-        )
-        cycle_charges: List[float] = []
-        cycle_energies: List[float] = []
-        for cycle in range(len(events)):
-            charge = waveforms.supply_charge(
-                f"i_{VDD_NET}", schedule.cycle_start(cycle), schedule.cycle_end(cycle)
-            )
-            cycle_charges.append(charge)
-            cycle_energies.append(charge * self.technology.vdd)
-        return TransientResult(
-            waveforms=waveforms,
-            events=events,
-            technology=self.technology,
-            cycle_charges=cycle_charges,
-            cycle_energies=cycle_energies,
-        )
-
-    def __repr__(self) -> str:
-        return f"CVSLGate({self.dpdn.name!r}, devices={self.dpdn.device_count()})"

@@ -23,8 +23,8 @@ charge of Fig. 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..boolexpr.ast import Expr
 from ..electrical.capacitance import extract_capacitances
@@ -35,7 +35,7 @@ from ..electrical.waveform import WaveformSet
 from ..network.netlist import DifferentialPullDownNetwork
 from .clocking import PhaseSchedule, clock_waveform, rail_waveforms
 
-__all__ = ["TransientResult", "SABLGate"]
+__all__ = ["TransientResult", "DifferentialGate", "SABLGate"]
 
 #: Net names used by the transient view of the gate.
 OUT_NET = "OUT"
@@ -76,8 +76,20 @@ class TransientResult:
         return "\n".join(lines)
 
 
-class SABLGate:
-    """One SABL gate: a sense amplifier wrapped around a DPDN."""
+class DifferentialGate:
+    """A precharged differential gate wrapped around a DPDN.
+
+    The shared body of :class:`SABLGate` and
+    :class:`~repro.sabl.cvsl.CVSLGate`: the logical view, the charge
+    view (the :class:`~repro.electrical.energy.EventEnergyModel` /
+    :class:`~repro.electrical.energy.CycleEnergySimulator` pair of the
+    gate's :attr:`style`) and the transient simulation loop.  A subclass
+    names its style -- also the default name prefix -- and builds its
+    switched-RC circuit in ``build_transient_circuit(events)``.
+    """
+
+    #: Charge-model style of :mod:`repro.electrical.energy`.
+    style: str = ""
 
     def __init__(
         self,
@@ -91,9 +103,9 @@ class SABLGate:
         self.output_load = (
             output_load if output_load is not None else self.technology.c_output_load
         )
-        self.name = name or f"sabl_{dpdn.name}"
+        self.name = name or f"{self.style}_{dpdn.name}"
         self._event_model = EventEnergyModel(
-            dpdn, self.technology, style="sabl", output_load=self.output_load
+            dpdn, self.technology, style=self.style, output_load=self.output_load
         )
 
     # ----------------------------------------------------------------- logical
@@ -122,7 +134,7 @@ class SABLGate:
     def cycle_simulator(self) -> CycleEnergySimulator:
         """A fresh stateful cycle-energy simulator for this gate."""
         return CycleEnergySimulator(
-            self.dpdn, self.technology, style="sabl", output_load=self.output_load
+            self.dpdn, self.technology, style=self.style, output_load=self.output_load
         )
 
     def discharged_capacitance(self, assignment: Mapping[str, bool]) -> float:
@@ -138,6 +150,52 @@ class SABLGate:
         return self._event_model.sweep()
 
     # ---------------------------------------------------------- transient view
+
+    def transient(
+        self,
+        events: Sequence[Mapping[str, bool]],
+        time_step: Optional[float] = None,
+    ) -> TransientResult:
+        """Simulate a sequence of precharge/evaluation cycles.
+
+        ``events[k]`` gives the complementary input values applied during
+        the evaluation phase of cycle ``k``.  The result carries the full
+        waveform set plus the charge and energy drawn from the supply in
+        each clock cycle -- the quantities an attacker measures.
+        """
+        events = [dict(event) for event in events]
+        circuit = self.build_transient_circuit(events)
+        schedule = PhaseSchedule(self.technology)
+        waveforms = circuit.simulate(
+            t_stop=len(events) * self.technology.clock_period, time_step=time_step
+        )
+        cycle_charges: List[float] = []
+        cycle_energies: List[float] = []
+        for cycle in range(len(events)):
+            charge = waveforms.supply_charge(
+                f"i_{VDD_NET}", schedule.cycle_start(cycle), schedule.cycle_end(cycle)
+            )
+            cycle_charges.append(charge)
+            cycle_energies.append(charge * self.technology.vdd)
+        return TransientResult(
+            waveforms=waveforms,
+            events=events,
+            technology=self.technology,
+            cycle_charges=cycle_charges,
+            cycle_energies=cycle_energies,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({self.dpdn.name!r}, "
+            f"devices={self.dpdn.device_count()})"
+        )
+
+
+class SABLGate(DifferentialGate):
+    """One SABL gate: a sense amplifier wrapped around a DPDN."""
+
+    style = "sabl"
 
     def build_transient_circuit(
         self, events: Sequence[Mapping[str, bool]]
@@ -193,40 +251,3 @@ class SABLGate:
                 gate=transistor.gate.rail_name,
             )
         return circuit
-
-    def transient(
-        self,
-        events: Sequence[Mapping[str, bool]],
-        time_step: Optional[float] = None,
-    ) -> TransientResult:
-        """Simulate a sequence of precharge/evaluation cycles.
-
-        ``events[k]`` gives the complementary input values applied during
-        the evaluation phase of cycle ``k``.  The result carries the full
-        waveform set plus the charge and energy drawn from the supply in
-        each clock cycle -- the quantities an attacker measures.
-        """
-        events = [dict(event) for event in events]
-        circuit = self.build_transient_circuit(events)
-        schedule = PhaseSchedule(self.technology)
-        waveforms = circuit.simulate(
-            t_stop=len(events) * self.technology.clock_period, time_step=time_step
-        )
-        cycle_charges: List[float] = []
-        cycle_energies: List[float] = []
-        for cycle in range(len(events)):
-            charge = waveforms.supply_charge(
-                f"i_{VDD_NET}", schedule.cycle_start(cycle), schedule.cycle_end(cycle)
-            )
-            cycle_charges.append(charge)
-            cycle_energies.append(charge * self.technology.vdd)
-        return TransientResult(
-            waveforms=waveforms,
-            events=events,
-            technology=self.technology,
-            cycle_charges=cycle_charges,
-            cycle_energies=cycle_energies,
-        )
-
-    def __repr__(self) -> str:
-        return f"SABLGate({self.dpdn.name!r}, devices={self.dpdn.device_count()})"

@@ -190,6 +190,35 @@ class TestCli:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_mistyped_key_exits_two(self, capsys):
+        assert main(["run", "--set", "key=0xB"]) == 2
+        assert "CampaignConfig.key must be an integer" in capsys.readouterr().err
+        assert main(["run", "--set", "assessment.methods=5"]) == 2
+        assert "expected a sequence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            ("campaign", "trace_count", "abc"),
+            ("campaign", "noise_std", "high"),
+            ("assessment", "traces_per_class", True),
+            ("execution", "shard_timeout", "soon"),
+            ("execution", "store", 5),
+            ("scenario", "params", 5),
+        ],
+    )
+    def test_mistyped_value_is_a_config_error(self, capsys, tmp_path, section, name, value):
+        # --set and config JSON values arrive untyped: a value of the
+        # wrong type is a config error naming the field.
+        field = f"{section.capitalize()}Config.{name}"
+        raw = value if isinstance(value, str) else json.dumps(value)
+        assert main(["run", "--set", f"{section}.{name}={raw}"]) == 2
+        assert field in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: {name: value}}))
+        assert main(["run", "--config", str(config)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_sweep_passes_the_start_method_to_its_pool(self, tmp_path):
         shutdown_pools()
         code = main(

@@ -14,8 +14,10 @@ from repro.flow import (
     CampaignConfig,
     ConfigError,
     DesignFlow,
+    ExecutionConfig,
     FlowConfig,
     FlowError,
+    ScenarioConfig,
 )
 from repro.flow.registry import get_assessment
 
@@ -148,6 +150,33 @@ class TestEndToEnd:
         result = flow.assessment()["ttest"]
         assert result.leaks  # the unprotected model leaks through the noise
         assert "circuit" not in flow.computed_stages()
+
+    def test_full_width_present_round_reaches_a_verdict(self):
+        # A 16-S-box slice draws 64-bit stimuli (as uint64); the fixed
+        # stimulus sets the top bit.  In process and on a pool alike.
+        def assessed(execution):
+            return DesignFlow(
+                None,
+                FlowConfig(
+                    name="present16",
+                    campaign=CampaignConfig(
+                        key=0x2B51, scenario="present_round", network_style="genuine"
+                    ),
+                    scenario=ScenarioConfig(params={"sboxes": 16}),
+                    assessment=AssessmentConfig(
+                        enabled=True, traces_per_class=300,
+                        fixed_plaintext=0xFEDCBA9876543210,
+                    ),
+                    execution=execution,
+                ),
+            ).assessment()["ttest"]
+
+        serial = assessed(ExecutionConfig())
+        pooled = assessed(ExecutionConfig(workers=2))
+        assert serial.test(1).count_fixed == serial.test(1).count_random == 300
+        assert serial.max_abs_t > 0.0
+        assert [t.statistic for t in pooled.tests] == [t.statistic for t in serial.tests]
+        assert pooled.leaks == serial.leaks
 
     def test_run_includes_assessment_only_when_enabled(self):
         disabled = DesignFlow.sbox(

@@ -861,8 +861,32 @@ class TestFlowIntegration:
 
 def _golden_flow(campaign: str, execution=None) -> DesignFlow:
     """The flow of one golden campaign: ``"<gate>/<network>"`` S-box,
-    ``"routed"`` or ``"sharded"`` PRESENT round slice.  ``execution``
-    replaces the ``"sharded"`` campaign's two-worker execution."""
+    ``"routed"`` or ``"sharded"`` PRESENT round slice, or ``"model"``
+    (the leakage model of a PRESENT round slice, assessment enabled).
+    ``execution`` replaces the ``"sharded"`` campaign's two-worker
+    execution."""
+    if campaign == "model":
+        return DesignFlow(
+            None,
+            FlowConfig(
+                name="golden_model",
+                campaign=CampaignConfig(
+                    key=0x6B,
+                    scenario="present_round",
+                    source="model",
+                    trace_count=5000,
+                    noise_std=0.5,
+                    seed=13,
+                ),
+                scenario=ScenarioConfig(params={"sboxes": 2}),
+                assessment=AssessmentConfig(
+                    enabled=True,
+                    traces_per_class=2500,
+                    seed=9,
+                    noise=({"name": "quantization", "bits": 6},),
+                ),
+            ),
+        )
     if campaign == "routed":
         return DesignFlow(
             None,
@@ -933,6 +957,32 @@ class TestGoldenStreams:
         for execution in (None, ExecutionConfig()):
             flow = _golden_flow("sharded", execution)
             assert _traces_digest(flow) == "e48d067cbc298de0"
+
+    def test_model_campaign(self):
+        # 20 noisy blocks: two energy-source calls of the leakage table.
+        assert _traces_digest(_golden_flow("model")) == "44cb69d5e08a3b44"
+
+    def test_model_assessment_stream(self):
+        # The same table under the fixed-vs-random stream, campaign noise
+        # then a 6-bit ADC.
+        result = _golden_flow("model").assessment()["ttest"]
+        rows = repr([(t.order, t.statistic, t.leaks) for t in result.tests])
+        assert hashlib.sha256(rows.encode()).hexdigest()[:16] == "d1cc788b5f6c1d7e"
+
+    def test_kernel_call_groups_match_the_block_oracle(self):
+        # 20 blocks are two kernel calls (16 blocks, then 4); the oracle
+        # walks the blocks one by one.
+        circuit = build_sbox_circuit(0xB, network_style="genuine")
+        program = compile_circuit(circuit)
+        traces = acquire_circuit_traces(
+            circuit, 0xB, 5000, noise_std=0.02, seed=3, program=program
+        )
+        plaintexts, expected = oracle_traces(
+            circuit, 5000, seed=3, noise_std=0.02, stepped=False,
+            tables=program.gate_tables(), gate_style="sabl",
+        )
+        assert np.array_equal(traces.plaintexts, plaintexts)
+        assert np.array_equal(traces.traces, expected)
 
     @pytest.mark.parametrize("campaign", ["sabl/fc", "cvsl/genuine", "routed"])
     def test_streams_match_the_block_oracle(self, campaign):
