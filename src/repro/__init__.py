@@ -100,7 +100,7 @@ from .obs import (
     use_observer,
 )
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 
 __all__ = [

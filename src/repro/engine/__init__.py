@@ -28,8 +28,6 @@ or start method changes a result or a store key.
 """
 
 from .executors import (
-    ExecutorError,
-    ProcessPoolExecutor,
     ShardTimeoutError,
     default_start_method,
     shutdown_pools,
@@ -40,7 +38,6 @@ from .runner import (
     ShardTaskError,
     run_assessment_campaign,
     run_trace_campaign,
-    sample_resource_gauges,
 )
 from .sharding import Shard, plan_shards
 from .store import ArtifactStore, content_key
@@ -52,9 +49,7 @@ __all__ = [
     "Shard",
     "plan_shards",
     # executors
-    "ExecutorError",
     "ShardTimeoutError",
-    "ProcessPoolExecutor",
     "default_start_method",
     "warm_pool",
     "warm_pool_stats",
@@ -63,7 +58,6 @@ __all__ = [
     "ShardTaskError",
     "run_trace_campaign",
     "run_assessment_campaign",
-    "sample_resource_gauges",
     # store
     "ArtifactStore",
     "content_key",

@@ -405,7 +405,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 config,
                 axes,
                 workers=args.workers if args.workers is not None else 1,
-                executor=args.executor,
                 stages=stages,
             )
     finally:

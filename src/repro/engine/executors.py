@@ -1,27 +1,28 @@
-"""The process pool that sharded campaigns and sweeps map over.
+"""The one map path of sharded campaigns and sweeps.
 
-The engine runs a list of payloads one of two ways, chosen from
-:attr:`repro.flow.ExecutionConfig.pooled`: an in-process
-loop (``executor="serial"``, or a single worker), or the warm
-:class:`ProcessPoolExecutor` (``executor="process"`` with ``workers >
-1``).  Both deliver results *in payload order* -- the only contract the
-runner's map-reduce needs -- and the loop is the reference the pool must
-match bit for bit.  :func:`_map_on_pool` is the one pool path: the
-runner's shard maps and the sweep's cell maps both go through it.
+:func:`map_payloads` runs a list of payloads -- a campaign's shards or a
+sweep's cells -- and hands each result to ``consume`` in payload order,
+the only contract the runner's map-reduce needs.  It takes one of two
+ways, chosen from :attr:`repro.flow.ExecutionConfig.pooled`: the
+caller's in-process ``local`` callable in a loop
+(``executor="serial"``, or a single worker), or the caller's picklable
+``task`` on the warm worker pool (``executor="process"`` with
+``workers > 1``).  The loop is the reference the pool must match bit
+for bit, and a failed payload surfaces through the caller's ``fail``
+on both paths.
 
 Persistent-pool lifecycle
 -------------------------
 
 Worker pools are warm module-level state, keyed by ``(start method,
-worker count)``: the first ``map`` that needs a pool forks (or spawns)
-it, and every later ``map`` with the same shape reuses it -- across
-executor instances, campaigns and sweeps.  That is the whole point:
-pool startup, module imports and the per-process flow/``CompiledProgram``
-caches (:mod:`repro.engine.runner`) are paid once per process lifetime
-instead of once per ``map`` call, which is what used to make 2-worker
-campaigns *slower* than serial.  The pools are reclaimed at interpreter
-exit (``atexit``) or eagerly via :func:`shutdown_pools`; benchmarks call
-:func:`warm_pool` first so pool startup never pollutes a timing window.
+worker count)``: the first pooled map forks (or spawns) its pool, and
+every later map with the same shape reuses it -- across campaigns and
+sweeps.  Pool startup, module imports and the per-process
+flow/``CompiledProgram`` caches (:mod:`repro.engine.runner`) are paid
+once per process lifetime instead of once per map.  The pools are
+reclaimed at interpreter exit (``atexit``) or eagerly via
+:func:`shutdown_pools`; benchmarks call :func:`warm_pool` first so pool
+startup never pollutes a timing window.
 
 Start method
 ------------
@@ -40,28 +41,38 @@ Timeouts
 --------
 
 A plain ``Pool.map`` blocks forever when a worker dies mid-task (the
-pool replaces the process, but the task's result never arrives).
-``map`` therefore consumes results one at a time with a configurable
-per-payload timeout (:attr:`repro.flow.ExecutionConfig.shard_timeout`);
-on expiry the pool is terminated and evicted and
-:class:`ShardTimeoutError` -- carrying the payload index -- is raised,
-so a wedged campaign fails loudly instead of hanging.  Task exceptions,
-by contrast, re-raise in the parent and leave the (healthy) pool warm.
+pool replaces the process, but the task's result never arrives).  The
+pool path therefore takes results one at a time with a per-payload
+timeout (:attr:`repro.flow.ExecutionConfig.shard_timeout`); on expiry
+the pool is terminated and evicted and the payload fails with a
+:class:`ShardTimeoutError` -- carrying the payload index -- so a wedged
+campaign fails loudly instead of hanging.  Task exceptions, by
+contrast, re-raise in the parent and leave the (healthy) pool warm.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
 import multiprocessing
 import multiprocessing.pool
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
-from ..obs import ProgressDispatcher, get_observer
+from ..obs import ProgressDispatcher, rss_bytes
 
 __all__ = [
-    "ExecutorError",
     "ShardTimeoutError",
-    "ProcessPoolExecutor",
+    "map_payloads",
     "default_start_method",
     "warm_pool",
     "warm_pool_stats",
@@ -72,12 +83,8 @@ P = TypeVar("P")
 R = TypeVar("R")
 
 
-class ExecutorError(RuntimeError):
-    """The process pool failed outside the task function itself."""
-
-
-class ShardTimeoutError(ExecutorError):
-    """One payload exceeded the executor's per-shard timeout.
+class ShardTimeoutError(RuntimeError):
+    """One payload exceeded the per-shard timeout.
 
     Raised in the parent after the worker pool has been terminated and
     evicted; ``payload_index`` identifies the payload whose result never
@@ -97,7 +104,7 @@ class ShardTimeoutError(ExecutorError):
 
 
 def default_start_method() -> str:
-    """The start method the process executor pins when none is configured.
+    """The start method the worker pool pins when none is configured.
 
     ``fork`` wherever the platform offers it: workers inherit the
     parent's imported modules (cheap startup).
@@ -109,8 +116,8 @@ def default_start_method() -> str:
 
 
 #: Warm worker pools, keyed by ``(start method, worker count)``.  Module
-#: state on purpose: pools persist across executor instances so flow and
-#: program caches in the workers stay warm for a whole sweep.
+#: state on purpose: pools persist across maps so flow and program
+#: caches in the workers stay warm for a whole sweep.
 _WARM_POOLS: Dict[Tuple[str, int], multiprocessing.pool.Pool] = {}
 
 
@@ -138,7 +145,7 @@ def warm_pool(workers: int, start_method: Optional[str] = None) -> None:
     """Start (or verify) the warm pool for ``workers`` ahead of use.
 
     A no-op round trip through every worker proves the pool is up, so a
-    subsequent timed ``map`` (benchmarks!) measures shard execution, not
+    subsequent timed map (benchmarks!) measures shard execution, not
     process startup.  ``workers < 2`` needs no pool and returns
     immediately.
     """
@@ -171,142 +178,117 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
-class ProcessPoolExecutor:
-    """A persistent ``multiprocessing`` pool of worker processes.
+def _sample_gauges(observer: Any) -> None:
+    """Sample the engine's resource state into ``observer``.
 
-    ``fn`` and the payloads must be picklable (the runner's task
-    functions are module-level for exactly this reason).  Results come
-    back in payload order regardless of completion order.  The
-    underlying pool is shared module state (see the module docstring for
-    the lifecycle): constructing an executor is cheap and does not start
-    processes; the first ``map`` does, and later maps reuse them.
-
-    Args:
-        workers: pool size; must be >= 1.
-        start_method: ``multiprocessing`` start method to pin
-            (``fork``/``spawn``/``forkserver``); ``None`` uses
-            :func:`default_start_method`.
-        timeout: seconds to wait for *each* payload's result before
-            declaring the pool wedged and raising
-            :class:`ShardTimeoutError`; ``None`` waits forever (a dead
-            worker then hangs the map -- configure a timeout for
-            unattended campaigns).
-
-    The engine never builds a one-worker pool: ``ExecutionConfig.pooled`` keeps
-    ``ExecutionConfig(executor="process")`` at the default ``workers=1``
-    on the in-process loop, so it pays no process or flow-rebuild
-    overhead.
+    It emits gauge events for the warm pool state (``executor.pools`` /
+    ``executor.pool_workers``) and the parent's RSS (``proc.rss_mb``),
+    all O(1) reads.  The artifact store is not sampled: its on-disk
+    size takes a walk of every entry (``repro store stats``), and its
+    accesses already reach the trace as ``store.hit`` / ``store.miss``
+    / ``store.write`` counters.  A no-op when ``observer`` is inactive.
     """
-
-    def __init__(
-        self,
-        workers: int,
-        start_method: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        if start_method is not None:
-            available = multiprocessing.get_all_start_methods()
-            if start_method not in available:
-                raise ValueError(
-                    f"start method {start_method!r} is not available on this "
-                    f"platform; choose from {available}"
-                )
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive or None, got {timeout}")
-        self.workers = workers
-        self.start_method = start_method or default_start_method()
-        self.timeout = timeout
-
-    def map(
-        self,
-        fn: Callable[[P], R],
-        payloads: Sequence[P],
-        consume: Optional[Callable[[R], None]] = None,
-    ) -> List[R]:
-        """``fn`` over ``payloads`` on the pool, results in payload order.
-
-        With ``consume``, each result is handed to it as soon as it is
-        next in order and nothing is collected (the returned list is
-        empty), so a caller that folds results holds only the ones still
-        in flight.
-        """
-        if not payloads:
-            return []
-        with get_observer().span(
-            "executor.map",
-            backend="process",
-            workers=min(self.workers, len(payloads)),
-            payloads=len(payloads),
-            start_method=self.start_method,
-        ):
-            return self._pool_map(fn, payloads, consume)
-
-    def _pool_map(
-        self,
-        fn: Callable[[P], R],
-        payloads: Sequence[P],
-        consume: Optional[Callable[[R], None]],
-    ) -> List[R]:
-        pool = _pool(self.start_method, self.workers)
-        try:
-            # imap instead of map: results are consumed one at a time,
-            # which is what makes a per-payload timeout possible at all
-            # -- Pool.map offers no way to notice a worker that died
-            # holding a task.
-            iterator = pool.imap(fn, payloads, chunksize=1)
-            results: List[R] = []
-            emit = results.append if consume is None else consume
-            for index in range(len(payloads)):
-                try:
-                    result = iterator.next(self.timeout)
-                except multiprocessing.TimeoutError:
-                    raise ShardTimeoutError(index, self.timeout) from None
-                emit(result)
-            return results
-        except ShardTimeoutError:
-            # The pool still holds the wedged/lost task: terminate it and
-            # drop it from the warm cache so the next map starts fresh.
-            _evict_pool(self.start_method, self.workers)
-            raise
-        # Task exceptions (re-raised by the pool in the parent) leave the
-        # pool healthy and warm: no eviction.
+    if not observer.active:
+        return
+    pools, pool_workers = warm_pool_stats()
+    observer.gauge("executor.pools", pools)
+    observer.gauge("executor.pool_workers", pool_workers)
+    observer.gauge("proc.rss_mb", round(rss_bytes() / 1e6, 1))
 
 
-def _map_on_pool(
-    task: Callable[[P], Tuple[Any, ...]],
+def _guarded(
+    task: Callable[[P], Any], fail: Callable[[P, Exception], Exception], payload: P
+) -> Any:
+    """Run ``task`` on a pool worker; its failure is wrapped by ``fail``
+    before the error is pickled back to the parent."""
+    try:
+        return task(payload)
+    except Exception as exc:
+        raise fail(payload, exc) from exc
+
+
+def _pool_outputs(
+    task: Callable[[P], Any],
     payloads: Sequence[P],
+    start_method: str,
+    workers: int,
+    timeout: Optional[float],
+) -> Iterator[Any]:
+    """``task`` over ``payloads`` on the warm pool, outputs in payload order.
+
+    ``imap`` instead of ``map``: outputs arrive one at a time, which is
+    what makes a per-payload timeout possible at all -- ``Pool.map``
+    offers no way to notice a worker that died holding a task.  On a
+    timeout the pool still holds the wedged or lost task: it is
+    terminated and dropped from the warm cache, so the next map starts
+    fresh.  Task exceptions re-raise here and leave the pool warm.
+    """
+    iterator = _pool(start_method, workers).imap(task, payloads, chunksize=1)
+    for index in range(len(payloads)):
+        try:
+            output = iterator.next(timeout)
+        except multiprocessing.TimeoutError:
+            _evict_pool(start_method, workers)
+            raise ShardTimeoutError(index, timeout) from None
+        yield output
+
+
+def map_payloads(
+    payloads: Sequence[P],
+    task: Callable[[P], Tuple[R, Optional[List[Dict[str, Any]]]]],
+    local: Callable[[P], R],
+    consume: Callable[[R], None],
     execution: Any,
-    obs_config: Any,
+    *,
+    fail: Callable[[P, Exception], Exception],
     observer: Any,
+    obs_config: Any,
     total: int,
     unit: str,
-    resource_sampler: Callable[[], None],
-    consume: Callable[[Tuple[Any, ...]], None],
 ) -> None:
-    """Map ``task`` over ``payloads`` on the warm pool, in payload order.
+    """Run every payload and hand its result to ``consume``, in payload order.
 
-    The pool is built from ``execution``'s ``workers``, ``start_method``
-    and ``shard_timeout`` (the timeout applies per payload).
+    In process (``execution.pooled`` false) ``local(payload)`` runs in
+    a loop and its result goes straight to ``consume``.  Otherwise
+    ``task`` runs on the warm pool of ``execution.workers`` processes
+    started by ``execution.start_method``, and returns ``(result,
+    events)``: the trailing list holds the events its worker buffered
+    (:func:`repro.obs.capture_events`).  As each output arrives, in
+    payload order, its events are replayed into ``observer`` and then
+    ``result`` goes to ``consume``, so the trace file holds every
+    worker event once, in payload order, and the parent holds no
+    payload's events or result longer than the fold needs.  When
+    ``observer`` is active and the workers buffer (``obs_config.active``),
+    the same events feed a :class:`~repro.obs.ProgressDispatcher`
+    counting ``total`` ``unit``: the ``engine.progress`` events, the
+    resource gauges and, with ``obs_config.progress``, the stderr
+    progress line.
 
-    Every task returns ``(*result, events)``: the trailing list holds
-    the events its worker buffered (:func:`repro.obs.capture_events`).
-    As each payload's output arrives (in payload order), its events are
-    replayed into ``observer`` and then the bare ``result`` tuple goes
-    to ``consume``, so the trace file holds every worker event once, in
-    payload order, and the parent holds no payload's events or result
-    longer than the fold needs.  When ``observer`` is active and the
-    workers buffer (``obs_config.active``), the same events feed a
-    :class:`~repro.obs.ProgressDispatcher` counting ``total`` ``unit``:
-    the ``engine.progress`` events, the ``resource_sampler`` gauges and,
-    with ``obs_config.progress``, the stderr progress line.
+    A failed payload raises ``fail(payload, error)`` on both paths, so
+    the error names it: when ``local``, ``task`` or ``consume`` raises
+    ``error``, and when the payload's result is not back within
+    ``execution.shard_timeout`` seconds (``error`` is then a
+    :class:`ShardTimeoutError`, and the pool is evicted).  ``task`` and
+    ``fail`` travel to the workers, so both must be module-level; a
+    task's failure is wrapped in the worker, and ``fail`` must build a
+    picklable error.
     """
-    executor = ProcessPoolExecutor(
-        execution.workers,
-        start_method=execution.start_method,
-        timeout=execution.shard_timeout,
-    )
+    if not execution.pooled:
+        for payload in payloads:
+            try:
+                consume(local(payload))
+            except Exception as exc:
+                raise fail(payload, exc) from exc
+        return
+    if not payloads:
+        return
+    start_method = execution.start_method or default_start_method()
+    available = multiprocessing.get_all_start_methods()
+    if start_method not in available:
+        raise ValueError(
+            f"start method {start_method!r} is not available on this "
+            f"platform; choose from {available}"
+        )
     dispatcher = None
     if observer.active and obs_config.active:
         dispatcher = ProgressDispatcher(
@@ -316,19 +298,34 @@ def _map_on_pool(
             # -q (verbosity 0) silences the rendered line like it
             # silences the console sink; the progress *events* still flow.
             progress=obs_config.progress and obs_config.verbosity > 0,
-            resource_sampler=resource_sampler,
+            resource_sampler=lambda: _sample_gauges(observer),
         )
-
-    def take(output: Tuple[Any, ...]) -> None:
-        *result, events = output
-        if events:
-            observer.replay(events)
-            if dispatcher is not None:
-                dispatcher(events)
-        consume(tuple(result))
-
+    outputs = _pool_outputs(
+        functools.partial(_guarded, task, fail),
+        payloads,
+        start_method,
+        execution.workers,
+        execution.shard_timeout,
+    )
     try:
-        executor.map(task, payloads, take)
+        with observer.span(
+            "executor.map",
+            backend="process",
+            workers=min(execution.workers, len(payloads)),
+            payloads=len(payloads),
+            start_method=start_method,
+        ):
+            for payload, (result, events) in zip(payloads, outputs):
+                if events:
+                    observer.replay(events)
+                    if dispatcher is not None:
+                        dispatcher(events)
+                try:
+                    consume(result)
+                except Exception as exc:
+                    raise fail(payload, exc) from exc
+    except ShardTimeoutError as exc:
+        raise fail(payloads[exc.payload_index], exc) from exc
     finally:
         if dispatcher is not None:
             dispatcher.finish()

@@ -6,10 +6,10 @@ map-reduce over the campaign's fixed block stream:
 1. **plan** -- the campaign's blocks (:func:`repro.power.trace.campaign_blocks`,
    each with its own spawned ``SeedSequence``) are grouped into shards
    of whole consecutive blocks (:mod:`repro.engine.sharding`);
-2. **map** -- each shard runs in an in-process loop or on the warm
-   process pool (:mod:`repro.engine.executors`).  A run that sets no
-   shard size is one task covering every block in process, and one
-   shard per worker on a pool
+2. **map** -- :func:`repro.engine.executors.map_payloads` runs each
+   shard in an in-process loop or on the warm process pool.  A run
+   that sets no shard size is one task covering every block in
+   process, and one shard per worker on a pool
    (:meth:`~repro.flow.config.ExecutionConfig.effective_shard_size`).
    Worker processes rebuild the flow from its config dict and build the
    circuit themselves -- the parent of an unrouted campaign maps none,
@@ -19,10 +19,10 @@ map-reduce over the campaign's fixed block stream:
    repeated campaign finds its circuit warm, sweep cell after sweep
    cell);
 3. **reduce** -- trace blocks are concatenated in block order; an
-   assessment shard on the pool returns one set of method accumulators
-   per block, and the parent ``merge()``-s them left to right in block
-   order as they arrive (in process each block updates the running
-   accumulators directly, the same arithmetic).
+   assessment shard yields one fresh set of method accumulators per
+   block, and the parent ``merge()``-s them left to right in block
+   order (a pool worker lists its shard's sets, while in process each
+   set is merged as it is yielded).
 
 Every shard result -- trace blocks and assessment accumulators alike --
 comes back through the pool's ordinary result pipe.
@@ -46,21 +46,20 @@ tests pin that.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..flow.config import ExecutionConfig, FlowConfig
 from ..flow.pipeline import DesignFlow, FlowError
-from ..obs import capture_events, rss_bytes
-from .executors import ShardTimeoutError, _map_on_pool, warm_pool_stats
+from ..obs import capture_events
+from .executors import _sample_gauges, map_payloads
 from .sharding import Shard, plan_shards
 
 __all__ = [
     "ShardTaskError",
     "run_trace_campaign",
     "run_assessment_campaign",
-    "sample_resource_gauges",
 ]
 
 
@@ -91,6 +90,11 @@ class ShardTaskError(FlowError):
 
 # ------------------------------------------------------------------ worker side
 
+#: A flow as a worker receives it: the config as canonical JSON and the
+#: custom expressions (``None`` for a scenario flow) as sorted
+#: ``(name, str(expr))`` pairs.
+_FlowSpec = Tuple[str, Optional[Tuple[Tuple[str, str], ...]]]
+
 #: Per-process cache of reconstructed flows, keyed by the flow spec.
 #: A pool worker may execute several shards of the same campaign (an
 #: explicit small ``shard_size``, or a long campaign past the default
@@ -98,14 +102,14 @@ class ShardTaskError(FlowError):
 #: campaign again later; caching the flow means the circuit is mapped
 #: (and its ``CompiledProgram`` built) once per worker process, not once
 #: per shard or once per ``map``.
-_WORKER_FLOWS: Dict[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]], DesignFlow] = {}
+_WORKER_FLOWS: Dict[_FlowSpec, DesignFlow] = {}
 
 #: Upper bound on cached worker flows (sweeps cycle through many
 #: configs; old entries are evicted FIFO).
 _WORKER_FLOW_CACHE_SIZE = 8
 
 
-def _flow_spec(flow: DesignFlow) -> Tuple[str, Optional[Tuple[Tuple[str, str], ...]]]:
+def _flow_spec(flow: DesignFlow) -> _FlowSpec:
     """A picklable, hashable spec a worker rebuilds the flow from.
 
     The config travels as canonical JSON; custom expressions travel as
@@ -124,9 +128,7 @@ def _flow_spec(flow: DesignFlow) -> Tuple[str, Optional[Tuple[Tuple[str, str], .
     return config_json, expressions
 
 
-def _flow_from_spec(
-    spec: Tuple[str, Optional[Tuple[Tuple[str, str], ...]]]
-) -> DesignFlow:
+def _flow_from_spec(spec: _FlowSpec) -> DesignFlow:
     flow = _WORKER_FLOWS.get(spec)
     if flow is None:
         config_json, expressions = spec
@@ -142,11 +144,16 @@ def _flow_from_spec(
     return flow
 
 
-def _shard_error(
-    stage: str, spec: Tuple[str, Any], shard, exc: BaseException
-) -> ShardTaskError:
-    """Wrap a worker-side failure with shard and flow identity."""
-    config_json, _ = spec
+#: A shard task's payload: the stage (``"traces"`` or
+#: ``"assessment"``), the flow spec, the shard and the parent's routed
+#: :class:`~repro.layout.CircuitLayout` (``None`` when the campaign is
+#: not routed), so a worker never places and routes.
+_ShardPayload = Tuple[str, _FlowSpec, Shard, Any]
+
+
+def _shard_error(payload: _ShardPayload, exc: BaseException) -> ShardTaskError:
+    """Wrap a shard's failure with shard and flow identity."""
+    stage, (config_json, _), shard, _ = payload
     name: Any = "?"
     key: Any = None
     try:
@@ -166,122 +173,56 @@ def _shard_error(
     )
 
 
-#: A shard task's payload: the flow spec, the shard and the parent's
-#: routed :class:`~repro.layout.CircuitLayout` (``None`` when the
-#: campaign is not routed), so a worker never places and routes.
-_ShardPayload = Tuple[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]], Shard, Any]
-
-
-def _trace_shard_task(
+def _shard_task(
     payload: _ShardPayload,
-) -> Tuple[Tuple[np.ndarray, np.ndarray], Optional[List[Dict[str, Any]]]]:
-    """Executed on a pool worker: acquire one trace shard.
+) -> Tuple[Any, Optional[List[Dict[str, Any]]]]:
+    """Executed on a pool worker: run one shard of the payload's stage.
 
-    Observability events are buffered and returned *with* the shard
-    payload (see :func:`repro.obs.capture_events`): workers cannot share
-    the parent's sinks, and piggybacking on the result keeps the
-    executor protocol -- and with it the determinism contract --
-    untouched.  Any failure is re-raised as :class:`ShardTaskError`
-    with the shard's identity.
+    A trace shard returns its ``(plaintexts, traces)`` arrays, an
+    assessment shard the list of its per-block method sets.
+    Observability events are buffered and returned *with* the result
+    (see :func:`repro.obs.capture_events`): workers cannot share the
+    parent's sinks, and piggybacking on the result keeps the map
+    protocol -- and with it the determinism contract -- untouched.
     """
-    spec, shard, layout = payload
-    try:
-        flow = _flow_from_spec(spec)
-        flow._adopt_layout(layout)
-        with capture_events(flow.config.obs) as (_, events):
+    stage, spec, shard, layout = payload
+    flow = _flow_from_spec(spec)
+    flow._adopt_layout(layout)
+    with capture_events(flow.config.obs) as (_, events):
+        if stage == "traces":
             result = flow._acquire_trace_shard(shard)
-    except Exception as exc:
-        raise _shard_error("traces", spec, shard, exc) from exc
-    return result, events
-
-
-def _assessment_shard_task(
-    payload: _ShardPayload,
-) -> Tuple[List[Dict[str, Any]], Optional[List[Dict[str, Any]]]]:
-    """Executed on a pool worker: stream one assessment shard.
-
-    Like :func:`_trace_shard_task`, buffered observability events ride
-    back with the result and failures wrap into :class:`ShardTaskError`.
-    """
-    spec, shard, layout = payload
-    try:
-        flow = _flow_from_spec(spec)
-        flow._adopt_layout(layout)
-        with capture_events(flow.config.obs) as (_, events):
-            result = flow._run_assessment_shard(shard)
-    except Exception as exc:
-        raise _shard_error("assessment", spec, shard, exc) from exc
+        else:
+            result = list(flow._run_assessment_shard(shard))
     return result, events
 
 
 # ------------------------------------------------------------------ map-reduce
 
 
-def _sample_gauges(obs: Any) -> None:
-    """Sample engine resource state into ``obs`` (no-op when inactive)."""
-    if not obs.active:
-        return
-    pools, pool_workers = warm_pool_stats()
-    obs.gauge("executor.pools", pools)
-    obs.gauge("executor.pool_workers", pool_workers)
-    obs.gauge("proc.rss_mb", round(rss_bytes() / 1e6, 1))
-
-
-def sample_resource_gauges(flow: DesignFlow) -> None:
-    """Sample the engine's resource state into the flow observer.
-
-    It emits gauge events for the warm pool state (``executor.pools`` /
-    ``executor.pool_workers``) and the parent's RSS (``proc.rss_mb``),
-    all O(1) reads.  The artifact store is not sampled: its on-disk
-    size takes a walk of every entry (``repro store stats``), and its
-    accesses already reach the trace as ``store.hit`` / ``store.miss``
-    / ``store.write`` counters.  Observability only -- reads engine
-    state, never changes it; a no-op when the flow's observer is
-    inactive.
-    """
-    _sample_gauges(flow._observer())
-
-
-def _map_shards(flow: DesignFlow, task, local, shards, consume) -> None:
-    """Run shard tasks in shard order: in process or on the warm pool.
+def _map_stage(
+    flow: DesignFlow, stage: str, shards, local, consume, total: int, unit: str
+) -> None:
+    """Map ``stage``'s shards through :func:`map_payloads`, in shard order.
 
     In process ``local(shard)`` runs against the *local* flow object
     (reusing its cached circuit); the pool ships the flow spec to the
-    workers, which run ``task``.  Each shard's result goes to
-    ``consume`` as soon as it is next in shard order, so a fold holds
-    only the shards in flight.  Both paths surface a failed shard as
-    :class:`ShardTaskError` with the same context.
+    workers, which run :func:`_shard_task`.  A failed shard surfaces as
+    :class:`ShardTaskError` with the same context on both paths.
     """
-    execution = flow.config.execution
-    stage = "traces" if task is _trace_shard_task else "assessment"
-    if not execution.pooled:
-        for shard in shards:
-            try:
-                result = local(shard)
-            except Exception as exc:
-                raise _shard_error(stage, _flow_spec(flow), shard, exc) from exc
-            consume(result)
-        return
     spec = _flow_spec(flow)
     layout = flow._routed_layout()
-    if task is _trace_shard_task:
-        total, unit = sum(shard.count for shard in shards), "traces"
-    else:
-        total, unit = len(shards), "shards"
-    try:
-        _map_on_pool(
-            task,
-            [(spec, shard, layout) for shard in shards],
-            execution,
-            flow.config.obs,
-            flow._observer(),
-            total=total,
-            unit=unit,
-            resource_sampler=lambda: sample_resource_gauges(flow),
-            consume=lambda result: consume(result[0]),
-        )
-    except ShardTimeoutError as exc:
-        raise _shard_error(stage, spec, shards[exc.payload_index], exc) from exc
+    map_payloads(
+        [(stage, spec, shard, layout) for shard in shards],
+        _shard_task,
+        lambda payload: local(payload[2]),
+        consume,
+        flow.config.execution,
+        fail=_shard_error,
+        observer=flow._observer(),
+        obs_config=flow.config.obs,
+        total=total,
+        unit=unit,
+    )
 
 
 def _engine_details(execution: ExecutionConfig, shards) -> Dict[str, Any]:
@@ -316,12 +257,18 @@ def run_trace_campaign(flow: DesignFlow) -> Tuple[Any, Dict[str, Any]]:
         workers=execution.workers,
     ):
         parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        _map_shards(
-            flow, _trace_shard_task, flow._acquire_trace_shard, shards, parts.append
+        _map_stage(
+            flow,
+            "traces",
+            shards,
+            flow._acquire_trace_shard,
+            parts.append,
+            total=campaign.trace_count,
+            unit="traces",
         )
         plaintexts = np.concatenate([part[0] for part in parts])
         traces = np.concatenate([part[1] for part in parts])
-        sample_resource_gauges(flow)
+        _sample_gauges(flow._observer())
     trace_set = TraceSet(
         plaintexts=plaintexts,
         traces=traces,
@@ -338,12 +285,12 @@ def run_assessment_campaign(
 
     The result is the left fold, in block order, of one set of method
     accumulators per block, finalized once -- the same floating-point
-    reduction at every shard size.  A pool shard returns its per-block
-    sets and the parent merges them into the running methods as they
-    arrive; in process each block updates the running methods directly,
-    which is the same arithmetic.  Either way the parent holds the
-    running methods and the shards in flight, never the whole campaign.
-    Returns ``(outcomes, details)``.
+    reduction at every shard size.  The parent merges each shard's
+    per-block sets into the running methods: a pool shard returns them
+    as a list, and in process each set is merged as the shard yields
+    it.  Either way the parent holds the running methods and the shards
+    in flight, never the whole campaign.  Returns ``(outcomes,
+    details)``.
     """
     config = flow.config.assessment
     execution = flow.config.execution
@@ -358,7 +305,7 @@ def run_assessment_campaign(
                 f"so add a merge() to the method"
             )
 
-    def merge_blocks(per_block: List[Dict[str, Any]]) -> None:
+    def merge_blocks(per_block: Iterable[Dict[str, Any]]) -> None:
         for other in per_block:
             for name, method in methods.items():
                 method.merge(other[name])
@@ -369,14 +316,16 @@ def run_assessment_campaign(
         executor=execution.resolved_executor,
         workers=execution.workers,
     ):
-        _map_shards(
+        _map_stage(
             flow,
-            _assessment_shard_task,
-            lambda shard: flow._run_assessment_shard(shard, methods),
+            "assessment",
             shards,
+            flow._run_assessment_shard,
             merge_blocks,
+            total=len(shards),
+            unit="shards",
         )
-        sample_resource_gauges(flow)
+        _sample_gauges(flow._observer())
     outcomes = {name: method.finalize() for name, method in methods.items()}
     details = _engine_details(execution, shards)
     details["blocks"] = shards[-1].stop

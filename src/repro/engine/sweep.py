@@ -35,8 +35,7 @@ from ..flow.config import CampaignConfig, ConfigError, FlowConfig
 from ..flow.pipeline import DesignFlow, FlowError
 from ..obs import capture_events, get_observer, observer_from_config, use_observer
 from ..reporting.tables import format_table
-from .executors import ShardTimeoutError, _map_on_pool
-from .runner import _sample_gauges
+from .executors import map_payloads
 
 __all__ = ["SweepReport", "build_grid", "run_sweep"]
 
@@ -107,14 +106,24 @@ def _attack_record(outcome: Any) -> Dict[str, Any]:
     }
 
 
+#: A sweep cell's payload: its name, its config as JSON and the stages
+#: to compute (``None``: the flow's applicable stages).
+_CellPayload = Tuple[str, str, Optional[Tuple[str, ...]]]
+
+
+def _cell_error(payload: _CellPayload, exc: BaseException) -> FlowError:
+    """Wrap a cell's failure with the cell's name."""
+    return FlowError(f"sweep cell {payload[0]!r} failed: {exc}")
+
+
 def _sweep_cell_task(
-    payload: Tuple[str, str, Optional[Tuple[str, ...]]]
+    payload: _CellPayload,
 ) -> Tuple[Dict[str, Any], Optional[List[Dict[str, Any]]]]:
     """Executed per cell (possibly on a pool worker): run one flow.
 
-    Like the runner's shard tasks, returns ``(record, events)``: the
+    Like the runner's shard task, returns ``(record, events)``: the
     observability events buffered by :func:`repro.obs.capture_events`
-    ride back with the record for :func:`run_sweep` to replay.
+    ride back with the record, for :func:`run_sweep`'s map to replay.
     """
     name, config_json, stages = payload
     config = FlowConfig.from_dict(json.loads(config_json))
@@ -218,17 +227,18 @@ def run_sweep(
     base: FlowConfig,
     axes: Mapping[str, Sequence[Any]],
     workers: int = 1,
-    executor: Optional[str] = None,
     store: Optional[str] = None,
     stages: Optional[Sequence[str]] = None,
 ) -> SweepReport:
     """Run the full grid and reduce it into a :class:`SweepReport`.
 
-    ``workers``/``executor`` parallelise *across cells* (each cell keeps
-    its configured shard size but is forced to a single in-cell worker,
-    so pools never nest); the cell pool takes ``start_method`` and
-    ``shard_timeout`` from ``base.execution``, the timeout applying per
-    cell.  ``store`` points every cell at one shared artifact store.
+    ``workers`` parallelises *across cells* (each cell keeps its
+    configured shard size but is forced to a single in-cell worker, so
+    pools never nest); the cells map like a campaign's shards, with
+    ``executor``, ``start_method`` and ``shard_timeout`` taken from
+    ``base.execution``, the timeout applying per cell.  A failed cell
+    raises a :class:`~repro.flow.pipeline.FlowError` naming it.
+    ``store`` points every cell at one shared artifact store.
     ``stages`` restricts what each cell computes (default: each flow's
     applicable stages).
     """
@@ -248,44 +258,33 @@ def run_sweep(
                 tuple(stages) if stages is not None else None,
             )
         )
-    # The sweep maps cells the way the runner maps shards, so the same
-    # execution knobs apply: start method, and the timeout per cell.
-    sweep_execution = base.execution.replace(workers=workers, executor=executor)
     # A host-installed observer wins; otherwise the sweep builds one
     # from the base config's obs section (and owns its lifecycle).
     current = get_observer()
     obs = current if current.active else observer_from_config(base.obs)
     owned = obs is not current
+    records: List[Dict[str, Any]] = []
     start = time.perf_counter()
     try:
         with use_observer(obs), obs.span(
             "sweep", cells=len(payloads), workers=workers
         ):
-            if sweep_execution.pooled:
-                # Each cell's buffered events are replayed as its record
-                # arrives, so progress advances once per finished cell.
-                records = []
-                _map_on_pool(
-                    _sweep_cell_task,
-                    payloads,
-                    sweep_execution,
-                    base.obs,
-                    obs,
-                    total=len(payloads),
-                    unit="cells",
-                    resource_sampler=lambda: _sample_gauges(obs),
-                    consume=lambda result: records.append(result[0]),
-                )
-            else:
-                # In process the cells emit into ``obs`` directly; a
-                # buffer comes back only when ``obs`` is inactive, where
-                # a replay would be a no-op.
-                records = [_sweep_cell_task(payload)[0] for payload in payloads]
+            # In process the cells emit into ``obs`` directly; on the
+            # pool each cell's buffered events are replayed as its
+            # record arrives, so progress advances once per cell.
+            map_payloads(
+                payloads,
+                _sweep_cell_task,
+                lambda payload: _sweep_cell_task(payload)[0],
+                records.append,
+                base.execution.replace(workers=workers),
+                fail=_cell_error,
+                observer=obs,
+                obs_config=base.obs,
+                total=len(payloads),
+                unit="cells",
+            )
             elapsed = time.perf_counter() - start
-    except ShardTimeoutError as exc:
-        raise FlowError(
-            f"sweep cell {cells[exc.payload_index][0]!r} failed: {exc}"
-        ) from exc
     finally:
         if owned:
             obs.close()

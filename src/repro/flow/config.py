@@ -17,6 +17,7 @@ the available ones.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
@@ -54,19 +55,41 @@ class ConfigError(ValueError):
 _TECHNOLOGY_FIELDS = {f.name for f in fields(Technology)}
 
 #: Scalar and mapping field annotations (``Optional[...]`` stripped)
-#: -> (accepted type, description).  Sequence fields go through
-#: :func:`_as_tuple`; bool fields take any value's truth.
+#: -> (accepted types, description).  Sequence fields go through
+#: :func:`_as_tuple`; bool fields take any value's truth.  The builtin
+#: type comes first: ``isinstance`` stops at it before the slower
+#: abstract-class check, and every config construction runs this.
 _FIELD_TYPES = {
-    "int": (Integral, "an integer"),
-    "float": (Real, "a number"),
+    "int": ((int, Integral), "an integer"),
+    "float": ((float, int, Real), "a number"),
     "str": ((str, os.PathLike), "a string"),
-    "Mapping[str, float]": (Mapping, "a mapping"),
-    "Mapping[str, Any]": (Mapping, "a mapping"),
+    "Mapping[str, float]": ((dict, Mapping), "a mapping"),
+    "Mapping[str, Any]": ((dict, Mapping), "a mapping"),
 }
 
 
 class _ConfigBase:
-    """Shared dict round-tripping for the frozen config dataclasses."""
+    """Shared validation and dict round-tripping for the frozen config
+    dataclasses."""
+
+    def __post_init__(self) -> None:
+        # Values from --set and config JSON arrive untyped, through
+        # from_dict and replace, which construct the config: a value of
+        # the wrong type fails here, naming the field, rather than as a
+        # TypeError inside the field checks.
+        for name, kind, wanted, optional in _typed_fields(type(self)):
+            value = getattr(self, name)
+            if optional and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(
+                    f"{type(self).__name__}.{name} must be {wanted}"
+                    f"{' or None' if optional else ''}, got {value!r}"
+                )
+        self._validate()
+
+    def _validate(self) -> None:
+        """The field checks and normalisations of one config class."""
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict (JSON-friendly) form of the config."""
@@ -90,7 +113,7 @@ class _ConfigBase:
         typo or a config written by a newer version), and so does a
         value of the wrong type for its field (``"0xB"`` for ``key``).
         """
-        cls._check_fields(data)
+        cls._check_keys(data)
         kwargs: Dict[str, Any] = {}
         for name, value in data.items():
             nested = _NESTED_CONFIG_FIELDS.get((cls.__name__, name))
@@ -105,36 +128,32 @@ class _ConfigBase:
         Unknown field names and mistyped values raise
         :class:`ConfigError`, like :meth:`from_dict`.
         """
-        self._check_fields(overrides)
+        self._check_keys(overrides)
         return replace(self, **overrides)
 
     @classmethod
-    def _check_fields(cls, values: Mapping[str, Any]) -> None:
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(values) - set(known))
+    def _check_keys(cls, values: Mapping[str, Any]) -> None:
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(values) - known)
         if unknown:
             raise ConfigError(
                 f"{cls.__name__}: unknown keys {unknown}; expected a subset of "
                 f"{sorted(known)}"
             )
-        # The values of --set and config JSON arrive untyped: a value of
-        # the wrong type fails here, naming the field, rather than as a
-        # TypeError inside validation.
-        for name, value in values.items():
-            annotation = known[name]
-            optional = annotation.startswith("Optional[")
-            if optional and value is None:
-                continue
-            base = annotation[len("Optional["):-1] if optional else annotation
-            expected = _FIELD_TYPES.get(base)
-            if expected is None:
-                continue
-            kind, wanted = expected
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(
-                    f"{cls.__name__}.{name} must be {wanted}"
-                    f"{' or None' if optional else ''}, got {value!r}"
-                )
+
+
+@functools.lru_cache(maxsize=None)
+def _typed_fields(cls: type) -> Tuple[Tuple[str, Any, str, bool], ...]:
+    """``(name, accepted type, description, optional)`` of each field of
+    ``cls`` whose annotation :data:`_FIELD_TYPES` covers."""
+    typed = []
+    for f in fields(cls):
+        optional = f.type.startswith("Optional[")
+        base = f.type[len("Optional["):-1] if optional else f.type
+        expected = _FIELD_TYPES.get(base)
+        if expected is not None:
+            typed.append((f.name, *expected, optional))
+    return tuple(typed)
 
 
 def _as_tuple(value) -> tuple:
@@ -180,7 +199,7 @@ class SynthesisConfig(_ConfigBase):
     decomposition: str = "linear"
     enhance: bool = False
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.method not in ("synthesize", "transform"):
             raise ConfigError(
                 f"synthesis method must be 'synthesize' or 'transform', got {self.method!r}"
@@ -206,7 +225,7 @@ class TechnologyConfig(_ConfigBase):
     name: str = "generic_180nm"
     overrides: Mapping[str, float] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.name:
             raise ConfigError("technology name must be non-empty")
         object.__setattr__(self, "overrides", dict(self.overrides))
@@ -231,7 +250,7 @@ class CellConfig(_ConfigBase):
     names: Tuple[str, ...] = ()
     decomposition: str = "linear"
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         object.__setattr__(self, "names", _as_tuple(self.names))
         duplicates = sorted({name for name in self.names if self.names.count(name) > 1})
         if duplicates:
@@ -269,7 +288,7 @@ class LayoutConfig(_ConfigBase):
     grid: Optional[Tuple[int, int]] = None
     anneal_moves: int = 1500
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.router is not None and not self.router:
             raise ConfigError("router must be a non-empty name or None")
         if self.grid is not None:
@@ -309,7 +328,7 @@ class ScenarioConfig(_ConfigBase):
 
     params: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         params = dict(self.params)
         bad = sorted(
             str(name) for name in params if not isinstance(name, str) or not name
@@ -377,7 +396,7 @@ class CampaignConfig(_ConfigBase):
     noise_std: float = 0.0
     seed: int = 2005
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.key < 0:
             raise ConfigError(
                 f"key must be non-negative (the upper bound follows the "
@@ -434,7 +453,7 @@ class AnalysisConfig(_ConfigBase):
     target_round: int = 1
     key_space: Optional[int] = None
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         object.__setattr__(self, "attacks", _as_tuple(self.attacks))
         if not self.attacks:
             raise ConfigError("at least one attack must be configured")
@@ -496,7 +515,7 @@ class AssessmentConfig(_ConfigBase):
     noise: Tuple[Mapping[str, Any], ...] = ()
     seed: int = 20050307
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         object.__setattr__(self, "methods", _as_tuple(self.methods))
         if not self.methods:
             raise ConfigError("at least one assessment method must be configured")
@@ -586,7 +605,7 @@ class ExecutionConfig(_ConfigBase):
 
     _EXECUTOR_CHOICES = ("serial", "process")
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
         if self.executor is not None and self.executor not in self._EXECUTOR_CHOICES:
@@ -692,7 +711,7 @@ class ObservabilityConfig(_ConfigBase):
     profile: bool = False
     profile_top: int = 10
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.trace is not None:
             trace = os.fspath(self.trace)
             if not trace:
@@ -730,7 +749,7 @@ class FlowConfig(_ConfigBase):
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     obs: ObservabilityConfig = field(default_factory=ObservabilityConfig)
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.name:
             raise ConfigError("flow name must be non-empty")
 

@@ -914,36 +914,27 @@ class DesignFlow:
             for name in config.methods
         }
 
-    def _run_assessment_shard(
-        self, shard, methods: Optional[Dict[str, Any]] = None
-    ) -> List[Dict[str, Any]]:
+    def _run_assessment_shard(self, shard) -> Iterator[Dict[str, Any]]:
         """Stream one engine shard's blocks into assessment methods.
 
-        Without ``methods`` (a pool worker) every block streams into a
-        fresh set, and the per-block sets come back in block order for
-        the parent to merge left to right (see
-        :func:`repro.engine.runner.run_assessment_campaign`).  In process
-        the runner passes its running ``methods`` and each block updates
-        them directly -- the same arithmetic, since ``update`` folds a
-        block's moments in with the formula ``merge`` uses -- and the
-        returned list is empty.
+        Yields one fresh method set per block, in block order, each
+        updated with its block alone; the runner merges them left to
+        right (see :func:`repro.engine.runner.run_assessment_campaign`).
+        A pool worker lists a shard's sets, while in process each set is
+        merged as it is yielded, so the working set stays one block.
         """
         obs = self._observer()
         start = time.perf_counter()
-        per_block: List[Dict[str, Any]] = []
         with obs.span("shard.assessment", index=shard.index, count=shard.count):
             for chunk in self._assessment_chunks(shard):
-                target = methods
-                if target is None:
-                    target = self._fresh_assessment_methods()
-                    per_block.append(target)
-                for method in target.values():
+                methods = self._fresh_assessment_methods()
+                for method in methods.values():
                     method.update(chunk)
+                yield methods
         if obs.active:
             obs.histogram(
                 "shard.duration_s", time.perf_counter() - start, stage="assessment"
             )
-        return per_block
 
     #: Reconstructors of cached assessment results, keyed by the
     #: ``"method"`` field of each result's ``to_dict()`` record.

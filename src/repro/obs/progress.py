@@ -3,10 +3,13 @@
 There is one event transport: every pooled payload (a run of campaign
 blocks, or one sweep cell) buffers its worker's events with
 :func:`repro.obs.capture_events`, and they ride back with its result.
-The parent replays each payload's events as soon as that result arrives
-(:func:`repro.engine.executors._map_on_pool`), and the same events feed
-a :class:`ProgressDispatcher`.  A payload is the unit of progress: the
-display advances once per finished shard or cell.
+On the pool path of :func:`repro.engine.executors.map_payloads` -- the
+one map of campaign shards and sweep cells -- the parent replays each
+payload's events as soon as that result arrives, and the same events
+feed a :class:`ProgressDispatcher`.  A payload is the unit of progress:
+the display advances once per finished shard or cell.  In process the
+shards and cells emit straight into the installed observer, and no
+dispatcher is built.
 
 :class:`ProgressAggregator` folds events into a completion count, an
 EWMA rate, an ETA and a per-worker table built from the ``shard.*`` and

@@ -1,18 +1,20 @@
 """Executor hardening: persistent pools, failure injection, start methods.
 
-Pins the contracts PR 9 introduced:
+Pins the contracts of the one map path,
+:func:`repro.engine.executors.map_payloads`:
 
-* worker pools are persistent (same worker pids across ``map`` calls)
-  and reclaimable via ``shutdown_pools``;
+* worker pools are persistent (same worker pids across maps) and
+  reclaimable via ``shutdown_pools``;
 * a shard task that raises surfaces as :class:`ShardTaskError` with
-  shard and flow context on *both* the serial and process backends;
+  shard and flow context both in process and on the pool;
 * a worker that dies mid-shard trips the per-shard timeout
   (:class:`ShardTimeoutError`) instead of hanging the map, and the
   broken pool is evicted so the next map starts fresh;
-* an empty payload list maps to an empty result list on every backend;
+* an empty payload list maps to nothing on both paths;
 * spawn-started pools match fork-started pools bit for bit.
 """
 
+import multiprocessing
 import os
 import time
 
@@ -27,16 +29,19 @@ from repro.engine import (
     warm_pool,
     warm_pool_stats,
 )
-from repro.engine.executors import _WARM_POOLS, ProcessPoolExecutor
+from repro.engine.executors import _WARM_POOLS, map_payloads
 from repro.flow import (
     ASSESSMENTS,
     AssessmentConfig,
     CampaignConfig,
+    ConfigError,
     DesignFlow,
     ExecutionConfig,
     FlowConfig,
+    ObservabilityConfig,
     TechnologyConfig,
 )
+from repro.obs import NULL_OBSERVER, BufferSink, Observer
 
 TRACES = 48
 SHARD = 16
@@ -54,11 +59,16 @@ def _sbox_flow(execution, technology=TechnologyConfig(), **campaign):
     return DesignFlow.sbox(config=config)
 
 
-# Module-level so they pickle into pool workers.
+POOLED = ExecutionConfig(workers=2)
+IN_PROCESS = ExecutionConfig()
+
+
+# Module-level so they pickle into pool workers.  A task returns
+# ``(result, events)``; these buffer no events.
 
 
 def _echo(payload):
-    return payload
+    return payload, None
 
 
 def _boom(payload):
@@ -71,60 +81,97 @@ def _die(_payload):
     os._exit(13)
 
 
-def _pid(_payload):
-    return os.getpid()
-
-
 def _pid_slow(_payload):
     # Slow enough that one worker cannot swallow the whole map before
     # its sibling finishes booting -- pid-set comparisons across maps
     # need every worker to actually participate.
     time.sleep(0.1)
-    return os.getpid()
+    return os.getpid(), None
+
+
+class PayloadFailed(RuntimeError):
+    pass
+
+
+def _fail(payload, exc):
+    return PayloadFailed(f"payload {payload!r} failed: {exc}")
+
+
+def _map(task, payloads, execution=POOLED, observer=NULL_OBSERVER):
+    """``map_payloads`` over ``payloads``, its results as a list."""
+    results = []
+    map_payloads(
+        payloads,
+        task,
+        lambda payload: task(payload)[0],
+        results.append,
+        execution,
+        fail=_fail,
+        observer=observer,
+        obs_config=ObservabilityConfig(),
+        total=len(payloads),
+        unit="payloads",
+    )
+    return results
 
 
 class TestExecutorBasics:
     def test_empty_payload_map_is_empty_on_every_backend(self):
-        assert ProcessPoolExecutor(2).map(_echo, []) == []
+        assert _map(_echo, [], IN_PROCESS) == []
+        assert _map(_echo, [], POOLED) == []
 
     def test_results_come_back_in_payload_order(self):
-        assert ProcessPoolExecutor(2).map(_echo, list(range(7))) == list(
-            range(7)
-        )
+        assert _map(_echo, list(range(7))) == list(range(7))
+        assert _map(_echo, list(range(7)), IN_PROCESS) == list(range(7))
 
     def test_task_exception_reraises_in_parent(self):
-        with pytest.raises(ValueError, match="injected failure"):
-            ProcessPoolExecutor(2).map(_boom, [1, 2])
+        # ``fail`` wraps the error in the worker, naming the payload, and
+        # in process the same way.
+        for execution in (POOLED, IN_PROCESS):
+            with pytest.raises(PayloadFailed, match="payload 1 failed: injected"):
+                _map(_boom, [1, 2], execution)
         # The pool survives a task error and stays warm.
-        assert ProcessPoolExecutor(2).map(_echo, [3]) == [3]
+        assert _map(_echo, [3]) == [3]
 
-    def test_invalid_construction_is_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            ProcessPoolExecutor(0)
-        with pytest.raises(ValueError, match="start method"):
-            ProcessPoolExecutor(2, start_method="warp-drive")
-        with pytest.raises(ValueError, match="timeout"):
-            ProcessPoolExecutor(2, timeout=0.0)
+    def test_invalid_construction_is_rejected(self, monkeypatch):
+        with pytest.raises(ConfigError, match="workers"):
+            ExecutionConfig(workers=0)
+        with pytest.raises(ConfigError, match="start_method"):
+            ExecutionConfig(workers=2, start_method="warp-drive")
+        with pytest.raises(ConfigError, match="shard_timeout"):
+            ExecutionConfig(workers=2, shard_timeout=0.0)
+        # A known start method this platform lacks fails when the pool
+        # would be built, so configs stay portable.
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with pytest.raises(ValueError, match="not available on this platform"):
+            _map(_echo, [1], ExecutionConfig(workers=2, start_method="fork"))
 
     def test_default_start_method_is_explicit(self):
-        import multiprocessing
-
         method = default_start_method()
         assert method in multiprocessing.get_all_start_methods()
-        assert ProcessPoolExecutor(2).start_method == method
+        buffer = []
+        _map(_echo, [1, 2], observer=Observer((BufferSink(buffer),)))
+        (span,) = [
+            event
+            for event in buffer
+            if event["kind"] == "span.end" and event["name"] == "executor.map"
+        ]
+        assert span["attrs"]["start_method"] == method
+        assert (method, 2) in _WARM_POOLS
 
 
 class TestPersistentPools:
     def test_pool_persists_across_map_calls(self):
-        executor = ProcessPoolExecutor(2)
-        first = set(executor.map(_pid_slow, range(8)))
-        second = set(executor.map(_pid_slow, range(8)))
+        first = set(_map(_pid_slow, range(8)))
+        second = set(_map(_pid_slow, range(8)))
         assert first == second  # same worker processes, not a new pool
         assert not first & {os.getpid()}  # and actually out of process
 
-    def test_two_executor_instances_share_one_pool(self):
-        a = set(ProcessPoolExecutor(2).map(_pid_slow, range(8)))
-        b = set(ProcessPoolExecutor(2).map(_pid_slow, range(8)))
+    def test_two_configs_of_one_shape_share_one_pool(self):
+        a = set(_map(_pid_slow, range(8)))
+        b = set(_map(_pid_slow, range(8), POOLED.replace(shard_timeout=60.0)))
         assert a == b
 
     def test_warm_pool_and_shutdown(self):
@@ -143,13 +190,14 @@ class TestPersistentPools:
 
 class TestWorkerDeath:
     def test_dead_worker_times_out_instead_of_hanging(self):
-        executor = ProcessPoolExecutor(2, timeout=3.0)
-        with pytest.raises(ShardTimeoutError) as excinfo:
-            executor.map(_die, [0, 1])
-        assert excinfo.value.payload_index == 0
-        assert excinfo.value.timeout == 3.0
+        with pytest.raises(PayloadFailed, match="payload 0 failed") as excinfo:
+            _map(_die, [0, 1], POOLED.replace(shard_timeout=3.0))
+        timeout = excinfo.value.__cause__
+        assert isinstance(timeout, ShardTimeoutError)
+        assert timeout.payload_index == 0
+        assert timeout.timeout == 3.0
         # The broken pool was evicted: a fresh map works again.
-        assert ProcessPoolExecutor(2).map(_echo, [7]) == [7]
+        assert _map(_echo, [7]) == [7]
 
     def test_timeout_error_pickles_with_context(self):
         import pickle
@@ -241,8 +289,6 @@ class TestStartMethods:
         assert not np.array_equal(runs["generic_180nm"], runs["generic_65nm"])
 
     def test_execution_config_validates_the_start_method(self):
-        from repro.flow.config import ConfigError
-
         with pytest.raises(ConfigError, match="start_method"):
             ExecutionConfig(start_method="threads")
         with pytest.raises(ConfigError, match="'serial', 'process'"):

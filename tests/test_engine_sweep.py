@@ -137,6 +137,15 @@ class TestRunSweep:
         assert ("spawn", 2) in _WARM_POOLS
         assert self._cells_without_timings(spawn) == self._cells_without_timings(fork)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_cell_is_named(self, workers):
+        base = FlowConfig(campaign=CampaignConfig(trace_count=32))
+        with pytest.raises(
+            FlowError,
+            match="sweep cell 'design/key=48' failed: key 0x30 does not fit",
+        ):
+            run_sweep(base, {"key": [0x3, 0x30]}, workers=workers)
+
     def test_sweep_timeout_applies_per_cell(self):
         base = FlowConfig(
             campaign=CampaignConfig(trace_count=4000),
@@ -195,6 +204,18 @@ class TestCli:
         assert "CampaignConfig.key must be an integer" in capsys.readouterr().err
         assert main(["run", "--set", "assessment.methods=5"]) == 2
         assert "expected a sequence" in capsys.readouterr().err
+        # The constructors, from_dict and replace all check field types.
+        for cls, field, value in (
+            (CampaignConfig, "key", "0xB"),
+            (ExecutionConfig, "workers", "2"),
+        ):
+            message = f"{cls.__name__}.{field} must be an integer"
+            with pytest.raises(ConfigError, match=message):
+                cls(**{field: value})
+            with pytest.raises(ConfigError, match=message):
+                cls.from_dict({field: value})
+            with pytest.raises(ConfigError, match=message):
+                cls().replace(**{field: value})
 
     @pytest.mark.parametrize(
         "section, name, value",

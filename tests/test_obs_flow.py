@@ -150,16 +150,14 @@ class TestEventParity:
         from repro.engine import executors
 
         shipped = []
-        pool_map = executors.ProcessPoolExecutor.map
+        pool_outputs = executors._pool_outputs
 
-        def recording(self, fn, payloads, consume=None):
-            def take(output):
+        def recording(*args):
+            for output in pool_outputs(*args):
                 shipped.append(output[-1])
-                consume(output)
+                yield output
 
-            return pool_map(self, fn, payloads, take)
-
-        monkeypatch.setattr(executors.ProcessPoolExecutor, "map", recording)
+        monkeypatch.setattr(executors, "_pool_outputs", recording)
         obs = (
             ObservabilityConfig(progress=True, verbosity=0)
             if quiet

@@ -39,7 +39,7 @@ from repro.engine import (
 from repro.engine import executors as engine_executors
 from repro.engine import runner as engine_runner
 from repro.engine.cli import main
-from repro.engine.executors import ProcessPoolExecutor, default_start_method
+from repro.engine.executors import default_start_method, map_payloads
 from repro.flow import (
     AssessmentConfig,
     CampaignConfig,
@@ -122,11 +122,15 @@ def _shard_end(count, index=0, ts=0.0, pid=1, kind="span.end"):
     )
 
 
-# Module-level so it pickles into pool workers.
+# Module-level so they pickle into pool workers.
 
 
 def _die(_payload):
     os._exit(13)
+
+
+def _fail(payload, exc):
+    return RuntimeError(f"payload {payload!r} failed: {exc}")
 
 
 class _FailingSink:
@@ -443,9 +447,9 @@ class TestExecutorLiveProtocol:
         # its result is consumed, and before any later payload's.
         buffer = []
         seen = []
-        real = engine_runner._map_on_pool
+        real = engine_runner.map_payloads
 
-        def checked(task, payloads, *args, consume, **kwargs):
+        def checked(payloads, task, local, consume, *args, **kwargs):
             def check(result):
                 index = len(seen)
                 shard_events = [
@@ -461,9 +465,9 @@ class TestExecutorLiveProtocol:
                 seen.append(index)
                 consume(result)
 
-            return real(task, payloads, *args, consume=check, **kwargs)
+            return real(payloads, task, local, check, *args, **kwargs)
 
-        monkeypatch.setattr(engine_runner, "_map_on_pool", checked)
+        monkeypatch.setattr(engine_runner, "map_payloads", checked)
         with use_observer(Observer((BufferSink(buffer),))):
             _flow(ExecutionConfig(workers=2, shard_size=SHARD)).traces()
         shards = TRACES // SHARD
@@ -500,9 +504,20 @@ class TestExecutorLiveProtocol:
         shutdown_pools()
         warm_pool(2)
         assert warm_pool_stats() == (1, 2)
-        executor = ProcessPoolExecutor(2, timeout=3.0)
-        with pytest.raises(ShardTimeoutError):
-            executor.map(_die, [0, 1])
+        with pytest.raises(RuntimeError, match="payload 0 failed") as excinfo:
+            map_payloads(
+                [0, 1],
+                _die,
+                _die,
+                lambda result: None,
+                ExecutionConfig(workers=2, shard_timeout=3.0),
+                fail=_fail,
+                observer=Observer(()),
+                obs_config=ObservabilityConfig(),
+                total=2,
+                unit="payloads",
+            )
+        assert isinstance(excinfo.value.__cause__, ShardTimeoutError)
         # The pool died with its worker: eviction closed it and dropped
         # it from the warm cache, so nothing of it outlives the map.
         assert warm_pool_stats() == (0, 0)
