@@ -7,9 +7,9 @@ Run with::
 One :class:`~repro.flow.DesignFlow` per synthesis recipe walks the whole
 chain of the paper for the given Boolean function -- parse, build a fully
 connected DPDN (Section 4.1 construction, Section 4.2 transformation and
-the Section 5 enhancement are three configs over the same expression),
-verify every claimed property, map a differential circuit and record a
-small trace campaign.  The genuine (leaky) network is built alongside as
+the Section 5 enhancement are three configs over the same expression)
+and verify every claimed property; the first also maps a differential
+circuit, verifies its gate templates and records a small trace campaign.  The genuine (leaky) network is built alongside as
 the baseline, the per-event energies are compared, and a SPICE
 subcircuit of the protected network is dumped.
 """
@@ -48,11 +48,12 @@ def main() -> None:
     #    constraints would draw -- functionally correct but leaky.
     networks = {"genuine": build_genuine_dpdn(function, name="genuine")}
 
-    # 2.-4. The paper's three recipes, each as a one-config design flow.
-    # The circuit and trace stages depend on the expression and campaign
-    # only, so just the first flow runs them; the other recipes stop at
-    # verification (the standard-cell library build is covered by the
-    # secure_cell_library example).
+    # 2.-4. The paper's three recipes, each as a one-config design flow;
+    # the synthesis stage verifies the network it builds.  The circuit,
+    # template verification and trace stages depend on the expression
+    # and campaign only, so just the first flow runs them (the
+    # standard-cell library build is covered by the secure_cell_library
+    # example).
     flows = {}
     for name, synthesis in RECIPES.items():
         flow = DesignFlow(
@@ -63,9 +64,9 @@ def main() -> None:
                 campaign=CampaignConfig(trace_count=256, seed=1),
             ),
         )
-        stages = ["expressions", "synthesis", "verification"]
+        stages = ["expressions", "synthesis"]
         if not flows:
-            stages += ["circuit", "traces"]
+            stages += ["circuit", "verification", "traces"]
         flow.run(stages)
         flows[name] = flow
         networks[name] = flow.networks()["F"].copy(name=name)

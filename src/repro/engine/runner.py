@@ -145,23 +145,17 @@ def _flow_from_spec(spec: _FlowSpec) -> DesignFlow:
 
 
 #: A shard task's payload: the stage (``"traces"`` or
-#: ``"assessment"``), the flow spec, the shard and the parent's routed
+#: ``"assessment"``), the flow spec (``None`` in process, where the
+#: local flow runs the shard), the shard and the parent's routed
 #: :class:`~repro.layout.CircuitLayout` (``None`` when the campaign is
 #: not routed), so a worker never places and routes.
-_ShardPayload = Tuple[str, _FlowSpec, Shard, Any]
+_ShardPayload = Tuple[str, Optional[_FlowSpec], Shard, Any]
 
 
-def _shard_error(payload: _ShardPayload, exc: BaseException) -> ShardTaskError:
-    """Wrap a shard's failure with shard and flow identity."""
-    stage, (config_json, _), shard, _ = payload
-    name: Any = "?"
-    key: Any = None
-    try:
-        config = json.loads(config_json)
-        name = config.get("name", "?")
-        key = config.get("campaign", {}).get("key")
-    except Exception:  # pragma: no cover - spec is always our own JSON
-        pass
+def _shard_failure(
+    stage: str, shard: Shard, name: Any, key: Any, exc: BaseException
+) -> ShardTaskError:
+    """A shard's failure named by shard, flow and campaign key."""
     campaign = f"flow {name!r}"
     if isinstance(key, int):
         campaign += f" (campaign key 0x{key:X})"
@@ -171,6 +165,20 @@ def _shard_error(payload: _ShardPayload, exc: BaseException) -> ShardTaskError:
         shard_index=shard.index,
         flow_name=name if isinstance(name, str) else None,
     )
+
+
+def _shard_error(payload: _ShardPayload, exc: BaseException) -> ShardTaskError:
+    """Wrap a pooled shard's failure, naming the flow from its spec."""
+    stage, (config_json, _), shard, _ = payload
+    name: Any = "?"
+    key: Any = None
+    try:
+        config = json.loads(config_json)
+        name = config.get("name", "?")
+        key = config.get("campaign", {}).get("key")
+    except Exception:  # pragma: no cover - spec is always our own JSON
+        pass
+    return _shard_failure(stage, shard, name, key, exc)
 
 
 def _shard_task(
@@ -206,20 +214,32 @@ def _map_stage(
 
     In process ``local(shard)`` runs against the *local* flow object
     (reusing its cached circuit); the pool ships the flow spec to the
-    workers, which run :func:`_shard_task`.  A failed shard surfaces as
-    :class:`ShardTaskError` with the same context on both paths.
+    workers, which run :func:`_shard_task`, so only a pooled map builds
+    it.  A failed shard surfaces as :class:`ShardTaskError` with the
+    same context on both paths.
     """
-    spec = _flow_spec(flow)
+    config = flow.config
+    if config.execution.pooled:
+        spec: Optional[_FlowSpec] = _flow_spec(flow)
+        fail = _shard_error
+    else:
+        spec = None
+
+        def fail(payload: _ShardPayload, exc: BaseException) -> ShardTaskError:
+            return _shard_failure(
+                payload[0], payload[2], config.name, config.campaign.key, exc
+            )
+
     layout = flow._routed_layout()
     map_payloads(
         [(stage, spec, shard, layout) for shard in shards],
         _shard_task,
         lambda payload: local(payload[2]),
         consume,
-        flow.config.execution,
-        fail=_shard_error,
+        config.execution,
+        fail=fail,
         observer=flow._observer(),
-        obs_config=flow.config.obs,
+        obs_config=config.obs,
         total=total,
         unit=unit,
     )

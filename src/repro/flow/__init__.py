@@ -1,9 +1,12 @@
 """Composable pipeline API over the paper's design and evaluation chain.
 
-:class:`DesignFlow` runs expr -> FC-DPDN synthesis -> verification ->
-cell/library build -> differential circuit -> trace campaign -> DPA from
-one validated config; backends (technologies, gate styles, attacks,
+:class:`DesignFlow` runs expr -> cell/library build -> differential
+circuit -> verification of its gate templates -> trace campaign -> DPA
+from one validated config; backends (technologies, gate styles, attacks,
 S-boxes, assessments) are chosen by name from closed tables of built-ins.
+Whole-output FC-DPDN synthesis (one verified network per output, shaped
+by :class:`SynthesisConfig`) is the ``synthesis`` stage: part of an
+expression flow's default run, on demand for a scenario flow.
 
 Quick start::
 

@@ -182,7 +182,12 @@ def _decomposition_style(name: str) -> DecompositionStyle:
 
 @dataclass(frozen=True)
 class SynthesisConfig(_ConfigBase):
-    """How each output function becomes a fully connected DPDN.
+    """How the ``synthesis`` stage builds one fully connected DPDN per output.
+
+    It shapes whole-output synthesis only (``DesignFlow.networks()``),
+    not the mapped circuit: the campaign simulates the mapper's
+    per-operator gate templates, so no field here changes a trace, and
+    none enters a store key.
 
     Attributes:
         method: ``"synthesize"`` (Section 4.1, construction from the

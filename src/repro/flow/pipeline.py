@@ -1,9 +1,14 @@
 """The :class:`DesignFlow` facade: the paper's whole chain as one pipeline.
 
-A flow runs the expr -> FC-DPDN synthesis -> verification -> cell/library
-build -> differential circuit -> trace campaign -> DPA chain from a
-single :class:`~repro.flow.config.FlowConfig`.  Stages are computed
-lazily and cached: asking for ``flow.traces()`` computes (and keeps) the
+A flow runs the expr -> cell/library build -> differential circuit ->
+gate verification -> trace campaign -> DPA chain from a single
+:class:`~repro.flow.config.FlowConfig`.  The ``verification`` stage
+checks the gate templates the campaign simulates (one per operator and
+fan-in); whole-output FC-DPDN synthesis -- one network per output,
+verified as it is built -- is the ``synthesis`` stage, which an
+expression flow runs by default and a scenario flow on demand.
+
+Stages are computed lazily and cached: asking for ``flow.traces()`` computes (and keeps) the
 campaign and what it reads -- in process the expressions and the mapped
 circuit; for an unrouted campaign on a worker pool nothing more, since
 the workers build their own -- but not the library or the attacks; a
@@ -76,9 +81,9 @@ __all__ = ["FlowError", "DesignFlow", "STAGES"]
 STAGES = (
     "expressions",
     "synthesis",
-    "verification",
     "library",
     "circuit",
+    "verification",
     "layout",
     "traces",
     "analysis",
@@ -94,9 +99,9 @@ STAGES = (
 _DEPENDENCIES: Dict[str, Tuple[str, ...]] = {
     "expressions": (),
     "synthesis": ("expressions",),
-    "verification": ("synthesis",),
     "library": (),
     "circuit": ("expressions",),
+    "verification": ("circuit",),
     "layout": ("circuit",),
     "traces": ("layout",),
     "analysis": ("traces",),
@@ -270,11 +275,13 @@ class DesignFlow:
         return self.result("expressions").value
 
     def networks(self) -> Dict[str, DifferentialPullDownNetwork]:
-        """Per-output fully connected DPDNs (the single-gate view)."""
+        """Per-output fully connected DPDNs (the single-gate view),
+        verified as they are synthesised."""
         return self.result("synthesis").value
 
     def verification(self) -> Dict[str, Any]:
-        """Per-output :class:`~repro.core.verify.GateReport` objects."""
+        """Per-template :class:`~repro.core.verify.GateReport` objects of
+        the mapped circuit, keyed by operator and fan-in (``"and2"``)."""
         return self.result("verification").value
 
     def library(self) -> Dict[str, Cell]:
@@ -310,8 +317,11 @@ class DesignFlow:
         By default only the stages whose results the run consumes are
         computed: the crypto-specific ``analysis`` stage is skipped for
         non-S-box workloads (it needs the plaintext/key relation of the
-        S-box campaign), the ``library`` stage is skipped when no cells
-        are configured, a ``source="model"`` campaign -- which measures
+        S-box campaign), whole-output ``synthesis`` is skipped for
+        scenario workloads (their campaign simulates the mapped gate
+        templates, which ``verification`` checks), the ``library``
+        stage is skipped when no cells are configured, a
+        ``source="model"`` campaign -- which measures
         a leakage model, not a designed circuit -- runs only the trace
         and analysis stages, and the streaming ``assessment`` stage runs
         only when :class:`~repro.flow.config.AssessmentConfig` has
@@ -326,6 +336,7 @@ class DesignFlow:
                     stage
                     for stage in STAGES
                     if (stage != "analysis" or self.is_sbox_workload)
+                    and (stage != "synthesis" or not self.is_sbox_workload)
                     and (stage != "library" or self.config.cells.names)
                     and (stage != "layout" or self.config.layout.routed)
                     and stage != "assessment"
@@ -433,9 +444,13 @@ class DesignFlow:
     def _compute_synthesis(
         self,
     ) -> Tuple[Dict[str, DifferentialPullDownNetwork], Dict[str, Any]]:
+        """One FC-DPDN per output, shaped by the synthesis config and
+        verified as built (an enhanced network also for constant depth
+        and no early propagation)."""
         synthesis = self.config.synthesis
         expressions = self.expressions()
         networks: Dict[str, DifferentialPullDownNetwork] = {}
+        reports: Dict[str, Any] = {}
         for name, function in expressions.items():
             try:
                 if synthesis.method == "synthesize":
@@ -454,33 +469,62 @@ class DesignFlow:
                     f"output {name!r}: {synthesis.method} failed: {error}"
                 ) from error
             networks[name] = network
-        return networks, {
-            "method": synthesis.method,
-            "networks": len(networks),
-            "devices": sum(network.device_count() for network in networks.values()),
-        }
-
-    def _compute_verification(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        synthesis = self.config.synthesis
-        expressions = self.expressions()
-        reports: Dict[str, Any] = {}
-        failures: List[str] = []
-        for name, network in self.networks().items():
-            report = verify_gate(
+            reports[name] = verify_gate(
                 network,
-                expressions[name],
+                function,
                 require_constant_depth=synthesis.enhance,
                 require_no_early_propagation=synthesis.enhance,
             )
-            reports[name] = report
-            if not report.passed:
-                failures.append(name)
+        failures = [name for name, report in reports.items() if not report.passed]
         if failures:
             detail = "\n\n".join(reports[name].describe() for name in failures)
             raise FlowError(
                 f"verification failed for outputs {failures}:\n{detail}"
             )
-        return reports, {"passed": True, "networks": len(reports)}
+        return networks, {
+            "method": synthesis.method,
+            "networks": len(networks),
+            "devices": sum(network.device_count() for network in networks.values()),
+            "passed": True,
+            "checks": [check.name for check in next(iter(reports.values())).checks],
+        }
+
+    def _compute_verification(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """Verify each gate template of the mapped circuit once.
+
+        A fully connected template must pass every check.  A genuine
+        template must still compute its function, but its failed
+        ``fully_connected`` and ``memory_effect_free`` checks are the
+        leak the paper predicts: they are reported, not raised.
+        Templates are not enhanced, so no depth checks run.
+        """
+        circuit = self.circuit()
+        network_style = self.config.campaign.network_style
+        reports: Dict[str, Any] = {}
+        for template in circuit.templates:
+            function = template.network.function
+            label = f"{type(function).__name__.lower()}{len(template.ports)}"
+            reports[label] = verify_gate(template.network, function)
+        if network_style == "fc":
+            failures = [label for label, report in reports.items() if not report.passed]
+        else:
+            failures = [
+                label
+                for label, report in reports.items()
+                if not report.check("differential_function").passed
+            ]
+        if failures:
+            detail = "\n\n".join(reports[label].describe() for label in failures)
+            raise FlowError(
+                f"verification failed for {network_style} templates {failures}:\n{detail}"
+            )
+        return reports, {
+            "network_style": network_style,
+            "templates": {
+                label: {check.name: check.passed for check in report.checks}
+                for label, report in reports.items()
+            },
+        }
 
     def _compute_library(self) -> Tuple[Dict[str, Cell], Dict[str, Any]]:
         cells_config = self.config.cells

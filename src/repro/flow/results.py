@@ -28,7 +28,10 @@ class FlowResult:
     """The outcome of one pipeline stage.
 
     Attributes:
-        stage: stage name (``"synthesis"``, ``"traces"``, ...).
+        stage: stage name, one of :data:`repro.flow.STAGES`
+            (``"expressions"``, ``"synthesis"``, ``"library"``,
+            ``"circuit"``, ``"verification"``, ``"layout"``,
+            ``"traces"``, ``"analysis"``, ``"assessment"``).
         value: the stage's Python value (not serialised).
         details: JSON-friendly summary of the value.
         elapsed: wall-clock seconds the stage took to compute.

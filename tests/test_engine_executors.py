@@ -255,6 +255,20 @@ class TestShardTaskFailureInjection:
         assert excinfo.value.flow_name == "boom_flow"
         assert "assessment shard" in str(excinfo.value)
 
+    def test_in_process_failure_names_the_campaign_without_a_flow_spec(
+        self, boom_method, monkeypatch
+    ):
+        import repro.engine.runner as runner
+
+        def refuse(flow):
+            raise AssertionError("an in-process map must not build a flow spec")
+
+        monkeypatch.setattr(runner, "_flow_spec", refuse)
+        flow = self._assessed_flow(ExecutionConfig(workers=1, shard_size=20))
+        with pytest.raises(ShardTaskError) as excinfo:
+            flow.assessment()
+        assert "of flow 'boom_flow' (campaign key 0xB) failed" in str(excinfo.value)
+
     def test_shard_task_error_pickles_with_context(self):
         import pickle
 

@@ -122,9 +122,11 @@ def fc_flow():
 
 class TestDesignFlow:
     def test_full_run_covers_all_stages(self, fc_flow):
+        # A scenario run verifies the gate templates it simulates; the
+        # whole-output synthesis stage is left to expression flows.
         assert fc_flow.computed_stages() == (
-            "expressions", "synthesis", "verification", "library",
-            "circuit", "layout", "traces", "analysis",
+            "expressions", "library", "circuit", "verification",
+            "layout", "traces", "analysis",
         )
 
     def test_stage_results_are_cached(self, fc_flow):
@@ -137,15 +139,24 @@ class TestDesignFlow:
         fc_flow.invalidate("circuit")
         assert "traces" not in fc_flow.computed_stages()
         assert "analysis" not in fc_flow.computed_stages()
+        assert "verification" not in fc_flow.computed_stages()
         assert fc_flow.result("synthesis") is synthesis_result
         # Recompute: a fresh circuit result replaces the dropped one.
         assert fc_flow.result("circuit") is not circuit_result
         fc_flow.run()
 
     def test_synthesized_networks_verify(self, fc_flow):
+        assert set(fc_flow.networks()) == set(fc_flow.expressions())
+        assert fc_flow.result("synthesis").details["passed"]
+
+    def test_fc_templates_pass(self, fc_flow):
+        # One report per (operator, fan-in) template the circuit stamps.
         reports = fc_flow.verification()
-        assert set(reports) == set(fc_flow.expressions())
+        assert sorted(reports) == ["and2", "and3", "or2", "or3"]
+        assert len(reports) == len(fc_flow.circuit().templates)
         assert all(report.passed for report in reports.values())
+        templates = fc_flow.result("verification").details["templates"]
+        assert all(all(checks.values()) for checks in templates.values())
 
     def test_library_stage_builds_selected_cells(self, fc_flow):
         assert set(fc_flow.library()) == {"AND2", "OR2", "XOR2"}
@@ -217,15 +228,45 @@ class TestDesignFlow:
             {"F": "(A | B) & C"},
             FlowConfig(name="transform", synthesis=SynthesisConfig(method="transform")),
         )
-        reports = flow.verification()
-        assert reports["F"].passed
+        assert flow.result("synthesis").details["passed"]
 
     def test_enhanced_flow_checks_constant_depth(self):
         flow = DesignFlow(
             {"F": "(A & B) | C"},
             FlowConfig(name="enhanced", synthesis=SynthesisConfig(enhance=True)),
         )
-        assert flow.verification()["F"].passed
+        details = flow.result("synthesis").details
+        assert details["passed"]
+        assert {"constant_evaluation_depth", "no_early_propagation"} <= set(
+            details["checks"]
+        )
+
+    def test_failed_synthesis_check_names_the_output(self, monkeypatch):
+        import repro.flow.pipeline as pipeline
+        from repro.network.build import build_genuine_dpdn
+
+        # A genuine network in place of the FC-DPDN fails full connectivity.
+        monkeypatch.setattr(
+            pipeline,
+            "synthesize_fc_dpdn",
+            lambda function, name, style: build_genuine_dpdn(function, name=name),
+        )
+        flow = DesignFlow({"F": "(A | B) & C"})
+        with pytest.raises(FlowError, match=r"outputs \['F'\]"):
+            flow.networks()
+
+    def test_default_runs_by_workload(self):
+        custom = DesignFlow(
+            {"F": "(A | B) & C"}, FlowConfig(campaign=CampaignConfig(trace_count=16))
+        )
+        assert custom.run().stages() == [
+            "expressions", "synthesis", "circuit", "verification", "traces",
+        ]
+        scenario = DesignFlow.sbox(key=0x2, trace_count=16, seed=1)
+        assert scenario.run().stages() == [
+            "expressions", "circuit", "verification", "traces", "analysis",
+        ]
+        assert "synthesis" not in scenario.computed_stages()
 
     def test_genuine_style_flow_runs(self):
         flow = DesignFlow.sbox(
@@ -233,6 +274,54 @@ class TestDesignFlow:
         )
         details = flow.result("traces").details
         assert details["count"] == 64
+
+    def test_genuine_templates_report_the_predicted_leak(self):
+        # A genuine gate computes its function but leaves internal nodes
+        # floating: reported per template, not raised.
+        flow = DesignFlow.sbox(key=0xB, network_style="genuine", trace_count=64)
+        report = json.loads(flow.run().to_json())
+        stage = next(s for s in report["stages"] if s["stage"] == "verification")
+        templates = stage["details"]["templates"]
+        assert sorted(templates) == ["and2", "or2"]
+        for checks in templates.values():
+            assert checks == {
+                "differential_function": True,
+                "fully_connected": False,
+                "memory_effect_free": False,
+            }
+
+    @pytest.mark.parametrize(
+        "network_style, replacement, failing",
+        [
+            # A leaky network stamped into a protected circuit.
+            ("fc", "genuine", "fully_connected"),
+            # A network of the wrong function in a genuine circuit.
+            ("genuine", "or", "differential_function"),
+        ],
+    )
+    def test_broken_template_names_the_template(
+        self, network_style, replacement, failing
+    ):
+        from repro.boolexpr.ast import And, Or, Var
+        from repro.network.build import build_genuine_dpdn
+        from repro.sabl.circuit import GateTemplate
+
+        flow = DesignFlow.sbox(key=0xB, network_style=network_style, trace_count=16)
+        circuit = flow.circuit()
+        index, template = next(
+            (index, template)
+            for index, template in enumerate(circuit.templates)
+            if isinstance(template.network.function, And)
+        )
+        ports = [Var(port) for port in template.ports]
+        network = build_genuine_dpdn(
+            (And if replacement == "genuine" else Or)(*ports), name="broken"
+        )
+        # Keep the template's claimed function so only the network is wrong.
+        network.function = template.network.function
+        circuit.templates[index] = GateTemplate(network, template.ports)
+        with pytest.raises(FlowError, match=rf"(?s)templates \['and2'\].*{failing}"):
+            flow.verification()
 
     def test_unknown_stage_rejected(self, fc_flow):
         with pytest.raises(FlowError, match="unknown stage"):
@@ -275,6 +364,44 @@ class TestDesignFlow:
             key=0x3A, source="model", sbox="aes", trace_count=16, seed=2
         )
         assert len(wide.traces()) == 16
+
+
+class TestSynthesisConfigScope:
+    """``SynthesisConfig`` shapes the whole-output synthesis stage only:
+    the campaign simulates the mapper's gate templates, so no synthesis
+    knob moves a trace (README's majority example)."""
+
+    MAJORITY = {"carry": "(A & B) | (B & C) | (A & C)"}
+
+    @pytest.mark.parametrize("network_style", ["fc", "genuine"])
+    def test_synthesis_config_leaves_traces_unchanged(self, network_style):
+        def flow(synthesis):
+            return DesignFlow(
+                self.MAJORITY,
+                FlowConfig(
+                    name="majority",
+                    synthesis=synthesis,
+                    campaign=CampaignConfig(
+                        trace_count=512, network_style=network_style
+                    ),
+                ),
+            )
+
+        default = flow(SynthesisConfig()).traces()
+        for synthesis in (
+            SynthesisConfig(method="transform"),
+            SynthesisConfig(decomposition="balanced"),
+            SynthesisConfig(enhance=True),
+        ):
+            other = flow(synthesis).traces()
+            assert np.array_equal(other.plaintexts, default.plaintexts), synthesis
+            assert np.array_equal(other.traces, default.traces), synthesis
+        # ... while the synthesis stage does follow the config.
+        devices = [
+            flow(SynthesisConfig(enhance=enhance)).result("synthesis").details["devices"]
+            for enhance in (False, True)
+        ]
+        assert devices[1] > devices[0]
 
 
 # --------------------------------------------------------------------- batching
