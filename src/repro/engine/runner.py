@@ -45,6 +45,7 @@ tests pin that.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -152,33 +153,17 @@ def _flow_from_spec(spec: _FlowSpec) -> DesignFlow:
 _ShardPayload = Tuple[str, Optional[_FlowSpec], Shard, Any]
 
 
-def _shard_failure(
-    stage: str, shard: Shard, name: Any, key: Any, exc: BaseException
+def _shard_error(
+    name: str, key: int, payload: _ShardPayload, exc: BaseException
 ) -> ShardTaskError:
-    """A shard's failure named by shard, flow and campaign key."""
-    campaign = f"flow {name!r}"
-    if isinstance(key, int):
-        campaign += f" (campaign key 0x{key:X})"
+    """Wrap a shard's failure with shard, flow and campaign-key identity."""
+    stage, _, shard, _ = payload
     return ShardTaskError(
-        f"{stage} {shard.describe()} of {campaign} failed: "
-        f"{type(exc).__name__}: {exc}",
+        f"{stage} {shard.describe()} of flow {name!r} (campaign key 0x{key:X}) "
+        f"failed: {type(exc).__name__}: {exc}",
         shard_index=shard.index,
-        flow_name=name if isinstance(name, str) else None,
+        flow_name=name,
     )
-
-
-def _shard_error(payload: _ShardPayload, exc: BaseException) -> ShardTaskError:
-    """Wrap a pooled shard's failure, naming the flow from its spec."""
-    stage, (config_json, _), shard, _ = payload
-    name: Any = "?"
-    key: Any = None
-    try:
-        config = json.loads(config_json)
-        name = config.get("name", "?")
-        key = config.get("campaign", {}).get("key")
-    except Exception:  # pragma: no cover - spec is always our own JSON
-        pass
-    return _shard_failure(stage, shard, name, key, exc)
 
 
 def _shard_task(
@@ -219,17 +204,7 @@ def _map_stage(
     same context on both paths.
     """
     config = flow.config
-    if config.execution.pooled:
-        spec: Optional[_FlowSpec] = _flow_spec(flow)
-        fail = _shard_error
-    else:
-        spec = None
-
-        def fail(payload: _ShardPayload, exc: BaseException) -> ShardTaskError:
-            return _shard_failure(
-                payload[0], payload[2], config.name, config.campaign.key, exc
-            )
-
+    spec = _flow_spec(flow) if config.execution.pooled else None
     layout = flow._routed_layout()
     map_payloads(
         [(stage, spec, shard, layout) for shard in shards],
@@ -237,7 +212,7 @@ def _map_stage(
         lambda payload: local(payload[2]),
         consume,
         config.execution,
-        fail=fail,
+        fail=functools.partial(_shard_error, config.name, config.campaign.key),
         observer=flow._observer(),
         obs_config=config.obs,
         total=total,

@@ -8,11 +8,12 @@ fan-in); whole-output FC-DPDN synthesis -- one network per output,
 verified as it is built -- is the ``synthesis`` stage, which an
 expression flow runs by default and a scenario flow on demand.
 
-Stages are computed lazily and cached: asking for ``flow.traces()`` computes (and keeps) the
-campaign and what it reads -- in process the expressions and the mapped
-circuit; for an unrouted campaign on a worker pool nothing more, since
-the workers build their own -- but not the library or the attacks; a
-later ``flow.run()`` reuses everything already computed.
+Stages are computed lazily and cached: asking for ``flow.traces()``
+computes (and keeps) the campaign and what it reads -- in process the
+expressions and the mapped circuit; for an unrouted campaign on a
+worker pool nothing more, since the workers build their own -- but not
+the library or the attacks; a later ``flow.run()`` reuses everything
+already computed.
 
 Two kinds of workload exist:
 
@@ -33,7 +34,6 @@ from typing import (
     Callable,
     Dict,
     Iterator,
-    List,
     Mapping,
     Optional,
     Sequence,
