@@ -72,13 +72,17 @@ def main() -> None:
     assert identical
 
     print(f"\n== 2. style grid, {workers} workers, shared store ==")
-    base = FlowConfig(name="styles", campaign=campaign)
+    base = FlowConfig(
+        name="styles",
+        campaign=campaign,
+        execution=ExecutionConfig(workers=workers, store=store),
+    )
     axes = {"gate_style": ["sabl", "cvsl"], "network_style": ["fc", "genuine"]}
-    report = run_sweep(base, axes, workers=workers, store=store)
+    report = run_sweep(base, axes)
     print(report.format_table())
 
     print("\n== 3. the same grid, served from the artifact store ==")
-    cached = run_sweep(base, axes, workers=workers, store=store)
+    cached = run_sweep(base, axes)
     print(cached.format_table())
     hits = sum(
         1

@@ -20,7 +20,6 @@ from .transforms import (
     shannon_expansion,
     substitute,
     sum_of_products,
-    to_and_or_not,
     to_nnf,
 )
 from .truthtable import (
@@ -61,7 +60,6 @@ __all__ = [
     "complement",
     "dual",
     "to_nnf",
-    "to_and_or_not",
     "is_literal",
     "literal_variable",
     "literal_polarity",

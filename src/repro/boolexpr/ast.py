@@ -13,7 +13,7 @@ The node types are deliberately small:
 * :class:`And`    -- n-ary conjunction,
 * :class:`Or`     -- n-ary disjunction,
 * :class:`Xor`    -- n-ary exclusive-or (convenience; lowered before
-  synthesis by :func:`repro.boolexpr.transforms.to_and_or_not`).
+  synthesis by :func:`repro.boolexpr.transforms.to_nnf`).
 
 Expressions compare and hash structurally, support the operators ``&``,
 ``|``, ``^`` and ``~``, and can be evaluated against an assignment of

@@ -18,7 +18,7 @@ from typing import List, Set, Tuple
 from .ast import FALSE, TRUE, And, Const, Expr, Not, Or, Var, Xor, ensure_expr
 from .transforms import complement, is_literal
 
-__all__ = ["simplify_constants", "simplify", "push_not_down"]
+__all__ = ["simplify_constants", "simplify"]
 
 
 def simplify_constants(expr: Expr) -> Expr:
@@ -86,13 +86,6 @@ def simplify_constants(expr: Expr) -> Expr:
             result = Not(result)
         return result
     raise TypeError(f"unsupported expression type: {type(expr).__name__}")
-
-
-def push_not_down(expr: Expr) -> Expr:
-    """Alias of :func:`repro.boolexpr.transforms.to_nnf` kept for discoverability."""
-    from .transforms import to_nnf
-
-    return to_nnf(expr)
 
 
 def _dedupe(args: Tuple[Expr, ...]) -> List[Expr]:

@@ -10,7 +10,7 @@ procedure (Section 4.1) relies on:
 * :func:`dual` -- the classical Boolean dual (swap AND/OR), provided for
   completeness and for property tests (``complement(f) ==
   dual(f)`` with all literals complemented).
-* :func:`to_nnf` / :func:`to_and_or_not` -- lower XOR and push negations
+* :func:`to_nnf` -- lower XOR and push negations
   onto literals so the synthesiser only ever sees AND, OR and literals.
 * :func:`substitute` -- replace variables by sub-expressions (used when
   composing gates into circuits).
@@ -27,7 +27,6 @@ __all__ = [
     "complement",
     "dual",
     "to_nnf",
-    "to_and_or_not",
     "is_literal",
     "is_nnf",
     "literal_variable",
@@ -138,11 +137,6 @@ def to_nnf(expr: Expr) -> Expr:
             )
         return result
     raise TypeError(f"unsupported expression type: {type(expr).__name__}")
-
-
-# ``to_and_or_not`` is the name used in the synthesis documentation; it is
-# the same operation as NNF conversion.
-to_and_or_not = to_nnf
 
 
 def is_nnf(expr: Expr) -> bool:

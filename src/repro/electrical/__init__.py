@@ -5,7 +5,6 @@ in for the paper's HSPICE runs."""
 from .capacitance import CapacitanceExtraction, extract_capacitances
 from .energy import (
     GATE_STYLES,
-    known_gate_styles,
     CycleEnergyRecord,
     CycleEnergySimulator,
     EventEnergyModel,
@@ -27,7 +26,6 @@ __all__ = [
     "CycleEnergySimulator",
     "CycleEnergyRecord",
     "GATE_STYLES",
-    "known_gate_styles",
     "SwitchedRCCircuit",
     "Switch",
     "Trace",

@@ -42,7 +42,6 @@ from .technology import Technology, generic_180nm
 __all__ = [
     "GATE_STYLES",
     "DischargeRootsFn",
-    "known_gate_styles",
     "EventEnergyRecord",
     "CycleEnergyRecord",
     "EventEnergyModel",
@@ -64,20 +63,13 @@ def _cvsl_discharge_roots(dpdn: DifferentialPullDownNetwork) -> Tuple[str, ...]:
     return (dpdn.z,)
 
 
-#: The discharge rule of every gate style, keyed by style name: the one
-#: table the charge models and the flow's gate-style backends read.
-_DISCHARGE_ROOTS: Dict[str, DischargeRootsFn] = {
+#: The differential gate styles, keyed by style name, each mapped to its
+#: discharge rule: the one table of styles.  The charge models read the
+#: rules, and the flow checks ``campaign.gate_style`` against the names.
+GATE_STYLES: Dict[str, DischargeRootsFn] = {
     "sabl": _sabl_discharge_roots,
     "cvsl": _cvsl_discharge_roots,
 }
-
-#: Names of the gate styles the charge models accept.
-GATE_STYLES: Tuple[str, ...] = tuple(_DISCHARGE_ROOTS)
-
-
-def known_gate_styles() -> Tuple[str, ...]:
-    """Names of every gate style the charge models accept."""
-    return GATE_STYLES
 
 
 def _discharge_roots(
@@ -85,10 +77,10 @@ def _discharge_roots(
 ) -> Tuple[str, ...]:
     """Nodes that are pulled low during the evaluation phase."""
     try:
-        roots = _DISCHARGE_ROOTS[style]
+        roots = GATE_STYLES[style]
     except KeyError:
         raise ValueError(
-            f"unknown gate style {style!r}; expected one of {known_gate_styles()}"
+            f"unknown gate style {style!r}; expected one of {tuple(GATE_STYLES)}"
         ) from None
     return roots(dpdn)
 
@@ -150,9 +142,9 @@ class EventEnergyModel:
         capacitances: Optional[CapacitanceExtraction] = None,
         wire_load: Optional[Tuple[float, float]] = None,
     ) -> None:
-        if style not in _DISCHARGE_ROOTS:
+        if style not in GATE_STYLES:
             raise ValueError(
-                f"unknown gate style {style!r}; expected one of {known_gate_styles()}"
+                f"unknown gate style {style!r}; expected one of {tuple(GATE_STYLES)}"
             )
         self.dpdn = dpdn
         self.technology = technology or generic_180nm()
@@ -256,10 +248,6 @@ class EventEnergyModel:
             )
         return records
 
-    def energy_by_event(self) -> Dict[Tuple[Tuple[str, bool], ...], float]:
-        """Map of input event to per-event energy."""
-        return {record.assignment: record.energy for record in self.sweep()}
-
 
 class CycleEnergySimulator:
     """Stateful cycle-by-cycle energy model of one gate.
@@ -298,10 +286,6 @@ class CycleEnergySimulator:
     @property
     def cycle(self) -> int:
         return self._cycle
-
-    def internal_state(self) -> Dict[str, bool]:
-        """Charge state of the internal nodes (True = holding charge)."""
-        return dict(self._charged)
 
     def step(self, assignment: Mapping[str, bool]) -> CycleEnergyRecord:
         """Advance one precharge + evaluation cycle with the given input event.

@@ -92,12 +92,6 @@ class SwitchedRCCircuit:
         if initial != 0.0:
             self._initial[name] = initial
 
-    def set_initial(self, name: str, value: float) -> None:
-        """Set the initial voltage of a node."""
-        if name not in self._capacitance:
-            raise KeyError(f"unknown node {name!r}")
-        self._initial[name] = value
-
     def add_supply(self, name: str, value: Union[float, Callable[[float], float]]) -> None:
         """Declare a node whose voltage is imposed (VDD, ground, input rails)."""
         if name in self._capacitance:

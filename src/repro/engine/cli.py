@@ -24,11 +24,11 @@ float, ``[1,2]`` -> list) and fall back to plain strings (``sabl``), so
 the shell syntax stays unquoted for the common cases.
 
 Observability flags are shared by ``run`` and ``sweep``: ``--trace
-FILE`` appends every event to a JSONL log, ``--progress`` (or ``-v``)
-streams progress lines to stderr, ``-v``/``-q`` raise and lower the
-console detail.  ``--json -`` writes the machine-readable report to
-stdout and moves every human-readable line to stderr, so piped output
-stays clean JSON.
+FILE`` appends every event to a JSONL log, ``--progress`` streams
+progress lines to stderr (console level 1), and each ``-v``/``-q``
+raises or lowers that level by one (``-v`` implies ``--progress``).
+``--json -`` writes the machine-readable report to stdout and moves
+every human-readable line to stderr, so piped output stays clean JSON.
 """
 
 from __future__ import annotations
@@ -121,17 +121,23 @@ def _execution_overrides(args: argparse.Namespace, config: FlowConfig) -> FlowCo
 
 
 def _obs_overrides(args: argparse.Namespace, config: FlowConfig) -> FlowConfig:
-    """Fold the observability flags into the config's obs section."""
+    """Fold the observability flags into the config's obs section.
+
+    ``--progress`` (or any ``-v``) shows at least level 1, each ``-v``
+    adds a level and each ``-q`` takes one away, within 0..3; with none
+    of them the config's ``verbosity`` stands (0, silent, by default).
+    """
     obs = config.obs
     overrides: Dict[str, Any] = {}
     if getattr(args, "trace", None):
         overrides["trace"] = args.trace
     verbose = getattr(args, "verbose", 0)
-    quiet = getattr(args, "quiet", 0)
+    level = obs.verbosity
     if getattr(args, "progress", False) or verbose:
-        overrides["progress"] = True
-    if verbose or quiet:
-        overrides["verbosity"] = max(0, min(3, obs.verbosity + verbose - quiet))
+        level = max(level, 1)
+    level = max(0, min(3, level + verbose - getattr(args, "quiet", 0)))
+    if level != obs.verbosity:
+        overrides["verbosity"] = level
     if getattr(args, "profile", False):
         overrides["profile"] = True
     if overrides:
@@ -401,12 +407,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     observer = observer_from_config(config.obs)
     try:
         with use_observer(observer):
-            report = run_sweep(
-                config,
-                axes,
-                workers=args.workers if args.workers is not None else 1,
-                stages=stages,
-            )
+            report = run_sweep(config, axes, stages=stages)
     finally:
         observer.close()
     print(report.format_table(), file=out)

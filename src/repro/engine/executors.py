@@ -261,8 +261,8 @@ def map_payloads(
     ``observer`` is active and the workers buffer (``obs_config.active``),
     the same events feed a :class:`~repro.obs.ProgressDispatcher`
     counting ``total`` ``unit``: the ``engine.progress`` events, the
-    resource gauges and, with ``obs_config.progress``, the stderr
-    progress line.
+    resource gauges and, at an ``obs_config.verbosity`` above 0, the
+    stderr progress line.
 
     A failed payload raises ``fail(payload, error)`` on both paths, so
     the error names it: when ``local``, ``task`` or ``consume`` raises
@@ -295,9 +295,9 @@ def map_payloads(
             observer,
             total=total,
             unit=unit,
-            # -q (verbosity 0) silences the rendered line like it
-            # silences the console sink; the progress *events* still flow.
-            progress=obs_config.progress and obs_config.verbosity > 0,
+            # Verbosity 0 (a traced run without --progress, or with -q)
+            # renders no line; the progress *events* still flow.
+            progress=obs_config.verbosity > 0,
             resource_sampler=lambda: _sample_gauges(observer),
         )
     outputs = _pool_outputs(

@@ -123,6 +123,19 @@ class ArtifactStore:
             return None
         return meta
 
+    def _read_current(self, key: str) -> Optional[Dict[str, Any]]:
+        """:meth:`_read_meta` of an entry in this store's format.
+
+        An entry of another ``format`` was laid out by another version
+        of this module: it is removed (see :meth:`_discard`) and reads
+        as a miss, so the recomputed result takes its place.
+        """
+        meta = self._read_meta(key)
+        if meta is not None and meta.get("format") != _STORE_FORMAT:
+            self._discard(key)
+            return None
+        return meta
+
     def _write_entry(
         self, key: str, meta: Dict[str, Any], arrays: Mapping[str, np.ndarray]
     ) -> None:
@@ -206,7 +219,7 @@ class ArtifactStore:
         raw ``details`` read from the same ``meta.json`` (see
         :meth:`get_json`).
         """
-        meta = self._read_meta(key)
+        meta = self._read_current(key)
         if meta is None or meta.get("kind") != "traces":
             self._count(hit=False, kind="traces")
             return None
@@ -265,7 +278,7 @@ class ArtifactStore:
         entry: it is removed (see :meth:`_discard`) and reads as a miss,
         so the recomputed result takes its place.
         """
-        meta = self._read_meta(key)
+        meta = self._read_current(key)
         if meta is None or meta.get("kind") != kind:
             self._count(hit=False, kind=kind)
             return None

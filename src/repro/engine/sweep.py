@@ -15,10 +15,11 @@ Axis paths name a section explicitly (``"campaign.noise_std"``,
 fields, which is where nearly every sweep axis lives::
 
     report = run_sweep(
-        FlowConfig(name="styles"),
+        FlowConfig(
+            name="styles",
+            execution=ExecutionConfig(workers=4, store="./artifacts"),
+        ),
         {"scenario": ["sbox", "present_round"], "gate_style": ["sabl", "cvsl"]},
-        workers=4,
-        store="./artifacts",
     )
     print(report.format_table())
 """
@@ -226,30 +227,24 @@ class SweepReport:
 def run_sweep(
     base: FlowConfig,
     axes: Mapping[str, Sequence[Any]],
-    workers: int = 1,
-    store: Optional[str] = None,
     stages: Optional[Sequence[str]] = None,
 ) -> SweepReport:
     """Run the full grid and reduce it into a :class:`SweepReport`.
 
-    ``workers`` parallelises *across cells* (each cell keeps its
+    The cells map over ``base.execution`` like a campaign's shards: its
+    ``workers`` parallelise *across cells* (each cell keeps its
     configured shard size but is forced to a single in-cell worker, so
-    pools never nest); the cells map like a campaign's shards, with
-    ``executor``, ``start_method`` and ``shard_timeout`` taken from
-    ``base.execution``, the timeout applying per cell.  A failed cell
-    raises a :class:`~repro.flow.pipeline.FlowError` naming it.
-    ``store`` points every cell at one shared artifact store.
+    pools never nest), and its ``executor``, ``start_method`` and
+    ``shard_timeout`` apply too, the timeout per cell.  A failed cell
+    raises a :class:`~repro.flow.pipeline.FlowError` naming it.  Every
+    cell shares ``base.execution.store`` unless its axes set one.
     ``stages`` restricts what each cell computes (default: each flow's
     applicable stages).
     """
     cells = build_grid(base, axes)
     payloads = []
     for name, overrides, config in cells:
-        execution = config.execution.replace(
-            workers=1,
-            executor=None,
-            store=store if store is not None else config.execution.store,
-        )
+        execution = config.execution.replace(workers=1, executor=None)
         config = config.replace(execution=execution)
         payloads.append(
             (
@@ -267,7 +262,7 @@ def run_sweep(
     start = time.perf_counter()
     try:
         with use_observer(obs), obs.span(
-            "sweep", cells=len(payloads), workers=workers
+            "sweep", cells=len(payloads), workers=base.execution.workers
         ):
             # In process the cells emit into ``obs`` directly; on the
             # pool each cell's buffered events are replayed as its
@@ -277,7 +272,7 @@ def run_sweep(
                 _sweep_cell_task,
                 lambda payload: _sweep_cell_task(payload)[0],
                 records.append,
-                base.execution.replace(workers=workers),
+                base.execution,
                 fail=_cell_error,
                 observer=obs,
                 obs_config=base.obs,

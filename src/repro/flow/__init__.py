@@ -36,15 +36,12 @@ from .pipeline import STAGES, DesignFlow, FlowError
 from .registry import (
     ASSESSMENTS,
     ATTACKS,
-    GATE_STYLES,
     SBOXES,
     TECHNOLOGIES,
     AssessmentMethod,
-    GateStyleBackend,
     UnknownBackendError,
     get_assessment,
     get_attack,
-    get_gate_style,
     get_sbox,
     get_technology,
 )
@@ -66,15 +63,12 @@ __all__ = [
     "FlowConfig",
     # backend tables
     "UnknownBackendError",
-    "GateStyleBackend",
     "TECHNOLOGIES",
-    "GATE_STYLES",
     "ATTACKS",
     "SBOXES",
     "ASSESSMENTS",
     "AssessmentMethod",
     "get_technology",
-    "get_gate_style",
     "get_attack",
     "get_sbox",
     "get_assessment",

@@ -9,10 +9,10 @@ config round-trips through plain dictionaries (``to_dict`` /
 Names that select a built-in backend (``TechnologyConfig.name``,
 ``CampaignConfig.gate_style``, ``AnalysisConfig.attacks``,
 ``CampaignConfig.sbox`` and the like) are looked up in the closed name
-tables of :mod:`repro.flow.registry` (and their siblings in
-:mod:`repro.layout.route` and :mod:`repro.scenarios.registry`) when the
-flow first needs them; an unknown name fails there with an error listing
-the available ones.
+tables of :mod:`repro.flow.registry` (and their siblings
+:data:`repro.electrical.GATE_STYLES`, :mod:`repro.layout.route` and
+:mod:`repro.scenarios.registry`) when the flow first needs them; an
+unknown name fails there with an error listing the available ones.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ __all__ = [
     "ObservabilityConfig",
     "FlowConfig",
 ]
-
-#: The campaign block size (:data:`repro.power.trace.BLOCK_SIZE`): the
-#: unit shard sizes round up to.
-DEFAULT_SHARD_SIZE = BLOCK_SIZE
-
 
 class ConfigError(ValueError):
     """A configuration value failed validation."""
@@ -372,7 +367,8 @@ class CampaignConfig(_ConfigBase):
         network_style: ``"fc"`` (protected) or ``"genuine"`` (leaky)
             gate networks for the mapped circuit.
         max_fanin: fan-in bound of the technology mapper.
-        gate_style: gate style backend (``"sabl"``/``"cvsl"``).
+        gate_style: differential gate style
+            (:data:`repro.electrical.GATE_STYLES`: ``"sabl"``/``"cvsl"``).
         scenario: scenario backend (:data:`repro.scenarios.SCENARIOS`):
             ``"sbox"`` (the paper's keyed S-box), ``"present_round"``
             or ``"present_rounds"``.  Scenario parameters live in
@@ -492,9 +488,9 @@ class AssessmentConfig(_ConfigBase):
         traces_per_class: traces acquired for *each* of the fixed and
             random classes.  The campaign streams ``2 *
             traces_per_class`` cycles as blocks of
-            :data:`DEFAULT_SHARD_SIZE` traces, half fixed and half random
-            in a shuffled order; each block updates its own
-            accumulators, merged in block order.
+            :data:`~repro.power.trace.BLOCK_SIZE` traces, half fixed
+            and half random in a shuffled order; each block updates its
+            own accumulators, merged in block order.
         orders: t-test orders, a subset of ``(1, 2)``.
         threshold: the ``|t|`` pass/fail threshold (4.5 is the TVLA
             convention).
@@ -562,8 +558,9 @@ class AssessmentConfig(_ConfigBase):
 class ExecutionConfig(_ConfigBase):
     """How the heavy stages (``traces``, ``assessment``) execute.
 
-    Every campaign is a fixed stream of :data:`DEFAULT_SHARD_SIZE`-trace
-    blocks (:func:`repro.power.trace.campaign_blocks`) and runs through
+    Every campaign is a fixed stream of
+    :data:`~repro.power.trace.BLOCK_SIZE`-trace blocks
+    (:func:`repro.power.trace.campaign_blocks`) and runs through
     the engine's runner as shards of whole consecutive blocks, in an
     in-process loop or on a worker pool.  No field here changes a
     result or an artifact-store key: the blocks, not the shards, own
@@ -660,12 +657,12 @@ class ExecutionConfig(_ConfigBase):
         still reports progress and times out shard by shard.
         """
         if self.shard_size is not None:
-            return -(-self.shard_size // DEFAULT_SHARD_SIZE) * DEFAULT_SHARD_SIZE
+            return -(-self.shard_size // BLOCK_SIZE) * BLOCK_SIZE
         if not self.pooled:
             return None
-        blocks = -(-total // DEFAULT_SHARD_SIZE)
+        blocks = -(-total // BLOCK_SIZE)
         per_shard = min(-(-blocks // self.workers), ASSESSMENT_BLOCKS_PER_CALL)
-        return per_shard * DEFAULT_SHARD_SIZE
+        return per_shard * BLOCK_SIZE
 
     @property
     def resolved_executor(self) -> str:
@@ -690,19 +687,21 @@ class ObservabilityConfig(_ConfigBase):
             :class:`~repro.obs.sinks.JsonlSink`); every span, counter and
             histogram event of the run is appended as one JSON object per
             line.  ``None`` disables the file sink.
-        progress: stream human-readable progress lines to stderr (a
-            :class:`~repro.obs.sinks.ConsoleSink`, none at verbosity 0).
-        verbosity: console detail level 0..3 -- 0 silent, 1 stage and
-            campaign completions, 2 adds shard/store/kernel detail,
-            3 everything including span starts.  The CLI's ``-v``/``-q``
-            flags map onto this.
+        verbosity: console detail level 0..3 of the human-readable
+            progress lines on stderr (a
+            :class:`~repro.obs.sinks.ConsoleSink`) -- 0 silent (the
+            default, no console sink), 1 stage and campaign completions
+            and the pooled progress line, 2 adds shard/store/kernel
+            detail, 3 everything including span starts.  The CLI's
+            ``--progress`` shows level 1, and each ``-v``/``-q`` adds or
+            takes one level.
         profile: wrap every observer span in :mod:`cProfile` and emit a
             ``span.profile`` event carrying the span's top-N cumulative
             hotspots (see :mod:`repro.obs.profile`).  Profiling is a
             side-channel like every other observability feature -- a
             profiled run stays bit-identical to an unprofiled one -- and
             only takes effect when some sink is active to receive the
-            events (``trace`` or ``progress``).
+            events (``trace`` or ``verbosity`` above 0).
         profile_top: hotspot entries kept per profiled span.
 
     Pool workers buffer their events and the parent replays each
@@ -711,8 +710,7 @@ class ObservabilityConfig(_ConfigBase):
     """
 
     trace: Optional[str] = None
-    progress: bool = False
-    verbosity: int = 1
+    verbosity: int = 0
     profile: bool = False
     profile_top: int = 10
 
@@ -731,11 +729,11 @@ class ObservabilityConfig(_ConfigBase):
 
     @property
     def active(self) -> bool:
-        """True when the config implies a sink: a trace file, or progress
-        shown at ``verbosity`` above 0 (what
+        """True when the config implies a sink: a trace file, or console
+        lines at ``verbosity`` above 0 (what
         :func:`repro.obs.observer_from_config` builds).  Only then do
         pool workers buffer their events for the parent."""
-        return self.trace is not None or (self.progress and self.verbosity > 0)
+        return self.trace is not None or self.verbosity > 0
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ Two kinds of workload exist:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from typing import (
@@ -53,6 +54,7 @@ from ..core.library import Cell, STANDARD_CELL_SPECS, build_library
 from ..core.synthesis import synthesize_fc_dpdn
 from ..core.transform import transform_to_fc
 from ..core.verify import verify_gate
+from ..electrical.energy import GATE_STYLES
 from ..network.build import build_genuine_dpdn
 from ..network.netlist import DifferentialPullDownNetwork
 from ..power.metrics import energy_statistics
@@ -64,13 +66,13 @@ from ..power.trace import (
     measure_traces,
 )
 from ..obs import get_observer, observer_from_config, use_observer
+from ..registry import lookup
 from ..sabl.circuit import DifferentialCircuit, map_expressions
 from .config import FlowConfig
 from .registry import (
     UnknownBackendError,
     get_assessment,
     get_attack,
-    get_gate_style,
     get_technology,
 )
 from .results import FlowReport, FlowResult
@@ -609,13 +611,19 @@ class DesignFlow:
             )
         return f"hamming-weight model (noise={campaign.noise_std})"
 
-    def _circuit_campaign_params(self):
-        """Resolved ``(technology, gate_style)`` of a circuit campaign."""
+    def _technology(self):
+        """The resolved technology card of a circuit campaign."""
         technology = self._resolve(get_technology, self.config.technology.name)
         if self.config.technology.overrides:
             technology = technology.scaled(**self.config.technology.overrides)
-        gate_style = self._resolve(get_gate_style, self.config.campaign.gate_style)
-        return technology, gate_style
+        return technology
+
+    def _gate_style(self) -> str:
+        """The campaign's gate style, checked against the one table of
+        styles, :data:`repro.electrical.GATE_STYLES`."""
+        name = self.config.campaign.gate_style
+        self._resolve(functools.partial(lookup, GATE_STYLES, "gate style"), name)
+        return name
 
     def _compute_layout(self) -> Tuple[Any, Dict[str, Any]]:
         """Place & route the mapped circuit (no-op for layout-free configs).
@@ -636,7 +644,7 @@ class DesignFlow:
         from ..layout import LayoutError, layout_circuit
 
         config = self.config.layout
-        technology, _ = self._circuit_campaign_params()
+        technology = self._technology()
         try:
             layout = layout_circuit(
                 self.circuit(),
@@ -705,11 +713,10 @@ class DesignFlow:
         circuit = self.circuit()
         if self._program is not None and self._program.circuit is circuit:
             return self._program
-        technology, gate_style = self._circuit_campaign_params()
         self._program = compile_circuit(
             circuit,
-            technology=technology,
-            gate_style=gate_style.name,
+            technology=self._technology(),
+            gate_style=self._gate_style(),
             net_loads=self._net_loads(),
         )
         return self._program
@@ -735,13 +742,12 @@ class DesignFlow:
                 key=campaign.key,
                 description=self._model_description(),
             )
-        technology, gate_style = self._circuit_campaign_params()
         return acquire_circuit_traces(
             self.circuit(),
             key=campaign.key,
             trace_count=campaign.trace_count,
-            technology=technology,
-            gate_style=gate_style.name,
+            technology=self._technology(),
+            gate_style=self._gate_style(),
             noise_std=campaign.noise_std,
             seed=campaign.seed,
             net_loads=self._net_loads(),
@@ -774,9 +780,8 @@ class DesignFlow:
         if campaign.source == "model":
             details["source"] = f"model/{campaign.model_leakage}"
         else:
-            technology, gate_style = self._circuit_campaign_params()
-            details["gate_style"] = gate_style.name
-            details["technology"] = technology.name
+            details["gate_style"] = self._gate_style()
+            details["technology"] = self._technology().name
             details["simulator"] = "bitslice"
             if self.config.layout.routed:
                 details["router"] = self.config.layout.router

@@ -1,14 +1,11 @@
 """The closed backend tables behind the flow configs' name fields.
 
-Five tables, each a plain ``dict`` of the built-ins, back the
+Four tables, each a plain ``dict`` of the built-ins, back the
 string-valued fields of the flow configs:
 
 * :data:`TECHNOLOGIES` -- technology-card factories
   (``generic_180nm``, ``generic_130nm``, ``generic_65nm``); a custom card
   is a built-in plus :attr:`~repro.flow.config.TechnologyConfig.overrides`;
-* :data:`GATE_STYLES` -- differential gate styles (``sabl``, ``cvsl``):
-  the gate class used for single-gate views plus the discharge rule the
-  charge models use, built from the energy module's one table of rules;
 * :data:`ATTACKS` -- side-channel analysis methods (``dom``
   difference-of-means DPA and ``cpa``);
 * :data:`SBOXES` -- substitution boxes for the crypto workload
@@ -19,42 +16,36 @@ string-valued fields of the flow configs:
 
 The ``get_*`` functions are the read path; an unknown name raises
 :class:`~repro.registry.UnknownBackendError` listing the available ones.
+The gate styles (``sabl``, ``cvsl``) are the charge models' own table,
+:data:`repro.electrical.GATE_STYLES`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
 from ..registry import UnknownBackendError, lookup
-from ..electrical import energy as _energy
 from ..electrical.technology import (
     Technology,
     generic_130nm,
     generic_180nm,
     generic_65nm,
 )
-from ..network.netlist import DifferentialPullDownNetwork
 from ..power.crypto import AES_SBOX, PRESENT_SBOX
 from ..power.dpa import AttackResult, cpa_correlation, dpa_difference_of_means
 from ..power.trace import TraceSet
 from ..assess.accumulators import ClassEnergyStats
 from ..assess.ttest import TVLATTest
-from ..sabl.cvsl import CVSLGate
-from ..sabl.gate import SABLGate
 from .config import AnalysisConfig, AssessmentConfig
 
 __all__ = [
     "UnknownBackendError",
-    "GateStyleBackend",
     "TECHNOLOGIES",
-    "GATE_STYLES",
     "ATTACKS",
     "SBOXES",
     "ASSESSMENTS",
     "AssessmentMethod",
     "get_technology",
-    "get_gate_style",
     "get_attack",
     "get_sbox",
     "get_assessment",
@@ -74,40 +65,6 @@ TECHNOLOGIES: Dict[str, Callable[[], Technology]] = {
 def get_technology(name: str) -> Technology:
     """A fresh instance of the technology card named ``name``."""
     return lookup(TECHNOLOGIES, "technology", name)()
-
-
-# ------------------------------------------------------------------- gate styles
-
-
-@dataclass(frozen=True)
-class GateStyleBackend:
-    """One differential gate style.
-
-    ``gate_cls`` wraps a DPDN for the single-gate views (charge sweep and
-    transient simulation); ``discharge_roots`` is the charge-model rule:
-    which DPDN nodes are pulled low during evaluation.
-    """
-
-    name: str
-    gate_cls: Callable[..., object]
-    discharge_roots: Callable[[DifferentialPullDownNetwork], Tuple[str, ...]]
-
-    def make_gate(self, dpdn: DifferentialPullDownNetwork, **kwargs):
-        """Instantiate the style's gate around ``dpdn``."""
-        return self.gate_cls(dpdn, **kwargs)
-
-
-#: Differential gate styles, keyed by style name.  Each discharge rule
-#: comes from the energy module's table, which the charge models read.
-GATE_STYLES: Dict[str, GateStyleBackend] = {
-    name: GateStyleBackend(name, gate_cls, _energy._DISCHARGE_ROOTS[name])
-    for name, gate_cls in (("sabl", SABLGate), ("cvsl", CVSLGate))
-}
-
-
-def get_gate_style(name: str) -> GateStyleBackend:
-    """The gate style backend named ``name``."""
-    return lookup(GATE_STYLES, "gate style", name)
 
 
 # ----------------------------------------------------------------------- attacks

@@ -139,12 +139,6 @@ class Placement:
     initial_hpwl: float
     seed: int
 
-    def location(self, terminal: str, is_input_pad: bool = False) -> Site:
-        """Site of a gate (or, with ``is_input_pad``, an input pad)."""
-        if is_input_pad:
-            return self.input_pads[terminal]
-        return self.gates[terminal]
-
     def pin_sites(self, terminal: NetTerminals) -> List[Site]:
         """Pin sites of one net's terminals under this placement."""
         return terminal_pin_sites(

@@ -193,9 +193,6 @@ class ConnectivityRecord:
         """True when no internal node floats for this event."""
         return not self.floating
 
-    def assignment_dict(self) -> Dict[str, bool]:
-        return dict(self.assignment)
-
 
 def full_connectivity_report(
     dpdn: DifferentialPullDownNetwork,

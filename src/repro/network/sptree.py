@@ -65,13 +65,6 @@ class SPNode:
     def device_names(self) -> Set[str]:
         return {device.name for device in self.devices()}
 
-    def bottom_devices(self) -> List[Transistor]:
-        """Devices of this subtree with a terminal on the bottom node."""
-        return [device for device in self.devices() if device.touches(self.bottom)]
-
-    def leaf_count(self) -> int:
-        return len(self.devices())
-
 
 @dataclass(frozen=True)
 class SPLeaf(SPNode):

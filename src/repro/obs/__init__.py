@@ -6,7 +6,7 @@ it is doing: an :class:`Observer` that times :meth:`~Observer.span`
 sections, emits :meth:`~Observer.counter` / :meth:`~Observer.gauge` /
 :meth:`~Observer.histogram` events, and streams every event to the
 sinks its config implies: a JSONL trace file (``trace``) and console
-progress lines on stderr (``progress``).  :class:`TraceSummary` is the
+progress lines on stderr (``verbosity`` above 0).  :class:`TraceSummary` is the
 one aggregate of those events (:func:`summarize_events` over a
 buffered run, :func:`summarize_trace_file` over a trace file).
 

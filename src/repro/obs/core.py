@@ -353,14 +353,14 @@ def observer_from_config(config: Any) -> Observer:
     """Build an observer from an :class:`~repro.flow.config.ObservabilityConfig`.
 
     ``trace`` adds a :class:`~repro.obs.sinks.JsonlSink` on that path,
-    and ``progress`` adds a :class:`~repro.obs.sinks.ConsoleSink` when
-    ``verbosity`` is above 0.  A config that implies no sink returns
+    and a ``verbosity`` above 0 adds a
+    :class:`~repro.obs.sinks.ConsoleSink` at that level.  A config that implies no sink returns
     :data:`NULL_OBSERVER`.
     """
     sinks: List[Sink] = []
     if config.trace is not None:
         sinks.append(JsonlSink(config.trace))
-    if config.progress and config.verbosity > 0:
+    if config.verbosity > 0:
         sinks.append(ConsoleSink(config.verbosity))
     if not sinks:
         return NULL_OBSERVER

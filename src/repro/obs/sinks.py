@@ -7,9 +7,9 @@ sinks (:func:`repro.obs.observer_from_config`):
 * :class:`JsonlSink` -- set by ``trace``: appends one JSON object per
   line to that file; the durable, machine-readable record
   ``repro trace summary`` aggregates.
-* :class:`ConsoleSink` -- set by ``progress`` (at ``verbosity`` above
-  0): human-readable progress lines on stderr, filtered by the
-  verbosity (stderr so ``repro sweep --json -`` keeps a clean stdout).
+* :class:`ConsoleSink` -- set by a ``verbosity`` above 0:
+  human-readable progress lines on stderr, filtered by the verbosity
+  (stderr so ``repro sweep --json -`` keeps a clean stdout).
 
 A config that implies neither gets the null observer: instrumented hot
 paths guard on ``observer.active`` and never even build their event

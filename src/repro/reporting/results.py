@@ -1,8 +1,7 @@
 """Structured experiment records.
 
-The benchmark harness records, for every reproduced figure, what the
-paper reports and what this implementation measures; EXPERIMENTS.md is
-generated from (and kept consistent with) these records.
+The benchmark drivers record, for every reproduced figure, what the
+paper reports and what this implementation measures.
 """
 
 from __future__ import annotations

@@ -217,6 +217,44 @@ class TestArtifactStore:
         assert healed is not None
         assert np.array_equal(healed.traces, original.traces)
 
+    @pytest.mark.parametrize("kind", ["traces", "assessment"])
+    def test_an_entry_of_another_format_is_replaced_by_the_next_put(
+        self, tmp_path, kind
+    ):
+        store = ArtifactStore(tmp_path / "store")
+        key = "7" * 64
+        original = _traceset()
+
+        def put():
+            if kind == "traces":
+                store.put_traceset(key, original, {"stage": "traces"})
+            else:
+                store.put_json(key, {"answer": 42}, {"stage": kind}, kind=kind)
+
+        def get():
+            if kind == "traces":
+                return store.get_traceset(key)
+            return store.get_json(key, kind=kind)
+
+        put()
+        meta_path = store.path(key) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format"] = 0
+        meta_path.write_text(json.dumps(meta, sort_keys=True))
+        # Listed, but never served: a get reads it as a miss and
+        # removes it, so the recomputed result takes its place.
+        assert [entry["format"] for entry in store.entries()] == [0]
+        assert get() is None
+        assert store.misses == 1 and store.hits == 0
+        assert key not in store
+        put()
+        healed = get()
+        if kind == "traces":
+            assert np.array_equal(healed.traces, original.traces)
+        else:
+            assert healed == {"answer": 42}
+        assert json.loads(meta_path.read_text())["format"] != 0
+
     def test_malformed_keys_are_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         with pytest.raises(ValueError):

@@ -59,13 +59,11 @@ class TestBuildGrid:
 class TestRunSweep:
     def test_grid_runs_and_reports(self, tmp_path):
         base = FlowConfig(
-            name="mini", campaign=CampaignConfig(trace_count=40)
+            name="mini",
+            campaign=CampaignConfig(trace_count=40),
+            execution=ExecutionConfig(store=str(tmp_path / "store")),
         )
-        report = run_sweep(
-            base,
-            {"network_style": ["fc", "genuine"]},
-            store=str(tmp_path / "store"),
-        )
+        report = run_sweep(base, {"network_style": ["fc", "genuine"]})
         assert len(report) == 2
         record = report.to_dict()
         assert [cell["overrides"]["network_style"] for cell in record["cells"]] == [
@@ -79,10 +77,13 @@ class TestRunSweep:
         assert "network_style" in table and "fc" in table
 
     def test_shared_store_hits_across_identical_cells(self, tmp_path):
-        base = FlowConfig(name="mini", campaign=CampaignConfig(trace_count=32))
-        store = str(tmp_path / "store")
-        first = run_sweep(base, {"gate_style": ["sabl"]}, store=store)
-        second = run_sweep(base, {"gate_style": ["sabl"]}, store=store)
+        base = FlowConfig(
+            name="mini",
+            campaign=CampaignConfig(trace_count=32),
+            execution=ExecutionConfig(store=str(tmp_path / "store")),
+        )
+        first = run_sweep(base, {"gate_style": ["sabl"]})
+        second = run_sweep(base, {"gate_style": ["sabl"]})
         assert (
             first.cells[0]["stages"]["traces"]["details"]["store"] == "miss"
         )
@@ -94,7 +95,9 @@ class TestRunSweep:
         base = FlowConfig(name="mini", campaign=CampaignConfig(trace_count=32))
         axes = {"network_style": ["fc", "genuine"]}
         serial = run_sweep(base, axes)
-        parallel = run_sweep(base, axes, workers=2)
+        parallel = run_sweep(
+            base.replace(execution=ExecutionConfig(workers=2)), axes
+        )
 
         def strip(report):
             cells = []
@@ -125,34 +128,41 @@ class TestRunSweep:
         campaign = CampaignConfig(trace_count=32)
         shutdown_pools()
         fork = run_sweep(
-            FlowConfig(campaign=campaign, execution=ExecutionConfig(start_method="fork")),
+            FlowConfig(
+                campaign=campaign,
+                execution=ExecutionConfig(workers=2, start_method="fork"),
+            ),
             axes,
-            workers=2,
         )
         spawn = run_sweep(
-            FlowConfig(campaign=campaign, execution=ExecutionConfig(start_method="spawn")),
+            FlowConfig(
+                campaign=campaign,
+                execution=ExecutionConfig(workers=2, start_method="spawn"),
+            ),
             axes,
-            workers=2,
         )
         assert ("spawn", 2) in _WARM_POOLS
         assert self._cells_without_timings(spawn) == self._cells_without_timings(fork)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failed_cell_is_named(self, workers):
-        base = FlowConfig(campaign=CampaignConfig(trace_count=32))
+        base = FlowConfig(
+            campaign=CampaignConfig(trace_count=32),
+            execution=ExecutionConfig(workers=workers),
+        )
         with pytest.raises(
             FlowError,
             match="sweep cell 'design/key=48' failed: key 0x30 does not fit",
         ):
-            run_sweep(base, {"key": [0x3, 0x30]}, workers=workers)
+            run_sweep(base, {"key": [0x3, 0x30]})
 
     def test_sweep_timeout_applies_per_cell(self):
         base = FlowConfig(
             campaign=CampaignConfig(trace_count=4000),
-            execution=ExecutionConfig(shard_timeout=0.001),
+            execution=ExecutionConfig(workers=2, shard_timeout=0.001),
         )
         with pytest.raises(FlowError, match="sweep cell .*gate_style=sabl"):
-            run_sweep(base, {"gate_style": ["sabl", "cvsl"]}, workers=2)
+            run_sweep(base, {"gate_style": ["sabl", "cvsl"]})
 
 
 class TestCli:

@@ -4,17 +4,16 @@ import pytest
 
 from repro.assess import make_noise_model
 from repro.assess.noise import _NOISE_MODELS
-from repro.electrical import GATE_STYLES as ENERGY_GATE_STYLES
-from repro.electrical import EventEnergyModel, energy
+from repro.electrical import GATE_STYLES, EventEnergyModel, energy
 from repro.flow import (
     ASSESSMENTS,
     ATTACKS,
-    GATE_STYLES,
     SBOXES,
     TECHNOLOGIES,
+    DesignFlow,
+    FlowError,
     UnknownBackendError,
     get_assessment,
-    get_gate_style,
     get_sbox,
     get_technology,
 )
@@ -22,7 +21,6 @@ from repro.flow.registry import get_attack
 from repro.layout import ROUTERS, get_router
 from repro.power import PRESENT_SBOX, acquire_model_traces
 from repro.registry import lookup
-from repro.sabl import SABLGate
 from repro.scenarios import SCENARIOS, make_scenario
 
 
@@ -36,13 +34,12 @@ class TestRegistry:
         assert str(excinfo.value) == "unknown widget 'gamma'; available: alpha, beta"
 
 
-def _gate_styles_share_the_discharge_rules():
-    # The flow's backends are built from the energy module's one table.
-    assert set(GATE_STYLES) == set(energy._DISCHARGE_ROOTS)
-    assert ENERGY_GATE_STYLES == tuple(energy._DISCHARGE_ROOTS)
-    for name, backend in GATE_STYLES.items():
-        assert backend.name == name
-        assert backend.discharge_roots is energy._DISCHARGE_ROOTS[name]
+def _gate_styles_map_to_discharge_rules():
+    # One table: each style name maps straight to its discharge rule.
+    assert GATE_STYLES == {
+        "sabl": energy._sabl_discharge_roots,
+        "cvsl": energy._cvsl_discharge_roots,
+    }
 
 
 def _sboxes_are_power_of_two_permutations():
@@ -67,10 +64,10 @@ TABLES = {
     "gate_style": (
         GATE_STYLES,
         {"sabl", "cvsl"},
-        lambda: get_gate_style("ecrl"),
+        lambda: lookup(GATE_STYLES, "gate style", "ecrl"),
         UnknownBackendError,
         "unknown gate style 'ecrl'; available: cvsl, sabl",
-        _gate_styles_share_the_discharge_rules,
+        _gate_styles_map_to_discharge_rules,
     ),
     "attack": (
         ATTACKS,
@@ -143,10 +140,10 @@ class TestBuiltinBackends:
         assert {"generic_180nm", "generic_130nm", "generic_65nm"} <= set(TECHNOLOGIES)
         assert get_technology("generic_130nm").name == "generic-130nm"
 
-    def test_builtin_gate_styles(self):
-        assert {"sabl", "cvsl"} <= set(GATE_STYLES)
-        backend = get_gate_style("sabl")
-        assert backend.gate_cls is SABLGate
+    def test_builtin_gate_styles(self, and2_fc):
+        # SABL's equaliser discharges both module outputs; CVSL only Z.
+        assert GATE_STYLES["sabl"](and2_fc) == (and2_fc.x, and2_fc.y, and2_fc.z)
+        assert GATE_STYLES["cvsl"](and2_fc) == (and2_fc.z,)
 
     def test_builtin_attacks_run(self):
         from repro.flow import AnalysisConfig
@@ -161,8 +158,14 @@ class TestBuiltinBackends:
         assert len(get_sbox("aes")) == 256
 
     def test_unknown_gate_style_message(self):
-        with pytest.raises(UnknownBackendError, match="sabl"):
-            get_gate_style("ecrl")
+        # The shard that first needs the style names it, through the
+        # one table of styles.
+        flow = DesignFlow.sbox(gate_style="ecrl", trace_count=32)
+        with pytest.raises(FlowError) as excinfo:
+            flow.traces()
+        assert str(excinfo.value).endswith(
+            "failed: FlowError: unknown gate style 'ecrl'; available: cvsl, sabl"
+        )
 
 
 class TestGateStyleRegistration:

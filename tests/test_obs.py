@@ -161,7 +161,7 @@ class TestSinks:
         with pytest.raises(ObsError, match="trace"):
             JsonlSink("")
         # A config without a trace path builds no jsonl sink.
-        observer = observer_from_config(ObservabilityConfig(progress=True))
+        observer = observer_from_config(ObservabilityConfig(verbosity=1))
         assert [type(sink) for sink in observer._sinks] == [ConsoleSink]
 
     def test_jsonl_sink_is_lazy_and_line_oriented(self, tmp_path):
@@ -195,9 +195,7 @@ class TestSinks:
         assert "shard.traces done" in stream.getvalue()
 
     def test_console_factory_opts_out_when_quiet(self, tmp_path):
-        config = ObservabilityConfig(
-            trace=str(tmp_path / "e.jsonl"), progress=True, verbosity=0
-        )
+        config = ObservabilityConfig(trace=str(tmp_path / "e.jsonl"), verbosity=0)
         observer = observer_from_config(config)
         assert [type(sink) for sink in observer._sinks] == [JsonlSink]
 
@@ -260,9 +258,9 @@ class TestCurrentObserver:
         )
         assert traced.active
         traced.close()
-        # progress with verbosity 0 contributes no sink at all
+        # verbosity 0 contributes no sink at all
         assert observer_from_config(
-            ObservabilityConfig(progress=True, verbosity=0)
+            ObservabilityConfig(verbosity=0)
         ) is NULL_OBSERVER
 
 
@@ -273,14 +271,23 @@ class TestObservabilityConfig:
     def test_defaults_are_inactive(self):
         config = ObservabilityConfig()
         assert not config.active
-        assert config.verbosity == 1
+        assert config.verbosity == 0
 
     def test_any_output_activates(self, tmp_path):
         assert ObservabilityConfig(trace=str(tmp_path / "e.jsonl")).active
-        assert ObservabilityConfig(progress=True).active
-        # Progress shown at verbosity 0 implies no sink, so nothing
-        # needs the events: workers must not buffer them.
-        assert not ObservabilityConfig(progress=True, verbosity=0).active
+        assert ObservabilityConfig(verbosity=1).active
+        # Verbosity 0 implies no sink, so nothing needs the events:
+        # workers must not buffer them.
+        assert not ObservabilityConfig(verbosity=0).active
+
+    def test_the_progress_knob_is_gone(self, tmp_path):
+        with pytest.raises(ConfigError, match="progress"):
+            FlowConfig.from_dict({"obs": {"progress": True}})
+        path = tmp_path / "flow.json"
+        path.write_text(json.dumps({"obs": {"progress": True, "verbosity": 1}}))
+        from repro.engine.cli import main
+
+        assert main(["run", "--config", str(path)]) == 2
 
     def test_the_sinks_knob_is_gone(self, capsys):
         with pytest.raises(ConfigError, match="sinks"):
@@ -291,15 +298,52 @@ class TestObservabilityConfig:
         assert "sinks" in capsys.readouterr().err
 
     def test_round_trips_through_dict(self, tmp_path):
-        config = ObservabilityConfig(
-            trace=str(tmp_path / "e.jsonl"), progress=True, verbosity=2
-        )
+        config = ObservabilityConfig(trace=str(tmp_path / "e.jsonl"), verbosity=2)
         clone = ObservabilityConfig.from_dict(config.to_dict())
         assert clone == config
 
     def test_verbosity_is_validated(self):
         with pytest.raises(Exception):
             ObservabilityConfig(verbosity=9)
+
+
+class TestCliVerbosity:
+    """The console flags fold into the one ``verbosity`` level, and at the
+    default config each combination keeps its console behaviour: no
+    flag, ``-q`` and ``--progress -q`` are silent and buffer nothing."""
+
+    @pytest.mark.parametrize(
+        "flags, verbosity",
+        [
+            ([], 0),
+            (["--progress"], 1),
+            (["-v"], 2),
+            (["-vv"], 3),
+            (["--progress", "-q"], 0),
+            (["-q"], 0),
+            (["--progress", "-v"], 2),
+            (["-vvvv"], 3),
+        ],
+    )
+    def test_flags_set_the_level(self, flags, verbosity):
+        from repro.engine.cli import _obs_overrides, build_parser
+
+        args = build_parser().parse_args(["run", *flags])
+        obs = _obs_overrides(args, FlowConfig(name="x")).obs
+        assert obs.verbosity == verbosity
+        assert obs.active is (verbosity > 0)
+        observer = observer_from_config(obs)
+        consoles = [s for s in observer._sinks if isinstance(s, ConsoleSink)]
+        assert [s.verbosity for s in consoles] == ([verbosity] if verbosity else [])
+
+    def test_flags_start_from_the_config_level(self):
+        from repro.engine.cli import _obs_overrides, build_parser
+
+        base = FlowConfig(name="x", obs=ObservabilityConfig(verbosity=2))
+        parser = build_parser()
+        for flags, verbosity in (([], 2), (["--progress"], 2), (["-q"], 1)):
+            args = parser.parse_args(["run", *flags])
+            assert _obs_overrides(args, base).obs.verbosity == verbosity
 
 
 # -------------------------------------------------------------------- summary

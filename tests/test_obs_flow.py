@@ -145,8 +145,9 @@ class TestEventParity:
     def test_workers_buffer_only_for_a_config_with_a_sink(
         self, tmp_path, monkeypatch, quiet
     ):
-        # ``--progress -q`` implies no sink: pool workers must ship no
-        # events for the parent to drop.  A trace file still gets them.
+        # ``--progress -q`` (verbosity 0) implies no sink: pool workers
+        # must ship no events for the parent to drop.  A trace file
+        # still gets them.
         from repro.engine import executors
 
         shipped = []
@@ -159,7 +160,7 @@ class TestEventParity:
 
         monkeypatch.setattr(executors, "_pool_outputs", recording)
         obs = (
-            ObservabilityConfig(progress=True, verbosity=0)
+            ObservabilityConfig(verbosity=0)
             if quiet
             else ObservabilityConfig(trace=str(tmp_path / "trace.jsonl"))
         )
@@ -242,10 +243,10 @@ class TestSweepTracing:
         base = FlowConfig(
             name="swp",
             campaign=CampaignConfig(trace_count=32),
-            execution=ExecutionConfig(store=str(tmp_path / "store")),
+            execution=ExecutionConfig(workers=2, store=str(tmp_path / "store")),
             obs=ObservabilityConfig(trace=str(trace)),
         )
-        result = run_sweep(base, {"gate_style": ["sabl", "cvsl"]}, workers=2)
+        result = run_sweep(base, {"gate_style": ["sabl", "cvsl"]})
         assert len(result.cells) == 2
 
         summary = summarize_trace_file(str(trace))
@@ -256,18 +257,24 @@ class TestSweepTracing:
         assert summary.spans["sweep"].count == 1
         assert summary.counters["sweep.cells_done"] == 2.0
         assert any(name.startswith("stage.") for name in summary.spans)
+        # The cells map on base.execution's two workers.
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        maps = [
+            event["attrs"]
+            for event in events
+            if event["kind"] == "span.end" and event["name"] == "executor.map"
+        ]
+        assert [attrs["workers"] for attrs in maps] == [2]
 
     def test_sweep_results_unchanged_by_tracing(self, tmp_path):
         def cells(obs, sub):
             base = FlowConfig(
                 name="swp",
                 campaign=CampaignConfig(trace_count=32),
-                execution=ExecutionConfig(store=str(tmp_path / sub)),
+                execution=ExecutionConfig(workers=2, store=str(tmp_path / sub)),
                 obs=obs,
             )
-            return run_sweep(
-                base, {"campaign.noise_std": [0.0, 0.02]}, workers=2
-            ).cells
+            return run_sweep(base, {"campaign.noise_std": [0.0, 0.02]}).cells
 
         def comparable(cell):
             # Strip wall-clock readings; everything else must match.

@@ -491,9 +491,7 @@ class TestExecutorLiveProtocol:
 
         monkeypatch.setattr(engine_executors, "ProgressDispatcher", spy)
         monkeypatch.setattr(sys, "stderr", _BrokenStream())
-        traces, events = _run_traced(
-            pooled, obs=ObservabilityConfig(progress=True)
-        )
+        traces, events = _run_traced(pooled, obs=ObservabilityConfig(verbosity=1))
         assert len(built) == 1 and built[0].progress is False
         assert np.array_equal(untraced.traces, traces.traces)
         assert _shard_ends(events) == list(range(TRACES // SHARD))
@@ -673,12 +671,12 @@ class TestSweepLive:
         base = FlowConfig(
             name="swp",
             campaign=CampaignConfig(trace_count=32),
-            execution=ExecutionConfig(store=str(tmp_path / "store")),
+            execution=ExecutionConfig(workers=2, store=str(tmp_path / "store")),
             obs=TRACED_OBS,
         )
         buffer = []
         with use_observer(Observer((BufferSink(buffer),))):
-            report = run_sweep(base, {"gate_style": ["sabl", "cvsl"]}, workers=2)
+            report = run_sweep(base, {"gate_style": ["sabl", "cvsl"]})
         assert len(report.cells) == 2
         cells_done = sum(
             event["value"]
@@ -702,7 +700,6 @@ class TestObsConfig:
     def test_live_knobs_validate(self):
         assert [f.name for f in dataclasses.fields(ObservabilityConfig)] == [
             "trace",
-            "progress",
             "verbosity",
             "profile",
             "profile_top",
@@ -724,9 +721,7 @@ class TestObsConfig:
         _flow(execution, obs=ObservabilityConfig()).traces()
         buffer = []
         with use_observer(Observer((BufferSink(buffer),))):
-            _flow(
-                execution, obs=ObservabilityConfig(progress=True)
-            ).traces()
+            _flow(execution, obs=ObservabilityConfig(verbosity=1)).traces()
         hits = [e for e in buffer if e["name"] == "store.hit"]
         misses = [e for e in buffer if e["name"] == "store.miss"]
         assert hits and not misses
@@ -798,9 +793,9 @@ class TestCli:
 
         args = build_parser().parse_args(["run", "--progress"])
         config = _obs_overrides(args, FlowConfig(name="x"))
-        assert config.obs.progress and config.obs.active
+        assert config.obs.verbosity == 1 and config.obs.active
         args = build_parser().parse_args(["run"])
-        assert not _obs_overrides(args, FlowConfig(name="x")).obs.progress
+        assert not _obs_overrides(args, FlowConfig(name="x")).obs.active
 
     @pytest.mark.parametrize("flag", [["--live"], ["--heartbeat", "0.5"]])
     def test_removed_live_flags_exit_2(self, flag, capsys):
