@@ -46,8 +46,9 @@ from ..power.trace import TraceSet
 
 __all__ = ["ArtifactStore", "content_key"]
 
-#: Bump when the on-disk layout (not the keyed configs) changes shape.
-_STORE_FORMAT = 1
+#: Bump when the on-disk layout changes shape, or when every key
+#: changes at once (2: keys rooted at the physics fingerprint).
+_STORE_FORMAT = 2
 
 
 def content_key(payload: Mapping[str, Any]) -> str:

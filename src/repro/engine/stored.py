@@ -4,34 +4,82 @@ The flow's costly results -- the routed ``layout``, the ``traces`` and
 the ``assessment`` verdict -- reach the artifact store
 (:mod:`repro.engine.store`) only through :func:`get_or_compute`, under
 the key of :func:`store_record`: the one place that decides which
-config fields a stage's key holds.
+inputs a stage's key holds.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Any, Callable, Dict, Optional, Tuple
+
+import numpy as np
 
 from .store import content_key
 
-__all__ = ["store_record", "get_or_compute"]
+__all__ = ["PHYSICS_FINGERPRINT", "netlist_record", "store_record", "get_or_compute"]
 
 STORED_STAGES = ("layout", "traces", "assessment")
+
+#: Digest of the golden per-cycle energies of the paper's S-box (key
+#: ``0xB``): every plaintext, SABL and CVSL gates, fully connected and
+#: genuine networks, unrouted and ``fat``-routed.  It roots every store
+#: key, so a change to the energy models, the placer, the router or the
+#: extraction -- anything that moves a stored result without moving a
+#: config field -- must bump it, and old entries then read as misses.
+#: ``tests/test_kernel_bitslice.py::TestPhysicsFingerprint`` recomputes it.
+PHYSICS_FINGERPRINT = "4229b694b063b893"
+
+
+def netlist_record(circuit) -> Dict[str, Any]:
+    """The net topology of ``circuit``: all that place-and-route reads.
+
+    Gate and net names (which embed the flow name and network style)
+    and the wiring arrays -- each port's source net id and each gate's
+    output net id -- enter one digest; the rail each port reads
+    (``gate_inverted``) and the gate networks do not, so campaign keys
+    that only swap rails share one layout.
+    """
+    digest = hashlib.sha256(
+        json.dumps([circuit.net_names, circuit.gate_names]).encode("utf-8")
+    )
+    for array in (circuit.gate_inputs, circuit.gate_output):
+        digest.update(repr(array.shape).encode("ascii"))
+        digest.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+    return {
+        "primary_inputs": list(circuit.primary_inputs),
+        "outputs": [[name, net] for name, net in circuit.outputs.items()],
+        "nets": digest.hexdigest(),
+    }
 
 
 def store_record(flow, stage: str) -> Dict[str, Any]:
     """Everything that determines the stored ``stage`` result of ``flow``.
 
-    No execution field is part of it.  The ``layout`` record also names
-    the flow (gate and net names embed it); the ``assessment`` record
+    Every record is rooted at :data:`PHYSICS_FINGERPRINT` and holds no
+    execution field.  The ``layout`` record holds only what
+    place-and-route reads: the mapped circuit's net topology
+    (:func:`netlist_record`, whose gate and net names carry the flow
+    name), the technology and the layout config.  The ``traces`` and
+    ``assessment`` records hold the campaign; the ``assessment`` record
     also carries the assessment config.
     """
     if stage not in STORED_STAGES:
         raise ValueError(f"no stored stage {stage!r}; expected one of {STORED_STAGES}")
     config = flow.config
+    if stage == "layout":
+        return {
+            "stage": stage,
+            "physics": PHYSICS_FINGERPRINT,
+            "netlist": netlist_record(flow.circuit()),
+            "technology": config.technology.to_dict(),
+            "layout": config.layout.to_dict(),
+        }
     spec = flow._expression_spec
     expressions = None if spec is None else {n: str(e) for n, e in sorted(spec.items())}
     record: Dict[str, Any] = {
         "stage": stage,
+        "physics": PHYSICS_FINGERPRINT,
         "campaign": config.campaign.to_dict(),
         "technology": config.technology.to_dict(),
         # The campaign carries the scenario *name*; the parameters are
@@ -54,9 +102,7 @@ def store_record(flow, stage: str) -> Dict[str, Any]:
         if config.campaign.model_leakage == "bit":
             record["target_bit"] = config.analysis.target_bit
             record["target_sbox"] = config.analysis.target_sbox
-    if stage == "layout":
-        record["name"] = config.name
-    elif stage == "assessment":
+    if stage == "assessment":
         record["assessment"] = config.assessment.to_dict()
     return record
 

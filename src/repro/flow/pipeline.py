@@ -629,8 +629,10 @@ class DesignFlow:
         """Place & route the mapped circuit (no-op for layout-free configs).
 
         With a store configured the routed layout and its details are
-        one ``kind="layout"`` entry: a hit decodes it and runs no
-        place-and-route, and reports the same details a miss does.
+        one ``kind="layout"`` entry, keyed by the circuit's net topology,
+        the technology and the layout config: a hit decodes it and runs
+        no place-and-route, and reports the same details a miss does, so
+        every campaign on one routed circuit shares one place-and-route.
         """
         if not self.config.layout.routed:
             return None, {"routed": False}

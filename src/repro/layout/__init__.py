@@ -240,6 +240,6 @@ def layout_circuit(
         circuit, grid=grid, seed=seed, anneal_moves=anneal_moves
     )
     routing = route_circuit(circuit, placement, router=router)
-    outputs = tuple(gate.output_net for gate in circuit.gates)
+    outputs = tuple(circuit.net_names[net] for net in circuit.gate_output.tolist())
     parasitics = extract_net_parasitics(routing, technology, annotatable=outputs)
     return CircuitLayout(placement=placement, routing=routing, parasitics=parasitics)

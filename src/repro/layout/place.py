@@ -79,29 +79,35 @@ class NetTerminals:
 
 
 def net_terminals(circuit: DifferentialCircuit) -> Dict[str, NetTerminals]:
-    """Per-net pin structure of ``circuit``, in net creation order."""
-    sinks: Dict[str, List[str]] = {net: [] for net in circuit.nets()}
-    for gate in circuit.gates:
-        for connection in gate.connections.values():
-            if gate.name not in sinks[connection.net]:
-                sinks[connection.net].append(gate.name)
-    outputs: Dict[str, List[str]] = {net: [] for net in circuit.nets()}
+    """Per-net pin structure of ``circuit``, in net creation order.
+
+    Read from the circuit's array netlist (``net_names``, ``gate_names``,
+    ``gate_inputs``, ``gate_output``) alone; no per-gate object is built.
+    """
+    names = circuit.net_names
+    gate_names = circuit.gate_names
+    sinks: List[List[str]] = [[] for _ in names]
+    for gate, row in zip(gate_names, circuit.gate_inputs.tolist()):
+        for net in row:
+            if net >= 0 and gate not in sinks[net]:
+                sinks[net].append(gate)
+    outputs: Dict[str, List[str]] = {net: [] for net in names}
     for name, net in circuit.outputs.items():
         outputs[net].append(name)
     drivers: Dict[str, Tuple[str, bool]] = {
         net: (net, True) for net in circuit.primary_inputs
     }
-    for gate in circuit.gates:
-        drivers[gate.output_net] = (gate.name, False)
+    for gate, net in zip(gate_names, circuit.gate_output.tolist()):
+        drivers[names[net]] = (gate, False)
     return {
         net: NetTerminals(
             net=net,
             driver=drivers[net][0],
             is_input=drivers[net][1],
-            sinks=tuple(sinks[net]),
+            sinks=tuple(sinks[index]),
             output_names=tuple(outputs[net]),
         )
-        for net in circuit.nets()
+        for index, net in enumerate(names)
     }
 
 
@@ -228,7 +234,7 @@ def place_circuit(
     (``0`` keeps the constructive result; a negative count is a
     :class:`LayoutError`).  Deterministic for a fixed ``seed``.
     """
-    gate_names = [gate.name for gate in circuit.gates]
+    gate_names = circuit.gate_names
     if not gate_names:
         raise LayoutError("cannot place a circuit without gates")
     if anneal_moves < 0:
@@ -253,10 +259,13 @@ def place_circuit(
     gates: Dict[str, Site] = {}
     site_rows, site_cols = np.divmod(np.arange(rows * cols, dtype=np.float64), cols)
     occupied = np.zeros(rows * cols, dtype=bool)
-    for gate in circuit.gates:
+    net_names = circuit.net_names
+    for name, row in zip(gate_names, circuit.gate_inputs.tolist()):
         anchors: List[Site] = []
-        for connection in gate.connections.values():
-            terminal = terminals[connection.net]
+        for net in row:
+            if net < 0:
+                continue
+            terminal = terminals[net_names[net]]
             if terminal.is_input:
                 anchors.append(input_pads[terminal.driver])
             elif terminal.driver in gates:
@@ -272,7 +281,7 @@ def place_circuit(
         distance[occupied] = np.inf
         index = int(distance.argmin())
         occupied[index] = True
-        gates[gate.name] = divmod(index, cols)
+        gates[name] = divmod(index, cols)
 
     gate_index = {name: index for index, name in enumerate(gate_names)}
     gate_row = [gates[name][0] for name in gate_names]

@@ -19,10 +19,11 @@ the same way -- as a structure of arrays over a few gate templates:
 :func:`map_expressions` is a tiny technology mapper that decomposes
 arbitrary Boolean expressions into a DAG of gates with bounded fan-in
 and writes these arrays directly; :mod:`repro.kernel` compiles and plans
-circuits from them.  The per-gate view -- :class:`GateInstance` objects
-holding their own network copy and :class:`Connection` dict -- is built
-from the arrays on the first access to :attr:`DifferentialCircuit.gates`
-(layout, export, :meth:`~DifferentialCircuit.describe` and the reference
+circuits from them, and :mod:`repro.layout` places and routes them.  The
+per-gate view -- :class:`GateInstance` objects holding their own network
+copy and :class:`Connection` dict -- is built from the arrays on the
+first access to :attr:`DifferentialCircuit.gates` (the per-vector
+evaluators, :meth:`~DifferentialCircuit.describe` and the reference
 simulators need it); a gate added with
 :meth:`~DifferentialCircuit.add_gate` is kept as given.
 

@@ -809,6 +809,15 @@ def _sbox_flow(execution=None, **campaign_overrides):
     return DesignFlow(None, config)
 
 
+def _routed_sbox_flow() -> DesignFlow:
+    """The default S-box campaign, ``fat``-routed, assessment enabled."""
+    config = _sbox_flow().config.replace(
+        layout=LayoutConfig(router="fat"),
+        assessment=AssessmentConfig(enabled=True, traces_per_class=256),
+    )
+    return DesignFlow(None, config)
+
+
 def _digest(*arrays) -> str:
     """First 16 hex digits of the sha256 over the arrays' bytes."""
     digest = hashlib.sha256()
@@ -833,7 +842,7 @@ class TestFlowIntegration:
         from repro.engine import content_key, store_record
 
         assert content_key(store_record(_sbox_flow(), "traces")) == (
-            "5c26ff73170ad6e980b1d42fdb2abfd1b3044379f8b355396fa7dc51e13d2f26"
+            "56158621251edb1c69b7333addee893bbe4855eaa68b1ffa56ac3f76a2b2ad7f"
         )
 
     def test_routed_store_keys_are_pinned(self):
@@ -841,22 +850,60 @@ class TestFlowIntegration:
         # assessment-enabled campaign.
         from repro.engine import content_key, store_record
 
-        config = _sbox_flow().config.replace(
-            layout=LayoutConfig(router="fat"),
-            assessment=AssessmentConfig(enabled=True, traces_per_class=256),
-        )
-        flow = DesignFlow(None, config)
+        flow = _routed_sbox_flow()
         keys = {
             stage: content_key(store_record(flow, stage))
             for stage in ("layout", "traces", "assessment")
         }
         assert keys == {
-            "layout": "4a40f2812d4a71b3a9cc64054838cbd5ecab2c68bd3dc540899fc48de328ccbe",
-            "traces": "c4338f355016578167601ac70d64272f155ed4923321b297beb62ac363b4ba26",
+            "layout": "d31b7b7320fed80555b03aba03cc4674c7210dd6177b8c2f653e94e75937f349",
+            "traces": "d6b4a3991a70fd1fbfa92bb23e0876c9b1274ce2163fe2d0cbc80c38adaf3fe2",
             "assessment": (
-                "29798fdc482797056631556e28b24b5a62f2b2e2ab80bb94010065886bb738e2"
+                "11552d82d01135562b339de2d07e80a81a7f495069267b2f0418f63c1c8d0207"
             ),
         }
+
+
+class TestPhysicsFingerprint:
+    """:data:`repro.engine.stored.PHYSICS_FINGERPRINT` roots every key."""
+
+    @staticmethod
+    def _golden_energies():
+        # Every plaintext of the paper's S-box through both gate styles
+        # and both network styles, unrouted and fat-routed, so the
+        # energy models, the placer, the router and the extraction all
+        # reach these bits.
+        technology = generic_180nm()
+        vectors = nibble_matrix(np.arange(16))
+        for network_style in ("fc", "genuine"):
+            circuit = build_sbox_circuit(0xB, network_style=network_style)
+            layout = layout_circuit(circuit, technology, router="fat")
+            for net_loads in (None, layout.parasitics.rail_loads()):
+                for gate_style in ("sabl", "cvsl"):
+                    program = compile_circuit(
+                        circuit, technology, gate_style=gate_style, net_loads=net_loads
+                    )
+                    yield BitslicedCircuitEnergyModel(program).energies(vectors)
+
+    def test_the_fingerprint_is_the_digest_of_the_golden_energies(self):
+        from repro.engine.stored import PHYSICS_FINGERPRINT
+
+        digest = _digest(*self._golden_energies())
+        assert digest == PHYSICS_FINGERPRINT, (
+            f"the golden energies moved: set PHYSICS_FINGERPRINT to {digest!r} "
+            f"so that stored results of the old physics read as misses"
+        )
+
+    def test_every_store_key_is_rooted_at_the_fingerprint(self, monkeypatch):
+        from repro.engine import content_key, store_record
+        import repro.engine.stored as stored
+
+        flow = _routed_sbox_flow()
+        stages = ("layout", "traces", "assessment")
+        before = [content_key(store_record(flow, stage)) for stage in stages]
+        monkeypatch.setattr(stored, "PHYSICS_FINGERPRINT", "f" * 16)
+        after = [content_key(store_record(flow, stage)) for stage in stages]
+        assert all(old != new for old, new in zip(before, after))
 
 
 def _golden_flow(campaign: str, execution=None) -> DesignFlow:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
 import repro.layout
 from repro.engine import ArtifactStore, content_key, store_record
+from repro.engine.stored import netlist_record
 from repro.flow import (
     AssessmentConfig,
     CampaignConfig,
@@ -52,6 +55,16 @@ def _events(compute):
     with use_observer(Observer((BufferSink(buffer),))):
         compute()
     return buffer
+
+
+def _refuse_place_and_route(monkeypatch):
+    """Make any place-and-route from here on fail the test."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a layout hit must not place the circuit")
+
+    monkeypatch.setattr(repro.layout, "place_circuit", refuse)
+    monkeypatch.setattr(repro.layout, "route_circuit", refuse)
 
 
 def _store_counters(events, name):
@@ -136,15 +149,122 @@ class TestKeys:
         assert len(keys) == 3
 
 
+
+def _section(section, **changes):
+    """A config edit replacing fields of one config section."""
+    return lambda config: config.replace(
+        **{section: getattr(config, section).replace(**changes)}
+    )
+
+
+def _key_flow(edit=lambda config: config, store=None):
+    """The routed 2-S-box PRESENT slice of :func:`_flow`, one config edit
+    applied."""
+    return DesignFlow(None, edit(_flow(sboxes=2, store=store, name="keys").config))
+
+
+def _layout_key(flow):
+    return content_key(store_record(flow, "layout"))
+
+
+class TestKeyCompleteness:
+    """The layout key holds exactly what place-and-route reads."""
+
+    #: Edits that leave the mapped circuit's nets, the technology and the
+    #: layout config alone: the campaign's key only swaps rails.
+    INERT = {
+        "campaign.key": _section("campaign", key=0xA4),
+        "campaign.seed": _section("campaign", seed=99),
+        "campaign.trace_count": _section("campaign", trace_count=300),
+        "campaign.noise_std": _section("campaign", noise_std=0.05),
+        "campaign.gate_style": _section("campaign", gate_style="cvsl"),
+        "assessment": _section(
+            "assessment", enabled=True, traces_per_class=128, seed=3
+        ),
+        "analysis": _section("analysis", attacks=("dom",), target_bit=2),
+        "execution": _section("execution", workers=2, shard_size=512),
+        "obs": _section("obs", trace=os.devnull, profile=True),
+        "synthesis": _section("synthesis", enhance=True),
+    }
+
+    #: Edits that change what place-and-route reads.
+    KEYED = {
+        "campaign.network_style": _section("campaign", network_style="genuine"),
+        "campaign.max_fanin": _section("campaign", max_fanin=3),
+        "scenario.sboxes": lambda config: config.replace(
+            campaign=config.campaign.replace(key=0xB),
+            scenario=ScenarioConfig(params={"sboxes": 1}),
+        ),
+        "campaign.scenario": _section("campaign", scenario="present_rounds"),
+        "name": lambda config: config.replace(name="other"),
+        "technology.name": _section("technology", name="generic_130nm"),
+        "technology.overrides": _section(
+            "technology", overrides={"c_wire_per_um": 1e-16}
+        ),
+        "layout.router": _section("layout", router="unbalanced"),
+        "layout.seed": _section("layout", seed=7),
+        "layout.grid": _section("layout", grid=(20, 21)),
+        "layout.anneal_moves": _section("layout", anneal_moves=200),
+    }
+
+    @pytest.mark.parametrize("field", sorted(INERT))
+    def test_an_inert_field_keeps_the_key_and_the_layout(self, field):
+        base = _key_flow()
+        edited = _key_flow(self.INERT[field])
+        assert edited.config != base.config
+        assert _layout_key(edited) == _layout_key(base)
+        assert edited.layout().to_record() == base.layout().to_record()
+
+    @pytest.mark.parametrize("field", sorted(KEYED))
+    def test_a_keyed_field_changes_the_key(self, field):
+        assert _layout_key(_key_flow(self.KEYED[field])) != _layout_key(_key_flow())
+
+    def test_every_layout_field_is_keyed(self):
+        fields = {f"layout.{f.name}" for f in dataclasses.fields(LayoutConfig)}
+        assert fields <= set(self.KEYED)
+
+    def test_the_netlist_digest_reads_wires_not_rails(self):
+        circuit = _key_flow().circuit()
+        record = netlist_record(circuit)
+        circuit.gate_inverted[:, 0] ^= True
+        assert netlist_record(circuit) == record
+        circuit.gate_inputs[-1, [0, 1]] = circuit.gate_inputs[-1, [1, 0]]
+        assert netlist_record(circuit) != record
+
+    def test_scenarios_that_map_one_netlist_share_one_layout(self):
+        # The paper's S-box and a one-S-box PRESENT slice map to the same
+        # nets, so they place and route to one layout under one key.
+        slice_flow = _flow(sboxes=1)
+        sbox_flow = _flow()
+        assert slice_flow.config.campaign.scenario != sbox_flow.config.campaign.scenario
+        assert _layout_key(slice_flow) == _layout_key(sbox_flow)
+        assert slice_flow.layout().to_record() == sbox_flow.layout().to_record()
+
+    def test_a_new_campaign_on_a_routed_circuit_runs_no_place_and_route(
+        self, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "store"
+        first = _key_flow(store=store)
+        first.layout()
+        campaign = _section(
+            "campaign", key=0x3C, seed=17, trace_count=200, gate_style="cvsl"
+        )
+        unstored = _key_flow(campaign).traces()
+        _refuse_place_and_route(monkeypatch)
+        second = _key_flow(campaign, store=store)
+        events = _events(second.traces)
+        assert _store_counters(events, "store.hit") == ["layout"]
+        assert _store_counters(events, "store.miss") == ["traces"]
+        assert second.layout() == first.layout()
+        traces = second.traces()
+        assert np.array_equal(traces.plaintexts, unstored.plaintexts)
+        assert np.array_equal(traces.traces, unstored.traces)
+
+
 class TestRoutedHits:
     def test_a_hit_runs_no_place_and_route(self, tmp_path, monkeypatch):
         _flow(store=tmp_path / "store").layout()
-
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("a layout hit must not place the circuit")
-
-        monkeypatch.setattr(repro.layout, "place_circuit", refuse)
-        monkeypatch.setattr(repro.layout, "route_circuit", refuse)
+        _refuse_place_and_route(monkeypatch)
         hit = _flow(store=tmp_path / "store")
         events = _events(hit.layout)
         assert _store_counters(events, "store.hit") == ["layout"]

@@ -17,7 +17,7 @@ import pytest
 
 from repro.boolexpr.ast import Not, Var
 from repro.boolexpr.parser import parse
-from repro.flow import CampaignConfig, DesignFlow, FlowConfig, ScenarioConfig
+from repro.flow import CampaignConfig, DesignFlow, FlowConfig, LayoutConfig, ScenarioConfig
 from repro.kernel import compile_circuit
 from repro.kernel.bitslice import build_bitslice_plan
 from repro.network.netlist import DifferentialPullDownNetwork
@@ -197,7 +197,9 @@ def test_program_plan_and_traces_equal_the_per_gate_path(
     assert np.array_equal(traces.traces, energies)
 
 
-def test_an_unrouted_campaign_builds_no_per_gate_object(monkeypatch):
+def _count_per_gate_builds(monkeypatch):
+    """``(copies, instances)``: lists that grow by one per network copy and
+    per :class:`GateInstance` built from here on."""
     copies, instances = [], []
     network_copy = DifferentialPullDownNetwork.copy
     gate_init = circuit_module.GateInstance.__init__
@@ -212,6 +214,11 @@ def test_an_unrouted_campaign_builds_no_per_gate_object(monkeypatch):
 
     monkeypatch.setattr(DifferentialPullDownNetwork, "copy", counting_copy)
     monkeypatch.setattr(circuit_module.GateInstance, "__init__", counting_init)
+    return copies, instances
+
+
+def test_an_unrouted_campaign_builds_no_per_gate_object(monkeypatch):
+    copies, instances = _count_per_gate_builds(monkeypatch)
     flow = DesignFlow(
         None,
         FlowConfig(
@@ -228,3 +235,23 @@ def test_an_unrouted_campaign_builds_no_per_gate_object(monkeypatch):
     # The per-gate view is still there for whoever asks for it.
     assert len(flow.circuit().gates) == 4 * 124
     assert len(copies) == len(instances) == 4 * 124
+
+
+@pytest.mark.parametrize("router", ["fat", "unbalanced"])
+def test_a_routed_campaign_builds_no_per_gate_object(monkeypatch, router):
+    # Place-and-route reads the array netlist only.
+    copies, instances = _count_per_gate_builds(monkeypatch)
+    flow = DesignFlow(
+        None,
+        FlowConfig(
+            name="no_gates",
+            campaign=CampaignConfig(
+                key=0x6B, scenario="present_round", network_style="genuine", trace_count=300
+            ),
+            scenario=ScenarioConfig(params={"sboxes": 2}),
+            layout=LayoutConfig(router=router),
+        ),
+    )
+    flow.traces()
+    assert flow.layout() is not None
+    assert copies == [] and instances == []
