@@ -240,6 +240,15 @@ class _NaryOp(Expr):
                 flattened.append(operand)
         object.__setattr__(self, "args", tuple(flattened))
 
+    @classmethod
+    def _of(cls, args: Tuple[Expr, ...]) -> "_NaryOp":
+        """``cls(*args)`` for two or more operands already known to be
+        expressions of another type (literals under an ``And``, products
+        under an ``Or``): there is nothing to coerce or flatten."""
+        node = object.__new__(cls)
+        object.__setattr__(node, "args", args)
+        return node
+
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError(f"{type(self).__name__} is immutable")
 

@@ -197,7 +197,7 @@ def expression_from_column(variables: Sequence[str], column: Sequence[bool]) -> 
                 positive[bit] if (index >> (last - bit)) & 1 else negative[bit]
                 for bit in range(len(names))
             ]
-            products.append(And(*literals) if len(literals) > 1 else literals[0])
+            products.append(And._of(tuple(literals)) if len(literals) > 1 else literals[0])
     if not products:
         return FALSE
-    return Or(*products) if len(products) > 1 else products[0]
+    return Or._of(tuple(products)) if len(products) > 1 else products[0]

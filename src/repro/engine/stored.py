@@ -28,7 +28,7 @@ STORED_STAGES = ("layout", "traces", "assessment")
 #: extraction -- anything that moves a stored result without moving a
 #: config field -- must bump it, and old entries then read as misses.
 #: ``tests/test_kernel_bitslice.py::TestPhysicsFingerprint`` recomputes it.
-PHYSICS_FINGERPRINT = "4229b694b063b893"
+PHYSICS_FINGERPRINT = "69cc627b6866ad77"
 
 
 def netlist_record(circuit) -> Dict[str, Any]:

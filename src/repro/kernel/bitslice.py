@@ -11,23 +11,36 @@ object:
   one :class:`_OpGroup` executed as a single bulk gather/XOR/reduce over
   the ``(n_nets, n_words)`` uint64 plane array.  Inverted connections
   are free (an XOR mask), mirroring the differential rails.
-* **event extraction** -- per gate-input position, a gathered XOR plus
-  one ``np.unpackbits`` recovers that input bit for every (gate, trace)
-  pair at once, accumulating the little-endian per-gate event indices
-  the energy tables are keyed by.
-* **stacked energy tables** -- each gate's ``(2**k,)`` energy row (its
+* **exact energy sums** -- a cycle's energy is the exactly rounded sum
+  of its gates' energies (:func:`math.fsum` semantics).  Every entry of
+  the stacked per-event tables (each gate's ``(2**k,)`` row: its
   template's, or its own when it is routed; see
-  :func:`repro.sabl.simulator.build_template_tables`) is laid out in
-  flat arrays addressed as ``offset[gate] + event``, so a batch's
-  energy is two fancy-index gathers and a left fold.
+  :func:`repro.sabl.simulator.build_template_tables`) is an integer
+  multiple of one power of two, so the kernel sums integers in two
+  int64 limbs and rounds once.  Any summation order gives the same bits.
+* **counting** -- the unrouted gates of one template share a table of a
+  few distinct values (2 for genuine SABL, 3 for CVSL).  For each value
+  but the most frequent one, an indicator bit plane (the OR of its
+  events' minterms over the gate's event bits) marks the gates drawing
+  it; one ``np.unpackbits`` and one integer sum over gates count them
+  per cycle, and the energy is the template's base value times its
+  gates plus the counts times the value differences.
+* **gathering** -- routed gates (each with its own row) and templates
+  with too many distinct values keep per-gate event indices, recovered
+  per gate-input position by a gathered XOR and one ``np.unpackbits``,
+  and gather their integer energies from the stacked tables.
+
+A table whose values span too many binary exponents for the limbs falls
+back to gathering float energies and summing each cycle with
+:func:`math.fsum`, which gives the same result more slowly.
 
 **Distinct-vector evaluation** -- a cycle's gate events, and so its
 steady-state energy, depend on its primary-input vector alone.  Each
 tile of cycles is therefore reduced to its distinct input rows before
-packing: logic, event extraction and the energy fold run once per
-distinct vector, and the per-vector energies are expanded back to every
-cycle.  A narrow circuit's cost thus scales with the distinct vectors it
-sees (at most 16 per tile for a 4-input S-box), not with the cycles.
+packing: logic and the energy sum run once per distinct vector, and the
+per-vector energies are expanded back to every cycle.  A narrow
+circuit's cost thus scales with the distinct vectors it sees (at most 16
+per tile for a 4-input S-box), not with the cycles.
 
 **Steady state** -- the kernel evaluates every cycle from the circuit's
 steady state, in which each internal node that any input event can
@@ -36,11 +49,13 @@ recharge on every cycle, so a gate's energy is a pure function of its
 event (the stacked tables) and the kernel holds no charge state: a
 call's result never depends on earlier calls.  The reference
 :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel` put into that
-state produces the same energies bit for bit.
+state, which sums each cycle with :func:`math.fsum`, produces the same
+energies bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -55,9 +70,14 @@ __all__ = ["BitslicePlan", "build_bitslice_plan", "BitslicedCircuitEnergyModel"]
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Gate rows folded per chunk in the steady-state energy accumulation;
-#: sized so the gathered chunk stays cache-resident.
-_FOLD_CHUNK = 128
+#: Bits of the low integer limb: a cycle's energy, in units of the
+#: plan's ``unit``, is ``hi * 2**32 + lo``.
+_LIMB_BITS = 32
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+
+#: Most gathered gates whose integer energies are summed at once; sized
+#: so the gathered chunk stays cache-resident.
+_GATHER_CHUNK = 128
 
 #: Most cycles :meth:`BitslicedCircuitEnergyModel.energies` evaluates
 #: at once, whatever the caller's batch size: the per-call working set
@@ -115,27 +135,70 @@ class _ExprStep:
 
 
 @dataclass(frozen=True)
+class _CountGroup:
+    """Unrouted gates of one template whose energy is counted, not gathered.
+
+    ``sources[b]`` and ``masks[b]`` give event bit ``b`` of every gate of
+    the group; ``classes[j]`` lists the events whose energy is the
+    template's ``j``-th counted value.
+    """
+
+    sources: np.ndarray  # (k, n_gates) source net of each event bit
+    masks: np.ndarray  # (k, n_gates) uint64 XOR masks (0 or ~0)
+    classes: Tuple[Tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
 class BitslicePlan:
     """Straight-line bit-sliced program for one compiled circuit."""
 
     net_count: int
     net_index: Mapping[str, int]
     levels: Tuple[Tuple[object, ...], ...]  # _OpGroup | _ExprStep per level
-    # Event extraction, one entry per gate-input position b:
-    # (gate_rows, source_nets, xor_masks).
+    #: Gate rows whose energies are gathered per event (all rows when
+    #: ``unit`` is ``None``); every other gate is counted.
+    gather_rows: np.ndarray
+    # Event extraction of the gathered gates, one entry per gate-input
+    # position b: (indices into gather_rows, source_nets, xor_masks).
     event_positions: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    #: Smallest dtype holding every per-gate event index (uint8 up to
-    #: fan-in 8, int32 beyond).
+    #: Smallest dtype holding every gathered gate's event index (uint8 up
+    #: to fan-in 8, int32 beyond).
     events_dtype: np.dtype
     # Stacked per-event energy tables.
     offsets: np.ndarray  # (n_gates,) int32 offsets into the flat tables
     energy_flat: np.ndarray  # (sum 2**k,) steady-state per-event energy
-    #: Exact left-fold of the per-gate energies when *every* gate's table
-    #: is event-independent (the paper's protected fc/SABL circuits with
-    #: balanced routing), else ``None``.  Such a circuit draws this
-    #: constant on every cycle, so the whole batch skips logic
+    #: The power of two every ``energy_flat`` entry is an integer multiple
+    #: of, or ``None`` when a cycle's sum could overflow the int64 limbs
+    #: (every cycle is then summed with :func:`math.fsum`).
+    unit: Optional[float]
+    #: ``energy_flat / unit`` as int64 (``None`` with ``unit``).
+    integers: Optional[np.ndarray]
+    #: Gathered gates summed per int64 partial sum: a chunk that could
+    #: overflow an int64 is split before its sum joins the limbs.
+    gather_chunk: int
+    count_groups: Tuple[_CountGroup, ...]
+    #: ``(2, n_counted_values)`` int64 limbs of each counted value minus
+    #: its template's base value, in ``count_groups`` class order.
+    count_limbs: np.ndarray
+    #: ``(2, 1)`` int64 limbs of the counted gates' base values, summed.
+    count_base: np.ndarray
+    #: Exact sum (:func:`math.fsum`) of the per-gate energies when *every*
+    #: gate's table is event-independent (the paper's protected fc/SABL
+    #: circuits with balanced routing), else ``None``.  Such a circuit
+    #: draws this constant on every cycle, so the whole batch skips logic
     #: evaluation -- the bit-sliced analogue of "constant power".
     constant_fold: Optional[np.float64]
+
+    @property
+    def path(self) -> str:
+        """How a cycle's energy is summed: ``fold`` (the constant),
+        ``fsum`` (the float fallback), ``gather`` (some gate gathers its
+        integer energy) or ``count`` (every gate is counted)."""
+        if self.constant_fold is not None:
+            return "fold"
+        if self.unit is None:
+            return "fsum"
+        return "gather" if self.gather_rows.size else "count"
 
     def run_logic(self, planes: np.ndarray) -> None:
         """Fill the gate-output rows of ``planes`` in place."""
@@ -157,8 +220,8 @@ class BitslicePlan:
                     )
 
     def extract_events(self, planes: np.ndarray, trace_count: int) -> np.ndarray:
-        """Per-gate event indices, ``(n_gates, trace_count)``."""
-        gate_count = len(self.offsets)
+        """Event indices of the gathered gates, ``(len(gather_rows), trace_count)``."""
+        gate_count = len(self.gather_rows)
         events: Optional[np.ndarray] = None
         for position, (rows, sources, masks) in enumerate(self.event_positions):
             values = planes[sources] ^ masks[:, None]
@@ -184,6 +247,57 @@ class BitslicePlan:
         if events is None:
             events = np.zeros((gate_count, trace_count), dtype=self.events_dtype)
         return events
+
+    def count_values(self, planes: np.ndarray, trace_count: int) -> np.ndarray:
+        """Per counted value, how many gates draw it in each column:
+        ``(n_counted_values, trace_count)`` int64."""
+        counts = np.empty((self.count_limbs.shape[1], trace_count), dtype=np.int64)
+        row = 0
+        for group in self.count_groups:
+            bits = planes[group.sources] ^ group.masks[..., None]
+            flipped = ~bits
+            # Per-column counts of at most 2**16 - 1 gates fit a uint16,
+            # the cheapest accumulator np.add.reduce has for them.
+            total = np.uint16 if group.sources.shape[1] < 1 << 16 else np.int64
+            for events in group.classes:
+                indicator = None
+                for event in events:
+                    term = None
+                    for position in range(bits.shape[0]):
+                        literal = (bits if (event >> position) & 1 else flipped)[position]
+                        term = literal if term is None else term & literal
+                    indicator = term if indicator is None else indicator | term
+                unpacked = np.unpackbits(
+                    indicator.view(np.uint8), axis=1, count=trace_count, bitorder="little"
+                )
+                counts[row] = np.add.reduce(unpacked, axis=0, dtype=total)
+                row += 1
+        return counts
+
+    def cycle_energies(self, planes: np.ndarray, trace_count: int) -> np.ndarray:
+        """The exactly rounded per-column energy sums of evaluated ``planes``."""
+        if self.unit is None:
+            events = self.extract_events(planes, trace_count)
+            values = np.take(self.energy_flat, self.offsets[self.gather_rows, None] + events)
+            return np.array([math.fsum(column) for column in values.T.tolist()])
+        limbs = np.empty((2, trace_count), dtype=np.int64)
+        limbs[...] = self.count_base
+        if self.count_limbs.shape[1]:
+            limbs += self.count_limbs @ self.count_values(planes, trace_count)
+        if self.gather_rows.size:
+            events = self.extract_events(planes, trace_count)
+            index = self.offsets[self.gather_rows, None] + events
+            for start in range(0, index.shape[0], self.gather_chunk):
+                part = np.take(self.integers, index[start : start + self.gather_chunk])
+                part = part.sum(axis=0)
+                limbs[0] += part >> _LIMB_BITS
+                limbs[1] += part & _LIMB_MASK
+        # Normalise to 0 <= lo < 2**32: both limbs then convert to float
+        # exactly, so the one addition is the only rounding.
+        limbs[0] += limbs[1] >> _LIMB_BITS
+        limbs[1] &= _LIMB_MASK
+        hi, lo = limbs.astype(float)
+        return (hi * float(1 << _LIMB_BITS) + lo) * self.unit
 
 
 def _eval_expr(expr: Expr, variables: Mapping[str, np.ndarray], words: int) -> np.ndarray:
@@ -224,11 +338,12 @@ def build_bitslice_plan(program) -> BitslicePlan:
     The plan is built from the circuit's arrays (see
     :mod:`repro.sabl.circuit`).  Work that depends only on a gate's
     network -- its function analysis, the port behind each event bit
-    and, for unrouted gates, its energy row with the constancy test --
-    runs once per gate template.  Levels, op groups, event positions and
-    energy offsets are NumPy indexing over the per-gate template ids;
-    only expression-step gates and routed gates (each with its own
-    energy row) are visited one at a time.
+    and, for unrouted gates, its energy row with the constancy test and
+    its count classes -- runs once per gate template.  Levels, op
+    groups, count groups, event positions and energy offsets are NumPy
+    indexing over the per-gate template ids; only expression-step gates
+    and routed gates (each with its own energy row) are visited one at a
+    time.
     """
     from .compile import KernelError
 
@@ -352,23 +467,16 @@ def build_bitslice_plan(program) -> BitslicePlan:
             )
     levels = tuple(tuple(staged[level]) for level in sorted(staged))
 
-    # -------------------------------------------------- event positions
+    # ------------------------------------------------- event bit sources
     counts = np.array([len(columns) for columns in event_columns], dtype=np.intp)
     gate_counts = counts[gate_template]
     depth = int(gate_counts.max()) if gate_count else 0
-    event_positions = []
-    if depth:
-        padded = np.zeros((len(templates), depth), dtype=np.intp)
-        for index, columns in enumerate(event_columns):
-            padded[index, : len(columns)] = columns
-        gate_columns = padded[gate_template]
-        event_sources = np.take_along_axis(inputs, gate_columns, axis=1)
-        event_rails = np.take_along_axis(inverted, gate_columns, axis=1)
-        for position in range(depth):
-            rows = np.flatnonzero(gate_counts > position)
-            event_positions.append(
-                (rows, event_sources[rows, position], _masks(event_rails[rows, position]))
-            )
+    padded = np.zeros((len(templates), depth), dtype=np.intp)
+    for index, columns in enumerate(event_columns):
+        padded[index, : len(columns)] = columns
+    gate_columns = padded[gate_template]
+    event_sources = np.take_along_axis(inputs, gate_columns, axis=1)
+    event_rails = np.take_along_axis(inverted, gate_columns, axis=1)
 
     # -------------------------------------------------------- energy tables
     # The exact scalar chain of the reference model:
@@ -380,22 +488,21 @@ def build_bitslice_plan(program) -> BitslicePlan:
     energy_flat = np.zeros(int(sizes.sum()), dtype=float)
     unrouted = np.ones(gate_count, dtype=bool)
     unrouted[list(program.routed)] = False
-    constant = True
+    used = np.zeros(len(templates), dtype=bool)
+    used[gate_template[unrouted]] = True
+    rows = []
+    for index, table in enumerate(program.tables):
+        values = np.zeros(1 << counts[index], dtype=float)
+        if uses[index]:
+            values = technology.switching_energy(table.baseline + table.cap_dot)
+        rows.append(values)
+    constant = all(
+        bool(np.ptp(values) == 0.0) for values, live in zip(rows, used) if live
+    )
     if unrouted.any():
-        rows = []
-        for index, table in enumerate(program.tables):
-            values = np.zeros(1 << counts[index], dtype=float)
-            if uses[index]:
-                values = technology.switching_energy(table.baseline + table.cap_dot)
-            rows.append(values)
         template_flat = np.concatenate(rows)
         template_start = np.zeros(len(rows), dtype=np.intp)
         template_start[1:] = np.cumsum([values.shape[0] for values in rows[:-1]])
-        used = np.zeros(len(templates), dtype=bool)
-        used[gate_template[unrouted]] = True
-        constant = all(
-            bool(np.ptp(values) == 0.0) for values, live in zip(rows, used) if live
-        )
         lengths = sizes[unrouted]
         within = np.arange(int(lengths.sum())) - np.repeat(
             np.cumsum(lengths) - lengths, lengths
@@ -411,22 +518,126 @@ def build_bitslice_plan(program) -> BitslicePlan:
 
     constant_fold: Optional[np.float64] = None
     if gate_count and constant:
-        accumulator = 0.0
-        for value in energy_flat[offsets].tolist():
-            # Same IEEE add chain as the reference model's per-gate fold.
-            accumulator += value
-        constant_fold = np.float64(accumulator)
+        constant_fold = np.float64(math.fsum(energy_flat[offsets].tolist()))
+
+    # ------------------------------------------------- counted templates
+    # With integer tables, the unrouted gates of a template whose few
+    # distinct values need no more indicators than it has event bits are
+    # counted; every other gate is gathered.
+    unit = _integer_unit(energy_flat, gate_count)
+    integers = None
+    gather_chunk = 1
+    counted = np.zeros(gate_count, dtype=bool)
+    count_groups: List[_CountGroup] = []
+    deltas: List[int] = []
+    base = 0
+    if unit is not None:
+        integers = (energy_flat / unit).astype(np.int64)
+        largest = int(np.abs(integers).max(initial=1))
+        gather_chunk = max(1, min(_GATHER_CHUNK, (1 << 63) // largest - 1))
+        for index in np.flatnonzero(used).tolist():
+            classes = _count_classes((rows[index] / unit).astype(np.int64), counts[index])
+            if classes is None:
+                continue
+            value, counted_classes = classes
+            members = np.flatnonzero(unrouted & (gate_template == index))
+            counted[members] = True
+            base += value * members.size
+            width = int(counts[index])
+            count_groups.append(
+                _CountGroup(
+                    sources=np.ascontiguousarray(event_sources[members, :width].T),
+                    masks=np.ascontiguousarray(_masks(event_rails[members, :width]).T),
+                    classes=tuple(events for events, _ in counted_classes),
+                )
+            )
+            deltas.extend(delta - value for _, delta in counted_classes)
+    gather_rows = np.flatnonzero(~counted)
+
+    # -------------------------------------------------- event positions
+    gather_counts = gate_counts[gather_rows]
+    gather_depth = int(gather_counts.max()) if gather_rows.size else 0
+    event_positions = []
+    for position in range(gather_depth):
+        members = np.flatnonzero(gather_counts > position)
+        event_positions.append(
+            (
+                members,
+                event_sources[gather_rows[members], position],
+                _masks(event_rails[gather_rows[members], position]),
+            )
+        )
 
     return BitslicePlan(
         net_count=len(net_index),
         net_index=net_index,
         levels=levels,
+        gather_rows=gather_rows,
         event_positions=tuple(event_positions),
-        events_dtype=np.dtype(np.uint8 if depth <= 8 else np.int32),
+        events_dtype=np.dtype(np.uint8 if gather_depth <= 8 else np.int32),
         offsets=offsets,
         energy_flat=energy_flat,
+        unit=unit,
+        integers=integers,
+        gather_chunk=gather_chunk,
+        count_groups=tuple(count_groups),
+        count_limbs=_limbs(deltas),
+        count_base=_limbs([base]),
         constant_fold=constant_fold,
     )
+
+
+def _limbs(values: Sequence[int]) -> np.ndarray:
+    """``(2, len(values))`` int64 ``(hi, lo)`` limbs of Python integers,
+    ``value == hi * 2**32 + lo`` with ``0 <= lo < 2**32``."""
+    return np.array(
+        [[value >> _LIMB_BITS for value in values], [value & _LIMB_MASK for value in values]],
+        dtype=np.int64,
+    ).reshape(2, len(values))
+
+
+def _integer_unit(energy_flat: np.ndarray, gate_count: int) -> Optional[float]:
+    """The ulp of the smallest nonzero table entry, or ``None`` if the limbs
+    could overflow.
+
+    Every entry is an integer multiple of that power of two.  Integers
+    below ``2**62`` keep any two entries' difference in an int64, and a
+    sum over the gates below ``2**84`` keeps its high limb below
+    ``2**52``, where it converts to float exactly.
+    """
+    magnitudes = np.abs(energy_flat)
+    if not np.isfinite(magnitudes).all():
+        return None
+    nonzero = magnitudes[magnitudes > 0.0]
+    if not nonzero.size:
+        return 1.0
+    unit = math.ldexp(1.0, max(math.frexp(float(nonzero.min()))[1] - 53, -1074))
+    largest = float(magnitudes.max()) / unit
+    if largest >= 2.0**62 or largest * max(gate_count, 1) >= 2.0**84:
+        return None
+    return unit
+
+
+def _count_classes(values: np.ndarray, width: int):
+    """``(base, [(events, value), ...])`` to count a template by, or ``None``.
+
+    ``base`` is the integer value most events share; every other
+    distinct value is counted by the events that give it.  A template
+    is counted only when that takes no more indicators than it has
+    event bits, built from at most two minterms per bit.
+    """
+    distinct, inverse, frequency = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    common = int(np.argmax(frequency))
+    classes = [
+        (tuple(np.flatnonzero(inverse == number).tolist()), int(value))
+        for number, value in enumerate(distinct.tolist())
+        if number != common
+    ]
+    if len(classes) > width or sum(len(events) for events, _ in classes) > 2 * width:
+        return None
+    return int(distinct[common]), classes
 
 
 def _masks(inverted) -> np.ndarray:
@@ -440,10 +651,11 @@ class BitslicedCircuitEnergyModel:
     Built from a :class:`~repro.kernel.compile.CompiledProgram`; produces
     the steady-state energies of the reference
     :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel` bit for bit
-    while evaluating each distinct input vector of a tile once, 64
-    vectors per word, and replacing the per-unique-vector Python circuit
-    walk with flat array gathers -- throughput is therefore nearly
-    independent of the primary-input width.  The model holds no charge
+    (each cycle the exactly rounded sum of its gates' energies) while
+    evaluating each distinct input vector of a tile once, 64 vectors per
+    word, and replacing the per-unique-vector Python circuit walk with
+    bit-plane counts and integer gathers -- throughput is therefore
+    nearly independent of the primary-input width.  The model holds no charge
     state: :meth:`energies` is a pure function of its input.
     """
 
@@ -479,11 +691,17 @@ class BitslicedCircuitEnergyModel:
         distinct = 0
         for start in range(0, matrix.shape[0], tile):
             stop = min(start + tile, matrix.shape[0])
-            distinct += self._accumulate(matrix[start:stop], total[start:stop])
+            distinct += self._evaluate(matrix[start:stop], total[start:stop])
         if obs.active and matrix.shape[0]:
             elapsed = time.perf_counter() - tick
             obs.counter("kernel.cycles", matrix.shape[0], simulator="bitslice")
             obs.counter("kernel.distinct_cycles", distinct, simulator="bitslice")
+            obs.counter(
+                "kernel.path_cycles",
+                matrix.shape[0],
+                simulator="bitslice",
+                path=self._plan.path,
+            )
             if elapsed > 0:
                 obs.histogram(
                     "kernel.traces_per_s",
@@ -509,53 +727,26 @@ class BitslicedCircuitEnergyModel:
             dtype=bool,
         ).reshape(len(vectors), len(self.circuit.primary_inputs))
 
-    def _accumulate(self, matrix: np.ndarray, out: np.ndarray) -> int:
-        """Add the total circuit energy of one batch of cycles into ``out``.
+    def _evaluate(self, matrix: np.ndarray, out: np.ndarray) -> int:
+        """Write the total circuit energy of one tile of cycles into ``out``.
 
         Returns the number of distinct input vectors evaluated (0 when the
-        constant fold answers the whole batch).
+        constant fold answers the whole tile).
         """
-        cycles = matrix.shape[0]
         plan = self._plan
-        if cycles == 0 or not plan.offsets.size:
+        if matrix.shape[0] == 0 or not plan.offsets.size:
             return 0
         if plan.constant_fold is not None:
             # Constant-power circuit: every cycle draws the same (exact)
             # energy -- no logic evaluation needed.
-            out += plan.constant_fold
+            out[...] = plan.constant_fold
             return 0
         # A cycle's events depend on its input vector alone: evaluate each
         # distinct vector once, then expand to every cycle via ``inverse``.
         first, inverse = _distinct_rows(matrix)
-        distinct = first.size
-        if distinct == 1:
-            # A single column would send the fold's reductions down
-            # NumPy's pairwise 1-D loop; two identical columns keep them
-            # on the strided (sequential) loop.
-            first = np.repeat(first, 2)
         packed = pack_bitplanes(matrix[first])
         planes = np.zeros((plan.net_count, packed.shape[1]), dtype=np.uint64)
         planes[: packed.shape[0]] = packed
         plan.run_logic(planes)
-        events = plan.extract_events(planes, first.size)
-
-        # Fold gate chunks while their gathered energies are still
-        # cache-hot.  Seeding each chunk's reduction with the running
-        # accumulator as row 0 keeps the float summation the exact
-        # left-fold the reference model computes, chunk boundaries
-        # notwithstanding.
-        gate_count, columns = events.shape
-        chunk = _FOLD_CHUNK
-        flat = np.empty((min(chunk, gate_count), columns), dtype=np.intp)
-        buffer = np.empty((flat.shape[0] + 1, columns), dtype=float)
-        accumulator = np.zeros(columns, dtype=float)
-        offsets = plan.offsets
-        for start in range(0, gate_count, chunk):
-            stop = min(start + chunk, gate_count)
-            rows = stop - start
-            np.add(offsets[start:stop, None], events[start:stop], out=flat[:rows])
-            np.take(plan.energy_flat, flat[:rows], out=buffer[1 : rows + 1])
-            buffer[0] = accumulator
-            np.add.reduce(buffer[: rows + 1], axis=0, out=accumulator)
-        out += accumulator[inverse]
-        return distinct
+        out[...] = plan.cycle_energies(planes, first.size)[inverse]
+        return first.size

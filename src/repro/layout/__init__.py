@@ -236,10 +236,11 @@ def layout_circuit(
     gate in the energy models.
     """
     technology = technology or generic_180nm()
+    terminals = net_terminals(circuit)
     placement = place_circuit(
-        circuit, grid=grid, seed=seed, anneal_moves=anneal_moves
+        circuit, grid=grid, seed=seed, anneal_moves=anneal_moves, terminals=terminals
     )
-    routing = route_circuit(circuit, placement, router=router)
+    routing = route_circuit(circuit, placement, router=router, terminals=terminals)
     outputs = tuple(circuit.net_names[net] for net in circuit.gate_output.tolist())
     parasitics = extract_net_parasitics(routing, technology, annotatable=outputs)
     return CircuitLayout(placement=placement, routing=routing, parasitics=parasitics)

@@ -225,6 +225,7 @@ def place_circuit(
     grid: Optional[Tuple[int, int]] = None,
     seed: int = 2005,
     anneal_moves: int = 1500,
+    terminals: Optional[Mapping[str, NetTerminals]] = None,
 ) -> Placement:
     """Place ``circuit`` on a grid of sites (greedy + annealing refinement).
 
@@ -233,6 +234,8 @@ def place_circuit(
     ``anneal_moves`` move/swap proposals refine the greedy placement
     (``0`` keeps the constructive result; a negative count is a
     :class:`LayoutError`).  Deterministic for a fixed ``seed``.
+    ``terminals`` is ``circuit``'s :func:`net_terminals`, when the caller
+    has it already.
     """
     gate_names = circuit.gate_names
     if not gate_names:
@@ -251,7 +254,8 @@ def place_circuit(
             f"{len(gate_names)} gates"
         )
 
-    terminals = net_terminals(circuit)
+    if terminals is None:
+        terminals = net_terminals(circuit)
     input_pads = _edge_pads(circuit.primary_inputs, rows, column=0)
     output_pads = _edge_pads(sorted(circuit.outputs), rows, column=cols - 1)
 

@@ -51,7 +51,7 @@ from typing import (
 
 from ..registry import lookup
 from ..sabl.circuit import DifferentialCircuit
-from .place import LayoutError, Placement, Site, net_terminals
+from .place import LayoutError, NetTerminals, Placement, Site, net_terminals
 
 __all__ = [
     "RoutedNet",
@@ -118,8 +118,8 @@ class RoutingResult:
         )
 
 
-#: A router backend: ``(circuit, placement) -> RoutingResult``.
-RouterFn = Callable[[DifferentialCircuit, Placement], RoutingResult]
+#: A router backend: ``(net_terminals(circuit), placement) -> RoutingResult``.
+RouterFn = Callable[[Mapping[str, NetTerminals], Placement], RoutingResult]
 
 
 # ------------------------------------------------------------------ grid maze
@@ -243,11 +243,13 @@ class _GridMaze:
 # ----------------------------------------------------------------- built-ins
 
 
-def _route_fat(circuit: DifferentialCircuit, placement: Placement) -> RoutingResult:
+def _route_fat(
+    terminals: Mapping[str, NetTerminals], placement: Placement
+) -> RoutingResult:
     """The paper's router: one fat wire per pair, split after routing."""
     maze = _GridMaze(placement.grid)
     nets: Dict[str, RoutedNet] = {}
-    for terminal in net_terminals(circuit).values():
+    for terminal in terminals.values():
         cells, length = maze.route_tree(placement.pin_sites(terminal), tracks=2)
         sites = maze.sites(cells)
         nets[terminal.net] = RoutedNet(
@@ -261,12 +263,12 @@ def _route_fat(circuit: DifferentialCircuit, placement: Placement) -> RoutingRes
 
 
 def _route_diffpair(
-    circuit: DifferentialCircuit, placement: Placement
+    terminals: Mapping[str, NetTerminals], placement: Placement
 ) -> RoutingResult:
     """Separate rails with a pairing penalty pulling the false rail along."""
     maze = _GridMaze(placement.grid)
     nets: Dict[str, RoutedNet] = {}
-    for terminal in net_terminals(circuit).values():
+    for terminal in terminals.values():
         pins = placement.pin_sites(terminal)
         true_cells, true_length = maze.route_tree(pins, tracks=1)
         false_cells, false_length = maze.route_tree(
@@ -283,18 +285,17 @@ def _route_diffpair(
 
 
 def _route_unbalanced(
-    circuit: DifferentialCircuit, placement: Placement
+    terminals: Mapping[str, NetTerminals], placement: Placement
 ) -> RoutingResult:
     """Independent rails: all true rails first, false rails through the mess."""
     maze = _GridMaze(placement.grid)
-    terminals = list(net_terminals(circuit).values())
     true_routes: Dict[str, Tuple[FrozenSet[int], int]] = {}
-    for terminal in terminals:
+    for terminal in terminals.values():
         true_routes[terminal.net] = maze.route_tree(
             placement.pin_sites(terminal), tracks=1
         )
     nets: Dict[str, RoutedNet] = {}
-    for terminal in terminals:
+    for terminal in terminals.values():
         false_cells, false_length = maze.route_tree(
             placement.pin_sites(terminal), tracks=1
         )
@@ -328,7 +329,17 @@ def known_routers() -> Tuple[str, ...]:
 
 
 def route_circuit(
-    circuit: DifferentialCircuit, placement: Placement, router: str = "fat"
+    circuit: DifferentialCircuit,
+    placement: Placement,
+    router: str = "fat",
+    terminals: Optional[Mapping[str, NetTerminals]] = None,
 ) -> RoutingResult:
-    """Route every net of ``circuit`` over ``placement`` with one mode."""
-    return get_router(router)(circuit, placement)
+    """Route every net of ``circuit`` over ``placement`` with one mode.
+
+    ``terminals`` is ``circuit``'s :func:`net_terminals`, when the caller
+    has it already (:func:`repro.layout.layout_circuit` builds it once
+    for placement and routing).
+    """
+    if terminals is None:
+        terminals = net_terminals(circuit)
+    return get_router(router)(terminals, placement)

@@ -34,6 +34,7 @@ needs inverter gates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -396,6 +397,19 @@ class _Mapper:
         return np.array(self.gate_template, dtype=np.intp), inputs, inverted
 
 
+@functools.lru_cache(maxsize=64)
+def _row_names(prefix: str, count: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """Names of ``count`` mapped gates and of the nets they drive.
+
+    Cached: a campaign worker maps the same slice over and over, and
+    these strings are the same every time.
+    """
+    return (
+        tuple(f"{prefix}g{index}" for index in range(1, 2 * count, 2)),
+        tuple(f"{prefix}n{index}" for index in range(2, 2 * count + 1, 2)),
+    )
+
+
 def map_expressions(
     expressions: Mapping[str, Expr],
     primary_inputs: Optional[Sequence[str]] = None,
@@ -446,12 +460,7 @@ def map_expressions(
                 f"as output {output_name!r}"
             )
         outputs.append((output_name, net))
-    count = len(mapper.gate_template)
     circuit.templates = mapper.templates
-    circuit._append_rows(
-        *mapper.rows(),
-        [f"{prefix}g{index}" for index in range(1, 2 * count, 2)],
-        [f"{prefix}n{index}" for index in range(2, 2 * count + 1, 2)],
-    )
+    circuit._append_rows(*mapper.rows(), *_row_names(prefix, len(mapper.gate_template)))
     circuit.outputs = {output_name: circuit.net_names[net] for output_name, net in outputs}
     return circuit

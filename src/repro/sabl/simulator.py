@@ -15,6 +15,7 @@ to its differential power analysis.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -44,7 +45,7 @@ class CyclePowerRecord:
     cycle: int
     inputs: Dict[str, bool]
     outputs: Dict[str, bool]
-    total_energy: float
+    total_energy: float  # math.fsum of the gate energies
     gate_energy: Dict[str, float]
 
 
@@ -97,18 +98,15 @@ class CircuitPowerSimulator:
         """Apply one primary input vector for one precharge/evaluate cycle."""
         net_values = self.circuit.evaluate_nets(inputs)
         gate_energy: Dict[str, float] = {}
-        total = 0.0
         for gate in self.circuit.gates:
             event = gate.input_event(net_values)
-            record = self._simulators[gate.name].step(event)
-            gate_energy[gate.name] = record.energy
-            total += record.energy
+            gate_energy[gate.name] = self._simulators[gate.name].step(event).energy
         outputs = {name: net_values[net] for name, net in self.circuit.outputs.items()}
         record = CyclePowerRecord(
             cycle=self._cycle,
             inputs={name: bool(inputs[name]) for name in self.circuit.primary_inputs},
             outputs=outputs,
-            total_energy=total,
+            total_energy=math.fsum(gate_energy.values()),
             gate_energy=gate_energy,
         )
         self._cycle += 1
@@ -319,8 +317,10 @@ class BatchedCircuitEnergyModel:
     """Vectorized per-cycle supply-energy model of a differential circuit.
 
     Produces the same per-cycle energies as stepping a
-    :class:`CircuitPowerSimulator` vector by vector (up to floating-point
-    summation order), but computes whole trace campaigns as NumPy array
+    :class:`CircuitPowerSimulator` vector by vector (both sum a cycle's
+    gate energies exactly, with :func:`math.fsum`; a gate's own energy
+    can differ in its last bits where a network sums its internal
+    capacitances in another order), but computes whole trace campaigns as NumPy array
     operations instead of per-trace Python loops:
 
     * gate input events are resolved through per-gate lookup tables built
@@ -459,7 +459,9 @@ class BatchedCircuitEnergyModel:
         ).reshape(len(vectors), len(self.circuit.primary_inputs))
 
     def _accumulate(self, events: np.ndarray, out: np.ndarray) -> None:
-        """Add every gate's per-cycle energy for one batch into ``out``."""
+        """Write the exactly rounded sum (:func:`math.fsum`) of every gate's
+        per-cycle energy for one batch into ``out``."""
+        gate_energies = np.empty((len(self._tables), events.shape[0]), dtype=float)
         for position, table in enumerate(self._tables):
             indices = events[:, position]
             connected = table.connected[indices]  # (cycles, n_internal)
@@ -477,4 +479,5 @@ class BatchedCircuitEnergyModel:
             total_capacitance = table.baseline[indices] + capacitance
             if table.extra is not None:
                 total_capacitance += table.extra[indices]
-            out += self.technology.switching_energy(total_capacitance)
+            gate_energies[position] = self.technology.switching_energy(total_capacitance)
+        out[:] = [math.fsum(column) for column in gate_energies.T.tolist()]

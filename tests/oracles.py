@@ -26,7 +26,7 @@ import heapq
 import itertools
 import math
 import operator
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -237,6 +237,18 @@ def oracle_gate_tables(
     return tables
 
 
+class OraclePlan(NamedTuple):
+    """The per-gate plan build's result (see :func:`oracle_bitslice_plan`)."""
+
+    net_count: int
+    net_index: Dict[str, int]
+    levels: tuple
+    event_positions: tuple  # (gate rows, source nets, xor masks) per position
+    offsets: np.ndarray
+    energy_flat: np.ndarray
+    constant_fold: Optional[np.float64]
+
+
 def oracle_bitslice_plan(program):
     """The bit-sliced plan built gate by gate.
 
@@ -244,12 +256,14 @@ def oracle_bitslice_plan(program):
     per-gate tables of :func:`oracle_gate_tables`, not the program's
     template tables: every gate gets its own function analysis, energy
     row and constancy test, as the plan build did before it worked per
-    gate template over the circuit's arrays.  Returns a
-    :class:`repro.kernel.bitslice.BitslicePlan`.
+    gate template over the circuit's arrays.  Returns an
+    :class:`OraclePlan`: the fields of
+    :class:`repro.kernel.bitslice.BitslicePlan` that do not depend on
+    which gates the kernel counts, with the event positions of every
+    gate (the kernel keeps those of its gathered gates only).
     """
     from repro.kernel.bitslice import (
         _ALL_ONES,
-        BitslicePlan,
         _ExprStep,
         _OpGroup,
         _flat_connection_args,
@@ -369,17 +383,15 @@ def oracle_bitslice_plan(program):
         np.ptp(energy_flat[int(offsets[row]) : int(offsets[row]) + sizes[row]]) == 0.0
         for row in range(len(tables))
     ):
-        accumulator = np.float64(0.0)
-        for row in range(len(tables)):
-            accumulator = accumulator + energy_flat[int(offsets[row])]
-        constant_fold = accumulator
+        constant_fold = np.float64(
+            math.fsum(float(energy_flat[int(offsets[row])]) for row in range(len(tables)))
+        )
 
-    return BitslicePlan(
+    return OraclePlan(
         net_count=len(net_index),
         net_index=net_index,
         levels=levels,
         event_positions=tuple(event_positions),
-        events_dtype=np.dtype(np.uint8 if max_fanin <= 8 else np.int32),
         offsets=offsets,
         energy_flat=energy_flat,
         constant_fold=constant_fold,

@@ -98,3 +98,40 @@ class TestSemantics:
 
     def test_minterms_of_and2(self):
         assert minterms(parse("A & B")) == [3]
+
+
+class TestExpressionFromColumn:
+    @pytest.mark.parametrize("width", [1, 2, 3, 5])
+    def test_equals_the_checked_constructors(self, width):
+        # The sum of products is built without re-checking its operands;
+        # it must equal, node for node, the one And/Or build.  Every
+        # column up to three variables, 40 random ones of five.
+        import random
+        from itertools import product
+
+        from repro.boolexpr import And, Not, Or
+        from repro.boolexpr.truthtable import expression_from_column
+
+        names = [f"x{index}" for index in range(width)]
+        if width <= 3:
+            columns = list(product([False, True], repeat=1 << width))
+        else:
+            draw = random.Random(width)
+            columns = [[draw.random() < 0.5 for _ in range(1 << width)] for _ in range(40)]
+        for column in columns:
+            products = []
+            for index, value in enumerate(column):
+                if value:
+                    literals = [
+                        Var(name) if (index >> (width - 1 - bit)) & 1 else Not(Var(name))
+                        for bit, name in enumerate(names)
+                    ]
+                    products.append(And(*literals) if width > 1 else literals[0])
+            if not products:
+                expected = FALSE
+            else:
+                expected = Or(*products) if len(products) > 1 else products[0]
+            actual = expression_from_column(names, list(column))
+            assert actual == expected
+            assert repr(actual) == repr(expected)
+            assert hash(actual) == hash(expected)

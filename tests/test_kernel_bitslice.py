@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,29 @@ def _event_model(program: CompiledProgram) -> BatchedCircuitEnergyModel:
             tables=program.gate_tables(),
         )
     )
+
+
+def _fsum_oracle(program: CompiledProgram, matrix: np.ndarray) -> np.ndarray:
+    """Per cycle, :func:`math.fsum` of every gate's steady-state energy.
+
+    Walks ``circuit.gates`` one cycle at a time: each gate's event
+    indexes its own table, and its energy is the reference model's
+    scalar chain, ``(baseline + cap_dot) [+ extra] -> switching_energy``.
+    """
+    circuit = program.circuit
+    tables = program.gate_tables()
+    energies = []
+    for vector in matrix.tolist():
+        nets = circuit.evaluate_nets(dict(zip(circuit.primary_inputs, vector)))
+        gate_energies = []
+        for gate, table in zip(circuit.gates, tables):
+            event = table.event_index(gate.input_event(nets))
+            capacitance = table.baseline[event] + table.cap_dot[event]
+            if table.extra is not None:
+                capacitance = capacitance + table.extra[event]
+            gate_energies.append(float(program.technology.switching_energy(capacitance)))
+        energies.append(math.fsum(gate_energies))
+    return np.array(energies)
 
 
 def _network_circuit(expressions, network_style="genuine"):
@@ -243,7 +267,8 @@ class TestBitIdentity:
     def test_wide_gates_and_expression_steps(self, gate_style, network_style):
         # A 6-input XOR network (93 internal nodes, more than a uint64
         # mask holds) and a chained non-flat gate, both run as _ExprStep
-        # gates, plus a flat 10-input AND (int32 event indices).
+        # gates, plus a flat 10-input AND (int32 event indices once it is
+        # gathered: routing its output net gives it a table of its own).
         names = "ABCDEFGHIJ"
         circuit = _network_circuit(
             [
@@ -254,15 +279,20 @@ class TestBitIdentity:
             network_style=network_style,
         )
         assert max(len(g.dpdn.internal_nodes()) for g in circuit.gates) > 64
-        program = compile_circuit(circuit, gate_style=gate_style)
-        plan = program.plan()
-        assert plan.events_dtype == np.int32
-        steps = [step for level in plan.levels for step in level]
-        assert sum(isinstance(step, _ExprStep) for step in steps) == 2
         rng = np.random.default_rng(17)
         pool = _random_matrix(rng, 300, 10)
         matrix = pool[rng.integers(0, 300, size=_CYCLE_TILE + 200)]
-        _assert_bit_identical(program, [matrix, matrix[:37]], batch_size=4096)
+        for net_loads in (None, {"n1": (2e-15, 3e-15)}):
+            program = compile_circuit(
+                circuit, gate_style=gate_style, net_loads=net_loads
+            )
+            plan = program.plan()
+            if net_loads:
+                assert 1 in plan.gather_rows.tolist()
+                assert plan.events_dtype == np.int32
+            steps = [step for level in plan.levels for step in level]
+            assert sum(isinstance(step, _ExprStep) for step in steps) == 2
+            _assert_bit_identical(program, [matrix, matrix[:37]], batch_size=4096)
 
     def test_routed_net_loads(self):
         circuit = build_sbox_circuit(0xB)
@@ -560,6 +590,7 @@ class TestBitIdentityProperties:
                 _event_model(program).energies(matrix, batch_size=batch_size),
                 energies,
             )
+            assert np.array_equal(energies[:64], _fsum_oracle(program, matrix[:64]))
             # One call over every block equals one call per block.
             blocks = [matrix[start : start + 256] for start in range(0, cycles, 256)]
             assert np.array_equal(
@@ -569,6 +600,69 @@ class TestBitIdentityProperties:
 
         check()
 
+
+    @pytest.mark.parametrize("path", ["fold", "count", "gather", "fsum"])
+    def test_every_path_is_the_exact_sum_of_the_gate_energies(self, path):
+        # Random mapped circuits, configured onto one summation path:
+        # ``fold`` (SABL, fc networks), ``count`` (unrouted), ``gather``
+        # (some or all gates routed, the rest counted) and ``fsum`` (one
+        # gate's wire load spreads its table over too many exponents for
+        # the integer limbs).  Each cycle must be the math.fsum of its
+        # gates' energies, bit for bit.
+        from hypothesis import assume, given, settings, strategies as st
+
+        @settings(max_examples=15, deadline=None)
+        @given(
+            expressions=st.lists(
+                expression_strategy(max_leaves=6).filter(_varies), min_size=1, max_size=3
+            ),
+            network_style=st.sampled_from(["fc", "genuine"]),
+            max_fanin=st.sampled_from([2, 3]),
+            gate_style=st.sampled_from(["sabl", "cvsl"]),
+            routed_share=st.sampled_from([0.5, 1.0]),
+            seed=st.integers(0, 2**16),
+        )
+        def check(expressions, network_style, max_fanin, gate_style, routed_share, seed):
+            if path == "fold":
+                gate_style, network_style = "sabl", "fc"
+            elif path == "count" and gate_style == "sabl":
+                network_style = "genuine"
+            circuit = map_expressions(
+                {f"F{i}": expr for i, expr in enumerate(expressions)},
+                primary_inputs=["A", "B", "C", "D"],
+                network_style=network_style,
+                max_fanin=max_fanin,
+                name="paths",
+            )
+            assume(circuit.gate_count() > 0)
+            rng = np.random.default_rng(seed)
+            nets = [circuit.net_names[net] for net in circuit.gate_output.tolist()]
+            net_loads = None
+            if path in ("gather", "fsum"):
+                net_loads = {
+                    net: (
+                        float(rng.uniform(1e-16, 5e-15)),
+                        float(rng.uniform(1e-16, 5e-15)),
+                    )
+                    for net in nets
+                    if rng.random() < routed_share
+                }
+                net_loads[nets[0]] = (2e-15, 3e-15)
+            if path == "fsum":
+                # One rail a million times the other: that gate's table
+                # spans about 2**17, beyond what the limbs take.
+                net_loads[nets[-1]] = (1e-9, 1e-15)
+            program = compile_circuit(circuit, gate_style=gate_style, net_loads=net_loads)
+            assert program.plan().path == path
+            matrix = _random_matrix(rng, 48, 4)
+            energies = BitslicedCircuitEnergyModel(program).energies(matrix)
+            assert np.array_equal(energies, _fsum_oracle(program, matrix))
+            if path == "fold":
+                # The paper's claim: a protected circuit draws one exact
+                # constant on every cycle.
+                assert np.ptp(energies) == 0.0
+
+        check()
 
     def test_random_circuits_match_the_stepped_simulator(self):
         # The kernel against the per-trace oracle -- each gate's own
@@ -622,6 +716,60 @@ class TestBitIdentityProperties:
         check()
 
 
+class TestExactSums:
+    """A cycle's energy is the exactly rounded sum of its gates' energies,
+    whichever path computes it."""
+
+    def test_a_16_sbox_slice_needs_the_second_limb(self):
+        # 1984 gates: their largest integer energies sum past 2**63, so
+        # one int64 would overflow where the two limbs do not.
+        program = compile_circuit(_slice_circuit(16, "genuine"))
+        plan = program.plan()
+        assert program.gate_count() == 1984
+        assert plan.path == "count"
+        assert int(np.abs(plan.integers).max()) * program.gate_count() >= 2**63
+        rng = np.random.default_rng(61)
+        matrix = _random_matrix(rng, 24, 64)
+        energies = BitslicedCircuitEnergyModel(program).energies(matrix)
+        assert np.array_equal(energies, _fsum_oracle(program, matrix))
+
+    def test_the_fsum_fallback_equals_the_oracles(self):
+        circuit = build_sbox_circuit(0xB, network_style="genuine")
+        nets = [gate.output_net for gate in circuit.gates]
+        program = compile_circuit(circuit, net_loads={nets[3]: (1e-9, 1e-15)})
+        assert program.plan().path == "fsum"
+        assert program.plan().integers is None
+        rng = np.random.default_rng(67)
+        matrix = _random_matrix(rng, 300, 4)
+        energies = _assert_bit_identical(program, [matrix], batch_size=77)[0]
+        assert np.array_equal(energies[:40], _fsum_oracle(program, matrix[:40]))
+
+    @pytest.mark.parametrize(
+        "network_style, wire_load, path",
+        [
+            ("fc", None, "fold"),
+            ("genuine", None, "count"),
+            ("genuine", (2e-15, 3e-15), "gather"),
+            ("genuine", (1e-9, 1e-15), "fsum"),
+        ],
+    )
+    def test_the_kernel_counts_the_cycles_of_its_path(
+        self, network_style, wire_load, path
+    ):
+        circuit = build_sbox_circuit(0xB, network_style=network_style)
+        net_loads = {circuit.gates[2].output_net: wire_load} if wire_load else None
+        model = BitslicedCircuitEnergyModel(compile_circuit(circuit, net_loads=net_loads))
+        buffer = []
+        with use_observer(Observer((BufferSink(buffer),))):
+            model.energies(_random_matrix(np.random.default_rng(71), 1500, 4))
+        paths = [
+            (event["attrs"]["path"], event["value"])
+            for event in buffer
+            if event["name"] == "kernel.path_cycles"
+        ]
+        assert paths == [(path, 1500)]
+
+
 def _assert_plans_equal(plan, reference):
     """``plan`` equals ``reference`` field by field, arrays bit for bit."""
 
@@ -644,13 +792,27 @@ def _assert_plans_equal(plan, reference):
                     same(getattr(step, name), getattr(expected, name), (depth, name))
             else:
                 assert step == expected, depth
-    assert len(plan.event_positions) == len(reference.event_positions)
+    # The plan extracts events only for the gates it gathers (rows index
+    # ``gather_rows``) and counts the rest, template by template.
+    gathered = plan.gather_rows
+    counted = sum(group.sources.shape[1] for group in plan.count_groups)
+    assert counted + gathered.size == plan.offsets.size
+    compact = np.full(plan.offsets.size, -1, dtype=np.intp)
+    compact[gathered] = np.arange(gathered.size)
+    expected_positions = []
+    for rows, sources, masks in reference.event_positions:
+        keep = np.isin(rows, gathered)
+        if keep.any():
+            expected_positions.append((compact[rows[keep]], sources[keep], masks[keep]))
+    assert len(plan.event_positions) == len(expected_positions)
     for position, (arrays, expected) in enumerate(
-        zip(plan.event_positions, reference.event_positions)
+        zip(plan.event_positions, expected_positions)
     ):
         for name, actual, wanted in zip(("rows", "sources", "masks"), arrays, expected):
             same(actual, wanted, (position, name))
-    assert plan.events_dtype == reference.events_dtype
+    assert plan.events_dtype == np.dtype(
+        np.uint8 if len(expected_positions) <= 8 else np.int32
+    )
     same(plan.offsets, reference.offsets, "offsets")
     same(plan.energy_flat, reference.energy_flat, "energy_flat")
     if reference.constant_fold is None:
@@ -842,7 +1004,7 @@ class TestFlowIntegration:
         from repro.engine import content_key, store_record
 
         assert content_key(store_record(_sbox_flow(), "traces")) == (
-            "56158621251edb1c69b7333addee893bbe4855eaa68b1ffa56ac3f76a2b2ad7f"
+            "f36d8928ff53b110040ecd5c594a0187093b5f22946b22297f402af643296308"
         )
 
     def test_routed_store_keys_are_pinned(self):
@@ -856,10 +1018,10 @@ class TestFlowIntegration:
             for stage in ("layout", "traces", "assessment")
         }
         assert keys == {
-            "layout": "d31b7b7320fed80555b03aba03cc4674c7210dd6177b8c2f653e94e75937f349",
-            "traces": "d6b4a3991a70fd1fbfa92bb23e0876c9b1274ce2163fe2d0cbc80c38adaf3fe2",
+            "layout": "ea31b76cccebc39e39d47da9df079ade24a1f9f27d6b12807dcc4ccf8c1fe533",
+            "traces": "42629d5f05703c518c329640cab333c6052251556029ae2e1a7f2b2726f2902c",
             "assessment": (
-                "11552d82d01135562b339de2d07e80a81a7f495069267b2f0418f63c1c8d0207"
+                "bfda63d795139f2400cdf10a20efd4ce640ab7ae9c0e903a5d1e19112d017d2c"
             ),
         }
 
@@ -985,10 +1147,10 @@ class TestGoldenStreams:
     @pytest.mark.parametrize(
         "gate_style, network_style, digest",
         [
-            ("sabl", "fc", "a9c59bbab4455b53"),
-            ("sabl", "genuine", "11915df2d162c79a"),
-            ("cvsl", "fc", "8666b59c80ce5a17"),
-            ("cvsl", "genuine", "1f5fff4f07985188"),
+            ("sabl", "fc", "82af5d569c504301"),
+            ("sabl", "genuine", "3eaa2eb4b0bbaf87"),
+            ("cvsl", "fc", "dec2a5b906576d61"),
+            ("cvsl", "genuine", "a09ef477fe768948"),
         ],
     )
     def test_sbox_campaign(self, gate_style, network_style, digest):
@@ -996,14 +1158,14 @@ class TestGoldenStreams:
         assert _traces_digest(flow) == digest
 
     def test_routed_present_round(self):
-        assert _traces_digest(_golden_flow("routed")) == "ac88fc5117d85fc8"
+        assert _traces_digest(_golden_flow("routed")) == "a440bb9ba2d7af53"
 
     def test_sharded_present_round(self):
         # The two-worker, 300-trace-shard golden and its default
         # (in-process, one-shard) twin are one stream.
         for execution in (None, ExecutionConfig()):
             flow = _golden_flow("sharded", execution)
-            assert _traces_digest(flow) == "e48d067cbc298de0"
+            assert _traces_digest(flow) == "8c78808190e6c88b"
 
     def test_model_campaign(self):
         # 20 noisy blocks: two energy-source calls of the leakage table.
@@ -1069,6 +1231,25 @@ class TestGoldenStreams:
             assert fast.best_guess == slow.best_guess
             assert fast.correct_key_rank == slow.correct_key_rank
 
+    @pytest.mark.parametrize(
+        "campaign, rankings",
+        [
+            ("sabl/fc", [(0, 15), (6, 1), (13, 5), (1, 6), (6, 5)]),
+            ("sabl/genuine", [(4, 11), (3, 14), (9, 15), (3, 8), (5, 15)]),
+            ("cvsl/fc", [(6, 7), (0, 5), (13, 4), (0, 8), (6, 14)]),
+            ("cvsl/genuine", [(4, 15), (3, 14), (15, 8), (11, 0), (5, 10)]),
+            ("routed", [(6, 15), (10, 9), (7, 6), (13, 1), (12, 7)]),
+            ("sharded", [(0, 3), (4, 15), (8, 12), (3, 6), (0, 15)]),
+        ],
+    )
+    def test_attack_rankings_are_pinned(self, campaign, rankings):
+        # ``(best_guess, correct_key_rank)`` of DoM on bits 0..3, then
+        # CPA: the same before and after cycles became exact sums.
+        view, table, _ = _golden_flow(campaign)._attack_campaign()
+        results = [dpa_difference_of_means(view, table, target_bit=bit) for bit in range(4)]
+        results.append(cpa_correlation(view, table))
+        assert [(r.best_guess, r.correct_key_rank) for r in results] == rankings
+
     def test_assessment_stream(self):
         flow = DesignFlow(
             None,
@@ -1082,7 +1263,8 @@ class TestGoldenStreams:
         )
         result = flow.assessment()["ttest"]
         rows = repr([(t.order, t.statistic, t.leaks) for t in result.tests])
-        assert hashlib.sha256(rows.encode()).hexdigest()[:16] == "2a87c673f993cb4d"
+        assert hashlib.sha256(rows.encode()).hexdigest()[:16] == "a6a8fa362d8e86d5"
+        assert [t.leaks for t in result.tests] == [True, True]
 
 
 class TestConfigValidation:

@@ -209,6 +209,30 @@ class TestRouting:
             n: (r.true_length, r.false_length) for n, r in second.nets.items()
         }
 
+    @pytest.mark.parametrize("router", ROUTERS)
+    def test_layout_builds_the_pin_structure_once(self, monkeypatch, router):
+        # layout_circuit hands one net_terminals result to the placer and
+        # the router; the layout equals the one built from two calls.
+        import repro.layout as layout_package
+        import repro.layout.place as place_module
+        import repro.layout.route as route_module
+
+        circuit = small_circuit()
+        expected_placement = place_circuit(circuit, seed=3, anneal_moves=200)
+        expected_routing = route_circuit(circuit, expected_placement, router=router)
+        calls = []
+
+        def counting(circuit):
+            calls.append(circuit)
+            return net_terminals(circuit)
+
+        for module in (layout_package, place_module, route_module):
+            monkeypatch.setattr(module, "net_terminals", counting)
+        layout = layout_circuit(circuit, router=router, seed=3, anneal_moves=200)
+        assert len(calls) == 1
+        assert layout.placement == expected_placement
+        assert layout.routing == expected_routing
+
     def test_unknown_router_lists_available(self):
         circuit = small_circuit()
         placement = place_circuit(circuit, seed=0)

@@ -116,6 +116,19 @@ def test_wide_fan_in_and_inverted_outputs(max_fanin):
     )
 
 
+def test_repeated_maps_name_their_rows_alike_and_own_their_lists():
+    # The gate and net names of a mapping are shared between maps of the
+    # same size and name; each circuit still gets lists of its own.
+    expressions = {"F": parse("(A & B) | (C & ~A)"), "G": parse("A | C")}
+    first = map_expressions(expressions, name="names")
+    reference = oracle_map_expressions(expressions, name="names")
+    first.gate_names.append("extra")
+    first.net_names.append("extra")
+    second = map_expressions(expressions, name="names")
+    _assert_same_circuit(second, reference)
+    assert second.gate_names == [gate.name for gate in reference.gates]
+
+
 def test_undriven_inputs_fail_like_the_oracle():
     for expressions in (
         {"F": parse("A & Q")},
