@@ -536,18 +536,19 @@ def build_bitslice_plan(program) -> BitslicePlan:
         largest = int(np.abs(integers).max(initial=1))
         gather_chunk = max(1, min(_GATHER_CHUNK, (1 << 63) // largest - 1))
         for index in np.flatnonzero(used).tolist():
-            classes = _count_classes((rows[index] / unit).astype(np.int64), counts[index])
+            classes = _count_classes(
+                (rows[index] / unit).astype(np.int64).tolist(), int(counts[index])
+            )
             if classes is None:
                 continue
             value, counted_classes = classes
             members = np.flatnonzero(unrouted & (gate_template == index))
             counted[members] = True
             base += value * members.size
-            width = int(counts[index])
             count_groups.append(
                 _CountGroup(
-                    sources=np.ascontiguousarray(event_sources[members, :width].T),
-                    masks=np.ascontiguousarray(_masks(event_rails[members, :width]).T),
+                    sources=np.ascontiguousarray(event_sources[members, : counts[index]].T),
+                    masks=np.ascontiguousarray(_masks(event_rails[members, : counts[index]]).T),
                     classes=tuple(events for events, _ in counted_classes),
                 )
             )
@@ -618,7 +619,7 @@ def _integer_unit(energy_flat: np.ndarray, gate_count: int) -> Optional[float]:
     return unit
 
 
-def _count_classes(values: np.ndarray, width: int):
+def _count_classes(values: Sequence[int], width: int):
     """``(base, [(events, value), ...])`` to count a template by, or ``None``.
 
     ``base`` is the integer value most events share; every other
@@ -626,18 +627,16 @@ def _count_classes(values: np.ndarray, width: int):
     is counted only when that takes no more indicators than it has
     event bits, built from at most two minterms per bit.
     """
-    distinct, inverse, frequency = np.unique(
-        values, return_inverse=True, return_counts=True
-    )
-    common = int(np.argmax(frequency))
+    events_of: Dict[int, List[int]] = {}
+    for event, value in enumerate(values):
+        events_of.setdefault(value, []).append(event)
+    base = max(events_of, key=lambda value: len(events_of[value]))
     classes = [
-        (tuple(np.flatnonzero(inverse == number).tolist()), int(value))
-        for number, value in enumerate(distinct.tolist())
-        if number != common
+        (tuple(events), value) for value, events in events_of.items() if value != base
     ]
     if len(classes) > width or sum(len(events) for events, _ in classes) > 2 * width:
         return None
-    return int(distinct[common]), classes
+    return base, classes
 
 
 def _masks(inverted) -> np.ndarray:

@@ -480,4 +480,8 @@ class BatchedCircuitEnergyModel:
             if table.extra is not None:
                 total_capacitance += table.extra[indices]
             gate_energies[position] = self.technology.switching_energy(total_capacitance)
-        out[:] = [math.fsum(column) for column in gate_energies.T.tolist()]
+        # Column blocks keep the Python floats fsum reads to a slice of
+        # the batch.
+        for start in range(0, out.shape[0], 256):
+            block = gate_energies[:, start : start + 256].T.tolist()
+            out[start : start + len(block)] = [math.fsum(column) for column in block]

@@ -1144,18 +1144,19 @@ class TestGoldenStreams:
     digests were checked against the block-stream oracle when pinned.
     """
 
-    @pytest.mark.parametrize(
-        "gate_style, network_style, digest",
-        [
-            ("sabl", "fc", "82af5d569c504301"),
-            ("sabl", "genuine", "3eaa2eb4b0bbaf87"),
-            ("cvsl", "fc", "dec2a5b906576d61"),
-            ("cvsl", "genuine", "a09ef477fe768948"),
-        ],
-    )
-    def test_sbox_campaign(self, gate_style, network_style, digest):
+    # Keyed by style rather than passed as a parameter, so a re-pin
+    # keeps the test ids.
+    SBOX_DIGESTS = {
+        ("sabl", "fc"): "82af5d569c504301",
+        ("sabl", "genuine"): "3eaa2eb4b0bbaf87",
+        ("cvsl", "fc"): "dec2a5b906576d61",
+        ("cvsl", "genuine"): "a09ef477fe768948",
+    }
+
+    @pytest.mark.parametrize("gate_style, network_style", list(SBOX_DIGESTS))
+    def test_sbox_campaign(self, gate_style, network_style):
         flow = _golden_flow(f"{gate_style}/{network_style}")
-        assert _traces_digest(flow) == digest
+        assert _traces_digest(flow) == self.SBOX_DIGESTS[gate_style, network_style]
 
     def test_routed_present_round(self):
         assert _traces_digest(_golden_flow("routed")) == "a440bb9ba2d7af53"
