@@ -280,10 +280,11 @@ class BitslicePlan:
             events = self.extract_events(planes, trace_count)
             values = np.take(self.energy_flat, self.offsets[self.gather_rows, None] + events)
             return np.array([math.fsum(column) for column in values.T.tolist()])
-        limbs = np.empty((2, trace_count), dtype=np.int64)
-        limbs[...] = self.count_base
         if self.count_limbs.shape[1]:
-            limbs += self.count_limbs @ self.count_values(planes, trace_count)
+            limbs = self.count_limbs @ self.count_values(planes, trace_count)
+            limbs += self.count_base
+        else:
+            limbs = np.repeat(self.count_base, trace_count, axis=1)
         if self.gather_rows.size:
             events = self.extract_events(planes, trace_count)
             index = self.offsets[self.gather_rows, None] + events
@@ -294,9 +295,8 @@ class BitslicePlan:
                 limbs[1] += part & _LIMB_MASK
         # Normalise to 0 <= lo < 2**32: both limbs then convert to float
         # exactly, so the one addition is the only rounding.
-        limbs[0] += limbs[1] >> _LIMB_BITS
-        limbs[1] &= _LIMB_MASK
-        hi, lo = limbs.astype(float)
+        hi = limbs[0] + (limbs[1] >> _LIMB_BITS)
+        lo = limbs[1] & _LIMB_MASK
         return (hi * float(1 << _LIMB_BITS) + lo) * self.unit
 
 
