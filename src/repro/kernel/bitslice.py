@@ -38,9 +38,12 @@ back to gathering float energies and summing each cycle with
 steady-state energy, depend on its primary-input vector alone.  Each
 tile of cycles is therefore reduced to its distinct input rows before
 packing: logic and the energy sum run once per distinct vector, and the
-per-vector energies are expanded back to every cycle.  A narrow
-circuit's cost thus scales with the distinct vectors it sees (at most 16
-per tile for a 4-input S-box), not with the cycles.
+per-vector energies are expanded back to every cycle.  A circuit of at
+most :data:`_TABLE_WIDTH` (10) primary inputs goes one step further:
+:func:`build_energy_table` runs the model once over its whole input
+space, and a campaign looks each cycle up in that table
+(:func:`repro.power.trace.kernel_energy_source`), so no tile of it is
+packed, sorted or counted again.
 
 **Steady state** -- the kernel evaluates every cycle from the circuit's
 steady state, in which each internal node that any input event can
@@ -66,7 +69,12 @@ from ..boolexpr.ast import And, Const, Expr, Not, Or, Var, Xor
 from ..obs import get_observer
 from .pack import pack_bitplanes, unpack_bitplanes
 
-__all__ = ["BitslicePlan", "build_bitslice_plan", "BitslicedCircuitEnergyModel"]
+__all__ = [
+    "BitslicePlan",
+    "build_bitslice_plan",
+    "BitslicedCircuitEnergyModel",
+    "build_energy_table",
+]
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -84,6 +92,11 @@ _GATHER_CHUNK = 128
 #: (bit planes, event indices) grows with the cycles in flight, so larger
 #: batches are walked in tiles of this size.
 _CYCLE_TILE = 1024
+
+#: Most primary inputs of a circuit given an energy table
+#: (:func:`build_energy_table`): its ``2**width`` input vectors then fit
+#: one tile, so the table never costs more than one tile to build.
+_TABLE_WIDTH = _CYCLE_TILE.bit_length() - 1
 
 
 def _distinct_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -749,3 +762,24 @@ class BitslicedCircuitEnergyModel:
         plan.run_logic(planes)
         out[...] = plan.cycle_energies(planes, first.size)[inverse]
         return first.size
+
+
+def build_energy_table(program) -> np.ndarray:
+    """Every input vector's energy, indexed by the vector's value.
+
+    Entry ``v`` is the energy of the cycle whose primary input ``i`` is
+    bit ``i`` of ``v`` (little-endian, as
+    :func:`repro.power.trace.nibble_matrix`), computed by one
+    :meth:`BitslicedCircuitEnergyModel.energies` call over all
+    ``2**width`` vectors -- the same kernel on the same plan, so looking
+    a cycle up equals evaluating it, bit for bit.  The table is
+    read-only: one :class:`~repro.kernel.compile.CompiledProgram` shares
+    it with every campaign it measures
+    (:meth:`~repro.kernel.compile.CompiledProgram.energy_table`).
+    """
+    width = len(program.circuit.primary_inputs)
+    values = np.arange(1 << width)
+    matrix = ((values[:, None] >> np.arange(width)) & 1).astype(bool)
+    table = BitslicedCircuitEnergyModel(program).energies(matrix)
+    table.setflags(write=False)
+    return table

@@ -9,8 +9,9 @@ table per gate template and one per routed gate
 each distinct template network are walked once, so the cost scales with
 the circuit's templates and routed gates, not its gate instances) and,
 built lazily on first use, the bit-sliced straight-line plan of
-:mod:`repro.kernel.bitslice`.  Nothing here builds a per-gate object for
-an unrouted gate.  The flow pipeline caches one program per flow
+:mod:`repro.kernel.bitslice` and, for a circuit of at most 10 primary
+inputs, the energy of every input vector.  Nothing here builds a
+per-gate object for an unrouted gate.  The flow pipeline caches one program per flow
 alongside the circuit stage, and every engine worker reuses its flow's
 program across shards.
 """
@@ -39,10 +40,10 @@ class KernelError(ValueError):
 class CompiledProgram:
     """A circuit compiled for repeated simulation.
 
-    Instances are immutable in spirit: the tables and plan are shared,
-    read-only inputs of the energy models built from them.  ``tables[t]``
-    is the table of ``circuit.templates[t]``; ``routed`` maps the row of
-    each gate with a routed wire load to its own table.
+    Instances are immutable in spirit: the tables, plan and energy table
+    are shared, read-only inputs of the energy models built from them.
+    ``tables[t]`` is the table of ``circuit.templates[t]``; ``routed``
+    maps the row of each gate with a routed wire load to its own table.
     """
 
     circuit: DifferentialCircuit
@@ -53,6 +54,7 @@ class CompiledProgram:
     tables: Tuple[GateTable, ...]
     routed: Mapping[int, GateTable]
     _plan: Optional[object] = field(default=None, repr=False, compare=False)
+    _table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def plan(self):
         """The bit-sliced :class:`~repro.kernel.bitslice.BitslicePlan` (lazy)."""
@@ -69,6 +71,21 @@ class CompiledProgram:
                     gates=self.gate_count(),
                 )
         return self._plan
+
+    def energy_table(self) -> Optional[np.ndarray]:
+        """The energy of every input vector, indexed by its value (lazy).
+
+        Built once by :func:`~repro.kernel.bitslice.build_energy_table`
+        for a circuit of at most 10 primary inputs, whose whole input
+        space fits one kernel tile; ``None`` for a wider circuit.
+        """
+        from .bitslice import _TABLE_WIDTH, build_energy_table
+
+        if len(self.circuit.primary_inputs) > _TABLE_WIDTH:
+            return None
+        if self._table is None:
+            self._table = build_energy_table(self)
+        return self._table
 
     def gate_count(self) -> int:
         return self.circuit.gate_count()

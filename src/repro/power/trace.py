@@ -32,6 +32,7 @@ import numpy as np
 
 from ..sabl.circuit import DifferentialCircuit, map_expressions
 from ..electrical.technology import Technology
+from ..obs import get_observer
 from .crypto import PRESENT_SBOX, hamming_weight, keyed_sbox_expressions
 
 __all__ = [
@@ -266,13 +267,38 @@ def measure_traces(
 
 def kernel_energy_source(program: Any) -> Tuple[int, EnergySource]:
     """``(width, energies)`` of a compiled circuit: its stimulus width and
-    the bit-sliced kernel over the stimuli's little-endian bits (plaintext
-    bit ``i`` drives ``circuit.primary_inputs[i]``)."""
+    the kernel's energies of the stimuli, whose little-endian bit ``i``
+    drives ``circuit.primary_inputs[i]``.
+
+    A circuit of at most 10 primary inputs is looked up: each cycle's
+    energy is ``table[stimulus]`` in the program's
+    :meth:`~repro.kernel.CompiledProgram.energy_table`, which the kernel
+    filled once with the energy of every input vector, so the lookup is
+    bit-identical to evaluating the cycle.  With observability on, each
+    lookup counts its cycles as ``kernel.path_cycles`` with
+    ``path="table"``.  A wider circuit runs the bit-sliced kernel on the
+    stimuli's bits.  This is the one place stimuli meet the kernel.
+    """
     from ..kernel import BitslicedCircuitEnergyModel
 
-    model = BitslicedCircuitEnergyModel(program)
     width = len(program.circuit.primary_inputs)
-    return width, lambda stimuli: model.energies(nibble_matrix(stimuli, width))
+    table = program.energy_table()
+    if table is None:
+        model = BitslicedCircuitEnergyModel(program)
+        return width, lambda stimuli: model.energies(nibble_matrix(stimuli, width))
+    mask = table.shape[0] - 1
+
+    def lookup(stimuli: np.ndarray) -> np.ndarray:
+        # The mask keeps the stimulus bits nibble_matrix would read.
+        energies = table[stimuli & mask]
+        obs = get_observer()
+        if obs.active and energies.size:
+            obs.counter(
+                "kernel.path_cycles", energies.size, simulator="bitslice", path="table"
+            )
+        return energies
+
+    return width, lookup
 
 
 def acquire_circuit_traces(
@@ -302,7 +328,10 @@ def acquire_circuit_traces(
     modelling measurement noise and the activity of unrelated logic.
 
     The energies come from the compiled bit-sliced kernel
-    (:class:`repro.kernel.BitslicedCircuitEnergyModel`), called on
+    (:class:`repro.kernel.BitslicedCircuitEnergyModel`) through
+    :func:`kernel_energy_source`: a circuit of at most 10 primary inputs
+    is evaluated once over its whole input space and every cycle is a
+    lookup in that table; a wider one is called on
     :data:`ASSESSMENT_BLOCKS_PER_CALL` blocks at a time.  Every cycle is
     evaluated from the circuit's steady state, in which each internal
     node an input event can connect has already discharged once, so a

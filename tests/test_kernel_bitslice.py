@@ -41,10 +41,18 @@ from repro.kernel import (
     unpack_bitplanes,
     word_count,
 )
-from repro.kernel.bitslice import _CYCLE_TILE, _distinct_rows
+from repro.kernel import bitslice
+from repro.kernel.bitslice import _CYCLE_TILE, _TABLE_WIDTH, _distinct_rows
 from repro.obs import BufferSink, Observer, use_observer
 from repro.power import cpa_correlation, dpa_difference_of_means
-from repro.power.trace import acquire_circuit_traces, build_sbox_circuit, nibble_matrix
+from repro.power.trace import (
+    acquire_circuit_traces,
+    build_sbox_circuit,
+    campaign_blocks,
+    kernel_energy_source,
+    measure_blocks,
+    nibble_matrix,
+)
 from repro.boolexpr.parser import parse
 from repro.core.synthesis import synthesize_fc_dpdn
 from repro.kernel.bitslice import _ExprStep, _OpGroup, build_bitslice_plan
@@ -1024,6 +1032,163 @@ class TestFlowIntegration:
                 "bfda63d795139f2400cdf10a20efd4ce640ab7ae9c0e903a5d1e19112d017d2c"
             ),
         }
+
+
+def _circuit_of_width(width: int, network_style: str) -> DifferentialCircuit:
+    """A mapped circuit of ``width`` primary inputs: the paper's S-box
+    (4), a 2-S-box PRESENT slice (8), or one output per input mixing
+    four neighbouring inputs."""
+    if width == 4:
+        return build_sbox_circuit(0xB, network_style=network_style)
+    if width == 8:
+        return _slice_circuit(2, network_style)
+    names = [f"x{i}" for i in range(width)]
+    return map_expressions(
+        {
+            f"F{i}": parse(
+                f"({names[i]} & ~{names[(i + 1) % width]}) | "
+                f"({names[(i + 2) % width]} & {names[(i + 3) % width]})"
+            )
+            for i in range(width)
+        },
+        primary_inputs=names,
+        network_style=network_style,
+        name=f"width_{width}",
+    )
+
+
+def _table_cycles(buffer) -> float:
+    """Cycles the buffered events count as served from an energy table."""
+    return sum(
+        event["value"]
+        for event in buffer
+        if event["name"] == "kernel.path_cycles" and event["attrs"]["path"] == "table"
+    )
+
+
+class TestEnergyTable:
+    """A circuit of at most ten inputs is evaluated once over its whole
+    input space; every campaign cycle is then a lookup in that table,
+    which must equal the kernel's energy of the cycle bit for bit."""
+
+    @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
+    @pytest.mark.parametrize("network_style", ["fc", "genuine"])
+    @pytest.mark.parametrize("width", [4, 8, _TABLE_WIDTH, _TABLE_WIDTH + 1])
+    def test_lookup_equals_the_kernel(self, width, gate_style, network_style):
+        program = compile_circuit(
+            _circuit_of_width(width, network_style), gate_style=gate_style
+        )
+        assert (program.energy_table() is None) == (width > 10)
+        source_width, energies = kernel_energy_source(program)
+        assert source_width == width
+        rng = np.random.default_rng(width)
+        stimuli = np.concatenate(
+            [np.arange(1 << width), rng.integers(0, 1 << width, size=3000)]
+        )
+        buffer = []
+        with use_observer(Observer((BufferSink(buffer),))):
+            actual = energies(stimuli)
+        expected = BitslicedCircuitEnergyModel(program).energies(
+            nibble_matrix(stimuli, width)
+        )
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(actual, expected)
+        assert _table_cycles(buffer) == (stimuli.size if width <= 10 else 0)
+
+    @pytest.mark.parametrize(
+        "network_style, wire_load, path",
+        [
+            ("fc", None, "fold"),
+            ("genuine", (2e-15, 3e-15), "gather"),
+            ("genuine", (1e-9, 1e-15), "fsum"),
+        ],
+    )
+    def test_every_path_fills_the_table(self, network_style, wire_load, path):
+        circuit = build_sbox_circuit(0x6, network_style=network_style)
+        net_loads = {circuit.gates[2].output_net: wire_load} if wire_load else None
+        program = compile_circuit(circuit, net_loads=net_loads)
+        assert program.plan().path == path
+        table = program.energy_table()
+        assert not table.flags.writeable
+        assert np.array_equal(table, _fsum_oracle(program, nibble_matrix(np.arange(16), 4)))
+        stimuli = np.random.default_rng(73).integers(0, 16, size=2000)
+        assert np.array_equal(
+            kernel_energy_source(program)[1](stimuli),
+            BitslicedCircuitEnergyModel(program).energies(nibble_matrix(stimuli, 4)),
+        )
+
+    def test_routed_circuit(self):
+        circuit = _slice_circuit(2, "genuine")
+        net_loads = layout_circuit(circuit, router="unbalanced").parasitics.rail_loads()
+        program = compile_circuit(circuit, gate_style="cvsl", net_loads=net_loads)
+        assert program.routed
+        stimuli = np.random.default_rng(79).integers(0, 256, size=3000)
+        assert np.array_equal(
+            kernel_energy_source(program)[1](stimuli),
+            BitslicedCircuitEnergyModel(program).energies(nibble_matrix(stimuli, 8)),
+        )
+
+    @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
+    def test_the_fixed_plaintext_assessment_stream(self, gate_style):
+        program = compile_circuit(
+            build_sbox_circuit(0xB, network_style="genuine"), gate_style=gate_style
+        )
+        model = BitslicedCircuitEnergyModel(program)
+        streams = [
+            list(
+                measure_blocks(
+                    campaign_blocks(5000, 9), 4, energies, lambda e, rng: e, fixed=0x5
+                )
+            )
+            for energies in (
+                kernel_energy_source(program)[1],
+                lambda stimuli: model.energies(nibble_matrix(stimuli, 4)),
+            )
+        ]
+        assert len(streams[0]) == len(streams[1]) == 20
+        for (stimuli, labels, energies), (stimuli_, labels_, energies_) in zip(*streams):
+            assert np.array_equal(stimuli, stimuli_)
+            assert np.array_equal(labels, labels_)
+            assert np.array_equal(energies, energies_)
+            assert np.unique(energies[labels]).size == 1
+
+    def test_one_build_per_program(self, monkeypatch):
+        # The traces stage, the assessment stream and both in-process
+        # shards of each share the flow's one compiled program.
+        built = []
+        build = bitslice.build_energy_table
+
+        def counting(program):
+            built.append(program)
+            return build(program)
+
+        monkeypatch.setattr(bitslice, "build_energy_table", counting)
+        config = _sbox_flow(trace_count=512, network_style="genuine").config.replace(
+            assessment=AssessmentConfig(enabled=True, traces_per_class=256),
+            execution=ExecutionConfig(shard_size=256),
+        )
+        flow = DesignFlow(None, config)
+        buffer = []
+        with use_observer(Observer((BufferSink(buffer),))):
+            flow.run()
+        assert flow.result("traces").details["shards"] == 2
+        assert flow.result("assessment").details["shards"] == 2
+        assert built == [flow._compiled_program()]
+        # The one build's own kernel counters: the S-box's 16 vectors.
+        for name in ("kernel.cycles", "kernel.distinct_cycles"):
+            assert sum(e["value"] for e in buffer if e["name"] == name) == 16
+        # Every campaign cycle is served from the table.
+        assert _table_cycles(buffer) == 512 + 2 * 256
+
+    def test_a_wide_circuit_builds_no_table(self, monkeypatch):
+        monkeypatch.setattr(bitslice, "build_energy_table", None)
+        program = compile_circuit(_present_round_circuit(4))
+        assert program.energy_table() is None
+        stimuli = np.random.default_rng(83).integers(0, 1 << 16, size=300)
+        assert np.array_equal(
+            kernel_energy_source(program)[1](stimuli),
+            BitslicedCircuitEnergyModel(program).energies(nibble_matrix(stimuli, 16)),
+        )
 
 
 class TestPhysicsFingerprint:
