@@ -11,9 +11,9 @@ the circuit's templates and routed gates, not its gate instances) and,
 built lazily on first use, the bit-sliced straight-line plan of
 :mod:`repro.kernel.bitslice` and, for a circuit of at most 10 primary
 inputs, the energy of every input vector.  Nothing here builds a
-per-gate object for an unrouted gate.  The flow pipeline caches one program per flow
-alongside the circuit stage, and every engine worker reuses its flow's
-program across shards.
+per-gate object for an unrouted gate.  The flow pipeline caches one
+program per flow alongside the circuit stage, and every engine worker
+reuses its flow's program across shards.
 """
 
 from __future__ import annotations

@@ -1180,16 +1180,6 @@ class TestEnergyTable:
         # Every campaign cycle is served from the table.
         assert _table_cycles(buffer) == 512 + 2 * 256
 
-    def test_a_wide_circuit_builds_no_table(self, monkeypatch):
-        monkeypatch.setattr(bitslice, "build_energy_table", None)
-        program = compile_circuit(_present_round_circuit(4))
-        assert program.energy_table() is None
-        stimuli = np.random.default_rng(83).integers(0, 1 << 16, size=300)
-        assert np.array_equal(
-            kernel_energy_source(program)[1](stimuli),
-            BitslicedCircuitEnergyModel(program).energies(nibble_matrix(stimuli, 16)),
-        )
-
 
 class TestPhysicsFingerprint:
     """:data:`repro.engine.stored.PHYSICS_FINGERPRINT` roots every key."""
