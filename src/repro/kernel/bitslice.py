@@ -755,6 +755,12 @@ class BitslicedCircuitEnergyModel:
             return 0
         # A cycle's events depend on its input vector alone: evaluate each
         # distinct vector once, then expand to every cycle via ``inverse``.
+        # A circuit with an energy table reaches here only to fill it, so
+        # this pays on wider circuits' assessment stream, whose tiles are
+        # half the fixed vector: a serial 4000-trace TVLA on a 16-S-box
+        # slice takes 4.9 ms with it and 7.3 ms packing every row (2-core
+        # host).  All-distinct random tiles pay one sort for nothing
+        # (6.9 against 6.6 ms on a 4000-trace campaign of that slice).
         first, inverse = _distinct_rows(matrix)
         packed = pack_bitplanes(matrix[first])
         planes = np.zeros((plan.net_count, packed.shape[1]), dtype=np.uint64)

@@ -25,6 +25,7 @@ from repro.flow import (
     ExecutionConfig,
     FlowConfig,
     ObservabilityConfig,
+    ScenarioConfig,
 )
 from repro.obs import BufferSink, Observer, summarize_trace_file, use_observer
 
@@ -147,6 +148,23 @@ class TestEventParity:
         assert sum(e["value"] for e in served) == TRACES
         assert os.getpid() not in {e["pid"] for e in served}
         assert "executor.map" in {e["name"] for e in events if e["kind"] == "span.end"}
+        # A 16-input slice is too wide for a table: a worker runs the
+        # kernel on every shard and ships its throughput histogram back.
+        wide = FlowConfig(
+            name="obs_slice",
+            campaign=CampaignConfig(
+                key=0x6B, scenario="present_round", trace_count=2 * SHARD
+            ),
+            scenario=ScenarioConfig(params={"sboxes": 4}),
+            execution=ExecutionConfig(workers=2, shard_size=SHARD),
+            obs=SILENT_OBS,
+        )
+        buffer = []
+        with use_observer(Observer((BufferSink(buffer),))):
+            DesignFlow(None, wide).traces()
+        rates = [e for e in buffer if e["name"] == "kernel.traces_per_s"]
+        assert rates
+        assert os.getpid() not in {e["pid"] for e in rates}
 
 
     @pytest.mark.parametrize("quiet", [True, False])
