@@ -24,12 +24,12 @@ property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ..network.netlist import DifferentialPullDownNetwork
 from .technology import Technology
 
-__all__ = ["CapacitanceExtraction", "extract_capacitances"]
+__all__ = ["CapacitanceExtraction", "device_terms", "extract_capacitances"]
 
 #: Number of sense-amplifier device terminals sitting on each of X and Y in
 #: the generic SABL gate model (cross-coupled NMOS source, M1 terminal,
@@ -88,22 +88,42 @@ def extract_capacitances(
     if unknown:
         raise ValueError(f"wire overrides for unknown nodes {unknown}")
 
+    terms = device_terms(dpdn, technology, include_sense_amplifier)
     for node in dpdn.nodes():
         wire = (
             technology.c_wire_output if node in external else technology.c_wire_internal
         )
-        capacitance[node] = overrides.get(node, wire)
+        total = overrides.get(node, wire)
+        for term in terms[node]:
+            total += term
+        capacitance[node] = total
 
+    return CapacitanceExtraction(node_capacitance=capacitance, technology=technology)
+
+
+def device_terms(
+    dpdn: DifferentialPullDownNetwork,
+    technology: Technology,
+    include_sense_amplifier: bool = True,
+) -> Dict[str, List[float]]:
+    """The device capacitances :func:`extract_capacitances` adds to each
+    node's wiring capacitance, in the order it adds them [farads].
+
+    A node's extracted capacitance is its wiring value plus these terms,
+    summed left to right, so a caller that varies only the wiring value
+    (the routed rails of many gates of one network) can repeat the
+    extraction's exact floating-point sums on whole arrays.
+    """
+    terms: Dict[str, List[float]] = {node: [] for node in dpdn.nodes()}
     for transistor in dpdn.transistors:
         junction = technology.c_junction * transistor.width
-        capacitance[transistor.drain] += junction
-        capacitance[transistor.source] += junction
+        terms[transistor.drain].append(junction)
+        terms[transistor.source].append(junction)
 
     if include_sense_amplifier:
         sense = _SENSE_AMP_JUNCTIONS_PER_OUTPUT * technology.c_junction
-        capacitance[dpdn.x] += sense
-        capacitance[dpdn.y] += sense
+        terms[dpdn.x].append(sense)
+        terms[dpdn.y].append(sense)
         # The common node Z sees the junction of the clocked foot device.
-        capacitance[dpdn.z] += technology.c_junction
-
-    return CapacitanceExtraction(node_capacitance=capacitance, technology=technology)
+        terms[dpdn.z].append(technology.c_junction)
+    return terms

@@ -13,7 +13,7 @@ map-reduce over the campaign's fixed block stream:
    (:meth:`~repro.flow.config.ExecutionConfig.effective_shard_size`).
    Worker processes rebuild the flow from its config dict and build the
    circuit themselves -- the parent of an unrouted campaign maps none,
-   and a routed campaign's parent ships its layout with the shard
+   and a routed campaign's parent ships its rail loads with the shard
    tasks, so no worker places and routes --
    caching the flow per process (the pools are *persistent*, so a
    repeated campaign finds its circuit warm, sweep cell after sweep
@@ -147,9 +147,9 @@ def _flow_from_spec(spec: _FlowSpec) -> DesignFlow:
 
 #: A shard task's payload: the stage (``"traces"`` or
 #: ``"assessment"``), the flow spec (``None`` in process, where the
-#: local flow runs the shard), the shard and the parent's routed
-#: :class:`~repro.layout.CircuitLayout` (``None`` when the campaign is
-#: not routed), so a worker never places and routes.
+#: local flow runs the shard), the shard and the parent's rail loads
+#: (``net -> (c_true, c_false)``, ``None`` when the campaign is not
+#: routed), so a worker never places and routes.
 _ShardPayload = Tuple[str, Optional[_FlowSpec], Shard, Any]
 
 
@@ -178,9 +178,9 @@ def _shard_task(
     parent's sinks, and piggybacking on the result keeps the map
     protocol -- and with it the determinism contract -- untouched.
     """
-    stage, spec, shard, layout = payload
+    stage, spec, shard, rail_loads = payload
     flow = _flow_from_spec(spec)
-    flow._adopt_layout(layout)
+    flow._adopt_rail_loads(rail_loads)
     with capture_events(flow.config.obs) as (_, events):
         if stage == "traces":
             result = flow._acquire_trace_shard(shard)
@@ -205,9 +205,9 @@ def _map_stage(
     """
     config = flow.config
     spec = _flow_spec(flow) if config.execution.pooled else None
-    layout = flow._routed_layout()
+    rail_loads = flow._net_loads()
     map_payloads(
-        [(stage, spec, shard, layout) for shard in shards],
+        [(stage, spec, shard, rail_loads) for shard in shards],
         _shard_task,
         lambda payload: local(payload[2]),
         consume,

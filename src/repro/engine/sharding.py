@@ -57,9 +57,13 @@ class Shard:
 
     def iter_blocks(self) -> Iterator[Block]:
         """The shard's blocks in campaign order, each built when it is
-        reached (a long in-process stream holds no block list)."""
+        reached (a long in-process stream holds no block list).  The
+        root ``SeedSequence`` is built once, not once per block."""
+        root = self.seed
+        if not isinstance(root, np.random.SeedSequence):
+            root = np.random.SeedSequence(root)
         for index in range(self.first, self.stop):
-            yield from campaign_blocks(self.total, self.seed, index, index + 1)
+            yield from campaign_blocks(self.total, root, index, index + 1)
 
     @property
     def start(self) -> int:

@@ -20,7 +20,10 @@ Arrays are stored as one ``.npy`` file each (NumPy's native format);
 JSON-only artifacts (assessment verdicts, routed layouts, sweep reports)
 carry their payload inside ``meta.json``, written as one compact line
 (entries written indented by older versions read the same).  A lookup
-reads ``meta.json`` once.
+reads ``meta.json`` once.  A JSON payload may set some of its entries
+apart as *parts*, one ``<name>.json`` file each beside ``meta.json``
+(a routed layout's full record is one): a lookup reads none of them,
+and :meth:`ArtifactStore.get_part` reads one when it is asked for.
 
 Writes are atomic: an artifact is assembled in a temporary directory and
 renamed into place, so parallel sweep cells racing on the same key never
@@ -37,7 +40,7 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -47,8 +50,10 @@ from ..power.trace import TraceSet
 __all__ = ["ArtifactStore", "content_key"]
 
 #: Bump when the on-disk layout changes shape, or when every key
-#: changes at once (2: keys rooted at the physics fingerprint).
-_STORE_FORMAT = 2
+#: changes at once (2: keys rooted at the physics fingerprint; 3: a
+#: layout entry's payload is its rail loads and details, its full
+#: record a part of its own).
+_STORE_FORMAT = 3
 
 
 def content_key(payload: Mapping[str, Any]) -> str:
@@ -138,7 +143,11 @@ class ArtifactStore:
         return meta
 
     def _write_entry(
-        self, key: str, meta: Dict[str, Any], arrays: Mapping[str, np.ndarray]
+        self,
+        key: str,
+        meta: Dict[str, Any],
+        arrays: Mapping[str, np.ndarray],
+        parts: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         target = self.path(key)
@@ -148,6 +157,10 @@ class ArtifactStore:
         try:
             for name, array in arrays.items():
                 np.save(staging / f"{name}.npy", np.ascontiguousarray(array))
+            for name, part in (parts or {}).items():
+                (staging / f"{name}.json").write_text(
+                    json.dumps(part, sort_keys=True), encoding="utf-8"
+                )
             # One compact C-encoder dump: an indented one is several
             # times larger and slower on a layout entry.
             (staging / "meta.json").write_text(
@@ -253,9 +266,22 @@ class ArtifactStore:
     # ------------------------------------------------------------------- json
 
     def put_json(
-        self, key: str, payload: Any, config: Mapping[str, Any], kind: str = "json"
+        self,
+        key: str,
+        payload: Any,
+        config: Mapping[str, Any],
+        kind: str = "json",
+        parts: Tuple[str, ...] = (),
     ) -> None:
-        """Cache a JSON-able stage result under ``key``."""
+        """Cache a JSON-able stage result under ``key``.
+
+        The entries of the ``payload`` mapping named in ``parts`` are
+        written as files of their own, so :meth:`get_json` reads none of
+        them; :meth:`get_part` reads one back.
+        """
+        if parts:
+            payload = dict(payload)
+        separate = {name: payload.pop(name) for name in parts}
         meta = {
             "format": _STORE_FORMAT,
             "kind": kind,
@@ -263,7 +289,9 @@ class ArtifactStore:
             "config": dict(config),
             "payload": payload,
         }
-        self._write_entry(key, meta, {})
+        if separate:
+            meta["parts"] = sorted(separate)
+        self._write_entry(key, meta, {}, separate)
 
     def get_json(
         self,
@@ -284,6 +312,31 @@ class ArtifactStore:
             self._count(hit=False, kind=kind)
             return None
         return self._served(key, kind, meta.get("payload"), decode)
+
+    def get_part(
+        self, key: str, name: str, decode: Optional[Callable[[Any], Any]] = None
+    ) -> Optional[Any]:
+        """The part ``name`` of the JSON entry under ``key`` (see
+        :meth:`put_json`), or ``decode(part)``; ``None`` when it is gone.
+
+        The entry's lookup was counted when :meth:`get_json` served it,
+        so reading a part counts nothing.  A part that is missing from
+        its entry, cannot be parsed or that ``decode`` refuses (as in
+        :meth:`get_json`) is a damaged entry: it is removed.
+        """
+        if not name.isidentifier():
+            raise ValueError(f"malformed part name {name!r}")
+        directory = self.path(key)
+        try:
+            with open(directory / f"{name}.json", "r", encoding="utf-8") as handle:
+                part = json.load(handle)
+            if decode is not None:
+                part = decode(part)
+        except (OSError, LookupError, TypeError, ValueError):
+            part = None
+        if part is None and directory.is_dir():
+            self._discard(key)
+        return part
 
     def _served(self, key: str, kind: str, payload: Any, decode) -> Optional[Any]:
         """``payload`` (or ``decode(payload)``) of the entry under ``key``,

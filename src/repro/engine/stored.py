@@ -17,9 +17,22 @@ import numpy as np
 
 from .store import content_key
 
-__all__ = ["PHYSICS_FINGERPRINT", "netlist_record", "store_record", "get_or_compute"]
+__all__ = [
+    "PHYSICS_FINGERPRINT",
+    "PARTS",
+    "netlist_record",
+    "store_record",
+    "get_or_compute",
+    "layout_record",
+]
 
 STORED_STAGES = ("layout", "traces", "assessment")
+
+#: The payload entries each JSON stage stores as parts of their own
+#: (:meth:`repro.engine.store.ArtifactStore.put_json`), read only by
+#: :meth:`~repro.engine.store.ArtifactStore.get_part`: a layout hit reads
+#: the rail loads and details, not the whole layout's record.
+PARTS: Dict[str, Tuple[str, ...]] = {"layout": ("layout",)}
 
 #: Digest of the golden per-cycle energies of the paper's S-box (key
 #: ``0xB``): every plaintext, SABL and CVSL gates, fully connected and
@@ -68,13 +81,7 @@ def store_record(flow, stage: str) -> Dict[str, Any]:
         raise ValueError(f"no stored stage {stage!r}; expected one of {STORED_STAGES}")
     config = flow.config
     if stage == "layout":
-        return {
-            "stage": stage,
-            "physics": PHYSICS_FINGERPRINT,
-            "netlist": netlist_record(flow.circuit()),
-            "technology": config.technology.to_dict(),
-            "layout": config.layout.to_dict(),
-        }
+        return layout_record(flow.circuit(), config)
     spec = flow._expression_spec
     expressions = None if spec is None else {n: str(e) for n, e in sorted(spec.items())}
     record: Dict[str, Any] = {
@@ -107,6 +114,18 @@ def store_record(flow, stage: str) -> Dict[str, Any]:
     return record
 
 
+def layout_record(circuit, config) -> Dict[str, Any]:
+    """The ``layout`` record of :func:`store_record`, from the mapped
+    ``circuit`` and the flow ``config``."""
+    return {
+        "stage": "layout",
+        "physics": PHYSICS_FINGERPRINT,
+        "netlist": netlist_record(circuit),
+        "technology": config.technology.to_dict(),
+        "layout": config.layout.to_dict(),
+    }
+
+
 def get_or_compute(
     flow, stage: str, compute: Callable, encode: Callable, decode: Callable
 ) -> Tuple[Any, Optional[str]]:
@@ -116,8 +135,9 @@ def get_or_compute(
     ``compute()`` runs and ``encode(result)`` is written (``"miss"``),
     unless the flow has no store or ``encode`` returns ``None`` (status
     ``None``).  A ``traces`` payload is ``(TraceSet, stored details)``,
-    any other the JSON payload of a ``kind=stage`` entry; a payload
-    ``decode`` refuses is removed and recomputed.
+    any other the JSON payload of a ``kind=stage`` entry, less the
+    entries :data:`PARTS` stores on their own; a payload ``decode``
+    refuses is removed and recomputed.
     """
     store = flow._artifact_store()
     if store is None:
@@ -137,5 +157,5 @@ def get_or_compute(
     if stage == "traces":
         store.put_traceset(key, payload[0], record, details=payload[1])
     else:
-        store.put_json(key, payload, record, kind=stage)
+        store.put_json(key, payload, record, kind=stage, parts=PARTS.get(stage, ()))
     return result, "miss"

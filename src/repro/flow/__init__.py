@@ -45,7 +45,7 @@ from .registry import (
     get_sbox,
     get_technology,
 )
-from .results import FlowReport, FlowResult
+from .results import FlowReport, FlowResult, RoutedLayout
 
 __all__ = [
     # config
@@ -78,5 +78,6 @@ __all__ = [
     "FlowError",
     # results
     "FlowResult",
+    "RoutedLayout",
     "FlowReport",
 ]

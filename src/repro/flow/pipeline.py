@@ -75,7 +75,7 @@ from .registry import (
     get_attack,
     get_technology,
 )
-from .results import FlowReport, FlowResult
+from .results import FlowReport, FlowResult, RoutedLayout
 
 __all__ = ["FlowError", "DesignFlow", "STAGES"]
 
@@ -115,22 +115,83 @@ class FlowError(RuntimeError):
     """A pipeline stage failed (bad input, failed verification, ...)."""
 
 
-def _encode_layout(result: Tuple[Any, Dict[str, Any]]) -> Dict[str, Any]:
-    """The stored payload of ``(layout, details)``; details as pairs, so a
-    hit reports them in the miss's order."""
-    layout, details = result
+def _encode_layout(result: Tuple[RoutedLayout, Dict[str, Any]]) -> Dict[str, Any]:
+    """The stored payload of ``(routed, details)``: the rail loads as
+    ``[net, c_true, c_false]`` triples, the details as pairs (so a hit
+    reports them in the miss's order) and the whole layout's record,
+    which the store keeps as a part of its own (see
+    :data:`repro.engine.stored.PARTS`)."""
+    routed, details = result
     return {
-        "layout": layout.to_record(),
+        "rail_loads": [
+            [net, c_true, c_false]
+            for net, (c_true, c_false) in routed.rail_loads().items()
+        ],
         "details": [[name, value] for name, value in details.items()],
+        "layout": routed.layout().to_record(),
     }
 
 
-def _decode_layout(payload) -> Tuple[Any, Dict[str, Any]]:
-    """``(layout, details)`` of a stored ``kind="layout"`` entry."""
+def _decode_rail_loads(triples) -> Dict[str, Tuple[float, float]]:
+    """The rail loads of :func:`_encode_layout`; ``ValueError`` unless
+    every capacitance is finite and non-negative."""
+    loads: Dict[str, Tuple[float, float]] = {}
+    for net, c_true, c_false in triples:
+        pair = (float(c_true), float(c_false))
+        if not all(0.0 <= value < math.inf for value in pair):
+            raise ValueError(f"rail loads {pair} of net {net!r}")
+        loads[str(net)] = pair
+    return loads
+
+
+def _place_and_route(circuit, technology, config) -> Tuple[Any, Dict[str, Any]]:
+    """The routed :class:`~repro.layout.CircuitLayout` of ``circuit`` under
+    the layout ``config`` and its stage details."""
+    from ..layout import LayoutError, layout_circuit
+
+    try:
+        layout = layout_circuit(
+            circuit,
+            technology,
+            router=config.router,
+            grid=config.grid,
+            seed=config.seed,
+            anneal_moves=config.anneal_moves,
+        )
+    except UnknownBackendError as error:
+        raise FlowError(str(error)) from error
+    except LayoutError as error:
+        raise FlowError(f"layout failed: {error}") from error
+    parasitics = layout.parasitics
+    rows, cols = layout.placement.grid
+    worst = parasitics.worst_pair()
+    details: Dict[str, Any] = {
+        "router": config.router,
+        "grid": f"{rows}x{cols}",
+        "hpwl": round(layout.placement.hpwl, 1),
+        "wirelength_um": round(parasitics.total_wirelength_um(), 1),
+        "max_mismatch_fF": round(parasitics.max_mismatch() * 1e15, 4),
+    }
+    if worst is not None:
+        details["worst_pair"] = worst[0]
+    return layout, details
+
+
+def _stored_layout(store, circuit, technology, config: FlowConfig):
+    """The whole layout of a stored ``layout`` entry, rebuilt from its
+    record part; placed and routed again when that part is damaged or
+    gone (the store then removes the entry, and the next run rewrites
+    it).  It takes no flow, so the stage value that holds it leaves the
+    flow free of reference cycles."""
+    from ..engine.store import content_key
+    from ..engine.stored import layout_record
     from ..layout import CircuitLayout
 
-    details = {str(name): value for name, value in payload["details"]}
-    return CircuitLayout.from_record(payload["layout"]), details
+    key = content_key(layout_record(circuit, config))
+    layout = store.get_part(key, "layout", decode=CircuitLayout.from_record)
+    if layout is None:
+        layout, _ = _place_and_route(circuit, technology, config.layout)
+    return layout
 
 
 class DesignFlow:
@@ -297,8 +358,10 @@ class DesignFlow:
     def layout(self):
         """The placed-and-routed :class:`repro.layout.CircuitLayout` of the
         campaign's circuit, or ``None`` for layout-free configs
-        (``LayoutConfig.router`` unset)."""
-        return self.result("layout").value
+        (``LayoutConfig.router`` unset).  On a store hit it is built
+        from the stored record here, on the first call."""
+        routed = self.result("layout").value
+        return None if routed is None else routed.layout()
 
     def traces(self) -> TraceSet:
         """The acquired trace campaign."""
@@ -628,66 +691,56 @@ class DesignFlow:
     def _compute_layout(self) -> Tuple[Any, Dict[str, Any]]:
         """Place & route the mapped circuit (no-op for layout-free configs).
 
+        The stage value is a :class:`~repro.flow.results.RoutedLayout`.
         With a store configured the routed layout and its details are
         one ``kind="layout"`` entry, keyed by the circuit's net topology,
-        the technology and the layout config: a hit decodes it and runs
-        no place-and-route, and reports the same details a miss does, so
-        every campaign on one routed circuit shares one place-and-route.
+        the technology and the layout config: a hit reads the rail loads
+        and details and runs no place-and-route, and reports the same
+        details a miss does, so every campaign on one routed circuit
+        shares one place-and-route.  The whole layout's record is read
+        only when :meth:`layout` asks for it.
         """
         if not self.config.layout.routed:
             return None, {"routed": False}
         result, _ = self._stored(
-            "layout", self._place_and_route, _encode_layout, _decode_layout
+            "layout", self._route, _encode_layout, self._decode_layout
         )
         return result
 
-    def _place_and_route(self) -> Tuple[Any, Dict[str, Any]]:
-        """The routed layout of the mapped circuit and its stage details."""
-        from ..layout import LayoutError, layout_circuit
+    def _route(self) -> Tuple[RoutedLayout, Dict[str, Any]]:
+        layout, details = _place_and_route(
+            self.circuit(), self._technology(), self.config.layout
+        )
+        return RoutedLayout.of(layout), details
 
-        config = self.config.layout
-        technology = self._technology()
-        try:
-            layout = layout_circuit(
-                self.circuit(),
-                technology,
-                router=config.router,
-                grid=config.grid,
-                seed=config.seed,
-                anneal_moves=config.anneal_moves,
+    def _decode_layout(self, payload) -> Tuple[RoutedLayout, Dict[str, Any]]:
+        """``(routed, details)`` of a stored ``kind="layout"`` entry."""
+        details = {str(name): value for name, value in payload["details"]}
+        build = functools.partial(
+            _stored_layout,
+            self._artifact_store(),
+            self.circuit(),
+            self._technology(),
+            self.config,
+        )
+        return RoutedLayout(_decode_rail_loads(payload["rail_loads"]), build), details
+
+    def _adopt_rail_loads(self, rail_loads) -> None:
+        """Take the rail loads of the parent of a pooled campaign as the
+        ``layout`` stage's value, so a worker never places and routes
+        (``None``: the campaign is not routed, nothing to take).  The
+        closure's reference cycle is harmless here: a worker keeps its
+        flows for later shards anyway."""
+        if rail_loads is not None and "layout" not in self._results:
+            routed = RoutedLayout(
+                rail_loads,
+                lambda: _place_and_route(
+                    self.circuit(), self._technology(), self.config.layout
+                )[0],
             )
-        except UnknownBackendError as error:
-            raise FlowError(str(error)) from error
-        except LayoutError as error:
-            raise FlowError(f"layout failed: {error}") from error
-        parasitics = layout.parasitics
-        rows, cols = layout.placement.grid
-        worst = parasitics.worst_pair()
-        details: Dict[str, Any] = {
-            "router": config.router,
-            "grid": f"{rows}x{cols}",
-            "hpwl": round(layout.placement.hpwl, 1),
-            "wirelength_um": round(parasitics.total_wirelength_um(), 1),
-            "max_mismatch_fF": round(parasitics.max_mismatch() * 1e15, 4),
-        }
-        if worst is not None:
-            details["worst_pair"] = worst[0]
-        return layout, details
-
-    def _adopt_layout(self, layout) -> None:
-        """Take the ``layout`` stage's value from the parent of a pooled
-        campaign, so a worker never places and routes (``None``: the
-        campaign is not routed, nothing to take)."""
-        if layout is not None and "layout" not in self._results:
             self._results["layout"] = FlowResult(
-                stage="layout", value=layout, details={}, elapsed=0.0
+                stage="layout", value=routed, details={}, elapsed=0.0
             )
-
-    def _routed_layout(self):
-        """The routed layout of a circuit campaign, or ``None``."""
-        if not self.config.layout.routed or self.config.campaign.source == "model":
-            return None
-        return self.result("layout").value
 
     def _net_loads(self):
         """The routed rail loads of a circuit campaign, or ``None``.
@@ -697,8 +750,9 @@ class DesignFlow:
         capacitances replace the technology's ``c_wire_output`` constant
         inside the energy simulators.
         """
-        layout = self._routed_layout()
-        return None if layout is None else layout.parasitics.rail_loads()
+        if not self.config.layout.routed or self.config.campaign.source == "model":
+            return None
+        return self.result("layout").value.rail_loads()
 
     def _compiled_program(self):
         """The campaign circuit compiled once for the bit-sliced kernel.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..reporting.layout import format_routing_imbalance
 from ..reporting.leakage import format_leakage_assessment
@@ -20,7 +20,7 @@ from ..reporting.results import ExperimentResult
 from ..reporting.tables import format_table
 from .config import FlowConfig
 
-__all__ = ["FlowResult", "FlowReport"]
+__all__ = ["FlowResult", "FlowReport", "RoutedLayout"]
 
 
 @dataclass
@@ -57,6 +57,47 @@ class FlowResult:
     def summary(self) -> str:
         """One-line human-readable summary."""
         return f"[{self.stage}] {self.details_text()} ({self.elapsed * 1e3:.1f} ms)"
+
+
+class RoutedLayout:
+    """The value of a routed flow's ``layout`` stage.
+
+    The traces and assessment stages read only the rail loads of the
+    circuit's gate-output nets (:meth:`rail_loads`); the whole
+    :class:`repro.layout.CircuitLayout` (placement, routing, parasitics)
+    is for reports and :meth:`repro.flow.DesignFlow.layout`, which read
+    it through :meth:`layout`.  A store hit holds the rail loads and
+    builds the layout from its stored record on the first such call.
+    """
+
+    __slots__ = ("_rail_loads", "_build", "_layout")
+
+    def __init__(
+        self,
+        rail_loads: Dict[str, Tuple[float, float]],
+        build: Callable[[], Any],
+    ) -> None:
+        self._rail_loads = rail_loads
+        self._build: Optional[Callable[[], Any]] = build
+        self._layout = None
+
+    @classmethod
+    def of(cls, layout) -> "RoutedLayout":
+        """The stage value of a computed ``layout``."""
+        routed = cls(layout.parasitics.rail_loads(), None)
+        routed._layout = layout
+        return routed
+
+    def rail_loads(self) -> Dict[str, Tuple[float, float]]:
+        """``net -> (c_true, c_false)`` of every gate-output net, the
+        ``net_loads`` of the energy models."""
+        return self._rail_loads
+
+    def layout(self):
+        """The whole :class:`repro.layout.CircuitLayout` (built once)."""
+        if self._layout is None:
+            self._layout, self._build = self._build(), None
+        return self._layout
 
 
 class FlowReport:
@@ -104,7 +145,7 @@ class FlowReport:
         if layout is not None and layout.value is not None:
             # The full per-pair imbalance evidence (rail capacitances,
             # |dC|, worst pair), not just the stage summary.
-            record["layout"] = layout.value.parasitics.to_dict()
+            record["layout"] = layout.value.layout().parasitics.to_dict()
         if "assessment" in self._results:
             record["assessment"] = {
                 name: outcome.to_dict()
@@ -134,11 +175,12 @@ class FlowReport:
         Raises :class:`KeyError` when the run did not include the layout
         stage and :class:`ValueError` when the flow is layout-free.
         """
-        layout = self["layout"].value
-        if layout is None:
+        routed = self["layout"].value
+        if routed is None:
             raise ValueError(
                 f"flow {self.name!r} is layout-free (no router configured)"
             )
+        layout = routed.layout()
         return format_routing_imbalance(
             layout.parasitics,
             title=f"Routing imbalance of flow {self.name!r} "

@@ -523,11 +523,21 @@ def build_bitslice_plan(program) -> BitslicePlan:
         energy_flat[np.repeat(offsets[unrouted], lengths) + within] = template_flat[
             np.repeat(template_start[gate_template[unrouted]], lengths) + within
         ]
-    for row, table in program.routed.items():
-        values = technology.switching_energy(table.baseline + table.cap_dot + table.extra)
-        start = int(offsets[row])
-        energy_flat[start : start + values.shape[0]] = values
-        constant = constant and bool(np.ptp(values) == 0.0)
+    # Routed gates, one template's at a time: row ``i`` of ``values`` is
+    # the scalar chain of gate ``members[i]``.
+    routed_rows = np.fromiter(program.routed, dtype=np.intp, count=len(program.routed))
+    routed_tables = list(program.routed.values())
+    routed_templates = gate_template[routed_rows]
+    for index in np.unique(routed_templates).tolist():
+        members = [routed_tables[m] for m in np.flatnonzero(routed_templates == index)]
+        values = technology.switching_energy(
+            np.stack([table.baseline for table in members])
+            + np.stack([table.cap_dot for table in members])
+            + np.stack([table.extra for table in members])
+        )
+        targets = offsets[routed_rows[routed_templates == index]]
+        energy_flat[targets[:, None] + np.arange(values.shape[1])] = values
+        constant = constant and bool((np.ptp(values, axis=1) == 0.0).all())
 
     constant_fold: Optional[np.float64] = None
     if gate_count and constant:

@@ -138,7 +138,9 @@ def compile_circuit(
     The arguments mirror the simulator constructors; ``net_loads``
     back-annotates routed per-net rail capacitances exactly like
     :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel`; only the
-    gates it routes get tables of their own.  With observability on, the
+    gates it routes get tables of their own.  With observability on,
+    ``kernel.compile_s`` carries the circuit's gate count (``gates``)
+    and how many of them are routed (``routed``), and the
     ``kernel.gate_templates`` counter reports how many distinct gate
     networks had their event tables built.
     """
@@ -157,6 +159,7 @@ def compile_circuit(
             "kernel.compile_s",
             time.perf_counter() - tick,
             gates=circuit.gate_count(),
+            routed=len(routed),
             gate_style=gate_style,
         )
         obs.counter(

@@ -22,6 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..electrical.capacitance import device_terms
 from ..electrical.energy import CycleEnergySimulator, EventEnergyModel
 from ..electrical.technology import Technology, generic_180nm
 from ..obs import get_observer
@@ -230,8 +231,10 @@ def build_template_tables(
     ``routed`` maps the row of every gate whose output net has a routed
     wire load in ``net_loads`` to that gate's own table: its template's
     read-only ``connected``, ``internal_caps`` and ``cap_dot`` with its
-    own ``baseline`` and ``extra``, computed from its own charge model.
-    Every other gate uses its template's table.
+    own ``baseline`` and ``extra``.  Those are built per template, on
+    arrays over the template's routed gates (:func:`_routed_rows`), with
+    the scalar sums of a per-gate :class:`EventEnergyModel` and
+    bit-identical to them.  Every other gate uses its template's table.
     """
     technology = technology or generic_180nm()
     walks: Dict[tuple, tuple] = {}
@@ -249,28 +252,98 @@ def build_template_tables(
     routed: Dict[int, GateTable] = {}
     if net_loads:
         names = circuit.net_names
-        templates = circuit.gate_template.tolist()
+        rows, loads = [], []
         for row, net in enumerate(circuit.gate_output.tolist()):
             wire_load = net_loads.get(names[net])
-            if wire_load is None:
-                continue
-            template_id = templates[row]
-            table, recharged, values = template_walks[template_id]
-            model = EventEnergyModel(
-                circuit.templates[template_id].network,
-                technology,
-                style=gate_style,
-                output_load=output_load,
-                wire_load=wire_load,
-            )
-            routed[row] = _share(
-                table,
-                baseline=_baseline(model, recharged),
-                extra=np.array(
-                    [model.swing_excess(value) for value in values], dtype=float
-                ),
+            if wire_load is not None:
+                rows.append(row)
+                loads.append(wire_load)
+        if rows:
+            routed = _routed_tables(
+                circuit, template_walks, rows, loads, technology, output_load
             )
     return tuple(walk[0] for walk in template_walks), routed
+
+
+def _routed_tables(circuit, template_walks, rows, loads, technology, output_load):
+    """The own tables of the routed gates ``rows`` (wire loads ``loads``),
+    keyed by row in row order, built one template at a time."""
+    rows = np.array(rows, dtype=np.intp)
+    pairs = np.array([(load[0], load[1]) for load in loads], dtype=float)
+    template_of = circuit.gate_template[rows]
+    # The checks of EventEnergyModel(wire_load=...), first failing gate first.
+    unannotated = np.array(
+        [template.network.function is None for template in circuit.templates]
+    )[template_of]
+    negative = ~(pairs >= 0.0).all(axis=1)
+    failed = np.flatnonzero(negative | unannotated)
+    if failed.size:
+        first = int(failed[0])
+        if negative[first]:
+            raise ValueError(
+                f"wire load capacitances must be non-negative, got {loads[first]}"
+            )
+        raise ValueError(
+            "wire-load back-annotation needs the DPDN's function "
+            "annotation (the swinging rail follows the output value)"
+        )
+    own: List[Optional[GateTable]] = [None] * rows.shape[0]
+    for template_id in np.unique(template_of).tolist():
+        members = np.flatnonzero(template_of == template_id)
+        table, recharged, values = template_walks[template_id]
+        baseline, extra = _routed_rows(
+            circuit.templates[template_id].network,
+            technology,
+            output_load,
+            recharged,
+            values,
+            pairs[members],
+        )
+        for position, gate_baseline, gate_extra in zip(
+            members.tolist(), baseline, extra
+        ):
+            own[position] = _share(table, baseline=gate_baseline, extra=gate_extra)
+    return dict(zip(rows.tolist(), own))
+
+
+def _routed_rows(dpdn, technology, output_load, recharged, values, pairs):
+    """``(baseline, extra)``, one row per routed gate of one network.
+
+    ``pairs`` holds each gate's ``(c_true, c_false)`` rail loads.  Every
+    entry is the value a per-gate
+    :class:`~repro.electrical.energy.EventEnergyModel` with that wire
+    load computes, by the same IEEE operations in the same order, only
+    on arrays: X and Y are the matched (lighter) rail plus the
+    extraction's device terms (:func:`device_terms`), an event's
+    baseline sums its discharged module outputs from zero and adds the
+    output load, and its extra is the rail its output value swings minus
+    the matched one.
+    """
+    c_true, c_false = pairs[:, 0], pairs[:, 1]
+    matched = np.where(c_false < c_true, c_false, c_true)
+    terms = device_terms(dpdn, technology)
+    rails = {}
+    for node in (dpdn.x, dpdn.y):
+        total = matched
+        for term in terms[node]:
+            total = total + term
+        rails[node] = total
+    load = technology.c_output_load if output_load is None else output_load
+    baseline = np.empty((pairs.shape[0], len(recharged)), dtype=float)
+    columns: Dict[tuple, np.ndarray] = {}
+    for event, nodes in enumerate(recharged):
+        column = columns.get(nodes)
+        if column is None:
+            total = 0
+            for node in nodes:
+                total = total + rails[node]
+            column = columns[nodes] = total + load
+        baseline[:, event] = column
+    swings = np.array(values, dtype=bool)
+    extra = np.where(swings, c_true[:, None], c_false[:, None]) - matched[:, None]
+    baseline.setflags(write=False)
+    extra.setflags(write=False)
+    return baseline, extra
 
 
 def build_gate_tables(

@@ -64,6 +64,16 @@ class TestTracePlans:
                 assert mine.count == theirs.count
                 assert np.array_equal(mine.rng().random(4), theirs.rng().random(4))
 
+    @pytest.mark.parametrize("seed", [9, np.random.SeedSequence(9, spawn_key=(4,))])
+    def test_iterated_blocks_are_the_shard_blocks(self, seed):
+        for shard in plan_shards(3000, 1000, seed=seed):
+            iterated = list(shard.iter_blocks())
+            assert [b.index for b in iterated] == [b.index for b in shard.blocks]
+            for mine, theirs in zip(iterated, shard.blocks):
+                assert (mine.start, mine.count) == (theirs.start, theirs.count)
+                assert mine.seed.spawn_key == theirs.seed.spawn_key
+                assert np.array_equal(mine.rng().random(4), theirs.rng().random(4))
+
     def test_blocks_are_spawned_children_of_the_seed(self):
         children = np.random.SeedSequence(2005).spawn(4)
         blocks = campaign_blocks(1000, 2005)

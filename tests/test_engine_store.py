@@ -255,6 +255,45 @@ class TestArtifactStore:
             assert healed == {"answer": 42}
         assert json.loads(meta_path.read_text())["format"] != 0
 
+    def test_parts_are_files_of_their_own(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        key = "6" * 64
+        payload = {"small": [1, 2], "large": {"record": [0.1, "x"]}}
+        store.put_json(key, payload, {"stage": "layout"}, kind="layout", parts=("large",))
+        assert payload == {"small": [1, 2], "large": {"record": [0.1, "x"]}}
+        meta = json.loads((store.path(key) / "meta.json").read_text())
+        assert meta["payload"] == {"small": [1, 2]}
+        assert meta["parts"] == ["large"]
+        assert store.get_json(key, kind="layout") == {"small": [1, 2]}
+        assert store.get_part(key, "large") == {"record": [0.1, "x"]}
+        assert store.get_part(key, "large", decode=lambda part: part["record"]) == [0.1, "x"]
+        # Reading a part counts no second lookup.
+        assert store.hits == 1 and store.misses == 0
+
+    @pytest.mark.parametrize("damage", ["missing", "garbled", "refused"])
+    def test_a_damaged_part_removes_its_entry(self, tmp_path, damage):
+        store = ArtifactStore(tmp_path / "store")
+        key = "5" * 64
+        store.put_json(key, {"small": 1, "large": [1]}, {"stage": "layout"}, parts=("large",))
+        part = store.path(key) / "large.json"
+        decode = None
+        if damage == "missing":
+            part.unlink()
+        elif damage == "garbled":
+            part.write_text("[1")
+        else:
+            decode = lambda value: value["no such field"]  # noqa: E731
+        assert store.get_part(key, "large", decode=decode) is None
+        assert key not in store
+        assert not store.path(key).exists()
+        # A part of an entry that is gone is just gone.
+        assert store.get_part(key, "large") is None
+
+    def test_malformed_part_names_are_rejected(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="malformed part name"):
+            store.get_part("4" * 64, "../meta")
+
     def test_malformed_keys_are_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         with pytest.raises(ValueError):

@@ -162,7 +162,7 @@ class TestEngineIntegration:
     def test_pooled_routed_campaign_places_and_routes_once(
         self, tmp_path, start_method
     ):
-        # The parent ships its layout with the shard tasks: the workers'
+        # The parent ships its rail loads with the shard tasks: the workers'
         # replayed spans hold no stage.layout of their own.
         trace = tmp_path / "spans.jsonl"
         config = routed_config("fat").replace(

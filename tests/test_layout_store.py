@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import repro.layout
+import repro.engine.runner as runner
 from repro.engine import ArtifactStore, content_key, store_record
+from repro.engine.store import _STORE_FORMAT
 from repro.engine.stored import netlist_record
 from repro.flow import (
     AssessmentConfig,
@@ -357,3 +359,179 @@ class TestHealing:
         assert store.get_json(key, kind=kind, decode=decode) is None
         assert key not in store
         assert store.misses == 1 and store.hits == 0
+
+
+def _refuse_layout_decoding(monkeypatch):
+    """Make any decode of a whole stored layout fail the test."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a layout hit must not decode the whole layout")
+
+    monkeypatch.setattr(CircuitLayout, "from_record", refuse)
+
+
+def _assessment_record(flow):
+    return {name: outcome.to_dict() for name, outcome in flow.assessment().items()}
+
+
+class TestRailLoadsEntry:
+    """A layout entry's payload is its rail loads and details; the whole
+    layout is a part of its own, read only by ``flow.layout()``."""
+
+    @staticmethod
+    def _stored(store_path):
+        """A routed 2-S-box slice whose layout entry is in the store."""
+        miss = _flow("unbalanced", 2, store=store_path, assessment=True)
+        miss.layout()
+        key = content_key(store_record(miss, "layout"))
+        return miss, ArtifactStore(store_path), key
+
+    def test_the_entry_keeps_the_whole_layout_apart(self, tmp_path):
+        miss, store, key = self._stored(tmp_path / "store")
+        meta = json.loads((store.path(key) / "meta.json").read_text())
+        assert meta["format"] == _STORE_FORMAT
+        assert meta["parts"] == ["layout"]
+        assert sorted(meta["payload"]) == ["details", "rail_loads"]
+        loads = miss.layout().parasitics.rail_loads()
+        assert meta["payload"]["rail_loads"] == [[net, *pair] for net, pair in loads.items()]
+        assert store.get_part(key, "layout") == miss.layout().to_record()
+
+    @pytest.mark.parametrize("stage", ["traces", "assessment"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_routed_campaign_on_a_layout_hit_decodes_no_layout(
+        self, tmp_path, monkeypatch, stage, workers
+    ):
+        miss, _, _ = self._stored(tmp_path / "store")
+        unstored = _flow("unbalanced", 2, assessment=True)
+        _refuse_layout_decoding(monkeypatch)
+        shipped = []
+        map_payloads = runner.map_payloads
+
+        def recording(payloads, *args, **kwargs):
+            shipped.extend(payload[3] for payload in payloads)
+            return map_payloads(payloads, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "map_payloads", recording)
+        hit = DesignFlow(
+            None,
+            _flow("unbalanced", 2, store=tmp_path / "store", assessment=True).config.replace(
+                execution=ExecutionConfig(store=str(tmp_path / "store"), workers=workers)
+            ),
+        )
+        events = _events(lambda: getattr(hit, stage)())
+        assert _store_counters(events, "store.hit") == ["layout"]
+        assert _store_counters(events, "store.miss") == [stage]
+        if stage == "traces":
+            assert np.array_equal(hit.traces().traces, unstored.traces().traces)
+            assert np.array_equal(hit.traces().plaintexts, unstored.traces().plaintexts)
+        else:
+            assert _assessment_record(hit) == _assessment_record(unstored)
+        # Every shard carries the rail loads, not a layout.
+        loads = miss.layout().parasitics.rail_loads()
+        assert shipped and all(payload == loads for payload in shipped)
+        monkeypatch.undo()
+        assert hit.layout() == miss.layout()
+
+    def test_a_hit_and_a_miss_report_alike(self, tmp_path):
+        store_path = tmp_path / "store"
+        miss = _flow("unbalanced", 2, store=store_path, assessment=True)
+        miss_report = miss.run()
+        for stage in ("traces", "assessment"):
+            ArtifactStore(store_path)._discard(content_key(store_record(miss, stage)))
+        hit = _flow("unbalanced", 2, store=store_path, assessment=True)
+        events = _events(hit.run)
+        hit_report = hit.report()
+        assert _store_counters(events, "store.hit") == ["layout"]
+
+        def stages(report):
+            return [
+                {key: value for key, value in stage.items() if key != "elapsed_s"}
+                for stage in report.to_dict()["stages"]
+            ]
+
+        assert stages(hit_report) == stages(miss_report)
+        assert json.dumps(hit_report.to_dict()["layout"]) == json.dumps(
+            miss_report.to_dict()["layout"]
+        )
+        assert hit_report.format_layout() == miss_report.format_layout()
+        assert np.array_equal(hit.traces().traces, miss.traces().traces)
+
+    @pytest.mark.parametrize(
+        "rail_loads",
+        [
+            "damaged",
+            [["n", 1e-15]],
+            [["n", "x", 1e-15]],
+            [["n", -1e-15, 1e-15]],
+            [["n", 1e-15, float("inf")]],
+        ],
+        ids=["not-triples", "short-triple", "not-a-number", "negative", "infinite"],
+    )
+    def test_corrupt_rail_loads_are_removed_and_recomputed(self, tmp_path, rail_loads):
+        store_path = tmp_path / "store"
+        miss, store, key = self._stored(store_path)
+        original = miss.traces()
+        meta_path = store.path(key) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        good = meta["payload"]["rail_loads"]
+        meta["payload"]["rail_loads"] = rail_loads
+        meta_path.write_text(json.dumps(meta))
+        store._discard(content_key(store_record(miss, "traces")))
+
+        again = _flow("unbalanced", 2, store=store_path, assessment=True)
+        events = _events(again.traces)
+        assert _store_counters(events, "store.hit") == []
+        assert _store_counters(events, "store.miss") == ["layout", "traces"]
+        assert json.loads(meta_path.read_text())["payload"]["rail_loads"] == good
+        assert np.array_equal(again.traces().traces, original.traces)
+
+    @pytest.mark.parametrize("damage", ["missing", "garbled", "malformed"])
+    def test_a_damaged_layout_part_is_placed_and_routed_again(
+        self, tmp_path, monkeypatch, damage
+    ):
+        store_path = tmp_path / "store"
+        miss, store, key = self._stored(store_path)
+        part = store.path(key) / "layout.json"
+        if damage == "missing":
+            part.unlink()
+        elif damage == "garbled":
+            part.write_text('{"grid": [')
+        else:
+            part.write_text(json.dumps({"grid": "bogus"}))
+        hit = _flow("unbalanced", 2, store=store_path)
+        events = _events(hit.traces)
+        assert _store_counters(events, "store.hit") == ["layout"]
+        # The rail loads were intact; only the whole layout is rebuilt,
+        # and the damaged entry goes.
+        assert hit.layout() == miss.layout()
+        assert key not in store
+        healed = _flow("unbalanced", 2, store=store_path)
+        events = _events(healed.layout)
+        assert _store_counters(events, "store.miss") == ["layout"]
+        _refuse_place_and_route(monkeypatch)
+        assert _flow("unbalanced", 2, store=store_path).layout() == miss.layout()
+
+    def test_an_entry_in_the_old_format_reads_as_a_miss(self, tmp_path):
+        store_path = tmp_path / "store"
+        flow = _flow("unbalanced", 2, store=store_path)
+        store = ArtifactStore(store_path)
+        record = store_record(flow, "layout")
+        key = content_key(record)
+        layout = _flow("unbalanced", 2).layout()
+        # Format 2: the whole layout record inside meta.json's payload.
+        store._write_entry(
+            key,
+            {
+                "format": 2,
+                "kind": "layout",
+                "key": key,
+                "config": record,
+                "payload": {"layout": layout.to_record(), "details": []},
+            },
+            {},
+        )
+        events = _events(flow.layout)
+        assert _store_counters(events, "store.miss") == ["layout"]
+        assert flow.layout() == layout
+        meta = json.loads((store.path(key) / "meta.json").read_text())
+        assert meta["format"] == _STORE_FORMAT

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.boolexpr.ast import Var
 from repro.boolexpr.parser import parse
 from repro.core.synthesis import synthesize_fc_dpdn
+from repro.electrical.energy import EventEnergyModel
 from repro.electrical.technology import generic_180nm
 from repro.flow import CampaignConfig, DesignFlow, FlowConfig, ScenarioConfig
 from repro.kernel import compile_circuit
@@ -148,6 +151,85 @@ class TestGateTables:
         assert len({id(table.connected) for table in tables[:3]}) == 3
 
 
+#: A rail capacitance [farad]: zero up to well past any routed pair.
+_CAPACITANCE = st.floats(min_value=0.0, max_value=1e-13)
+
+#: One gate's wire load: unrouted (``None``), a random pair, a matched
+#: pair, or a pair with a zero (signed zeros included) on either rail.
+_WIRE_LOADS = st.one_of(
+    st.none(),
+    st.tuples(_CAPACITANCE, _CAPACITANCE),
+    _CAPACITANCE.map(lambda c: (c, c)),
+    _CAPACITANCE.map(lambda c: (0.0, c)),
+    _CAPACITANCE.map(lambda c: (c, -0.0)),
+    st.sampled_from([(0.0, 0.0), (-0.0, 0.0)]),
+)
+
+_MIXED_CIRCUITS = {
+    style: map_expressions(MIXED, max_fanin=3, network_style=style)
+    for style in ("fc", "genuine")
+}
+
+
+class TestRoutedTables:
+    """The routed gates' tables, built per template on arrays, are the
+    per-gate charge models' byte for byte."""
+
+    @pytest.mark.parametrize("network_style", ["fc", "genuine"])
+    @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_equal_to_the_per_gate_models(self, gate_style, network_style, data):
+        circuit = _MIXED_CIRCUITS[network_style]
+        gates = circuit.gates
+        pairs = data.draw(st.lists(_WIRE_LOADS, min_size=len(gates), max_size=len(gates)))
+        swapped = [None if pair is None else pair[::-1] for pair in pairs]
+        technology = generic_180nm()
+        for loads in (pairs, swapped):
+            net_loads = {
+                gate.output_net: pair for gate, pair in zip(gates, loads) if pair is not None
+            }
+            tables = build_gate_tables(circuit, gate_style=gate_style, net_loads=net_loads)
+            reference = oracle_gate_tables(
+                circuit, gate_style=gate_style, net_loads=net_loads
+            )
+            _assert_tables_equal(tables, reference)
+            for gate, table, expected in zip(gates, tables, reference):
+                pair = net_loads.get(gate.output_net)
+                if pair is None:
+                    assert table.extra is None
+                    continue
+                # Byte for byte: array_equal would let -0.0 match 0.0.
+                assert table.baseline.tobytes() == expected["baseline"].tobytes()
+                model = EventEnergyModel(
+                    gate.dpdn, technology, style=gate_style, wire_load=pair
+                )
+                excess = [
+                    model.swing_excess(
+                        bool(gate.dpdn.function.evaluate(dict(zip(table.variables, bits))))
+                    )
+                    for bits in _event_bits(len(table.variables))
+                ]
+                assert table.extra.tobytes() == np.array(excess).tobytes()
+
+    @pytest.mark.parametrize(
+        "load, message",
+        [
+            ((-1e-15, 1e-15), "must be non-negative"),
+            ((1e-15, float("nan")), "must be non-negative"),
+        ],
+    )
+    def test_a_bad_wire_load_is_refused(self, load, message):
+        circuit = _MIXED_CIRCUITS["fc"]
+        with pytest.raises(ValueError, match=message):
+            build_gate_tables(circuit, net_loads={circuit.gates[1].output_net: load})
+
+
+def _event_bits(width):
+    """Every event's variable values, little-endian by event index."""
+    return [[bool((index >> bit) & 1) for bit in range(width)] for index in range(1 << width)]
+
+
 def _per_gate_circuit(circuit, network_style):
     """``circuit`` with a freshly synthesised network for every gate."""
     build = synthesize_fc_dpdn if network_style == "fc" else build_genuine_dpdn
@@ -230,3 +312,16 @@ def test_gate_templates_counter(gate_style, network_style):
         compile_circuit(circuit, gate_style=gate_style)
     counters = {e["name"]: e["value"] for e in buffer if e["kind"] == "counter"}
     assert counters["kernel.gate_templates"] == 2
+
+
+def test_compile_reports_its_routed_gates(routed_loads):
+    circuit = build_sbox_circuit(0xB)
+    loads = routed_loads("fc", 2, "fat")
+    routed = dict(list(loads.items())[:50])
+    for net_loads, count in ((None, 0), (loads, len(circuit.gates)), (routed, 50)):
+        buffer = []
+        with use_observer(Observer((BufferSink(buffer),))):
+            compile_circuit(circuit, net_loads=net_loads)
+        (event,) = [e for e in buffer if e["name"] == "kernel.compile_s"]
+        assert event["attrs"]["routed"] == count
+        assert event["attrs"]["gates"] == len(circuit.gates)
