@@ -19,7 +19,6 @@ from .store import content_key
 
 __all__ = [
     "PHYSICS_FINGERPRINT",
-    "PARTS",
     "netlist_record",
     "store_record",
     "get_or_compute",
@@ -27,12 +26,6 @@ __all__ = [
 ]
 
 STORED_STAGES = ("layout", "traces", "assessment")
-
-#: The payload entries each JSON stage stores as parts of their own
-#: (:meth:`repro.engine.store.ArtifactStore.put_json`), read only by
-#: :meth:`~repro.engine.store.ArtifactStore.get_part`: a layout hit reads
-#: the rail loads and details, not the whole layout's record.
-PARTS: Dict[str, Tuple[str, ...]] = {"layout": ("layout",)}
 
 #: Digest of the golden per-cycle energies of the paper's S-box (key
 #: ``0xB``): every plaintext, SABL and CVSL gates, fully connected and
@@ -135,9 +128,11 @@ def get_or_compute(
     ``compute()`` runs and ``encode(result)`` is written (``"miss"``),
     unless the flow has no store or ``encode`` returns ``None`` (status
     ``None``).  A ``traces`` payload is ``(TraceSet, stored details)``,
-    any other the JSON payload of a ``kind=stage`` entry, less the
-    entries :data:`PARTS` stores on their own; a payload ``decode``
-    refuses is removed and recomputed.
+    any other the JSON payload of a ``kind=stage`` entry; a payload
+    ``decode`` refuses is removed and recomputed.  A ``layout``
+    payload's whole-layout record is stored as a part of its own
+    (:meth:`~repro.engine.store.ArtifactStore.put_json`), so a hit reads
+    the rail loads and details, not the record.
     """
     store = flow._artifact_store()
     if store is None:
@@ -157,5 +152,6 @@ def get_or_compute(
     if stage == "traces":
         store.put_traceset(key, payload[0], record, details=payload[1])
     else:
-        store.put_json(key, payload, record, kind=stage, parts=PARTS.get(stage, ()))
+        parts = ("layout",) if stage == "layout" else ()
+        store.put_json(key, payload, record, kind=stage, parts=parts)
     return result, "miss"

@@ -120,7 +120,7 @@ def _encode_layout(result: Tuple[RoutedLayout, Dict[str, Any]]) -> Dict[str, Any
     ``[net, c_true, c_false]`` triples, the details as pairs (so a hit
     reports them in the miss's order) and the whole layout's record,
     which the store keeps as a part of its own (see
-    :data:`repro.engine.stored.PARTS`)."""
+    :func:`repro.engine.stored.get_or_compute`)."""
     routed, details = result
     return {
         "rail_loads": [

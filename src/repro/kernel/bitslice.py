@@ -528,7 +528,7 @@ def build_bitslice_plan(program) -> BitslicePlan:
     routed_rows = np.fromiter(program.routed, dtype=np.intp, count=len(program.routed))
     routed_tables = list(program.routed.values())
     routed_templates = gate_template[routed_rows]
-    for index in np.unique(routed_templates).tolist():
+    for index in sorted(set(routed_templates.tolist())):
         members = [routed_tables[m] for m in np.flatnonzero(routed_templates == index)]
         values = technology.switching_energy(
             np.stack([table.baseline for table in members])

@@ -288,7 +288,7 @@ def _routed_tables(circuit, template_walks, rows, loads, technology, output_load
             "annotation (the swinging rail follows the output value)"
         )
     own: List[Optional[GateTable]] = [None] * rows.shape[0]
-    for template_id in np.unique(template_of).tolist():
+    for template_id in sorted(set(template_of.tolist())):
         members = np.flatnonzero(template_of == template_id)
         table, recharged, values = template_walks[template_id]
         baseline, extra = _routed_rows(
