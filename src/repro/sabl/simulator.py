@@ -341,8 +341,6 @@ def _routed_rows(dpdn, technology, output_load, recharged, values, pairs):
         baseline[:, event] = column
     swings = np.array(values, dtype=bool)
     extra = np.where(swings, c_true[:, None], c_false[:, None]) - matched[:, None]
-    baseline.setflags(write=False)
-    extra.setflags(write=False)
     return baseline, extra
 
 
