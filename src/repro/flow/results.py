@@ -75,10 +75,10 @@ class RoutedLayout:
     def __init__(
         self,
         rail_loads: Dict[str, Tuple[float, float]],
-        build: Callable[[], Any],
+        build: Optional[Callable[[], Any]],
     ) -> None:
         self._rail_loads = rail_loads
-        self._build: Optional[Callable[[], Any]] = build
+        self._build = build
         self._layout = None
 
     @classmethod
