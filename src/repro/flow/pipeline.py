@@ -117,27 +117,33 @@ class FlowError(RuntimeError):
 
 def _encode_layout(result: Tuple[RoutedLayout, Dict[str, Any]]) -> Dict[str, Any]:
     """The stored payload of ``(routed, details)``: the rail loads as
-    ``[net, c_true, c_false]`` triples, the details as pairs (so a hit
+    three columns (``nets``, ``c_true``, ``c_false``, so a hit parses
+    three lists, not one per net), the details as pairs (so a hit
     reports them in the miss's order) and the whole layout's record,
     which the store keeps as a part of its own (see
     :func:`repro.engine.stored.get_or_compute`)."""
     routed, details = result
+    loads = routed.rail_loads()
     return {
-        "rail_loads": [
-            [net, c_true, c_false]
-            for net, (c_true, c_false) in routed.rail_loads().items()
-        ],
+        "rail_loads": {
+            "nets": list(loads),
+            "c_true": [c_true for c_true, _ in loads.values()],
+            "c_false": [c_false for _, c_false in loads.values()],
+        },
         "details": [[name, value] for name, value in details.items()],
         "layout": routed.layout().to_record(),
     }
 
 
-def _decode_rail_loads(triples) -> Dict[str, Tuple[float, float]]:
+def _decode_rail_loads(columns) -> Dict[str, Tuple[float, float]]:
     """The rail loads of :func:`_encode_layout`; ``ValueError`` unless
-    every capacitance is finite and non-negative."""
+    the columns are of one length and every capacitance is finite and
+    non-negative."""
+    nets, c_true, c_false = columns["nets"], columns["c_true"], columns["c_false"]
+    if not len(nets) == len(c_true) == len(c_false):
+        raise ValueError("rail-load columns of different lengths")
     loads: Dict[str, Tuple[float, float]] = {}
-    for net, c_true, c_false in triples:
-        pair = (float(c_true), float(c_false))
+    for net, pair in zip(nets, zip(map(float, c_true), map(float, c_false))):
         if not all(0.0 <= value < math.inf for value in pair):
             raise ValueError(f"rail loads {pair} of net {net!r}")
         loads[str(net)] = pair

@@ -500,7 +500,7 @@ def build_bitslice_plan(program) -> BitslicePlan:
         offsets[1:] = np.cumsum(sizes[:-1])
     energy_flat = np.zeros(int(sizes.sum()), dtype=float)
     unrouted = np.ones(gate_count, dtype=bool)
-    unrouted[list(program.routed)] = False
+    unrouted[program.routed.rows()] = False
     used = np.zeros(len(templates), dtype=bool)
     used[gate_template[unrouted]] = True
     rows = []
@@ -524,18 +524,12 @@ def build_bitslice_plan(program) -> BitslicePlan:
             np.repeat(template_start[gate_template[unrouted]], lengths) + within
         ]
     # Routed gates, one template's at a time: row ``i`` of ``values`` is
-    # the scalar chain of gate ``members[i]``.
-    routed_rows = np.fromiter(program.routed, dtype=np.intp, count=len(program.routed))
-    routed_tables = list(program.routed.values())
-    routed_templates = gate_template[routed_rows]
-    for index in sorted(set(routed_templates.tolist())):
-        members = [routed_tables[m] for m in np.flatnonzero(routed_templates == index)]
+    # the scalar chain of gate ``group.rows[i]``.
+    for group in program.routed.groups:
         values = technology.switching_energy(
-            np.stack([table.baseline for table in members])
-            + np.stack([table.cap_dot for table in members])
-            + np.stack([table.extra for table in members])
+            group.baseline + program.tables[group.template].cap_dot + group.extra
         )
-        targets = offsets[routed_rows[routed_templates == index]]
+        targets = offsets[group.rows]
         energy_flat[targets[:, None] + np.arange(values.shape[1])] = values
         constant = constant and bool((np.ptp(values, axis=1) == 0.0).all())
 

@@ -11,7 +11,8 @@ the circuit's templates and routed gates, not its gate instances) and,
 built lazily on first use, the bit-sliced straight-line plan of
 :mod:`repro.kernel.bitslice` and, for a circuit of at most 10 primary
 inputs, the energy of every input vector.  Nothing here builds a
-per-gate object for an unrouted gate.  The flow pipeline caches one
+per-gate object: routed gates' tables are arrays per template.  The
+flow pipeline caches one
 program per flow alongside the circuit stage, and every engine worker
 reuses its flow's program across shards.
 """
@@ -27,7 +28,7 @@ import numpy as np
 from ..electrical.technology import Technology, generic_180nm
 from ..obs import get_observer
 from ..sabl.circuit import DifferentialCircuit
-from ..sabl.simulator import GateTable, build_template_tables
+from ..sabl.simulator import GateTable, RoutedTables, build_template_tables
 
 __all__ = ["KernelError", "CompiledProgram", "compile_circuit"]
 
@@ -43,7 +44,8 @@ class CompiledProgram:
     Instances are immutable in spirit: the tables, plan and energy table
     are shared, read-only inputs of the energy models built from them.
     ``tables[t]`` is the table of ``circuit.templates[t]``; ``routed``
-    maps the row of each gate with a routed wire load to its own table.
+    maps the row of each gate with a routed wire load to its own table,
+    held per template as arrays (:class:`~repro.sabl.simulator.RoutedTables`).
     """
 
     circuit: DifferentialCircuit
@@ -52,7 +54,7 @@ class CompiledProgram:
     output_load: Optional[float]
     net_loads: Optional[Mapping[str, Tuple[float, float]]]
     tables: Tuple[GateTable, ...]
-    routed: Mapping[int, GateTable]
+    routed: RoutedTables
     _plan: Optional[object] = field(default=None, repr=False, compare=False)
     _table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 

@@ -33,6 +33,8 @@ __all__ = [
     "CyclePowerRecord",
     "CircuitPowerSimulator",
     "GateTable",
+    "RoutedGroup",
+    "RoutedTables",
     "build_template_tables",
     "build_gate_tables",
     "BatchedCircuitEnergyModel",
@@ -221,20 +223,22 @@ def build_template_tables(
     gate_style: str = "sabl",
     output_load: Optional[float] = None,
     net_loads: Optional[Mapping[str, Tuple[float, float]]] = None,
-) -> Tuple[Tuple[GateTable, ...], Dict[int, GateTable]]:
+) -> Tuple[Tuple[GateTable, ...], RoutedTables]:
     """Build the event tables of ``circuit``: ``(tables, routed)``.
 
     ``tables[t]`` is the table of ``circuit.templates[t]``.  The
     per-event walk (which internal nodes each event connects, which
     module outputs discharge, the output value) runs once per distinct
     network structure, so templates of one structure share a table.
-    ``routed`` maps the row of every gate whose output net has a routed
-    wire load in ``net_loads`` to that gate's own table: its template's
-    read-only ``connected``, ``internal_caps`` and ``cap_dot`` with its
-    own ``baseline`` and ``extra``.  Those are built per template, on
-    arrays over the template's routed gates (:func:`_routed_rows`), with
-    the scalar sums of a per-gate :class:`EventEnergyModel` and
-    bit-identical to them.  Every other gate uses its template's table.
+    ``routed`` (a :class:`RoutedTables`) maps the row of every gate whose
+    output net has a routed wire load in ``net_loads`` to that gate's
+    own table: its template's read-only ``connected``, ``internal_caps``
+    and ``cap_dot`` with its own ``baseline`` and ``extra``.  Those are
+    built per template, on arrays over the template's routed gates
+    (:func:`_routed_rows`), with the scalar sums of a per-gate
+    :class:`EventEnergyModel` and bit-identical to them, and kept as
+    those arrays: no per-gate object is built unless a gate's table is
+    looked up.  Every other gate uses its template's table.
     """
     technology = technology or generic_180nm()
     walks: Dict[tuple, tuple] = {}
@@ -249,7 +253,8 @@ def build_template_tables(
             )
             walk = walks[structure] = _walk_events(dpdn, model)
         template_walks.append(walk)
-    routed: Dict[int, GateTable] = {}
+    tables = tuple(walk[0] for walk in template_walks)
+    routed = RoutedTables(tables, ())
     if net_loads:
         names = circuit.net_names
         rows, loads = [], []
@@ -259,15 +264,18 @@ def build_template_tables(
                 rows.append(row)
                 loads.append(wire_load)
         if rows:
-            routed = _routed_tables(
-                circuit, template_walks, rows, loads, technology, output_load
+            routed = RoutedTables(
+                tables,
+                _routed_groups(
+                    circuit, template_walks, rows, loads, technology, output_load
+                ),
             )
-    return tuple(walk[0] for walk in template_walks), routed
+    return tables, routed
 
 
-def _routed_tables(circuit, template_walks, rows, loads, technology, output_load):
-    """The own tables of the routed gates ``rows`` (wire loads ``loads``),
-    keyed by row in row order, built one template at a time."""
+def _routed_groups(circuit, template_walks, rows, loads, technology, output_load):
+    """The :class:`RoutedGroup` of each template among the routed gates
+    ``rows`` (wire loads ``loads``), in template order."""
     rows = np.array(rows, dtype=np.intp)
     pairs = np.array([(load[0], load[1]) for load in loads], dtype=float)
     template_of = circuit.gate_template[rows]
@@ -287,10 +295,10 @@ def _routed_tables(circuit, template_walks, rows, loads, technology, output_load
             "wire-load back-annotation needs the DPDN's function "
             "annotation (the swinging rail follows the output value)"
         )
-    own: List[Optional[GateTable]] = [None] * rows.shape[0]
+    groups = []
     for template_id in sorted(set(template_of.tolist())):
         members = np.flatnonzero(template_of == template_id)
-        table, recharged, values = template_walks[template_id]
+        _, recharged, values = template_walks[template_id]
         baseline, extra = _routed_rows(
             circuit.templates[template_id].network,
             technology,
@@ -299,11 +307,8 @@ def _routed_tables(circuit, template_walks, rows, loads, technology, output_load
             values,
             pairs[members],
         )
-        for position, gate_baseline, gate_extra in zip(
-            members.tolist(), baseline, extra
-        ):
-            own[position] = _share(table, baseline=gate_baseline, extra=gate_extra)
-    return dict(zip(rows.tolist(), own))
+        groups.append(RoutedGroup(template_id, rows[members], baseline, extra))
+    return tuple(groups)
 
 
 def _routed_rows(dpdn, technology, output_load, recharged, values, pairs):
@@ -382,6 +387,75 @@ def _share(template: GateTable, **arrays: np.ndarray) -> GateTable:
     table = object.__new__(GateTable)
     table.__dict__.update(template.__dict__, **arrays)
     return table
+
+
+@dataclass(frozen=True)
+class RoutedGroup:
+    """The routed gates of one template: row ``i`` of ``baseline`` and
+    ``extra`` is the own ``baseline`` and ``extra`` of gate ``rows[i]``
+    (gate rows ascending)."""
+
+    template: int
+    rows: np.ndarray  # (n,) gate rows
+    baseline: np.ndarray  # (n, 2**k)
+    extra: np.ndarray  # (n, 2**k)
+
+    def __post_init__(self) -> None:
+        for array in (self.rows, self.baseline, self.extra):
+            array.setflags(write=False)
+
+
+class RoutedTables(Mapping[int, GateTable]):
+    """The own tables of a circuit's routed gates, by gate row.
+
+    Held as one :class:`RoutedGroup` of arrays per template (``groups``,
+    in template order), which is all the compiled kernel reads; a
+    gate's :class:`GateTable` (its template's ``tables`` entry with the
+    gate's own ``baseline`` and ``extra`` rows) is built when it is
+    looked up, for the reference models.  Iteration is in row order.
+    """
+
+    __slots__ = ("groups", "_tables", "_where")
+
+    def __init__(self, tables: Sequence[GateTable], groups: Sequence[RoutedGroup]) -> None:
+        self.groups: Tuple[RoutedGroup, ...] = tuple(groups)
+        self._tables = tables
+        self._where: Optional[Dict[int, Tuple[int, int]]] = None
+
+    def rows(self) -> np.ndarray:
+        """Every routed gate row, ascending."""
+        if not self.groups:
+            return np.zeros(0, dtype=np.intp)
+        return np.sort(np.concatenate([group.rows for group in self.groups]))
+
+    def __len__(self) -> int:
+        return sum(group.rows.shape[0] for group in self.groups)
+
+    def __iter__(self):
+        return iter(self.rows().tolist())
+
+    def __contains__(self, row) -> bool:
+        return self._lookup().get(row) is not None
+
+    def __getitem__(self, row: int) -> GateTable:
+        where = self._lookup().get(row)
+        if where is None:
+            raise KeyError(row)
+        group = self.groups[where[0]]
+        return _share(
+            self._tables[group.template],
+            baseline=group.baseline[where[1]],
+            extra=group.extra[where[1]],
+        )
+
+    def _lookup(self) -> Dict[int, Tuple[int, int]]:
+        if self._where is None:
+            self._where = {
+                row: (index, position)
+                for index, group in enumerate(self.groups)
+                for position, row in enumerate(group.rows.tolist())
+            }
+        return self._where
 
 
 class BatchedCircuitEnergyModel:

@@ -393,7 +393,11 @@ class TestRailLoadsEntry:
         assert meta["parts"] == ["layout"]
         assert sorted(meta["payload"]) == ["details", "rail_loads"]
         loads = miss.layout().parasitics.rail_loads()
-        assert meta["payload"]["rail_loads"] == [[net, *pair] for net, pair in loads.items()]
+        assert meta["payload"]["rail_loads"] == {
+            "nets": list(loads),
+            "c_true": [pair[0] for pair in loads.values()],
+            "c_false": [pair[1] for pair in loads.values()],
+        }
         assert store.get_part(key, "layout") == miss.layout().to_record()
 
     @pytest.mark.parametrize("stage", ["traces", "assessment"])
@@ -460,12 +464,20 @@ class TestRailLoadsEntry:
         "rail_loads",
         [
             "damaged",
-            [["n", 1e-15]],
-            [["n", "x", 1e-15]],
-            [["n", -1e-15, 1e-15]],
-            [["n", 1e-15, float("inf")]],
+            {"nets": ["n"], "c_true": [1e-15]},
+            {"nets": ["n"], "c_true": [1e-15], "c_false": []},
+            {"nets": ["n"], "c_true": ["x"], "c_false": [1e-15]},
+            {"nets": ["n"], "c_true": [-1e-15], "c_false": [1e-15]},
+            {"nets": ["n"], "c_true": [1e-15], "c_false": [float("inf")]},
         ],
-        ids=["not-triples", "short-triple", "not-a-number", "negative", "infinite"],
+        ids=[
+            "not-columns",
+            "missing-column",
+            "short-column",
+            "not-a-number",
+            "negative",
+            "infinite",
+        ],
     )
     def test_corrupt_rail_loads_are_removed_and_recomputed(self, tmp_path, rail_loads):
         store_path = tmp_path / "store"

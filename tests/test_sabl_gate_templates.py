@@ -29,7 +29,8 @@ from repro.network.netlist import Literal
 from repro.obs import BufferSink, Observer, use_observer
 from repro.power.trace import build_sbox_circuit
 from repro.sabl.circuit import DifferentialCircuit, GateInstance, map_expressions
-from repro.sabl.simulator import build_gate_tables
+from repro.sabl import simulator
+from repro.sabl.simulator import build_gate_tables, build_template_tables
 
 from oracles import oracle_gate_tables
 
@@ -211,6 +212,46 @@ class TestRoutedTables:
                     for bits in _event_bits(len(table.variables))
                 ]
                 assert table.extra.tobytes() == np.array(excess).tobytes()
+
+    def test_held_as_arrays_per_template(self):
+        circuit = _MIXED_CIRCUITS["genuine"]
+        gates = circuit.gates
+        rows = list(range(1, len(gates), 2))
+        net_loads = {gates[row].output_net: (1e-15 * row, 2e-15) for row in rows}
+        tables, routed = build_template_tables(circuit, net_loads=net_loads)
+        assert len(routed) == len(rows)
+        assert list(routed) == rows
+        assert 0 not in routed and rows[0] in routed
+        with pytest.raises(KeyError):
+            routed[0]
+        templates = circuit.gate_template
+        assert [group.template for group in routed.groups] == sorted(
+            set(templates[rows].tolist())
+        )
+        expected = build_gate_tables(circuit, net_loads=net_loads)
+        for group in routed.groups:
+            assert (templates[group.rows] == group.template).all()
+            assert not group.baseline.flags.writeable
+            for position, row in enumerate(group.rows.tolist()):
+                table = routed[row]
+                assert table.connected is tables[group.template].connected
+                assert table.baseline.tobytes() == group.baseline[position].tobytes()
+                assert table.extra.tobytes() == expected[row].extra.tobytes()
+
+    def test_compiling_builds_no_per_gate_table(self, routed_loads, monkeypatch):
+        # The kernel reads the routed groups' arrays; a per-gate table is
+        # built only when a reference model looks one up.
+        circuit = build_sbox_circuit(0xB)
+        loads = routed_loads("fc", 2, "unbalanced")
+        reference = compile_circuit(circuit, net_loads=loads).energy_table()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-gate table was built")
+
+        monkeypatch.setattr(simulator, "_share", refuse)
+        program = compile_circuit(circuit, net_loads=loads)
+        assert len(program.routed) == len(circuit.gates)
+        assert program.energy_table().tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize(
         "load, message",
