@@ -100,7 +100,7 @@ from .obs import (
     use_observer,
 )
 
-__version__ = "17.0.0"
+__version__ = "18.0.0"
 
 
 __all__ = [

@@ -54,8 +54,6 @@ from __future__ import annotations
 
 import atexit
 import functools
-import multiprocessing
-import multiprocessing.pool
 from typing import (
     Any,
     Callable,
@@ -64,11 +62,15 @@ from typing import (
     List,
     Optional,
     Sequence,
+    TYPE_CHECKING,
     Tuple,
     TypeVar,
 )
 
 from ..obs import ProgressDispatcher, rss_bytes
+
+if TYPE_CHECKING:
+    import multiprocessing.pool
 
 __all__ = [
     "ShardTimeoutError",
@@ -111,13 +113,16 @@ def default_start_method() -> str:
     Platforms without ``fork`` fall back to their own default -- in
     practice ``spawn`` on Windows and current macOS.
     """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else multiprocessing.get_start_method()
 
 
 #: Warm worker pools, keyed by ``(start method, worker count)``.  Module
 #: state on purpose: pools persist across maps so flow and program
-#: caches in the workers stay warm for a whole sweep.
+#: caches in the workers stay warm for a whole sweep.  A process whose
+#: maps all run in process never imports ``multiprocessing``.
 _WARM_POOLS: Dict[Tuple[str, int], multiprocessing.pool.Pool] = {}
 
 
@@ -125,6 +130,8 @@ def _pool(start_method: str, workers: int) -> multiprocessing.pool.Pool:
     key = (start_method, workers)
     pool = _WARM_POOLS.get(key)
     if pool is None:
+        import multiprocessing
+
         pool = multiprocessing.get_context(start_method).Pool(processes=workers)
         _WARM_POOLS[key] = pool
     return pool
@@ -223,6 +230,8 @@ def _pool_outputs(
     terminated and dropped from the warm cache, so the next map starts
     fresh.  Task exceptions re-raise here and leave the pool warm.
     """
+    import multiprocessing
+
     iterator = _pool(start_method, workers).imap(task, payloads, chunksize=1)
     for index in range(len(payloads)):
         try:
@@ -268,10 +277,14 @@ def map_payloads(
     the error names it: when ``local``, ``task`` or ``consume`` raises
     ``error``, and when the payload's result is not back within
     ``execution.shard_timeout`` seconds (``error`` is then a
-    :class:`ShardTimeoutError`, and the pool is evicted).  ``task`` and
-    ``fail`` travel to the workers, so both must be module-level; a
-    task's failure is wrapped in the worker, and ``fail`` must build a
-    picklable error.
+    :class:`ShardTimeoutError`, and the pool is evicted).  That clock
+    starts when the parent begins to wait for the payload's result (the
+    pool iterator's ``next``, in payload order), not when a worker takes
+    the payload: a result already back by then is never timed out, and
+    a payload queued behind others gets its whole timeout after their
+    results are consumed.  ``task`` and ``fail`` travel to the workers,
+    so both must be module-level; a task's failure is wrapped in the
+    worker, and ``fail`` must build a picklable error.
     """
     if not execution.pooled:
         for payload in payloads:
@@ -282,6 +295,8 @@ def map_payloads(
         return
     if not payloads:
         return
+    import multiprocessing
+
     start_method = execution.start_method or default_start_method()
     available = multiprocessing.get_all_start_methods()
     if start_method not in available:

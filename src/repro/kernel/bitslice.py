@@ -34,16 +34,15 @@ A table whose values span too many binary exponents for the limbs falls
 back to gathering float energies and summing each cycle with
 :func:`math.fsum`, which gives the same result more slowly.
 
-**Distinct-vector evaluation** -- a cycle's gate events, and so its
-steady-state energy, depend on its primary-input vector alone.  Each
-tile of cycles is therefore reduced to its distinct input rows before
-packing: logic and the energy sum run once per distinct vector, and the
-per-vector energies are expanded back to every cycle.  A circuit of at
-most :data:`_TABLE_WIDTH` (10) primary inputs goes one step further:
-:func:`build_energy_table` runs the model once over its whole input
-space, and a campaign looks each cycle up in that table
-(:func:`repro.power.trace.kernel_energy_source`), so no tile of it is
-packed, sorted or counted again.
+**Energy table** -- a cycle's gate events, and so its steady-state
+energy, depend on its primary-input vector alone.  A circuit of at most
+:data:`_TABLE_WIDTH` (10) primary inputs is therefore run once over its
+whole input space (:func:`build_energy_table`), and a campaign looks
+each cycle up in that table
+(:func:`repro.power.trace.kernel_energy_source`).  A wider circuit
+packs and evaluates every cycle; the one vector a campaign repeats, the
+fixed class of the assessment stream, is measured once per run by
+:func:`repro.power.trace.measure_blocks`.
 
 **Steady state** -- the kernel evaluates every cycle from the circuit's
 steady state, in which each internal node that any input event can
@@ -60,14 +59,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..boolexpr.ast import And, Const, Expr, Not, Or, Var, Xor
 from ..obs import get_observer
-from .pack import pack_bitplanes, unpack_bitplanes
+from .pack import pack_bitplanes
 
 __all__ = [
     "BitslicePlan",
@@ -88,40 +87,14 @@ _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _GATHER_CHUNK = 128
 
 #: Most cycles :meth:`BitslicedCircuitEnergyModel.energies` evaluates
-#: at once, whatever the caller's batch size: the per-call working set
-#: (bit planes, event indices) grows with the cycles in flight, so larger
-#: batches are walked in tiles of this size.
+#: at once: the working set (bit planes, event indices) grows with the
+#: cycles in flight, so larger calls are walked in tiles of this size.
 _CYCLE_TILE = 1024
 
 #: Most primary inputs of a circuit given an energy table
 #: (:func:`build_energy_table`): its ``2**width`` input vectors then fit
 #: one tile, so the table never costs more than one tile to build.
 _TABLE_WIDTH = _CYCLE_TILE.bit_length() - 1
-
-
-def _distinct_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(first, inverse)`` of the distinct rows of a boolean matrix.
-
-    ``first`` indexes one occurrence of each distinct row and
-    ``matrix[first][inverse]`` equals ``matrix``.  Rows are zero-padded
-    to at least 64 columns and packed in one flat ``np.packbits`` (far
-    cheaper than packing row by row), so rows of up to 64 columns become
-    one uint64 key each and the search is a 1-D sort; wider rows fall
-    back to the row-wise search over their packed bytes.
-    """
-    cycles, width = matrix.shape
-    padded = np.zeros((cycles, max(64, -(-width // 8) * 8)), dtype=bool)
-    padded[:, :width] = matrix
-    packed = np.packbits(padded, bitorder="little").reshape(cycles, -1)
-    if packed.shape[1] == 8:
-        _, first, inverse = np.unique(
-            packed.view(np.uint64).ravel(), return_index=True, return_inverse=True
-        )
-    else:
-        _, first, inverse = np.unique(
-            packed, axis=0, return_index=True, return_inverse=True
-        )
-    return first, inverse.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -213,8 +186,13 @@ class BitslicePlan:
             return "fsum"
         return "gather" if self.gather_rows.size else "count"
 
-    def run_logic(self, planes: np.ndarray) -> None:
-        """Fill the gate-output rows of ``planes`` in place."""
+    def net_planes(self, matrix: np.ndarray) -> np.ndarray:
+        """The ``(net_count, words)`` uint64 planes of every net over the
+        cycles of ``matrix``, a ``(cycles, inputs)`` boolean array whose
+        columns (the first planes) follow the circuit's primary inputs."""
+        packed = pack_bitplanes(matrix)
+        planes = np.zeros((self.net_count, packed.shape[1]), dtype=np.uint64)
+        planes[: packed.shape[0]] = packed
         for steps in self.levels:
             for step in steps:
                 if isinstance(step, _OpGroup):
@@ -231,6 +209,7 @@ class BitslicePlan:
                     planes[step.output] = _eval_expr(
                         step.expr, variables, planes.shape[1]
                     )
+        return planes
 
     def extract_events(self, planes: np.ndarray, trace_count: int) -> np.ndarray:
         """Event indices of the gathered gates, ``(len(gather_rows), trace_count)``."""
@@ -668,11 +647,11 @@ class BitslicedCircuitEnergyModel:
     the steady-state energies of the reference
     :class:`~repro.sabl.simulator.BatchedCircuitEnergyModel` bit for bit
     (each cycle the exactly rounded sum of its gates' energies) while
-    evaluating each distinct input vector of a tile once, 64 vectors per
-    word, and replacing the per-unique-vector Python circuit walk with
-    bit-plane counts and integer gathers -- throughput is therefore
-    nearly independent of the primary-input width.  The model holds no charge
-    state: :meth:`energies` is a pure function of its input.
+    evaluating 64 cycles per word, tile by tile, and replacing the
+    per-unique-vector Python circuit walk with bit-plane counts and
+    integer gathers -- throughput is therefore nearly independent of the
+    primary-input width.  The model holds no charge state:
+    :meth:`energies` is a pure function of its input, cycle by cycle.
     """
 
     def __init__(self, program) -> None:
@@ -685,45 +664,39 @@ class BitslicedCircuitEnergyModel:
     # ---------------------------------------------------------------- energies
 
     def energies(
-        self,
-        vectors: Union[np.ndarray, Sequence[Mapping[str, bool]]],
-        batch_size: int = 1024,
+        self, vectors: Union[np.ndarray, Sequence[Mapping[str, bool]]]
     ) -> np.ndarray:
         """Per-cycle total supply energy of a sequence of input vectors.
 
         ``vectors`` is a ``(cycles, inputs)`` boolean array with columns
         ordered like ``circuit.primary_inputs``, or a sequence of input
-        mappings.  ``batch_size`` (capped at :data:`_CYCLE_TILE`) bounds
-        the cycles evaluated at once; every cycle's energy depends on its
-        own input vector alone, so the result is independent of it.
+        mappings.  The cycles are evaluated :data:`_CYCLE_TILE` at a
+        time, so the working set does not grow with the call.
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
         matrix = self._as_matrix(vectors)
-        total = np.zeros(matrix.shape[0], dtype=float)
+        cycles = matrix.shape[0]
+        total = np.zeros(cycles, dtype=float)
+        plan = self._plan
         obs = get_observer()
         tick = time.perf_counter() if obs.active else 0.0
-        tile = min(batch_size, _CYCLE_TILE)
-        distinct = 0
-        for start in range(0, matrix.shape[0], tile):
-            stop = min(start + tile, matrix.shape[0])
-            distinct += self._evaluate(matrix[start:stop], total[start:stop])
-        if obs.active and matrix.shape[0]:
+        if plan.constant_fold is not None:
+            # Constant-power circuit: every cycle draws the same (exact)
+            # energy -- no logic evaluation needed.
+            total[:] = plan.constant_fold
+        elif plan.offsets.size:
+            for start in range(0, cycles, _CYCLE_TILE):
+                tile = matrix[start : start + _CYCLE_TILE]
+                total[start : start + tile.shape[0]] = plan.cycle_energies(
+                    plan.net_planes(tile), tile.shape[0]
+                )
+        if obs.active and cycles:
             elapsed = time.perf_counter() - tick
-            obs.counter("kernel.cycles", matrix.shape[0], simulator="bitslice")
-            obs.counter("kernel.distinct_cycles", distinct, simulator="bitslice")
+            obs.counter("kernel.cycles", cycles, simulator="bitslice")
             obs.counter(
-                "kernel.path_cycles",
-                matrix.shape[0],
-                simulator="bitslice",
-                path=self._plan.path,
+                "kernel.path_cycles", cycles, simulator="bitslice", path=plan.path
             )
             if elapsed > 0:
-                obs.histogram(
-                    "kernel.traces_per_s",
-                    matrix.shape[0] / elapsed,
-                    simulator="bitslice",
-                )
+                obs.histogram("kernel.traces_per_s", cycles / elapsed, simulator="bitslice")
         return total
 
     def _as_matrix(self, vectors) -> np.ndarray:
@@ -742,36 +715,6 @@ class BitslicedCircuitEnergyModel:
             ],
             dtype=bool,
         ).reshape(len(vectors), len(self.circuit.primary_inputs))
-
-    def _evaluate(self, matrix: np.ndarray, out: np.ndarray) -> int:
-        """Write the total circuit energy of one tile of cycles into ``out``.
-
-        Returns the number of distinct input vectors evaluated (0 when the
-        constant fold answers the whole tile).
-        """
-        plan = self._plan
-        if matrix.shape[0] == 0 or not plan.offsets.size:
-            return 0
-        if plan.constant_fold is not None:
-            # Constant-power circuit: every cycle draws the same (exact)
-            # energy -- no logic evaluation needed.
-            out[...] = plan.constant_fold
-            return 0
-        # A cycle's events depend on its input vector alone: evaluate each
-        # distinct vector once, then expand to every cycle via ``inverse``.
-        # A circuit with an energy table reaches here only to fill it, so
-        # this pays on wider circuits' assessment stream, whose tiles are
-        # half the fixed vector: a serial 4000-trace TVLA on a 16-S-box
-        # slice takes 4.9 ms with it and 7.3 ms packing every row (2-core
-        # host).  All-distinct random tiles pay one sort for nothing
-        # (6.9 against 6.6 ms on a 4000-trace campaign of that slice).
-        first, inverse = _distinct_rows(matrix)
-        packed = pack_bitplanes(matrix[first])
-        planes = np.zeros((plan.net_count, packed.shape[1]), dtype=np.uint64)
-        planes[: packed.shape[0]] = packed
-        plan.run_logic(planes)
-        out[...] = plan.cycle_energies(planes, first.size)[inverse]
-        return first.size
 
 
 def build_energy_table(program) -> np.ndarray:

@@ -107,8 +107,7 @@ class CompiledProgram:
         ``(traces,)`` array per named circuit output.  This is the pure
         functional view used by the wide-circuit conformance tests.
         """
-        from .bitslice import _eval_expr  # noqa: F401  (plan import side)
-        from .pack import pack_bitplanes, unpack_bitplanes
+        from .pack import unpack_bitplanes
 
         matrix = np.asarray(matrix, dtype=bool)
         if matrix.ndim != 2 or matrix.shape[1] != len(self.circuit.primary_inputs):
@@ -117,10 +116,7 @@ class CompiledProgram:
                 f"{len(self.circuit.primary_inputs)})"
             )
         plan = self.plan()
-        packed = pack_bitplanes(matrix)
-        planes = np.zeros((plan.net_count, packed.shape[1]), dtype=np.uint64)
-        planes[: packed.shape[0]] = packed
-        plan.run_logic(planes)
+        planes = plan.net_planes(matrix)
         outputs: Dict[str, np.ndarray] = {}
         for name, net in self.circuit.outputs.items():
             row = planes[plan.net_index[net]][None, :]

@@ -219,11 +219,16 @@ def measure_blocks(
     the stimuli of :data:`ASSESSMENT_BLOCKS_PER_CALL` blocks at a time,
     so the working set does not grow with the run (``blocks`` may be a
     lazy iterator); since every draw belongs to a block, the grouping
-    never changes a result.  This is the one measurement loop: trace
-    campaigns, leakage-model campaigns and the assessment stream all
-    run through it.
+    never changes a result.  The fixed class is measured once per run:
+    the source sees the run's first fixed cycle and every random one,
+    and each later fixed cycle takes that first cycle's energy, which
+    equals its own because a cycle's energy depends on its stimulus
+    alone.  This is the one measurement loop: trace campaigns,
+    leakage-model campaigns and the assessment stream all run through
+    it.
     """
     draw = {"dtype": np.uint64} if width >= 64 else {}
+    fixed_energy = None
     blocks = iter(blocks)
     while True:
         group = tuple(islice(blocks, ASSESSMENT_BLOCKS_PER_CALL))
@@ -241,10 +246,43 @@ def measure_blocks(
             if fixed is not None:
                 stimuli[labels] = fixed
             drawn.append((stimuli, labels))
-        measured = energies(np.concatenate([stimuli for stimuli, _ in drawn]))
+        stimuli = np.concatenate([stimuli for stimuli, _ in drawn])
+        if fixed is None:
+            measured = energies(stimuli)
+        else:
+            labels = np.concatenate([labels for _, labels in drawn])
+            measured, fixed_energy = _measure_fixed_once(
+                stimuli, labels, energies, fixed_energy
+            )
         bounds = np.cumsum([block.count for block in group])[:-1]
         for (stimuli, labels), part, rng in zip(drawn, np.split(measured, bounds), rngs):
             yield stimuli, labels, noise(part, rng)
+
+
+def _measure_fixed_once(
+    stimuli: np.ndarray,
+    labels: np.ndarray,
+    energies: EnergySource,
+    fixed_energy: Optional[np.floating],
+) -> Tuple[np.ndarray, Optional[np.floating]]:
+    """``(energies, fixed_energy)`` of a group of fixed-vs-random cycles.
+
+    The source measures the random cycles and, while ``fixed_energy`` is
+    ``None``, the first fixed cycle: every cycle before it is random, so
+    it keeps its position ``first`` among the measured cycles.
+    """
+    query = ~labels
+    first = int(labels.argmax())
+    fresh = fixed_energy is None and bool(labels[first])
+    query[first] |= fresh
+    index = np.flatnonzero(query)
+    values = energies(stimuli[index])
+    fixed_energy = values[first] if fresh else fixed_energy
+    if fixed_energy is None:
+        return values, None
+    measured = np.full(labels.shape[0], fixed_energy, dtype=values.dtype)
+    measured[index] = values
+    return measured, fixed_energy
 
 
 def measure_traces(

@@ -16,11 +16,15 @@ Pins the contracts of the one map path,
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import (
     ShardTaskError,
     ShardTimeoutError,
@@ -160,6 +164,50 @@ class TestExecutorBasics:
         ]
         assert span["attrs"]["start_method"] == method
         assert (method, 2) in _WARM_POOLS
+
+
+_SERIAL_THEN_POOLED = textwrap.dedent(
+    """
+    import sys
+    from repro.engine import run_sweep
+    from repro.flow import AssessmentConfig, CampaignConfig, DesignFlow
+    from repro.flow import ExecutionConfig, FlowConfig
+
+    def config(execution):
+        return FlowConfig(
+            campaign=CampaignConfig(trace_count=300),
+            assessment=AssessmentConfig(enabled=True, traces_per_class=150),
+            execution=execution,
+        )
+
+    def run(execution):
+        if sys.argv[1] == "sweep":
+            run_sweep(config(execution), {"gate_style": ["sabl", "cvsl"]})
+        else:
+            DesignFlow.sbox(0xB, config=config(execution)).run()
+
+    run(ExecutionConfig(shard_size=256))
+    print("multiprocessing.pool" in sys.modules)
+    run(ExecutionConfig(workers=2))
+    print("multiprocessing.pool" in sys.modules)
+    """
+)
+
+
+class TestImports:
+    @pytest.mark.parametrize("entry", ["run", "sweep"])
+    def test_a_serial_campaign_imports_no_pool(self, entry):
+        # ``multiprocessing.pool`` is imported where a pool starts, so a
+        # process that only runs in-process campaigns or sweeps never
+        # pays for it; the pooled run that follows does import it.
+        source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=source)
+        done = subprocess.run(
+            [sys.executable, "-c", _SERIAL_THEN_POOLED, entry],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
 
 
 class TestPersistentPools:

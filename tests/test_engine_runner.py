@@ -18,8 +18,10 @@ from repro.flow import (
     FlowConfig,
     FlowError,
     LayoutConfig,
+    ScenarioConfig,
 )
 from repro.assess.ttest import ttest_fixed_vs_random
+from repro.engine.sharding import plan_shards
 from repro.engine.store import content_key
 from repro.engine.stored import store_record
 from repro.flow.config import ConfigError
@@ -178,6 +180,67 @@ class TestAssessmentEquivalence:
             assert flow.assessment()["ttest"].tests == rows, execution
             assert content_key(store_record(flow, "assessment")) == key, execution
             assert flow.result("assessment").details["blocks"] == 6
+
+    @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
+    def test_wide_slice_chunks_equal_the_oracle(self, gate_style):
+        # A 16-input slice runs the kernel, not an energy table, and its
+        # fixed class is measured once per run: in process as one shard
+        # and as two, the noiseless chunks equal the oracle stream byte
+        # for byte, and a two-worker run gives the same t-test rows.
+        def flow(execution):
+            return DesignFlow(
+                None,
+                FlowConfig(
+                    name="wide_tvla",
+                    campaign=CampaignConfig(
+                        key=0x6B,
+                        scenario="present_round",
+                        network_style="genuine",
+                        gate_style=gate_style,
+                        noise_std=0.0,
+                    ),
+                    scenario=ScenarioConfig(params={"sboxes": 4}),
+                    assessment=AssessmentConfig(
+                        enabled=True, traces_per_class=300, fixed_plaintext=0xA5C3
+                    ),
+                    execution=execution,
+                ),
+            )
+
+        reference = flow(ExecutionConfig())
+        assert reference._compiled_program().energy_table() is None
+        energies, labels = oracle_assessment_stream(reference)
+        assert (labels.sum(), (~labels).sum()) == (300, 300)
+        for shard_size in (None, 512):
+            shards = plan_shards(600, shard_size, reference.config.assessment.seed)
+            assert len(shards) == (1 if shard_size is None else 2)
+            chunks = [
+                chunk for shard in shards for chunk in reference._assessment_chunks(shard)
+            ]
+            measured = np.concatenate([chunk.energies for chunk in chunks])
+            assert measured.tobytes() == energies.tobytes()
+            assert np.array_equal(np.concatenate([chunk.labels for chunk in chunks]), labels)
+        rows = reference.assessment()["ttest"].tests
+        pooled = flow(ExecutionConfig(workers=2, shard_size=256))
+        assert pooled.assessment()["ttest"].tests == rows
+        assert pooled.result("assessment").details["shards"] == 3
+
+    def test_model_source_chunks_equal_the_leakage_table(self):
+        # The leakage model runs the same fixed-once measurement: every
+        # chunk, one-block shards included, equals a direct lookup.
+        config = FlowConfig(
+            name="sbox_dpa",
+            campaign=CampaignConfig(source="model"),
+            assessment=AssessmentConfig(
+                enabled=True, traces_per_class=300, fixed_plaintext=0x6
+            ),
+        )
+        flow = DesignFlow.sbox(0xB, config=config)
+        _, energies = flow._energy_source()
+        for shard in plan_shards(600, 256, config.assessment.seed):
+            for chunk in flow._assessment_chunks(shard):
+                assert (chunk.plaintexts[chunk.labels] == 0x6).all()
+                assert np.array_equal(chunk.energies, energies(chunk.plaintexts))
 
     def test_stats_method_merges_too(self):
         config = FlowConfig(

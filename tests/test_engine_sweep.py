@@ -9,7 +9,13 @@ import pytest
 from repro.engine import build_grid, run_sweep, shutdown_pools
 from repro.engine.cli import main
 from repro.engine.executors import _WARM_POOLS
-from repro.flow import CampaignConfig, ConfigError, ExecutionConfig, FlowConfig
+from repro.flow import (
+    CampaignConfig,
+    ConfigError,
+    ExecutionConfig,
+    FlowConfig,
+    ScenarioConfig,
+)
 from repro.flow.pipeline import FlowError
 
 
@@ -157,8 +163,18 @@ class TestRunSweep:
             run_sweep(base, {"key": [0x3, 0x30]})
 
     def test_sweep_timeout_applies_per_cell(self):
+        # The timeout clock starts when the parent waits for a cell, so a
+        # cell that finishes before the parent gets there is never timed
+        # out.  Each cell here is a 100000-trace campaign on a 64-input,
+        # 1984-gate PRESENT slice, a few hundred ms of kernel work on
+        # warm workers, so the parent reaches its 1 ms wait long before
+        # the result; the timed-out pool is terminated, so the test
+        # stays fast.
         base = FlowConfig(
-            campaign=CampaignConfig(trace_count=4000),
+            campaign=CampaignConfig(
+                trace_count=100_000, scenario="present_round", network_style="genuine"
+            ),
+            scenario=ScenarioConfig(params={"sboxes": 16}),
             execution=ExecutionConfig(workers=2, shard_timeout=0.001),
         )
         with pytest.raises(FlowError, match="sweep cell .*gate_style=sabl"):

@@ -42,7 +42,7 @@ from repro.kernel import (
     word_count,
 )
 from repro.kernel import bitslice
-from repro.kernel.bitslice import _CYCLE_TILE, _TABLE_WIDTH, _distinct_rows
+from repro.kernel.bitslice import _CYCLE_TILE, _TABLE_WIDTH, BitslicePlan
 from repro.obs import BufferSink, Observer, use_observer
 from repro.power import cpa_correlation, dpa_difference_of_means
 from repro.power.trace import (
@@ -236,15 +236,15 @@ class TestCompiledProgram:
 
 
 def _assert_bit_identical(program, matrices, batch_size=4096):
-    """Feed ``matrices`` in turn to a steady-state oracle and a kernel:
-    every call's energies must agree bit for bit.  Returns the kernel's
-    energies."""
+    """Feed ``matrices`` in turn to a steady-state oracle (in batches of
+    ``batch_size``) and a kernel: every call's energies must agree bit
+    for bit.  Returns the kernel's energies."""
     event = _event_model(program)
     bitslice = BitslicedCircuitEnergyModel(program)
     results = []
     for matrix in matrices:
         expected = event.energies(matrix, batch_size=batch_size)
-        actual = bitslice.energies(matrix, batch_size=batch_size)
+        actual = bitslice.energies(matrix)
         assert np.array_equal(expected, actual)
         results.append(actual)
     return results
@@ -265,9 +265,7 @@ class TestBitIdentity:
         for matrix, batch_size in ((short, 77), (long, 4096)):
             assert np.array_equal(
                 _event_model(program).energies(matrix, batch_size=batch_size),
-                BitslicedCircuitEnergyModel(program).energies(
-                    matrix, batch_size=batch_size
-                ),
+                BitslicedCircuitEnergyModel(program).energies(matrix),
             )
 
     @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
@@ -327,9 +325,9 @@ class TestBitIdentity:
         rng = np.random.default_rng(5)
         matrix = _random_matrix(rng, 120, 4)
         other = _random_matrix(rng, 300, 4)
-        first = model.energies(matrix, batch_size=48)
+        first = model.energies(matrix)
         model.energies(other)
-        assert np.array_equal(first, model.energies(matrix, batch_size=48))
+        assert np.array_equal(first, model.energies(matrix))
         assert np.array_equal(first, model.energies(np.vstack([other, matrix]))[300:])
         assert np.array_equal(first, BitslicedCircuitEnergyModel(program).energies(matrix))
         assert vars(model).keys() == state.keys()
@@ -358,43 +356,33 @@ def _present_round_circuit(sboxes: int):
     return DesignFlow(
         None,
         FlowConfig(
-            name="distinct_vectors",
+            name="present_slice",
             campaign=CampaignConfig(key=0x6B, scenario="present_round"),
             scenario=ScenarioConfig(params={"sboxes": sboxes}),
         ),
     ).circuit()
 
 
-def _kernel_counters(model, matrix, batch_size=4096):
-    """``(kernel.cycles, kernel.distinct_cycles)`` of one ``energies`` call."""
+def _kernel_cycles(model, matrix):
+    """``kernel.cycles`` of one ``energies`` call."""
     buffer = []
     with use_observer(Observer((BufferSink(buffer),))):
-        model.energies(matrix, batch_size=batch_size)
-    counters = {e["name"]: e["value"] for e in buffer if e["kind"] == "counter"}
-    return counters["kernel.cycles"], counters["kernel.distinct_cycles"]
+        model.energies(matrix)
+    (cycles,) = [e["value"] for e in buffer if e["name"] == "kernel.cycles"]
+    return cycles
 
 
-class TestDistinctVectors:
-    """The kernel evaluates each distinct input vector of a tile once and
-    expands the result to every cycle.  These pin that expansion against
-    the oracle where repeats meet tile boundaries, single cycles, wide
-    circuits and the per-cycle memory effect."""
-
-    @pytest.mark.parametrize("width", [1, 4, 16, 64, 65, 100])
-    def test_distinct_rows_round_trip(self, width):
-        rng = np.random.default_rng(width)
-        pool = _random_matrix(rng, 7, width)
-        matrix = pool[rng.integers(0, 7, size=300)]
-        first, inverse = _distinct_rows(matrix)
-        assert np.array_equal(matrix[first][inverse], matrix)
-        assert len({row.tobytes() for row in matrix[first]}) == first.size
-        assert first.size == len({row.tobytes() for row in matrix})
+class TestRepeatedVectors:
+    """The kernel evaluates every cycle, repeated input vectors too, and
+    the fixed-vs-random stream measures its fixed vector once per run.
+    These pin batches of repeats, across tile boundaries, single cycles
+    and wide circuits, against the oracle."""
 
     @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
     @pytest.mark.parametrize("network_style", ["fc", "genuine"])
     def test_fixed_plaintext_batch(self, gate_style, network_style):
-        # The TVLA fixed class: one distinct vector per tile, between
-        # random batches.
+        # The TVLA fixed class: one repeated vector over several tiles,
+        # between random batches.
         program = compile_circuit(
             build_sbox_circuit(0xB, network_style=network_style),
             gate_style=gate_style,
@@ -403,9 +391,8 @@ class TestDistinctVectors:
         warmup = _random_matrix(np.random.default_rng(1), 40, 4)
         _assert_bit_identical(program, [fixed, warmup, fixed])
 
-    @pytest.mark.parametrize("batch_size", [4096, 1000])
     @pytest.mark.parametrize("gate_style", ["sabl", "cvsl"])
-    def test_batch_crossing_a_tile_with_repeats(self, gate_style, batch_size):
+    def test_batch_crossing_a_tile_with_repeats(self, gate_style):
         program = compile_circuit(
             build_sbox_circuit(0x3, network_style="genuine"), gate_style=gate_style
         )
@@ -414,7 +401,7 @@ class TestDistinctVectors:
         matrix = pool[rng.integers(0, 5, size=2 * _CYCLE_TILE + 300)]
         # The same vectors on both sides of the first tile boundary.
         matrix[_CYCLE_TILE - 3 : _CYCLE_TILE + 3] = pool[0]
-        _assert_bit_identical(program, [matrix, matrix], batch_size=batch_size)
+        _assert_bit_identical(program, [matrix, matrix], batch_size=1000)
 
     @pytest.mark.parametrize(
         "gate_style, network_style", [("sabl", "genuine"), ("cvsl", "fc"), ("sabl", "fc")]
@@ -425,8 +412,7 @@ class TestDistinctVectors:
         )
         rng = np.random.default_rng(31)
         matrices = [_random_matrix(rng, 1, 4) for _ in range(60)]
-        for batch_size in (1, 1024):
-            _assert_bit_identical(program, matrices, batch_size=batch_size)
+        _assert_bit_identical(program, matrices, batch_size=1)
 
     def test_all_distinct_present_round_batch(self):
         program = compile_circuit(_present_round_circuit(4), gate_style="cvsl")
@@ -434,7 +420,7 @@ class TestDistinctVectors:
         stimuli = rng.permutation(1 << 16)[:700]
         matrix = nibble_matrix(stimuli, 16)
         model = BitslicedCircuitEnergyModel(program)
-        assert _kernel_counters(model, matrix) == (700, 700)
+        assert _kernel_cycles(model, matrix) == 700
         _assert_bit_identical(program, [matrix, matrix[::-1].copy()])
 
     def test_64_input_slice(self):
@@ -445,24 +431,22 @@ class TestDistinctVectors:
         matrix = pool[rng.integers(0, 12, size=40)]
         _assert_bit_identical(program, [matrix, matrix])
 
-    def test_distinct_cycles_counter(self):
-        program = compile_circuit(build_sbox_circuit(0xB, network_style="genuine"))
-        model = BitslicedCircuitEnergyModel(program)
-        cycles = 2 * _CYCLE_TILE + 100
-        fixed = np.tile(nibble_matrix(np.array([0xC]), 4), (cycles, 1))
-        assert _kernel_counters(model, fixed) == (cycles, 3)
-        assert _kernel_counters(model, fixed, batch_size=500) == (cycles, 5)
-        rng = np.random.default_rng(53)
-        random = _random_matrix(rng, cycles, 4)
-        total, distinct = _kernel_counters(model, random)
-        assert distinct <= total and distinct <= 3 * 16
-
-    def test_constant_fold_evaluates_no_vectors(self):
+    def test_constant_fold_evaluates_no_vectors(self, monkeypatch):
         program = compile_circuit(build_sbox_circuit(0xB))
-        assert program.plan().constant_fold is not None
+        plan = program.plan()
+        assert plan.constant_fold is not None
+
+        def refuse(self, matrix):
+            raise AssertionError("the constant fold packs no cycle")
+
+        monkeypatch.setattr(BitslicePlan, "net_planes", refuse)
         model = BitslicedCircuitEnergyModel(program)
         rng = np.random.default_rng(59)
-        assert _kernel_counters(model, _random_matrix(rng, 300, 4)) == (300, 0)
+        assert _kernel_cycles(model, _random_matrix(rng, 300, 4)) == 300
+        assert np.array_equal(
+            model.energies(_random_matrix(rng, 2 * _CYCLE_TILE, 4)),
+            np.full(2 * _CYCLE_TILE, plan.constant_fold),
+        )
 
 
 class TestMemory:
@@ -479,10 +463,13 @@ class TestMemory:
         rng = np.random.default_rng(3)
         matrix = _random_matrix(rng, 4096, 4)
         peaks = []
-        for model in (_event_model(program), BitslicedCircuitEnergyModel(program)):
+        for energies in (
+            lambda: _event_model(program).energies(matrix, batch_size=4096),
+            lambda: BitslicedCircuitEnergyModel(program).energies(matrix),
+        ):
             tracemalloc.start()
             try:
-                model.energies(matrix, batch_size=4096)
+                energies()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -593,7 +580,7 @@ class TestBitIdentityProperties:
             width = len(circuit.primary_inputs)
             pool = _random_matrix(rng, data.draw(st.integers(1, 40)), width)
             matrix = pool[rng.integers(0, pool.shape[0], size=cycles)]
-            energies = bitslice.energies(matrix, batch_size=batch_size)
+            energies = bitslice.energies(matrix)
             assert np.array_equal(
                 _event_model(program).energies(matrix, batch_size=batch_size),
                 energies,
@@ -1174,11 +1161,11 @@ class TestEnergyTable:
         assert flow.result("traces").details["shards"] == 2
         assert flow.result("assessment").details["shards"] == 2
         assert built == [flow._compiled_program()]
-        # The one build's own kernel counters: the S-box's 16 vectors.
-        for name in ("kernel.cycles", "kernel.distinct_cycles"):
-            assert sum(e["value"] for e in buffer if e["name"] == name) == 16
-        # Every campaign cycle is served from the table.
-        assert _table_cycles(buffer) == 512 + 2 * 256
+        # The one build's own kernel counter: the S-box's 16 vectors.
+        assert sum(e["value"] for e in buffer if e["name"] == "kernel.cycles") == 16
+        # Every campaign cycle is served from the table, the fixed class
+        # once per assessment shard.
+        assert _table_cycles(buffer) == 512 + 256 + 2
 
 
 class TestPhysicsFingerprint:

@@ -24,7 +24,7 @@ from repro.power import (
     sbox_output_expressions,
     simulated_energy_predictor,
 )
-from repro.power.trace import TraceSet
+from repro.power.trace import TraceSet, campaign_blocks, measure_blocks
 
 from oracles import oracle_energy_statistics
 
@@ -174,6 +174,72 @@ class TestTraceAcquisition:
         circuit = build_sbox_circuit(0x4, "genuine", max_fanin=3)
         traces = acquire_circuit_traces(circuit, 0x4, 40, noise_std=0.0, seed=3)
         assert normalized_std_deviation(traces.traces.tolist()) > 1e-4
+
+
+class _SpySource:
+    """An energy source that records every stimulus it is asked for."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, stimuli):
+        self.calls.append(stimuli.copy())
+        return stimuli * 1.5 + 0.25
+
+    def seen(self):
+        return np.concatenate(self.calls) if self.calls else np.zeros(0, dtype=int)
+
+
+def _measure(blocks, energies, fixed, width=4):
+    """Stimuli, labels and energies of a run, concatenated over its blocks."""
+    stimuli, labels, measured = zip(
+        *measure_blocks(blocks, width, energies, lambda part, rng: part, fixed=fixed)
+    )
+    return np.concatenate(stimuli), np.concatenate(labels), np.concatenate(measured)
+
+
+class TestMeasureBlocks:
+    """The fixed-vs-random stream measures its fixed stimulus once per run."""
+
+    @pytest.mark.parametrize("width, fixed", [(4, 0x9), (16, 0xA5C3), (64, (1 << 63) + 9)])
+    def test_random_cycles_once_and_the_fixed_stimulus_once_per_run(self, width, fixed):
+        # 5000 traces are 20 blocks, two energy-source calls per run; a
+        # 64-bit stimulus is drawn as uint64.
+        for runs in (((0, 20),), ((0, 7), (7, 20))):
+            spy = _SpySource()
+            parts = [
+                _measure(campaign_blocks(5000, 11, first, stop), spy, fixed, width)
+                for first, stop in runs
+            ]
+            stimuli, labels, measured = (np.concatenate(part) for part in zip(*parts))
+            assert np.array_equal(measured, stimuli * 1.5 + 0.25)
+            assert (stimuli[labels] == fixed).all()
+            # Each run's first fixed cycle, then only random ones.
+            expected = []
+            for run_stimuli, run_labels, _ in parts:
+                query = ~run_labels
+                query[run_labels.argmax()] = True
+                expected.append(run_stimuli[query])
+            assert np.array_equal(spy.seen(), np.concatenate(expected))
+            assert spy.seen().size == (~labels).sum() + len(runs)
+            assert len(spy.calls) == 2
+
+    def test_a_run_without_a_fixed_cycle_measures_no_fixed_stimulus(self):
+        # A one-trace block holds no fixed cycle (its fixed half is 0).
+        for blocks in (campaign_blocks(1, 5), campaign_blocks(257, 5, 1, 2)):
+            spy = _SpySource()
+            stimuli, labels, measured = _measure(blocks, spy, fixed=0x9)
+            assert stimuli.size == 1 and not labels.any()
+            assert np.array_equal(spy.seen(), stimuli)
+            assert np.array_equal(measured, stimuli * 1.5 + 0.25)
+
+    def test_without_a_fixed_class_every_cycle_is_measured(self):
+        spy = _SpySource()
+        stimuli, _, measured = zip(
+            *measure_blocks(campaign_blocks(700, 3), 4, spy, lambda part, rng: part)
+        )
+        assert np.array_equal(spy.seen(), np.concatenate(stimuli))
+        assert np.array_equal(np.concatenate(measured), spy.seen() * 1.5 + 0.25)
 
 
 class TestAttacks:
