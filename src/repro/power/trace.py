@@ -276,12 +276,12 @@ def _measure_fixed_once(
     fresh = fixed_energy is None and bool(labels[first])
     query[first] |= fresh
     index = np.flatnonzero(query)
-    values = energies(stimuli[index])
+    values = energies(stimuli.take(index))
     fixed_energy = values[first] if fresh else fixed_energy
     if fixed_energy is None:
         return values, None
     measured = np.full(labels.shape[0], fixed_energy, dtype=values.dtype)
-    measured[index] = values
+    measured.put(index, values)
     return measured, fixed_energy
 
 
