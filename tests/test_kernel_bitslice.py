@@ -373,8 +373,7 @@ def _kernel_cycles(model, matrix):
 
 
 class TestRepeatedVectors:
-    """The kernel evaluates every cycle, repeated input vectors too, and
-    the fixed-vs-random stream measures its fixed vector once per run.
+    """The kernel evaluates every cycle, repeated input vectors too.
     These pin batches of repeats, across tile boundaries, single cycles
     and wide circuits, against the oracle."""
 

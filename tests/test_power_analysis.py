@@ -187,7 +187,7 @@ class _SpySource:
         return stimuli * 1.5 + 0.25
 
     def seen(self):
-        return np.concatenate(self.calls) if self.calls else np.zeros(0, dtype=int)
+        return np.concatenate(self.calls)
 
 
 def _measure(blocks, energies, fixed, width=4):
@@ -203,8 +203,9 @@ class TestMeasureBlocks:
 
     @pytest.mark.parametrize("width, fixed", [(4, 0x9), (16, 0xA5C3), (64, (1 << 63) + 9)])
     def test_random_cycles_once_and_the_fixed_stimulus_once_per_run(self, width, fixed):
-        # 5000 traces are 20 blocks, two energy-source calls per run; a
-        # 64-bit stimulus is drawn as uint64.
+        # 5000 traces are 20 blocks: one run calls the source on 16 and
+        # then 4 blocks, runs of 7 and 13 blocks once each.  A 64-bit
+        # stimulus is drawn as uint64.
         for runs in (((0, 20),), ((0, 7), (7, 20))):
             spy = _SpySource()
             parts = [
